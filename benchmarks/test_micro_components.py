@@ -17,7 +17,7 @@ from repro.core.direct import DirectEvaluator
 from repro.core.translator import translate_query
 from repro.db.expressions import col
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp, solve_lp_dense
+from repro.ilp.lp_backend import solve_lp, solve_lp_form
 from repro.paql.parser import parse_paql
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -78,16 +78,16 @@ def test_lp_cold_solve_speed_simplex(benchmark, galaxy_fixture):
     """Cold revised-simplex solve of a branch-and-bound child LP."""
     table, workload = galaxy_fixture
     translation = translate_query(table, workload.query("Q1").query)
-    dense = translation.model.to_dense()
-    parent = solve_lp_dense(dense, LpBackend.SIMPLEX)
+    form = translation.model.to_matrix()
+    parent = solve_lp_form(form)
     assert parent.status.has_solution
-    lower, upper = dense.bound_arrays()
+    lower, upper = form.bound_arrays()
     branch = int(np.argmax(np.abs(parent.values - np.rint(parent.values))))
     child_upper = upper.copy()
     child_upper[branch] = np.floor(parent.values[branch])
-    child = dense.with_bounds(lower, child_upper)
+    child = form.with_bounds(lower, child_upper)
 
-    result = benchmark(solve_lp_dense, child, LpBackend.SIMPLEX)
+    result = benchmark(solve_lp_form, child)
     assert result.status.has_solution
     assert not result.warm_start_used
 
@@ -97,32 +97,28 @@ def test_lp_warm_reoptimisation_speed_simplex(benchmark, galaxy_fixture):
     """The same child LP, reoptimised from the parent basis (dual simplex)."""
     table, workload = galaxy_fixture
     translation = translate_query(table, workload.query("Q1").query)
-    dense = translation.model.to_dense()
-    parent = solve_lp_dense(dense, LpBackend.SIMPLEX)
+    form = translation.model.to_matrix()
+    parent = solve_lp_form(form)
     assert parent.status.has_solution
-    lower, upper = dense.bound_arrays()
+    lower, upper = form.bound_arrays()
     branch = int(np.argmax(np.abs(parent.values - np.rint(parent.values))))
     child_upper = upper.copy()
     child_upper[branch] = np.floor(parent.values[branch])
-    child = dense.with_bounds(lower, child_upper)
-    warm = WarmStart(basis=parent.basis)
+    child = form.with_bounds(lower, child_upper)
 
-    result = benchmark(solve_lp_dense, child, LpBackend.SIMPLEX, warm)
+    result = benchmark(solve_lp_form, child, parent.basis)
     assert result.status.has_solution
     assert result.warm_start_used
 
 
 @pytest.mark.benchmark(group="micro-ilp-simplex-warm")
 def test_ilp_simplex_backend_with_basis_reuse(benchmark, galaxy_fixture):
-    """Full SIMPLEX-backend branch and bound with warm-started node LPs."""
+    """Full branch and bound with warm-started node LPs."""
     table, workload = galaxy_fixture
     translation = translate_query(table, workload.query("Q1").query)
 
     def solve():
-        solver = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-3, node_limit=2000),
-            lp_backend=LpBackend.SIMPLEX,
-        )
+        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-3, node_limit=2000))
         return solver.solve(translation.model)
 
     solution = benchmark.pedantic(solve, rounds=3, iterations=1)

@@ -38,7 +38,6 @@ from repro.workloads.recipes import MEAL_PLANNER_PAQL, meal_planner_query, recip
 def timing_report(num_rows: int = 150, seed: int = 7) -> None:
     """Per-phase timings and LP-solve counters for the meal-planner query."""
     from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-    from repro.ilp.lp_backend import LpBackend
     from repro.paql.parser import parse_paql
 
     recipes = recipes_table(num_rows=num_rows, seed=seed)
@@ -48,32 +47,22 @@ def timing_report(num_rows: int = 150, seed: int = 7) -> None:
     t1 = time.perf_counter()
     translation = translate_query(recipes, query)
     t2 = time.perf_counter()
+    solution = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-6)).solve(
+        translation.model
+    )
+    t3 = time.perf_counter()
+    stats = solution.stats
 
     print("=== Timing breakdown (--time) ===")
     print(f"parse PaQL            : {(t1 - t0) * 1000:8.2f} ms")
     print(f"translate to ILP      : {(t2 - t1) * 1000:8.2f} ms "
           f"({translation.num_variables} vars, {translation.model.num_constraints} constraints)")
-
-    for backend in (LpBackend.HIGHS, LpBackend.SIMPLEX):
-        solver = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-6), lp_backend=backend
-        )
-        t3 = time.perf_counter()
-        solution = solver.solve(translation.model)
-        t4 = time.perf_counter()
-        stats = solution.stats
-        line = (
-            f"solve ({backend.value:7s})       : {(t4 - t3) * 1000:8.2f} ms  "
-            f"status={solution.status.value}  nodes={stats.nodes_explored}  "
-            f"lp_solves={stats.lp_solves}"
-        )
-        if backend is LpBackend.SIMPLEX:
-            line += (
-                f"  simplex_iters={stats.simplex_iterations}"
-                f"  warm_start_hits={stats.warm_start_hits}"
-                f" ({stats.warm_start_rate:.0%})"
-            )
-        print(line)
+    print(
+        f"solve                 : {(t3 - t2) * 1000:8.2f} ms  "
+        f"status={solution.status.value}  nodes={stats.nodes_explored}  "
+        f"lp_solves={stats.lp_solves}  simplex_iters={stats.simplex_iterations}"
+        f"  warm_start_hits={stats.warm_start_hits} ({stats.warm_start_rate:.0%})"
+    )
     print()
 
 

@@ -52,8 +52,9 @@ per-entry dicts.
 Refine ILPs of the same group recur across backtracking retries with
 identical constraint-matrix shape and only shifted right-hand sides, so the
 evaluator caches the last optimal root basis per group and passes it back as
-a warm start on retry (SIMPLEX-backend branch-and-bound only; anything else
-ignores it).
+a warm start on retry (:func:`run_solve_task` hands it to a
+:class:`BranchAndBoundSolver` only; any other black-box solver re-solves cold
+and the retry is not counted as warm).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 
 from repro.core.base_relations import compute_base_relation
 from repro.exec.pool import SolvePool, shared_pool
-from repro.exec.tasks import SolveTask, run_solve_task, solver_supports_warm_start
+from repro.exec.tasks import SolveTask, run_solve_task
 from repro.core.package import Package
 from repro.core.translator import (
     LinearConstraintRow,
@@ -80,8 +81,8 @@ from repro.errors import (
     SolverCapacityError,
 )
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
-from repro.ilp.lp_backend import LpBackend, WarmStart
 from repro.ilp.model import ConstraintSense, IlpModel
+from repro.ilp.simplex import SimplexBasis
 from repro.ilp.status import SolverStatus
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning
@@ -125,12 +126,13 @@ class SketchRefineStats:
     solver_lp_solves: int = 0
     """LP relaxation solves summed over the sketch and every refine ILP."""
     solver_simplex_iterations: int = 0
-    """Simplex pivots summed over all solves (SIMPLEX backend only)."""
+    """Simplex pivots summed over all solves."""
     solver_warm_start_hits: int = 0
-    """LP solves that reoptimised from a parent basis (SIMPLEX backend only)."""
+    """LP solves that reoptimised from a parent basis."""
     refine_retry_warm_starts: int = 0
-    """Refine solves seeded with a cached basis from an earlier solve of the
-    same group (requires a SIMPLEX-backend :class:`BranchAndBoundSolver`)."""
+    """Refine solves that started from the cached root basis of an earlier
+    solve of the same group (``SolveTaskResult.warm_started``; only a
+    :class:`BranchAndBoundSolver` takes the basis)."""
     refine_rounds: int = 0
     """Batched refine rounds executed (each solves every then-pending group)."""
     merge_deferrals: int = 0
@@ -211,7 +213,7 @@ class SketchRefineEvaluator:
         # when a later round (or a backtracking restart) re-solves the same
         # group: the retry differs only in its residual right-hand sides, so
         # the basis stays structurally valid.
-        self._refine_basis: dict[int, object] = {}
+        self._refine_basis: dict[int, SimplexBasis] = {}
 
     # -- public API -----------------------------------------------------------------------
 
@@ -477,7 +479,7 @@ class SketchRefineEvaluator:
         )
 
         solution = self.solver.solve(model)
-        self._absorb_solver_stats(solution)
+        self._absorb_task_stats(getattr(solution, "stats", None))
         if solution.status is SolverStatus.INFEASIBLE:
             return None
         if solution.status is SolverStatus.CAPACITY_EXCEEDED:
@@ -499,37 +501,6 @@ class SketchRefineEvaluator:
             else:
                 hybrid_assignment[key] = count
         return multiplicities, hybrid_assignment
-
-    def _absorb_solver_stats(self, solution) -> None:
-        """Fold one ILP solve's solver statistics into the running totals."""
-        self._absorb_task_stats(getattr(solution, "stats", None))
-
-    def _solve_with_group_basis(self, gid: int, model, stats: SketchRefineStats):
-        """Solve a refine ILP, reusing the group's basis across retries.
-
-        Backtracking re-poses the same group's refine query with identical
-        constraint structure and only shifted residual right-hand sides, so
-        the root basis of the previous attempt stays dual feasible and is
-        passed back as a warm start.  Requires a SIMPLEX-backend
-        :class:`BranchAndBoundSolver`; any other black-box solver just gets a
-        plain ``solve`` call.
-        """
-        supports_warm = (
-            isinstance(self.solver, BranchAndBoundSolver)
-            and self.solver.lp_backend is LpBackend.SIMPLEX
-            and self.solver.warm_start_lp
-        )
-        if not supports_warm:
-            return self.solver.solve(model)
-        cached = self._refine_basis.get(gid)
-        if cached is not None:
-            stats.refine_retry_warm_starts += 1
-            solution = self.solver.solve(model, warm_start=WarmStart(basis=cached))
-        else:
-            solution = self.solver.solve(model)
-        if solution.root_basis is not None:
-            self._refine_basis[gid] = solution.root_basis
-        return solution
 
     @staticmethod
     def _sketch_objective(
@@ -633,22 +604,18 @@ class SketchRefineEvaluator:
         :func:`run_solve_task`.  Results are post-processed (stats folded in,
         warm bases cached) in ascending group-id order either way.
         """
-        attach_basis = solver_supports_warm_start(self.solver)
         tasks: list[SolveTask] = []
         for gid in order:
             model = self._build_refine_model(
                 query, linearisation, group_info, group_means,
                 sketch_multiplicities, assignments, pending, gid,
             )
-            basis = self._refine_basis.get(gid) if attach_basis else None
-            if basis is not None:
-                stats.refine_retry_warm_starts += 1
             tasks.append(
                 SolveTask(
                     task_id=gid,
                     model=model,
                     solver=self.solver,
-                    warm_basis=basis,
+                    warm_basis=self._refine_basis.get(gid),
                     rng_seed=int(gid),
                 )
             )
@@ -673,6 +640,7 @@ class SketchRefineEvaluator:
         for gid in sorted(by_gid):
             result = by_gid[gid]
             self._absorb_task_stats(result.stats)
+            stats.refine_retry_warm_starts += result.warm_started
             if result.root_basis is not None:
                 self._refine_basis[gid] = result.root_basis
         return by_gid

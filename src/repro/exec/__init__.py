@@ -19,7 +19,6 @@ from repro.exec.tasks import (
     SolveTaskResult,
     SupportsSolve,
     run_solve_task,
-    solver_supports_warm_start,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "run_solve_task",
     "shared_pool",
     "shutdown_shared_pools",
-    "solver_supports_warm_start",
 ]

@@ -15,8 +15,8 @@ construction.  Two guards keep it that way:
   stray RNG-dependent code path sees the same stream regardless of which
   worker — or how warm a worker — executes the task, and
 * the task carries its own model/solver copies; form-level memo caches (the
-  simplex working matrix, the LP presolve memo) are rebuilt per task and
-  never shared across workers.
+  simplex working matrix) are rebuilt per task and never shared across
+  workers.
 
 ``solve_seconds`` on the result is measured *inside* the executing process
 with a monotonic clock: summing it over tasks gives the true compute time,
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, TypeGuard
+from typing import Protocol
 
 import numpy as np
 
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
-from repro.ilp.lp_backend import LpBackend, WarmStart
 from repro.ilp.model import IlpModel
 from repro.ilp.simplex import SimplexBasis
 from repro.ilp.status import Solution, SolveStats, SolverStatus
@@ -42,19 +41,6 @@ class SupportsSolve(Protocol):
     """The black-box solver contract a :class:`SolveTask` ships."""
 
     def solve(self, model: IlpModel) -> Solution: ...
-
-
-def solver_supports_warm_start(solver: object) -> TypeGuard[BranchAndBoundSolver]:
-    """Whether ``solver`` consumes a :class:`WarmStart` basis.
-
-    Mirrors the SKETCHREFINE retry rule: only a SIMPLEX-backend
-    :class:`BranchAndBoundSolver` with basis reuse enabled qualifies.
-    """
-    return (
-        isinstance(solver, BranchAndBoundSolver)
-        and solver.lp_backend is LpBackend.SIMPLEX
-        and solver.warm_start_lp
-    )
 
 
 @dataclass
@@ -69,10 +55,9 @@ class SolveTask:
         solver: Solver to run (``None`` → a default
             :class:`BranchAndBoundSolver`).  Must be picklable for parallel
             execution; :class:`BranchAndBoundSolver` is.
-        warm_basis: Optional simplex basis seeding the root LP relaxation.
-            Attach only when the solver supports it (see
-            :func:`solver_supports_warm_start`) so serial and parallel runs
-            issue identical solve calls.
+        warm_basis: Optional simplex basis seeding the root LP relaxation;
+            consumed by :class:`BranchAndBoundSolver`, ignored for any other
+            black-box solver.
         rng_seed: Per-task seed for the process-global NumPy RNG; ``None``
             skips reseeding.  The bundled solvers are RNG-free — this is a
             determinism guard, not a requirement.
@@ -120,9 +105,9 @@ def run_solve_task(task: SolveTask) -> SolveTaskResult:
         np.random.seed(task.rng_seed)
     started = time.perf_counter()
     solver = task.solver if task.solver is not None else BranchAndBoundSolver()
-    if task.warm_basis is not None and solver_supports_warm_start(solver):
+    if task.warm_basis is not None and isinstance(solver, BranchAndBoundSolver):
         use_warm = True
-        solution = solver.solve(task.model, warm_start=WarmStart(basis=task.warm_basis))
+        solution = solver.solve(task.model, warm_start=task.warm_basis)
     else:
         use_warm = False
         solution = solver.solve(task.model)

@@ -5,9 +5,9 @@ an equivalent black box implemented from scratch:
 
 * :class:`~repro.ilp.model.IlpModel` — a sparse-friendly model of variables,
   linear constraints, bounds and a linear objective,
-* :mod:`~repro.ilp.lp_backend` — LP relaxation solving through SciPy's HiGHS
-  backend, with a pure-NumPy bounded-variable revised simplex fallback that
-  supports warm-started (dual) reoptimisation from an exported basis,
+* :mod:`~repro.ilp.lp_backend` — LP relaxation solving through the
+  bounded-variable revised simplex of :mod:`~repro.ilp.simplex`, with
+  warm-started (dual) reoptimisation from an exported basis,
 * :mod:`~repro.ilp.presolve` — presolve/postsolve reductions on the matrix
   form (iterated bound propagation, fixed-variable elimination,
   redundant-row removal) with solution *and* basis mapping between the
@@ -25,10 +25,10 @@ an equivalent black box implemented from scratch:
   attributes" mitigation of false infeasibility).
 """
 
-from repro.ilp.matrix_form import DenseForm, MatrixForm
+from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import Constraint, ConstraintSense, IlpModel, Objective, ObjectiveSense, Variable
 from repro.ilp.status import SolveStats, SolverStatus, Solution
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp
+from repro.ilp.lp_backend import solve_lp
 from repro.ilp.presolve import Postsolve, PresolveResult, PresolveStats, presolve_form
 from repro.ilp.simplex import SimplexBasis
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, BranchingRule, NodeSelection, SolverLimits
@@ -38,7 +38,6 @@ from repro.ilp.iis import find_iis
 __all__ = [
     "IlpModel",
     "MatrixForm",
-    "DenseForm",
     "Variable",
     "Constraint",
     "ConstraintSense",
@@ -47,8 +46,6 @@ __all__ = [
     "Solution",
     "SolverStatus",
     "SolveStats",
-    "LpBackend",
-    "WarmStart",
     "SimplexBasis",
     "solve_lp",
     "presolve_form",

@@ -21,18 +21,17 @@ model itself memoizes that export); every node shares the same objective and
 constraint buffers and differs only in its bounds vectors, materialised via
 :meth:`~repro.ilp.matrix_form.MatrixForm.with_bounds` without copying — the
 simplex's assembled working matrix rides along in the shared form cache, so
-the whole tree prices against one copy.  With the SIMPLEX backend, each node
-also records the optimal basis of its LP relaxation and hands it to its
-children: a child differs from its parent by one tightened variable bound, so
-the child's LP is reoptimised with a few dual-simplex pivots from the parent
-basis instead of a cold two-phase solve.  A caller holding a basis from a
+the whole tree prices against one copy.  Each node also records the optimal
+basis of its LP relaxation and hands it to its children: a child differs from
+its parent by one tightened variable bound, so the child's LP is reoptimised
+with a few dual-simplex pivots from the parent basis instead of a cold
+two-phase solve.  A caller holding a basis from a
 related earlier solve (same matrix shape) can seed the *root* node the same
 way through the ``warm_start`` argument of :meth:`BranchAndBoundSolver.solve`,
 and the root relaxation's own basis is exported on the returned
 :attr:`~repro.ilp.status.Solution.root_basis` for the next related solve.
 ``SolveStats.warm_start_hits`` / ``simplex_iterations`` expose how often the
-fast path is taken.  The HiGHS backend solves every node cold (SciPy exposes
-no basis interface) but still benefits from the shared matrix form.
+fast path is taken.
 
 **Presolve.**  Before the root LP, the matrix form is reduced by
 :func:`~repro.ilp.presolve.presolve_form` (bound propagation with integrality
@@ -64,11 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.lp_backend import LpBackend, LpResult, WarmStart, solve_lp_form
+from repro.ilp.lp_backend import LpResult, solve_lp_form
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import Postsolve, presolve_form
-from repro.ilp.simplex import PricingRule, SimplexBasis
+from repro.ilp.simplex import SimplexBasis
 from repro.ilp.status import Solution, SolveStats, SolverStatus
 
 _INTEGRALITY_TOLERANCE = 1e-6
@@ -137,38 +136,27 @@ class BranchAndBoundSolver:
         limits: SolverLimits | None = None,
         branching: BranchingRule = BranchingRule.MOST_FRACTIONAL,
         node_selection: NodeSelection = NodeSelection.BEST_BOUND,
-        lp_backend: LpBackend = LpBackend.HIGHS,
         enable_rounding_heuristic: bool = True,
-        warm_start_lp: bool = True,
         presolve: bool = True,
-        pricing: PricingRule = PricingRule.AUTO,
     ):
         self.limits = limits or SolverLimits()
         self.branching = branching
         self.node_selection = node_selection
-        self.lp_backend = lp_backend
-        # Simplex entering-variable rule for node LPs (SIMPLEX backend only);
-        # AUTO resolves per instance width, the explicit rules exist for the
-        # pricing-ablation benchmark.
-        self.pricing = pricing
         self.enable_rounding_heuristic = enable_rounding_heuristic
-        # Basis reuse across the tree (SIMPLEX backend only); the off switch
-        # exists so benchmarks can measure cold-vs-warm node throughput.
-        self.warm_start_lp = warm_start_lp
         # Root presolve (bound propagation + fixed-variable elimination on the
-        # matrix form, reused by every node); off switch for the benchmark
-        # ablation and for debugging reductions.
+        # matrix form, reused by every node); off switch for debugging
+        # reductions and for the presolve-on/off parity tests.
         self.presolve = presolve
 
     # -- public API ----------------------------------------------------------------
 
-    def solve(self, model: IlpModel, warm_start: WarmStart | None = None) -> Solution:
+    def solve(self, model: IlpModel, warm_start: SimplexBasis | None = None) -> Solution:
         """Solve ``model`` to optimality (or until a limit is hit).
 
         ``warm_start`` optionally seeds the *root* LP relaxation with a basis
         from a related earlier solve (same constraint-matrix shape, e.g. a
-        SKETCHREFINE backtracking retry); only the SIMPLEX backend consumes
-        it, and a stale basis silently falls back to a cold solve.
+        SKETCHREFINE backtracking retry); a stale basis silently falls back
+        to a cold solve.
         """
         stats = SolveStats()
         capacity_status = self._check_capacity(model)
@@ -228,15 +216,14 @@ class BranchAndBoundSolver:
 
         counter = itertools.count()
         heap: list[_Node] = []
-        root_seed = warm_start.basis if (warm_start is not None and self.warm_start_lp) else None
-        if root_seed is not None and postsolve is not None:
+        if warm_start is not None and postsolve is not None:
             # The caller's basis lives in the original column space; project it
             # into this solve's reduced space (None -> cold root, as for any
             # stale warm start).
-            root_seed = postsolve.reduce_basis(root_seed)
+            warm_start = postsolve.reduce_basis(warm_start)
         root = _Node(priority=0.0, sequence=next(counter), depth=0,
                      lower_bounds=root_lower, upper_bounds=root_upper,
-                     parent_basis=root_seed)
+                     parent_basis=warm_start)
         heapq.heappush(heap, root)
         root_basis: SimplexBasis | None = None
 
@@ -333,14 +320,13 @@ class BranchAndBoundSolver:
 
             # Children inherit this node's optimal basis: they differ by one
             # tightened bound, so their LPs dual-reoptimise from it.
-            child_basis = lp_result.basis if self.warm_start_lp else None
             down = _Node(
                 priority=self._node_priority(sense, bound, node.depth + 1),
                 sequence=next(counter),
                 depth=node.depth + 1,
                 lower_bounds=node.lower_bounds.copy(),
                 upper_bounds=node.upper_bounds.copy(),
-                parent_basis=child_basis,
+                parent_basis=lp_result.basis,
             )
             down.upper_bounds[branch_index] = floor_value
 
@@ -350,7 +336,7 @@ class BranchAndBoundSolver:
                 depth=node.depth + 1,
                 lower_bounds=node.lower_bounds.copy(),
                 upper_bounds=node.upper_bounds.copy(),
-                parent_basis=child_basis,
+                parent_basis=lp_result.basis,
             )
             up.lower_bounds[branch_index] = floor_value + 1.0
 
@@ -387,8 +373,6 @@ class BranchAndBoundSolver:
             stats.warm_start_hits += 1
         stats.refactorizations += lp_result.refactorizations
         stats.eta_peak = max(stats.eta_peak, lp_result.eta_peak)
-        if lp_result.pricing:
-            stats.pricing_rule = lp_result.pricing
 
     @staticmethod
     def _objective_cutoff_min(
@@ -434,17 +418,7 @@ class BranchAndBoundSolver:
                 objective_cutoff_min=objective_cutoff_min,
             )
             node_form = form.with_bounds(reduced_lower, reduced_upper)
-        warm = None
-        if (
-            self.warm_start_lp
-            and node.parent_basis is not None
-            and self.lp_backend is LpBackend.SIMPLEX
-        ):
-            warm = WarmStart(basis=node.parent_basis)
-        result = solve_lp_form(
-            node_form, self.lp_backend, warm_start=warm, presolve=False,
-            pricing=self.pricing,
-        )
+        result = solve_lp_form(node_form, warm_start=node.parent_basis)
         if postsolve is None or not result.status.has_solution:
             return result
         return LpResult(
@@ -456,7 +430,6 @@ class BranchAndBoundSolver:
             warm_start_used=result.warm_start_used,
             refactorizations=result.refactorizations,
             eta_peak=result.eta_peak,
-            pricing=result.pricing,
         )
 
     @staticmethod

@@ -19,25 +19,25 @@ integrality is out of scope, as it is for CPLEX's default IIS as well).
 
 from __future__ import annotations
 
-from repro.ilp.lp_backend import LpBackend, solve_lp
+from repro.ilp.lp_backend import solve_lp
 from repro.ilp.model import IlpModel
 from repro.ilp.status import SolverStatus
 
 
-def find_iis(model: IlpModel, lp_backend: LpBackend = LpBackend.HIGHS) -> list[str]:
+def find_iis(model: IlpModel) -> list[str]:
     """Return the names of an irreducible infeasible subset of constraints.
 
     Returns an empty list when the model's LP relaxation is actually feasible
     (i.e. there is nothing to explain).
     """
-    if _relaxation_feasible(model, lp_backend):
+    if _relaxation_feasible(model):
         return []
 
     keep: list[int] = list(range(model.num_constraints))
     index = 0
     while index < len(keep):
         candidate = keep[:index] + keep[index + 1 :]
-        if not _subset_feasible(model, candidate, lp_backend):
+        if not _subset_feasible(model, candidate):
             # Still infeasible without this constraint: drop it permanently.
             keep.pop(index)
         else:
@@ -59,11 +59,11 @@ def constraint_columns(model: IlpModel, constraint_names: list[str]) -> set[int]
     return columns
 
 
-def _relaxation_feasible(model: IlpModel, lp_backend: LpBackend) -> bool:
-    return solve_lp(model, lp_backend).status is not SolverStatus.INFEASIBLE
+def _relaxation_feasible(model: IlpModel) -> bool:
+    return solve_lp(model).status is not SolverStatus.INFEASIBLE
 
 
-def _subset_feasible(model: IlpModel, constraint_indices: list[int], lp_backend: LpBackend) -> bool:
+def _subset_feasible(model: IlpModel, constraint_indices: list[int]) -> bool:
     # Probe models are rebuilt through the coefficient-triplet fast path
     # (sharing the source constraints' index/value arrays), not by
     # materialising per-constraint dicts: the deletion filter builds O(m)
@@ -80,4 +80,4 @@ def _subset_feasible(model: IlpModel, constraint_indices: list[int], lp_backend:
     subset.set_objective_arrays(
         model.objective.sense, model.objective.indices, model.objective.values
     )
-    return _relaxation_feasible(subset, lp_backend)
+    return _relaxation_feasible(subset)

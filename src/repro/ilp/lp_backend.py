@@ -1,78 +1,43 @@
-"""LP relaxation backends and the warm-start protocol.
+"""LP relaxation solves and the warm-start protocol.
 
 Branch and bound needs to repeatedly solve LP relaxations that differ only in
-variable bounds.  Two backends are provided:
-
-* ``HIGHS`` — :func:`scipy.optimize.linprog` with the HiGHS method (default,
-  fast and robust), and
-* ``SIMPLEX`` — the pure-NumPy bounded-variable revised simplex in
-  :mod:`repro.ilp.simplex`, kept as an independent implementation both for
-  environments without SciPy's HiGHS and as a cross-check in the test-suite.
-
-Both consume the :class:`~repro.ilp.matrix_form.MatrixForm` IR directly:
-sparse forms hand their ``scipy.sparse`` CSR matrices straight to HiGHS (no
-densification), and the simplex assembles its working matrix once per form
-and caches it on the form, so every bounds-only
+variable bounds.  Every relaxation goes through the bounded-variable revised
+simplex in :mod:`repro.ilp.simplex`, which consumes the
+:class:`~repro.ilp.matrix_form.MatrixForm` IR directly: it assembles its
+working matrix once per form and caches it on the form, so every bounds-only
 :meth:`~repro.ilp.matrix_form.MatrixForm.with_bounds` view (read: every
 branch-and-bound node) reuses the same copy.
 
-Backend choice: HiGHS wins on large cold solves (compiled code, presolve);
-SIMPLEX wins on *sequences* of related small solves because it supports the
-basis-reuse protocol below, which SciPy's ``linprog`` interface does not
-expose.
-
-The warm-start protocol: an optimal SIMPLEX solve returns its final basis in
+The warm-start protocol: an optimal solve returns its final basis in
 :attr:`LpResult.basis`.  A caller about to solve a *related* problem (same
 constraint matrix, different bounds — e.g. a branch-and-bound child node)
-wraps that basis in a :class:`WarmStart` and passes it to
+passes that :class:`~repro.ilp.simplex.SimplexBasis` back to
 :func:`solve_lp_form`.  The simplex then reoptimises with dual pivots from
 the parent basis instead of solving from scratch; a stale or invalid basis is
 detected and silently falls back to a cold solve
-(:attr:`LpResult.warm_start_used` reports what actually happened).  The
-HIGHS backend ignores warm starts.
+(:attr:`LpResult.warm_start_used` reports what actually happened).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import SolverError
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import IlpModel
-from repro.ilp.presolve import PresolveResult, presolve_form
-from repro.ilp.simplex import (
-    PricingRule,
-    SimplexBasis,
-    SimplexResult,
-    SimplexStatus,
-    solve_form_simplex,
-)
+from repro.ilp.simplex import SimplexBasis, SimplexStatus, solve_form_simplex
 from repro.ilp.status import Solution, SolveStats, SolverStatus
 
-#: ``form.cache`` slot for the memoized presolve reduction (keyed by a bounds
-#: fingerprint, since ``with_bounds`` views share one cache dict).
-_PRESOLVE_CACHE_KEY = "lp_presolve"
-
-
-class LpBackend(enum.Enum):
-    """Which LP algorithm backs the relaxation solves."""
-
-    HIGHS = "highs"
-    SIMPLEX = "simplex"
-
-
-@dataclass
-class WarmStart:
-    """Solver state carried from one LP solve to a related one.
-
-    Currently holds the simplex basis; only the SIMPLEX backend consumes it.
-    """
-
-    basis: SimplexBasis | None = None
+_STATUS_MAP = {
+    SimplexStatus.OPTIMAL: SolverStatus.OPTIMAL,
+    SimplexStatus.INFEASIBLE: SolverStatus.INFEASIBLE,
+    SimplexStatus.UNBOUNDED: SolverStatus.UNBOUNDED,
+    # NUMERICAL_ERROR is surfaced (not raised) so branch-and-bound can retry
+    # the node cold rather than aborting — or worse, pruning — the subtree.
+    SimplexStatus.NUMERICAL_ERROR: SolverStatus.NUMERICAL_ERROR,
+}
 
 
 @dataclass
@@ -83,14 +48,13 @@ class LpResult:
         status: Solve outcome.
         values: Optimal assignment (empty when no solution).
         objective_value: Objective in the model's sense (NaN when no solution).
-        basis: Final simplex basis on optimal SIMPLEX solves, reusable as a
-            :class:`WarmStart` for related problems; ``None`` for HiGHS.
-        iterations: Simplex iterations spent (0 for HiGHS).
+        basis: Final simplex basis on optimal solves, reusable as the
+            ``warm_start`` of a related problem.
+        iterations: Simplex iterations spent.
         warm_start_used: Whether a supplied warm start was actually consumed
-            rather than rejected (stale basis) or ignored (HiGHS).
-        refactorizations: Basis refactorisations during the solve (SIMPLEX).
-        eta_peak: Longest eta file between refactorisations (SIMPLEX).
-        pricing: Resolved pricing rule that drove the solve ("" for HiGHS).
+            rather than rejected (stale basis).
+        refactorizations: Basis refactorisations during the solve.
+        eta_peak: Longest eta file between refactorisations.
     """
 
     status: SolverStatus
@@ -101,132 +65,44 @@ class LpResult:
     warm_start_used: bool = False
     refactorizations: int = 0
     eta_peak: int = 0
-    pricing: str = ""
 
 
-def solve_lp_form(
-    form: MatrixForm,
-    backend: LpBackend = LpBackend.HIGHS,
-    warm_start: WarmStart | None = None,
-    presolve: bool = True,
-    pricing: PricingRule = PricingRule.AUTO,
-) -> LpResult:
+def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> LpResult:
     """Solve the LP relaxation of a matrix-form model.
 
-    With ``presolve`` (the default) the form is first reduced by
-    :func:`~repro.ilp.presolve.presolve_form` — bound propagation, fixed
-    variables eliminated, redundant rows dropped — and the result is mapped
-    back through the reduction's postsolve record: values, objective *and*
-    basis all come back in the original space, and a supplied warm-start
-    basis is projected into the reduced space, so the warm-start protocol is
-    unaffected.  The reduction is memoized on ``form.cache`` (keyed by the
-    bounds), so repeated solves of the same form presolve once.  Callers that
-    manage their own reduction (branch-and-bound) pass ``presolve=False``.
+    ``warm_start`` optionally seeds the solve with the basis of a related
+    earlier solve over the same constraint matrix.
     """
-    if not presolve:
-        return _dispatch(form, backend, warm_start, pricing)
-    reduction = _cached_presolve(form)
-    if not reduction.feasible:
-        return LpResult(SolverStatus.INFEASIBLE, np.empty(0), float("nan"))
-    postsolve = reduction.postsolve
-    if reduction.form is form:
-        return _dispatch(form, backend, warm_start, pricing)
-    reduced_warm = None
-    if warm_start is not None and warm_start.basis is not None:
-        mapped = postsolve.reduce_basis(warm_start.basis)
-        if mapped is not None:
-            reduced_warm = WarmStart(basis=mapped)
-        elif (
-            backend is LpBackend.SIMPLEX
-            and isinstance(warm_start.basis, SimplexBasis)
-            and warm_start.basis.matches(
-                postsolve.num_orig_vars, postsolve.num_orig_ub, postsolve.num_orig_eq
-            )
-        ):
-            # The reduction conflicts with the caller's basis (typically it
-            # fixed a column that is basic there).  A dual reoptimisation
-            # from that basis is usually cheaper than a cold reduced solve,
-            # so the warm start wins and presolve steps aside.
-            return _dispatch(form, backend, warm_start, pricing)
-    if postsolve.num_reduced_vars == 0:
-        # Everything fixed by presolve; the remaining rows were all removed
-        # (or the reduction would have been infeasible).
-        values = postsolve.restore(np.empty(0))
-        return LpResult(
-            SolverStatus.OPTIMAL, values, form.objective_from_min(float(form.c @ values))
-        )
-    result = _dispatch(reduction.form, backend, reduced_warm, pricing)
-    if not result.status.has_solution:
-        return LpResult(
-            result.status,
-            result.values,
-            result.objective_value,
-            iterations=result.iterations,
-            warm_start_used=result.warm_start_used,
-            refactorizations=result.refactorizations,
-            eta_peak=result.eta_peak,
-            pricing=result.pricing,
-        )
+    result = solve_form_simplex(form, warm_start=warm_start)
+    status = _STATUS_MAP.get(result.status)
+    if status is None:
+        raise SolverError("simplex LP solve did not converge")
+    # Non-optimal solves carry an empty ``x``, a NaN objective and no basis.
     return LpResult(
-        result.status,
-        postsolve.restore(result.values),
-        result.objective_value + postsolve.objective_offset,
-        basis=postsolve.restore_basis(result.basis),
+        status,
+        result.x,
+        form.objective_from_min(result.objective),
+        basis=result.basis,
         iterations=result.iterations,
-        warm_start_used=result.warm_start_used,
+        warm_start_used=result.warm_started,
         refactorizations=result.refactorizations,
         eta_peak=result.eta_peak,
-        pricing=result.pricing,
     )
 
 
-def _dispatch(
-    form: MatrixForm,
-    backend: LpBackend,
-    warm_start: WarmStart | None,
-    pricing: PricingRule = PricingRule.AUTO,
-) -> LpResult:
-    if backend is LpBackend.HIGHS:
-        return _solve_highs(form)
-    return _solve_simplex(form, warm_start, pricing)
-
-
-def _cached_presolve(form: MatrixForm) -> PresolveResult:
-    lower, upper = form.bound_arrays()
-    key = (lower.tobytes(), upper.tobytes())
-    cached = form.cache.get(_PRESOLVE_CACHE_KEY)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    reduction = presolve_form(form)
-    form.cache[_PRESOLVE_CACHE_KEY] = (key, reduction)
-    return reduction
-
-
-# PR 1 name, kept for compatibility with existing callers/tests.
-solve_lp_dense = solve_lp_form
-# The presolve-aware entry point under its architectural name.
-solve_form = solve_lp_form
-
-
-def solve_lp(
-    model: IlpModel,
-    backend: LpBackend = LpBackend.HIGHS,
-    warm_start: WarmStart | None = None,
-) -> Solution:
+def solve_lp(model: IlpModel, warm_start: SimplexBasis | None = None) -> Solution:
     """Solve the LP relaxation of ``model`` and wrap the result as a Solution.
 
     Uses the model's memoized matrix form, so repeated relaxation solves of
     the same model share one export (and one simplex working matrix).
     """
-    form = model.to_matrix()
-    result = solve_lp_form(form, backend, warm_start)
+    result = solve_lp_form(model.to_matrix(), warm_start)
     stats = SolveStats(
         lp_solves=1,
         simplex_iterations=result.iterations,
         warm_start_hits=1 if result.warm_start_used else 0,
         refactorizations=result.refactorizations,
         eta_peak=result.eta_peak,
-        pricing_rule=result.pricing,
     )
     if not result.status.has_solution:
         return Solution(result.status, stats=stats)
@@ -235,70 +111,4 @@ def solve_lp(
         values=result.values,
         objective_value=result.objective_value,
         stats=stats,
-    )
-
-
-def _solve_highs(form: MatrixForm) -> LpResult:
-    lower, upper = form.bound_arrays()
-    # HiGHS accepts scipy.sparse matrices directly; a sparse form is passed
-    # through without densification.
-    result = linprog(
-        c=form.c,
-        A_ub=form.a_ub if form.a_ub.shape[0] else None,
-        b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=form.a_eq if form.a_eq.shape[0] else None,
-        b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=np.column_stack([lower, upper]),
-        method="highs",
-    )
-    if result.status == 0:
-        return LpResult(SolverStatus.OPTIMAL, np.asarray(result.x), form.objective_from_min(result.fun))
-    if result.status == 2:
-        return LpResult(SolverStatus.INFEASIBLE, np.empty(0), float("nan"))
-    if result.status == 3:
-        return LpResult(SolverStatus.UNBOUNDED, np.empty(0), float("nan"))
-    raise SolverError(f"HiGHS LP solve failed: {result.message}")
-
-
-def _solve_simplex(
-    form: MatrixForm,
-    warm_start: WarmStart | None = None,
-    pricing: PricingRule = PricingRule.AUTO,
-) -> LpResult:
-    basis = warm_start.basis if warm_start is not None else None
-    simplex_result: SimplexResult = solve_form_simplex(
-        form, warm_start=basis, pricing=pricing
-    )
-    if simplex_result.status is SimplexStatus.OPTIMAL:
-        return LpResult(
-            SolverStatus.OPTIMAL,
-            simplex_result.x,
-            form.objective_from_min(simplex_result.objective),
-            basis=simplex_result.basis,
-            iterations=simplex_result.iterations,
-            warm_start_used=simplex_result.warm_started,
-            refactorizations=simplex_result.refactorizations,
-            eta_peak=simplex_result.eta_peak,
-            pricing=simplex_result.pricing,
-        )
-    status_map = {
-        SimplexStatus.INFEASIBLE: SolverStatus.INFEASIBLE,
-        SimplexStatus.UNBOUNDED: SolverStatus.UNBOUNDED,
-        # NUMERICAL_ERROR is surfaced (not raised) so branch-and-bound can
-        # retry the node cold rather than aborting — or worse, pruning — the
-        # subtree.
-        SimplexStatus.NUMERICAL_ERROR: SolverStatus.NUMERICAL_ERROR,
-    }
-    mapped = status_map.get(simplex_result.status)
-    if mapped is None:
-        raise SolverError("simplex LP solve did not converge")
-    return LpResult(
-        mapped,
-        np.empty(0),
-        float("nan"),
-        iterations=simplex_result.iterations,
-        warm_start_used=simplex_result.warm_started,
-        refactorizations=simplex_result.refactorizations,
-        eta_peak=simplex_result.eta_peak,
-        pricing=simplex_result.pricing,
     )

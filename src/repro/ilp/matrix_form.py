@@ -3,7 +3,7 @@
 A :class:`MatrixForm` is the single intermediate representation between an
 :class:`~repro.ilp.model.IlpModel` and the solvers: the minimisation-form
 objective vector, the ``A_ub x <= b_ub`` / ``A_eq x = b_eq`` constraint
-matrices and the variable bounds.  It replaces the old ``DenseForm``.
+matrices and the variable bounds.
 
 Storage is *sparse-first*: constraint matrices are ``scipy.sparse`` CSR
 (``data`` / ``indices`` / ``indptr`` arrays) assembled in O(nnz) from the
@@ -213,7 +213,3 @@ def assemble_matrix(
     dense = np.zeros((num_rows, num_cols))
     dense[row_ids, col_ids] = data
     return dense
-
-
-# Backward-compatible alias: PR 1 consumers imported ``DenseForm``.
-DenseForm = MatrixForm

@@ -11,7 +11,7 @@ tuple, and contiguous arrays keep that affordable (a dict entry costs ~10x
 the bytes of an array entry) while making evaluation a vectorised dot
 product.  The model is deliberately solver-agnostic: :meth:`IlpModel.to_matrix`
 exports the sparse-first :class:`~repro.ilp.matrix_form.MatrixForm` IR that
-every LP/ILP backend consumes.
+every LP/ILP solver consumes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.matrix_form import DenseForm, MatrixForm, assemble_matrix, choose_sparse
+from repro.ilp.matrix_form import MatrixForm, assemble_matrix, choose_sparse
 
 __all__ = [
     "ConstraintSense",
@@ -33,7 +33,6 @@ __all__ = [
     "Objective",
     "IlpModel",
     "MatrixForm",
-    "DenseForm",
 ]
 
 
@@ -482,17 +481,10 @@ class IlpModel:
             self._matrix_cache[sparse] = cached
         return cached
 
-    def to_dense(self) -> MatrixForm:
-        """Backward-compatible alias for :meth:`to_matrix` (automatic storage)."""
-        return self.to_matrix()
-
     def invalidate_matrix_cache(self) -> None:
         """Drop the memoized matrix export (needed after in-place mutation)."""
         self._matrix_cache = {}
         self._variable_arrays = None
-
-    # PR 1 name, kept for compatibility.
-    invalidate_dense_cache = invalidate_matrix_cache
 
     def _invalidate(self) -> None:
         self.invalidate_matrix_cache()

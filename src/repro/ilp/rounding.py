@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ilp.lp_backend import LpBackend, solve_lp
+from repro.ilp.lp_backend import solve_lp
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.status import Solution, SolveStats, SolverStatus
 
@@ -31,13 +31,10 @@ _MAX_REPAIR_PASSES = 200
 class RelaxAndRoundSolver:
     """Approximate ILP solver based on LP relaxation and greedy repair."""
 
-    def __init__(self, lp_backend: LpBackend = LpBackend.HIGHS):
-        self.lp_backend = lp_backend
-
     def solve(self, model: IlpModel) -> Solution:
         """Return a feasible (not necessarily optimal) solution, or INFEASIBLE."""
         stats = SolveStats()
-        relaxed = solve_lp(model, self.lp_backend)
+        relaxed = solve_lp(model)
         stats.lp_solves += 1
         if relaxed.status is SolverStatus.INFEASIBLE:
             return Solution.infeasible(stats)

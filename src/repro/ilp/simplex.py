@@ -1,9 +1,8 @@
 """A bounded-variable revised simplex solver with warm-start support.
 
-This is a self-contained LP solver used as a fallback / cross-check for the
-HiGHS backend.  Unlike the dense tableau method it replaced, it is built for
-the workload SKETCHREFINE and branch-and-bound actually generate: *many small
-LPs that differ from each other by a single variable bound*.
+This is the library's one LP relaxation solver.  It is built for the workload
+SKETCHREFINE and branch-and-bound actually generate: *many small LPs that
+differ from each other by a single variable bound*.
 
 Five design points make repeated solves cheap:
 
@@ -41,23 +40,20 @@ Five design points make repeated solves cheap:
   mismatch, singular basis matrix, unrestorable dual feasibility) fall back
   to a cold two-phase solve.
 
-**Pricing ladder.**  :class:`PricingRule` selects the entering-variable rule:
-Dantzig (most negative reduced cost) for narrow forms, devex reference
-weights past :data:`_DEVEX_COLUMN_THRESHOLD` working columns (the ``AUTO``
-default resolves between the two), and exact steepest-edge as an opt-in.
-Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a partial-pricing candidate
-list amortises the full ``v @ A`` sweep: most iterations price only a few
-hundred promising columns, and a full sweep runs only when the list runs dry
-(optimality is still only ever declared off a full sweep).  After a long run
-of degenerate pivots the solver switches to Bland's rule — always a full
-lowest-index sweep — to guarantee termination.
+**Pricing.**  The entering variable is chosen by Dantzig's rule (largest
+reduced-cost magnitude).  Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a
+partial-pricing candidate list amortises the full ``v @ A`` sweep: most
+iterations price only a few hundred promising columns, and a full sweep runs
+only when the list runs dry (optimality is still only ever declared off a
+full sweep).  After a long run of degenerate pivots the solver switches to
+Bland's rule — always a full lowest-index sweep — to guarantee termination.
 
 The cold path is the classic two-phase method in revised form: phase 1
 minimises signed artificial infeasibilities, phase 2 the true objective.
 
 The solver handles minimisation of ``c @ x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq`` and per-variable bounds (``None``/``inf`` meaning
-unbounded).  Large problems should still use the HiGHS backend.
+unbounded).
 """
 
 from __future__ import annotations
@@ -80,14 +76,8 @@ _REFACTOR_INTERVAL = 60
 _MAX_ITERATIONS_FACTOR = 50
 _DEGENERATE_STREAK_LIMIT = 50
 
-#: AUTO pricing resolves to devex at or past this many working columns.
-_DEVEX_COLUMN_THRESHOLD = 2000
 #: Partial pricing (candidate list) activates at or past this many columns.
 _PARTIAL_PRICING_THRESHOLD = 4096
-#: Devex reference weights above this trigger a framework reset.
-_DEVEX_WEIGHT_RESET = 1e7
-#: How many top-|d| candidates exact steepest-edge FTRANs per iteration.
-_STEEPEST_EDGE_PROBES = 8
 #: Bases of larger dimension export without a factor fork (the LU alone is
 #: m² floats; past this the warm path refactorises instead of carrying it).
 _FACTOR_EXPORT_LIMIT = 512
@@ -111,23 +101,6 @@ class SimplexStatus(enum.Enum):
     #: could not repair it.  Distinct from ITERATION_LIMIT so callers retry
     #: cold instead of treating the solve as a genuine pivot-budget exhaustion.
     NUMERICAL_ERROR = "numerical_error"
-
-
-class PricingRule(enum.Enum):
-    """Entering-variable pricing rule for the primal simplex.
-
-    ``AUTO`` (the default everywhere) resolves per instance: Dantzig below
-    :data:`_DEVEX_COLUMN_THRESHOLD` working columns, devex at or above it.
-    ``STEEPEST_EDGE`` prices exact steepest-edge ratios over the top
-    reduced-cost candidates — the strongest rule per pivot, paying one FTRAN
-    per probed candidate.  Bland's anti-cycling rule is not a member: it is a
-    termination fallback layered under every rule, never a configuration.
-    """
-
-    AUTO = "auto"
-    DANTZIG = "dantzig"
-    DEVEX = "devex"
-    STEEPEST_EDGE = "steepest_edge"
 
 
 @dataclass
@@ -190,9 +163,6 @@ class SimplexResult:
         refactorizations: Fresh LU factorisations computed during the solve
             (periodic, stability-triggered and install-time ones alike).
         eta_peak: Longest eta file reached between refactorisations.
-        pricing: Resolved pricing rule that drove the solve (``"devex"``,
-            ``"dantzig"``, ...), with ``"+bland"`` appended when the
-            anti-cycling fallback engaged at least once.
     """
 
     status: SimplexStatus
@@ -203,7 +173,6 @@ class SimplexResult:
     warm_started: bool = False
     refactorizations: int = 0
     eta_peak: int = 0
-    pricing: str = ""
 
 
 class _WorkMatrix:
@@ -293,7 +262,6 @@ def solve_dense_simplex(
     b_eq: np.ndarray,
     bounds,
     warm_start: SimplexBasis | None = None,
-    pricing: PricingRule = PricingRule.AUTO,
 ) -> SimplexResult:
     """Minimise ``c @ x`` subject to the given constraints and bounds.
 
@@ -305,13 +273,12 @@ def solve_dense_simplex(
     :func:`solve_form_simplex`, which assembles the working matrix only once.
     """
     work = _WorkMatrix(c, a_ub, b_ub, a_eq, b_eq)
-    return _BoundedRevisedSimplex(work, bounds, pricing).solve(warm_start)
+    return _BoundedRevisedSimplex(work, bounds).solve(warm_start)
 
 
 def solve_form_simplex(
     form: MatrixForm,
     warm_start: SimplexBasis | None = None,
-    pricing: PricingRule = PricingRule.AUTO,
 ) -> SimplexResult:
     """Solve a :class:`MatrixForm` LP, reusing its cached working matrix.
 
@@ -324,7 +291,7 @@ def solve_form_simplex(
     if work is None:
         work = _WorkMatrix(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq)
         form.cache[_WORK_CACHE_KEY] = work
-    return _BoundedRevisedSimplex(work, form.bounds, pricing).solve(warm_start)
+    return _BoundedRevisedSimplex(work, form.bounds).solve(warm_start)
 
 
 def _normalise_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +321,7 @@ class _BoundedRevisedSimplex:
     statuses, basis factor, pricing state) is per-solve state.
     """
 
-    def __init__(self, work: _WorkMatrix, bounds, pricing: PricingRule = PricingRule.AUTO):
+    def __init__(self, work: _WorkMatrix, bounds):
         self.work = work
         self.n, self.mu, self.me = work.n, work.mu, work.me
         self.m, self.ncols, self.art0 = work.m, work.ncols, work.art0
@@ -381,20 +348,9 @@ class _BoundedRevisedSimplex:
         self.refactorizations = 0
         self.eta_peak = 0
         self._bland = False
-        self._bland_used = False
         self._degenerate_streak = 0
         self._numerical_failure = False
 
-        if pricing is PricingRule.AUTO:
-            pricing = (
-                PricingRule.DEVEX
-                if self.ncols >= _DEVEX_COLUMN_THRESHOLD
-                else PricingRule.DANTZIG
-            )
-        self.pricing = pricing
-        self._devex_weights = (
-            np.ones(self.ncols) if pricing is PricingRule.DEVEX else None
-        )
         self._partial = self.ncols >= _PARTIAL_PRICING_THRESHOLD
         self._cand: np.ndarray | None = None
         self._cand_gather: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -452,8 +408,6 @@ class _BoundedRevisedSimplex:
             self._numerical_failure = False
             self._cand = None
             self._cand_gather = None
-            if self._devex_weights is not None:
-                self._devex_weights.fill(1.0)
         return self._cold_solve()
 
     # -- cold path ----------------------------------------------------------------
@@ -496,7 +450,7 @@ class _BoundedRevisedSimplex:
         phase1_costs[art] = sign
 
         status = self._primal(phase1_costs)
-        infeasibility = float(phase1_costs @ self._full_solution())
+        residual = np.abs(self._full_solution()[art])
 
         self.lower[art] = 0.0
         self.upper[art] = 0.0
@@ -505,8 +459,9 @@ class _BoundedRevisedSimplex:
 
         if status in (SimplexStatus.ITERATION_LIMIT, SimplexStatus.NUMERICAL_ERROR):
             return status
-        scale = max(1.0, float(np.abs(self.b).sum()))
-        if infeasibility > _FEASIBILITY_TOLERANCE * scale:
+        # Row by row against that row's own right-hand side: one row of large
+        # magnitude must not loosen the test for the others.
+        if np.any(residual > _FEASIBILITY_TOLERANCE * np.maximum(1.0, np.abs(self.b))):
             return SimplexStatus.INFEASIBLE
         self._compute_xb()
         return SimplexStatus.OPTIMAL
@@ -645,9 +600,6 @@ class _BoundedRevisedSimplex:
             else:
                 start = 0.0
             leaving = self.basis[limit_row]
-            # Devex weights need the pre-pivot basis (BTRAN of the pivot row),
-            # so update them before the factor advances.
-            self._update_devex(entering, leaving, limit_row, w)
             self.xb -= w * (direction * step)
             refactored = self._apply_pivot(limit_row, entering, w)
             self.status[leaving] = leave_to
@@ -710,32 +662,12 @@ class _BoundedRevisedSimplex:
         free = (status == FREE) & (np.abs(d_cols) > _EPSILON)
         return at_lower | at_upper | free
 
-    def _select(self, cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
-        """Apply the active pricing rule over eligible columns ``cols``."""
-        if self.pricing is PricingRule.DEVEX:
-            scores = d_cols * d_cols / self._devex_weights[cols]
-            k = int(np.argmax(scores))
-        elif self.pricing is PricingRule.STEEPEST_EDGE:
-            k = self._steepest_probe(cols, d_cols)
-        else:
-            k = int(np.argmax(np.abs(d_cols)))
+    @staticmethod
+    def _select(cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
+        """Dantzig's rule over eligible columns ``cols``: largest ``|d|``."""
+        k = int(np.argmax(np.abs(d_cols)))
         j = int(cols[k])
         return j, (1 if d_cols[k] < 0 else -1)
-
-    def _steepest_probe(self, cols: np.ndarray, d_cols: np.ndarray) -> int:
-        """Exact steepest-edge over the top-|d| candidates (one FTRAN each)."""
-        probes = min(_STEEPEST_EDGE_PROBES, int(cols.size))
-        order = np.argsort(-np.abs(d_cols), kind="stable")[:probes]
-        best_k = int(order[0])
-        best_score = -np.inf
-        for k in order:
-            w_j = self._ftran(int(cols[k]))
-            gamma = 1.0 + float(w_j @ w_j)
-            score = float(d_cols[k] * d_cols[k]) / gamma
-            if score > best_score:
-                best_score = score
-                best_k = int(k)
-        return best_k
 
     def _rebuild_candidates(self, d: np.ndarray) -> tuple[int | None, int]:
         """Full-sweep price: select globally and refill the candidate list."""
@@ -745,10 +677,7 @@ class _BoundedRevisedSimplex:
             self._cand_gather = None
             return None, 0
         d_eligible = d[eligible]
-        if self.pricing is PricingRule.DEVEX:
-            scores = d_eligible * d_eligible / self._devex_weights[eligible]
-        else:
-            scores = np.abs(d_eligible)
+        scores = np.abs(d_eligible)
         if eligible.size > self._cand_target:
             top = np.argpartition(-scores, self._cand_target - 1)[: self._cand_target]
             self._set_candidates(np.sort(eligible[top]))
@@ -782,47 +711,6 @@ class _BoundedRevisedSimplex:
             return y @ self.work.a[:, cand]
         rows, vals, seg = self._cand_gather
         return np.bincount(seg, weights=y[rows] * vals, minlength=cand.size)
-
-    def _update_devex(
-        self,
-        entering: int,
-        leaving: int,
-        row: int,
-        w: np.ndarray,
-        alpha: np.ndarray | None = None,
-    ) -> None:
-        """Devex reference-weight update for the pivot (entering at ``row``).
-
-        ``alpha`` optionally supplies the already-computed pivot row over all
-        working columns (the dual simplex has it for free); otherwise the row
-        is BTRAN'd and — under partial pricing — only the candidate columns'
-        weights are refreshed, keeping the update O(candidate nnz).
-        """
-        weights = self._devex_weights
-        if weights is None:
-            return
-        pivot = float(w[row])
-        if abs(pivot) < _PIVOT_EPSILON:
-            return
-        ref_weight = max(float(weights[entering]), 1.0)
-        cols: np.ndarray | None = None
-        if alpha is None:
-            rho = self.factor.btran_row(row)
-            if self._partial and self._cand is not None and self._cand.size:
-                cols = self._cand
-                alpha = self._gather_dot(rho)
-            else:
-                alpha = self._vecmat(rho)
-        ratio = alpha / pivot
-        candidate_weights = ratio * ratio * ref_weight
-        if cols is None:
-            np.maximum(weights, candidate_weights, out=weights)
-        else:
-            weights[cols] = np.maximum(weights[cols], candidate_weights)
-        weights[leaving] = max(ref_weight / (pivot * pivot), 1.0)
-        if float(weights.max()) > _DEVEX_WEIGHT_RESET:
-            # Reference framework reset: restart from unit weights.
-            weights.fill(1.0)
 
     def _primal_ratio_test(
         self, entering: int, direction: int, w: np.ndarray
@@ -937,9 +825,6 @@ class _BoundedRevisedSimplex:
             else:
                 entering_start = 0.0
             leaving = self.basis[r]
-            # The dual iteration already priced the full pivot row, so the
-            # devex update is a free ride on ``alpha``.
-            self._update_devex(q, leaving, r, w, alpha=alpha)
             self.xb -= w * entering_step
             refactored = self._apply_pivot(r, q, w)
             self.status[leaving] = AT_LOWER if leaving_below else AT_UPPER
@@ -992,7 +877,6 @@ class _BoundedRevisedSimplex:
             self._degenerate_streak += 1
             if self._degenerate_streak > _DEGENERATE_STREAK_LIMIT:
                 self._bland = True
-                self._bland_used = True
 
     def _nonbasic_values(self) -> np.ndarray:
         x = np.zeros(self.ncols)
@@ -1011,17 +895,11 @@ class _BoundedRevisedSimplex:
         x[self.basis] = self.xb
         return x
 
-    def _pricing_label(self) -> str:
-        label = self.pricing.value
-        if self._bland_used:
-            label += "+bland"
-        return label
-
     def _result(self, status: SimplexStatus, warm_started: bool = False) -> SimplexResult:
         if status is not SimplexStatus.OPTIMAL:
             return SimplexResult(
                 status, np.empty(0), float("nan"), None, self.iterations, warm_started,
-                self.refactorizations, self.eta_peak, self._pricing_label(),
+                self.refactorizations, self.eta_peak,
             )
         x = self._full_solution()
         if not np.all(np.isfinite(x)):
@@ -1036,7 +914,6 @@ class _BoundedRevisedSimplex:
                 warm_started,
                 self.refactorizations,
                 self.eta_peak,
-                self._pricing_label(),
             )
         objective = float(self.costs[: self.n] @ x[: self.n])
         basis = SimplexBasis(
@@ -1055,5 +932,4 @@ class _BoundedRevisedSimplex:
             warm_started,
             self.refactorizations,
             self.eta_peak,
-            self._pricing_label(),
         )

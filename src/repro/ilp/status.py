@@ -44,11 +44,10 @@ class SolverStatus(enum.Enum):
 class SolveStats:
     """Statistics accumulated during a solve.
 
-    ``simplex_iterations`` and ``warm_start_hits`` are only populated by the
-    SIMPLEX LP backend: the former counts pivots/bound-flips summed over all
-    LP solves, the latter counts LP solves that successfully reoptimised from
-    a parent basis instead of starting cold.  Their ratio to ``lp_solves``
-    is what the benchmark harness uses to prove basis reuse is working.
+    ``simplex_iterations`` counts pivots/bound-flips summed over all LP
+    solves; ``warm_start_hits`` counts LP solves that successfully
+    reoptimised from a parent basis instead of starting cold (see
+    :attr:`warm_start_rate`).
 
     ``vars_fixed`` / ``rows_removed`` / ``presolve_ms`` describe the root
     presolve reduction of a branch-and-bound solve (zero when presolve is
@@ -56,11 +55,9 @@ class SolveStats:
     came back :attr:`SolverStatus.NUMERICAL_ERROR` from a warm start and were
     retried cold.
 
-    The factorised-basis counters are SIMPLEX-only: ``refactorizations``
-    counts fresh LU factorisations summed over all LP solves, ``eta_peak`` is
-    the longest eta file any solve reached between refactorisations, and
-    ``pricing_rule`` records the resolved entering-variable rule (with
-    ``"+bland"`` appended when the anti-cycling fallback ever engaged).
+    ``refactorizations`` counts fresh LU factorisations summed over all LP
+    solves and ``eta_peak`` is the longest eta file any solve reached between
+    refactorisations.
     ``objective_cutoffs`` counts branch-and-bound nodes whose presolve used
     the incumbent objective as a dual bound; ``coefficients_tightened``
     counts ``<=``-row coefficients strengthened against integral columns.
@@ -80,7 +77,6 @@ class SolveStats:
     numerical_retries: int = 0
     refactorizations: int = 0
     eta_peak: int = 0
-    pricing_rule: str = ""
     objective_cutoffs: int = 0
     coefficients_tightened: int = 0
 
@@ -104,10 +100,10 @@ class Solution:
         stats: Solver statistics.
         root_basis: Optimal simplex basis of the root LP relaxation (a
             :class:`~repro.ilp.simplex.SimplexBasis`), exported by
-            branch-and-bound on SIMPLEX-backend solves.  A caller about to
-            solve a *related* model of the same shape (e.g. a SKETCHREFINE
-            backtracking retry of the same group) can pass it back as a warm
-            start.  ``None`` for other backends/solvers.
+            branch-and-bound.  A caller about to solve a *related* model of
+            the same shape (e.g. a SKETCHREFINE backtracking retry of the
+            same group) can pass it back as a warm start.  ``None`` for
+            other solvers.
     """
 
     status: SolverStatus

@@ -26,7 +26,6 @@ from repro.db.catalog import Database
 from repro.db.wal import WalRecord
 from repro.exec.tasks import SolveTask, SolveTaskResult, run_solve_task
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend
 from repro.ilp.model import (
     Constraint,
     ConstraintSense,
@@ -68,10 +67,10 @@ def payload_instances() -> dict[str, Any]:
     result = presolve_form(form)
     assert result.feasible and result.postsolve is not None
 
-    solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX)
+    solver = BranchAndBoundSolver()
     solution = solver.solve(model)
     assert solution.has_solution
-    assert solution.root_basis is not None, "SIMPLEX solve should export a basis"
+    assert solution.root_basis is not None, "the solve should export its root basis"
 
     task = SolveTask(
         task_id=7, model=model, solver=solver,
@@ -188,7 +187,7 @@ def test_cutoff_rows_drop_on_pickle(payload_instances: dict[str, Any]) -> None:
 def test_restored_model_solves_identically(payload_instances: dict[str, Any]) -> None:
     model: IlpModel = payload_instances["IlpModel"]
     restored: IlpModel = pickle.loads(pickle.dumps(model))
-    solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX)
+    solver = BranchAndBoundSolver()
     original = solver.solve(model)
     again = solver.solve(restored)
     assert original.status is again.status

@@ -22,14 +22,10 @@ from repro.exec.pool import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.exec.tasks import (
-    SolveTask,
-    run_solve_task,
-    solver_supports_warm_start,
-)
+from repro.exec.tasks import SolveTask, run_solve_task
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
+from repro.ilp.rounding import RelaxAndRoundSolver
 from repro.ilp.status import SolverStatus
 
 
@@ -63,10 +59,7 @@ def _refine_like_task(task_id: int, shift: float = 0.0) -> SolveTask:
     )
     model.add_constraint({0: 1.0, num_vars - 1: 1.0}, ConstraintSense.GE, 1)
     model.set_objective(ObjectiveSense.MAXIMIZE, {i: g for i, g in enumerate(gains)})
-    solver = BranchAndBoundSolver(
-        limits=SolverLimits(relative_gap=1e-9, node_limit=5_000),
-        lp_backend=LpBackend.SIMPLEX,
-    )
+    solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9, node_limit=5_000))
     return SolveTask(task_id=task_id, model=model, solver=solver, rng_seed=task_id)
 
 
@@ -192,9 +185,11 @@ class TestSolveTaskDeterminism:
         result = run_solve_task(_refine_like_task(2))
         assert result.solve_seconds > 0.0
 
-    def test_warm_start_support_probe(self):
-        simplex = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX)
-        highs = BranchAndBoundSolver(lp_backend=LpBackend.HIGHS)
-        assert solver_supports_warm_start(simplex)
-        assert not solver_supports_warm_start(highs)
-        assert not solver_supports_warm_start(object())
+    def test_warm_basis_reaches_branch_and_bound_only(self):
+        task = _refine_like_task(4)
+        task.warm_basis = run_solve_task(task).root_basis
+        assert task.warm_basis is not None
+        assert run_solve_task(task).warm_started
+        # Any other black-box solver gets a plain ``solve(model)`` call.
+        task.solver = RelaxAndRoundSolver()
+        assert not run_solve_task(task).warm_started

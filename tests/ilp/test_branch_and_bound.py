@@ -17,7 +17,6 @@ from repro.ilp.branch_and_bound import (
     NodeSelection,
     SolverLimits,
 )
-from repro.ilp.lp_backend import LpBackend
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.status import SolverStatus
 
@@ -146,11 +145,6 @@ class TestConfigurations:
         assert solution.objective_value == pytest.approx(
             brute_force_knapsack([6, 5, 4, 3, 2, 1], [4, 3, 3, 2, 2, 1], 8)
         )
-
-    def test_simplex_backend_gives_same_answer(self):
-        model = knapsack_model([10, 13, 7, 8, 2], [5, 6, 4, 3, 1], 10)
-        solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX, limits=SolverLimits(relative_gap=1e-9))
-        assert solver.solve(model).objective_value == pytest.approx(23.0)
 
     def test_rounding_heuristic_can_be_disabled(self):
         model = knapsack_model([10, 13, 7, 8, 2], [5, 6, 4, 3, 1], 10)

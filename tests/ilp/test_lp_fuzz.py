@@ -1,0 +1,158 @@
+"""Seeded differential fuzzing of the simplex against the HiGHS oracle.
+
+The revised simplex is the only LP solver in the library, so its answers are
+held against ``scipy.optimize.linprog`` on the instance shapes that break
+simplex codes: tie-heavy small-integer data, duplicated columns, PaQL-shaped
+rows (a COUNT row plus positive SUM rows over 0/1 and REPEAT bounds),
+ill-scaled rows and near-infeasible slivers.  Every instance has 1-7 rows and
+up to 200 columns and is a pure function of ``(family, seed)``.
+
+The contract: the simplex either agrees with the oracle on status and on the
+objective to 1e-6 relative, or returns the typed ``NUMERICAL_ERROR`` — never
+a wrong answer.  Where the two disagree on a status the oracle is asked again
+with HiGHS presolve off (HiGHS presolve has been seen to call a feasible
+ill-scaled instance infeasible).  The number of ``NUMERICAL_ERROR`` seeds per family is
+pinned as a ceiling, so a numerically weaker simplex shows up here.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.ilp.simplex import SimplexStatus, solve_dense_simplex
+
+from .oracle import oracle_lp
+
+SEEDS_PER_FAMILY = 420
+OBJECTIVE_TOLERANCE = 1e-6
+
+
+def _shape(rng: np.random.Generator) -> tuple[int, int]:
+    return int(rng.integers(1, 8)), int(rng.integers(2, 201))
+
+
+def _split_rows(rng, matrix, rhs):
+    """Make the last row an equality on about a third of the instances."""
+    if matrix.shape[0] > 1 and rng.random() < 0.33:
+        return matrix[:-1], rhs[:-1], matrix[-1:], rhs[-1:]
+    return matrix, rhs, np.empty((0, matrix.shape[1])), np.empty(0)
+
+
+def tie_heavy(rng):
+    """Small-integer data everywhere: ties in pricing and in the ratio test.
+    Three instances in ten free one column's upper bound, so some are unbounded."""
+    m, n = _shape(rng)
+    matrix = rng.integers(-3, 4, size=(m, n)).astype(float)
+    upper = rng.integers(1, 4, size=n).astype(float)
+    anchor = np.floor(rng.random(n) * (upper + 1.0))
+    rhs = matrix @ anchor + rng.integers(-1, 3, size=m)
+    c = rng.integers(-2, 3, size=n).astype(float)
+    if rng.random() < 0.3:
+        upper[rng.integers(n)] = np.inf
+    return (c, *_split_rows(rng, matrix, rhs), (np.zeros(n), upper))
+
+
+def duplicated_columns(rng):
+    """A few distinct columns, each repeated: alternative optima abound."""
+    m, n = _shape(rng)
+    distinct = int(rng.integers(1, max(2, n // 4) + 1))
+    source = rng.integers(0, distinct, size=n)
+    matrix = rng.integers(-4, 5, size=(m, distinct)).astype(float)[:, source]
+    c = rng.integers(-5, 6, size=distinct).astype(float)[source]
+    upper = rng.integers(1, 3, size=n).astype(float)
+    rhs = matrix @ (upper * rng.random(n)) + rng.random(m)
+    return (c, *_split_rows(rng, matrix, rhs), (np.zeros(n), upper))
+
+
+def paql_shaped(rng):
+    """A COUNT row plus positive SUM rows; 0/1 or REPEAT bounds."""
+    m, n = _shape(rng)
+    count = float(rng.integers(1, max(2, n // 2) + 1))
+    weights = rng.lognormal(0.0, 1.0, size=(m - 1, n)).round(3)
+    budgets = np.median(weights, axis=1) * count * rng.uniform(0.5, 2.0, size=m - 1)
+    signs = rng.choice([-1.0, 1.0], size=m - 1)  # SUM <= budget or SUM >= budget
+    a_ub, b_ub = weights * signs[:, None], budgets * signs
+    ones = np.ones((1, n))
+    if rng.random() < 0.5:
+        a_eq, b_eq = ones, np.array([count])
+    else:
+        a_ub, b_ub = np.vstack([a_ub, ones]), np.append(b_ub, count)
+        a_eq, b_eq = np.empty((0, n)), np.empty(0)
+    upper = np.full(n, float(rng.choice([1, 1, 2, 3])))
+    c = rng.normal(0.0, 1.0, size=n).round(3)
+    return c, a_ub, b_ub, a_eq, b_eq, (np.zeros(n), upper)
+
+
+def ill_scaled(rng):
+    """Rows through or just past an interior point (half of them tight), each
+    multiplied by a factor between 1e-4 and 1e4."""
+    m, n = _shape(rng)
+    matrix = rng.uniform(-1.0, 2.0, size=(m, n))
+    upper = rng.uniform(1.0, 10.0, size=n)
+    rhs = matrix @ (upper * rng.random(n)) + rng.random(m) * (rng.random(m) >= 0.5)
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, size=m)
+    c = rng.uniform(-5.0, 5.0, size=n)
+    return (c, *_split_rows(rng, matrix * scale[:, None], rhs * scale), (np.zeros(n), upper))
+
+
+def near_infeasible(rng):
+    """Every row tight at an integer anchor, and one row pinched from the
+    other side: by nothing (a feasible sliver) or past it by a 1e-3 margin
+    (infeasible, but only just)."""
+    m, n = _shape(rng)
+    matrix = rng.integers(-5, 6, size=(m, n)).astype(float)
+    upper = rng.integers(1, 4, size=n).astype(float)
+    anchor = np.floor(rng.random(n) * (upper + 1.0))
+    rhs = matrix @ anchor
+    pinched = int(rng.integers(m))
+    margin = 0.0 if rng.random() < 0.5 else 1e-3 * (1.0 + abs(rhs[pinched]))
+    a_ub = np.vstack([matrix, -matrix[pinched]])
+    b_ub = np.append(rhs, -rhs[pinched] - margin)
+    c = rng.integers(-3, 4, size=n).astype(float)
+    return c, a_ub, b_ub, np.empty((0, n)), np.empty(0), (np.zeros(n), upper)
+
+
+FAMILIES = {
+    "tie_heavy": tie_heavy,
+    "duplicated_columns": duplicated_columns,
+    "paql_shaped": paql_shaped,
+    "ill_scaled": ill_scaled,
+    "near_infeasible": near_infeasible,
+}
+#: NUMERICAL_ERROR seeds allowed per family: the count measured at this commit
+#: (none in any family; harsher scalings of the same generators reach 2 in 1 500).
+NUMERICAL_ERROR_CEILING = 0
+
+
+def _disagreement(result, reference) -> str | None:
+    if result.status.value != reference.status:
+        return f"simplex {result.status.value}, oracle {reference.status}"
+    if reference.status == "optimal":
+        error = abs(result.objective - reference.objective)
+        if error > OBJECTIVE_TOLERANCE * max(1.0, abs(reference.objective)):
+            return f"simplex objective {result.objective!r}, oracle {reference.objective!r}"
+    return None
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_simplex_matches_the_oracle_or_says_numerical_error(family):
+    generate = FAMILIES[family]
+    numerical_errors, wrong = [], []
+    for seed in range(SEEDS_PER_FAMILY):
+        c, a_ub, b_ub, a_eq, b_eq, (lower, upper) = generate(np.random.default_rng(seed))
+        bounds = np.column_stack([lower, upper])
+        result = solve_dense_simplex(c, a_ub, b_ub, a_eq, b_eq, (lower, upper))
+        if result.status is SimplexStatus.NUMERICAL_ERROR:
+            numerical_errors.append(seed)
+            continue
+        reference = oracle_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        if result.status.value != reference.status:
+            reference = oracle_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, presolve=False)
+        mismatch = _disagreement(result, reference)
+        if mismatch is not None:
+            wrong.append(f"{family} seed {seed}: {mismatch}")
+    assert not wrong, "\n".join(wrong)
+    assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
+        f"{family} NUMERICAL_ERROR seeds: {numerical_errors}"
+    )

@@ -1,7 +1,7 @@
 """Tests for the sparse-first MatrixForm IR.
 
-Covers sparse/dense storage parity (same matrices, same solve results through
-both backends), the zero-copy structural sharing branch-and-bound relies on,
+Covers sparse/dense storage parity (same matrices, same solve results, both
+matching the HiGHS oracle), the zero-copy structural sharing branch-and-bound relies on,
 the O(1)/array fast paths on the model, the root-basis warm-start handoff
 used by SKETCHREFINE's backtracking retries, and the pickling contract the
 parallel solve plane relies on (per-process caches dropped, everything else
@@ -17,11 +17,13 @@ from scipy import sparse as sp
 
 from repro.errors import SolverError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp_form
+from repro.ilp.lp_backend import solve_lp_form
 from repro.ilp.matrix_form import MatrixForm, choose_sparse
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.simplex import _WORK_CACHE_KEY
 from repro.ilp.status import SolverStatus
+
+from .oracle import oracle_form_lp
 
 _SENSES = (ConstraintSense.LE, ConstraintSense.GE, ConstraintSense.EQ)
 
@@ -98,18 +100,15 @@ class TestStorageParity:
     @settings(max_examples=40, deadline=None)
     @given(model=_models())
     def test_random_models_solve_identically_through_both_storages(self, model):
-        """The sparse path and the dense fallback agree on status and objective."""
-        outcomes = []
+        """The sparse path and the dense fallback agree with the oracle on
+        status and objective."""
         for sparse in (True, False):
             form = model.to_matrix(sparse=sparse)
-            for backend in (LpBackend.SIMPLEX, LpBackend.HIGHS):
-                result = solve_lp_form(form, backend)
-                outcomes.append((sparse, backend, result))
-        statuses = {result.status for _, _, result in outcomes}
-        assert len(statuses) == 1, outcomes
-        if outcomes[0][2].status is SolverStatus.OPTIMAL:
-            objectives = [result.objective_value for _, _, result in outcomes]
-            assert objectives == pytest.approx([objectives[0]] * len(objectives), abs=1e-6)
+            result = solve_lp_form(form)
+            reference = oracle_form_lp(form)
+            assert result.status.value == reference.status, sparse
+            if result.status is SolverStatus.OPTIMAL:
+                assert result.objective_value == pytest.approx(reference.objective, abs=1e-6)
 
     @settings(max_examples=20, deadline=None)
     @given(model=_models())
@@ -120,9 +119,7 @@ class TestStorageParity:
             clone = model.copy()
             clone.sparse_matrix = sparse
             assert clone.to_matrix().is_sparse is sparse
-            solution = BranchAndBoundSolver(
-                limits=limits, lp_backend=LpBackend.SIMPLEX
-            ).solve(clone)
+            solution = BranchAndBoundSolver(limits=limits).solve(clone)
             values[sparse] = (solution.status, solution.objective_value)
         assert values[True][0] is values[False][0]
         if values[True][0] is SolverStatus.OPTIMAL:
@@ -163,16 +160,12 @@ class TestZeroCopySharing:
         model = self._model(sparse)
         form = model.to_matrix()
         assert _WORK_CACHE_KEY not in form.cache
-        solution = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-9), lp_backend=LpBackend.SIMPLEX
-        ).solve(model)
+        solution = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
         assert solution.status is SolverStatus.OPTIMAL
         work = form.cache[_WORK_CACHE_KEY]
         assert work.sparse is sparse
         # A second solve (new tree, same model) reuses the same assembly.
-        BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-9), lp_backend=LpBackend.SIMPLEX
-        ).solve(model)
+        BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
         assert form.cache[_WORK_CACHE_KEY] is work
 
 
@@ -246,9 +239,7 @@ class TestRootBasisHandoff:
         return model
 
     def test_solution_exports_root_basis_and_accepts_it_back(self):
-        solver = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-9), lp_backend=LpBackend.SIMPLEX
-        )
+        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9))
         first = solver.solve(self._model())
         assert first.status is SolverStatus.OPTIMAL
         assert first.root_basis is not None
@@ -257,20 +248,15 @@ class TestRootBasisHandoff:
         # root from the exported basis — this is the SKETCHREFINE retry path.
         retry_model = self._model()
         retry_model.constraints[0].rhs *= 0.95
-        second = solver.solve(retry_model, warm_start=WarmStart(basis=first.root_basis))
+        second = solver.solve(retry_model, warm_start=first.root_basis)
         assert second.status is SolverStatus.OPTIMAL
         assert second.stats.warm_start_hits >= 1
 
-        # The warm tree must agree with a cold one.
-        cold = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-9), lp_backend=LpBackend.SIMPLEX
-        ).solve(retry_model.copy())
+        # The warm-rooted tree must agree with a cold-rooted one.
+        cold = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(
+            retry_model.copy()
+        )
         assert second.objective_value == pytest.approx(cold.objective_value)
-
-    def test_highs_backend_exports_no_root_basis(self):
-        solution = BranchAndBoundSolver(lp_backend=LpBackend.HIGHS).solve(self._model())
-        assert solution.status is SolverStatus.OPTIMAL
-        assert solution.root_basis is None
 
 
 class TestPickling:
@@ -310,7 +296,7 @@ class TestPickling:
         model.sparse_matrix = sparse
         form = model.to_matrix()
         # Populate the per-process caches with a real solve before pickling.
-        result = solve_lp_form(form, LpBackend.SIMPLEX)
+        result = solve_lp_form(form)
         assert result.status is SolverStatus.OPTIMAL
         assert form.cache, "expected the solve to populate the working cache"
 
@@ -327,7 +313,7 @@ class TestPickling:
 
         # The round-tripped form solves to the same optimum (rebuilding its
         # own working matrix from scratch).
-        again = solve_lp_form(clone, LpBackend.SIMPLEX)
+        again = solve_lp_form(clone)
         assert again.status is SolverStatus.OPTIMAL
         assert again.objective_value == pytest.approx(result.objective_value)
 
@@ -358,9 +344,7 @@ class TestPickling:
         np.testing.assert_array_equal(reduced_u, clone_u)
 
     def test_simplex_basis_round_trips(self):
-        solver = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-9), lp_backend=LpBackend.SIMPLEX
-        )
+        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9))
         solution = solver.solve(self._model())
         basis = solution.root_basis
         assert basis is not None
@@ -372,7 +356,7 @@ class TestPickling:
         # A warm start from the round-tripped basis behaves like the original.
         retry = self._model()
         retry.constraints[0].rhs *= 0.9
-        warm = solver.solve(retry, warm_start=WarmStart(basis=clone))
+        warm = solver.solve(retry, warm_start=clone)
         cold = solver.solve(retry.copy())
         assert warm.status is cold.status
         assert warm.objective_value == pytest.approx(cold.objective_value)
@@ -394,8 +378,8 @@ class TestPickling:
         assert clone_form.bounds == form.bounds
 
         limits = SolverLimits(relative_gap=1e-9)
-        original = BranchAndBoundSolver(limits=limits, lp_backend=LpBackend.SIMPLEX).solve(model)
-        shipped = BranchAndBoundSolver(limits=limits, lp_backend=LpBackend.SIMPLEX).solve(clone)
+        original = BranchAndBoundSolver(limits=limits).solve(model)
+        shipped = BranchAndBoundSolver(limits=limits).solve(clone)
         assert original.status is shipped.status
         np.testing.assert_array_equal(original.values, shipped.values)
         assert original.objective_value == shipped.objective_value

@@ -109,20 +109,20 @@ class TestDenseExportAndCopy:
         model.add_constraint({0: 1.0}, ConstraintSense.GE, 1)
         model.add_constraint({1: 2.0}, ConstraintSense.EQ, 4)
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0, 1: 5.0})
-        dense = model.to_dense()
-        assert dense.a_ub.shape == (2, 2)     # GE rows are negated into <= rows.
-        assert dense.a_eq.shape == (1, 2)
-        assert dense.bounds == [(0.0, 4), (0.0, None)]
-        assert not dense.maximize
-        assert dense.objective_from_min(7.0) == 7.0
+        form = model.to_matrix()
+        assert form.a_ub.shape == (2, 2)     # GE rows are negated into <= rows.
+        assert form.a_eq.shape == (1, 2)
+        assert form.bounds == [(0.0, 4), (0.0, None)]
+        assert not form.maximize
+        assert form.objective_from_min(7.0) == 7.0
 
     def test_dense_form_maximisation_negates(self):
         model = IlpModel()
         model.add_variable("x")
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 3.0})
-        dense = model.to_dense()
-        assert dense.c[0] == -3.0
-        assert dense.objective_from_min(-6.0) == 6.0
+        form = model.to_matrix()
+        assert form.c[0] == -3.0
+        assert form.objective_from_min(-6.0) == 6.0
 
     def test_copy_is_deep(self):
         model = IlpModel("original")

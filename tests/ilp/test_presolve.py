@@ -4,6 +4,10 @@ The key invariant: without an integrality mask the reduction preserves the LP
 feasible region exactly, and with one it preserves the ILP optimum — so a
 presolved solve must agree with a cold solve on status, objective and (for
 the property tests) the restored assignment's feasibility.
+
+Branch-and-bound's root call is the only presolve entry point in the library;
+the LP-level parity tests here compose ``presolve_form`` + ``solve_lp_form`` +
+``Postsolve.restore`` / ``restore_basis`` themselves (:func:`solve_presolved`).
 """
 
 import numpy as np
@@ -11,10 +15,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp_form
+from repro.ilp.lp_backend import LpResult, solve_lp_form
+from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import presolve_form
 from repro.ilp.status import SolverStatus
+
+from .oracle import oracle_form_lp
+
+
+def solve_presolved(form: MatrixForm) -> LpResult:
+    """Reduce ``form`` (no integrality), solve the reduction, map it back."""
+    reduction = presolve_form(form)
+    if not reduction.feasible:
+        return LpResult(SolverStatus.INFEASIBLE, np.empty(0), float("nan"))
+    postsolve = reduction.postsolve
+    if postsolve.num_reduced_vars == 0:
+        values = postsolve.restore(np.empty(0))
+        objective = form.objective_from_min(float(form.c @ values))
+        return LpResult(SolverStatus.OPTIMAL, values, objective)
+    result = solve_lp_form(reduction.form)
+    if not result.status.has_solution:
+        return result
+    return LpResult(
+        result.status,
+        postsolve.restore(result.values),
+        result.objective_value + postsolve.objective_offset,
+        basis=postsolve.restore_basis(result.basis),
+    )
 
 
 def budget_model() -> IlpModel:
@@ -129,8 +157,8 @@ class TestReductions:
         model.add_constraint({0: 1.0, 1: -1.0}, ConstraintSense.EQ, 0.0, name="tie")
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
         form = model.to_matrix()
-        on = solve_lp_form(form, LpBackend.HIGHS, presolve=True)
-        off = solve_lp_form(form, LpBackend.HIGHS, presolve=False)
+        on = solve_presolved(form)
+        off = solve_lp_form(form)
         assert on.status is off.status is SolverStatus.OPTIMAL
         assert on.objective_value == pytest.approx(0.0)
         assert off.objective_value == pytest.approx(0.0)
@@ -162,8 +190,8 @@ class TestPostsolve:
         model.add_constraint({1: 1.0}, ConstraintSense.LE, 3.0, name="cap")
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 10.0, 1: 1.0})
         form = model.to_matrix()
-        on = solve_lp_form(form, LpBackend.HIGHS, presolve=True)
-        off = solve_lp_form(form, LpBackend.HIGHS, presolve=False)
+        on = solve_presolved(form)
+        off = solve_lp_form(form)
         assert on.objective_value == pytest.approx(off.objective_value)
         assert on.objective_value == pytest.approx(23.0)
         assert on.values == pytest.approx(off.values)
@@ -174,15 +202,12 @@ class TestPostsolve:
         for variable in model.variables:
             variable.is_integer = False
         form = model.to_matrix()
-        presolved = solve_lp_form(form, LpBackend.SIMPLEX, presolve=True)
+        presolved = solve_presolved(form)
         assert presolved.status is SolverStatus.OPTIMAL
         assert presolved.basis is not None
         # The exported basis was lifted to the original column space: it must
         # install cleanly on an un-presolved solve of the same form.
-        again = solve_lp_form(
-            form, LpBackend.SIMPLEX, warm_start=WarmStart(basis=presolved.basis),
-            presolve=False,
-        )
+        again = solve_lp_form(form, warm_start=presolved.basis)
         assert again.status is SolverStatus.OPTIMAL
         assert again.warm_start_used
         assert again.objective_value == pytest.approx(presolved.objective_value)
@@ -210,14 +235,14 @@ class TestPostsolve:
 
 
 class TestSolveParity:
-    @pytest.mark.parametrize("backend", [LpBackend.HIGHS, LpBackend.SIMPLEX])
-    def test_lp_presolve_parity(self, backend):
+    def test_lp_presolve_parity(self):
         model = budget_model()
         form = model.to_matrix()
-        on = solve_lp_form(form, backend, presolve=True)
-        off = solve_lp_form(form, backend, presolve=False)
+        on = solve_presolved(form)
+        off = solve_lp_form(form)
         assert on.status is off.status is SolverStatus.OPTIMAL
         assert on.objective_value == pytest.approx(off.objective_value)
+        assert on.objective_value == pytest.approx(oracle_form_lp(form).objective)
         assert on.values == pytest.approx(off.values, abs=1e-6)
 
     def test_lp_presolve_detects_infeasibility_without_solving(self):
@@ -225,13 +250,12 @@ class TestSolveParity:
         model.add_variable("x", 0, 1)
         model.add_constraint({0: 1.0}, ConstraintSense.GE, 2.0, name="impossible")
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
-        result = solve_lp_form(model.to_matrix(), LpBackend.HIGHS, presolve=True)
-        assert result.status is SolverStatus.INFEASIBLE
+        assert not presolve_form(model.to_matrix()).feasible
+        assert solve_presolved(model.to_matrix()).status is SolverStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("backend", [LpBackend.HIGHS, LpBackend.SIMPLEX])
-    def test_bnb_presolve_parity_on_budget_model(self, backend):
-        on = BranchAndBoundSolver(lp_backend=backend, presolve=True).solve(budget_model())
-        off = BranchAndBoundSolver(lp_backend=backend, presolve=False).solve(budget_model())
+    def test_bnb_presolve_parity_on_budget_model(self):
+        on = BranchAndBoundSolver(presolve=True).solve(budget_model())
+        off = BranchAndBoundSolver(presolve=False).solve(budget_model())
         assert on.status is off.status is SolverStatus.OPTIMAL
         assert on.objective_value == pytest.approx(off.objective_value)
         assert on.stats.vars_fixed == 3
@@ -263,11 +287,11 @@ class TestSolveParity:
         # SKETCHREFINE-style reuse: a root basis exported from one presolved
         # solve seeds a retry of a same-shaped model.
         model = budget_model()
-        solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX, presolve=True)
+        solver = BranchAndBoundSolver(presolve=True)
         first = solver.solve(model)
         assert first.status is SolverStatus.OPTIMAL
         assert first.root_basis is not None
-        retry = solver.solve(budget_model(), warm_start=WarmStart(basis=first.root_basis))
+        retry = solver.solve(budget_model(), warm_start=first.root_basis)
         assert retry.status is SolverStatus.OPTIMAL
         assert retry.objective_value == pytest.approx(first.objective_value)
 
@@ -322,17 +346,17 @@ class TestPresolveProperties:
     @given(model=paql_shaped_models())
     def test_presolved_lp_relaxation_matches_highs(self, model):
         form = model.to_matrix()
-        on = solve_lp_form(form, LpBackend.HIGHS, presolve=True)
-        off = solve_lp_form(form, LpBackend.HIGHS, presolve=False)
-        assert on.status is off.status
+        on = solve_presolved(form)
+        reference = oracle_form_lp(form)
+        assert on.status.value == reference.status
         if on.status is SolverStatus.OPTIMAL:
-            assert on.objective_value == pytest.approx(off.objective_value, abs=1e-6)
+            assert on.objective_value == pytest.approx(reference.objective, abs=1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(model=paql_shaped_models())
     def test_presolved_simplex_restores_original_space_solutions(self, model):
         form = model.to_matrix()
-        result = solve_lp_form(form, LpBackend.SIMPLEX, presolve=True)
+        result = solve_presolved(form)
         if result.status is SolverStatus.OPTIMAL:
             assert len(result.values) == model.num_variables
             lower, upper, _ = model.bound_and_integrality_arrays()

@@ -1,17 +1,20 @@
-"""Tests for the dense simplex solver and the LP backend wrapper.
+"""Tests for the revised simplex solver and the LP relaxation entry points.
 
-The simplex implementation is cross-checked against SciPy's HiGHS on both
-hand-crafted and randomly generated LPs (a property-based consistency test).
+The simplex implementation is cross-checked against the HiGHS oracle
+(``oracle.py``) on both hand-crafted and randomly generated LPs (a
+property-based consistency test).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ilp.lp_backend import LpBackend, solve_lp, solve_lp_dense
+from repro.ilp.lp_backend import solve_lp
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.simplex import SimplexStatus, solve_dense_simplex
 from repro.ilp.status import SolverStatus
+
+from .oracle import oracle_form_lp, oracle_ilp, oracle_lp
 
 
 def simple_lp_model() -> IlpModel:
@@ -28,7 +31,7 @@ def simple_lp_model() -> IlpModel:
 class TestSimplexDirect:
     def test_simple_maximisation(self):
         model = simple_lp_model()
-        result = solve_lp(model, LpBackend.SIMPLEX)
+        result = solve_lp(model)
         assert result.status is SolverStatus.OPTIMAL
         assert result.objective_value == pytest.approx(10.0)
         assert result.values == pytest.approx([2.0, 2.0])
@@ -53,6 +56,20 @@ class TestSimplexDirect:
             a_eq=np.empty((0, 1)),
             b_eq=np.empty(0),
             bounds=[(0.0, None)],
+        )
+        assert result.status is SimplexStatus.INFEASIBLE
+
+    def test_infeasible_small_row_beside_a_large_one(self):
+        """Phase 1 judges each row against its own right-hand side: the
+        equality misses by 40 % of its rhs, which is still tiny beside the
+        magnitude of the other row (found by the fuzz test)."""
+        result = solve_dense_simplex(
+            c=np.array([1.0]),
+            a_ub=np.array([[1e4]]),
+            b_ub=np.array([3e4]),
+            a_eq=np.array([[1e-3]]),
+            b_eq=np.array([5e-3]),  # x = 5, but x <= 3.
+            bounds=[(0.0, 3.0)],
         )
         assert result.status is SimplexStatus.INFEASIBLE
 
@@ -96,16 +113,16 @@ class TestSimplexDirect:
 class TestBackendAgreement:
     def test_highs_and_simplex_agree_on_simple_model(self):
         model = simple_lp_model()
-        highs = solve_lp(model, LpBackend.HIGHS)
-        simplex = solve_lp(model, LpBackend.SIMPLEX)
-        assert highs.objective_value == pytest.approx(simplex.objective_value)
+        reference = oracle_form_lp(model.to_matrix())
+        assert reference.status == "optimal"
+        assert solve_lp(model).objective_value == pytest.approx(reference.objective)
 
     def test_highs_reports_infeasible(self):
         model = IlpModel()
         model.add_variable("x", upper=1, is_integer=False)
         model.add_constraint({0: 1.0}, ConstraintSense.GE, 2)
-        assert solve_lp(model, LpBackend.HIGHS).status is SolverStatus.INFEASIBLE
-        assert solve_lp(model, LpBackend.SIMPLEX).status is SolverStatus.INFEASIBLE
+        assert oracle_form_lp(model.to_matrix()).status == "infeasible"
+        assert solve_lp(model).status is SolverStatus.INFEASIBLE
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -116,8 +133,8 @@ class TestBackendAgreement:
     def test_random_lps_agree_with_highs(self, data, num_vars, num_constraints):
         """Property: on random bounded LPs, the simplex matches HiGHS.
 
-        Variables are box-bounded so the LP is never unbounded; both backends
-        must agree on feasibility, and on the optimal objective value when
+        Variables are box-bounded so the LP is never unbounded; the two must
+        agree on feasibility, and on the optimal objective value when
         feasible.
         """
         coefficient = st.integers(min_value=-5, max_value=5)
@@ -131,14 +148,10 @@ class TestBackendAgreement:
 
         simplex = solve_dense_simplex(c, a_ub, b_ub, np.empty((0, num_vars)), np.empty(0), bounds)
 
-        from scipy.optimize import linprog
-
-        reference = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if reference.status == 2:
-            assert simplex.status is SimplexStatus.INFEASIBLE
-        elif reference.status == 0:
-            assert simplex.status is SimplexStatus.OPTIMAL
-            assert simplex.objective == pytest.approx(reference.fun, abs=1e-6)
+        reference = oracle_lp(c, a_ub, b_ub, bounds=bounds)
+        assert simplex.status.value == reference.status
+        if reference.status == "optimal":
+            assert simplex.objective == pytest.approx(reference.objective, abs=1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -184,14 +197,10 @@ class TestBackendAgreement:
             child_bounds, warm_start=parent.basis,
         )
 
-        from scipy.optimize import linprog
-
-        reference = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=child_bounds, method="highs")
-        if reference.status == 2:
-            assert warm.status is SimplexStatus.INFEASIBLE
-        elif reference.status == 0:
-            assert warm.status is SimplexStatus.OPTIMAL
-            assert warm.objective == pytest.approx(reference.fun, abs=1e-6)
+        reference = oracle_lp(c, a_ub, b_ub, bounds=child_bounds)
+        assert warm.status.value == reference.status
+        if reference.status == "optimal":
+            assert warm.objective == pytest.approx(reference.objective, abs=1e-6)
 
 
 class TestNumericalErrorStatus:
@@ -223,7 +232,7 @@ class TestNumericalErrorStatus:
 
         self._force_refactor_failure(monkeypatch)
         form = simple_lp_model().to_matrix()
-        result = solve_lp_form(form, LpBackend.SIMPLEX, presolve=False)
+        result = solve_lp_form(form)
         assert result.status is SolverStatus.NUMERICAL_ERROR
         assert SolverStatus.NUMERICAL_ERROR.is_failure
         assert not result.status.has_solution
@@ -248,17 +257,15 @@ class TestNumericalErrorStatus:
         real = bnb.solve_lp_form
         failed = []
 
-        def flaky(form, backend, warm_start=None, presolve=True, **kwargs):
+        def flaky(form, warm_start=None):
             if warm_start is not None and not failed:
                 failed.append(True)
                 return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
-            return real(form, backend, warm_start=warm_start, presolve=presolve, **kwargs)
+            return real(form, warm_start=warm_start)
 
         monkeypatch.setattr(bnb, "solve_lp_form", flaky)
-        solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX)
-        solution = solver.solve(model)
+        solution = BranchAndBoundSolver().solve(model)
         assert failed, "expected at least one warm-started node LP"
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.stats.numerical_retries == 1
-        cold = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX, warm_start_lp=False).solve(model)
-        assert solution.objective_value == pytest.approx(cold.objective_value)
+        assert solution.objective_value == pytest.approx(oracle_ilp(model).objective)

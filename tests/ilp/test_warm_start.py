@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.translator import translate_query
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp_dense
+from repro.ilp.lp_backend import solve_lp_form
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.simplex import (
     SimplexBasis,
@@ -18,6 +19,9 @@ from repro.ilp.simplex import (
     solve_dense_simplex,
 )
 from repro.ilp.status import SolverStatus
+from repro.workloads.galaxy import galaxy_table, galaxy_workload
+
+from .oracle import oracle_ilp
 
 
 def _knapsack_lp(n=6, seed=3):
@@ -198,34 +202,20 @@ class TestBackendWarmStartProtocol:
         model.add_variable("y", 0, 10, is_integer=False)
         model.add_constraint({0: 1.0, 1: 1.0}, ConstraintSense.LE, 8)
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 3.0, 1: 1.0})
-        dense = model.to_dense()
+        form = model.to_matrix()
 
-        cold = solve_lp_dense(dense, LpBackend.SIMPLEX)
+        cold = solve_lp_form(form)
         assert cold.status is SolverStatus.OPTIMAL
         assert cold.basis is not None
         assert not cold.warm_start_used
 
-        lower, upper = dense.bound_arrays()
+        lower, upper = form.bound_arrays()
         upper = upper.copy()
         upper[0] = 5.0
-        warm = solve_lp_dense(
-            dense.with_bounds(lower, upper),
-            LpBackend.SIMPLEX,
-            warm_start=WarmStart(basis=cold.basis),
-        )
+        warm = solve_lp_form(form.with_bounds(lower, upper), warm_start=cold.basis)
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.warm_start_used
         assert warm.objective_value == pytest.approx(5.0 * 3.0 + 3.0 * 1.0)
-
-    def test_highs_backend_ignores_warm_start(self):
-        model = IlpModel()
-        model.add_variable("x", 0, 4, is_integer=False)
-        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
-        dense = model.to_dense()
-        result = solve_lp_dense(dense, LpBackend.HIGHS, warm_start=WarmStart(basis=None))
-        assert result.status is SolverStatus.OPTIMAL
-        assert not result.warm_start_used
-        assert result.basis is None
 
 
 class TestBranchAndBoundBasisReuse:
@@ -248,76 +238,69 @@ class TestBranchAndBoundBasisReuse:
 
     def test_warm_start_hits_accumulate_and_answers_match(self):
         model = self._hard_knapsack()
-        limits = SolverLimits(relative_gap=1e-9)
-        warm_solver = BranchAndBoundSolver(
-            limits=limits, lp_backend=LpBackend.SIMPLEX, warm_start_lp=True,
-            enable_rounding_heuristic=False,
-        )
-        cold_solver = BranchAndBoundSolver(
-            limits=limits, lp_backend=LpBackend.SIMPLEX, warm_start_lp=False,
-            enable_rounding_heuristic=False,
-        )
-        highs_solver = BranchAndBoundSolver(limits=limits, lp_backend=LpBackend.HIGHS)
-
-        warm = warm_solver.solve(model)
-        cold = cold_solver.solve(model)
-        highs = highs_solver.solve(model)
+        warm = BranchAndBoundSolver(
+            limits=SolverLimits(relative_gap=1e-9), enable_rounding_heuristic=False
+        ).solve(model)
+        reference = oracle_ilp(model)
 
         assert warm.status is SolverStatus.OPTIMAL
-        assert warm.objective_value == pytest.approx(cold.objective_value)
-        assert warm.objective_value == pytest.approx(highs.objective_value)
+        assert reference.status == "optimal"
+        assert warm.objective_value == pytest.approx(reference.objective)
 
         assert warm.stats.warm_start_hits > 0
-        assert cold.stats.warm_start_hits == 0
         # Every non-root node warm-starts from its parent's basis.
         if warm.stats.lp_solves > 1:
             assert warm.stats.warm_start_rate >= 0.5
-        # Basis reuse must save pivots overall.
-        assert warm.stats.simplex_iterations < cold.stats.simplex_iterations
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_warm_and_cold_trees_agree_on_random_knapsacks(self, seed):
+    def test_warm_trees_agree_with_the_oracle_on_random_knapsacks(self, seed):
         model = self._hard_knapsack(n=9, seed=seed)
-        limits = SolverLimits(relative_gap=1e-9)
-        warm = BranchAndBoundSolver(
-            limits=limits, lp_backend=LpBackend.SIMPLEX, warm_start_lp=True
-        ).solve(model)
-        highs = BranchAndBoundSolver(limits=limits).solve(model)
-        assert warm.status is highs.status
+        warm = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
+        reference = oracle_ilp(model)
+        assert warm.status.value == reference.status
         if warm.status is SolverStatus.OPTIMAL:
-            assert warm.objective_value == pytest.approx(highs.objective_value)
+            assert warm.objective_value == pytest.approx(reference.objective)
+
+    def test_hit_rate_floor_on_galaxy_q1(self):
+        """Galaxy Q1 at 800 rows branches; >= 90 % of its node LPs reoptimise
+        from the parent basis.  The counts repeat exactly from run to run."""
+        table = galaxy_table(800, seed=42)
+        query = galaxy_workload(table, seed=42).query("Q1").query
+        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-3, node_limit=2000))
+        stats = solver.solve(translate_query(table, query).model).stats
+        assert stats.lp_solves > 10
+        assert stats.warm_start_rate >= 0.9
 
 
-class TestDenseFormCaching:
-    def test_to_dense_is_memoized_until_mutation(self):
+class TestMatrixFormCaching:
+    def test_to_matrix_is_memoized_until_mutation(self):
         model = IlpModel()
         model.add_variable("x", 0, 5)
         model.add_constraint({0: 1.0}, ConstraintSense.LE, 4)
-        first = model.to_dense()
-        assert model.to_dense() is first
+        first = model.to_matrix()
+        assert model.to_matrix() is first
 
         model.add_constraint({0: 1.0}, ConstraintSense.GE, 1)
-        second = model.to_dense()
+        second = model.to_matrix()
         assert second is not first
         assert second.a_ub.shape[0] == 2
 
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
-        assert model.to_dense() is not second
+        assert model.to_matrix() is not second
 
-        third = model.to_dense()
+        third = model.to_matrix()
         model.add_variable("y", 0, 1)
-        assert model.to_dense() is not third
+        assert model.to_matrix() is not third
 
-    def test_invalidate_dense_cache_after_inplace_mutation(self):
+    def test_invalidate_matrix_cache_after_inplace_mutation(self):
         model = IlpModel()
         model.add_variable("x", 0, 5, is_integer=False)
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
-        dense = model.to_dense()
-        lower, upper = dense.bound_arrays()
+        lower, upper = model.to_matrix().bound_arrays()
         assert upper[0] == pytest.approx(5.0)
 
         model.variables[0].upper = 2.0
-        model.invalidate_dense_cache()
-        lower, upper = model.to_dense().bound_arrays()
+        model.invalidate_matrix_cache()
+        lower, upper = model.to_matrix().bound_arrays()
         assert upper[0] == pytest.approx(2.0)
