@@ -33,7 +33,7 @@ def bench_config() -> BenchmarkConfig:
     """Benchmark configuration shared by every experiment driver."""
     scale = _scale()
     return BenchmarkConfig(
-        galaxy_rows=max(200, int(800 * scale)),
+        galaxy_rows=max(200, int(3200 * scale)),
         tpch_rows=max(200, int(1000 * scale)),
         seed=42,
         solver_time_limit=30.0,

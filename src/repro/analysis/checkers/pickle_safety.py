@@ -122,8 +122,7 @@ class PickleSafetyChecker(Checker):
         "payload_classes": {
             "SolveTask": [],
             "SolveTaskResult": [],
-            "IlpModel": ["_names"],
-            "Variable": [],
+            "IlpModel": ["_lower", "_upper", "_integer", "_names"],
             "Constraint": [],
             "Objective": [],
             "MatrixForm": [],

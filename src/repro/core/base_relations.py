@@ -39,11 +39,6 @@ class BaseRelation:
     def num_eligible(self) -> int:
         return len(self.eligible_indices)
 
-    def restrict(self, subset: np.ndarray) -> "BaseRelation":
-        """Return a base relation restricted to ``subset`` of the original rows."""
-        allowed = np.intersect1d(self.eligible_indices, np.asarray(subset, dtype=np.int64))
-        return BaseRelation(self.table, allowed)
-
 
 def compute_base_relation(table: Table, query: PackageQuery) -> BaseRelation:
     """Apply the query's base predicate and return the eligible rows."""

@@ -108,11 +108,6 @@ class DirectEvaluator:
         )
         return self._package_from_solution(translation, solution)
 
-    def evaluate_translation(self, translation: IlpTranslation) -> Package:
-        """Solve an already-translated query (used by SKETCHREFINE internally)."""
-        solution = self.solver.solve(translation.model)
-        return self._package_from_solution(translation, solution)
-
     @staticmethod
     def _package_from_solution(translation: IlpTranslation, solution: Solution) -> Package:
         if solution.status is SolverStatus.INFEASIBLE:

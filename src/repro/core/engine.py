@@ -251,7 +251,6 @@ class PackageQueryEngine:
         method: EvaluationMethod | str = EvaluationMethod.AUTO,
         partitioning_label: str = "default",
         cache: str = "use",
-        workers: int | None = None,
         snapshot: SnapshotHandle | None = None,
     ) -> EvaluationResult:
         """Evaluate a package query and return the answer package with metadata.
@@ -262,9 +261,6 @@ class PackageQueryEngine:
                 partitioning is registered and the table is large, otherwise
                 DIRECT.
             partitioning_label: Which registered partitioning SKETCHREFINE uses.
-            workers: Per-call override of the SKETCHREFINE refine worker
-                count (``None`` keeps the engine-level setting).  The answer
-                is bit-identical for every worker count.
             cache: How to interact with the result cache.  ``"use"`` (default)
                 answers from a cached entry when the canonical query
                 fingerprint, table version and (for SKETCHREFINE) partitioning
@@ -370,7 +366,7 @@ class PackageQueryEngine:
             package = self._direct.evaluate(table, query)
             details["direct_stats"] = self._direct.last_stats
         elif method is EvaluationMethod.SKETCH_REFINE:
-            package = self._sketchrefine.evaluate(table, query, partitioning, workers=workers)
+            package = self._sketchrefine.evaluate(table, query, partitioning)
             details["sketchrefine_stats"] = self._sketchrefine.last_stats
             child_solve_ms = self._sketchrefine.last_stats.child_solve_ms
         elif method is EvaluationMethod.NAIVE:

@@ -12,9 +12,11 @@ composable fallback strategies plus a resolver that applies them in sequence:
 3. **Dropping partitioning attributes** — project the partitioning onto fewer
    dimensions, merging groups and increasing the chance that previously
    infeasible refine queries become feasible.  The attributes to drop are
-   chosen with the solver's IIS facility on the sketch-level ILP, as the paper
+   chosen with the solver's IIS facility on the sketch ILP, as the paper
    suggests: attributes participating in the irreducible infeasible constraint
-   set go first.
+   set go first.  The probed model is the one the evaluator solves
+   (:meth:`~repro.core.sketchrefine.PartitionedQuery.sketch_model`), not a
+   re-derivation of it.
 4. **Iterative group merging** — merge groups pairwise until the sub-queries
    become feasible; in the limit a single group remains and SKETCHREFINE
    degenerates to DIRECT, so any feasible query is eventually answered (at the
@@ -30,12 +32,10 @@ import numpy as np
 
 from repro.core.direct import DirectEvaluator
 from repro.core.package import Package
-from repro.core.sketchrefine import SketchRefineEvaluator
-from repro.core.translator import constraint_linear_rows
+from repro.core.sketchrefine import PartitionedQuery, SketchRefineEvaluator
 from repro.dataset.table import Table
 from repro.errors import InfeasiblePackageQueryError
 from repro.ilp.iis import find_iis
-from repro.ilp.model import IlpModel, ObjectiveSense
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning, PartitioningStats
 from repro.partition.quadtree import QuadTreePartitioner
@@ -82,9 +82,9 @@ class DropPartitioningAttributes:
     """Strategy 3: project the partitioning onto fewer attributes.
 
     The order in which attributes are dropped is guided by an IIS computed on
-    the *sketch-level* ILP (group centroids with per-group caps): attributes
-    whose constraints belong to the irreducible infeasible set are dropped
-    first, then any remaining partitioning attributes.
+    the sketch ILP (group centroids with per-group caps): attributes whose
+    constraints belong to the irreducible infeasible set are dropped first,
+    then any remaining partitioning attributes.
     """
 
     max_drops: int = 3
@@ -118,16 +118,15 @@ class DropPartitioningAttributes:
     def _conflicted_attributes(
         self, table: Table, query: PackageQuery, partitioning: Partitioning
     ) -> set[str]:
-        """Attributes participating in the IIS of the sketch-level ILP."""
-        sketch_model, constraint_attributes = _sketch_level_model(table, query, partitioning)
-        if sketch_model is None:
+        """Attributes participating in the IIS of the sketch ILP."""
+        problem = PartitionedQuery.build(table, query, partitioning)
+        if not problem.eligible_groups:
             return set()
-        infeasible_set = find_iis(sketch_model)
-        if not infeasible_set:
-            return set()
+        infeasible_set = set(find_iis(problem.sketch_model()))
         conflicted: set[str] = set()
-        for name in infeasible_set:
-            conflicted |= constraint_attributes.get(name, set())
+        for constraint, name in zip(problem.linearisation.sources, problem.linearisation.names):
+            if name in infeasible_set:
+                conflicted |= set(constraint.referenced_columns)
         return conflicted & set(partitioning.attributes)
 
 
@@ -252,42 +251,3 @@ class FalseInfeasibilityResolver:
             f"(tried: {', '.join(report.attempts)})",
             false_negative_possible=True,
         ) from last_error
-
-
-def _sketch_level_model(
-    table: Table, query: PackageQuery, partitioning: Partitioning
-) -> tuple[IlpModel | None, dict[str, set[str]]]:
-    """Build the sketch-level ILP (centroids + group caps) for IIS analysis.
-
-    Returns the model plus a mapping from constraint name to the attributes it
-    involves, so IIS membership can be translated back into attribute choices.
-    """
-    if partitioning.num_groups == 0:
-        return None, {}
-    group_ids = partitioning.group_ids
-    num_groups = partitioning.num_groups
-    sizes = partitioning.group_sizes().astype(float)
-    all_rows = np.arange(table.num_rows, dtype=np.int64)
-
-    model = IlpModel(name="sketch_iis_probe")
-    per_tuple_cap = query.max_multiplicity
-    for gid in range(num_groups):
-        upper = sizes[gid] * per_tuple_cap if per_tuple_cap is not None else None
-        model.add_variable(f"g_{gid}", 0.0, upper)
-
-    constraint_attributes: dict[str, set[str]] = {}
-    counts = np.maximum(np.bincount(group_ids, minlength=num_groups), 1).astype(float)
-    for number, constraint in enumerate(query.global_constraints):
-        name = constraint.name or f"global_{number}"
-        for row in constraint_linear_rows(table, all_rows, constraint, name):
-            sums = np.bincount(group_ids, weights=row.coefficients, minlength=num_groups)
-            means = sums / counts
-            model.add_constraint(
-                {g: float(means[g]) for g in range(num_groups) if means[g]},
-                row.sense,
-                row.rhs,
-                name=row.name,
-            )
-            constraint_attributes[row.name] = set(constraint.referenced_columns)
-    model.set_objective(ObjectiveSense.MAXIMIZE, {})
-    return model, constraint_attributes

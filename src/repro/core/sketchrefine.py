@@ -39,15 +39,16 @@ Section 4.4 is applied (matching the experimental setup in Section 5.1): the
 sketch is merged with one group's refine query, trying groups in turn, so a
 single awkward centroid cannot make the whole query look infeasible.
 
-The implementation shares the PaQL→ILP translation with DIRECT by linearising
-every global constraint once into a per-tuple coefficient *matrix* (one row
-per translated constraint, one column per tuple, stacked from
-:func:`repro.core.translator.constraint_linear_rows`); the sketch uses the
-per-group column *means* of that matrix (the centroid value of a linear
-function is the mean of its per-tuple values) and the refine step slices the
-columns of one group with residual right-hand sides.  Sketch and refine ILPs
-are built from coefficient triplets (``add_constraint_arrays``), never
-per-entry dicts.
+The PaQL→ILP translation is DIRECT's: the query is linearised once by
+:func:`repro.core.translator.linearise` (one column per eligible tuple) and
+every ILP here comes out of :func:`repro.core.translator.build_model`.  A
+:class:`PartitionedQuery` holds that linearisation next to its reduction to
+per-group means (the centroid value of a linear function is the mean of its
+per-tuple values): the sketch is the reduced linearisation under the group
+caps, a hybrid sketch swaps one group's column for its tuples' columns, and a
+refine query is the slice of one group's columns with residual right-hand
+sides.  Rows, groups and assignments are addressed by linearisation column
+throughout and mapped back to table rows once, when the package is built.
 
 Refine ILPs of the same group recur across backtracking retries with
 identical constraint-matrix shape and only shifted right-hand sides, so the
@@ -69,11 +70,7 @@ from repro.core.base_relations import compute_base_relation
 from repro.exec.pool import SolvePool, shared_pool
 from repro.exec.tasks import SolveTask, run_solve_task
 from repro.core.package import Package
-from repro.core.translator import (
-    LinearConstraintRow,
-    constraint_linear_rows,
-    objective_linear,
-)
+from repro.core.translator import Linearisation, build_model, linearise, repetition_cap
 from repro.dataset.table import Table
 from repro.errors import (
     EvaluationError,
@@ -166,23 +163,76 @@ class SketchRefineStats:
 
 
 @dataclass
-class _Linearisation:
-    """Per-tuple linear form of the query, computed once and reused everywhere.
+class PartitionedQuery:
+    """A query linearised once over a partitioned relation.
 
-    ``constraint_matrix`` stacks the rows' coefficient vectors into one
-    ``(num_constraints, num_table_rows)`` array so group means, fixed-part
-    contributions and per-group slices are single vectorised operations.
+    Everything SKETCH and REFINE solve is built from this: the per-tuple
+    linearisation, which of its columns fall in which group, and the same
+    linearisation reduced to one mean column per group (column ``g`` of
+    ``means`` is group ``g``'s representative).
     """
 
-    eligible_mask: np.ndarray          # Boolean mask over the full table.
-    constraint_rows: list[LinearConstraintRow]  # Sense/rhs/name per row.
-    constraint_matrix: np.ndarray      # (num_constraints, num_table_rows).
-    objective_sense: object
-    objective_coefficients: np.ndarray  # Over ALL rows.
+    query: PackageQuery
+    rows: np.ndarray
+    """The table row each linearisation column stands for (the eligible rows)."""
+    linearisation: Linearisation
+    groups: list[np.ndarray]
+    """Linearisation columns of each group, ascending (empty when no tuple of
+    the group satisfies the base predicate)."""
+    means: Linearisation
+
+    @classmethod
+    def build(
+        cls, table: Table, query: PackageQuery, partitioning: Partitioning
+    ) -> "PartitionedQuery":
+        rows = compute_base_relation(table, query).eligible_indices
+        linearisation = linearise(table, query, rows)
+        column_of_row = np.full(table.num_rows, -1, dtype=np.int64)
+        column_of_row[rows] = np.arange(len(rows))
+        groups = []
+        for gid in range(partitioning.num_groups):
+            columns = column_of_row[partitioning.group_rows(gid)]
+            groups.append(columns[columns >= 0])
+        return cls(query, rows, linearisation, groups, linearisation.group_means(groups))
 
     @property
-    def num_constraints(self) -> int:
-        return len(self.constraint_rows)
+    def eligible_groups(self) -> list[int]:
+        """Groups with at least one eligible tuple, ascending."""
+        return [gid for gid, columns in enumerate(self.groups) if len(columns)]
+
+    def sketch_model(self, hybrid_group: int | None = None) -> IlpModel:
+        """The SKETCH ILP: one column per eligible group, capped at ``|G_j| · (K + 1)``.
+
+        With ``hybrid_group`` set, that group's column is replaced, in place,
+        by the columns of its tuples (Section 4.4's hybrid sketch).
+        """
+        eligible = np.array(self.eligible_groups, dtype=np.int64)
+        cap = repetition_cap(self.query)
+        sizes = np.array([len(self.groups[gid]) for gid in eligible])
+        name = f"sketch_{self.query.name or self.query.relation}"
+        if hybrid_group is None:
+            return build_model(self.means.take(eligible), sizes * cap, name)
+        split = int(np.searchsorted(eligible, hybrid_group))
+        tuples = self.groups[hybrid_group]
+        sketch = Linearisation.concatenate(
+            [
+                self.means.take(eligible[:split]),
+                self.linearisation.take(tuples),
+                self.means.take(eligible[split + 1 :]),
+            ]
+        )
+        upper = np.concatenate(
+            [sizes[:split] * cap, np.full(len(tuples), cap), sizes[split + 1 :] * cap]
+        )
+        return build_model(sketch, upper, name)
+
+    def refine_model(self, gid: int, fixed: np.ndarray) -> IlpModel:
+        """Q[G_j]: pick real tuples of group ``gid`` given the constraint-row
+        totals ``fixed`` of everything else in the package."""
+        refine = self.linearisation.take(
+            self.groups[gid], rhs=self.linearisation.rhs - fixed
+        )
+        return build_model(refine, repetition_cap(self.query), f"refine_{gid}")
 
 
 class SketchRefineEvaluator:
@@ -255,19 +305,13 @@ class SketchRefineEvaluator:
         self.last_stats = stats
         self._refine_basis = {}
 
-        linearisation = self._linearise(table, query)
-        group_info = self._group_info(partitioning, linearisation.eligible_mask)
-        eligible_groups = [g for g, rows in group_info.items() if len(rows)]
-        if not eligible_groups:
+        problem = PartitionedQuery.build(table, query, partitioning)
+        if not problem.eligible_groups:
             raise InfeasiblePackageQueryError("no tuple satisfies the base predicate")
-
-        group_means = self._group_means(linearisation, group_info)
 
         # ---- SKETCH ----
         sketch_start = time.perf_counter()
-        sketch_multiplicities, initial_assignments, used_hybrid = self._sketch(
-            table, query, linearisation, group_info, group_means
-        )
+        sketch_multiplicities, initial_assignments, used_hybrid = self._sketch(problem)
         stats.sketch_seconds = time.perf_counter() - sketch_start
         stats.used_hybrid_sketch = used_hybrid
         stats.groups_in_sketch = sum(1 for m in sketch_multiplicities.values() if m > 0)
@@ -275,16 +319,15 @@ class SketchRefineEvaluator:
         # ---- REFINE ----
         refine_start = time.perf_counter()
         assignments = self._refine_root(
-            query, linearisation, group_info, group_means,
-            sketch_multiplicities, initial_assignments, stats, pool,
+            problem, sketch_multiplicities, initial_assignments, stats, pool
         )
         stats.refine_seconds = time.perf_counter() - refine_start
         stats.total_seconds = time.perf_counter() - start
 
         combined: dict[int, int] = {}
         for group_assignment in assignments.values():
-            for row, multiplicity in group_assignment.items():
-                combined[row] = combined.get(row, 0) + multiplicity
+            for column, multiplicity in group_assignment.items():
+                combined[int(problem.rows[column])] = multiplicity
         return Package.from_multiplicity_map(table, combined)
 
     def _refine_pool(self, workers: int | None) -> SolvePool:
@@ -300,66 +343,10 @@ class SketchRefineEvaluator:
             return self._pool
         return shared_pool(self.config.workers)
 
-    # -- linearisation ------------------------------------------------------------------------
-
-    def _linearise(self, table: Table, query: PackageQuery) -> _Linearisation:
-        base = compute_base_relation(table, query)
-        mask = np.zeros(table.num_rows, dtype=bool)
-        mask[base.eligible_indices] = True
-        all_rows = np.arange(table.num_rows, dtype=np.int64)
-        rows: list[LinearConstraintRow] = []
-        for number, constraint in enumerate(query.global_constraints):
-            name = constraint.name or f"global_{number}"
-            rows.extend(constraint_linear_rows(table, all_rows, constraint, name))
-        matrix = (
-            np.vstack([row.coefficients for row in rows])
-            if rows
-            else np.empty((0, table.num_rows))
-        )
-        sense, objective = objective_linear(table, all_rows, query)
-        return _Linearisation(mask, rows, matrix, sense, objective)
-
-    @staticmethod
-    def _group_info(
-        partitioning: Partitioning, eligible_mask: np.ndarray
-    ) -> dict[int, np.ndarray]:
-        """Eligible row indices per group (groups with no eligible tuples map to empty)."""
-        info: dict[int, np.ndarray] = {}
-        for gid in range(partitioning.num_groups):
-            rows = partitioning.group_rows(gid)
-            info[gid] = rows[eligible_mask[rows]]
-        return info
-
-    @staticmethod
-    def _group_means(
-        linearisation: _Linearisation, group_info: dict[int, np.ndarray]
-    ) -> dict[str, dict[int, np.ndarray]]:
-        """Mean per-tuple coefficient of each constraint row / objective per group.
-
-        The mean coefficient over a group equals the coefficient of the group's
-        centroid, because every translated constraint is linear in the tuple
-        attributes.
-        """
-        constraint_means: dict[int, np.ndarray] = {}
-        objective_means: dict[int, np.ndarray] = {}
-        for gid, rows in group_info.items():
-            if not len(rows):
-                constraint_means[gid] = np.zeros(linearisation.num_constraints)
-                objective_means[gid] = np.zeros(1)
-                continue
-            constraint_means[gid] = linearisation.constraint_matrix[:, rows].mean(axis=1)
-            objective_means[gid] = np.array([linearisation.objective_coefficients[rows].mean()])
-        return {"constraints": constraint_means, "objective": objective_means}
-
     # -- SKETCH -------------------------------------------------------------------------------
 
     def _sketch(
-        self,
-        table: Table,
-        query: PackageQuery,
-        linearisation: _Linearisation,
-        group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
+        self, problem: PartitionedQuery
     ) -> tuple[dict[int, int], dict[int, dict[int, int]], bool]:
         """Solve the sketch query.
 
@@ -367,15 +354,10 @@ class SketchRefineEvaluator:
         used_hybrid)``.  Pre-refined assignments are non-empty only when the
         hybrid-sketch fallback solved one group with original tuples.
         """
-        eligible_groups = [g for g, rows in group_info.items() if len(rows)]
-        solution = self._solve_sketch_model(
-            query, linearisation, group_info, group_means, eligible_groups, hybrid_group=None
-        )
+        solution = self._solve_sketch_model(problem, hybrid_group=None)
         if solution is not None:
             multiplicities, _ = solution
-            self.last_stats.sketch_objective = self._sketch_objective(
-                multiplicities, group_means
-            )
+            self.last_stats.sketch_objective = self._sketch_objective(problem, multiplicities)
             return multiplicities, {}, False
 
         if not self.config.use_hybrid_sketch:
@@ -386,20 +368,15 @@ class SketchRefineEvaluator:
         # Hybrid sketch: replace one group's representative with its original
         # tuples and re-try, in arbitrary group order (Section 4.4).
         rng = np.random.default_rng(self.config.refine_order_seed)
-        order = list(eligible_groups)
+        order = problem.eligible_groups
         rng.shuffle(order)
         for hybrid_group in order:
-            solution = self._solve_sketch_model(
-                query, linearisation, group_info, group_means, eligible_groups, hybrid_group
-            )
+            solution = self._solve_sketch_model(problem, hybrid_group)
             if solution is None:
                 continue
             multiplicities, hybrid_assignment = solution
             assignments = {hybrid_group: hybrid_assignment} if hybrid_assignment else {}
-            multiplicities[hybrid_group] = 0
-            self.last_stats.sketch_objective = self._sketch_objective(
-                multiplicities, group_means
-            )
+            self.last_stats.sketch_objective = self._sketch_objective(problem, multiplicities)
             return multiplicities, assignments, True
 
         raise InfeasiblePackageQueryError(
@@ -408,76 +385,15 @@ class SketchRefineEvaluator:
         )
 
     def _solve_sketch_model(
-        self,
-        query: PackageQuery,
-        linearisation: _Linearisation,
-        group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
-        eligible_groups: list[int],
-        hybrid_group: int | None,
+        self, problem: PartitionedQuery, hybrid_group: int | None
     ) -> tuple[dict[int, int], dict[int, int]] | None:
         """Build and solve the (possibly hybrid) sketch ILP.
 
         Returns ``None`` when infeasible; otherwise the per-group multiplicities
-        and, for a hybrid sketch, the per-row assignment of the hybrid group.
+        (0 for the hybrid group) and, for a hybrid sketch, the per-column
+        assignment of the hybrid group.
         """
-        model = IlpModel(name=f"sketch_{query.name or query.relation}")
-        per_tuple_cap = query.max_multiplicity
-
-        variable_kind: list[tuple[str, int]] = []  # ("group", gid) or ("row", row index)
-        for gid in eligible_groups:
-            if gid == hybrid_group:
-                for row in group_info[gid]:
-                    upper = float(per_tuple_cap) if per_tuple_cap is not None else None
-                    model.add_variable(f"t_{int(row)}", 0.0, upper)
-                    variable_kind.append(("row", int(row)))
-            else:
-                group_cap = (
-                    float(len(group_info[gid]) * per_tuple_cap)
-                    if per_tuple_cap is not None
-                    else None
-                )
-                model.add_variable(f"g_{gid}", 0.0, group_cap)
-                variable_kind.append(("group", gid))
-
-        # One coefficient matrix over the sketch variables: group columns carry
-        # the group means, hybrid-row columns the original per-tuple vectors.
-        positions = np.arange(len(variable_kind))
-        is_group = np.array([kind == "group" for kind, _ in variable_kind], dtype=bool)
-        keys = np.array([key for _, key in variable_kind], dtype=np.int64)
-        num_rows = linearisation.num_constraints
-        coefficient_matrix = np.empty((num_rows, len(variable_kind)))
-        if is_group.any():
-            coefficient_matrix[:, is_group] = np.stack(
-                [group_means["constraints"][gid] for gid in keys[is_group]], axis=1
-            )
-        if (~is_group).any():
-            coefficient_matrix[:, ~is_group] = linearisation.constraint_matrix[
-                :, keys[~is_group]
-            ]
-        for row_number, constraint_row in enumerate(linearisation.constraint_rows):
-            row_values = coefficient_matrix[row_number]
-            nonzero = np.nonzero(row_values)[0]
-            model.add_constraint_arrays(
-                positions[nonzero],
-                row_values[nonzero],
-                constraint_row.sense,
-                constraint_row.rhs,
-                name=constraint_row.name,
-            )
-
-        objective_values = np.empty(len(variable_kind))
-        if is_group.any():
-            objective_values[is_group] = [
-                float(group_means["objective"][gid][0]) for gid in keys[is_group]
-            ]
-        if (~is_group).any():
-            objective_values[~is_group] = linearisation.objective_coefficients[keys[~is_group]]
-        nonzero = np.nonzero(objective_values)[0]
-        model.set_objective_arrays(
-            linearisation.objective_sense, positions[nonzero], objective_values[nonzero]
-        )
-
+        model = problem.sketch_model(hybrid_group)
         solution = self.solver.solve(model)
         self._absorb_task_stats(getattr(solution, "stats", None))
         if solution.status is SolverStatus.INFEASIBLE:
@@ -489,35 +405,34 @@ class SketchRefineEvaluator:
         if not solution.has_solution:
             raise EvaluationError(f"sketch solve failed with status {solution.status.value}")
 
-        multiplicities: dict[int, int] = {gid: 0 for gid in eligible_groups}
+        counts = solution.integral_values()
+        eligible_groups = problem.eligible_groups
         hybrid_assignment: dict[int, int] = {}
-        values = solution.integral_values()
-        for position, (kind, key) in enumerate(variable_kind):
-            count = int(values[position])
-            if count <= 0:
-                continue
-            if kind == "group":
-                multiplicities[key] = count
-            else:
-                hybrid_assignment[key] = count
+        if hybrid_group is not None:
+            # The hybrid group's tuples sit where its column would (sketch_model).
+            split = eligible_groups.index(hybrid_group)
+            tuples = problem.groups[hybrid_group]
+            tuple_counts = counts[split : split + len(tuples)]
+            hybrid_assignment = {
+                int(column): int(count)
+                for column, count in zip(tuples, tuple_counts)
+                if count > 0
+            }
+            counts = np.concatenate([counts[:split], [0], counts[split + len(tuples) :]])
+        multiplicities = {gid: int(count) for gid, count in zip(eligible_groups, counts)}
         return multiplicities, hybrid_assignment
 
     @staticmethod
-    def _sketch_objective(
-        multiplicities: dict[int, int], group_means: dict[str, dict[int, np.ndarray]]
-    ) -> float:
+    def _sketch_objective(problem: PartitionedQuery, multiplicities: dict[int, int]) -> float:
         return float(
-            sum(group_means["objective"][gid][0] * count for gid, count in multiplicities.items())
+            sum(problem.means.objective[gid] * count for gid, count in multiplicities.items())
         )
 
     # -- REFINE ---------------------------------------------------------------------------------
 
     def _refine_root(
         self,
-        query: PackageQuery,
-        linearisation: _Linearisation,
-        group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
+        problem: PartitionedQuery,
         sketch_multiplicities: dict[int, int],
         initial_assignments: dict[int, dict[int, int]],
         stats: SketchRefineStats,
@@ -558,12 +473,10 @@ class SketchRefineEvaluator:
                     g for g in pending if g not in prioritised
                 ]
                 results = self._solve_refine_batch(
-                    query, linearisation, group_info, group_means,
-                    sketch_multiplicities, assignments, pending, order, stats, pool,
+                    problem, sketch_multiplicities, assignments, pending, order, stats, pool
                 )
                 accepted, infeasible = self._merge_round(
-                    order, results, linearisation, group_info, group_means,
-                    sketch_multiplicities, assignments, pending, stats,
+                    order, results, problem, sketch_multiplicities, assignments, pending, stats
                 )
                 if not accepted:
                     dead_end = infeasible
@@ -584,10 +497,7 @@ class SketchRefineEvaluator:
 
     def _solve_refine_batch(
         self,
-        query: PackageQuery,
-        linearisation: _Linearisation,
-        group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
+        problem: PartitionedQuery,
         sketch_multiplicities: dict[int, int],
         assignments: dict[int, dict[int, int]],
         pending: list[int],
@@ -607,8 +517,7 @@ class SketchRefineEvaluator:
         tasks: list[SolveTask] = []
         for gid in order:
             model = self._build_refine_model(
-                query, linearisation, group_info, group_means,
-                sketch_multiplicities, assignments, pending, gid,
+                problem, sketch_multiplicities, assignments, pending, gid
             )
             tasks.append(
                 SolveTask(
@@ -647,66 +556,33 @@ class SketchRefineEvaluator:
 
     def _build_refine_model(
         self,
-        query: PackageQuery,
-        linearisation: _Linearisation,
-        group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
+        problem: PartitionedQuery,
         sketch_multiplicities: dict[int, int],
         assignments: dict[int, dict[int, int]],
         pending: list[int],
         gid: int,
     ) -> IlpModel:
         """Build Q[G_j]: pick real tuples for group ``gid`` given everything else fixed."""
-        rows = group_info[gid]
-        per_tuple_cap = query.max_multiplicity
-
         # Contribution of the fixed part p̄_j: refined groups' tuples plus the
         # other unrefined groups' representatives at their sketch multiplicities.
-        fixed_constraint = np.zeros(linearisation.num_constraints)
+        fixed_constraint = np.zeros(problem.linearisation.num_constraints)
         for other_gid, assignment in assignments.items():
             if other_gid == gid or not assignment:
                 continue
-            fixed_constraint += self._assignment_contribution(linearisation, assignment)
+            fixed_constraint += self._assignment_contribution(problem, assignment)
         for other_gid in pending:
             if other_gid == gid or other_gid in assignments:
                 continue
             count = sketch_multiplicities.get(other_gid, 0)
             if count:
-                fixed_constraint += count * group_means["constraints"][other_gid]
-
-        model = IlpModel(name=f"refine_{gid}")
-        for row in rows:
-            upper = float(per_tuple_cap) if per_tuple_cap is not None else None
-            model.add_variable(f"t_{int(row)}", 0.0, upper)
-
-        positions = np.arange(len(rows))
-        group_matrix = linearisation.constraint_matrix[:, rows]
-        for row_number, constraint_row in enumerate(linearisation.constraint_rows):
-            row_values = group_matrix[row_number]
-            nonzero = np.nonzero(row_values)[0]
-            residual = constraint_row.rhs - fixed_constraint[row_number]
-            model.add_constraint_arrays(
-                positions[nonzero],
-                row_values[nonzero],
-                constraint_row.sense,
-                residual,
-                name=constraint_row.name,
-            )
-
-        objective_values = linearisation.objective_coefficients[rows]
-        nonzero = np.nonzero(objective_values)[0]
-        model.set_objective_arrays(
-            linearisation.objective_sense, positions[nonzero], objective_values[nonzero]
-        )
-        return model
+                fixed_constraint += count * problem.means.constraint_matrix[:, other_gid]
+        return problem.refine_model(gid, fixed_constraint)
 
     def _merge_round(
         self,
         order: list[int],
         results: dict[int, "object"],
-        linearisation: _Linearisation,
-        group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
+        problem: PartitionedQuery,
         sketch_multiplicities: dict[int, int],
         assignments: dict[int, dict[int, int]],
         pending: list[int],
@@ -727,11 +603,12 @@ class SketchRefineEvaluator:
         """
         # Constraint-row totals of the current mix: every assignment's actual
         # tuples plus every unassigned pending group's representatives.
-        mix = np.zeros(linearisation.num_constraints)
+        group_means = problem.means.constraint_matrix
+        mix = np.zeros(problem.linearisation.num_constraints)
         for assignment in assignments.values():
-            mix += self._assignment_contribution(linearisation, assignment)
+            mix += self._assignment_contribution(problem, assignment)
         for gid in pending:
-            mix += sketch_multiplicities[gid] * group_means["constraints"][gid]
+            mix += sketch_multiplicities[gid] * group_means[:, gid]
 
         accepted: list[int] = []
         infeasible: list[int] = []
@@ -750,16 +627,16 @@ class SketchRefineEvaluator:
                 )
             values = np.rint(result.values).astype(np.int64)
             assignment = {
-                int(row): int(values[position])
-                for position, row in enumerate(group_info[gid])
+                int(column): int(values[position])
+                for position, column in enumerate(problem.groups[gid])
                 if values[position] > 0
             }
             candidate = (
                 mix
-                - sketch_multiplicities[gid] * group_means["constraints"][gid]
-                + self._assignment_contribution(linearisation, assignment)
+                - sketch_multiplicities[gid] * group_means[:, gid]
+                + self._assignment_contribution(problem, assignment)
             )
-            if accepted and not self._mix_feasible(linearisation, candidate):
+            if accepted and not self._mix_feasible(problem.linearisation, candidate):
                 stats.merge_deferrals += 1
                 continue
             mix = candidate
@@ -769,34 +646,34 @@ class SketchRefineEvaluator:
 
     @staticmethod
     def _assignment_contribution(
-        linearisation: _Linearisation, assignment: dict[int, int]
+        problem: PartitionedQuery, assignment: dict[int, int]
     ) -> np.ndarray:
         """Constraint-row totals contributed by one group's tuple assignment."""
         if not assignment:
-            return np.zeros(linearisation.num_constraints)
-        rows = np.fromiter(assignment.keys(), dtype=np.int64, count=len(assignment))
+            return np.zeros(problem.linearisation.num_constraints)
+        columns = np.fromiter(assignment.keys(), dtype=np.int64, count=len(assignment))
         multiplicities = np.fromiter(
             assignment.values(), dtype=np.float64, count=len(assignment)
         )
-        return linearisation.constraint_matrix[:, rows] @ multiplicities
+        return problem.linearisation.constraint_matrix[:, columns] @ multiplicities
 
     @staticmethod
     def _mix_feasible(
-        linearisation: _Linearisation, mix: np.ndarray, tolerance: float = 1e-6
+        linearisation: Linearisation, mix: np.ndarray, tolerance: float = 1e-6
     ) -> bool:
         """Whether the mixed package satisfies every global constraint.
 
         Uses a relative tolerance so legitimate solver-precision noise on
         large right-hand sides is not mistaken for a violation.
         """
-        for row_number, constraint_row in enumerate(linearisation.constraint_rows):
-            value = float(mix[row_number])
-            rhs = constraint_row.rhs
+        for value, sense, rhs in zip(
+            mix.tolist(), linearisation.senses, linearisation.rhs.tolist()
+        ):
             slack = tolerance * max(1.0, abs(rhs))
-            if constraint_row.sense is ConstraintSense.LE:
+            if sense is ConstraintSense.LE:
                 if value > rhs + slack:
                     return False
-            elif constraint_row.sense is ConstraintSense.GE:
+            elif sense is ConstraintSense.GE:
                 if value < rhs - slack:
                     return False
             else:

@@ -17,11 +17,24 @@ The translation rules are:
 4. **Objective** — MAXIMIZE/MINIMIZE of a linear aggregate expression maps to
    the ILP objective with the same coefficients; a query without an objective
    gets the vacuous objective ``max Σ 0·x_i``.
+
+The rules are applied in exactly one place.  :func:`linearise` turns a query
+into a :class:`Linearisation` over the tuples rule 2 leaves eligible — the
+constraint rows stacked into one coefficient matrix (rule 3) and the
+objective vector (rule 4), one column per tuple — and :func:`build_model`
+turns a linearisation plus an upper-bound vector (rule 1) into an
+:class:`IlpModel`.  DIRECT builds the whole linearisation; SKETCHREFINE builds
+the same linearisation reduced to per-group means
+(:meth:`Linearisation.group_means`, the sketch) or sliced to one group with
+residual right-hand sides (:meth:`Linearisation.take`, a refine query), and
+the false-infeasibility probe builds the sketch again.  Columns reach the
+model as arrays: nothing here runs once per tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -78,53 +91,140 @@ class IlpTranslation:
         )
 
 
-def translate_query(
-    table: Table,
-    query: PackageQuery,
-    candidate_rows: np.ndarray | None = None,
-    extra_constraints: list[GlobalConstraint] | None = None,
-    upper_bounds: np.ndarray | None = None,
-    name: str | None = None,
-) -> IlpTranslation:
-    """Translate a PaQL query over ``table`` into an ILP.
+@dataclass
+class Linearisation:
+    """A query as linear rows over a set of columns.
 
-    Args:
-        table: The input relation (or representative relation for SKETCH).
-        query: The package query.
-        candidate_rows: Optional restriction of the rows for which variables
-            are created (used by REFINE to translate one group at a time).
-        extra_constraints: Additional global constraints appended to the
-            query's own (used by SKETCH for the per-group multiplicity caps).
-        upper_bounds: Optional per-variable upper bounds overriding the
-            repetition bound (used by SKETCH, where a representative may
-            appear up to ``|G_j| * (K + 1)`` times).
-        name: Optional model name (defaults to the query name).
+    Attributes:
+        constraint_matrix: ``(num_constraints, num_columns)`` coefficients,
+            one row per translated global-constraint row.
+        senses: Sense of each constraint row.
+        rhs: Right-hand side of each constraint row.
+        names: Name of each constraint row.
+        sources: The global constraint each constraint row translates.
+        objective_sense: Optimisation direction.
+        objective: Per-column objective coefficients.
     """
+
+    constraint_matrix: np.ndarray
+    senses: list[ConstraintSense]
+    rhs: np.ndarray
+    names: list[str]
+    sources: list[GlobalConstraint]
+    objective_sense: ObjectiveSense
+    objective: np.ndarray
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self.senses)
+
+    @property
+    def num_columns(self) -> int:
+        return len(self.objective)
+
+    def take(self, columns: np.ndarray, rhs: np.ndarray | None = None) -> "Linearisation":
+        """The linearisation sliced to ``columns``, optionally with new right-hand sides."""
+        return replace(
+            self,
+            constraint_matrix=self.constraint_matrix[:, columns],
+            objective=self.objective[columns],
+            rhs=self.rhs if rhs is None else rhs,
+        )
+
+    def group_means(self, groups: Sequence[np.ndarray]) -> "Linearisation":
+        """One column per group of columns: the mean of the group's columns.
+
+        Every translated row is linear in the tuple attributes, so the mean
+        coefficient over a group is the coefficient of the group's centroid —
+        the representative tuple of the SKETCH query.  An empty group gets a
+        zero column.
+        """
+        constraint_means = np.zeros((self.num_constraints, len(groups)))
+        objective_means = np.zeros(len(groups))
+        for number, columns in enumerate(groups):
+            if len(columns):
+                constraint_means[:, number] = self.constraint_matrix[:, columns].mean(axis=1)
+                objective_means[number] = self.objective[columns].mean()
+        return replace(self, constraint_matrix=constraint_means, objective=objective_means)
+
+    @staticmethod
+    def concatenate(parts: Sequence["Linearisation"]) -> "Linearisation":
+        """Columns of several linearisations of the same query, side by side."""
+        return replace(
+            parts[0],
+            constraint_matrix=np.hstack([part.constraint_matrix for part in parts]),
+            objective=np.concatenate([part.objective for part in parts]),
+        )
+
+
+def linearise(table: Table, query: PackageQuery, rows: np.ndarray) -> Linearisation:
+    """Apply translation rules 3–4: ``query`` as linear rows over the tuples ``rows``.
+
+    ``rows`` are the table rows that get a column — for a whole query, the
+    eligible rows of its base relation (rule 2).
+    """
+    constraint_rows: list[LinearConstraintRow] = []
+    sources: list[GlobalConstraint] = []
+    for number, constraint in enumerate(query.global_constraints):
+        name = constraint.name or f"global_{number}"
+        translated = constraint_linear_rows(table, rows, constraint, name)
+        constraint_rows.extend(translated)
+        sources.extend([constraint] * len(translated))
+    sense, objective = objective_linear(table, rows, query)
+    return Linearisation(
+        constraint_matrix=(
+            np.vstack([row.coefficients for row in constraint_rows])
+            if constraint_rows
+            else np.empty((0, len(rows)))
+        ),
+        senses=[row.sense for row in constraint_rows],
+        rhs=np.array([row.rhs for row in constraint_rows], dtype=np.float64),
+        names=[row.name for row in constraint_rows],
+        sources=sources,
+        objective_sense=sense,
+        objective=objective,
+    )
+
+
+def repetition_cap(query: PackageQuery) -> float:
+    """Rule 1: the most often one tuple may appear (``inf`` without REPEAT)."""
+    cap = query.max_multiplicity
+    return np.inf if cap is None else float(cap)
+
+
+def build_model(linearisation: Linearisation, upper: np.ndarray | float, name: str) -> IlpModel:
+    """Turn a linearisation and per-column upper bounds into an ILP.
+
+    Columns are integer with lower bound 0; ``upper`` is one bound per column
+    or a single bound for all of them.  Constraint rows and the objective go
+    in as (index, value) triplets of their non-zero coefficients.
+    """
+    model = IlpModel(name=name)
+    num_columns = linearisation.num_columns
+    model.add_variables(np.zeros(num_columns), np.broadcast_to(upper, (num_columns,)))
+    for coefficients, sense, rhs, row_name in zip(
+        linearisation.constraint_matrix,
+        linearisation.senses,
+        linearisation.rhs,
+        linearisation.names,
+    ):
+        nonzero = np.nonzero(coefficients)[0]
+        model.add_constraint_arrays(nonzero, coefficients[nonzero], sense, rhs, name=row_name)
+    nonzero = np.nonzero(linearisation.objective)[0]
+    model.set_objective_arrays(
+        linearisation.objective_sense, nonzero, linearisation.objective[nonzero]
+    )
+    return model
+
+
+def translate_query(table: Table, query: PackageQuery) -> IlpTranslation:
+    """Translate a PaQL query over ``table`` into the ILP DIRECT solves."""
     base = compute_base_relation(table, query)
-    if candidate_rows is not None:
-        base = base.restrict(candidate_rows)
-    rows = base.eligible_indices
-
-    model = IlpModel(name=name or query.name or "paql")
-    default_upper = query.max_multiplicity
-    if upper_bounds is not None and len(upper_bounds) != len(rows):
-        raise TranslationError(
-            f"upper_bounds has length {len(upper_bounds)}, expected {len(rows)}"
-        )
-    for position, row in enumerate(rows):
-        upper = (
-            float(upper_bounds[position])
-            if upper_bounds is not None
-            else (float(default_upper) if default_upper is not None else None)
-        )
-        model.add_variable(f"x_{int(row)}", lower=0.0, upper=upper, is_integer=True)
-
-    constraints = list(query.global_constraints) + list(extra_constraints or [])
-    for number, constraint in enumerate(constraints):
-        _add_constraint(model, table, rows, constraint, number)
-
-    _set_objective(model, table, rows, query)
-    return IlpTranslation(model=model, variable_rows=rows, query=query, base_relation=base)
+    linearisation = linearise(table, query, base.eligible_indices)
+    model = build_model(linearisation, repetition_cap(query), query.name or "paql")
+    return IlpTranslation(
+        model=model, variable_rows=base.eligible_indices, query=query, base_relation=base
+    )
 
 
 def aggregate_coefficients(
@@ -154,7 +254,7 @@ def expression_coefficients(
     """Per-variable coefficients of a full linear aggregate expression.
 
     AVG terms are not allowed here (they need the bound-dependent rewrite and
-    are handled separately in :func:`_add_constraint`).
+    are handled separately in :func:`constraint_linear_rows`).
     """
     coefficients = np.zeros(len(rows), dtype=np.float64)
     for weight, aggregate in expression.terms:
@@ -169,9 +269,8 @@ class LinearConstraintRow:
     """One translated linear constraint: ``coefficients · x  <sense>  rhs``.
 
     The coefficient vector is aligned with the ``rows`` it was computed over
-    (one entry per candidate tuple).  SKETCHREFINE reuses these rows directly:
-    the sketch aggregates them per group, and the refine step shifts ``rhs``
-    by the contribution of the already-fixed part of the package.
+    (one entry per candidate tuple); :func:`linearise` stacks these rows into
+    a :class:`Linearisation`.
     """
 
     coefficients: np.ndarray
@@ -254,31 +353,3 @@ def _flip(sense: ConstraintSenseKeyword) -> ConstraintSenseKeyword:
     if sense is ConstraintSenseKeyword.GE:
         return ConstraintSenseKeyword.LE
     return sense
-
-
-def _add_constraint(
-    model: IlpModel,
-    table: Table,
-    rows: np.ndarray,
-    constraint: GlobalConstraint,
-    number: int,
-) -> None:
-    name = constraint.name or f"global_{number}"
-    for linear_row in constraint_linear_rows(table, rows, constraint, name):
-        # Feed the per-tuple coefficient vector in as (index, value) triplets:
-        # no intermediate dict, so a DIRECT translation of 10^5 candidate
-        # tuples stays a pair of O(nnz) arrays per constraint.
-        nonzero = np.nonzero(linear_row.coefficients)[0]
-        model.add_constraint_arrays(
-            nonzero,
-            linear_row.coefficients[nonzero],
-            linear_row.sense,
-            linear_row.rhs,
-            name=linear_row.name,
-        )
-
-
-def _set_objective(model: IlpModel, table: Table, rows: np.ndarray, query: PackageQuery) -> None:
-    sense, coefficients = objective_linear(table, rows, query)
-    nonzero = np.nonzero(coefficients)[0]
-    model.set_objective_arrays(sense, nonzero, coefficients[nonzero])

@@ -137,16 +137,11 @@ class BranchAndBoundSolver:
         branching: BranchingRule = BranchingRule.MOST_FRACTIONAL,
         node_selection: NodeSelection = NodeSelection.BEST_BOUND,
         enable_rounding_heuristic: bool = True,
-        presolve: bool = True,
     ):
         self.limits = limits or SolverLimits()
         self.branching = branching
         self.node_selection = node_selection
         self.enable_rounding_heuristic = enable_rounding_heuristic
-        # Root presolve (bound propagation + fixed-variable elimination on the
-        # matrix form, reused by every node); off switch for debugging
-        # reductions and for the presolve-on/off parity tests.
-        self.presolve = presolve
 
     # -- public API ----------------------------------------------------------------
 
@@ -182,29 +177,27 @@ class BranchAndBoundSolver:
         # _solve_node_lp projects them through the postsolve record per node.
         postsolve: Postsolve | None = None
         solve_form = form
-        if self.presolve:
-            reduction = presolve_form(form, integer_mask=integer_mask)
-            stats.vars_fixed = reduction.stats.vars_fixed
-            stats.rows_removed = reduction.stats.rows_removed
-            stats.presolve_ms = reduction.stats.presolve_ms
-            stats.coefficients_tightened = reduction.stats.coefficients_tightened
-            if not reduction.feasible:
+        reduction = presolve_form(form, integer_mask=integer_mask)
+        stats.vars_fixed = reduction.stats.vars_fixed
+        stats.rows_removed = reduction.stats.rows_removed
+        stats.presolve_ms = reduction.stats.presolve_ms
+        if not reduction.feasible:
+            stats.wall_time_seconds = time.perf_counter() - start
+            return Solution.infeasible(stats)
+        if reduction.form is not form:
+            postsolve = reduction.postsolve
+            solve_form = reduction.form
+            if postsolve.num_reduced_vars == 0:
+                # Presolve decided every variable; no LP needed.
                 stats.wall_time_seconds = time.perf_counter() - start
+                candidate = postsolve.restore(np.empty(0))
+                if model.check_feasible(candidate):
+                    value = model.objective_value(candidate)
+                    stats.best_bound = value
+                    stats.incumbent_updates = 1
+                    stats.gap = 0.0
+                    return Solution(SolverStatus.OPTIMAL, candidate, value, stats)
                 return Solution.infeasible(stats)
-            if reduction.form is not form:
-                postsolve = reduction.postsolve
-                solve_form = reduction.form
-                if postsolve.num_reduced_vars == 0:
-                    # Presolve decided every variable; no LP needed.
-                    stats.wall_time_seconds = time.perf_counter() - start
-                    candidate = postsolve.restore(np.empty(0))
-                    if model.check_feasible(candidate):
-                        value = model.objective_value(candidate)
-                        stats.best_bound = value
-                        stats.incumbent_updates = 1
-                        stats.gap = 0.0
-                        return Solution(SolverStatus.OPTIMAL, candidate, value, stats)
-                    return Solution.infeasible(stats)
 
         sense = model.objective.sense
         incumbent: np.ndarray | None = None

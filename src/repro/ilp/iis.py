@@ -69,8 +69,7 @@ def _subset_feasible(model: IlpModel, constraint_indices: list[int]) -> bool:
     # materialising per-constraint dicts: the deletion filter builds O(m)
     # probes, so dict round-trips would make it quadratic in nnz.
     subset = IlpModel(name=f"{model.name}_iis_probe")
-    for variable in model.variables:
-        subset.add_variable(variable.name, variable.lower, variable.upper, variable.is_integer)
+    subset.add_variables(*model.bound_and_integrality_arrays())
     for i in constraint_indices:
         constraint = model.constraints[i]
         subset.add_constraint_arrays(

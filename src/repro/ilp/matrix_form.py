@@ -3,7 +3,8 @@
 A :class:`MatrixForm` is the single intermediate representation between an
 :class:`~repro.ilp.model.IlpModel` and the solvers: the minimisation-form
 objective vector, the ``A_ub x <= b_ub`` / ``A_eq x = b_eq`` constraint
-matrices and the variable bounds.
+matrices and the variable bounds — always a ``(lower, upper)`` pair of
+arrays, the model's own column arrays at export.
 
 Storage is *sparse-first*: constraint matrices are ``scipy.sparse`` CSR
 (``data`` / ``indices`` / ``indptr`` arrays) assembled in O(nnz) from the
@@ -73,11 +74,11 @@ class MatrixForm:
         b_ub: Right-hand sides of the ``<=`` rows.
         a_eq: Equality constraint matrix (same storage policy as ``a_ub``).
         b_eq: Right-hand sides of the equality rows.
-        bounds: Either the list-of-pairs form produced by
-            :meth:`~repro.ilp.model.IlpModel.to_matrix` (``None`` meaning
-            unbounded) or a ``(lower_array, upper_array)`` pair using ``±inf``
-            — the latter is what branch-and-bound uses to derive per-node
-            forms without copying the matrices (see :meth:`with_bounds`).
+        bounds: The ``(lower_array, upper_array)`` pair, ``±inf`` meaning
+            unbounded.  :meth:`~repro.ilp.model.IlpModel.to_matrix` hands
+            over the model's own column arrays; branch-and-bound swaps in
+            per-node arrays without copying the matrices (see
+            :meth:`with_bounds`).
         maximize: Whether the source model maximises (for converting the
             minimised objective back).
         cache: Scratch dict shared by every :meth:`with_bounds` view of this
@@ -90,7 +91,7 @@ class MatrixForm:
     b_ub: np.ndarray
     a_eq: "sp.csr_matrix | np.ndarray"
     b_eq: np.ndarray
-    bounds: "list[tuple[float, float | None]] | tuple[np.ndarray, np.ndarray]"
+    bounds: tuple[np.ndarray, np.ndarray]
     maximize: bool
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -158,19 +159,11 @@ class MatrixForm:
     def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds as ``(lower, upper)`` float arrays using ``±inf``.
 
-        Always returns fresh arrays: the tuple form aliases bounds that may be
-        shared across branch-and-bound nodes, so handing out the live arrays
-        would let a caller silently corrupt sibling nodes.
+        Always returns fresh arrays: :attr:`bounds` aliases the model's
+        columns or bounds shared across branch-and-bound nodes, so handing out
+        the live arrays would let a caller silently corrupt sibling nodes.
         """
-        if isinstance(self.bounds, tuple):
-            return self.bounds[0].copy(), self.bounds[1].copy()
-        n = len(self.c)
-        lower = np.empty(n)
-        upper = np.empty(n)
-        for j, (low, up) in enumerate(self.bounds):
-            lower[j] = -np.inf if low is None else low
-            upper[j] = np.inf if up is None else up
-        return lower, upper
+        return self.bounds[0].copy(), self.bounds[1].copy()
 
     def with_bounds(self, lower: np.ndarray, upper: np.ndarray) -> "MatrixForm":
         """A view of this form with different variable bounds.

@@ -4,14 +4,18 @@ An :class:`IlpModel` holds integer (or continuous) variables with bounds, a
 set of linear constraints and a linear objective.  The PaQL translator builds
 one of these per package (sub)query; the solvers in this package consume it.
 
-Constraints and the objective store their coefficients as parallel
-``indices``/``values`` arrays (coefficient triplets), not Python dicts: a
-DIRECT translation of a large relation creates one column per candidate
-tuple, and contiguous arrays keep that affordable (a dict entry costs ~10x
-the bytes of an array entry) while making evaluation a vectorised dot
-product.  The model is deliberately solver-agnostic: :meth:`IlpModel.to_matrix`
-exports the sparse-first :class:`~repro.ilp.matrix_form.MatrixForm` IR that
-every LP/ILP solver consumes.
+Everything is stored as arrays.  The columns are three parallel arrays —
+lower bound, upper bound (``+inf`` when unbounded) and integrality — which
+:meth:`IlpModel.add_variable` appends to one column at a time for hand-built
+models and :meth:`IlpModel.add_variables` extends by a whole block in one
+call (the translator's path: a DIRECT translation has one column per
+candidate tuple and creates no per-tuple Python object).  Constraints and the
+objective store their coefficients as parallel ``indices``/``values`` arrays
+(coefficient triplets), not Python dicts.  :class:`Variable` is a read-only
+view of one column, made on demand.  The model is deliberately
+solver-agnostic: :meth:`IlpModel.to_matrix` exports the sparse-first
+:class:`~repro.ilp.matrix_form.MatrixForm` IR that every LP/ILP solver
+consumes, handing it the bound arrays as they are.
 """
 
 from __future__ import annotations
@@ -59,15 +63,19 @@ class ObjectiveSense(enum.Enum):
         return float("inf") if self is ObjectiveSense.MINIMIZE else float("-inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
-    """A decision variable.
+    """Read-only view of one column of an :class:`IlpModel`.
+
+    The model stores its columns as arrays; a view is made when a caller asks
+    for one (:meth:`IlpModel.add_variable`, :meth:`IlpModel.variable_by_name`).
 
     Attributes:
         name: Unique variable name within the model.
         lower: Lower bound (>= 0 for package multiplicities).
         upper: Upper bound; ``None`` means unbounded above.
         is_integer: Whether the variable is integrality-constrained.
+        index: Column position in the model.
     """
 
     name: str
@@ -98,6 +106,12 @@ def _coefficient_arrays(
         indices, values = indices[nonzero], values[nonzero]
     order = np.argsort(indices, kind="stable")
     return indices[order], values[order]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a column array read-only: exported matrix forms alias it."""
+    array.flags.writeable = False
+    return array
 
 
 def _validate_arrays(
@@ -267,15 +281,17 @@ class IlpModel:
 
     def __init__(self, name: str = "ilp"):
         self.name = name
-        self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
         self.objective = Objective(ObjectiveSense.MINIMIZE, {})
         #: Storage override for :meth:`to_matrix`: ``True`` forces CSR,
         #: ``False`` forces dense, ``None`` (default) decides by size/density.
         self.sparse_matrix: bool | None = None
-        self._names: dict[str, Variable] = {}
+        self._lower = np.empty(0)
+        self._upper = np.empty(0)
+        self._integer = np.empty(0, dtype=bool)
+        #: Column names; ``None`` for the anonymous columns of a block.
+        self._names: list[str | None] = []
         self._matrix_cache: dict[bool, MatrixForm] = {}
-        self._variable_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -286,14 +302,43 @@ class IlpModel:
         upper: float | None = None,
         is_integer: bool = True,
     ) -> Variable:
-        """Add a variable and return it (its ``index`` identifies it in constraints)."""
+        """Add one named column; the returned view's ``index`` identifies it."""
         if name in self._names:
             raise SolverError(f"duplicate variable name: {name!r}")
-        variable = Variable(name, lower, upper, is_integer, index=len(self.variables))
-        self.variables.append(variable)
-        self._names[name] = variable
-        self._invalidate()
+        variable = Variable(name, lower, upper, is_integer, index=self.num_variables)
+        self._append_columns(
+            [lower], [np.inf if upper is None else upper], [is_integer], [name]
+        )
         return variable
+
+    def add_variables(
+        self, lower: np.ndarray, upper: np.ndarray, is_integer: np.ndarray | bool = True
+    ) -> None:
+        """Append a block of anonymous columns in one call.
+
+        ``lower`` and ``upper`` are equal-length arrays (``+inf`` for no upper
+        bound); ``is_integer`` is an array or one flag for the whole block.
+        This is how the PaQL translator creates one column per candidate
+        tuple without a per-tuple Python object.
+        """
+        lower = np.asarray(lower, dtype=np.float64).reshape(-1)
+        upper = np.asarray(upper, dtype=np.float64).reshape(-1)
+        if lower.shape != upper.shape:
+            raise SolverError(
+                f"lower and upper bounds have mismatched lengths "
+                f"({len(lower)} vs {len(upper)})"
+            )
+        if np.any(upper < lower):
+            raise SolverError("a variable's upper bound is below its lower bound")
+        is_integer = np.broadcast_to(np.asarray(is_integer, dtype=bool), lower.shape)
+        self._append_columns(lower, upper, is_integer, [None] * len(lower))
+
+    def _append_columns(self, lower, upper, is_integer, names: list) -> None:
+        self._lower = _frozen(np.append(self._lower, lower))
+        self._upper = _frozen(np.append(self._upper, upper))
+        self._integer = _frozen(np.append(self._integer, np.asarray(is_integer, dtype=bool)))
+        self._names.extend(names)
+        self._matrix_cache = {}
 
     def add_constraint(
         self,
@@ -306,7 +351,7 @@ class IlpModel:
         indices, values = _coefficient_arrays(
             {int(i): float(c) for i, c in coefficients.items()}
         )
-        if indices.size and (indices.min() < 0 or indices.max() >= len(self.variables)):
+        if indices.size and (indices.min() < 0 or indices.max() >= self.num_variables):
             raise SolverError("constraint references unknown variable index")
         constraint = Constraint(
             name or f"c{len(self.constraints)}",
@@ -317,7 +362,7 @@ class IlpModel:
             values=values,
         )
         self.constraints.append(constraint)
-        self._invalidate()
+        self._matrix_cache = {}
         return constraint
 
     def add_constraint_arrays(
@@ -335,7 +380,7 @@ class IlpModel:
         model without materialising intermediate dicts.
         """
         indices, values = _validate_arrays(
-            indices, values, len(self.variables), f"constraint {name or len(self.constraints)}"
+            indices, values, self.num_variables, f"constraint {name or len(self.constraints)}"
         )
         constraint = Constraint(
             name or f"c{len(self.constraints)}",
@@ -346,7 +391,7 @@ class IlpModel:
             values=values,
         )
         self.constraints.append(constraint)
-        self._invalidate()
+        self._matrix_cache = {}
         return constraint
 
     def set_objective(self, sense: ObjectiveSense, coefficients: Mapping[int, float]) -> None:
@@ -354,18 +399,18 @@ class IlpModel:
         indices, values = _coefficient_arrays(
             {int(i): float(c) for i, c in coefficients.items()}
         )
-        if indices.size and (indices.min() < 0 or indices.max() >= len(self.variables)):
+        if indices.size and (indices.min() < 0 or indices.max() >= self.num_variables):
             raise SolverError("objective references unknown variable index")
         self.objective = Objective(sense, None, indices=indices, values=values)
-        self._invalidate()
+        self._matrix_cache = {}
 
     def set_objective_arrays(
         self, sense: ObjectiveSense, indices: np.ndarray, values: np.ndarray
     ) -> None:
         """Set the objective from parallel coefficient arrays (the fast path)."""
-        indices, values = _validate_arrays(indices, values, len(self.variables), "objective")
+        indices, values = _validate_arrays(indices, values, self.num_variables, "objective")
         self.objective = Objective(sense, None, indices=indices, values=values)
-        self._invalidate()
+        self._matrix_cache = {}
 
     # -- pickling ----------------------------------------------------------------
 
@@ -379,19 +424,20 @@ class IlpModel:
         """
         state = self.__dict__.copy()
         state["_matrix_cache"] = {}
-        state["_variable_arrays"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._matrix_cache = {}
-        self._variable_arrays = None
+        # Unpickled arrays come back writeable.
+        for columns in (self._lower, self._upper, self._integer):
+            _frozen(columns)
 
     # -- introspection -----------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._lower)
 
     @property
     def num_constraints(self) -> int:
@@ -407,33 +453,32 @@ class IlpModel:
         return self.objective.indices.size == 0
 
     def variable_by_name(self, name: str) -> Variable:
-        """O(1) lookup of a variable by its unique name."""
+        """A view of the column :meth:`add_variable` created under ``name``."""
         try:
-            return self._names[name]
-        except KeyError:
+            index = self._names.index(name)
+        except ValueError:
             raise SolverError(f"variable {name!r} not found") from None
+        upper = float(self._upper[index])
+        return Variable(
+            name,
+            float(self._lower[index]),
+            None if np.isinf(upper) else upper,
+            bool(self._integer[index]),
+            index=index,
+        )
 
     def objective_value(self, values: np.ndarray) -> float:
         """Evaluate the objective under a full assignment."""
         return self.objective.evaluate(values)
 
     def bound_and_integrality_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lower, upper, is_integer)`` arrays over all variables (memoized).
+        """The ``(lower, upper, is_integer)`` column arrays.
 
-        ``upper`` uses ``+inf`` for unbounded variables.  The arrays are
-        shared — treat them as read-only.
+        ``upper`` uses ``+inf`` for unbounded variables.  These are the
+        model's own storage, shared with every exported matrix form and
+        marked read-only; copy before changing anything.
         """
-        if self._variable_arrays is None:
-            n = len(self.variables)
-            lower = np.empty(n)
-            upper = np.empty(n)
-            is_integer = np.empty(n, dtype=bool)
-            for j, variable in enumerate(self.variables):
-                lower[j] = variable.lower
-                upper[j] = np.inf if variable.upper is None else variable.upper
-                is_integer[j] = variable.is_integer
-            self._variable_arrays = (lower, upper, is_integer)
-        return self._variable_arrays
+        return self._lower, self._upper, self._integer
 
     def check_feasible(self, values: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Whether ``values`` satisfies all bounds, integrality and constraints."""
@@ -463,12 +508,10 @@ class IlpModel:
         :attr:`sparse_matrix` and then to the automatic choice.
 
         The export is memoized per storage kind: repeated calls return the
-        same :class:`MatrixForm` instance until the model is mutated through
-        :meth:`add_variable`, :meth:`add_constraint` or :meth:`set_objective`.
-        Callers must treat the returned arrays as read-only (branch-and-bound
-        shares them across every node, varying only the bounds).  Code that
-        mutates a :class:`Variable` or :class:`Constraint` in place must call
-        :meth:`invalidate_matrix_cache` afterwards.
+        same :class:`MatrixForm` instance until the model gains a variable,
+        a constraint or a new objective.  Callers must treat the returned
+        arrays as read-only (branch-and-bound shares them across every node,
+        varying only the bounds).
         """
         if sparse is None:
             sparse = self.sparse_matrix
@@ -480,14 +523,6 @@ class IlpModel:
             cached = self._build_matrix(sparse)
             self._matrix_cache[sparse] = cached
         return cached
-
-    def invalidate_matrix_cache(self) -> None:
-        """Drop the memoized matrix export (needed after in-place mutation)."""
-        self._matrix_cache = {}
-        self._variable_arrays = None
-
-    def _invalidate(self) -> None:
-        self.invalidate_matrix_cache()
 
     def _build_matrix(self, make_sparse: bool) -> MatrixForm:
         n = self.num_variables
@@ -532,24 +567,20 @@ class IlpModel:
         if self.objective.sense is ObjectiveSense.MAXIMIZE:
             objective = -objective
 
-        bounds = [
-            (v.lower, v.upper if v.upper is not None else None) for v in self.variables
-        ]
         return MatrixForm(
             c=objective,
             a_ub=build(ub_cols, ub_data),
             b_ub=np.array(ub_rhs),
             a_eq=build(eq_cols, eq_data),
             b_eq=np.array(eq_rhs),
-            bounds=bounds,
+            bounds=(self._lower, self._upper),
             maximize=self.objective.sense is ObjectiveSense.MAXIMIZE,
         )
 
     def copy(self) -> "IlpModel":
         """Return a deep copy of the model (constraints and bounds included)."""
         clone = IlpModel(name=self.name)
-        for variable in self.variables:
-            clone.add_variable(variable.name, variable.lower, variable.upper, variable.is_integer)
+        clone._append_columns(self._lower, self._upper, self._integer, self._names)
         for constraint in self.constraints:
             clone.add_constraint_arrays(
                 constraint.indices.copy(),

@@ -83,7 +83,6 @@ class PresolveStats:
     vars_fixed: int = 0
     rows_removed: int = 0
     bounds_tightened: int = 0
-    coefficients_tightened: int = 0
     passes: int = 0
     presolve_ms: float = 0.0
 
@@ -224,61 +223,6 @@ def _propagate_ge(
     if use_u.any():
         tightened += _apply_candidates(lower, upper, rows.col[use_u], None, candidate[use_u])
     return tightened
-
-
-def _tighten_row_coefficients(
-    rows: _Rows,
-    rhs: np.ndarray,
-    active: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    integer_mask: np.ndarray | None,
-) -> int:
-    """Strengthen ``<=`` row coefficients against integral columns, in place.
-
-    For an entry ``a_j x_j`` of an active row with maximal activity
-    ``M = max_act`` and surplus ``delta = M - b``, when ``x_j`` is integral
-    and ``0 < delta < |a_j|`` the coefficient can be shrunk toward the bound
-    the entry's maximum sits at::
-
-        a_j > 0:  a_j' = delta,   b' = b - (a_j - delta) * u_j
-        a_j < 0:  a_j' = -delta,  b' = b - (a_j + delta) * l_j
-
-    Every integral point satisfying the original row satisfies the tightened
-    one (the surplus an integral step can recover is bounded by ``delta``),
-    the tightened LP region is contained in the original (so incumbents and
-    dual bounds stay sound), and the LP relaxation gets strictly tighter.
-    Requires activities computed for the *current* bounds or looser ones —
-    a looser ``M`` only shrinks ``delta``'s eligibility window, never breaks
-    soundness.  One entry per row per call keeps ``max_act`` honest; the
-    pass loop picks up remaining entries on later sweeps.  Returns the
-    number of coefficients changed (``rows.data`` and ``rhs`` are mutated).
-    """
-    if integer_mask is None or not rows.data.size:
-        return 0
-    keep = active[rows.row] & integer_mask[rows.col]
-    if not keep.any():
-        return 0
-    a = rows.data
-    delta = rows.max_act[rows.row] - rhs[rows.row]
-    tol = _TIGHTEN_TOLERANCE * np.maximum(1.0, np.abs(a))
-    with np.errstate(invalid="ignore"):
-        eligible = keep & np.isfinite(delta) & (delta > tol) & (delta < np.abs(a) - tol)
-    if not eligible.any():
-        return 0
-    idx = np.nonzero(eligible)[0]
-    _, first = np.unique(rows.row[idx], return_index=True)
-    idx = idx[first]
-    cols = rows.col[idx]
-    rws = rows.row[idx]
-    d = delta[idx]
-    positive = a[idx] > 0
-    adjustment = np.where(
-        positive, (a[idx] - d) * upper[cols], (a[idx] + d) * lower[cols]
-    )
-    rhs[rws] -= adjustment
-    rows.data[idx] = np.where(positive, d, -d)
-    return int(idx.size)
 
 
 def _round_integer_bounds(
@@ -642,9 +586,7 @@ def presolve_form(
 
     ub_rows = _Rows(form.a_ub)
     eq_rows = _Rows(form.a_eq)
-    # Coefficient tightening mutates the <= triplets and right-hand sides;
-    # copy so the caller's form stays untouched (asarray may alias it).
-    b_ub = np.array(form.b_ub, dtype=np.float64).reshape(-1)
+    b_ub = np.asarray(form.b_ub, dtype=np.float64).reshape(-1)
     b_eq = np.asarray(form.b_eq, dtype=np.float64).reshape(-1)
     active_ub = np.ones(mu, dtype=bool)
     active_eq = np.ones(me, dtype=bool)
@@ -671,14 +613,6 @@ def presolve_form(
         if redundant.any():
             active_ub[redundant] = False
         tightened += _propagate_le(ub_rows, b_ub, active_ub, lower, upper)
-        # Pass-start activities are valid (possibly loose) bounds for the
-        # tightening surplus even after the propagation above moved bounds.
-        coeffs = _tighten_row_coefficients(
-            ub_rows, b_ub, active_ub, lower, upper, integer_mask
-        )
-        if coeffs:
-            stats.coefficients_tightened += coeffs
-            ub_tol = _row_tolerance(b_ub)
 
         eq_rows.compute_activities(lower, upper)
         if np.any(active_eq & (eq_rows.min_act > b_eq + eq_tol)):
@@ -697,7 +631,7 @@ def presolve_form(
         if np.any(lower > upper + fix_tol):
             return infeasible()
         stats.bounds_tightened += tightened
-        if tightened == 0 and coeffs == 0:
+        if tightened == 0:
             break
 
     # One final activity refresh so the redundancy masks reflect the last pass.
@@ -719,20 +653,8 @@ def presolve_form(
     stats.vars_fixed = int(np.count_nonzero(fixed))
     stats.rows_removed = int(np.count_nonzero(~active_ub) + np.count_nonzero(~active_eq))
 
-    # Tightened coefficients need fresh constraint matrices, so that case
-    # always takes the general reduction path below.
-    a_ub_eff = form.a_ub
-    if stats.coefficients_tightened:
-        if sp.issparse(form.a_ub):
-            a_ub_eff = sp.csr_matrix(
-                sp.coo_matrix((ub_rows.data, (ub_rows.row, ub_rows.col)), shape=(mu, n))
-            )
-        else:
-            a_ub_eff = np.zeros((mu, n))
-            a_ub_eff[ub_rows.row, ub_rows.col] = ub_rows.data
-
     bounds_changed = bool(np.any(lower != orig_lower) or np.any(upper != orig_upper))
-    if stats.vars_fixed == 0 and stats.rows_removed == 0 and stats.coefficients_tightened == 0:
+    if stats.vars_fixed == 0 and stats.rows_removed == 0:
         stats.presolve_ms = (time.perf_counter() - started) * 1000.0
         if not bounds_changed:
             return _identity_result(form, stats)
@@ -758,9 +680,9 @@ def presolve_form(
         midpoints = np.where(integer_mask[fixed_idx], np.rint(midpoints), midpoints)
     fixed_values[fixed_idx] = midpoints
 
-    b_ub_reduced = b_ub[kept_ub] - _fixed_contribution(a_ub_eff, kept_ub, fixed_values)
+    b_ub_reduced = b_ub[kept_ub] - _fixed_contribution(form.a_ub, kept_ub, fixed_values)
     b_eq_reduced = b_eq[kept_eq] - _fixed_contribution(form.a_eq, kept_eq, fixed_values)
-    a_ub_reduced = _select_rows_cols(a_ub_eff, kept_ub, kept_cols)
+    a_ub_reduced = _select_rows_cols(form.a_ub, kept_ub, kept_cols)
     a_eq_reduced = _select_rows_cols(form.a_eq, kept_eq, kept_cols)
 
     reduced_lower = lower[kept_cols]

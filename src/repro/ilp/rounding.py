@@ -42,9 +42,9 @@ class RelaxAndRoundSolver:
             return Solution.failure(relaxed.status, stats)
 
         values = relaxed.values.copy()
-        integer_mask = np.array([v.is_integer for v in model.variables], dtype=bool)
+        lower, upper, integer_mask = model.bound_and_integrality_arrays()
         values[integer_mask] = np.rint(values[integer_mask])
-        values = self._clip_to_bounds(model, values)
+        values = np.clip(values, lower, upper)
 
         repaired = self._repair(model, values)
         if repaired is None:
@@ -54,12 +54,6 @@ class RelaxAndRoundSolver:
         return Solution(SolverStatus.FEASIBLE, repaired, objective, stats)
 
     # -- internals ------------------------------------------------------------------
-
-    @staticmethod
-    def _clip_to_bounds(model: IlpModel, values: np.ndarray) -> np.ndarray:
-        lower = np.array([v.lower for v in model.variables])
-        upper = np.array([np.inf if v.upper is None else v.upper for v in model.variables])
-        return np.clip(values, lower, upper)
 
     def _repair(self, model: IlpModel, values: np.ndarray) -> np.ndarray | None:
         """Greedy repair: adjust one variable per pass to reduce the worst violation.
@@ -100,17 +94,15 @@ class RelaxAndRoundSolver:
         ) or (constraint.sense is ConstraintSense.EQ and lhs > constraint.rhs)
 
         sense = model.objective.sense
+        lower, upper, _ = model.bound_and_integrality_arrays()
         best_index: int | None = None
         best_penalty = float("inf")
         best_delta = 0.0
         for idx, coef in constraint.coefficients.items():
-            variable = model.variables[idx]
             # Moving x_idx by delta changes the lhs by coef * delta.
             delta = -1.0 if (coef > 0) == need_decrease else 1.0
             new_value = values[idx] + delta
-            if new_value < variable.lower - 1e-9:
-                continue
-            if variable.upper is not None and new_value > variable.upper + 1e-9:
+            if new_value < lower[idx] - 1e-9 or new_value > upper[idx] + 1e-9:
                 continue
             objective_coef = model.objective.coefficients.get(idx, 0.0)
             change = objective_coef * delta

@@ -52,8 +52,7 @@ The cold path is the classic two-phase method in revised form: phase 1
 minimises signed artificial infeasibilities, phase 2 the true objective.
 
 The solver handles minimisation of ``c @ x`` subject to ``A_ub x <= b_ub``,
-``A_eq x = b_eq`` and per-variable bounds (``None``/``inf`` meaning
-unbounded).
+``A_eq x = b_eq`` and per-variable bounds (``±inf`` meaning unbounded).
 """
 
 from __future__ import annotations
@@ -266,14 +265,16 @@ def solve_dense_simplex(
     """Minimise ``c @ x`` subject to the given constraints and bounds.
 
     ``a_ub``/``a_eq`` may be dense arrays or ``scipy.sparse`` matrices.
-    ``bounds`` is either a list of ``(lower, upper)`` pairs (``None`` meaning
-    unbounded) or a ``(lower_array, upper_array)`` pair using ``±inf``.
+    ``bounds`` is a list of ``(lower, upper)`` pairs, one per variable, with
+    ``None`` meaning unbounded — the form hand-written LPs come in.
     ``warm_start`` optionally reuses a basis from a related earlier solve.
     Callers solving many related problems over the same matrix should prefer
     :func:`solve_form_simplex`, which assembles the working matrix only once.
     """
     work = _WorkMatrix(c, a_ub, b_ub, a_eq, b_eq)
-    return _BoundedRevisedSimplex(work, bounds).solve(warm_start)
+    lower = np.array([-np.inf if low is None else low for low, _ in bounds], dtype=np.float64)
+    upper = np.array([np.inf if up is None else up for _, up in bounds], dtype=np.float64)
+    return _BoundedRevisedSimplex(work, lower, upper).solve(warm_start)
 
 
 def solve_form_simplex(
@@ -291,24 +292,7 @@ def solve_form_simplex(
     if work is None:
         work = _WorkMatrix(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq)
         form.cache[_WORK_CACHE_KEY] = work
-    return _BoundedRevisedSimplex(work, form.bounds).solve(warm_start)
-
-
-def _normalise_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if (
-        isinstance(bounds, tuple)
-        and len(bounds) == 2
-        and isinstance(bounds[0], np.ndarray)
-    ):
-        lower = np.asarray(bounds[0], dtype=np.float64).copy()
-        upper = np.asarray(bounds[1], dtype=np.float64).copy()
-        return lower, upper
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for j, (low, up) in enumerate(bounds):
-        lower[j] = -np.inf if low is None else float(low)
-        upper[j] = np.inf if up is None else float(up)
-    return lower, upper
+    return _BoundedRevisedSimplex(work, *form.bounds).solve(warm_start)
 
 
 class _BoundedRevisedSimplex:
@@ -321,7 +305,7 @@ class _BoundedRevisedSimplex:
     statuses, basis factor, pricing state) is per-solve state.
     """
 
-    def __init__(self, work: _WorkMatrix, bounds):
+    def __init__(self, work: _WorkMatrix, structural_lower: np.ndarray, structural_upper: np.ndarray):
         self.work = work
         self.n, self.mu, self.me = work.n, work.mu, work.me
         self.m, self.ncols, self.art0 = work.m, work.ncols, work.art0
@@ -330,7 +314,8 @@ class _BoundedRevisedSimplex:
 
         lower = np.zeros(self.ncols)
         upper = np.full(self.ncols, np.inf)
-        lower[: self.n], upper[: self.n] = _normalise_bounds(bounds, self.n)
+        lower[: self.n] = structural_lower
+        upper[: self.n] = structural_upper
         lower[self.art0 :] = 0.0
         upper[self.art0 :] = 0.0
         # Collapse bound pairs that crossed within tolerance (branch-and-bound

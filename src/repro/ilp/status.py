@@ -50,8 +50,8 @@ class SolveStats:
     :attr:`warm_start_rate`).
 
     ``vars_fixed`` / ``rows_removed`` / ``presolve_ms`` describe the root
-    presolve reduction of a branch-and-bound solve (zero when presolve is
-    disabled or achieved nothing); ``numerical_retries`` counts node LPs that
+    presolve reduction of a branch-and-bound solve (zero when it achieved
+    nothing); ``numerical_retries`` counts node LPs that
     came back :attr:`SolverStatus.NUMERICAL_ERROR` from a warm start and were
     retried cold.
 
@@ -59,8 +59,7 @@ class SolveStats:
     solves and ``eta_peak`` is the longest eta file any solve reached between
     refactorisations.
     ``objective_cutoffs`` counts branch-and-bound nodes whose presolve used
-    the incumbent objective as a dual bound; ``coefficients_tightened``
-    counts ``<=``-row coefficients strengthened against integral columns.
+    the incumbent objective as a dual bound.
     """
 
     nodes_explored: int = 0
@@ -78,7 +77,6 @@ class SolveStats:
     refactorizations: int = 0
     eta_peak: int = 0
     objective_cutoffs: int = 0
-    coefficients_tightened: int = 0
 
     @property
     def warm_start_rate(self) -> float:

@@ -32,7 +32,6 @@ from repro.ilp.model import (
     IlpModel,
     Objective,
     ObjectiveSense,
-    Variable,
 )
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.presolve import Postsolve, presolve_form
@@ -62,7 +61,6 @@ def payload_instances() -> dict[str, Any]:
     # meaningful: a fresh object with empty caches would pass trivially.
     _ = model.constraints[0].coefficients
     _ = model.objective.coefficients
-    _ = model.bound_and_integrality_arrays()
     form = model.to_matrix()
     result = presolve_form(form)
     assert result.feasible and result.postsolve is not None
@@ -97,7 +95,6 @@ def payload_instances() -> dict[str, Any]:
         "SolveTask": task,
         "SolveTaskResult": task_result,
         "IlpModel": model,
-        "Variable": model.variables[0],
         "Constraint": model.constraints[0],
         "Objective": model.objective,
         "MatrixForm": form,
@@ -136,7 +133,6 @@ def test_every_payload_class_roundtrips(payload_instances: dict[str, Any]) -> No
 def test_derived_caches_arrive_empty(payload_instances: dict[str, Any]) -> None:
     model: IlpModel = pickle.loads(pickle.dumps(payload_instances["IlpModel"]))
     assert model._matrix_cache == {}
-    assert model._variable_arrays is None
     assert model.constraints[0]._coefficients is None
     assert model.objective._coefficients is None
 

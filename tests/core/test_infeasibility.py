@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import infeasibility
 from repro.core.direct import DirectEvaluator
 from repro.core.infeasibility import (
     DropPartitioningAttributes,
@@ -14,6 +15,7 @@ from repro.core.infeasibility import (
 from repro.core.sketchrefine import SketchRefineConfig, SketchRefineEvaluator
 from repro.core.validation import check_package
 from repro.errors import InfeasiblePackageQueryError
+from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.paql.builder import query_over
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.recipes import meal_planner_query, recipes_table
@@ -59,6 +61,34 @@ class TestStrategies:
         )
         assert candidates
         assert all(len(c.attributes) < len(partitioning.attributes) for c in candidates)
+
+    def test_iis_probe_describes_the_sketch_the_evaluator_solves(self, monkeypatch):
+        # The base predicate empties part of every group: a probe that forgets
+        # it sees other group caps and other centroids than the evaluator.
+        table = recipes_table()
+        partitioning = QuadTreePartitioner(size_threshold=10).partition(
+            table, ["kcal", "saturated_fat"]
+        )
+        query = meal_planner_query()
+
+        class RecordingSolver:
+            def __init__(self):
+                self.models = []
+
+            def solve(self, model):
+                self.models.append(model)
+                return BranchAndBoundSolver().solve(model)
+
+        solver = RecordingSolver()
+        SketchRefineEvaluator(solver=solver).evaluate(table, query, partitioning)
+        probed = []
+        monkeypatch.setattr(infeasibility, "find_iis", lambda model: probed.append(model) or [])
+        DropPartitioningAttributes().candidate_partitionings(table, query, partitioning)
+
+        sketch, probe = solver.models[0].to_matrix(), probed[0].to_matrix()
+        for name in ("a_ub", "b_ub", "a_eq", "b_eq"):
+            np.testing.assert_array_equal(getattr(probe, name), getattr(sketch, name), err_msg=name)
+        np.testing.assert_array_equal(probe.bound_arrays(), sketch.bound_arrays())
 
     def test_group_merging_halves_group_count(self, setup):
         table, partitioning = setup

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.base_relations import compute_base_relation
 from repro.core.direct import DirectEvaluator
-from repro.core.sketchrefine import SketchRefineConfig, SketchRefineEvaluator
+from repro.core.sketchrefine import PartitionedQuery, SketchRefineConfig, SketchRefineEvaluator
+from repro.core.translator import constraint_linear_rows, objective_linear
 from repro.core.validation import check_package, objective_value
 from repro.db.expressions import col
 from repro.errors import EvaluationError, InfeasiblePackageQueryError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
+from repro.ilp.model import IlpModel
 from repro.paql.builder import query_over
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -145,6 +148,90 @@ class TestBasicBehaviour:
         ):
             assert getattr(serial.last_stats, field) == getattr(parallel.last_stats, field)
         assert parallel.last_stats.refine_workers == 2
+
+
+def reference_sketch_or_refine(table, query, partitioning, hybrid_group=None, refine=None):
+    """The sketch (plain or hybrid) or one refine ILP, one variable and one dict at a time.
+
+    A tuple column carries the tuple's own coefficient, a group column the
+    mean over the group's eligible tuples; ``refine=(gid, fixed)`` asks for
+    group ``gid``'s refine ILP with ``fixed`` taken off the right-hand sides.
+    """
+    eligible = set(compute_base_relation(table, query).eligible_indices.tolist())
+    cap = query.max_multiplicity
+    members = {
+        gid: [int(row) for row in partitioning.group_rows(gid) if int(row) in eligible]
+        for gid in range(partitioning.num_groups)
+    }
+    columns: list[list[int]] = []  # the table rows each column averages over
+    model = IlpModel()
+    for gid, rows in members.items():
+        if not rows or (refine is not None and gid != refine[0]):
+            continue
+        if refine is not None or gid == hybrid_group:
+            for row in rows:
+                model.add_variable(f"t_{row}", 0.0, None if cap is None else float(cap))
+                columns.append([row])
+        else:
+            model.add_variable(f"g_{gid}", 0.0, None if cap is None else float(len(rows) * cap))
+            columns.append(rows)
+
+    def column_means(per_tuple):
+        means = [float(np.mean(per_tuple[rows])) for rows in columns]
+        return {j: value for j, value in enumerate(means) if value}
+
+    all_rows = np.arange(table.num_rows)
+    fixed = iter(refine[1]) if refine is not None else None
+    for number, constraint in enumerate(query.global_constraints):
+        name = constraint.name or f"global_{number}"
+        for linear in constraint_linear_rows(table, all_rows, constraint, name):
+            rhs = linear.rhs - (next(fixed) if fixed is not None else 0.0)
+            model.add_constraint(column_means(linear.coefficients), linear.sense, rhs, name=linear.name)
+    sense, coefficients = objective_linear(table, all_rows, query)
+    model.set_objective(sense, column_means(coefficients))
+    return model
+
+
+class TestModelsAgainstPerVariableReference:
+    """Sketch, hybrid sketch and refine ILPs equal their per-variable assembly.
+
+    Group means are summed in another order by the reference (one 1-D mean
+    per coefficient), hence a relative tolerance of a few ulps; tuple columns
+    and right-hand sides are exact.
+    """
+
+    QUERIES = {
+        "meal_planner": meal_planner_query,
+        "repeat_avg": lambda: (
+            query_over("recipes").repeat(1).count_between(3, 6).avg_at_most("kcal", 0.8)
+            .filtered_count_at_least(col("carbs") > 0, 2).maximize_sum("protein").build()
+        ),
+        "no_objective": lambda: (
+            query_over("recipes").where(col("gluten") == "free").count_equals(4)
+            .sum_at_most("saturated_fat", 3.0).build()
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    def test_sketch_hybrid_and_refine(self, recipes_with_partitioning, name, assert_same_ilp):
+        table, partitioning = recipes_with_partitioning
+        query = self.QUERIES[name]()
+        problem = PartitionedQuery.build(table, query, partitioning)
+        assert_same_ilp(
+            problem.sketch_model(), reference_sketch_or_refine(table, query, partitioning), 1e-13
+        )
+        for gid in (problem.eligible_groups[0], problem.eligible_groups[-1]):
+            assert_same_ilp(
+                problem.sketch_model(hybrid_group=gid),
+                reference_sketch_or_refine(table, query, partitioning, hybrid_group=gid),
+                1e-13,
+            )
+            fixed = np.linspace(0.25, 1.0, problem.linearisation.num_constraints)
+            assert_same_ilp(
+                problem.refine_model(gid, fixed),
+                reference_sketch_or_refine(table, query, partitioning, refine=(gid, fixed)),
+                0.0,
+            )
 
 
 class TestInfeasibilityHandling:

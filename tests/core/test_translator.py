@@ -14,7 +14,7 @@ from repro.core.translator import (
 from repro.db.aggregates import AggregateFunction
 from repro.db.expressions import col
 from repro.errors import TranslationError
-from repro.ilp.model import ConstraintSense, ObjectiveSense
+from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.paql.ast import (
     AggregateRef,
     ConstraintSenseKeyword,
@@ -23,6 +23,11 @@ from repro.paql.ast import (
 )
 from repro.paql.builder import query_over
 from repro.paql.parser import parse_paql
+from repro.workloads.galaxy import galaxy_table, galaxy_workload
+
+
+def _upper_bounds(translation) -> np.ndarray:
+    return translation.model.bound_and_integrality_arrays()[1]
 
 
 class TestBaseRelations:
@@ -37,13 +42,6 @@ class TestBaseRelations:
         gluten = recipes.column("gluten")
         assert base.num_eligible == sum(1 for g in gluten if g == "free")
         assert all(gluten[i] == "free" for i in base.eligible_indices)
-
-    def test_restrict(self, recipes):
-        query = query_over("recipes").where(col("gluten") == "free").count_equals(1).build()
-        base = compute_base_relation(recipes, query)
-        restricted = base.restrict(np.arange(10))
-        assert set(restricted.eligible_indices) <= set(range(10))
-        assert set(restricted.eligible_indices) <= set(base.eligible_indices)
 
     def test_indicator_vector(self, small_numeric_table):
         rows = np.array([0, 2, 3])
@@ -142,51 +140,23 @@ class TestTranslateQuery:
         assert translation.model.num_constraints == 3
         assert translation.model.objective.sense is ObjectiveSense.MINIMIZE
         # Repetition bound REPEAT 0 -> upper bound 1 on every variable.
-        assert all(v.upper == 1.0 for v in translation.model.variables)
+        assert (_upper_bounds(translation) == 1.0).all()
 
     def test_repeat_none_means_unbounded(self, recipes):
         query = query_over("recipes").count_equals(2).minimize_sum("kcal").build()
         translation = translate_query(recipes, query)
-        assert all(v.upper is None for v in translation.model.variables)
+        assert np.isinf(_upper_bounds(translation)).all()
 
     def test_repeat_k_bound(self, recipes):
         query = query_over("recipes").repeat(2).count_equals(2).minimize_sum("kcal").build()
         translation = translate_query(recipes, query)
-        assert all(v.upper == 3.0 for v in translation.model.variables)
+        assert (_upper_bounds(translation) == 3.0).all()
 
     def test_vacuous_objective_when_absent(self, recipes):
         query = query_over("recipes").count_equals(2).build()
         translation = translate_query(recipes, query)
         assert translation.model.is_pure_feasibility
         assert translation.model.objective.sense is ObjectiveSense.MAXIMIZE
-
-    def test_candidate_rows_restriction(self, recipes):
-        query = query_over("recipes").count_equals(1).minimize_sum("kcal").build()
-        translation = translate_query(recipes, query, candidate_rows=np.arange(7))
-        assert translation.num_variables == 7
-        assert translation.variable_rows.tolist() == list(range(7))
-
-    def test_upper_bounds_override(self, recipes):
-        query = query_over("recipes").no_repetition().count_equals(1).build()
-        rows = np.arange(4)
-        translation = translate_query(
-            recipes, query, candidate_rows=rows, upper_bounds=np.array([5.0, 6.0, 7.0, 8.0])
-        )
-        assert [v.upper for v in translation.model.variables] == [5.0, 6.0, 7.0, 8.0]
-
-    def test_upper_bounds_length_mismatch(self, recipes):
-        query = query_over("recipes").count_equals(1).build()
-        with pytest.raises(TranslationError):
-            translate_query(recipes, query, candidate_rows=np.arange(4), upper_bounds=np.ones(3))
-
-    def test_extra_constraints_appended(self, recipes):
-        query = query_over("recipes").count_equals(3).build()
-        extra = GlobalConstraint(
-            LinearAggregateExpression.of(AggregateRef(AggregateFunction.SUM, "kcal")),
-            ConstraintSenseKeyword.LE, 100.0,
-        )
-        translation = translate_query(recipes, query, extra_constraints=[extra])
-        assert translation.model.num_constraints == 2
 
     def test_objective_linear_helper(self, recipes):
         query = query_over("recipes").maximize_sum("protein").build()
@@ -210,3 +180,78 @@ class TestTranslateQuery:
         # Variables map back to the correct source rows (all gluten-free).
         gluten = recipes.column("gluten")
         assert all(gluten[i] == "free" for i in package.indices)
+
+
+def reference_model(table, query) -> IlpModel:
+    """The DIRECT ILP assembled one variable and one coefficient dict at a time."""
+    rows = compute_base_relation(table, query).eligible_indices
+    cap = query.max_multiplicity
+    model = IlpModel(name=query.name or "paql")
+    for row in rows:
+        model.add_variable(f"x_{int(row)}", 0.0, None if cap is None else float(cap))
+    for number, constraint in enumerate(query.global_constraints):
+        name = constraint.name or f"global_{number}"
+        for linear in constraint_linear_rows(table, rows, constraint, name):
+            model.add_constraint(
+                {j: c for j, c in enumerate(linear.coefficients.tolist()) if c},
+                linear.sense, linear.rhs, name=linear.name,
+            )
+    sense, coefficients = objective_linear(table, rows, query)
+    model.set_objective(sense, {j: c for j, c in enumerate(coefficients.tolist()) if c})
+    return model
+
+
+@pytest.fixture(scope="module")
+def galaxy():
+    return galaxy_table(1_600, seed=42)
+
+
+RECIPE_QUERIES = {
+    "filtered_count": lambda: (
+        query_over("recipes").no_repetition().where(col("gluten") == "free").count_equals(3)
+        .filtered_count_at_least(col("carbs") > 0, 2).compare_counts(col("carbs") > 0, col("protein") <= 5)
+        .minimize_sum("saturated_fat").build()
+    ),
+    "avg": lambda: (
+        query_over("recipes").no_repetition().count_between(2, 6)
+        .avg_at_most("kcal", 0.8).avg_at_least("protein", 10.0).maximize_sum("protein").build()
+    ),
+    "repeat": lambda: (
+        query_over("recipes").repeat(2).count_equals(5).sum_between("kcal", 2.0, 4.0)
+        .minimize_sum("saturated_fat").build()
+    ),
+    "unbounded_repeat": lambda: (
+        query_over("recipes").count_equals(4).sum_at_most("kcal", 3.0).maximize_sum("protein").build()
+    ),
+    "no_objective": lambda: (
+        query_over("recipes").no_repetition().where(col("gluten") == "free")
+        .count_equals(3).sum_between("kcal", 2.0, 2.5).build()
+    ),
+}
+
+
+class TestBuilderAgainstPerVariableReference:
+    """``linearise`` + ``build_model`` hand the solver what the per-variable API would."""
+
+    @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"])
+    def test_galaxy_queries(self, galaxy, name, assert_same_ilp):
+        query = galaxy_workload(galaxy).query(name).query
+        assert_same_ilp(translate_query(galaxy, query).model, reference_model(galaxy, query))
+
+    def test_refine_workload_shape(self, galaxy, assert_same_ilp):
+        # The refine_20k shape of benchmarks/e2e: COUNT = c, two SUM windows, maximise flux.
+        cardinality = 200
+        mean_z = float(np.mean(galaxy.numeric_column("redshift")))
+        mean_mag = float(np.mean(galaxy.numeric_column("petroMag_r")))
+        query = (
+            query_over("galaxy", name="refine_c200").no_repetition().count_equals(cardinality)
+            .sum_between("redshift", 0.7 * mean_z * cardinality, 1.3 * mean_z * cardinality)
+            .sum_between("petroMag_r", 0.9 * mean_mag * cardinality, 1.1 * mean_mag * cardinality)
+            .maximize_sum("petroFlux_r").build()
+        )
+        assert_same_ilp(translate_query(galaxy, query).model, reference_model(galaxy, query))
+
+    @pytest.mark.parametrize("name", list(RECIPE_QUERIES))
+    def test_recipes_queries(self, recipes, name, assert_same_ilp):
+        query = RECIPE_QUERIES[name]()
+        assert_same_ilp(translate_query(recipes, query).model, reference_model(recipes, query))

@@ -73,10 +73,19 @@ def oracle_ilp(model: IlpModel) -> OracleResult:
         constraints.append(LinearConstraint(form.a_ub, -np.inf, form.b_ub))
     if form.a_eq.shape[0]:
         constraints.append(LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
-    result = milp(
-        form.c, constraints=constraints, bounds=Bounds(lower, upper),
-        integrality=integer_mask.astype(int), options={"mip_rel_gap": 0.0},
-    )
+    def solve(presolve: bool):
+        return milp(
+            form.c, constraints=constraints, bounds=Bounds(lower, upper),
+            integrality=integer_mask.astype(int),
+            options={"mip_rel_gap": 0.0, "presolve": presolve},
+        )
+
+    result = solve(presolve=True)
+    if result.status == 4:
+        # "Solve error": HiGHS' MIP presolve trips on some tiny infeasible
+        # equality systems (two equality rows over four 0/1/2 columns did
+        # it); without presolve it answers them.
+        result = solve(presolve=False)
     status = _status(result)
     objective = form.objective_from_min(float(result.fun)) if status == "optimal" else float("nan")
     return OracleResult(status, objective)

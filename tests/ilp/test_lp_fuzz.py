@@ -142,7 +142,7 @@ def test_simplex_matches_the_oracle_or_says_numerical_error(family):
     for seed in range(SEEDS_PER_FAMILY):
         c, a_ub, b_ub, a_eq, b_eq, (lower, upper) = generate(np.random.default_rng(seed))
         bounds = np.column_stack([lower, upper])
-        result = solve_dense_simplex(c, a_ub, b_ub, a_eq, b_eq, (lower, upper))
+        result = solve_dense_simplex(c, a_ub, b_ub, a_eq, b_eq, bounds)
         if result.status is SimplexStatus.NUMERICAL_ERROR:
             numerical_errors.append(seed)
             continue

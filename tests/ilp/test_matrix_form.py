@@ -95,7 +95,7 @@ class TestStorageParity:
         np.testing.assert_allclose(sparse_form.a_eq.toarray(), dense_form.a_eq)
         np.testing.assert_allclose(sparse_form.c, dense_form.c)
         assert sparse_form.nnz == dense_form.nnz == 5
-        assert sparse_form.bounds == dense_form.bounds
+        np.testing.assert_array_equal(sparse_form.bounds, dense_form.bounds)
 
     @settings(max_examples=40, deadline=None)
     @given(model=_models())
@@ -269,13 +269,13 @@ class TestPickling:
     agree with the original.
     """
 
-    def _model(self, num_vars=8):
+    def _model(self, num_vars=8, fixed=None):
         rng = np.random.default_rng(11)
         model = IlpModel("pickled")
         weights = rng.integers(1, 9, num_vars).astype(float)
         gains = rng.integers(1, 15, num_vars).astype(float)
         for i in range(num_vars):
-            model.add_variable(f"x{i}", 0, 2)
+            model.add_variable(f"x{i}", 2 if i == fixed else 0, 2)
         model.add_constraint(
             {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * 0.5
         )
@@ -320,11 +320,9 @@ class TestPickling:
     def test_postsolve_round_trips_and_restores_identically(self):
         from repro.ilp.presolve import presolve_form
 
-        model = self._model()
         # Fix a variable so presolve genuinely reduces and the postsolve
         # record is non-trivial.
-        model.variables[3].lower = 2.0
-        form = model.to_matrix()
+        form = self._model(fixed=3).to_matrix()
         integer_mask = np.ones(form.num_variables, dtype=bool)
         result = presolve_form(form, integer_mask)
         assert result.feasible and result.postsolve is not None
@@ -368,14 +366,13 @@ class TestPickling:
 
         clone = pickle.loads(pickle.dumps(model))
         assert clone._matrix_cache == {}
-        assert clone._variable_arrays is None
         clone_form = clone.to_matrix()
         self._assert_matrix_equal(form.a_ub, clone_form.a_ub)
         self._assert_matrix_equal(form.a_eq, clone_form.a_eq)
         np.testing.assert_array_equal(form.c, clone_form.c)
         np.testing.assert_array_equal(form.b_ub, clone_form.b_ub)
         np.testing.assert_array_equal(form.b_eq, clone_form.b_eq)
-        assert clone_form.bounds == form.bounds
+        np.testing.assert_array_equal(clone_form.bounds, form.bounds)
 
         limits = SolverLimits(relative_gap=1e-9)
         original = BranchAndBoundSolver(limits=limits).solve(model)

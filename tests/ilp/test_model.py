@@ -112,7 +112,9 @@ class TestDenseExportAndCopy:
         form = model.to_matrix()
         assert form.a_ub.shape == (2, 2)     # GE rows are negated into <= rows.
         assert form.a_eq.shape == (1, 2)
-        assert form.bounds == [(0.0, 4), (0.0, None)]
+        lower, upper = form.bounds
+        assert lower.tolist() == [0.0, 0.0]
+        assert upper.tolist() == [4.0, np.inf]
         assert not form.maximize
         assert form.objective_from_min(7.0) == 7.0
 

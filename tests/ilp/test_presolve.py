@@ -21,7 +21,7 @@ from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import presolve_form
 from repro.ilp.status import SolverStatus
 
-from .oracle import oracle_form_lp
+from .oracle import oracle_form_lp, oracle_ilp
 
 
 def solve_presolved(form: MatrixForm) -> LpResult:
@@ -45,11 +45,11 @@ def solve_presolved(form: MatrixForm) -> LpResult:
     )
 
 
-def budget_model() -> IlpModel:
+def budget_model(is_integer: bool = True) -> IlpModel:
     """0/1 knapsack where x0 and x5 can never fit and x4 is excluded."""
     model = IlpModel()
     for i in range(6):
-        model.add_variable(f"x{i}", 0, 1)
+        model.add_variable(f"x{i}", 0, 1, is_integer=is_integer)
     model.add_constraint(
         {0: 5.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 20.0},
         ConstraintSense.LE, 4.0, name="budget",
@@ -197,11 +197,8 @@ class TestPostsolve:
         assert on.values == pytest.approx(off.values)
 
     def test_restored_basis_warm_starts_the_original_form(self):
-        model = budget_model()
         # Continuous relaxation so the LP reduction stays exact.
-        for variable in model.variables:
-            variable.is_integer = False
-        form = model.to_matrix()
+        form = budget_model(is_integer=False).to_matrix()
         presolved = solve_presolved(form)
         assert presolved.status is SolverStatus.OPTIMAL
         assert presolved.basis is not None
@@ -254,10 +251,11 @@ class TestSolveParity:
         assert solve_presolved(model.to_matrix()).status is SolverStatus.INFEASIBLE
 
     def test_bnb_presolve_parity_on_budget_model(self):
-        on = BranchAndBoundSolver(presolve=True).solve(budget_model())
-        off = BranchAndBoundSolver(presolve=False).solve(budget_model())
-        assert on.status is off.status is SolverStatus.OPTIMAL
-        assert on.objective_value == pytest.approx(off.objective_value)
+        on = BranchAndBoundSolver().solve(budget_model())
+        reference = oracle_ilp(budget_model())
+        assert on.status is SolverStatus.OPTIMAL
+        assert reference.status == "optimal"
+        assert on.objective_value == pytest.approx(reference.objective)
         assert on.stats.vars_fixed == 3
         assert on.stats.rows_removed == 2
         assert on.stats.presolve_ms > 0.0
@@ -268,7 +266,7 @@ class TestSolveParity:
         model.add_variable("y", 0, 1)
         model.add_constraint({0: 1.0, 1: 1.0}, ConstraintSense.EQ, 2.0, name="both")
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 3.0, 1: 4.0})
-        solution = BranchAndBoundSolver(presolve=True).solve(model)
+        solution = BranchAndBoundSolver().solve(model)
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.values.tolist() == [1.0, 1.0]
         assert solution.objective_value == pytest.approx(7.0)
@@ -279,15 +277,29 @@ class TestSolveParity:
         model.add_variable("x", 0, 1)
         model.add_constraint({0: 1.0}, ConstraintSense.GE, 2.0, name="impossible")
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
-        solution = BranchAndBoundSolver(presolve=True).solve(model)
+        solution = BranchAndBoundSolver().solve(model)
         assert solution.status is SolverStatus.INFEASIBLE
         assert solution.stats.lp_solves == 0
+
+    def test_bnb_and_oracle_agree_on_an_infeasible_equality_pair(self):
+        # Found by the property test below: HiGHS' MIP presolve answers this
+        # one with "Solve error", so it also pins the oracle's second attempt.
+        model = IlpModel()
+        for i, upper in enumerate([2, 1, 1, 1]):
+            model.add_variable(f"t{i}", 0, upper)
+        model.add_constraint({i: 1.0 for i in range(4)}, ConstraintSense.EQ, 2.0, name="count")
+        model.add_constraint(
+            {0: 7.698, 1: 0.078, 2: 1.519, 3: 0.567}, ConstraintSense.EQ, 1.043, name="sum0"
+        )
+        model.set_objective(ObjectiveSense.MAXIMIZE, {0: -0.453, 1: -0.216, 2: -2.02, 3: -0.232})
+        assert BranchAndBoundSolver().solve(model).status is SolverStatus.INFEASIBLE
+        assert oracle_ilp(model).status == "infeasible"
 
     def test_warm_started_bnb_agrees_with_presolve(self):
         # SKETCHREFINE-style reuse: a root basis exported from one presolved
         # solve seeds a retry of a same-shaped model.
         model = budget_model()
-        solver = BranchAndBoundSolver(presolve=True)
+        solver = BranchAndBoundSolver()
         first = solver.solve(model)
         assert first.status is SolverStatus.OPTIMAL
         assert first.root_basis is not None
@@ -333,13 +345,13 @@ def paql_shaped_models(draw):
 class TestPresolveProperties:
     @settings(max_examples=40, deadline=None)
     @given(model=paql_shaped_models())
-    def test_presolved_ilp_solve_equals_cold_solve(self, model):
-        limits = SolverLimits(node_limit=4000)
-        on = BranchAndBoundSolver(limits=limits, presolve=True).solve(model)
-        off = BranchAndBoundSolver(limits=limits, presolve=False).solve(model)
-        assert on.status is off.status
+    def test_presolved_ilp_solve_matches_the_oracle(self, model):
+        limits = SolverLimits(node_limit=4000, relative_gap=1e-9)
+        on = BranchAndBoundSolver(limits=limits).solve(model)
+        reference = oracle_ilp(model)
+        assert on.status.value == reference.status
         if on.status is SolverStatus.OPTIMAL:
-            assert on.objective_value == pytest.approx(off.objective_value, abs=1e-6)
+            assert on.objective_value == pytest.approx(reference.objective, abs=1e-6)
             assert model.check_feasible(on.values)
 
     @settings(max_examples=40, deadline=None)

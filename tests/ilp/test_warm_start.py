@@ -292,15 +292,3 @@ class TestMatrixFormCaching:
         third = model.to_matrix()
         model.add_variable("y", 0, 1)
         assert model.to_matrix() is not third
-
-    def test_invalidate_matrix_cache_after_inplace_mutation(self):
-        model = IlpModel()
-        model.add_variable("x", 0, 5, is_integer=False)
-        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
-        lower, upper = model.to_matrix().bound_arrays()
-        assert upper[0] == pytest.approx(5.0)
-
-        model.variables[0].upper = 2.0
-        model.invalidate_matrix_cache()
-        lower, upper = model.to_matrix().bound_arrays()
-        assert upper[0] == pytest.approx(2.0)
