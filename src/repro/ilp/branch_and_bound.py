@@ -25,9 +25,13 @@ the whole tree prices against one copy.  Each node also records the optimal
 basis of its LP relaxation and hands it to its children: a child differs from
 its parent by one tightened variable bound, so the child's LP is reoptimised
 with a few dual-simplex pivots from the parent basis instead of a cold
-two-phase solve.  A caller holding a basis from a
-related earlier solve (same matrix shape) can seed the *root* node the same
-way through the ``warm_start`` argument of :meth:`BranchAndBoundSolver.solve`,
+two-phase solve.  The basis carries the parent's basis inverse by reference
+(both children share the one array; a pivot writes a new one), so an open
+node holds no per-pivot history and a child starts without reinverting — the
+simplex checks the inherited inverse against its own matrix and rebuilds it
+every ``_REFACTOR_INTERVAL`` pivots along the chain.  A caller holding a basis
+from a related earlier solve (same matrix shape) can seed the *root* node the
+same way through the ``warm_start`` argument of :meth:`BranchAndBoundSolver.solve`,
 and the root relaxation's own basis is exported on the returned
 :attr:`~repro.ilp.status.Solution.root_basis` for the next related solve.
 ``SolveStats.warm_start_hits`` / ``simplex_iterations`` expose how often the
@@ -58,7 +62,7 @@ import enum
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,6 +127,9 @@ class _Node:
     priority: float
     sequence: int
     depth: int = field(compare=False)
+    #: What is proven about the node before its own LP runs: its parent's LP
+    #: value (``priority`` is the depth under DEPTH_FIRST, so it cannot serve).
+    bound: float = field(compare=False)
     lower_bounds: np.ndarray = field(compare=False)
     upper_bounds: np.ndarray = field(compare=False)
     parent_basis: SimplexBasis | None = field(compare=False, default=None)
@@ -215,23 +222,28 @@ class BranchAndBoundSolver:
             # stale warm start).
             warm_start = postsolve.reduce_basis(warm_start)
         root = _Node(priority=0.0, sequence=next(counter), depth=0,
+                     bound=-sense.worst_value,
                      lower_bounds=root_lower, upper_bounds=root_upper,
                      parent_basis=warm_start)
         heapq.heappush(heap, root)
         root_basis: SimplexBasis | None = None
+        # The weakest LP bound among the nodes the gap rule closed: their
+        # subtrees may hold solutions that much better than the incumbent.
+        proven_bound = sense.worst_value
+        status = SolverStatus.OPTIMAL
 
         while heap:
             elapsed = time.perf_counter() - start
-            if elapsed > self.limits.time_limit_seconds:
-                return self._finish(
-                    SolverStatus.TIME_LIMIT, incumbent, incumbent_value, model, stats, start,
-                    root_basis,
-                )
-            if stats.nodes_explored >= self.limits.node_limit:
-                return self._finish(
-                    SolverStatus.TIME_LIMIT, incumbent, incumbent_value, model, stats, start,
-                    root_basis,
-                )
+            if (
+                elapsed > self.limits.time_limit_seconds
+                or stats.nodes_explored >= self.limits.node_limit
+            ):
+                # Nothing is proven about the nodes still open beyond what
+                # their parents' relaxations said.
+                status = SolverStatus.TIME_LIMIT
+                for node in heap:
+                    proven_bound = self._weaker_bound(sense, proven_bound, node.bound)
+                break
 
             node = heapq.heappop(heap)
             stats.nodes_explored += 1
@@ -271,7 +283,6 @@ class BranchAndBoundSolver:
                 continue
 
             bound = lp_result.objective_value
-            stats.best_bound = bound
 
             # Prune by bound: the relaxation cannot improve on the incumbent.
             if incumbent is not None and not self._bound_improves(sense, bound, incumbent_value):
@@ -299,6 +310,7 @@ class BranchAndBoundSolver:
 
             # Optimality-gap stop.
             if incumbent is not None and self._gap(sense, bound, incumbent_value) <= self.limits.relative_gap:
+                proven_bound = self._weaker_bound(sense, proven_bound, bound)
                 continue
 
             branch_index = self._choose_branch_variable(
@@ -317,6 +329,7 @@ class BranchAndBoundSolver:
                 priority=self._node_priority(sense, bound, node.depth + 1),
                 sequence=next(counter),
                 depth=node.depth + 1,
+                bound=bound,
                 lower_bounds=node.lower_bounds.copy(),
                 upper_bounds=node.upper_bounds.copy(),
                 parent_basis=lp_result.basis,
@@ -327,6 +340,7 @@ class BranchAndBoundSolver:
                 priority=self._node_priority(sense, bound, node.depth + 1),
                 sequence=next(counter),
                 depth=node.depth + 1,
+                bound=bound,
                 lower_bounds=node.lower_bounds.copy(),
                 upper_bounds=node.upper_bounds.copy(),
                 parent_basis=lp_result.basis,
@@ -338,14 +352,8 @@ class BranchAndBoundSolver:
             if up.lower_bounds[branch_index] <= up.upper_bounds[branch_index] + _BOUND_TOLERANCE:
                 heapq.heappush(heap, up)
 
-        if incumbent is None:
-            # The search tree was exhausted without finding any integral point.
-            stats.wall_time_seconds = time.perf_counter() - start
-            solution = Solution.infeasible(stats)
-            solution.root_basis = root_basis
-            return solution
         return self._finish(
-            SolverStatus.OPTIMAL, incumbent, incumbent_value, model, stats, start, root_basis
+            status, incumbent, incumbent_value, proven_bound, model, stats, start, root_basis
         )
 
     # -- internals ---------------------------------------------------------------------
@@ -365,7 +373,6 @@ class BranchAndBoundSolver:
         if lp_result.warm_start_used:
             stats.warm_start_hits += 1
         stats.refactorizations += lp_result.refactorizations
-        stats.eta_peak = max(stats.eta_peak, lp_result.eta_peak)
 
     @staticmethod
     def _objective_cutoff_min(
@@ -414,15 +421,10 @@ class BranchAndBoundSolver:
         result = solve_lp_form(node_form, warm_start=node.parent_basis)
         if postsolve is None or not result.status.has_solution:
             return result
-        return LpResult(
-            result.status,
-            postsolve.restore(result.values),
-            result.objective_value + postsolve.objective_offset,
-            basis=result.basis,
-            iterations=result.iterations,
-            warm_start_used=result.warm_start_used,
-            refactorizations=result.refactorizations,
-            eta_peak=result.eta_peak,
+        return replace(
+            result,
+            values=postsolve.restore(result.values),
+            objective_value=result.objective_value + postsolve.objective_offset,
         )
 
     @staticmethod
@@ -478,6 +480,11 @@ class BranchAndBoundSolver:
         return bound > incumbent_value + _BOUND_TOLERANCE
 
     @staticmethod
+    def _weaker_bound(sense: ObjectiveSense, a: float, b: float) -> float:
+        """What two objective bounds prove together: the less tight of them."""
+        return min(a, b) if sense is ObjectiveSense.MINIMIZE else max(a, b)
+
+    @staticmethod
     def _gap(sense: ObjectiveSense, bound: float, incumbent_value: float) -> float:
         if not np.isfinite(bound) or not np.isfinite(incumbent_value):
             return float("inf")
@@ -511,14 +518,22 @@ class BranchAndBoundSolver:
         status: SolverStatus,
         incumbent: np.ndarray | None,
         incumbent_value: float,
+        proven_bound: float,
         model: IlpModel,
         stats: SolveStats,
         start: float,
         root_basis: SimplexBasis | None = None,
     ) -> Solution:
+        """Wrap up: ``status`` is OPTIMAL when the tree was exhausted.
+
+        ``proven_bound`` covers every subtree left unexplored (closed by the
+        gap rule, or still open at a limit); everything else was searched, so
+        the incumbent bounds it.
+        """
         stats.wall_time_seconds = time.perf_counter() - start
         if incumbent is None:
             if status is SolverStatus.OPTIMAL:
+                # The tree was exhausted without finding any integral point.
                 solution = Solution.infeasible(stats)
             else:
                 solution = Solution.failure(status, stats)
@@ -528,5 +543,7 @@ class BranchAndBoundSolver:
             final_status = SolverStatus.OPTIMAL
         else:
             final_status = SolverStatus.FEASIBLE
-        stats.gap = self._gap(model.objective.sense, stats.best_bound, incumbent_value)
+        sense = model.objective.sense
+        stats.best_bound = self._weaker_bound(sense, proven_bound, incumbent_value)
+        stats.gap = self._gap(sense, stats.best_bound, incumbent_value)
         return Solution(final_status, incumbent, incumbent_value, stats, root_basis=root_basis)

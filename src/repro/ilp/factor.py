@@ -1,38 +1,38 @@
-"""LU-factorised simplex basis with an eta file of pivot updates.
+"""The simplex basis, held as an explicit dense inverse.
 
-PR 1's revised simplex maintained an explicit dense ``m×m`` basis inverse:
-every pivot was a rank-one outer-product update (O(m²)) and every
-refactorisation a full ``np.linalg.inv`` (no pivoting for stability).  This
-module replaces that with the representation production LP codes use:
-
-* **LU factors of B** (partial pivoting, LAPACK ``getrf`` via
-  :func:`scipy.linalg.lu_factor`) computed at *refactorisation points*, and
-* an **eta file** — the product-form update vectors of the pivots applied
-  since the last refactorisation.  After ``k`` pivots the basis satisfies
-  ``B_k = B_0 · E_1⁻¹ ⋯ E_k⁻¹``, so ``B_k⁻¹ v = E_k ⋯ E_1 (B_0⁻¹ v)``.
-
-All basis solves go through three entry points:
+The LPs this library solves have one row per global PaQL constraint: every LP
+of the ``benchmarks/e2e`` workloads has a 2-7 row basis, thousands of them per
+query.  At that size the cost of a basis solve is the cost of *calling* it, so
+:class:`BasisFactor` keeps ``B⁻¹`` itself as one ``(m, m)`` array and every
+solve is a single product:
 
 * :meth:`BasisFactor.ftran` — ``B⁻¹ v`` (entering-column transformation,
-  basic-value computation),
-* :meth:`BasisFactor.btran` — ``v B⁻¹`` i.e. the solution of ``y B = v``
-  (dual/pricing vector), and
+  basic-value computation) is ``inv @ v``,
+* :meth:`BasisFactor.btran` — ``v B⁻¹``, the solution of ``y B = v``
+  (dual/pricing vector) is ``v @ inv``, and
 * :meth:`BasisFactor.btran_row` — row ``r`` of ``B⁻¹`` (the dual-simplex
-  pivot row), which is just ``btran(e_r)``.
+  pivot row) is a row read.
 
-A pivot appends one eta vector in O(m) (:meth:`update`); the dense-inverse
-scheme paid O(m²) per pivot.  Refactorisation is *stability-triggered* — an
-eta pivot smaller than :data:`STABILITY_TOLERANCE` relative to its column is
-refused and the caller refactorises — as well as periodic (the caller bounds
-the eta-file length so FTRAN/BTRAN stay O(m² + k·m) with small ``k``).
+The inverse is **built** by :meth:`BasisFactor.factorize` from an LU
+factorisation with partial pivoting (LAPACK ``getrf`` via
+:func:`scipy.linalg.lu_factor`), which is also where a singular or non-finite
+basis matrix is rejected, and **advanced** per pivot by the rank-one
+product-form update (:meth:`BasisFactor.update`).  An explicit inverse drifts
+as updates accumulate, so three things bound the drift: ``update`` refuses a
+pivot smaller than :data:`STABILITY_TOLERANCE` relative to its column (the
+caller reinverts from the basis columns instead), the caller reinverts every
+``_REFACTOR_INTERVAL`` updates whatever happened in between — :attr:`updates`
+counts them and travels with a snapshot, so a chain of warm starts cannot
+outrun the interval — and whoever installs an inherited inverse checks its
+residual against their own matrix first (see :mod:`repro.ilp.simplex`).
 
-Factors are **forkable**: :meth:`fork` snapshots the factorisation in O(k)
-by sharing the immutable LU arrays and copying the eta list.  This is the
-warm-start protocol over factors — an optimal solve exports its basis *with*
-its factor attached, and a related reoptimisation (branch-and-bound child,
-SKETCHREFINE backtracking retry) installs the fork instead of refactorising
-from scratch.  Forked factors never ship across the process boundary: they
-are derived per-process state, dropped by
+``update`` writes the new inverse to a *new* array and never touches the old
+one.  That is what makes :meth:`snapshot` O(1): a snapshot shares the array by
+reference, and neither side can change what the other sees.  An optimal solve
+exports its basis with a snapshot attached and a related reoptimisation
+(branch-and-bound child, SKETCHREFINE backtracking retry) installs it instead
+of reinverting.  Snapshots never ship across the process boundary: they are
+derived per-process state, dropped by
 :meth:`~repro.ilp.simplex.SimplexBasis.__getstate__`.
 """
 
@@ -41,9 +41,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 
-#: An eta pivot must be at least this large relative to the largest entry of
-#: its transformed column; smaller pivots refuse the update and force a
-#: refactorisation (the product-form analogue of partial pivoting).
+#: A pivot must be at least this large relative to the largest entry of its
+#: transformed column; smaller pivots refuse the update and force a
+#: reinversion (the product-form analogue of partial pivoting).
 STABILITY_TOLERANCE = 1e-8
 
 #: U diagonal entries below this (relative to the largest) mean the basis
@@ -52,36 +52,34 @@ _SINGULAR_TOLERANCE = 1e-12
 
 
 class BasisFactor:
-    """LU factors of a basis matrix plus the eta file of later pivots.
+    """The inverse of a basis matrix and the count of pivots folded into it.
 
     Instances are created through :meth:`factorize` (or :meth:`identity` for
     the all-artificial start basis, whose matrix is I) and advanced by
-    :meth:`update` after each simplex pivot.  The LU arrays are immutable
-    once built; the eta list only ever appends — which is what makes
-    :meth:`fork` an O(k) snapshot safe to hand to a different solve.
+    :meth:`update` after each simplex pivot.  The array an instance holds is
+    read-only once built — an update replaces it — so it may be shared with
+    any number of :meth:`snapshot` copies.
     """
 
-    __slots__ = ("m", "_lu", "_piv", "_etas")
+    __slots__ = ("m", "updates", "_inv")
 
-    def __init__(self, m: int, lu: np.ndarray | None, piv: np.ndarray | None):
-        self.m = m
-        self._lu = lu
-        self._piv = piv
-        # Each eta is (row, pivot, scale) with scale = w, w[row] zeroed:
-        # applying it to a column vector x is  t = x[row]/pivot;
-        # x -= scale·t; x[row] = t.
-        self._etas: list[tuple[int, float, np.ndarray]] = []
+    def __init__(self, inverse: np.ndarray, updates: int = 0):
+        self.m = inverse.shape[0]
+        #: Pivots applied since the inverse was last built from basis columns.
+        self.updates = updates
+        inverse.setflags(write=False)
+        self._inv = inverse
 
     # -- construction -------------------------------------------------------------
 
     @classmethod
     def identity(cls, m: int) -> "BasisFactor":
         """The factor of the ``m×m`` identity (the all-artificial basis)."""
-        return cls(m, None, None)
+        return cls(np.eye(m))
 
     @classmethod
     def factorize(cls, basis_matrix: np.ndarray) -> "BasisFactor | None":
-        """LU-factorise a basis matrix; ``None`` when singular/non-finite."""
+        """Invert a basis matrix through its LU; ``None`` when singular/non-finite."""
         matrix = np.asarray(basis_matrix, dtype=np.float64)
         m = matrix.shape[0]
         if m == 0:
@@ -97,25 +95,15 @@ class BasisFactor:
         diag = np.abs(np.diagonal(lu))
         if diag.min() <= _SINGULAR_TOLERANCE * max(1.0, float(diag.max())):
             return None
-        return cls(m, lu, piv)
+        return cls(sla.lu_solve((lu, piv), np.eye(m), check_finite=False))
 
-    def fork(self) -> "BasisFactor":
-        """An O(k) snapshot sharing the LU arrays; etas append independently.
+    def snapshot(self) -> "BasisFactor":
+        """An O(1) copy that answers for the basis this factor represents now.
 
-        The snapshot answers FTRAN/BTRAN for exactly the basis this factor
-        currently represents, and later :meth:`update` calls on either copy
-        do not affect the other (eta tuples are immutable once appended).
+        The inverse array is shared, not copied; later :meth:`update` calls on
+        either side replace that side's array and leave the other's alone.
         """
-        child = BasisFactor(self.m, self._lu, self._piv)
-        child._etas = list(self._etas)
-        return child
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def eta_count(self) -> int:
-        """Pivots applied since the last refactorisation."""
-        return len(self._etas)
+        return BasisFactor(self._inv, self.updates)
 
     def matches(self, m: int) -> bool:
         """Whether this factor solves systems of the given dimension."""
@@ -124,52 +112,36 @@ class BasisFactor:
     # -- solves -------------------------------------------------------------------
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
-        """``B⁻¹ v`` — forward transformation through LU then the eta file."""
-        if self.m == 0:
-            return np.zeros(0)
-        if self._lu is None:
-            x = np.array(v, dtype=np.float64, copy=True)
-        else:
-            x = sla.lu_solve((self._lu, self._piv), v, check_finite=False)
-        for row, pivot, scale in self._etas:
-            t = x[row] / pivot
-            x -= scale * t
-            x[row] = t
-        return x
+        """``B⁻¹ v`` — forward transformation."""
+        return self._inv @ v
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        """``v B⁻¹`` — backward transformation: etas in reverse, then Uᵀ/Lᵀ."""
-        if self.m == 0:
-            return np.zeros(0)
-        y = np.array(v, dtype=np.float64, copy=True)
-        for row, pivot, scale in reversed(self._etas):
-            y[row] = (y[row] - y @ scale) / pivot
-        if self._lu is None:
-            return y
-        return sla.lu_solve((self._lu, self._piv), y, trans=1, check_finite=False)
+        """``v B⁻¹`` — backward transformation."""
+        return v @ self._inv
 
     def btran_row(self, r: int) -> np.ndarray:
-        """Row ``r`` of ``B⁻¹`` (``e_r B⁻¹``), the dual-simplex pivot row."""
-        e = np.zeros(self.m)
-        e[r] = 1.0
-        return self.btran(e)
+        """Row ``r`` of ``B⁻¹`` (``e_r B⁻¹``), the dual-simplex pivot row (a view)."""
+        return self._inv[r]
 
     # -- updates ------------------------------------------------------------------
 
     def update(self, row: int, w: np.ndarray) -> bool:
-        """Append the eta of a pivot at ``row`` with FTRAN'd column ``w``.
+        """Fold in a pivot at ``row`` whose FTRAN'd entering column is ``w``.
 
         ``w`` must be ``ftran`` of the entering column *before* the update
-        (the classic product-form construction).  Returns ``False`` — eta not
-        appended — when the pivot element is too small relative to the column
-        to be numerically trustworthy; the caller must refactorise instead.
+        (the classic product-form construction).  Returns ``False`` — inverse
+        left as it was — when the pivot element is too small relative to the
+        column to be numerically trustworthy; the caller must reinvert instead.
         """
         pivot = float(w[row])
         if not np.isfinite(pivot):
             return False
         if abs(pivot) < STABILITY_TOLERANCE * max(1.0, float(np.abs(w).max())):
             return False
-        scale = np.array(w, dtype=np.float64, copy=True)
-        scale[row] = 0.0
-        self._etas.append((row, pivot, scale))
+        pivot_row = self._inv[row] / pivot
+        inverse = self._inv - w[:, None] * pivot_row
+        inverse[row] = pivot_row
+        inverse.setflags(write=False)
+        self._inv = inverse
+        self.updates += 1
         return True

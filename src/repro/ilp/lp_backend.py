@@ -53,8 +53,7 @@ class LpResult:
         iterations: Simplex iterations spent.
         warm_start_used: Whether a supplied warm start was actually consumed
             rather than rejected (stale basis).
-        refactorizations: Basis refactorisations during the solve.
-        eta_peak: Longest eta file between refactorisations.
+        refactorizations: Basis reinversions during the solve.
     """
 
     status: SolverStatus
@@ -64,7 +63,6 @@ class LpResult:
     iterations: int = 0
     warm_start_used: bool = False
     refactorizations: int = 0
-    eta_peak: int = 0
 
 
 def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> LpResult:
@@ -86,7 +84,6 @@ def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> L
         iterations=result.iterations,
         warm_start_used=result.warm_started,
         refactorizations=result.refactorizations,
-        eta_peak=result.eta_peak,
     )
 
 
@@ -102,7 +99,6 @@ def solve_lp(model: IlpModel, warm_start: SimplexBasis | None = None) -> Solutio
         simplex_iterations=result.iterations,
         warm_start_hits=1 if result.warm_start_used else 0,
         refactorizations=result.refactorizations,
-        eta_peak=result.eta_peak,
     )
     if not result.status.has_solution:
         return Solution(result.status, stats=stats)

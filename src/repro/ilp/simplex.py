@@ -22,23 +22,24 @@ Five design points make repeated solves cheap:
   a CSR transpose mat-vec, and the partial-pricing candidate list gathers
   reduced costs from pre-extracted column triplets.  Dense models keep the
   dense fast path — the representation follows the form's own storage choice.
-* **LU-factorised basis.**  The basis is held as a
-  :class:`~repro.ilp.factor.BasisFactor` — LU factors (partial pivoting)
-  plus an eta file of pivot updates — and every solve against it goes through
-  FTRAN/BTRAN (:meth:`~repro.ilp.factor.BasisFactor.ftran` /
-  :meth:`~repro.ilp.factor.BasisFactor.btran` /
-  :meth:`~repro.ilp.factor.BasisFactor.btran_row`).  Pivots append an O(m)
-  eta instead of the dense O(m²) inverse update; refactorisation is periodic
-  (:data:`_REFACTOR_INTERVAL` etas) and stability-triggered (an untrustworthy
-  eta pivot forces a fresh factorisation).
+* **An explicit basis inverse, sized for a handful of rows.**  A package
+  query has one row per global constraint, so the basis is 2-7 rows across.
+  It is held as a :class:`~repro.ilp.factor.BasisFactor` — the dense
+  ``m × m`` inverse — and every solve against it is one product
+  (:meth:`~repro.ilp.factor.BasisFactor.ftran` /
+  :meth:`~repro.ilp.factor.BasisFactor.btran`) or a row read
+  (:meth:`~repro.ilp.factor.BasisFactor.btran_row`).  A pivot is a rank-one
+  update of the inverse; it is rebuilt from the basis columns through a
+  pivoted LU every :data:`_REFACTOR_INTERVAL` updates (periodic) and whenever
+  an update's pivot is too small to trust (stability-triggered).
 * **Basis export + dual-simplex reoptimisation over factors.**  Every optimal
   solve returns a :class:`SimplexBasis` which a later solve of a *related*
   problem consumes as a warm start, re-entering through the dual simplex.
-  The exported basis carries an O(eta) fork of the final factor, so a child
-  solve installs it without refactorising; a deterministic residual check
-  (``ftran(B @ 1) ≈ 1``) rejects stale factors, and invalid bases (shape
-  mismatch, singular basis matrix, unrestorable dual feasibility) fall back
-  to a cold two-phase solve.
+  The exported basis carries an O(1) snapshot of the final inverse, so a child
+  solve installs it without reinverting; a deterministic residual check
+  (``ftran(B @ 1) ≈ 1``) rejects stale or drifted inverses, and invalid bases
+  (shape mismatch, singular basis matrix, unrestorable dual feasibility) fall
+  back to a cold two-phase solve.
 
 **Pricing.**  The entering variable is chosen by Dantzig's rule (largest
 reduced-cost magnitude).  Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a
@@ -70,15 +71,16 @@ _EPSILON = 1e-9
 _PIVOT_EPSILON = 1e-10
 _FEASIBILITY_TOLERANCE = 1e-7
 _RATIO_TIE_TOLERANCE = 1e-10
-#: Maximum eta-file length before a periodic refactorisation.
+#: Rank-one updates an inverse may absorb before it is rebuilt from the basis
+#: columns; the count is inherited across warm starts.
 _REFACTOR_INTERVAL = 60
 _MAX_ITERATIONS_FACTOR = 50
 _DEGENERATE_STREAK_LIMIT = 50
 
 #: Partial pricing (candidate list) activates at or past this many columns.
 _PARTIAL_PRICING_THRESHOLD = 4096
-#: Bases of larger dimension export without a factor fork (the LU alone is
-#: m² floats; past this the warm path refactorises instead of carrying it).
+#: Bases of larger dimension export without their inverse (m² floats per open
+#: branch-and-bound node; past this the warm path reinverts instead).
 _FACTOR_EXPORT_LIMIT = 512
 
 # Per-column statuses.  BASIC columns are listed in ``SimplexBasis.basic``;
@@ -96,9 +98,9 @@ class SimplexStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
-    #: The factorised basis went singular / non-finite and refactorisation
-    #: could not repair it.  Distinct from ITERATION_LIMIT so callers retry
-    #: cold instead of treating the solve as a genuine pivot-budget exhaustion.
+    #: The basis went singular / non-finite and reinversion could not repair
+    #: it.  Distinct from ITERATION_LIMIT so callers retry cold instead of
+    #: treating the solve as a genuine pivot-budget exhaustion.
     NUMERICAL_ERROR = "numerical_error"
 
 
@@ -113,12 +115,12 @@ class SimplexBasis:
     :meth:`matches` performs that cheap signature check and consumers fall
     back to a cold solve when it fails.
 
-    ``_factor`` optionally carries a fork of the exporting solve's
-    :class:`~repro.ilp.factor.BasisFactor` so a warm start in the same
-    process skips the O(m³) refactorisation.  It is process-local, derived
-    state: pickling drops it (the receiving solve refactorises from
-    ``basic``), and installers re-verify it against their own matrix before
-    trusting it.
+    ``_factor`` optionally carries a snapshot of the exporting solve's
+    :class:`~repro.ilp.factor.BasisFactor` — a shared reference to its
+    inverse and the count of updates folded into it — so a warm start in the
+    same process skips the reinversion.  It is process-local, derived state:
+    pickling drops it (the receiving solve reinverts from ``basic``), and
+    installers re-verify it against their own matrix before trusting it.
     """
 
     basic: np.ndarray
@@ -137,10 +139,10 @@ class SimplexBasis:
         )
 
     def __getstate__(self) -> dict:
-        """Ship the basis without its process-local factor fork.
+        """Ship the basis without its process-local inverse.
 
-        The LU/eta arrays are cheap to rebuild (one factorisation) and must
-        never cross the worker-pool boundary inside a pickled SolveTask.
+        The inverse is cheap to rebuild (one factorisation) and must never
+        cross the worker-pool boundary inside a pickled SolveTask.
         """
         state = dict(self.__dict__)
         state["_factor"] = None
@@ -159,9 +161,8 @@ class SimplexResult:
         iterations: Total simplex pivots/flips performed (all phases).
         warm_started: Whether the supplied warm-start basis was actually used
             (False when it was rejected and the solver fell back to cold).
-        refactorizations: Fresh LU factorisations computed during the solve
-            (periodic, stability-triggered and install-time ones alike).
-        eta_peak: Longest eta file reached between refactorisations.
+        refactorizations: Reinversions from the basis columns during the
+            solve (periodic, stability-triggered and install-time ones alike).
     """
 
     status: SimplexStatus
@@ -171,7 +172,6 @@ class SimplexResult:
     iterations: int = 0
     warm_started: bool = False
     refactorizations: int = 0
-    eta_peak: int = 0
 
 
 class _WorkMatrix:
@@ -331,7 +331,6 @@ class _BoundedRevisedSimplex:
         self.xb = np.zeros(self.m)
         self.iterations = 0
         self.refactorizations = 0
-        self.eta_peak = 0
         self._bland = False
         self._degenerate_streak = 0
         self._numerical_failure = False
@@ -367,11 +366,11 @@ class _BoundedRevisedSimplex:
         return self.work.a[:, j]
 
     def _ftran(self, j: int) -> np.ndarray:
-        """``B^-1 a_j`` via the factorised basis."""
+        """``B^-1 a_j``."""
         return self.factor.ftran(self._column(j))
 
     def _basis_matrix(self) -> np.ndarray:
-        """Dense copy of the current basis columns (for refactorisation)."""
+        """Dense copy of the current basis columns (for reinversion)."""
         if self.work.sparse:
             return self.work.a_csc[:, self.basis].toarray()
         return self.work.a[:, self.basis]
@@ -418,7 +417,7 @@ class _BoundedRevisedSimplex:
         self.status = status
         self.lower[self.art0 :] = 0.0
         self.upper[self.art0 :] = 0.0
-        # The all-artificial basis matrix is the identity: no LU needed.
+        # The all-artificial basis matrix is the identity, and so its inverse.
         self.factor = BasisFactor.identity(self.m)
         self._compute_xb()
 
@@ -456,12 +455,12 @@ class _BoundedRevisedSimplex:
     def _try_install(self, warm: SimplexBasis) -> bool:
         """Validate and install a warm-start basis; False → caller goes cold.
 
-        When the exported basis carries a factor fork, it is installed
-        directly — the O(m³) refactorisation is skipped — but the residual
-        check below *always* runs: a fork may have been exported against a
-        same-shape form with different coefficients (SketchRefine retries a
-        group against a rebuilt model), and a stale factor would silently
-        corrupt every FTRAN after it.
+        When the exported basis carries its inverse, a snapshot of it is
+        installed directly — the reinversion is skipped — but the residual
+        check below *always* runs: the inverse may have been exported against
+        a same-shape form with different coefficients (SketchRefine retries a
+        group against a rebuilt model) or have drifted over the updates it
+        inherited, and either would silently corrupt every FTRAN after it.
         """
         if not isinstance(warm, SimplexBasis) or not warm.matches(self.n, self.mu, self.me):
             return False
@@ -479,19 +478,19 @@ class _BoundedRevisedSimplex:
         self.basis = basic.copy()
         self.status = status
         donor = warm._factor
-        forked = (
+        inherited = (
             donor is not None
             and donor.matches(self.m)
-            and donor.eta_count < _REFACTOR_INTERVAL
+            and donor.updates < _REFACTOR_INTERVAL
         )
-        if forked:
-            self.factor = donor.fork()
+        if inherited:
+            self.factor = donor.snapshot()
         elif not self._refactorize():
             return False
         if not self._factor_consistent():
-            # Stale carried factor (or a genuinely singular basis): retry from
-            # a fresh factorisation exactly once before rejecting the basis.
-            if not forked:
+            # Stale or drifted inherited inverse (or a genuinely singular
+            # basis): reinvert exactly once before rejecting the basis.
+            if not inherited:
                 return False
             if not self._refactorize() or not self._factor_consistent():
                 return False
@@ -531,9 +530,9 @@ class _BoundedRevisedSimplex:
     def _factor_consistent(self) -> bool:
         """Deterministic residual check: ``ftran(B @ 1)`` must return ones.
 
-        Catches factors exported against a different-coefficient matrix, a
-        wrong column order, and singular bases — without materialising
-        ``B⁻¹ B`` (the O(m³) check the dense-inverse implementation paid).
+        Catches inverses exported against a different-coefficient matrix, a
+        wrong column order, singular bases and an inherited inverse that has
+        drifted from its basis — one product, not the full ``B⁻¹ B``.
         """
         if self.m == 0:
             return True
@@ -788,8 +787,8 @@ class _BoundedRevisedSimplex:
 
             w = self._ftran(q)
             if abs(w[r]) < _PIVOT_EPSILON:
-                # The eta-updated factor disagrees with the priced row; rebuild
-                # it once and let the caller fall back if that does not help.
+                # The updated inverse disagrees with the priced row; rebuild it
+                # once and let the caller fall back if that does not help.
                 if not self._refactorize():
                     return SimplexStatus.NUMERICAL_ERROR
                 self._compute_xb()
@@ -799,7 +798,7 @@ class _BoundedRevisedSimplex:
 
             # Incremental primal update: move the entering column by exactly
             # the amount that lands x_B[r] on its violated bound, then make it
-            # basic there (full recompute only after a refactorisation).
+            # basic there (full recompute only after a reinversion).
             target = self.lower[self.basis[r]] if leaving_below else self.upper[self.basis[r]]
             entering_step = (self.xb[r] - target) / w[r]
             entering_status = self.status[q]
@@ -825,22 +824,19 @@ class _BoundedRevisedSimplex:
     # -- shared machinery -----------------------------------------------------------
 
     def _apply_pivot(self, row: int, entering: int, w: np.ndarray) -> bool:
-        """Swap ``entering`` into the basis at ``row``; True if refactorised.
+        """Swap ``entering`` into the basis at ``row``; True if reinverted.
 
-        The factor normally absorbs the pivot as one O(m) eta.  It refuses
-        numerically untrustworthy pivots (stability trigger) and the eta file
-        is bounded by :data:`_REFACTOR_INTERVAL` (periodic trigger); either
-        way a fresh LU is computed, and a failed refactorisation (singular or
-        non-finite basis) raises the ``_numerical_failure`` flag so the
-        driving loop bails out with NUMERICAL_ERROR instead of iterating on a
-        corrupt factor.
+        The factor normally absorbs the pivot as one rank-one update.  It
+        refuses numerically untrustworthy pivots (stability trigger) and the
+        run of updates is bounded by :data:`_REFACTOR_INTERVAL` (periodic
+        trigger); either way the inverse is rebuilt from the basis columns,
+        and a failed reinversion (singular or non-finite basis) raises the
+        ``_numerical_failure`` flag so the driving loop bails out with
+        NUMERICAL_ERROR instead of iterating on a corrupt inverse.
         """
         self.basis[row] = entering
         self.status[entering] = BASIC
-        updated = self.factor.update(row, w)
-        if updated:
-            self.eta_peak = max(self.eta_peak, self.factor.eta_count)
-        if not updated or self.factor.eta_count >= _REFACTOR_INTERVAL:
+        if not self.factor.update(row, w) or self.factor.updates >= _REFACTOR_INTERVAL:
             if not self._refactorize():
                 self._numerical_failure = True
             return True
@@ -884,30 +880,21 @@ class _BoundedRevisedSimplex:
         if status is not SimplexStatus.OPTIMAL:
             return SimplexResult(
                 status, np.empty(0), float("nan"), None, self.iterations, warm_started,
-                self.refactorizations, self.eta_peak,
+                self.refactorizations,
             )
         x = self._full_solution()
         if not np.all(np.isfinite(x)):
-            # A corrupt basis factor can only produce non-finite values; never
+            # A corrupt basis inverse can only produce non-finite values; never
             # report that as OPTIMAL.
-            return SimplexResult(
-                SimplexStatus.NUMERICAL_ERROR,
-                np.empty(0),
-                float("nan"),
-                None,
-                self.iterations,
-                warm_started,
-                self.refactorizations,
-                self.eta_peak,
-            )
+            return self._result(SimplexStatus.NUMERICAL_ERROR, warm_started)
         objective = float(self.costs[: self.n] @ x[: self.n])
         basis = SimplexBasis(
             self.basis.copy(), self.status.copy(), self.n, self.mu, self.me
         )
         if self.m and self.m <= _FACTOR_EXPORT_LIMIT:
-            # Warm-start protocol over factors: hand consumers an O(eta)
-            # snapshot so a related reoptimisation skips its refactorisation.
-            basis._factor = self.factor.fork()
+            # Warm-start protocol over factors: hand consumers a snapshot so a
+            # related reoptimisation skips its reinversion.
+            basis._factor = self.factor.snapshot()
         return SimplexResult(
             SimplexStatus.OPTIMAL,
             x[: self.n].copy(),
@@ -916,5 +903,4 @@ class _BoundedRevisedSimplex:
             self.iterations,
             warm_started,
             self.refactorizations,
-            self.eta_peak,
         )

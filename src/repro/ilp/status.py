@@ -55,9 +55,8 @@ class SolveStats:
     came back :attr:`SolverStatus.NUMERICAL_ERROR` from a warm start and were
     retried cold.
 
-    ``refactorizations`` counts fresh LU factorisations summed over all LP
-    solves and ``eta_peak`` is the longest eta file any solve reached between
-    refactorisations.
+    ``refactorizations`` counts reinversions of the simplex basis (its
+    explicit inverse rebuilt from the basis columns) summed over all LP solves.
     ``objective_cutoffs`` counts branch-and-bound nodes whose presolve used
     the incumbent objective as a dual bound.
     """
@@ -75,7 +74,6 @@ class SolveStats:
     presolve_ms: float = 0.0
     numerical_retries: int = 0
     refactorizations: int = 0
-    eta_peak: int = 0
     objective_cutoffs: int = 0
 
     @property

@@ -153,15 +153,15 @@ def test_derived_caches_arrive_empty(payload_instances: dict[str, Any]) -> None:
 
 
 def test_basis_factor_drops_on_pickle(payload_instances: dict[str, Any]) -> None:
-    """An exported basis carries its factor fork locally but never pickles it."""
+    """An exported basis carries its inverse locally but never pickles it."""
     form: MatrixForm = payload_instances["MatrixForm"]
     lp = solve_form_simplex(form)
     assert lp.basis is not None
-    assert lp.basis._factor is not None, "small solve should export a factor fork"
+    assert lp.basis._factor is not None, "small solve should export its inverse"
     restored: SimplexBasis = pickle.loads(pickle.dumps(lp.basis))
     assert restored._factor is None
-    # The stripped basis still warm-starts: the installer refactorises from
-    # the basic index set instead of trusting a shipped factor.
+    # The stripped basis still warm-starts: the installer reinverts from the
+    # basic index set instead of trusting a shipped inverse.
     warm = solve_form_simplex(form, warm_start=restored)
     assert warm.warm_started
     assert warm.objective == lp.objective

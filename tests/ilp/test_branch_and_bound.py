@@ -2,7 +2,8 @@
 
 Correctness is checked against brute-force enumeration on small instances,
 including a hypothesis property test over random 0/1 knapsack problems, plus
-targeted tests for statuses, limits and configuration options.
+targeted tests for statuses, limits and configuration options, and for the
+bound and gap a solve reports beside its answer.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.translator import translate_query
 from repro.ilp.branch_and_bound import (
     BranchAndBoundSolver,
     BranchingRule,
@@ -19,6 +21,9 @@ from repro.ilp.branch_and_bound import (
 )
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.status import SolverStatus
+from repro.workloads.galaxy import galaxy_table, galaxy_workload
+
+from .oracle import oracle_ilp
 
 
 def knapsack_model(values, weights, capacity) -> IlpModel:
@@ -182,3 +187,54 @@ class TestLimits:
         assert solution.stats.nodes_explored >= 1
         assert solution.stats.lp_solves >= 1
         assert solution.stats.wall_time_seconds >= 0.0
+
+
+def assert_bound_on_the_right_side(model: IlpModel, bound: float, value: float) -> None:
+    """No solution can be better than ``bound``, so ``value`` is not."""
+    slack = 1e-9 * max(1.0, abs(value))
+    if model.objective.sense is ObjectiveSense.MINIMIZE:
+        assert bound <= value + slack
+    else:
+        assert bound >= value - slack
+
+
+class TestProvenBound:
+    """``stats.best_bound`` is what the tree proved, not the last LP it solved."""
+
+    @pytest.fixture(scope="class")
+    def galaxy_models(self):
+        table = galaxy_table(1_600, seed=42)
+        workload = galaxy_workload(table, seed=42)
+        return {
+            name: translate_query(table, workload.query(name).query).model
+            for name in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
+        }
+
+    @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"])
+    def test_optimal_means_the_gap_is_closed(self, galaxy_models, name):
+        model = galaxy_models[name]
+        limits = SolverLimits()
+        solution = BranchAndBoundSolver(limits=limits).solve(model)
+        assert solution.status is SolverStatus.OPTIMAL
+        assert solution.stats.gap <= limits.relative_gap
+        assert_bound_on_the_right_side(
+            model, solution.stats.best_bound, solution.objective_value
+        )
+
+    @pytest.mark.parametrize("selection", list(NodeSelection))
+    @pytest.mark.parametrize("name", ["Q1", "Q2"])
+    def test_node_limit_bound_covers_the_open_nodes(self, galaxy_models, name, selection):
+        """Q1 maximises and Q2 minimises, and neither closes in five nodes: the
+        optimum may sit under a node still open, so the bound must cover it."""
+        model = galaxy_models[name]
+        solution = BranchAndBoundSolver(
+            limits=SolverLimits(node_limit=5), node_selection=selection
+        ).solve(model)
+        assert solution.status is SolverStatus.FEASIBLE
+        assert_bound_on_the_right_side(
+            model, solution.stats.best_bound, oracle_ilp(model).objective
+        )
+        assert_bound_on_the_right_side(
+            model, solution.stats.best_bound, solution.objective_value
+        )
+        assert solution.stats.gap > 0.0

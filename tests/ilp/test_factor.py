@@ -1,14 +1,14 @@
-"""Property tests for the LU-factorised basis (:mod:`repro.ilp.factor`).
+"""Property tests for the simplex basis inverse (:mod:`repro.ilp.factor`).
 
 The invariants here are what lets the simplex trust FTRAN/BTRAN blindly:
 
-* on a freshly factorised basis, ``ftran``/``btran``/``btran_row`` agree with
-  the explicit inverse to 1e-9,
-* after ``k`` product-form pivot updates the eta-file solves still agree with
-  the explicit inverse of the *updated* basis matrix,
-* forks answer for the basis at fork time, unaffected by later updates on
-  either side, and
-* end to end, simplex solves over the factorised basis land on the HiGHS
+* on a freshly inverted basis, ``ftran``/``btran``/``btran_row`` agree with
+  ``np.linalg.inv`` to 1e-9,
+* after ``k`` rank-one pivot updates the solves still agree with the inverse
+  of the *updated* basis matrix,
+* a snapshot shares the owner's array yet answers for the basis at snapshot
+  time, whichever side pivots afterwards, and
+* end to end, simplex solves over the basis inverse land on the HiGHS
   oracle's objective.
 """
 
@@ -70,10 +70,10 @@ class TestFactorAgreesWithExplicitInverse:
         assert BasisFactor.factorize(bad) is None
 
 
-class TestEtaFileConsistency:
+class TestUpdateConsistency:
     @pytest.mark.parametrize("m,k", [(4, 2), (8, 5), (20, 15), (30, 30)])
     def test_solves_agree_after_k_pivots(self, m: int, k: int) -> None:
-        """After k product-form updates, the factor solves the updated basis."""
+        """After k rank-one updates, the factor solves the updated basis."""
         rng = np.random.default_rng(1000 * m + k)
         basis_matrix = _random_basis(rng, m)
         factor = BasisFactor.factorize(basis_matrix)
@@ -92,7 +92,7 @@ class TestEtaFileConsistency:
             current[:, row] = column
             applied += 1
 
-        assert factor.eta_count == k
+        assert factor.updates == k
         inverse = np.linalg.inv(current)
         v = rng.uniform(-10.0, 10.0, size=m)
         np.testing.assert_allclose(factor.ftran(v), inverse @ v, atol=1e-7)
@@ -105,37 +105,54 @@ class TestEtaFileConsistency:
         assert factor is not None
         w = np.array([1.0, 1e-12, 0.5])
         assert not factor.update(1, w)
-        assert factor.eta_count == 0
+        assert factor.updates == 0
+        np.testing.assert_array_equal(factor.ftran(w), w)
 
-    def test_fork_is_a_point_in_time_snapshot(self) -> None:
+    def test_snapshot_shares_the_array_and_neither_side_disturbs_the_other(self) -> None:
         rng = np.random.default_rng(7)
         m = 6
         basis_matrix = _random_basis(rng, m)
-        factor = BasisFactor.factorize(basis_matrix)
-        assert factor is not None
+        owner = BasisFactor.factorize(basis_matrix)
+        assert owner is not None
         column = rng.uniform(-2.0, 2.0, size=m)
         column[2] += 10.0
-        assert factor.update(2, factor.ftran(column))
+        assert owner.update(2, owner.ftran(column))
 
-        fork = factor.fork()
-        frozen = np.linalg.inv(
-            np.column_stack(
-                [basis_matrix[:, :2], column, basis_matrix[:, 3:]]
-            )
-        )
-        # Advancing the parent does not disturb the fork (and vice versa).
-        column2 = rng.uniform(-2.0, 2.0, size=m)
-        column2[4] += 10.0
-        assert factor.update(4, factor.ftran(column2))
+        snapshot = owner.snapshot()
+        assert np.shares_memory(snapshot.btran_row(0), owner.btran_row(0))
+        assert snapshot.updates == 1  # the count travels with the inverse
+        at_snapshot = np.column_stack([basis_matrix[:, :2], column, basis_matrix[:, 3:]])
         v = rng.uniform(-1.0, 1.0, size=m)
-        np.testing.assert_allclose(fork.ftran(v), frozen @ v, atol=1e-9)
-        assert fork.eta_count == 1
-        assert factor.eta_count == 2
+
+        # The owner pivots on: the snapshot still answers for the old basis.
+        column_owner = rng.uniform(-2.0, 2.0, size=m)
+        column_owner[4] += 10.0
+        assert owner.update(4, owner.ftran(column_owner))
+        np.testing.assert_allclose(snapshot.ftran(v), np.linalg.inv(at_snapshot) @ v, atol=1e-9)
+        np.testing.assert_allclose(snapshot.btran(v), v @ np.linalg.inv(at_snapshot), atol=1e-9)
+
+        # And vice versa: a pivot on the snapshot leaves the owner's basis alone.
+        column_snapshot = rng.uniform(-2.0, 2.0, size=m)
+        column_snapshot[0] += 10.0
+        assert snapshot.update(0, snapshot.ftran(column_snapshot))
+        after_owner = at_snapshot.copy()
+        after_owner[:, 4] = column_owner
+        after_snapshot = at_snapshot.copy()
+        after_snapshot[:, 0] = column_snapshot
+        np.testing.assert_allclose(owner.ftran(v), np.linalg.inv(after_owner) @ v, atol=1e-9)
+        np.testing.assert_allclose(snapshot.ftran(v), np.linalg.inv(after_snapshot) @ v, atol=1e-9)
+        assert (owner.updates, snapshot.updates) == (2, 2)
+
+    def test_a_shared_inverse_cannot_be_written_through_a_row_view(self) -> None:
+        factor = BasisFactor.factorize(_random_basis(np.random.default_rng(3), 4))
+        assert factor is not None
+        with pytest.raises(ValueError):
+            factor.btran_row(1)[0] = 0.0
 
 
 class TestFactorisedSolves:
     def test_random_lps_match_the_oracle(self) -> None:
-        """Solves over the factorised basis land on the oracle's objective."""
+        """Solves over the basis inverse land on the oracle's objective."""
         rng = np.random.default_rng(21)
         for trial in range(8):
             n, mu = 12, 6

@@ -13,6 +13,11 @@ a wrong answer.  Where the two disagree on a status the oracle is asked again
 with HiGHS presolve off (HiGHS presolve has been seen to call a feasible
 ill-scaled instance infeasible).  The number of ``NUMERICAL_ERROR`` seeds per family is
 pinned as a ceiling, so a numerically weaker simplex shows up here.
+
+Those instances are cold solves.  The warm-chain family holds the path a
+branch-and-bound tree takes to the same contract: one instance re-solved 200
+times in a row, each solve warm-started from the basis — and the basis inverse,
+with every rank-one update folded into it so far — that the last one exported.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .oracle import oracle_lp
 
 SEEDS_PER_FAMILY = 420
 OBJECTIVE_TOLERANCE = 1e-6
+WARM_CHAIN_SEEDS = 24
+WARM_CHAIN_STEPS = 200
 
 
 def _shape(rng: np.random.Generator) -> tuple[int, int]:
@@ -120,8 +127,9 @@ FAMILIES = {
     "ill_scaled": ill_scaled,
     "near_infeasible": near_infeasible,
 }
-#: NUMERICAL_ERROR seeds allowed per family: the count measured at this commit
-#: (none in any family; harsher scalings of the same generators reach 2 in 1 500).
+#: NUMERICAL_ERROR seeds allowed per family, and steps per warm chain: the count
+#: measured at this commit (none anywhere; harsher scalings of the same
+#: generators reach 2 in 1 500 cold solves).
 NUMERICAL_ERROR_CEILING = 0
 
 
@@ -135,24 +143,87 @@ def _disagreement(result, reference) -> str | None:
     return None
 
 
+def _oracle_disagreement(result, rows, bounds) -> str | None:
+    reference = oracle_lp(*rows, bounds)
+    if result.status.value != reference.status:
+        reference = oracle_lp(*rows, bounds, presolve=False)
+    return _disagreement(result, reference)
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_simplex_matches_the_oracle_or_says_numerical_error(family):
     generate = FAMILIES[family]
     numerical_errors, wrong = [], []
     for seed in range(SEEDS_PER_FAMILY):
-        c, a_ub, b_ub, a_eq, b_eq, (lower, upper) = generate(np.random.default_rng(seed))
+        *rows, (lower, upper) = generate(np.random.default_rng(seed))
         bounds = np.column_stack([lower, upper])
-        result = solve_dense_simplex(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        result = solve_dense_simplex(*rows, bounds)
         if result.status is SimplexStatus.NUMERICAL_ERROR:
             numerical_errors.append(seed)
             continue
-        reference = oracle_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        if result.status.value != reference.status:
-            reference = oracle_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, presolve=False)
-        mismatch = _disagreement(result, reference)
+        mismatch = _oracle_disagreement(result, rows, bounds)
         if mismatch is not None:
             wrong.append(f"{family} seed {seed}: {mismatch}")
     assert not wrong, "\n".join(wrong)
     assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
         f"{family} NUMERICAL_ERROR seeds: {numerical_errors}"
     )
+
+
+def _branchable(x, lower, upper) -> np.ndarray:
+    """Columns a branch-and-bound node could branch on: fractional and strictly
+    inside their bounds, hence basic — tightening one forces a dual pivot."""
+    fractional = np.abs(x - np.rint(x)) > 1e-6
+    return np.nonzero(fractional & (x > lower + 1e-6) & (x < upper - 1e-6))[0]
+
+
+@pytest.mark.parametrize("seed", range(WARM_CHAIN_SEEDS))
+def test_warm_chain_matches_the_oracle_at_every_step(seed):
+    """A dive with backtracking: tighten one column to the floor or ceiling of
+    the last optimum, or give earlier tightenings back, and re-solve from the
+    last exported basis.  An infeasible step exports none, so the chain carries
+    on from the one before, as a sibling node does."""
+    rng = np.random.default_rng(seed)
+    generate = (paql_shaped, ill_scaled)[seed % 2]
+    while True:  # the first instance of this stream with something to branch on
+        *rows, (lower, upper) = generate(rng)
+        result = solve_dense_simplex(*rows, np.column_stack([lower, upper]))
+        if result.status is SimplexStatus.OPTIMAL and len(_branchable(result.x, lower, upper)):
+            break
+    basis, x = result.basis, result.x
+    refactorizations = result.refactorizations
+    trail: list[tuple[int, float, float]] = []
+    warm_started, numerical_errors, wrong = 0, [], []
+    for step in range(WARM_CHAIN_STEPS):
+        candidates = _branchable(x, lower, upper) if x is not None else ()
+        if len(candidates) and (not trail or rng.random() < 0.7):
+            j = int(rng.choice(candidates))
+            trail.append((j, lower[j], upper[j]))
+            if np.ceil(x[j]) > upper[j] or rng.random() < 0.5:  # no up-branch past a bound
+                upper[j] = np.floor(x[j])
+            else:
+                lower[j] = np.ceil(x[j])
+        else:
+            for _ in range(min(len(trail), int(rng.integers(1, 4)))):
+                j, lower[j], upper[j] = trail.pop()
+        bounds = np.column_stack([lower, upper])
+        result = solve_dense_simplex(*rows, bounds, warm_start=basis)
+        refactorizations += result.refactorizations
+        warm_started += result.warm_started
+        x = None
+        if result.status is SimplexStatus.NUMERICAL_ERROR:
+            numerical_errors.append(step)
+            continue
+        mismatch = _oracle_disagreement(result, rows, bounds)
+        if mismatch is not None:
+            wrong.append(f"seed {seed} step {step}: {mismatch}")
+        if result.status is SimplexStatus.OPTIMAL:
+            basis, x = result.basis, result.x
+    assert not wrong, "\n".join(wrong)
+    assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
+        f"seed {seed} NUMERICAL_ERROR steps: {numerical_errors}"
+    )
+    # The chain must be what it claims: warm, and long enough that the update
+    # count it hands from solve to solve crossed the reinversion interval.
+    assert warm_started >= 0.9 * WARM_CHAIN_STEPS
+    assert refactorizations >= 3

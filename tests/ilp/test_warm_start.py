@@ -118,6 +118,32 @@ class TestWarmStartedReoptimisation:
         assert not result.warm_started
 
 
+    def test_inverse_from_another_matrix_is_caught_by_the_residual_check(self):
+        """A basis carries its solve's inverse; against a same-shape matrix with
+        other coefficients that inverse is wrong, and trusting it would corrupt
+        every FTRAN.  The install-time residual check reinverts instead."""
+        c, a_ub, b_ub, a_eq, b_eq, bounds = _knapsack_lp()
+        donor = solve_dense_simplex(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        assert donor.basis is not None and donor.basis._factor is not None
+        assert donor.refactorizations == 0
+
+        same_matrix = solve_dense_simplex(
+            c, a_ub, b_ub, a_eq, b_eq, bounds, warm_start=donor.basis
+        )
+        assert same_matrix.warm_started
+        assert same_matrix.refactorizations == 0  # the inherited inverse is trusted
+
+        rescaled = a_ub * np.linspace(0.5, 3.0, a_ub.shape[1])
+        warm = solve_dense_simplex(
+            c, rescaled, b_ub, a_eq, b_eq, bounds, warm_start=donor.basis
+        )
+        cold = solve_dense_simplex(c, rescaled, b_ub, a_eq, b_eq, bounds)
+        assert warm.status is SimplexStatus.OPTIMAL
+        assert warm.warm_started
+        assert warm.refactorizations == 1  # ... and the stale one is rebuilt
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
 class TestSimplexEdgeCases:
     def test_beale_degenerate_cycling_example(self):
         """Beale's classic cycling LP: Dantzig pricing cycles, Bland must engage."""
@@ -261,6 +287,9 @@ class TestBranchAndBoundBasisReuse:
         assert warm.status.value == reference.status
         if warm.status is SolverStatus.OPTIMAL:
             assert warm.objective_value == pytest.approx(reference.objective)
+            # A maximisation: the proven bound sits at or above the answer.
+            assert warm.stats.gap <= 1e-9
+            assert warm.stats.best_bound >= warm.objective_value - 1e-9
 
     def test_hit_rate_floor_on_galaxy_q1(self):
         """Galaxy Q1 at 800 rows branches; >= 90 % of its node LPs reoptimise
