@@ -154,6 +154,9 @@ class SketchRefineStats:
     """Constraint rows removed by root presolve, summed over all solves."""
     presolve_ms: float = 0.0
     """Milliseconds spent in root presolve, summed over all solves."""
+    node_propagations: int = 0
+    """Branch-and-bound node bound projections that had to run a propagation
+    pass (some row or the incumbent cutoff could bind), summed over all solves."""
     partitioning_version: int = 0
     """Table version the partitioning this evaluation ran over describes."""
     partitioning_maintenance: dict = field(default_factory=dict)
@@ -705,3 +708,4 @@ class SketchRefineEvaluator:
         self.last_stats.vars_fixed += getattr(stats_obj, "vars_fixed", 0)
         self.last_stats.rows_removed += getattr(stats_obj, "rows_removed", 0)
         self.last_stats.presolve_ms += getattr(stats_obj, "presolve_ms", 0.0)
+        self.last_stats.node_propagations += getattr(stats_obj, "node_propagations", 0)

@@ -43,7 +43,9 @@ rounding, fixed-variable elimination, redundant-row removal).  The reduction
 is computed once and shared by the whole tree: nodes keep their bounds in the
 original variable space, and :meth:`~repro.ilp.presolve.Postsolve
 .reduce_bounds` projects them into the reduced space per node (with one extra
-propagation pass over the branched bounds).  Node LP values and objectives
+propagation pass over the branched bounds when some reduced row, or the
+incumbent's cutoff row, can bind inside them — ``SolveStats
+.node_propagations`` counts those).  Node LP values and objectives
 are expanded back through the postsolve record, exported root bases are
 lifted to the original column space, and caller-supplied root warm starts are
 projected into the reduced space — so presolve is invisible to everything
@@ -247,6 +249,12 @@ class BranchAndBoundSolver:
 
             node = heapq.heappop(heap)
             stats.nodes_explored += 1
+            # A child's relaxation is never better than its parent's: a node
+            # queued before the incumbent improved may be decided already.
+            if incumbent is not None and not self._bound_improves(
+                sense, node.bound, incumbent_value
+            ):
+                continue
 
             # Dual reduction from the incumbent: any solution worth keeping
             # beats (or ties) the incumbent objective, so node presolve may
@@ -268,6 +276,8 @@ class BranchAndBoundSolver:
                 raise SolverError(
                     f"LP relaxation failed numerically at node depth {node.depth}"
                 )
+            if postsolve is not None:
+                stats.node_propagations = postsolve.propagations
             if node.depth == 0 and lp_result.basis is not None:
                 root_basis = (
                     postsolve.restore_basis(lp_result.basis)

@@ -100,10 +100,10 @@ class MatrixForm:
     def __getstate__(self) -> dict:
         """Ship the form without its per-process working caches.
 
-        The ``cache`` dict holds the simplex's assembled working matrix and
-        the LP presolve memo — derived, process-local state that would bloat
-        the pickle and, worse, alias one process's scratch objects into
-        another.  Workers rebuild them on first use.
+        The ``cache`` dict holds the simplex's assembled working matrix —
+        derived, process-local state that would bloat the pickle and, worse,
+        alias one process's scratch objects into another.  Workers rebuild it
+        on first use.
         """
         state = self.__dict__.copy()
         state["cache"] = {}

@@ -45,9 +45,18 @@ reduced-space results back to the original space:
 
 Branch-and-bound presolves the root once and calls
 :meth:`Postsolve.reduce_bounds` per node: branched bounds are intersected
-with the root reduction's tightened bounds and re-propagated for one pass,
-while the reduced constraint matrices (and the simplex working matrix cached
-on the reduced form) stay shared across the whole tree.
+with the root reduction's tightened bounds and, when some row can bind
+inside the node's box, re-propagated for one pass, while the reduced
+constraint matrices (and the simplex working matrix cached on the reduced
+form) stay shared across the whole tree.
+
+**Only rows that can bind are propagated.**  Entry ``j`` of a ``<=`` row with
+slack ``s = b - min-activity`` proposes ``l_j + s / a_ij`` (or ``u_j - s /
+|a_ij|``), an improvement only if ``s < |a_ij| (u_j - l_j)``.  A row whose
+slack is at least its *reach* ``max_j |a_ij| (u_j - l_j)`` tightens nothing,
+so every pass, at the root and per node, first drops such rows
+(:func:`_cannot_bind`); most node projections of a PaQL refine ILP drop them
+all and return the intersected bounds at once.
 """
 
 from __future__ import annotations
@@ -74,6 +83,12 @@ _ROW_TOLERANCE = 1e-9
 _INTEGRALITY_TOLERANCE = 1e-6
 #: Default cap on propagation passes; PaQL models converge in one or two.
 _MAX_PASSES = 8
+#: A row is dropped from a pass only if its slack clears its reach by this
+#: much, relative to the magnitudes summed into the slack: the pass must
+#: provably get nothing from it, so the margin swallows every rounding
+#: difference (~1e-16 relative) between the gate's slack — at a node, root
+#: activity plus the moved columns' deltas — and the pass's own ``bincount``.
+_GATE_MARGIN = 1e-6
 
 
 @dataclass
@@ -130,6 +145,19 @@ class _Rows:
         self.min_act = np.where(self.ninf_min > 0, -np.inf, self.fin_min)
         self.max_act = np.where(self.ninf_max > 0, np.inf, self.fin_max)
 
+    def reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, at the last :meth:`compute_activities`: the widest entry
+        range ``max_j |a_ij| (u_j - l_j)`` and the magnitude (>= 1) of what is
+        summed into the activity.  An infinite reach comes back as NaN, which
+        no slack compares against: one infinite contributor still yields a
+        bound for the other entries, so such a row is never dropped."""
+        reach = np.zeros(self.num_rows)
+        np.maximum.at(reach, self.row, self.tmax - self.tmin)
+        terms = np.maximum(np.abs(self.tmin), np.abs(self.tmax))
+        magnitude = np.bincount(self.row, weights=terms, minlength=self.num_rows)
+        magnitude = np.maximum(np.maximum(magnitude, reach), 1.0)
+        return np.where(np.isfinite(reach), reach, np.nan), magnitude
+
     def residual_min(self) -> np.ndarray:
         """Per entry: the row's minimal activity *excluding* that entry."""
         others_inf = np.where(
@@ -147,6 +175,16 @@ class _Rows:
         return np.where(others_inf, np.inf, finite_part)
 
 
+def _cannot_bind(
+    slack: np.ndarray, reach: np.ndarray, magnitude: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Rows that can tighten no bound: ``slack >= reach``, strictly by
+    :data:`_GATE_MARGIN`; false for a NaN reach or slack.  ``slack`` is ``rhs``
+    minus the minimal activity (the ``>=`` side of an equality row: the maximal
+    activity minus ``rhs``); ``reach`` / ``magnitude`` are :meth:`_Rows.reach`'s."""
+    return slack >= reach + _GATE_MARGIN * np.maximum(magnitude, np.abs(rhs))
+
+
 def _apply_candidates(
     lower: np.ndarray,
     upper: np.ndarray,
@@ -162,18 +200,24 @@ def _apply_candidates(
     """
     tightened = 0
     n = len(lower)
+    # Compare only where a candidate arrived: elsewhere ``best`` is infinite,
+    # and against an infinite bound that is ``inf - inf``.
     if cand_upper is not None and cand_upper.size:
         best = np.full(n, np.inf)
         np.minimum.at(best, cols, cand_upper)
-        improves = best < upper - _TIGHTEN_TOLERANCE * np.maximum(1.0, np.abs(best))
+        reached = np.nonzero(np.isfinite(best))[0]
+        best = best[reached]
+        improves = best < upper[reached] - _TIGHTEN_TOLERANCE * np.maximum(1.0, np.abs(best))
         tightened += int(np.count_nonzero(improves))
-        upper[improves] = best[improves]
+        upper[reached[improves]] = best[improves]
     if cand_lower is not None and cand_lower.size:
         best = np.full(n, -np.inf)
         np.maximum.at(best, cols, cand_lower)
-        improves = best > lower + _TIGHTEN_TOLERANCE * np.maximum(1.0, np.abs(best))
+        reached = np.nonzero(np.isfinite(best))[0]
+        best = best[reached]
+        improves = best > lower[reached] + _TIGHTEN_TOLERANCE * np.maximum(1.0, np.abs(best))
         tightened += int(np.count_nonzero(improves))
-        lower[improves] = best[improves]
+        lower[reached[improves]] = best[improves]
     return tightened
 
 
@@ -240,6 +284,77 @@ def _row_tolerance(rhs: np.ndarray) -> np.ndarray:
     return _ROW_TOLERANCE * np.maximum(1.0, np.abs(rhs))
 
 
+class _BindGate:
+    """Whether any reduced row can bind inside a node's box, without the pass.
+
+    The rows are stacked in ``<=`` form — ``a_ub``, ``a_eq``, ``-a_eq``, then
+    the objective, whose right-hand side is the call's cutoff (an ``identity``
+    reduction re-propagates no row and keeps the objective only).  Activity,
+    reach and magnitude are taken once at the root's tightened bounds: inside
+    a node ranges only shrink, so the root reach stays an upper bound, and the
+    minimal activity is the root's plus what the few moved columns add.
+    """
+
+    __slots__ = ("matrix", "rhs", "root_l", "root_u", "min_act", "reach", "magnitude")
+
+    def __init__(self, postsolve: "Postsolve"):
+        form = postsolve.reduced_form
+        objective = np.asarray(form.c, dtype=np.float64).reshape(1, -1)
+        blocks: list = [objective]
+        rhs: list = [[np.nan]]
+        if not postsolve.identity:
+            blocks = [form.a_ub, form.a_eq, -form.a_eq, objective]
+            rhs = [form.b_ub, form.b_eq, -np.asarray(form.b_eq), [np.nan]]
+        if any(sp.issparse(block) for block in blocks):
+            # Read by column at every node: CSC.
+            self.matrix = sp.vstack([sp.csr_matrix(block) for block in blocks]).tocsc()
+        else:
+            self.matrix = np.vstack(blocks)
+        self.rhs = np.concatenate(rhs)
+        self.root_l, self.root_u = postsolve.tightened_lower, postsolve.tightened_upper
+        rows = _Rows(self.matrix)
+        rows.compute_activities(self.root_l, self.root_u)
+        self.min_act = rows.min_act
+        self.reach, self.magnitude = rows.reach()
+
+    def binds(
+        self, node_l: np.ndarray, node_u: np.ndarray, moved: np.ndarray, cutoff: float,
+        wants_rows: bool,
+    ) -> tuple[bool, bool]:
+        """``(a constraint row can bind, the cutoff row can bind)`` under
+        bounds that differ from the root's on the columns ``moved`` only;
+        ``cutoff`` is ``inf`` when the call offers none.  Fractional bounds
+        count as binding both: even a pass that tightens nothing rounds the
+        integer columns, and the cutoff pass reads what the row pass rounded
+        (the root's bounds are rounded already, branch-and-bound's are
+        integral; other callers' need not be)."""
+        # No node has more slack than the root: a cutoff that binds in the
+        # root's box binds in every node's.  That is a sketch ILP minimising
+        # over group caps up to tau, where the gate would be pure overhead.
+        if not wants_rows and not _cannot_bind(
+            cutoff - self.min_act[-1], self.reach[-1], self.magnitude[-1], cutoff
+        ):
+            return False, True
+        moved_l, moved_u = node_l[moved], node_u[moved]
+        if not ((np.rint(moved_l) == moved_l).all() and (np.rint(moved_u) == moved_u).all()):
+            return True, True
+        columns = self.matrix[:, moved]
+        if sp.issparse(columns):
+            columns = columns.toarray()
+        rhs = self.rhs.copy()
+        rhs[-1] = cutoff
+        # A column unbounded at the root gives inf - inf or 0 * inf here: NaN,
+        # which never compares as "cannot bind".
+        with np.errstate(invalid="ignore"):
+            raised = moved_l - self.root_l[moved]    # >= 0
+            lowered = moved_u - self.root_u[moved]   # <= 0
+            # The larger product is the one the coefficient's sign selects:
+            # what the column adds to the minimal activity.
+            grown = np.maximum(columns * raised, columns * lowered).sum(axis=1)
+            free = _cannot_bind(rhs - self.min_act - grown, self.reach, self.magnitude, rhs)
+        return not free[:-1].all(), not free[-1]
+
+
 @dataclass
 class Postsolve:
     """Everything needed to map reduced-space results back to the original.
@@ -269,6 +384,9 @@ class Postsolve:
         default=None, repr=False, compare=False
     )
     _cutoff_rows: "_Rows | None" = field(default=None, repr=False, compare=False)
+    _bind_gate: "_BindGate | None" = field(default=None, repr=False, compare=False)
+    #: :meth:`reduce_bounds` calls whose row or cutoff pass had to run.
+    propagations: int = field(default=0, repr=False, compare=False)
 
     # -- pickling -----------------------------------------------------------------
 
@@ -276,20 +394,22 @@ class Postsolve:
         """Ship the record without its lazily-built per-node row views.
 
         ``_node_rows`` caches triplet/activity scratch arrays for node-bound
-        propagation and ``_cutoff_rows`` the objective row used for incumbent
-        cutoff reductions; both are derived state, rebuilt on first use in
-        the receiving process (the reduced form's own caches are dropped by
-        :meth:`MatrixForm.__getstate__`).
+        propagation, ``_cutoff_rows`` the objective row used for incumbent
+        cutoff reductions and ``_bind_gate`` what decides whether either runs;
+        all derived state, rebuilt on first use in the receiving process (the
+        reduced form's own caches are dropped by :meth:`MatrixForm.__getstate__`).
         """
         state = self.__dict__.copy()
         state["_node_rows"] = None
         state["_cutoff_rows"] = None
+        state["_bind_gate"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._node_rows = None
         self._cutoff_rows = None
+        self._bind_gate = None
 
     # -- solutions ----------------------------------------------------------------
 
@@ -336,27 +456,46 @@ class Postsolve:
         reduction that fixes non-improving variables as the incumbent
         improves.  Callers must leave enough slack on the cutoff to keep
         equal-objective optima (branch-and-bound adds a relative epsilon).
+
+        A pass runs only if the :class:`_BindGate` cannot prove it would change
+        nothing (the cutoff pass also whenever the row pass ran and may have
+        moved the bounds under it); the result is that of running both.
         """
         reduced_l = np.maximum(self.tightened_lower, lower[self.kept_cols])
         reduced_u = np.minimum(self.tightened_upper, upper[self.kept_cols])
-        if propagate and not self.identity:
-            changed = (reduced_l != self.tightened_lower) | (reduced_u != self.tightened_upper)
-            if changed.any():
-                if self._node_rows is None:
-                    self._node_rows = (
-                        _Rows(self.reduced_form.a_ub),
-                        _Rows(self.reduced_form.a_eq),
-                    )
-                ub_rows, eq_rows = self._node_rows
-                all_ub = np.ones(ub_rows.num_rows, dtype=bool)
-                all_eq = np.ones(eq_rows.num_rows, dtype=bool)
-                ub_rows.compute_activities(reduced_l, reduced_u)
-                _propagate_le(ub_rows, self.reduced_form.b_ub, all_ub, reduced_l, reduced_u)
-                eq_rows.compute_activities(reduced_l, reduced_u)
-                _propagate_le(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
-                _propagate_ge(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
-                _round_integer_bounds(reduced_l, reduced_u, self.integer_mask)
-        if objective_cutoff_min is not None and np.isfinite(objective_cutoff_min):
+        cutoff = np.inf if objective_cutoff_min is None else objective_cutoff_min
+        wants_cutoff = bool(np.isfinite(cutoff))
+        moved = np.nonzero(
+            (reduced_l != self.tightened_lower) | (reduced_u != self.tightened_upper)
+        )[0]
+        # A node at the root's bounds re-propagates no row.
+        wants_rows = propagate and not self.identity and moved.size > 0
+        if not wants_rows and not wants_cutoff:
+            return reduced_l, reduced_u
+
+        if self._bind_gate is None:
+            self._bind_gate = _BindGate(self)
+        rows_bind, cutoff_binds = self._bind_gate.binds(
+            reduced_l, reduced_u, moved, cutoff, wants_rows
+        )
+        run_rows = wants_rows and rows_bind
+        run_cutoff = wants_cutoff and (run_rows or cutoff_binds)
+        if run_rows:
+            if self._node_rows is None:
+                self._node_rows = (
+                    _Rows(self.reduced_form.a_ub),
+                    _Rows(self.reduced_form.a_eq),
+                )
+            ub_rows, eq_rows = self._node_rows
+            all_ub = np.ones(ub_rows.num_rows, dtype=bool)
+            all_eq = np.ones(eq_rows.num_rows, dtype=bool)
+            ub_rows.compute_activities(reduced_l, reduced_u)
+            _propagate_le(ub_rows, self.reduced_form.b_ub, all_ub, reduced_l, reduced_u)
+            eq_rows.compute_activities(reduced_l, reduced_u)
+            _propagate_le(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
+            _propagate_ge(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
+            _round_integer_bounds(reduced_l, reduced_u, self.integer_mask)
+        if run_cutoff:
             if self._cutoff_rows is None:
                 self._cutoff_rows = _Rows(
                     np.asarray(self.reduced_form.c, dtype=np.float64).reshape(1, -1)
@@ -365,12 +504,13 @@ class Postsolve:
             cutoff_row.compute_activities(reduced_l, reduced_u)
             _propagate_le(
                 cutoff_row,
-                np.array([objective_cutoff_min]),
+                np.array([cutoff]),
                 np.ones(1, dtype=bool),
                 reduced_l,
                 reduced_u,
             )
             _round_integer_bounds(reduced_l, reduced_u, self.integer_mask)
+        self.propagations += run_rows or run_cutoff
         return reduced_l, reduced_u
 
     # -- bases --------------------------------------------------------------------
@@ -601,6 +741,7 @@ def presolve_form(
     if np.any(lower > upper + fix_tol):
         return infeasible()
 
+    tightened = -1  # until a pass has run, the activities are not even taken
     for _ in range(max_passes):
         stats.passes += 1
         tightened = 0
@@ -612,7 +753,9 @@ def presolve_form(
         redundant = active_ub & (ub_rows.max_act <= b_ub + ub_tol)
         if redundant.any():
             active_ub[redundant] = False
-        tightened += _propagate_le(ub_rows, b_ub, active_ub, lower, upper)
+        reach, magnitude = ub_rows.reach()
+        binds = ~_cannot_bind(b_ub - ub_rows.min_act, reach, magnitude, b_ub)
+        tightened += _propagate_le(ub_rows, b_ub, active_ub & binds, lower, upper)
 
         eq_rows.compute_activities(lower, upper)
         if np.any(active_eq & (eq_rows.min_act > b_eq + eq_tol)):
@@ -623,8 +766,11 @@ def presolve_form(
         forced = active_eq & (eq_rows.max_act <= b_eq + eq_tol) & (eq_rows.min_act >= b_eq - eq_tol)
         if forced.any():
             active_eq[forced] = False
-        tightened += _propagate_le(eq_rows, b_eq, active_eq, lower, upper)
-        tightened += _propagate_ge(eq_rows, b_eq, active_eq, lower, upper)
+        reach, magnitude = eq_rows.reach()
+        binds = ~_cannot_bind(b_eq - eq_rows.min_act, reach, magnitude, b_eq)
+        tightened += _propagate_le(eq_rows, b_eq, active_eq & binds, lower, upper)
+        binds = ~_cannot_bind(eq_rows.max_act - b_eq, reach, magnitude, b_eq)
+        tightened += _propagate_ge(eq_rows, b_eq, active_eq & binds, lower, upper)
 
         _round_integer_bounds(lower, upper, integer_mask)
         fix_tol = _FIX_TOLERANCE * np.maximum(1.0, np.abs(lower))
@@ -634,17 +780,19 @@ def presolve_form(
         if tightened == 0:
             break
 
-    # One final activity refresh so the redundancy masks reflect the last pass.
-    ub_rows.compute_activities(lower, upper)
-    if np.any(active_ub & (ub_rows.min_act > b_ub + ub_tol)):
-        return infeasible()
-    active_ub &= ~(ub_rows.max_act <= b_ub + ub_tol)
-    eq_rows.compute_activities(lower, upper)
-    if np.any(active_eq & (eq_rows.min_act > b_eq + eq_tol)):
-        return infeasible()
-    if np.any(active_eq & (eq_rows.max_act < b_eq - eq_tol)):
-        return infeasible()
-    active_eq &= ~((eq_rows.max_act <= b_eq + eq_tol) & (eq_rows.min_act >= b_eq - eq_tol))
+    if tightened != 0:
+        # The last pass moved bounds (or none ran): refresh the activities so
+        # the redundancy masks reflect the final bounds.
+        ub_rows.compute_activities(lower, upper)
+        if np.any(active_ub & (ub_rows.min_act > b_ub + ub_tol)):
+            return infeasible()
+        active_ub &= ~(ub_rows.max_act <= b_ub + ub_tol)
+        eq_rows.compute_activities(lower, upper)
+        if np.any(active_eq & (eq_rows.min_act > b_eq + eq_tol)):
+            return infeasible()
+        if np.any(active_eq & (eq_rows.max_act < b_eq - eq_tol)):
+            return infeasible()
+        active_eq &= ~((eq_rows.max_act <= b_eq + eq_tol) & (eq_rows.min_act >= b_eq - eq_tol))
 
     finite = np.isfinite(lower) & np.isfinite(upper)
     span = np.full(n, np.inf)

@@ -57,8 +57,11 @@ class SolveStats:
 
     ``refactorizations`` counts reinversions of the simplex basis (its
     explicit inverse rebuilt from the basis columns) summed over all LP solves.
-    ``objective_cutoffs`` counts branch-and-bound nodes whose presolve used
-    the incumbent objective as a dual bound.
+    ``objective_cutoffs`` counts branch-and-bound nodes whose bound projection
+    was offered the incumbent objective as a dual bound; ``node_propagations``
+    counts the projections whose row or cutoff propagation pass actually ran —
+    on the others no reduced row could bind inside the node's bounds (see
+    :mod:`repro.ilp.presolve`), so the intersected bounds were final.
     """
 
     nodes_explored: int = 0
@@ -75,6 +78,7 @@ class SolveStats:
     numerical_retries: int = 0
     refactorizations: int = 0
     objective_cutoffs: int = 0
+    node_propagations: int = 0
 
     @property
     def warm_start_rate(self) -> float:

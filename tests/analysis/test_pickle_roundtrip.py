@@ -144,6 +144,7 @@ def test_derived_caches_arrive_empty(payload_instances: dict[str, Any]) -> None:
     postsolve: Postsolve = pickle.loads(pickle.dumps(payload_instances["Postsolve"]))
     assert postsolve._node_rows is None
     assert postsolve._cutoff_rows is None
+    assert postsolve._bind_gate is None
 
     # A restored snapshot handle is a detached, self-contained view: the
     # live manager (and through it the whole catalog) never ships.
@@ -168,16 +169,23 @@ def test_basis_factor_drops_on_pickle(payload_instances: dict[str, Any]) -> None
 
 
 def test_cutoff_rows_drop_on_pickle(payload_instances: dict[str, Any]) -> None:
-    """The lazily-built objective-cutoff row never ships with a Postsolve."""
+    """Neither the lazily-built objective-cutoff row nor the gate that decides
+    whether it is propagated ships with a Postsolve."""
     postsolve: Postsolve = payload_instances["Postsolve"]
-    postsolve.reduce_bounds(
+    # The reduced objective ranges over [-19.5, 0] on the root box: a cutoff
+    # of -15 leaves a slack of 4.5 against a reach of 9, so the row binds (a
+    # cutoff far above 0 is proven unable to, and no row would be built).
+    reduced_l, reduced_u = postsolve.reduce_bounds(
         postsolve.orig_lower,
         postsolve.orig_upper,
-        objective_cutoff_min=1e9,
+        objective_cutoff_min=-15.0,
     )
+    assert np.any(reduced_l > postsolve.orig_lower), "the cutoff should have tightened a bound"
     assert postsolve._cutoff_rows is not None, "cutoff propagation should memoize its row"
+    assert postsolve._bind_gate is not None, "the bind gate should be memoized"
     restored: Postsolve = pickle.loads(pickle.dumps(postsolve))
     assert restored._cutoff_rows is None
+    assert restored._bind_gate is None
 
 
 def test_restored_model_solves_identically(payload_instances: dict[str, Any]) -> None:

@@ -8,6 +8,7 @@ import pytest
 from repro.dataset.schema import Column, DataType, Schema
 from repro.dataset.table import Table
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
+from repro.paql.builder import query_over
 from repro.workloads.recipes import recipes_table
 
 
@@ -90,6 +91,30 @@ def _assert_same_ilp(built, reference, rtol: float = 0.0) -> None:
 def assert_same_ilp():
     """Compare a translator-built model with a reference assembled per variable."""
     return _assert_same_ilp
+
+
+def _refine_shaped_query(table: Table, relation: str, cardinality: int):
+    """The benchmark's ``refine_20k`` shape over a Galaxy table: a COUNT
+    equality and two two-sided SUM rows around the table's means, no
+    repetition, so the package straddles many groups and refine has real
+    ILPs to solve."""
+    mean_z = float(np.mean(table.numeric_column("redshift")))
+    mean_mag = float(np.mean(table.numeric_column("petroMag_r")))
+    return (
+        query_over(relation, name=f"refine_c{cardinality}")
+        .no_repetition()
+        .count_equals(cardinality)
+        .sum_between("redshift", 0.7 * mean_z * cardinality, 1.3 * mean_z * cardinality)
+        .sum_between("petroMag_r", 0.9 * mean_mag * cardinality, 1.1 * mean_mag * cardinality)
+        .maximize_sum("petroFlux_r")
+        .build()
+    )
+
+
+@pytest.fixture(scope="session")
+def refine_shaped_query():
+    """``(galaxy table, relation name, cardinality) -> PackageQuery``."""
+    return _refine_shaped_query
 
 
 @pytest.fixture

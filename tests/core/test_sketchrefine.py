@@ -377,3 +377,39 @@ class TestRefineBasisReuse:
         assert evaluator.last_stats.refine_rounds > 1
         assert evaluator._refine_basis
         assert evaluator.last_stats.refine_retry_warm_starts == 0
+
+
+class TestNodePropagationTelemetry:
+    """``node_propagations``: the node bound projections that had to run a
+    propagation pass.  The benchmark's ``refine_20k`` shape at data seed 42 is
+    what the row-slack gate of ``repro.ilp.presolve`` was sized on: a package
+    of 1 000 tuples leaves every refine ILP's rows (and the incumbent cutoff)
+    too slack to bind at any node, a package of 200 does not."""
+
+    @pytest.fixture(scope="class")
+    def refine_stats(self, refine_shaped_query):
+        """``cardinality -> SketchRefineStats`` on the benchmark's table and partitioning."""
+        from repro.core.engine import PackageQueryEngine
+
+        table = galaxy_table(20_000, seed=42)
+        engine = PackageQueryEngine()
+        engine.register_table(table, name="galaxy")
+        engine.build_partitioning(
+            "galaxy", ["petroMag_r", "redshift", "petroFlux_r"], size_threshold=250
+        )
+
+        def stats(cardinality: int):
+            query = refine_shaped_query(table, "galaxy", cardinality)
+            result = engine.execute(query, method="sketchrefine", cache="bypass")
+            return result.details["sketchrefine_stats"]
+
+        return stats
+
+    def test_a_thousand_tuple_package_propagates_at_no_node(self, refine_stats):
+        stats = refine_stats(1_000)
+        assert stats.solver_lp_solves > 100, "the refine trees should branch"
+        assert stats.node_propagations == 0
+
+    def test_a_two_hundred_tuple_package_propagates_at_some(self, refine_stats):
+        stats = refine_stats(200)
+        assert 1 <= stats.node_propagations < stats.solver_lp_solves

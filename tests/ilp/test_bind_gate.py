@@ -1,0 +1,316 @@
+"""The row-slack gate of ``repro.ilp.presolve`` changes no output bit.
+
+``presolve_form`` and ``Postsolve.reduce_bounds`` leave a row out of a
+propagation pass when its slack is at least its reach, and skip the pass when
+no row is left.  ``tests/ilp/reference_presolve.py`` keeps the ungated code of
+the parent commit; here the two are run side by side on seeded instances —
+the fuzz families of ``test_lp_fuzz.py`` and the refine ILPs SKETCHREFINE
+builds on a Galaxy table, dense and forced into CSR — along random branch
+paths, with cutoffs from "cannot bind" to "fixes half the columns", unbounded
+columns, fractional bounds on integer columns, and the knife edge where slack
+equals reach.  Node bounds must be ``np.array_equal``; root reductions must
+agree field by field.  Every gated call runs with warnings as errors.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+from scipy import sparse as sp
+
+from repro.core.engine import PackageQueryEngine
+from repro.core.sketchrefine import PartitionedQuery
+from repro.ilp.matrix_form import MatrixForm
+from repro.ilp.presolve import _round_integer_bounds, presolve_form
+from repro.workloads.galaxy import galaxy_table
+
+from .reference_presolve import reference_presolve_form, reference_reduce_bounds
+from .test_lp_fuzz import near_infeasible, paql_shaped, tie_heavy
+
+FAMILIES = {"paql_shaped": paql_shaped, "tie_heavy": tie_heavy, "near_infeasible": near_infeasible}
+SEEDS_PER_FAMILY = 30
+PATHS_PER_INSTANCE = 2
+MAX_DEPTH = 30
+
+
+class Tally:
+    """What the instances exercised, so an all-skip or all-run corpus fails."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.skipped = 0         # the gate proved no pass could tighten anything
+        self.rows_tightened = 0  # no cutoff offered, and the row pass moved a bound
+        self.cutoff_tightened = 0  # the cutoff pass moved a bound the row pass had not
+        self.halved = 0          # ... at least a quarter of the columns' bounds
+        self.unbounded = 0       # calls on a reduction with an infinite root bound
+        self.fractional = 0      # calls whose bounds were fractional on an integer column
+
+
+def _form(c, a_ub, b_ub, a_eq, b_eq, bounds, sparse: bool) -> MatrixForm:
+    lower, upper = bounds
+    form = MatrixForm(
+        c=np.asarray(c, dtype=np.float64), a_ub=a_ub, b_ub=np.asarray(b_ub, dtype=np.float64),
+        a_eq=a_eq, b_eq=np.asarray(b_eq, dtype=np.float64),
+        bounds=(lower.copy(), upper.copy()), maximize=False,
+    )
+    return _as_csr(form) if sparse else form
+
+
+def _as_csr(form: MatrixForm) -> MatrixForm:
+    """The same form forced into CSR storage (these are all below the size
+    at which ``to_matrix`` would choose it)."""
+    lower, upper = form.bound_arrays()
+    return MatrixForm(
+        c=form.c, a_ub=sp.csr_matrix(form.a_ub), b_ub=form.b_ub,
+        a_eq=sp.csr_matrix(form.a_eq), b_eq=form.b_eq,
+        bounds=(lower.copy(), upper.copy()), maximize=form.maximize,
+    )
+
+
+def assert_same_root(form: MatrixForm, integer_mask, max_passes: int | None = None):
+    """Gated and reference ``presolve_form`` agree field by field; returns the
+    gated postsolve record (``None`` when the root is infeasible)."""
+    extra = {} if max_passes is None else {"max_passes": max_passes}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = presolve_form(form, integer_mask=integer_mask, **extra)
+    ref = reference_presolve_form(form, integer_mask=integer_mask, **extra)
+    assert got.feasible == ref.feasible
+    for name in ("vars_fixed", "rows_removed", "bounds_tightened", "passes"):
+        assert getattr(got.stats, name) == getattr(ref.stats, name), name
+    if not ref.feasible:
+        assert got.form is None and got.postsolve is None
+        return None
+    assert (got.form is form) == (ref.form is form)
+    assert got.postsolve.identity == ref.postsolve.identity
+    for name in ("kept_cols", "kept_ub_rows", "kept_eq_rows", "fixed_values",
+                 "tightened_lower", "tightened_upper"):
+        assert np.array_equal(getattr(got.postsolve, name), getattr(ref.postsolve, name)), name
+    assert np.array_equal(got.form.b_ub, ref.form.b_ub)
+    assert np.array_equal(got.form.b_eq, ref.form.b_eq)
+    return got.postsolve
+
+
+def _cutoffs(rng, postsolve, lower, upper) -> list:
+    """No cutoff, cutoffs that cannot bind, and three at a chosen slack above
+    the least objective value of the node's box: a slack between the ranges
+    ``|c_j| (u_j - l_j)`` of two columns tightens the columns above it."""
+    reduced_l = np.maximum(postsolve.tightened_lower, lower[postsolve.kept_cols])
+    reduced_u = np.minimum(postsolve.tightened_upper, upper[postsolve.kept_cols])
+    c = postsolve.reduced_form.c
+    with np.errstate(invalid="ignore"):
+        least = np.where(c > 0, c * reduced_l, np.where(c < 0, c * reduced_u, 0.0)).sum()
+        ranges = np.abs(c) * (reduced_u - reduced_l)
+    ranges = np.sort(ranges[np.isfinite(ranges) & (ranges > 0)])
+    if not np.isfinite(least) or not ranges.size:
+        least, ranges = -50.0, np.array([1.0, 2.0, 5.0])
+    reach = ranges[-1]
+    slacks = [
+        -0.1 * reach, 0.0, float(np.quantile(ranges, 0.25)), float(np.median(ranges)),
+        float(np.quantile(ranges, 0.9)), reach, reach * (1.0 + 1e-7), 1.5 * reach, ranges.sum(),
+    ]
+    picked = rng.choice(len(slacks), size=3, replace=False)
+    return [None, np.inf, 1e9] + [float(least) + slacks[i] for i in picked]
+
+
+def _le_rows(form: MatrixForm) -> np.ndarray:
+    """Every constraint as a dense ``<=`` row (an equality is two)."""
+    a_ub, a_eq = (m.toarray() if sp.issparse(m) else np.asarray(m) for m in (form.a_ub, form.a_eq))
+    return np.vstack([a_ub, a_eq, -a_eq])
+
+
+def assert_same_nodes(rng, postsolve, form, integer_mask, tally: Tally) -> None:
+    """Random branch paths from the root; every prefix is a node, the root's
+    own bounds (where only a cutoff can ask for a pass) included.  Each path
+    leans on one constraint row — seven branches in ten move a column of that
+    row the way that uses up its slack — so that rows do come to bind."""
+    orig_lower, orig_upper = form.bound_arrays()
+    le_rows = _le_rows(form)
+    n = len(orig_lower)
+    unbounded = not (
+        np.isfinite(postsolve.tightened_lower).all() and np.isfinite(postsolve.tightened_upper).all()
+    )
+    root_l = orig_lower.copy()
+    root_u = orig_upper.copy()
+    root_l[postsolve.kept_cols] = postsolve.tightened_lower
+    root_u[postsolve.kept_cols] = postsolve.tightened_upper
+    for _ in range(PATHS_PER_INSTANCE):
+        lower, upper = orig_lower.copy(), orig_upper.copy()
+        fractional = False
+        leaned_on = le_rows[int(rng.integers(len(le_rows)))] if len(le_rows) else np.zeros(n)
+        for depth in range(int(rng.integers(1, MAX_DEPTH + 1)) + 1):
+            if depth:  # depth 0 is the root's own bounds
+                j = int(rng.integers(n))
+                up = rng.random() < 0.5
+                if rng.random() < 0.7 and np.any(leaned_on):
+                    j = int(rng.choice(np.nonzero(leaned_on)[0]))
+                    up = leaned_on[j] > 0
+                low = max(lower[j], root_l[j])
+                high = min(upper[j], root_u[j])
+                low = low if np.isfinite(low) else -3.0
+                high = high if np.isfinite(high) else low + 5.0
+                value = np.floor(rng.uniform(low, max(low, high)))
+                if rng.random() < 0.03:     # a caller that is not branch-and-bound
+                    value += 0.5
+                    fractional = fractional or bool(integer_mask is not None and integer_mask[j])
+                if up and value + 1.0 <= high:
+                    lower[j] = value + 1.0
+                else:
+                    upper[j] = value
+            propagate = rng.random() < 0.9
+            plain_l = np.maximum(postsolve.tightened_lower, lower[postsolve.kept_cols])
+            plain_u = np.minimum(postsolve.tightened_upper, upper[postsolve.kept_cols])
+            _round_integer_bounds(plain_l, plain_u, postsolve.integer_mask)
+            rows_l, rows_u = reference_reduce_bounds(postsolve, lower, upper, propagate=propagate)
+            for cutoff in _cutoffs(rng, postsolve, lower, upper):
+                before = postsolve.propagations
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got_l, got_u = postsolve.reduce_bounds(
+                        lower, upper, propagate=propagate, objective_cutoff_min=cutoff
+                    )
+                ref_l, ref_u = reference_reduce_bounds(
+                    postsolve, lower, upper, propagate=propagate, objective_cutoff_min=cutoff
+                )
+                assert np.array_equal(got_l, ref_l), (cutoff, propagate)
+                assert np.array_equal(got_u, ref_u), (cutoff, propagate)
+                tally.calls += 1
+                tally.skipped += postsolve.propagations == before
+                tally.unbounded += unbounded
+                tally.fractional += fractional
+                if cutoff is None:
+                    tally.rows_tightened += not (
+                        np.array_equal(ref_l, plain_l) and np.array_equal(ref_u, plain_u)
+                    )
+                else:
+                    moved = np.count_nonzero(ref_l != rows_l) + np.count_nonzero(ref_u != rows_u)
+                    tally.cutoff_tightened += moved > 0
+                    tally.halved += moved >= len(ref_l) / 4
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_gated_propagation_equals_the_reference_on_fuzz_forms(family, sparse):
+    tally = Tally()
+    for seed in range(SEEDS_PER_FAMILY):
+        rng = np.random.default_rng([seed, sparse])
+        *rows, (lower, upper) = FAMILIES[family](np.random.default_rng(seed))
+        form = _form(*rows, (lower, upper), sparse)
+        n = form.num_variables
+        # All-integer (PaQL's case), mixed, and pure LP.
+        integer_mask = (np.ones(n, dtype=bool), rng.random(n) < 0.7, None)[seed % 3]
+        postsolve = assert_same_root(form, integer_mask)
+        if seed % 5 == 0:  # a pass budget that runs out: the final refresh must run
+            assert_same_root(form, integer_mask, max_passes=1)
+            assert_same_root(form, integer_mask, max_passes=0)
+        if postsolve is not None and postsolve.num_reduced_vars:
+            assert_same_nodes(rng, postsolve, form, integer_mask, tally)
+    # The corpus sits on both sides of the gate, and the passes that ran mattered.
+    assert tally.calls > 1_000
+    assert tally.skipped > tally.calls // 10
+    assert tally.calls - tally.skipped > tally.calls // 10
+    # near_infeasible roots only ever tighten bounds: an ``identity`` reduction,
+    # whose nodes get the cutoff row and no other.
+    assert tally.rows_tightened > 20 or family == "near_infeasible"
+    assert tally.cutoff_tightened > tally.calls // 20
+    assert tally.halved > 20
+    assert tally.fractional > 100
+    if family == "tie_heavy":
+        assert tally.unbounded > 100
+
+
+@pytest.fixture(scope="module")
+def galaxy_refine_models(refine_shaped_query):
+    """Refine ILPs over the largest groups of a Galaxy partitioning: one
+    group's tuples as 0/1 columns under a COUNT equality and two two-sided SUM
+    rows, the rest of the package standing at the table's means."""
+    table = galaxy_table(2_400, seed=42)
+    engine = PackageQueryEngine()
+    engine.register_table(table, name="galaxy")
+    partitioning = engine.build_partitioning(
+        "galaxy", ["petroMag_r", "redshift", "petroFlux_r"], size_threshold=250
+    )
+    cardinality = 300
+    query = refine_shaped_query(table, "galaxy", cardinality)
+    problem = PartitionedQuery.build(table, query, partitioning)
+    largest = sorted(problem.eligible_groups, key=lambda gid: -len(problem.groups[gid]))[:6]
+    models = []
+    # The group's share of the package: a few tuples (its COUNT row binds a
+    # few branches down, the regime of the benchmark's c200) up to a third.
+    for gid, share in zip(largest, (2, 4, 8, 16, 32, 64)):
+        fixed = (cardinality - share) * problem.linearisation.constraint_matrix.mean(axis=1)
+        models.append(problem.refine_model(gid, fixed))
+    return models
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_gated_propagation_equals_the_reference_on_galaxy_refine_models(galaxy_refine_models, sparse):
+    tally = Tally()
+    for index, model in enumerate(galaxy_refine_models):
+        rng = np.random.default_rng([index, sparse])
+        form = model.to_matrix()
+        if sparse:
+            form = _as_csr(form)
+        integer_mask = model.bound_and_integrality_arrays()[2]
+        postsolve = assert_same_root(form, integer_mask)
+        assert postsolve is not None
+        assert_same_nodes(rng, postsolve, form, integer_mask, tally)
+    assert tally.skipped > tally.calls // 10
+    assert tally.calls - tally.skipped > tally.calls // 10
+    assert tally.rows_tightened > 20
+    assert tally.cutoff_tightened > tally.calls // 20
+    assert tally.halved > 20
+
+
+def _count_row_form(num_columns: int, count: float, sparse: bool) -> MatrixForm:
+    """``sum(x) <= count`` over 0/1 columns, a second row so presolve keeps a
+    genuine reduction (one column is fixed by its bounds), objective ``-x``."""
+    a_ub = np.vstack([np.ones(num_columns), np.arange(1.0, num_columns + 1.0)])
+    b_ub = np.array([count, 1e6])
+    upper = np.ones(num_columns)
+    upper[-1] = 0.0
+    rows = (-np.ones(num_columns), a_ub, b_ub, np.empty((0, num_columns)), np.empty(0))
+    return _form(*rows, (np.zeros(num_columns), upper), sparse)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_slack_equal_to_reach_is_not_skipped(sparse):
+    """A COUNT row one short of full: slack exactly 1.0, reach exactly 1.0.
+    The gate skips only beyond its margin, so the pass runs — and agrees."""
+    form = _count_row_form(8, 4.0, sparse)
+    integer_mask = np.ones(8, dtype=bool)
+    postsolve = assert_same_root(form, integer_mask)
+    assert postsolve is not None and not postsolve.identity
+    lower, upper = form.bound_arrays()
+    lower[:3] = 1.0   # three columns branched up: min-activity 3, slack 1 == reach
+    ran = postsolve.propagations
+    got = postsolve.reduce_bounds(lower, upper)
+    ref = reference_reduce_bounds(postsolve, lower, upper)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert postsolve.propagations == ran + 1, "slack == reach must not count as 'cannot bind'"
+
+    lower[3] = 1.0    # four up: slack 0, every other column is fixed to 0
+    got = postsolve.reduce_bounds(lower, upper)
+    ref = reference_reduce_bounds(postsolve, lower, upper)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert got[1].sum() == 4.0
+
+    lower[:] = 0.0
+    lower[:2] = 1.0   # two up: slack 2 clears the reach, nothing to do
+    ran = postsolve.propagations
+    got = postsolve.reduce_bounds(lower, upper)
+    ref = reference_reduce_bounds(postsolve, lower, upper)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert postsolve.propagations == ran
+
+
+def test_root_row_with_slack_equal_to_reach_is_still_propagated():
+    """At the root the same knife edge: ``x + y <= 3`` over ``[0, 3]^2`` has
+    slack 3 and reach 3; ``2x + y <= 3`` has reach 6 and halves ``x``."""
+    for a_ub in (np.array([[1.0, 1.0]]), np.array([[2.0, 1.0]])):
+        rows = (np.array([-1.0, -1.0]), a_ub, np.array([3.0]), np.empty((0, 2)), np.empty(0))
+        form = _form(*rows, (np.zeros(2), np.full(2, 3.0)), sparse=False)
+        assert_same_root(form, np.ones(2, dtype=bool))
+        assert_same_root(form, None)

@@ -238,3 +238,29 @@ class TestProvenBound:
             model, solution.stats.best_bound, solution.objective_value
         )
         assert solution.stats.gap > 0.0
+
+
+class TestInheritedBound:
+    """A node queued before the incumbent improved may already be decided by
+    the bound it inherited from its parent: it is counted, not solved."""
+
+    @pytest.mark.parametrize("selection", list(NodeSelection))
+    def test_decided_nodes_are_dropped_without_an_lp(self, selection):
+        dropped = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            values = rng.integers(10, 100, 25).tolist()
+            weights = rng.integers(5, 50, 25).tolist()
+            model = knapsack_model(values, weights, int(0.4 * sum(weights)))
+            solution = BranchAndBoundSolver(
+                limits=SolverLimits(relative_gap=1e-9), node_selection=selection
+            ).solve(model)
+            reference = oracle_ilp(model)
+            assert solution.status.value == reference.status == "optimal"
+            assert solution.objective_value == pytest.approx(reference.objective)
+            assert solution.stats.lp_solves <= solution.stats.nodes_explored
+            dropped += solution.stats.nodes_explored - solution.stats.lp_solves
+        # Best-bound search pops the nodes the final incumbent decided; a
+        # depth-first dive on these instances happens to leave none behind.
+        if selection is NodeSelection.BEST_BOUND:
+            assert dropped > 0
