@@ -122,9 +122,11 @@ class PickleSafetyChecker(Checker):
         "payload_classes": {
             "SolveTask": [],
             "SolveTaskResult": [],
-            "IlpModel": ["_lower", "_upper", "_integer", "_names"],
-            "Constraint": [],
-            "Objective": [],
+            "IlpModel": [
+                "_lower", "_upper", "_integer", "_names",
+                "_rows", "_senses", "_rhs", "_row_names",
+                "_objective", "_objective_sense",
+            ],
             "MatrixForm": [],
             "Postsolve": [],
             "SimplexBasis": [],

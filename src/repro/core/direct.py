@@ -43,11 +43,7 @@ class DirectStats:
     num_variables: int = 0
     num_constraints: int = 0
     constraint_nnz: int = 0
-    """Structural non-zeros of the translated constraint matrix."""
-    constraint_storage_bytes: int = 0
-    """Bytes held by the matrix-form constraint storage (CSR or dense)."""
-    matrix_is_sparse: bool = False
-    """Whether the matrix form chose CSR storage over the dense fallback."""
+    """Non-zero coefficients of the translated constraint matrix."""
     vars_fixed: int = 0
     """Columns eliminated by the solver's root presolve (0 when disabled)."""
     rows_removed: int = 0
@@ -82,8 +78,7 @@ class DirectEvaluator:
         start = time.perf_counter()
         translation = translate_query(table, query)
         # Exporting the matrix form here is free for the solver (the export is
-        # memoized on the model) and lets the stats report the storage the
-        # solve actually used.
+        # memoized on the model) and counts it as translation time.
         form = translation.model.to_matrix()
         translated_at = time.perf_counter()
 
@@ -98,8 +93,6 @@ class DirectEvaluator:
             num_variables=translation.num_variables,
             num_constraints=translation.model.num_constraints,
             constraint_nnz=form.nnz,
-            constraint_storage_bytes=form.constraint_storage_bytes(),
-            matrix_is_sparse=form.is_sparse,
             vars_fixed=getattr(solve_stats, "vars_fixed", 0),
             rows_removed=getattr(solve_stats, "rows_removed", 0),
             presolve_ms=getattr(solve_stats, "presolve_ms", 0.0),

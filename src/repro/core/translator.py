@@ -27,8 +27,9 @@ turns a linearisation plus an upper-bound vector (rule 1) into an
 the same linearisation reduced to per-group means
 (:meth:`Linearisation.group_means`, the sketch) or sliced to one group with
 residual right-hand sides (:meth:`Linearisation.take`, a refine query), and
-the false-infeasibility probe builds the sketch again.  Columns reach the
-model as arrays: nothing here runs once per tuple.
+the false-infeasibility probe builds the sketch again.  Columns and rows
+reach the model as arrays — the coefficient matrix built here is the one the
+model keeps — and nothing here runs once per tuple.
 """
 
 from __future__ import annotations
@@ -196,24 +197,19 @@ def build_model(linearisation: Linearisation, upper: np.ndarray | float, name: s
     """Turn a linearisation and per-column upper bounds into an ILP.
 
     Columns are integer with lower bound 0; ``upper`` is one bound per column
-    or a single bound for all of them.  Constraint rows and the objective go
-    in as (index, value) triplets of their non-zero coefficients.
+    or a single bound for all of them.  The model takes the linearisation's
+    coefficient matrix and objective vector over as they are.
     """
     model = IlpModel(name=name)
     num_columns = linearisation.num_columns
     model.add_variables(np.zeros(num_columns), np.broadcast_to(upper, (num_columns,)))
-    for coefficients, sense, rhs, row_name in zip(
+    model.add_constraints(
         linearisation.constraint_matrix,
         linearisation.senses,
         linearisation.rhs,
         linearisation.names,
-    ):
-        nonzero = np.nonzero(coefficients)[0]
-        model.add_constraint_arrays(nonzero, coefficients[nonzero], sense, rhs, name=row_name)
-    nonzero = np.nonzero(linearisation.objective)[0]
-    model.set_objective_arrays(
-        linearisation.objective_sense, nonzero, linearisation.objective[nonzero]
     )
+    model.set_objective_vector(linearisation.objective_sense, linearisation.objective)
     return model
 
 

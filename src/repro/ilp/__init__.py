@@ -3,8 +3,8 @@
 The paper uses IBM CPLEX as a black-box ILP solver.  This subpackage provides
 an equivalent black box implemented from scratch:
 
-* :class:`~repro.ilp.model.IlpModel` — a sparse-friendly model of variables,
-  linear constraints, bounds and a linear objective,
+* :class:`~repro.ilp.model.IlpModel` — a model of variables, linear
+  constraints, bounds and a linear objective, stored as arrays,
 * :mod:`~repro.ilp.lp_backend` — LP relaxation solving through the
   bounded-variable revised simplex of :mod:`~repro.ilp.simplex`, with
   warm-started (dual) reoptimisation from an exported basis,

@@ -15,7 +15,7 @@ depth-first option for memory-constrained runs.  A rounding heuristic tries
 to convert fractional relaxations into incumbents early, which greatly speeds
 up the package-query instances (0/1-style multiplicity variables).
 
-**Basis reuse.**  The model is exported to its (sparse-first)
+**Basis reuse.**  The model is exported to its
 :class:`~repro.ilp.matrix_form.MatrixForm` exactly once per solve (and the
 model itself memoizes that export); every node shares the same objective and
 constraint buffers and differs only in its bounds vectors, materialised via

@@ -37,7 +37,7 @@ def find_iis(model: IlpModel) -> list[str]:
     index = 0
     while index < len(keep):
         candidate = keep[:index] + keep[index + 1 :]
-        if not _subset_feasible(model, candidate):
+        if not _relaxation_feasible(model.subset(candidate)):
             # Still infeasible without this constraint: drop it permanently.
             keep.pop(index)
         else:
@@ -45,38 +45,5 @@ def find_iis(model: IlpModel) -> list[str]:
     return [model.constraints[i].name for i in keep]
 
 
-def constraint_columns(model: IlpModel, constraint_names: list[str]) -> set[int]:
-    """Return the set of variable indices referenced by the named constraints.
-
-    Used by the false-infeasibility mitigation to decide which partitioning
-    attributes participate in the conflicting constraints.
-    """
-    names = set(constraint_names)
-    columns: set[int] = set()
-    for constraint in model.constraints:
-        if constraint.name in names:
-            columns.update(constraint.indices.tolist())
-    return columns
-
-
 def _relaxation_feasible(model: IlpModel) -> bool:
     return solve_lp(model).status is not SolverStatus.INFEASIBLE
-
-
-def _subset_feasible(model: IlpModel, constraint_indices: list[int]) -> bool:
-    # Probe models are rebuilt through the coefficient-triplet fast path
-    # (sharing the source constraints' index/value arrays), not by
-    # materialising per-constraint dicts: the deletion filter builds O(m)
-    # probes, so dict round-trips would make it quadratic in nnz.
-    subset = IlpModel(name=f"{model.name}_iis_probe")
-    subset.add_variables(*model.bound_and_integrality_arrays())
-    for i in constraint_indices:
-        constraint = model.constraints[i]
-        subset.add_constraint_arrays(
-            constraint.indices, constraint.values, constraint.sense, constraint.rhs,
-            name=constraint.name,
-        )
-    subset.set_objective_arrays(
-        model.objective.sense, model.objective.indices, model.objective.values
-    )
-    return _relaxation_feasible(subset)

@@ -6,19 +6,9 @@ objective vector, the ``A_ub x <= b_ub`` / ``A_eq x = b_eq`` constraint
 matrices and the variable bounds — always a ``(lower, upper)`` pair of
 arrays, the model's own column arrays at export.
 
-Storage is *sparse-first*: constraint matrices are ``scipy.sparse`` CSR
-(``data`` / ``indices`` / ``indptr`` arrays) assembled in O(nnz) from the
-model's per-constraint coefficient arrays.  Two situations fall back to plain
-dense ``numpy`` arrays:
-
-* tiny models (fewer than :data:`DENSE_FALLBACK_ENTRIES` matrix entries),
-  where per-call ``scipy.sparse`` overhead dominates any storage saving, and
-* very dense matrices, where CSR's index arrays would make the sparse copy
-  *larger* than the dense one (package-query COUNT/SUM rows are often fully
-  dense; a CSR entry costs 12 bytes against 8 for a dense cell).
-
-Both representations expose the same interface, so consumers never branch on
-the storage kind except through :attr:`MatrixForm.is_sparse`.
+The constraint matrices are dense ``numpy`` arrays, the storage the model
+keeps its rows in (see :mod:`repro.ilp.model`); anything else is rejected at
+construction, so no consumer checks or branches on a storage kind.
 
 The form is immutable once built and is designed for structural sharing:
 :meth:`with_bounds` derives a per-node view for branch-and-bound that shares
@@ -32,34 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse as sp
 
-#: Below this many matrix entries (rows x cols) the dense fallback is used
-#: unconditionally: every package-query refine ILP and most unit-test models
-#: live here, and dense numpy beats scipy.sparse on per-call overhead.
-DENSE_FALLBACK_ENTRIES = 16_384
-
-#: Approximate bytes per stored CSR entry (float64 value + int32 column
-#: index); used to decide whether the sparse copy would actually be smaller.
-_CSR_BYTES_PER_ENTRY = 12
-_DENSE_BYTES_PER_ENTRY = 8
-
-
-def choose_sparse(num_entries: int, nnz: int) -> bool:
-    """Whether CSR storage is worthwhile for a matrix of the given shape.
-
-    Sparse wins when the matrix is big enough to matter *and* the CSR copy is
-    genuinely smaller than the dense one.
-    """
-    if num_entries <= DENSE_FALLBACK_ENTRIES:
-        return False
-    return nnz * _CSR_BYTES_PER_ENTRY < num_entries * _DENSE_BYTES_PER_ENTRY
-
-
-def _matrix_bytes(matrix) -> int:
-    if sp.issparse(matrix):
-        return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    return matrix.nbytes
+from repro.errors import SolverError
 
 
 @dataclass
@@ -68,11 +32,10 @@ class MatrixForm:
 
     Attributes:
         c: Objective vector (already negated for maximisation models).
-        a_ub: ``<=`` constraint matrix — ``scipy.sparse.csr_matrix`` or a
-            dense ``ndarray`` (see module docstring for the fallback policy).
-            GE model constraints appear negated here.
+        a_ub: ``<=`` constraint matrix, a 2-D float ``ndarray`` with one
+            column per variable.  GE model constraints appear negated here.
         b_ub: Right-hand sides of the ``<=`` rows.
-        a_eq: Equality constraint matrix (same storage policy as ``a_ub``).
+        a_eq: Equality constraint matrix (same type and width as ``a_ub``).
         b_eq: Right-hand sides of the equality rows.
         bounds: The ``(lower_array, upper_array)`` pair, ``±inf`` meaning
             unbounded.  :meth:`~repro.ilp.model.IlpModel.to_matrix` hands
@@ -87,13 +50,30 @@ class MatrixForm:
     """
 
     c: np.ndarray
-    a_ub: "sp.csr_matrix | np.ndarray"
+    a_ub: np.ndarray
     b_ub: np.ndarray
-    a_eq: "sp.csr_matrix | np.ndarray"
+    a_eq: np.ndarray
     b_eq: np.ndarray
     bounds: tuple[np.ndarray, np.ndarray]
     maximize: bool
     cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The solvers index and multiply these as arrays, and ``np.asarray``
+        # of a sparse-matrix object, say, is a 0-d object array.
+        for name in ("a_ub", "a_eq"):
+            matrix = getattr(self, name)
+            if not (
+                isinstance(matrix, np.ndarray)
+                and matrix.ndim == 2
+                and matrix.dtype.kind == "f"
+                and matrix.shape[1] == len(self.c)
+            ):
+                raise SolverError(
+                    f"MatrixForm.{name} must be a 2-D float ndarray with {len(self.c)} "
+                    f"columns, got {type(matrix).__name__} of shape "
+                    f"{getattr(matrix, 'shape', None)}"
+                )
 
     # -- pickling ---------------------------------------------------------------
 
@@ -113,12 +93,7 @@ class MatrixForm:
         self.__dict__.update(state)
         self.cache = {}
 
-    # -- storage introspection ---------------------------------------------------
-
-    @property
-    def is_sparse(self) -> bool:
-        """Whether the constraint matrices use CSR storage."""
-        return sp.issparse(self.a_ub) or sp.issparse(self.a_eq)
+    # -- introspection -----------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
@@ -126,29 +101,8 @@ class MatrixForm:
 
     @property
     def nnz(self) -> int:
-        """Structural non-zeros across both constraint matrices."""
-        total = 0
-        for matrix in (self.a_ub, self.a_eq):
-            if sp.issparse(matrix):
-                total += matrix.nnz
-            else:
-                total += int(np.count_nonzero(matrix))
-        return total
-
-    def constraint_storage_bytes(self) -> int:
-        """Bytes actually held by the constraint matrices (this storage kind)."""
-        return _matrix_bytes(self.a_ub) + _matrix_bytes(self.a_eq)
-
-    def dense_storage_bytes(self) -> int:
-        """Bytes a fully dense copy of the constraint matrices would take."""
-        rows = self.a_ub.shape[0] + self.a_eq.shape[0]
-        return rows * self.num_variables * _DENSE_BYTES_PER_ENTRY
-
-    def sparse_storage_bytes(self) -> int:
-        """Bytes a CSR copy of the constraint matrices would take."""
-        rows = self.a_ub.shape[0] + self.a_eq.shape[0]
-        indptr = (rows + 2) * 4
-        return self.nnz * _CSR_BYTES_PER_ENTRY + indptr
+        """Non-zero coefficients across both constraint matrices."""
+        return int(np.count_nonzero(self.a_ub)) + int(np.count_nonzero(self.a_eq))
 
     # -- objective / bounds -------------------------------------------------------
 
@@ -182,27 +136,3 @@ class MatrixForm:
             maximize=self.maximize,
             cache=self.cache,
         )
-
-
-def assemble_matrix(
-    num_rows: int,
-    num_cols: int,
-    row_ids: np.ndarray,
-    col_ids: np.ndarray,
-    data: np.ndarray,
-    make_sparse: bool,
-) -> "sp.csr_matrix | np.ndarray":
-    """Assemble a constraint matrix from coefficient triplets in O(nnz).
-
-    ``row_ids``/``col_ids``/``data`` are parallel triplet arrays; duplicate
-    (row, col) pairs must not occur (the model enforces uniqueness per
-    constraint).
-    """
-    if make_sparse:
-        matrix = sp.csr_matrix(
-            (data, (row_ids, col_ids)), shape=(num_rows, num_cols), dtype=np.float64
-        )
-        return matrix
-    dense = np.zeros((num_rows, num_cols))
-    dense[row_ids, col_ids] = data
-    return dense

@@ -4,30 +4,36 @@ An :class:`IlpModel` holds integer (or continuous) variables with bounds, a
 set of linear constraints and a linear objective.  The PaQL translator builds
 one of these per package (sub)query; the solvers in this package consume it.
 
-Everything is stored as arrays.  The columns are three parallel arrays —
-lower bound, upper bound (``+inf`` when unbounded) and integrality — which
+Everything is stored as arrays, and this module is the one place that decides
+how.  The columns are three parallel arrays — lower bound, upper bound
+(``+inf`` when unbounded) and integrality — which
 :meth:`IlpModel.add_variable` appends to one column at a time for hand-built
 models and :meth:`IlpModel.add_variables` extends by a whole block in one
 call (the translator's path: a DIRECT translation has one column per
-candidate tuple and creates no per-tuple Python object).  Constraints and the
-objective store their coefficients as parallel ``indices``/``values`` arrays
-(coefficient triplets), not Python dicts.  :class:`Variable` is a read-only
-view of one column, made on demand.  The model is deliberately
-solver-agnostic: :meth:`IlpModel.to_matrix` exports the sparse-first
+candidate tuple and creates no per-tuple Python object).  The constraints are
+one dense, C-contiguous, read-only ``(m, n)`` coefficient block with parallel
+senses, right-hand sides and names, and the objective is one length-``n``
+vector: a PaQL global constraint has a coefficient for every eligible tuple,
+so its row is dense from the start.  :meth:`IlpModel.add_constraints` takes
+the translator's block over whole; :meth:`IlpModel.add_constraint` writes one
+row from a ``{column: coefficient}`` mapping.  :class:`Variable`,
+:class:`Constraint` and :class:`Objective` are read-only views of one column,
+one row and the objective vector, made on demand.  The model is deliberately
+solver-agnostic: :meth:`IlpModel.to_matrix` exports the
 :class:`~repro.ilp.matrix_form.MatrixForm` IR that every LP/ILP solver
-consumes, handing it the bound arrays as they are.
+consumes — the rows split by sense, the bound arrays as they are.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.matrix_form import MatrixForm, assemble_matrix, choose_sparse
+from repro.ilp.matrix_form import MatrixForm
 
 __all__ = [
     "ConstraintSense",
@@ -91,111 +97,45 @@ class Variable:
             )
 
 
-def _coefficient_arrays(
-    coefficients: Mapping[int, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convert a coefficient mapping to sorted (indices, values) arrays, dropping zeros."""
-    if not coefficients:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    indices = np.fromiter(coefficients.keys(), dtype=np.int64, count=len(coefficients))
-    values = np.fromiter(coefficients.values(), dtype=np.float64, count=len(coefficients))
-    # Structural zero-dropping: exactly-0.0 marks a non-entry of the sparse
-    # triplets (a tolerance would silently drop small real coefficients).
-    nonzero = values.astype(bool)
-    if not nonzero.all():
-        indices, values = indices[nonzero], values[nonzero]
-    order = np.argsort(indices, kind="stable")
-    return indices[order], values[order]
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark a column array read-only: exported matrix forms alias it."""
+    """Mark a model array read-only: views and exported matrix forms alias it."""
     array.flags.writeable = False
     return array
 
 
-def _validate_arrays(
-    indices: np.ndarray, values: np.ndarray, num_variables: int, what: str
-) -> tuple[np.ndarray, np.ndarray]:
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if indices.shape != values.shape:
-        raise SolverError(
-            f"{what}: indices and values have mismatched lengths "
-            f"({len(indices)} vs {len(values)})"
-        )
-    if indices.size:
-        if indices.min() < 0 or indices.max() >= num_variables:
-            raise SolverError(f"{what} references an unknown variable index")
-        if np.unique(indices).size != indices.size:
-            raise SolverError(f"{what} contains duplicate variable indices")
-    # Structural zero-dropping, as in _coefficient_arrays.
-    nonzero = values.astype(bool)
-    if not nonzero.all():
-        indices, values = indices[nonzero], values[nonzero]
-    return indices, values
+def _nonzero_mapping(vector: np.ndarray) -> dict[int, float]:
+    columns = np.nonzero(vector)[0]
+    return dict(zip(columns.tolist(), vector[columns].tolist()))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Constraint:
-    """A linear constraint ``values · x[indices]  <sense>  rhs``.
+    """Read-only view of one constraint ``row · x  <sense>  rhs`` of an :class:`IlpModel`.
 
-    Coefficients are stored as parallel ``indices``/``values`` arrays.  The
-    dict view :attr:`coefficients` is materialised lazily for compatibility
-    and introspection; hot paths (evaluation, matrix assembly) never touch it.
+    Attributes:
+        name: Constraint name.
+        row: The model's coefficient row, one entry per column (read-only).
+        sense: Direction of the constraint.
+        rhs: Right-hand side.
     """
 
-    __slots__ = ("name", "indices", "values", "sense", "rhs", "_coefficients")
-
-    def __init__(
-        self,
-        name: str,
-        coefficients: Mapping[int, float] | None,
-        sense: ConstraintSense,
-        rhs: float,
-        *,
-        indices: np.ndarray | None = None,
-        values: np.ndarray | None = None,
-    ):
-        self.name = name
-        if indices is None:
-            indices, values = _coefficient_arrays(coefficients or {})
-        self.indices = indices
-        self.values = values
-        self.sense = sense
-        self.rhs = float(rhs)
-        self._coefficients: dict[int, float] | None = None
+    name: str
+    row: np.ndarray
+    sense: ConstraintSense
+    rhs: float
 
     @property
     def coefficients(self) -> dict[int, float]:
-        """Mapping view of the coefficients (built lazily, then cached)."""
-        if self._coefficients is None:
-            self._coefficients = dict(zip(self.indices.tolist(), self.values.tolist()))
-        return self._coefficients
-
-    def __getstate__(self) -> dict:
-        """Ship the constraint without its lazy dict view.
-
-        ``_coefficients`` duplicates the indices/values arrays as a Python
-        dict; inside a pickled :class:`SolveTask` it would roughly double the
-        per-constraint payload for state the worker can rebuild lazily.
-        """
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_coefficients"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
+        """The non-zero coefficients by column index, built on every call."""
+        return _nonzero_mapping(self.row)
 
     @property
     def nnz(self) -> int:
-        return int(self.indices.size)
+        return int(np.count_nonzero(self.row))
 
     def evaluate(self, values: np.ndarray) -> float:
         """Evaluate the left-hand side under a full assignment ``values``."""
-        if not self.indices.size:
-            return 0.0
-        return float(self.values @ values[self.indices])
+        return float(self.row @ values)
 
     def is_satisfied(self, values: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Whether the constraint holds under ``values`` (with tolerance)."""
@@ -222,50 +162,23 @@ class Constraint:
         )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Objective:
-    """A linear objective ``optimise values · x[indices]``."""
+    """Read-only view of the objective ``optimise vector · x`` of an :class:`IlpModel`."""
 
-    __slots__ = ("sense", "indices", "values", "_coefficients")
-
-    def __init__(
-        self,
-        sense: ObjectiveSense,
-        coefficients: Mapping[int, float] | None = None,
-        *,
-        indices: np.ndarray | None = None,
-        values: np.ndarray | None = None,
-    ):
-        self.sense = sense
-        if indices is None:
-            indices, values = _coefficient_arrays(coefficients or {})
-        self.indices = indices
-        self.values = values
-        self._coefficients: dict[int, float] | None = None
+    sense: ObjectiveSense
+    vector: np.ndarray
 
     @property
     def coefficients(self) -> dict[int, float]:
-        """Mapping view of the coefficients (built lazily, then cached)."""
-        if self._coefficients is None:
-            self._coefficients = dict(zip(self.indices.tolist(), self.values.tolist()))
-        return self._coefficients
-
-    def __getstate__(self) -> dict:
-        """Ship the objective without its lazy dict view (see Constraint)."""
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_coefficients"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
+        """The non-zero coefficients by column index, built on every call."""
+        return _nonzero_mapping(self.vector)
 
     def evaluate(self, values: np.ndarray) -> float:
-        if not self.indices.size:
-            return 0.0
-        return float(self.values @ values[self.indices])
+        return float(self.vector @ values)
 
     def __repr__(self) -> str:
-        return f"Objective(sense={self.sense.value!r}, nnz={self.indices.size})"
+        return f"Objective(sense={self.sense.value!r}, nnz={np.count_nonzero(self.vector)})"
 
 
 class IlpModel:
@@ -281,17 +194,19 @@ class IlpModel:
 
     def __init__(self, name: str = "ilp"):
         self.name = name
-        self.constraints: list[Constraint] = []
-        self.objective = Objective(ObjectiveSense.MINIMIZE, {})
-        #: Storage override for :meth:`to_matrix`: ``True`` forces CSR,
-        #: ``False`` forces dense, ``None`` (default) decides by size/density.
-        self.sparse_matrix: bool | None = None
         self._lower = np.empty(0)
         self._upper = np.empty(0)
         self._integer = np.empty(0, dtype=bool)
         #: Column names; ``None`` for the anonymous columns of a block.
         self._names: list[str | None] = []
-        self._matrix_cache: dict[bool, MatrixForm] = {}
+        #: The ``(m, n)`` coefficient block and what is parallel to its rows.
+        self._rows = np.empty((0, 0))
+        self._senses: list[ConstraintSense] = []
+        self._rhs = np.empty(0)
+        self._row_names: list[str] = []
+        self._objective_sense = ObjectiveSense.MINIMIZE
+        self._objective = np.empty(0)
+        self._matrix_cache: MatrixForm | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -334,11 +249,30 @@ class IlpModel:
         self._append_columns(lower, upper, is_integer, [None] * len(lower))
 
     def _append_columns(self, lower, upper, is_integer, names: list) -> None:
+        """New columns have coefficient zero in every row and in the objective."""
         self._lower = _frozen(np.append(self._lower, lower))
         self._upper = _frozen(np.append(self._upper, upper))
         self._integer = _frozen(np.append(self._integer, np.asarray(is_integer, dtype=bool)))
         self._names.extend(names)
-        self._matrix_cache = {}
+        padding = np.zeros((self.num_constraints, len(names)))
+        self._rows = _frozen(np.hstack([self._rows, padding]))
+        self._objective = _frozen(np.append(self._objective, np.zeros(len(names))))
+        self._matrix_cache = None
+
+    def _dense_vector(self, coefficients: Mapping[int, float], what: str) -> np.ndarray:
+        """A ``{column: coefficient}`` mapping as one length-``n`` vector."""
+        columns = np.fromiter(
+            (int(i) for i in coefficients), dtype=np.int64, count=len(coefficients)
+        )
+        if columns.size and (columns.min() < 0 or columns.max() >= self.num_variables):
+            raise SolverError(f"{what} references unknown variable index")
+        if np.unique(columns).size != columns.size:
+            raise SolverError(f"{what} contains duplicate variable indices")
+        vector = np.zeros(self.num_variables)
+        vector[columns] = np.fromiter(
+            (float(c) for c in coefficients.values()), dtype=np.float64, count=columns.size
+        )
+        return vector
 
     def add_constraint(
         self,
@@ -348,69 +282,59 @@ class IlpModel:
         name: str | None = None,
     ) -> Constraint:
         """Add a linear constraint over variable indices."""
-        indices, values = _coefficient_arrays(
-            {int(i): float(c) for i, c in coefficients.items()}
+        row = self._dense_vector(coefficients, "constraint")
+        self.add_constraints(
+            row[np.newaxis], [sense], [rhs], [name or f"c{self.num_constraints}"]
         )
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_variables):
-            raise SolverError("constraint references unknown variable index")
-        constraint = Constraint(
-            name or f"c{len(self.constraints)}",
-            None,
-            sense,
-            float(rhs),
-            indices=indices,
-            values=values,
-        )
-        self.constraints.append(constraint)
-        self._matrix_cache = {}
-        return constraint
+        return self.constraints[-1]
 
-    def add_constraint_arrays(
+    def add_constraints(
         self,
-        indices: np.ndarray,
-        values: np.ndarray,
-        sense: ConstraintSense,
-        rhs: float,
-        name: str | None = None,
-    ) -> Constraint:
-        """Add a constraint from parallel coefficient arrays (the fast path).
+        block: np.ndarray,
+        senses: Sequence[ConstraintSense],
+        rhs: np.ndarray,
+        names: Sequence[str],
+    ) -> None:
+        """Append a block of constraint rows in one call.
 
-        ``indices`` must be unique; zero coefficients are dropped.  This is
-        how the PaQL translator feeds per-tuple coefficient vectors into the
-        model without materialising intermediate dicts.
+        ``block`` holds one coefficient per (row, column); ``senses``, ``rhs``
+        and ``names`` are parallel to its rows.  The model takes a float64
+        C-contiguous block over as it is — marked read-only, not copied —
+        which is how the PaQL translator hands in the rows it built.
         """
-        indices, values = _validate_arrays(
-            indices, values, self.num_variables, f"constraint {name or len(self.constraints)}"
-        )
-        constraint = Constraint(
-            name or f"c{len(self.constraints)}",
-            None,
-            sense,
-            float(rhs),
-            indices=indices,
-            values=values,
-        )
-        self.constraints.append(constraint)
-        self._matrix_cache = {}
-        return constraint
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
+        if block.ndim != 2 or block.shape[1] != self.num_variables:
+            raise SolverError(
+                f"constraint block of shape {block.shape} does not match "
+                f"{self.num_variables} variables"
+            )
+        if not len(block) == len(senses) == len(rhs) == len(names):
+            raise SolverError(
+                f"constraint block has {len(block)} rows but {len(senses)} senses, "
+                f"{len(rhs)} right-hand sides and {len(names)} names"
+            )
+        self._rows = _frozen(np.vstack([self._rows, block]) if self.num_constraints else block)
+        self._senses.extend(senses)
+        self._rhs = _frozen(np.append(self._rhs, rhs))
+        self._row_names.extend(names)
+        self._matrix_cache = None
 
     def set_objective(self, sense: ObjectiveSense, coefficients: Mapping[int, float]) -> None:
         """Set the linear objective.  An empty mapping yields a feasibility problem."""
-        indices, values = _coefficient_arrays(
-            {int(i): float(c) for i, c in coefficients.items()}
-        )
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_variables):
-            raise SolverError("objective references unknown variable index")
-        self.objective = Objective(sense, None, indices=indices, values=values)
-        self._matrix_cache = {}
+        self.set_objective_vector(sense, self._dense_vector(coefficients, "objective"))
 
-    def set_objective_arrays(
-        self, sense: ObjectiveSense, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Set the objective from parallel coefficient arrays (the fast path)."""
-        indices, values = _validate_arrays(indices, values, self.num_variables, "objective")
-        self.objective = Objective(sense, None, indices=indices, values=values)
-        self._matrix_cache = {}
+    def set_objective_vector(self, sense: ObjectiveSense, vector: np.ndarray) -> None:
+        """Set the objective from one coefficient per column (taken over, read-only)."""
+        vector = np.ascontiguousarray(vector, dtype=np.float64)
+        if vector.shape != (self.num_variables,):
+            raise SolverError(
+                f"objective of shape {vector.shape} does not match "
+                f"{self.num_variables} variables"
+            )
+        self._objective_sense = sense
+        self._objective = _frozen(vector)
+        self._matrix_cache = None
 
     # -- pickling ----------------------------------------------------------------
 
@@ -423,15 +347,17 @@ class IlpModel:
         and guarantees no scratch objects are shared across processes.
         """
         state = self.__dict__.copy()
-        state["_matrix_cache"] = {}
+        state["_matrix_cache"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._matrix_cache = {}
+        self._matrix_cache = None
         # Unpickled arrays come back writeable.
-        for columns in (self._lower, self._upper, self._integer):
-            _frozen(columns)
+        for array in (
+            self._lower, self._upper, self._integer, self._rows, self._rhs, self._objective
+        ):
+            _frozen(array)
 
     # -- introspection -----------------------------------------------------------
 
@@ -441,16 +367,30 @@ class IlpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._senses)
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        """A view of every constraint row, in model order."""
+        return [
+            Constraint(name, row, sense, float(rhs))
+            for name, row, sense, rhs in zip(
+                self._row_names, self._rows, self._senses, self._rhs
+            )
+        ]
+
+    @property
+    def objective(self) -> Objective:
+        return Objective(self._objective_sense, self._objective)
 
     @property
     def constraint_nnz(self) -> int:
-        """Structural non-zeros across all constraints."""
-        return sum(c.nnz for c in self.constraints)
+        """Non-zero coefficients across all constraints."""
+        return int(np.count_nonzero(self._rows))
 
     @property
     def is_pure_feasibility(self) -> bool:
-        return self.objective.indices.size == 0
+        return not self._objective.any()
 
     def variable_by_name(self, name: str) -> Variable:
         """A view of the column :meth:`add_variable` created under ``name``."""
@@ -498,106 +438,61 @@ class IlpModel:
 
     # -- export -------------------------------------------------------------------
 
-    def to_matrix(self, sparse: bool | None = None) -> MatrixForm:
+    def to_matrix(self) -> MatrixForm:
         """Export to the :class:`MatrixForm` IR (``A_ub x <= b_ub``, ``A_eq x = b_eq``).
 
-        Assembly is O(nnz): per-constraint coefficient arrays are concatenated
-        into triplets and handed to the CSR builder (or scattered into a dense
-        array for tiny/dense models — see :mod:`repro.ilp.matrix_form` for the
-        fallback policy).  ``sparse`` overrides that policy; ``None`` defers to
-        :attr:`sparse_matrix` and then to the automatic choice.
+        ``A_ub`` holds the LE and GE rows in model order, GE rows negated;
+        ``A_eq`` the EQ rows in model order.
 
-        The export is memoized per storage kind: repeated calls return the
-        same :class:`MatrixForm` instance until the model gains a variable,
-        a constraint or a new objective.  Callers must treat the returned
+        The export is memoized: repeated calls return the same
+        :class:`MatrixForm` instance until the model gains a variable, a
+        constraint or a new objective.  Callers must treat the returned
         arrays as read-only (branch-and-bound shares them across every node,
         varying only the bounds).
         """
-        if sparse is None:
-            sparse = self.sparse_matrix
-        if sparse is None:
-            entries = self.num_constraints * self.num_variables
-            sparse = choose_sparse(entries, self.constraint_nnz)
-        cached = self._matrix_cache.get(sparse)
-        if cached is None:
-            cached = self._build_matrix(sparse)
-            self._matrix_cache[sparse] = cached
-        return cached
+        if self._matrix_cache is None:
+            self._matrix_cache = self._build_matrix()
+        return self._matrix_cache
 
-    def _build_matrix(self, make_sparse: bool) -> MatrixForm:
-        n = self.num_variables
-        ub_cols: list[np.ndarray] = []
-        ub_data: list[np.ndarray] = []
-        ub_rhs: list[float] = []
-        eq_cols: list[np.ndarray] = []
-        eq_data: list[np.ndarray] = []
-        eq_rhs: list[float] = []
-        for constraint in self.constraints:
-            if constraint.sense is ConstraintSense.LE:
-                ub_cols.append(constraint.indices)
-                ub_data.append(constraint.values)
-                ub_rhs.append(constraint.rhs)
-            elif constraint.sense is ConstraintSense.GE:
-                ub_cols.append(constraint.indices)
-                ub_data.append(-constraint.values)
-                ub_rhs.append(-constraint.rhs)
-            else:
-                eq_cols.append(constraint.indices)
-                eq_data.append(constraint.values)
-                eq_rhs.append(constraint.rhs)
-
-        def build(cols: list[np.ndarray], data: list[np.ndarray]):
-            num_rows = len(cols)
-            if not num_rows:
-                return assemble_matrix(
-                    0, n,
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0),
-                    make_sparse,
-                )
-            lengths = [len(c) for c in cols]
-            row_ids = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
-            col_ids = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-            values = np.concatenate(data) if data else np.empty(0)
-            return assemble_matrix(num_rows, n, row_ids, col_ids, values, make_sparse)
-
-        objective = np.zeros(n)
-        objective[self.objective.indices] = self.objective.values
-        if self.objective.sense is ObjectiveSense.MAXIMIZE:
-            objective = -objective
-
+    def _build_matrix(self) -> MatrixForm:
+        is_eq = np.array([sense is ConstraintSense.EQ for sense in self._senses], dtype=bool)
+        a_ub, b_ub = self._rows[~is_eq], self._rhs[~is_eq]
+        is_ge = np.array(
+            [sense is ConstraintSense.GE for sense in self._senses], dtype=bool
+        )[~is_eq]
+        a_ub[is_ge] = -a_ub[is_ge]
+        b_ub[is_ge] = -b_ub[is_ge]
+        maximize = self._objective_sense is ObjectiveSense.MAXIMIZE
         return MatrixForm(
-            c=objective,
-            a_ub=build(ub_cols, ub_data),
-            b_ub=np.array(ub_rhs),
-            a_eq=build(eq_cols, eq_data),
-            b_eq=np.array(eq_rhs),
+            c=-self._objective if maximize else self._objective,
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=self._rows[is_eq],
+            b_eq=self._rhs[is_eq],
             bounds=(self._lower, self._upper),
-            maximize=self.objective.sense is ObjectiveSense.MAXIMIZE,
+            maximize=maximize,
         )
+
+    def subset(self, constraints: Iterable[int]) -> "IlpModel":
+        """A copy of the model that keeps only the constraint rows at ``constraints``."""
+        keep = np.fromiter(constraints, dtype=np.int64)
+        clone = IlpModel(name=self.name)
+        clone._append_columns(self._lower, self._upper, self._integer, self._names)
+        clone.add_constraints(
+            self._rows[keep],
+            [self._senses[i] for i in keep],
+            self._rhs[keep],
+            [self._row_names[i] for i in keep],
+        )
+        clone.set_objective_vector(self._objective_sense, self._objective.copy())
+        return clone
 
     def copy(self) -> "IlpModel":
         """Return a deep copy of the model (constraints and bounds included)."""
-        clone = IlpModel(name=self.name)
-        clone._append_columns(self._lower, self._upper, self._integer, self._names)
-        for constraint in self.constraints:
-            clone.add_constraint_arrays(
-                constraint.indices.copy(),
-                constraint.values.copy(),
-                constraint.sense,
-                constraint.rhs,
-                name=constraint.name,
-            )
-        clone.set_objective_arrays(
-            self.objective.sense,
-            self.objective.indices.copy(),
-            self.objective.values.copy(),
-        )
-        return clone
+        return self.subset(range(self.num_constraints))
 
     def __repr__(self) -> str:
         return (
             f"IlpModel(name={self.name!r}, variables={self.num_variables}, "
-            f"constraints={self.num_constraints}, sense={self.objective.sense.value})"
+            f"constraints={self.num_constraints}, sense={self._objective_sense.value})"
         )

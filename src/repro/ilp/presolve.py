@@ -10,7 +10,7 @@ implements the reductions that matter for PaQL-shaped models:
   maximal activity implied by the current variable bounds yields implied
   bounds on each participating variable (``a_ij x_j <= b_i - min-activity of
   the rest of the row``).  Propagation runs to a fixpoint (bounded by a pass
-  budget), vectorised over the row triplets of the CSR/dense matrices.  When
+  budget), vectorised over the non-zero entries of the matrices.  When
   an integrality mask is supplied, propagated bounds are rounded inward —
   this is what fixes "tuple can never fit the SUM budget" columns to zero.
 * **Fixed-variable elimination.**  Variables whose bounds coincide (after
@@ -65,7 +65,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.simplex import AT_LOWER, AT_UPPER, BASIC, FREE, SimplexBasis
@@ -103,7 +102,7 @@ class PresolveStats:
 
 
 class _Rows:
-    """Triplet view of one constraint matrix plus per-row activity bounds.
+    """The non-zero entries of one constraint matrix plus per-row activity bounds.
 
     ``tmin``/``tmax`` are the per-entry minimal/maximal contributions under
     the current variable bounds; by construction ``tmin`` entries are finite
@@ -118,17 +117,11 @@ class _Rows:
         "min_act", "max_act",
     )
 
-    def __init__(self, matrix):
-        if sp.issparse(matrix):
-            coo = matrix.tocoo()
-            self.row = coo.row.astype(np.int64)
-            self.col = coo.col.astype(np.int64)
-            self.data = coo.data.astype(np.float64)
-        else:
-            rows, cols = np.nonzero(matrix)
-            self.row = rows.astype(np.int64)
-            self.col = cols.astype(np.int64)
-            self.data = np.asarray(matrix[rows, cols], dtype=np.float64)
+    def __init__(self, matrix: np.ndarray):
+        rows, cols = np.nonzero(matrix)
+        self.row = rows.astype(np.int64)
+        self.col = cols.astype(np.int64)
+        self.data = np.asarray(matrix[rows, cols], dtype=np.float64)
         self.num_rows = int(matrix.shape[0])
 
     def compute_activities(self, lower: np.ndarray, upper: np.ndarray) -> None:
@@ -305,11 +298,7 @@ class _BindGate:
         if not postsolve.identity:
             blocks = [form.a_ub, form.a_eq, -form.a_eq, objective]
             rhs = [form.b_ub, form.b_eq, -np.asarray(form.b_eq), [np.nan]]
-        if any(sp.issparse(block) for block in blocks):
-            # Read by column at every node: CSC.
-            self.matrix = sp.vstack([sp.csr_matrix(block) for block in blocks]).tocsc()
-        else:
-            self.matrix = np.vstack(blocks)
+        self.matrix = np.vstack(blocks)
         self.rhs = np.concatenate(rhs)
         self.root_l, self.root_u = postsolve.tightened_lower, postsolve.tightened_upper
         rows = _Rows(self.matrix)
@@ -339,8 +328,6 @@ class _BindGate:
         if not ((np.rint(moved_l) == moved_l).all() and (np.rint(moved_u) == moved_u).all()):
             return True, True
         columns = self.matrix[:, moved]
-        if sp.issparse(columns):
-            columns = columns.toarray()
         rhs = self.rhs.copy()
         rhs[-1] = cutoff
         # A column unbounded at the root gives inf - inf or 0 * inf here: NaN,
@@ -393,7 +380,7 @@ class Postsolve:
     def __getstate__(self) -> dict:
         """Ship the record without its lazily-built per-node row views.
 
-        ``_node_rows`` caches triplet/activity scratch arrays for node-bound
+        ``_node_rows`` caches entry/activity scratch arrays for node-bound
         propagation, ``_cutoff_rows`` the objective row used for incumbent
         cutoff reductions and ``_bind_gate`` what decides whether either runs;
         all derived state, rebuilt on first use in the receiving process (the
@@ -674,18 +661,11 @@ def _identity_result(form: MatrixForm, stats: PresolveStats) -> PresolveResult:
     return PresolveResult(True, form, postsolve, stats)
 
 
-def _select_rows_cols(matrix, rows: np.ndarray, cols: np.ndarray):
-    if sp.issparse(matrix):
-        reduced = matrix[rows][:, cols]
-        return sp.csr_matrix(reduced)
+def _select_rows_cols(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix[np.ix_(rows, cols)])
 
 
-def _fixed_contribution(matrix, rows: np.ndarray, x_fixed: np.ndarray) -> np.ndarray:
-    if not rows.size:
-        return np.zeros(0)
-    if sp.issparse(matrix):
-        return np.asarray(matrix[rows] @ x_fixed).reshape(-1)
+def _fixed_contribution(matrix: np.ndarray, rows: np.ndarray, x_fixed: np.ndarray) -> np.ndarray:
     return matrix[rows] @ x_fixed
 
 

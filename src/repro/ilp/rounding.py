@@ -93,7 +93,7 @@ class RelaxAndRoundSolver:
             constraint.sense is ConstraintSense.LE and lhs > constraint.rhs
         ) or (constraint.sense is ConstraintSense.EQ and lhs > constraint.rhs)
 
-        sense = model.objective.sense
+        objective = model.objective
         lower, upper, _ = model.bound_and_integrality_arrays()
         best_index: int | None = None
         best_penalty = float("inf")
@@ -104,9 +104,8 @@ class RelaxAndRoundSolver:
             new_value = values[idx] + delta
             if new_value < lower[idx] - 1e-9 or new_value > upper[idx] + 1e-9:
                 continue
-            objective_coef = model.objective.coefficients.get(idx, 0.0)
-            change = objective_coef * delta
-            penalty = change if sense is ObjectiveSense.MINIMIZE else -change
+            change = float(objective.vector[idx]) * delta
+            penalty = change if objective.sense is ObjectiveSense.MINIMIZE else -change
             if penalty < best_penalty:
                 best_penalty = penalty
                 best_index = idx

@@ -4,7 +4,7 @@ This is the library's one LP relaxation solver.  It is built for the workload
 SKETCHREFINE and branch-and-bound actually generate: *many small LPs that
 differ from each other by a single variable bound*.
 
-Five design points make repeated solves cheap:
+Four design points make repeated solves cheap:
 
 * **Native bound handling.**  Per-variable lower/upper bounds are represented
   as nonbasic-at-bound statuses (``AT_LOWER`` / ``AT_UPPER``), not as extra
@@ -13,15 +13,11 @@ Five design points make repeated solves cheap:
   tableau.
 * **One working matrix per problem, not per solve.**  The standard-form
   matrix ``[A | I_slack | I_art]`` is assembled once into a
-  :class:`_WorkMatrix` and cached on the :class:`~repro.ilp.matrix_form
-  .MatrixForm` (see :func:`solve_form_simplex`), so the thousands of
-  bound-only reoptimisations of a branch-and-bound tree share a single
-  immutable copy instead of re-filling an ``m × (n + mu + m)`` array per node.
-* **Sparse column storage.**  When the model's matrix form is sparse, the
-  working matrix is kept in CSC (``data``/``indices``/``indptr``): pricing is
-  a CSR transpose mat-vec, and the partial-pricing candidate list gathers
-  reduced costs from pre-extracted column triplets.  Dense models keep the
-  dense fast path — the representation follows the form's own storage choice.
+  :class:`_WorkMatrix` — one dense array, like the form's own matrices —
+  and cached on the :class:`~repro.ilp.matrix_form.MatrixForm` (see
+  :func:`solve_form_simplex`), so the thousands of bound-only
+  reoptimisations of a branch-and-bound tree share a single immutable copy
+  instead of re-filling an ``m × (n + mu + m)`` array per node.
 * **An explicit basis inverse, sized for a handful of rows.**  A package
   query has one row per global constraint, so the basis is 2-7 rows across.
   It is held as a :class:`~repro.ilp.factor.BasisFactor` — the dense
@@ -62,7 +58,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.ilp.factor import BasisFactor
 from repro.ilp.matrix_form import MatrixForm
@@ -179,78 +174,31 @@ class _WorkMatrix:
 
     Immutable after construction and safe to share across solves: branch-and-
     bound nodes differ only in bounds, so they all price and FTRAN against the
-    same copy.  ``sparse`` mirrors the storage of the structural input — CSC
-    (with a CSR transpose view for pricing) or one dense array.
+    same copy.
     """
 
-    __slots__ = (
-        "n", "mu", "me", "m", "ncols", "art0", "b", "costs", "sparse",
-        "a", "a_csc", "at", "indptr", "indices", "data",
-    )
+    __slots__ = ("n", "mu", "me", "m", "ncols", "art0", "b", "costs", "a")
 
-    def __init__(self, c, a_ub, b_ub, a_eq, b_eq):
-        c = np.asarray(c, dtype=np.float64)
-        n = len(c)
-        sparse_input = sp.issparse(a_ub) or sp.issparse(a_eq)
-        if not sp.issparse(a_ub):
-            a_ub = (
-                np.asarray(a_ub, dtype=np.float64).reshape(-1, n)
-                if np.size(a_ub)
-                else np.empty((0, n))
-            )
-        if not sp.issparse(a_eq):
-            a_eq = (
-                np.asarray(a_eq, dtype=np.float64).reshape(-1, n)
-                if np.size(a_eq)
-                else np.empty((0, n))
-            )
-        b_ub = np.asarray(b_ub, dtype=np.float64).reshape(-1)
-        b_eq = np.asarray(b_eq, dtype=np.float64).reshape(-1)
-
-        mu, me = a_ub.shape[0], a_eq.shape[0]
+    def __init__(self, form: MatrixForm):
+        n = form.num_variables
+        mu, me = form.a_ub.shape[0], form.a_eq.shape[0]
         m = mu + me
         ncols = n + mu + m
 
         self.n, self.mu, self.me, self.m, self.ncols = n, mu, me, m, ncols
         self.art0 = n + mu
-        self.b = np.concatenate([b_ub, b_eq])
+        self.b = np.concatenate([form.b_ub, form.b_eq], dtype=np.float64)
         self.costs = np.zeros(ncols)
-        self.costs[:n] = c
-        self.sparse = bool(sparse_input and m)
+        self.costs[:n] = form.c
 
-        if self.sparse:
-            structural = sp.vstack(
-                [sp.csr_matrix(a_ub), sp.csr_matrix(a_eq)], format="csr"
-            )
-            slack = sp.vstack([sp.identity(mu, format="csr"), sp.csr_matrix((me, mu))])
-            art = sp.identity(m, format="csr")
-            a_csc = sp.hstack([structural, slack, art], format="csc")
-            a_csc.sort_indices()
-            self.a = None
-            self.a_csc = a_csc
-            self.at = a_csc.T.tocsr()
-            self.indptr = a_csc.indptr
-            self.indices = a_csc.indices
-            self.data = a_csc.data
-        else:
-            work = np.zeros((m, ncols))
-            if sp.issparse(a_ub):
-                a_ub = a_ub.toarray()
-            if sp.issparse(a_eq):
-                a_eq = a_eq.toarray()
-            if mu:
-                work[:mu, :n] = a_ub
-                work[:mu, n : n + mu] = np.eye(mu)
-            if me:
-                work[mu:, :n] = a_eq
-            if m:
-                work[:, n + mu :] = np.eye(m)
-            self.a = work
-            self.a_csc = None
-            self.at = None
-            self.indptr = None
-            self.indices = None
-            self.data = None
+        self.a = np.zeros((m, ncols))
+        if mu:
+            self.a[:mu, :n] = form.a_ub
+            self.a[:mu, n : n + mu] = np.eye(mu)
+        if me:
+            self.a[mu:, :n] = form.a_eq
+        if m:
+            self.a[:, n + mu :] = np.eye(m)
 
 
 def solve_dense_simplex(
@@ -264,17 +212,18 @@ def solve_dense_simplex(
 ) -> SimplexResult:
     """Minimise ``c @ x`` subject to the given constraints and bounds.
 
-    ``a_ub``/``a_eq`` may be dense arrays or ``scipy.sparse`` matrices.
-    ``bounds`` is a list of ``(lower, upper)`` pairs, one per variable, with
-    ``None`` meaning unbounded — the form hand-written LPs come in.
-    ``warm_start`` optionally reuses a basis from a related earlier solve.
-    Callers solving many related problems over the same matrix should prefer
-    :func:`solve_form_simplex`, which assembles the working matrix only once.
+    ``a_ub``/``a_eq`` are 2-D float arrays with one column per variable (a
+    :class:`~repro.errors.SolverError` otherwise).  ``bounds`` is a list of
+    ``(lower, upper)`` pairs, one per variable, with ``None`` meaning
+    unbounded — the form hand-written LPs come in.  ``warm_start`` optionally
+    reuses a basis from a related earlier solve.  Callers solving many related
+    problems over the same matrix should prefer :func:`solve_form_simplex`,
+    which assembles the working matrix only once.
     """
-    work = _WorkMatrix(c, a_ub, b_ub, a_eq, b_eq)
     lower = np.array([-np.inf if low is None else low for low, _ in bounds], dtype=np.float64)
     upper = np.array([np.inf if up is None else up for _, up in bounds], dtype=np.float64)
-    return _BoundedRevisedSimplex(work, lower, upper).solve(warm_start)
+    form = MatrixForm(c, a_ub, b_ub, a_eq, b_eq, (lower, upper), maximize=False)
+    return solve_form_simplex(form, warm_start)
 
 
 def solve_form_simplex(
@@ -290,7 +239,7 @@ def solve_form_simplex(
     """
     work = form.cache.get(_WORK_CACHE_KEY)
     if work is None:
-        work = _WorkMatrix(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq)
+        work = _WorkMatrix(form)
         form.cache[_WORK_CACHE_KEY] = work
     return _BoundedRevisedSimplex(work, *form.bounds).solve(warm_start)
 
@@ -306,7 +255,7 @@ class _BoundedRevisedSimplex:
     """
 
     def __init__(self, work: _WorkMatrix, structural_lower: np.ndarray, structural_upper: np.ndarray):
-        self.work = work
+        self.a = work.a
         self.n, self.mu, self.me = work.n, work.mu, work.me
         self.m, self.ncols, self.art0 = work.m, work.ncols, work.art0
         self.b = work.b
@@ -337,43 +286,11 @@ class _BoundedRevisedSimplex:
 
         self._partial = self.ncols >= _PARTIAL_PRICING_THRESHOLD
         self._cand: np.ndarray | None = None
-        self._cand_gather: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._cand_target = max(64, min(1024, self.ncols // 32))
-
-    # -- working-matrix access ----------------------------------------------------
-    # The helpers below are the only places that touch the constraint matrix,
-    # branching once on its storage kind.
-
-    def _vecmat(self, v: np.ndarray) -> np.ndarray:
-        """``v @ A`` over all working columns (pricing / dual row computation)."""
-        if self.work.sparse:
-            return self.work.at @ v
-        return v @ self.work.a
-
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` over the full working column space."""
-        if self.work.sparse:
-            return self.work.a_csc @ x
-        return self.work.a @ x
-
-    def _column(self, j: int) -> np.ndarray:
-        """Column ``j`` of the working matrix as a dense vector."""
-        if self.work.sparse:
-            col = np.zeros(self.m)
-            start, end = self.work.indptr[j], self.work.indptr[j + 1]
-            col[self.work.indices[start:end]] = self.work.data[start:end]
-            return col
-        return self.work.a[:, j]
 
     def _ftran(self, j: int) -> np.ndarray:
         """``B^-1 a_j``."""
-        return self.factor.ftran(self._column(j))
-
-    def _basis_matrix(self) -> np.ndarray:
-        """Dense copy of the current basis columns (for reinversion)."""
-        if self.work.sparse:
-            return self.work.a_csc[:, self.basis].toarray()
-        return self.work.a[:, self.basis]
+        return self.factor.ftran(self.a[:, j])
 
     # -- public entry ------------------------------------------------------------
 
@@ -391,7 +308,6 @@ class _BoundedRevisedSimplex:
             self._degenerate_streak = 0
             self._numerical_failure = False
             self._cand = None
-            self._cand_gather = None
         return self._cold_solve()
 
     # -- cold path ----------------------------------------------------------------
@@ -513,7 +429,7 @@ class _BoundedRevisedSimplex:
         # the wrong sign; an unflippable column (infinite opposite bound) means
         # the basis cannot seed the dual simplex — reject it.
         y = self.factor.btran(self.costs[self.basis])
-        d = self.costs - self._vecmat(y)
+        d = self.costs - y @ self.a
         movable = (status != BASIC) & (self.lower != self.upper)
         flip_to_upper = movable & (status == AT_LOWER) & (d < -_EPSILON)
         flip_to_lower = movable & (status == AT_UPPER) & (d > _EPSILON)
@@ -538,7 +454,7 @@ class _BoundedRevisedSimplex:
             return True
         indicator = np.zeros(self.ncols)
         indicator[self.basis] = 1.0
-        residual = self.factor.ftran(self._matvec(indicator)) - 1.0
+        residual = self.factor.ftran(self.a @ indicator) - 1.0
         if not np.all(np.isfinite(residual)):
             return False
         return float(np.abs(residual).max()) <= 1e-6
@@ -608,7 +524,7 @@ class _BoundedRevisedSimplex:
         optimality is only ever declared off a full sweep.
         """
         if self._bland:
-            d = costs - self._vecmat(y)
+            d = costs - y @ self.a
             eligible = self._eligible_columns(d)
             if eligible.size == 0:
                 return None, 0
@@ -617,13 +533,13 @@ class _BoundedRevisedSimplex:
         if self._partial:
             cand = self._cand
             if cand is not None and cand.size:
-                d_cand = costs[cand] - self._gather_dot(y)
+                d_cand = costs[cand] - y @ self.a[:, cand]
                 mask = self._eligible_mask(cand, d_cand)
                 if mask.any():
                     return self._select(cand[mask], d_cand[mask])
-            d = costs - self._vecmat(y)
+            d = costs - y @ self.a
             return self._rebuild_candidates(d)
-        d = costs - self._vecmat(y)
+        d = costs - y @ self.a
         eligible = self._eligible_columns(d)
         if eligible.size == 0:
             return None, 0
@@ -658,43 +574,15 @@ class _BoundedRevisedSimplex:
         eligible = self._eligible_columns(d)
         if eligible.size == 0:
             self._cand = None
-            self._cand_gather = None
             return None, 0
         d_eligible = d[eligible]
         scores = np.abs(d_eligible)
         if eligible.size > self._cand_target:
             top = np.argpartition(-scores, self._cand_target - 1)[: self._cand_target]
-            self._set_candidates(np.sort(eligible[top]))
+            self._cand = np.sort(eligible[top])
         else:
-            self._set_candidates(eligible)
+            self._cand = eligible
         return self._select(eligible, d_eligible)
-
-    def _set_candidates(self, cand: np.ndarray) -> None:
-        """Store the candidate list and pre-extract its column triplets."""
-        self._cand = cand
-        if not self.work.sparse:
-            self._cand_gather = None
-            return
-        indptr = self.work.indptr
-        starts = indptr[cand]
-        lens = indptr[cand + 1] - starts
-        total = int(lens.sum())
-        before = np.cumsum(lens) - lens
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(before, lens)
-            + np.repeat(starts, lens)
-        )
-        seg = np.repeat(np.arange(cand.size, dtype=np.int64), lens)
-        self._cand_gather = (self.work.indices[flat], self.work.data[flat], seg)
-
-    def _gather_dot(self, y: np.ndarray) -> np.ndarray:
-        """``y @ A`` restricted to the candidate columns (O(their nnz))."""
-        cand = self._cand
-        if not self.work.sparse:
-            return y @ self.work.a[:, cand]
-        rows, vals, seg = self._cand_gather
-        return np.bincount(seg, weights=y[rows] * vals, minlength=cand.size)
 
     def _primal_ratio_test(
         self, entering: int, direction: int, w: np.ndarray
@@ -754,9 +642,9 @@ class _BoundedRevisedSimplex:
                 r = int(np.argmax(violation))
             leaving_below = below[r] > above[r]
 
-            alpha = self._vecmat(self.factor.btran_row(r))
+            alpha = self.factor.btran_row(r) @ self.a
             y = self.factor.btran(costs[self.basis])
-            d = costs - self._vecmat(y)
+            d = costs - y @ self.a
 
             movable = self.lower < self.upper
             at_lower = (self.status == AT_LOWER) & movable
@@ -843,7 +731,7 @@ class _BoundedRevisedSimplex:
         return False
 
     def _refactorize(self) -> bool:
-        factor = BasisFactor.factorize(self._basis_matrix())
+        factor = BasisFactor.factorize(self.a[:, self.basis])
         if factor is None:
             return False
         self.factor = factor
@@ -869,7 +757,7 @@ class _BoundedRevisedSimplex:
 
     def _compute_xb(self) -> None:
         x = self._nonbasic_values()
-        self.xb = self.factor.ftran(self.b - self._matvec(x))
+        self.xb = self.factor.ftran(self.b - self.a @ x)
 
     def _full_solution(self) -> np.ndarray:
         x = self._nonbasic_values()

@@ -26,13 +26,7 @@ from repro.db.catalog import Database
 from repro.db.wal import WalRecord
 from repro.exec.tasks import SolveTask, SolveTaskResult, run_solve_task
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.model import (
-    Constraint,
-    ConstraintSense,
-    IlpModel,
-    Objective,
-    ObjectiveSense,
-)
+from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.presolve import Postsolve, presolve_form
 from repro.ilp.simplex import SimplexBasis, solve_form_simplex
@@ -57,10 +51,8 @@ def _small_model() -> IlpModel:
 def payload_instances() -> dict[str, Any]:
     """One live instance of every class the pickle-safety checker registers."""
     model = _small_model()
-    # Materialise every lazy cache so the round-trip assertions are
-    # meaningful: a fresh object with empty caches would pass trivially.
-    _ = model.constraints[0].coefficients
-    _ = model.objective.coefficients
+    # Materialise the model's memo so the round-trip assertions are
+    # meaningful: a fresh object with an empty one would pass trivially.
     form = model.to_matrix()
     result = presolve_form(form)
     assert result.feasible and result.postsolve is not None
@@ -95,8 +87,6 @@ def payload_instances() -> dict[str, Any]:
         "SolveTask": task,
         "SolveTaskResult": task_result,
         "IlpModel": model,
-        "Constraint": model.constraints[0],
-        "Objective": model.objective,
         "MatrixForm": form,
         "Postsolve": result.postsolve,
         "SimplexBasis": solution.root_basis,
@@ -132,9 +122,8 @@ def test_every_payload_class_roundtrips(payload_instances: dict[str, Any]) -> No
 
 def test_derived_caches_arrive_empty(payload_instances: dict[str, Any]) -> None:
     model: IlpModel = pickle.loads(pickle.dumps(payload_instances["IlpModel"]))
-    assert model._matrix_cache == {}
-    assert model.constraints[0]._coefficients is None
-    assert model.objective._coefficients is None
+    assert payload_instances["IlpModel"]._matrix_cache is not None
+    assert model._matrix_cache is None
 
     form: MatrixForm = payload_instances["MatrixForm"]
     form.cache["scratch"] = object()
@@ -197,9 +186,14 @@ def test_restored_model_solves_identically(payload_instances: dict[str, Any]) ->
     assert original.status is again.status
     assert original.objective_value == again.objective_value
     assert np.array_equal(original.values, again.values)
-    # The dropped memo dicts rebuild to identical content.
-    assert restored.constraints[0].coefficients == model.constraints[0].coefficients
-    assert restored.objective.coefficients == model.objective.coefficients
+    # The coefficient block and its parallels arrive equal and read-only again.
+    for name in ("_rows", "_rhs", "_objective", "_lower", "_upper", "_integer"):
+        assert np.array_equal(getattr(restored, name), getattr(model, name)), name
+        assert not getattr(restored, name).flags.writeable, name
+    assert restored._rows.flags.c_contiguous
+    assert [c.name for c in restored.constraints] == [c.name for c in model.constraints]
+    assert [c.sense for c in restored.constraints] == [c.sense for c in model.constraints]
+    assert restored.objective.sense is model.objective.sense
 
 
 def test_restored_task_executes_identically(payload_instances: dict[str, Any]) -> None:

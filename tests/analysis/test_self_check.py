@@ -1,13 +1,14 @@
 """Self-check: ``src/repro`` stays clean modulo the committed baseline.
 
 Also "mutation-style" regressions: un-fixing the violations this PR fixed
-(re-shipping the Constraint/Objective memo dicts, dropping the justified
+(re-shipping the model's memoized matrix export, dropping the justified
 suppression comments in validation.py) must make the lint fail again, which
 proves the checkers actually guard those sites.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import shutil
 from pathlib import Path
@@ -33,6 +34,24 @@ def test_src_repro_is_clean_modulo_baseline(monkeypatch: pytest.MonkeyPatch) -> 
     assert len(report.grandfathered) <= 5
 
 
+def test_no_module_imports_scipy_sparse() -> None:
+    """Constraint coefficients have one storage, dense arrays (docs/simplex.md,
+    "Storage"): a second one comes back with a PR that says so, not an import."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert offenders == []
+
+
 def test_baseline_file_entries_are_justified() -> None:
     import json
 
@@ -51,17 +70,18 @@ def _lint_single(path: Path, rule: str, options: dict[str, object]):
 
 
 def test_unfixing_coefficient_memo_pickling_fails_lint(tmp_path: Path) -> None:
-    """Deleting the _coefficients reset from __getstate__ re-flags both classes."""
+    """Deleting the _matrix_cache reset (the one memo of the coefficients left)
+    from __getstate__ re-flags the model."""
     source = (SRC / "ilp" / "model.py").read_text()
-    mutated = source.replace('state["_coefficients"] = None', "pass")
+    mutated = source.replace('state["_matrix_cache"] = None', "pass")
     assert mutated != source  # the fix is present in the tree
     target = tmp_path / "model.py"
     target.write_text(mutated)
 
     report = _lint_single(target, "pickle-safety", {})
-    flagged = {f.symbol for f in report.findings}
-    assert any("Constraint" in s for s in flagged), report.format_text()
-    assert any("Objective" in s for s in flagged), report.format_text()
+    assert any("IlpModel._matrix_cache" in f.message for f in report.findings), (
+        report.format_text()
+    )
 
     # And the real, fixed file is clean.
     assert _lint_single(SRC / "ilp" / "model.py", "pickle-safety", {}).grandfathered == []

@@ -73,13 +73,11 @@ def fast_solver() -> BranchAndBoundSolver:
 def _assert_same_ilp(built, reference, rtol: float = 0.0) -> None:
     """Both models export the same matrix form (array for array when ``rtol`` is 0)."""
     form, expected = built.to_matrix(), reference.to_matrix()
-    assert form.is_sparse == expected.is_sparse
     assert form.maximize == expected.maximize
     for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
-        left, right = getattr(form, name), getattr(expected, name)
-        if form.is_sparse and name.startswith("a_"):
-            left, right = left.toarray(), right.toarray()
-        np.testing.assert_allclose(left, right, rtol=rtol, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(
+            getattr(form, name), getattr(expected, name), rtol=rtol, atol=0.0, err_msg=name
+        )
     np.testing.assert_array_equal(form.bounds, expected.bounds)
     np.testing.assert_array_equal(
         built.bound_and_integrality_arrays()[2], reference.bound_and_integrality_arrays()[2]

@@ -5,8 +5,7 @@ propagation pass when its slack is at least its reach, and skip the pass when
 no row is left.  ``tests/ilp/reference_presolve.py`` keeps the ungated code of
 the parent commit; here the two are run side by side on seeded instances —
 the fuzz families of ``test_lp_fuzz.py`` and the refine ILPs SKETCHREFINE
-builds on a Galaxy table, dense and forced into CSR — along random branch
-paths, with cutoffs from "cannot bind" to "fixes half the columns", unbounded
+builds on a Galaxy table — along random branch paths, with cutoffs from "cannot bind" to "fixes half the columns", unbounded
 columns, fractional bounds on integer columns, and the knife edge where slack
 equals reach.  Node bounds must be ``np.array_equal``; root reductions must
 agree field by field.  Every gated call runs with warnings as errors.
@@ -18,7 +17,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse as sp
 
 from repro.core.engine import PackageQueryEngine
 from repro.core.sketchrefine import PartitionedQuery
@@ -48,24 +46,12 @@ class Tally:
         self.fractional = 0      # calls whose bounds were fractional on an integer column
 
 
-def _form(c, a_ub, b_ub, a_eq, b_eq, bounds, sparse: bool) -> MatrixForm:
+def _form(c, a_ub, b_ub, a_eq, b_eq, bounds) -> MatrixForm:
     lower, upper = bounds
-    form = MatrixForm(
+    return MatrixForm(
         c=np.asarray(c, dtype=np.float64), a_ub=a_ub, b_ub=np.asarray(b_ub, dtype=np.float64),
         a_eq=a_eq, b_eq=np.asarray(b_eq, dtype=np.float64),
         bounds=(lower.copy(), upper.copy()), maximize=False,
-    )
-    return _as_csr(form) if sparse else form
-
-
-def _as_csr(form: MatrixForm) -> MatrixForm:
-    """The same form forced into CSR storage (these are all below the size
-    at which ``to_matrix`` would choose it)."""
-    lower, upper = form.bound_arrays()
-    return MatrixForm(
-        c=form.c, a_ub=sp.csr_matrix(form.a_ub), b_ub=form.b_ub,
-        a_eq=sp.csr_matrix(form.a_eq), b_eq=form.b_eq,
-        bounds=(lower.copy(), upper.copy()), maximize=form.maximize,
     )
 
 
@@ -117,8 +103,7 @@ def _cutoffs(rng, postsolve, lower, upper) -> list:
 
 def _le_rows(form: MatrixForm) -> np.ndarray:
     """Every constraint as a dense ``<=`` row (an equality is two)."""
-    a_ub, a_eq = (m.toarray() if sp.issparse(m) else np.asarray(m) for m in (form.a_ub, form.a_eq))
-    return np.vstack([a_ub, a_eq, -a_eq])
+    return np.vstack([form.a_ub, form.a_eq, -form.a_eq])
 
 
 def assert_same_nodes(rng, postsolve, form, integer_mask, tally: Tally) -> None:
@@ -190,14 +175,13 @@ def assert_same_nodes(rng, postsolve, form, integer_mask, tally: Tally) -> None:
                     tally.halved += moved >= len(ref_l) / 4
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_gated_propagation_equals_the_reference_on_fuzz_forms(family, sparse):
+def test_gated_propagation_equals_the_reference_on_fuzz_forms(family):
     tally = Tally()
     for seed in range(SEEDS_PER_FAMILY):
-        rng = np.random.default_rng([seed, sparse])
+        rng = np.random.default_rng([seed, 0])
         *rows, (lower, upper) = FAMILIES[family](np.random.default_rng(seed))
-        form = _form(*rows, (lower, upper), sparse)
+        form = _form(*rows, (lower, upper))
         n = form.num_variables
         # All-integer (PaQL's case), mixed, and pure LP.
         integer_mask = (np.ones(n, dtype=bool), rng.random(n) < 0.7, None)[seed % 3]
@@ -245,14 +229,11 @@ def galaxy_refine_models(refine_shaped_query):
     return models
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-def test_gated_propagation_equals_the_reference_on_galaxy_refine_models(galaxy_refine_models, sparse):
+def test_gated_propagation_equals_the_reference_on_galaxy_refine_models(galaxy_refine_models):
     tally = Tally()
     for index, model in enumerate(galaxy_refine_models):
-        rng = np.random.default_rng([index, sparse])
+        rng = np.random.default_rng([index, 0])
         form = model.to_matrix()
-        if sparse:
-            form = _as_csr(form)
         integer_mask = model.bound_and_integrality_arrays()[2]
         postsolve = assert_same_root(form, integer_mask)
         assert postsolve is not None
@@ -264,7 +245,7 @@ def test_gated_propagation_equals_the_reference_on_galaxy_refine_models(galaxy_r
     assert tally.halved > 20
 
 
-def _count_row_form(num_columns: int, count: float, sparse: bool) -> MatrixForm:
+def _count_row_form(num_columns: int, count: float) -> MatrixForm:
     """``sum(x) <= count`` over 0/1 columns, a second row so presolve keeps a
     genuine reduction (one column is fixed by its bounds), objective ``-x``."""
     a_ub = np.vstack([np.ones(num_columns), np.arange(1.0, num_columns + 1.0)])
@@ -272,14 +253,13 @@ def _count_row_form(num_columns: int, count: float, sparse: bool) -> MatrixForm:
     upper = np.ones(num_columns)
     upper[-1] = 0.0
     rows = (-np.ones(num_columns), a_ub, b_ub, np.empty((0, num_columns)), np.empty(0))
-    return _form(*rows, (np.zeros(num_columns), upper), sparse)
+    return _form(*rows, (np.zeros(num_columns), upper))
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-def test_slack_equal_to_reach_is_not_skipped(sparse):
+def test_slack_equal_to_reach_is_not_skipped():
     """A COUNT row one short of full: slack exactly 1.0, reach exactly 1.0.
     The gate skips only beyond its margin, so the pass runs — and agrees."""
-    form = _count_row_form(8, 4.0, sparse)
+    form = _count_row_form(8, 4.0)
     integer_mask = np.ones(8, dtype=bool)
     postsolve = assert_same_root(form, integer_mask)
     assert postsolve is not None and not postsolve.identity
@@ -311,6 +291,6 @@ def test_root_row_with_slack_equal_to_reach_is_still_propagated():
     slack 3 and reach 3; ``2x + y <= 3`` has reach 6 and halves ``x``."""
     for a_ub in (np.array([[1.0, 1.0]]), np.array([[2.0, 1.0]])):
         rows = (np.array([-1.0, -1.0]), a_ub, np.array([3.0]), np.empty((0, 2)), np.empty(0))
-        form = _form(*rows, (np.zeros(2), np.full(2, 3.0)), sparse=False)
+        form = _form(*rows, (np.zeros(2), np.full(2, 3.0)))
         assert_same_root(form, np.ones(2, dtype=bool))
         assert_same_root(form, None)

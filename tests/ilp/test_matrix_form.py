@@ -1,11 +1,12 @@
-"""Tests for the sparse-first MatrixForm IR.
+"""Tests for the MatrixForm IR and the model's export to it.
 
-Covers sparse/dense storage parity (same matrices, same solve results, both
-matching the HiGHS oracle), the zero-copy structural sharing branch-and-bound relies on,
-the O(1)/array fast paths on the model, the root-basis warm-start handoff
-used by SKETCHREFINE's backtracking retries, and the pickling contract the
-parallel solve plane relies on (per-process caches dropped, everything else
-round-tripping bit-exactly).
+Covers the export contract against literal matrices (row order, negation,
+explicit zeros, padding, memoisation), the typed rejection of a constraint
+matrix that is not a dense float array, the zero-copy structural sharing
+branch-and-bound relies on, the block and mapping entry points of the model,
+the root-basis warm-start handoff used by SKETCHREFINE's backtracking
+retries, and the pickling contract the parallel solve plane relies on
+(per-process caches dropped, everything else round-tripping bit-exactly).
 """
 
 import pickle
@@ -18,9 +19,10 @@ from scipy import sparse as sp
 from repro.errors import SolverError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.lp_backend import solve_lp_form
-from repro.ilp.matrix_form import MatrixForm, choose_sparse
+from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
-from repro.ilp.simplex import _WORK_CACHE_KEY
+from repro.ilp.presolve import presolve_form
+from repro.ilp.simplex import _WORK_CACHE_KEY, solve_dense_simplex
 from repro.ilp.status import SolverStatus
 
 from .oracle import oracle_form_lp
@@ -76,70 +78,152 @@ def _models(draw):
     return _random_model(draw, n, constraints, objective, rhs_offsets)
 
 
-class TestStorageParity:
-    def test_sparse_and_dense_exports_hold_the_same_matrices(self):
+class TestExportContract:
+    def _interleaved(self):
         model = IlpModel()
-        for i in range(5):
+        for i in range(3):
             model.add_variable(f"x{i}", 0, 2)
-        model.add_constraint({0: 1.0, 3: -2.0}, ConstraintSense.LE, 4)
-        model.add_constraint({1: 1.0, 2: 1.0}, ConstraintSense.GE, 1)
-        model.add_constraint({4: 3.0}, ConstraintSense.EQ, 3)
-        model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0, 4: -1.0})
+        model.add_constraint({0: 1.0, 2: -2.0}, ConstraintSense.LE, 4, name="le0")
+        model.add_constraint({1: 3.0}, ConstraintSense.EQ, 3, name="eq0")
+        model.add_constraint({0: 1.0, 1: 0.0, 2: 5.0}, ConstraintSense.GE, 1, name="ge0")
+        model.add_constraint({0: 7.0, 1: 1.0}, ConstraintSense.EQ, 0, name="eq1")
+        model.add_constraint({2: 1.0}, ConstraintSense.LE, -6, name="le1")
+        return model
 
-        sparse_form = model.to_matrix(sparse=True)
-        dense_form = model.to_matrix(sparse=False)
-        assert sparse_form.is_sparse
-        assert not dense_form.is_sparse
-        assert sp.issparse(sparse_form.a_ub)
-        np.testing.assert_allclose(sparse_form.a_ub.toarray(), dense_form.a_ub)
-        np.testing.assert_allclose(sparse_form.a_eq.toarray(), dense_form.a_eq)
-        np.testing.assert_allclose(sparse_form.c, dense_form.c)
-        assert sparse_form.nnz == dense_form.nnz == 5
-        np.testing.assert_array_equal(sparse_form.bounds, dense_form.bounds)
+    def test_rows_keep_model_order_and_ge_rows_are_negated(self):
+        model = self._interleaved()
+        model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0, 2: -1.0})
+        form = model.to_matrix()
+        for matrix in (form.a_ub, form.a_eq):
+            assert type(matrix) is np.ndarray and matrix.dtype == np.float64
+        np.testing.assert_array_equal(
+            form.a_ub, [[1.0, 0.0, -2.0], [-1.0, 0.0, -5.0], [0.0, 0.0, 1.0]]
+        )
+        np.testing.assert_array_equal(form.b_ub, [4.0, -1.0, -6.0])
+        np.testing.assert_array_equal(form.a_eq, [[0.0, 3.0, 0.0], [7.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(form.b_eq, [3.0, 0.0])
+        np.testing.assert_array_equal(form.c, [1.0, 0.0, -1.0])
+        assert not form.maximize
+        assert [c.name for c in model.constraints] == ["le0", "eq0", "ge0", "eq1", "le1"]
+
+    def test_maximize_objective_is_negated(self):
+        model = self._interleaved()
+        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0, 2: -1.0})
+        form = model.to_matrix()
+        np.testing.assert_array_equal(form.c, [-1.0, 0.0, 1.0])
+        assert form.maximize
+
+    def test_explicit_zero_is_a_cell_but_not_a_coefficient(self):
+        model = self._interleaved()
+        assert model.to_matrix().a_ub[1, 1] == 0.0
+        assert model.constraints[2].coefficients == {0: 1.0, 2: 5.0}
+        assert model.constraints[2].nnz == 2
+        assert model.constraint_nnz == 2 + 1 + 2 + 2 + 1
+        assert model.to_matrix().nnz == model.constraint_nnz
+        model.set_objective(ObjectiveSense.MINIMIZE, {0: 0.0, 1: 2.0})
+        assert model.objective.coefficients == {1: 2.0}
+
+    def test_column_added_after_a_row_is_zero_padded(self):
+        model = self._interleaved()
+        model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
+        model.add_variable("late", 0, 1)
+        model.add_variables(np.zeros(2), np.ones(2))
+        form = model.to_matrix()
+        assert form.a_ub.shape == (3, 6) and form.a_eq.shape == (2, 6)
+        assert not form.a_ub[:, 3:].any() and not form.a_eq[:, 3:].any()
+        np.testing.assert_array_equal(form.a_ub[:, :3], [[1, 0, -2], [-1, 0, -5], [0, 0, 1]])
+        np.testing.assert_array_equal(form.c, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        model.add_constraint({3: 2.0, 5: 1.0}, ConstraintSense.LE, 1)
+        np.testing.assert_array_equal(model.to_matrix().a_ub[3], [0, 0, 0, 2, 0, 1])
+
+    def test_export_is_the_same_object_until_the_model_changes(self):
+        model = self._interleaved()
+        form = model.to_matrix()
+        assert model.to_matrix() is form
+        model.add_constraint({0: 1.0}, ConstraintSense.LE, 9)
+        after_row = model.to_matrix()
+        assert after_row is not form and model.to_matrix() is after_row
+        model.add_variable("late")
+        after_column = model.to_matrix()
+        assert after_column is not after_row
+        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
+        assert model.to_matrix() is not after_column
+
+    def test_model_arrays_are_read_only(self):
+        model = self._interleaved()
+        with pytest.raises(ValueError):
+            model.constraints[0].row[0] = 9.0
+        with pytest.raises(ValueError):
+            model.objective.vector[0] = 9.0
 
     @settings(max_examples=40, deadline=None)
     @given(model=_models())
-    def test_random_models_solve_identically_through_both_storages(self, model):
-        """The sparse path and the dense fallback agree with the oracle on
-        status and objective."""
-        for sparse in (True, False):
-            form = model.to_matrix(sparse=sparse)
-            result = solve_lp_form(form)
-            reference = oracle_form_lp(form)
-            assert result.status.value == reference.status, sparse
-            if result.status is SolverStatus.OPTIMAL:
-                assert result.objective_value == pytest.approx(reference.objective, abs=1e-6)
+    def test_random_models_solve_to_the_oracle_optimum(self, model):
+        form = model.to_matrix()
+        result = solve_lp_form(form)
+        reference = oracle_form_lp(form)
+        assert result.status.value == reference.status
+        if result.status is SolverStatus.OPTIMAL:
+            assert result.objective_value == pytest.approx(reference.objective, abs=1e-6)
 
-    @settings(max_examples=20, deadline=None)
-    @given(model=_models())
-    def test_branch_and_bound_agrees_across_storages(self, model):
-        limits = SolverLimits(relative_gap=1e-9, node_limit=2_000)
-        values = {}
-        for sparse in (True, False):
-            clone = model.copy()
-            clone.sparse_matrix = sparse
-            assert clone.to_matrix().is_sparse is sparse
-            solution = BranchAndBoundSolver(limits=limits).solve(clone)
-            values[sparse] = (solution.status, solution.objective_value)
-        assert values[True][0] is values[False][0]
-        if values[True][0] is SolverStatus.OPTIMAL:
-            assert values[True][1] == pytest.approx(values[False][1], abs=1e-6)
+
+class TestTypedConstraintMatrices:
+    """A constraint matrix that is not a 2-D float ndarray of the objective's
+    width is rejected where the form is built, by field name."""
+
+    def _rows(self):
+        return (
+            np.array([1.0, 1.0]),
+            np.array([[1.0, 2.0]]), np.array([4.0]),
+            np.empty((0, 2)), np.empty(0),
+        )
+
+    def _form(self, **override):
+        c, a_ub, b_ub, a_eq, b_eq = self._rows()
+        fields = dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+                      bounds=(np.zeros(2), np.ones(2)), maximize=False)
+        return MatrixForm(**{**fields, **override})
+
+    def test_a_well_typed_form_is_accepted(self):
+        assert presolve_form(self._form()).feasible
+
+    @pytest.mark.parametrize("field", ["a_ub", "a_eq"])
+    def test_csr_matrix_is_rejected(self, field):
+        with pytest.raises(SolverError, match=f"MatrixForm.{field}"):
+            self._form(**{field: sp.csr_matrix(np.array([[1.0, 2.0]]))})
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 2.0]), np.array([[1, 2]]), [[1.0, 2.0]]],
+        ids=["wrong_width", "one_dimensional", "integer", "list"],
+    )
+    def test_wrong_shape_or_type_is_rejected(self, matrix):
+        with pytest.raises(SolverError, match="MatrixForm.a_ub"):
+            self._form(a_ub=matrix)
+        with pytest.raises(SolverError, match="MatrixForm.a_eq"):
+            self._form(a_eq=matrix)
+
+    def test_the_simplex_entry_point_inherits_the_check(self):
+        c, a_ub, b_ub, a_eq, b_eq = self._rows()
+        bounds = [(0.0, 1.0), (0.0, 1.0)]
+        with pytest.raises(SolverError, match="MatrixForm.a_ub"):
+            solve_dense_simplex(c, sp.csr_matrix(a_ub), b_ub, a_eq, b_eq, bounds)
+        with pytest.raises(SolverError, match="MatrixForm.a_eq"):
+            solve_dense_simplex(c, a_ub, b_ub, np.empty((0, 3)), b_eq, bounds)
 
 
 class TestZeroCopySharing:
-    def _model(self, sparse):
+    def _model(self):
         model = IlpModel()
         for i in range(6):
             model.add_variable(f"x{i}", 0, 1)
         model.add_constraint({i: float(i + 1) for i in range(6)}, ConstraintSense.LE, 9)
         model.add_constraint({0: 1.0, 5: 1.0}, ConstraintSense.GE, 1)
         model.set_objective(ObjectiveSense.MAXIMIZE, {i: 1.0 for i in range(6)})
-        model.sparse_matrix = sparse
         return model
 
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_with_bounds_shares_constraint_buffers_and_cache(self, sparse):
-        form = self._model(sparse).to_matrix()
+    def test_with_bounds_shares_constraint_buffers_and_cache(self):
+        form = self._model().to_matrix()
         lower, upper = form.bound_arrays()
         upper[0] = 0.0
         child = form.with_bounds(lower, upper)
@@ -148,48 +232,58 @@ class TestZeroCopySharing:
         assert child.c is form.c
         assert child.b_ub is form.b_ub
         assert child.cache is form.cache
-        if sparse:
-            grandchild = child.with_bounds(lower.copy(), upper.copy())
-            assert grandchild.a_ub.data is form.a_ub.data
-            assert grandchild.a_ub.indices is form.a_ub.indices
-            assert grandchild.a_ub.indptr is form.a_ub.indptr
 
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_branch_and_bound_tree_assembles_one_working_matrix(self, sparse):
+    def test_branch_and_bound_tree_assembles_one_working_matrix(self):
         """Every node of the tree shares the single cached simplex work matrix."""
-        model = self._model(sparse)
+        model = self._model()
         form = model.to_matrix()
         assert _WORK_CACHE_KEY not in form.cache
         solution = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
         assert solution.status is SolverStatus.OPTIMAL
         work = form.cache[_WORK_CACHE_KEY]
-        assert work.sparse is sparse
         # A second solve (new tree, same model) reuses the same assembly.
         BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
         assert form.cache[_WORK_CACHE_KEY] is work
 
 
 class TestModelFastPaths:
-    def test_add_constraint_arrays_validates(self):
+    def test_add_constraints_takes_a_block_and_validates_it(self):
         model = IlpModel()
         model.add_variable("x")
         model.add_variable("y")
-        constraint = model.add_constraint_arrays(
-            np.array([0, 1]), np.array([2.0, 0.0]), ConstraintSense.LE, 5
+        block = np.array([[2.0, 0.0], [1.0, 1.0]])
+        model.add_constraints(
+            block, [ConstraintSense.LE, ConstraintSense.GE], [5.0, 1.0], ["cap", "floor"]
         )
-        assert constraint.coefficients == {0: 2.0}
-        with pytest.raises(SolverError):
-            model.add_constraint_arrays(
-                np.array([0, 0]), np.array([1.0, 1.0]), ConstraintSense.LE, 1
-            )
-        with pytest.raises(SolverError):
-            model.add_constraint_arrays(
-                np.array([7]), np.array([1.0]), ConstraintSense.LE, 1
-            )
-        with pytest.raises(SolverError):
-            model.set_objective_arrays(
-                ObjectiveSense.MINIMIZE, np.array([5]), np.array([1.0])
-            )
+        first, second = model.constraints
+        assert first.coefficients == {0: 2.0} and second.coefficients == {0: 1.0, 1: 1.0}
+        assert (second.name, second.sense, second.rhs) == ("floor", ConstraintSense.GE, 1.0)
+        # The block is taken over, not copied, and frozen.
+        assert np.shares_memory(first.row, block) and not block.flags.writeable
+        with pytest.raises(SolverError, match="does not match 2 variables"):
+            model.add_constraints(np.ones((1, 3)), [ConstraintSense.LE], [1.0], ["wide"])
+        with pytest.raises(SolverError, match="does not match 2 variables"):
+            model.add_constraints(np.ones(2), [ConstraintSense.LE], [1.0], ["flat"])
+        with pytest.raises(SolverError, match="2 rows but 1 senses"):
+            model.add_constraints(np.ones((2, 2)), [ConstraintSense.LE], [1.0, 2.0], ["a", "b"])
+        with pytest.raises(SolverError, match="does not match 2 variables"):
+            model.set_objective_vector(ObjectiveSense.MINIMIZE, np.ones(5))
+        assert model.num_constraints == 2
+
+    def test_mapping_input_is_validated(self):
+        model = IlpModel()
+        model.add_variable("x")
+        model.add_variable("y")
+        with pytest.raises(SolverError, match="unknown variable index"):
+            model.add_constraint({7: 1.0}, ConstraintSense.LE, 1)
+        with pytest.raises(SolverError, match="unknown variable index"):
+            model.add_constraint({-1: 1.0}, ConstraintSense.LE, 1)
+        with pytest.raises(SolverError, match="unknown variable index"):
+            model.set_objective(ObjectiveSense.MINIMIZE, {5: 1.0})
+        # 0 and 0.5 name the same column once truncated to an index.
+        with pytest.raises(SolverError, match="duplicate variable indices"):
+            model.add_constraint({0: 1.0, 0.5: 1.0}, ConstraintSense.LE, 1)
+        assert model.num_constraints == 0
 
     def test_variable_lookup_is_index_backed(self):
         model = IlpModel()
@@ -215,17 +309,9 @@ class TestModelFastPaths:
         assert not model.check_feasible(np.array([2.0, 0.0, 0.0, 0.0]))  # constraint
         assert not model.check_feasible(np.array([0.5, 0.0, 0.0, 0.0]))  # integrality
 
-    def test_choose_sparse_policy(self):
-        # Tiny models always take the dense fallback.
-        assert not choose_sparse(100, 5)
-        # Large and sparse: CSR wins.
-        assert choose_sparse(1_000_000, 10_000)
-        # Large but fully dense: CSR's index overhead would lose; stay dense.
-        assert not choose_sparse(1_000_000, 1_000_000)
-
 
 class TestRootBasisHandoff:
-    def _model(self):
+    def _model(self, budget=0.4):
         rng = np.random.default_rng(5)
         model = IlpModel("handoff")
         weights = rng.integers(2, 9, 12).astype(float)
@@ -233,7 +319,7 @@ class TestRootBasisHandoff:
         for i in range(12):
             model.add_variable(f"x{i}", 0, 1)
         model.add_constraint(
-            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * 0.4
+            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * budget
         )
         model.set_objective(ObjectiveSense.MAXIMIZE, {i: v for i, v in enumerate(values)})
         return model
@@ -246,8 +332,7 @@ class TestRootBasisHandoff:
 
         # A related model (same shape, slightly shifted rhs) warm-starts its
         # root from the exported basis — this is the SKETCHREFINE retry path.
-        retry_model = self._model()
-        retry_model.constraints[0].rhs *= 0.95
+        retry_model = self._model(budget=0.38)
         second = solver.solve(retry_model, warm_start=first.root_basis)
         assert second.status is SolverStatus.OPTIMAL
         assert second.stats.warm_start_hits >= 1
@@ -269,7 +354,7 @@ class TestPickling:
     agree with the original.
     """
 
-    def _model(self, num_vars=8, fixed=None):
+    def _model(self, num_vars=8, fixed=None, budget=0.5):
         rng = np.random.default_rng(11)
         model = IlpModel("pickled")
         weights = rng.integers(1, 9, num_vars).astype(float)
@@ -277,24 +362,14 @@ class TestPickling:
         for i in range(num_vars):
             model.add_variable(f"x{i}", 2 if i == fixed else 0, 2)
         model.add_constraint(
-            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * 0.5
+            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * budget
         )
         model.add_constraint({0: 1.0, num_vars - 1: 1.0}, ConstraintSense.GE, 1)
         model.set_objective(ObjectiveSense.MAXIMIZE, {i: g for i, g in enumerate(gains)})
         return model
 
-    def _assert_matrix_equal(self, left, right):
-        if sp.issparse(left):
-            assert sp.issparse(right)
-            np.testing.assert_array_equal(left.toarray(), right.toarray())
-        else:
-            np.testing.assert_array_equal(left, right)
-
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_matrix_form_round_trips_without_its_cache(self, sparse):
-        model = self._model()
-        model.sparse_matrix = sparse
-        form = model.to_matrix()
+    def test_matrix_form_round_trips_without_its_cache(self):
+        form = self._model().to_matrix()
         # Populate the per-process caches with a real solve before pickling.
         result = solve_lp_form(form)
         assert result.status is SolverStatus.OPTIMAL
@@ -303,10 +378,9 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(form))
         assert clone.cache == {}
         assert form.cache, "pickling must not clear the original's cache"
-        assert clone.is_sparse is form.is_sparse
         assert clone.maximize is form.maximize
-        self._assert_matrix_equal(form.a_ub, clone.a_ub)
-        self._assert_matrix_equal(form.a_eq, clone.a_eq)
+        np.testing.assert_array_equal(form.a_ub, clone.a_ub)
+        np.testing.assert_array_equal(form.a_eq, clone.a_eq)
         np.testing.assert_array_equal(form.c, clone.c)
         np.testing.assert_array_equal(form.b_ub, clone.b_ub)
         np.testing.assert_array_equal(form.b_eq, clone.b_eq)
@@ -318,8 +392,6 @@ class TestPickling:
         assert again.objective_value == pytest.approx(result.objective_value)
 
     def test_postsolve_round_trips_and_restores_identically(self):
-        from repro.ilp.presolve import presolve_form
-
         # Fix a variable so presolve genuinely reduces and the postsolve
         # record is non-trivial.
         form = self._model(fixed=3).to_matrix()
@@ -352,8 +424,7 @@ class TestPickling:
         assert clone.matches(basis.num_structural, basis.num_ub, basis.num_eq)
 
         # A warm start from the round-tripped basis behaves like the original.
-        retry = self._model()
-        retry.constraints[0].rhs *= 0.9
+        retry = self._model(budget=0.45)
         warm = solver.solve(retry, warm_start=clone)
         cold = solver.solve(retry.copy())
         assert warm.status is cold.status
@@ -362,13 +433,13 @@ class TestPickling:
     def test_ilp_model_round_trips_without_memo_caches(self):
         model = self._model()
         form = model.to_matrix()  # populate the model-level memo cache
-        assert model._matrix_cache
+        assert model._matrix_cache is form
 
         clone = pickle.loads(pickle.dumps(model))
-        assert clone._matrix_cache == {}
+        assert clone._matrix_cache is None
         clone_form = clone.to_matrix()
-        self._assert_matrix_equal(form.a_ub, clone_form.a_ub)
-        self._assert_matrix_equal(form.a_eq, clone_form.a_eq)
+        np.testing.assert_array_equal(form.a_ub, clone_form.a_ub)
+        np.testing.assert_array_equal(form.a_eq, clone_form.a_eq)
         np.testing.assert_array_equal(form.c, clone_form.c)
         np.testing.assert_array_equal(form.b_ub, clone_form.b_ub)
         np.testing.assert_array_equal(form.b_eq, clone_form.b_eq)

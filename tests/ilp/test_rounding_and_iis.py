@@ -5,7 +5,7 @@ import pytest
 
 from repro.ilp import rounding
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.iis import constraint_columns, find_iis
+from repro.ilp.iis import find_iis
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.rounding import RelaxAndRoundSolver
 from repro.ilp.status import Solution, SolverStatus
@@ -148,35 +148,22 @@ class TestIis:
         iis = find_iis(model)
         assert set(iis) == {"high", "low"}
 
-    def test_iis_on_triplet_built_model(self):
-        """The deletion filter handles models built through the array fast path."""
+    def test_iis_on_block_built_model(self):
+        """The deletion filter handles models built through the block path,
+        and its probes leave the model as it was."""
         model = IlpModel()
         for i in range(4):
             model.add_variable(f"x{i}", 0, 10)
-        model.add_constraint_arrays(
-            np.array([0, 1, 2, 3]), np.array([1.0, 1.0, 1.0, 1.0]),
-            ConstraintSense.GE, 30.0, name="floor",
+        model.add_constraints(
+            np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]]),
+            [ConstraintSense.GE, ConstraintSense.LE, ConstraintSense.LE],
+            [30.0, 10.0, 9.0],
+            ["floor", "ceiling", "harmless"],
         )
-        model.add_constraint_arrays(
-            np.array([0, 1, 2, 3]), np.array([1.0, 1.0, 1.0, 1.0]),
-            ConstraintSense.LE, 10.0, name="ceiling",
-        )
-        model.add_constraint_arrays(
-            np.array([0]), np.array([1.0]), ConstraintSense.LE, 9.0, name="harmless"
-        )
-        model.set_objective_arrays(
-            ObjectiveSense.MINIMIZE, np.array([0, 1]), np.array([1.0, 1.0])
-        )
+        model.set_objective_vector(ObjectiveSense.MINIMIZE, np.array([1.0, 1.0, 0.0, 0.0]))
+        form = model.to_matrix()
         assert set(find_iis(model)) == {"floor", "ceiling"}
-
-    def test_constraint_columns(self):
-        model = IlpModel()
-        model.add_variable("x", 0, 10)
-        model.add_variable("y", 0, 10)
-        model.add_constraint({0: 1.0}, ConstraintSense.GE, 8, name="a")
-        model.add_constraint({1: 1.0}, ConstraintSense.LE, 2, name="b")
-        assert constraint_columns(model, ["a"]) == {0}
-        assert constraint_columns(model, ["a", "b"]) == {0, 1}
+        assert model.to_matrix() is form and model.num_constraints == 3
 
 
 class TestSolutionAndStatus:
