@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""What the engine answers on every op of the e2e benchmark, as one digest line each.
+
+A change that claims "same program output" shows it with two files of this
+script, one per checkout, and ``diff``: every op of every workload of
+``benchmarks/e2e/workloads.py`` runs once, on a fresh session of its workload
+(tables, partitioning, solver limits as the benchmark builds them), cache
+bypassed, at each data seed.  One JSON line per (data seed, workload, op)::
+
+    {"data_seed": 42, "workload": "direct_mix", "op": "small.Q1",
+     "method": "direct", "package": "<sha256 of indices + multiplicities>",
+     "objective": "<repr of the float>", "lp_solves": ..,
+     "simplex_iterations": .., "vars_fixed": .., "nodes": ..}
+
+The counters are the ones ``execute`` already reports in ``details``: LP
+solves, simplex iterations and columns fixed by root presolve, and for DIRECT
+the branch-and-bound nodes.  Equal files mean equal packages, objectives to
+the last bit and the same search.  Nothing is timed.
+
+    python3 benchmarks/output_digest.py --out head.jsonl
+    python3 benchmarks/output_digest.py --repo ../base --out base.jsonl
+    diff base.jsonl head.jsonl
+
+``--repo`` points the script at another checkout: its ``src`` and its
+``benchmarks/e2e`` are imported (read only) in place of this one's, so a
+merge base that predates this file can still be digested.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DATA_SEEDS = (42, 2024, 12)
+# As benchmarks/e2e/run.py: one BLAS thread (a threaded reduction may sum in
+# another order), and the engine's own worker default.
+THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def package_digest(package) -> str:
+    import numpy as np
+
+    digest = hashlib.sha256()
+    digest.update(np.asarray(package.indices, dtype=np.int64).tobytes())
+    digest.update(np.asarray(package.multiplicities, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def counters(details: dict) -> dict:
+    direct = details.get("direct_stats")
+    if direct is not None:
+        stats = direct.solve_stats
+        return {
+            "lp_solves": stats.lp_solves,
+            "simplex_iterations": stats.simplex_iterations,
+            "vars_fixed": direct.vars_fixed,
+            "nodes": stats.nodes_explored,
+        }
+    sketch = details["sketchrefine_stats"]
+    return {
+        "lp_solves": sketch.solver_lp_solves,
+        "simplex_iterations": sketch.solver_simplex_iterations,
+        "vars_fixed": sketch.vars_fixed,
+    }
+
+
+def digest_lines(scratch: Path):
+    from workloads import WORKLOADS, Session, Sizes
+
+    sizes = Sizes.full()
+    for data_seed in DATA_SEEDS:
+        for workload in WORKLOADS.values():
+            tables = workload.make_tables(data_seed, sizes)
+            ops = workload.make_ops(tables, sizes)
+            for op in ops:
+                session = Session(workload, tables, sizes, 0, scratch / "digest.wal")
+                try:
+                    result = session.engine.execute(op.text, cache="bypass")
+                finally:
+                    session.close()
+                yield {
+                    "data_seed": data_seed,
+                    "workload": workload.name,
+                    "op": op.name,
+                    "method": result.method.value,
+                    "package": package_digest(result.package),
+                    "objective": repr(float(result.objective)),
+                    **counters(result.details),
+                }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repo", default=str(HERE.parent), help="checkout to digest (default: this one)")
+    parser.add_argument("--out", required=True, help="JSON-lines file to write")
+    args = parser.parse_args(argv)
+
+    os.environ.update(THREAD_PINS)
+    os.environ.pop("REPRO_WORKERS", None)
+    repo = Path(args.repo).resolve()
+    sys.path[:0] = [str(repo / "src"), str(repo / "benchmarks" / "e2e")]
+
+    out = Path(args.out)
+    with tempfile.TemporaryDirectory() as scratch, out.open("w") as handle:
+        for line in digest_lines(Path(scratch)):
+            handle.write(json.dumps(line) + "\n")
+            handle.flush()
+            print(f"{line['data_seed']:>5} {line['workload']:<20} {line['op']:<10} {line['objective']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -45,7 +45,7 @@ class DirectStats:
     constraint_nnz: int = 0
     """Non-zero coefficients of the translated constraint matrix."""
     vars_fixed: int = 0
-    """Columns eliminated by the solver's root presolve (0 when disabled)."""
+    """Columns eliminated by the solver's root presolve."""
     rows_removed: int = 0
     """Constraint rows removed by the solver's root presolve."""
     presolve_ms: float = 0.0

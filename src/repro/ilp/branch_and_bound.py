@@ -173,6 +173,7 @@ class BranchAndBoundSolver:
 
         if n == 0:
             # Degenerate: empty model is trivially feasible with empty assignment.
+            stats.wall_time_seconds = time.perf_counter() - start
             return Solution(SolverStatus.OPTIMAL, np.empty(0), 0.0, stats)
 
         lower, upper, integer_mask = model.bound_and_integrality_arrays()
@@ -289,6 +290,7 @@ class BranchAndBoundSolver:
                 continue
             if lp_result.status is SolverStatus.UNBOUNDED:
                 if incumbent is None and node.depth == 0:
+                    stats.wall_time_seconds = time.perf_counter() - start
                     return Solution.failure(SolverStatus.UNBOUNDED, stats)
                 continue
 

@@ -45,6 +45,16 @@ only when the list runs dry (optimality is still only ever declared off a
 full sweep).  After a long run of degenerate pivots the solver switches to
 Bland's rule — always a full lowest-index sweep — to guarantee termination.
 
+**Eligibility from one signed vector.**  Which columns may enter (pricing),
+which may block the leaving row (the dual ratio test) and which must flip to
+make an installed basis dual feasible are all read off ``move``: +1 for a
+nonbasic column that may rise, -1 for one that may fall, 0 for basic and
+fixed ones (FREE columns, rare, are checked apart).  It is rebuilt when a
+primal call starts or a warm basis is installed for the dual, and patched
+per pivot or flip, so an iteration
+tests ``move * d < -eps`` — one product, exact for ±1 and 0 — instead of
+re-deriving the masks from the statuses and bounds.
+
 The cold path is the classic two-phase method in revised form: phase 1
 minimises signed artificial infeasibilities, phase 2 the true objective.
 
@@ -84,6 +94,11 @@ BASIC = 0
 AT_LOWER = 1
 AT_UPPER = 2
 FREE = 3
+
+#: The move vector's entry for each status, indexed by it: a nonbasic column at
+#: its lower bound may rise, one at its upper bound may fall.  BASIC and FREE
+#: columns read 0 (FREE ones are handled apart), and so does any fixed column.
+_MOVE_OF_STATUS = np.array([0.0, 1.0, -1.0, 0.0])
 
 _WORK_CACHE_KEY = "simplex_work"
 
@@ -276,6 +291,11 @@ class _BoundedRevisedSimplex:
 
         self.basis = np.empty(0, dtype=np.int64)
         self.status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
+        # The signed move vector (see _set_moves), whether any column is FREE,
+        # and the reduced costs _try_install priced for the first dual step.
+        self.move = np.zeros(self.ncols)
+        self._any_free = False
+        self._priced: np.ndarray | None = None
         self.factor = BasisFactor.identity(self.m)
         self.xb = np.zeros(self.m)
         self.iterations = 0
@@ -428,20 +448,34 @@ class _BoundedRevisedSimplex:
         # Restore dual feasibility with bound flips where a reduced cost has
         # the wrong sign; an unflippable column (infinite opposite bound) means
         # the basis cannot seed the dual simplex — reject it.
+        self._set_moves()
         y = self.factor.btran(self.costs[self.basis])
         d = self.costs - y @ self.a
-        movable = (status != BASIC) & (self.lower != self.upper)
-        flip_to_upper = movable & (status == AT_LOWER) & (d < -_EPSILON)
-        flip_to_lower = movable & (status == AT_UPPER) & (d > _EPSILON)
-        if np.any(flip_to_upper & ~finite_upper) or np.any(flip_to_lower & ~finite_lower):
+        flips = self._dual_flips(d)
+        if flips is None:
             return False
-        if np.any(movable & (status == FREE) & (np.abs(d) > _EPSILON)):
-            return False
-        status[flip_to_upper] = AT_UPPER
-        status[flip_to_lower] = AT_LOWER
+        status[flips] = np.where(self.move[flips] > 0, AT_UPPER, AT_LOWER)
+        self.move[flips] = -self.move[flips]
+        # _dual starts from this move vector, and prices its first iteration
+        # with the same factor, basis and costs as here.
+        self._priced = d
 
         self._compute_xb()
         return True
+
+    def _dual_flips(self, d: np.ndarray) -> np.ndarray | None:
+        """Columns whose reduced cost has the wrong sign for the bound they sit
+        at, to be flipped to the other; ``None`` when one of them has no other
+        (an infinite bound) or a movable FREE column has ``|d| > eps``."""
+        flips = np.nonzero(self.move * d < -_EPSILON)[0]
+        rising = self.move[flips] > 0
+        if not np.isfinite(np.where(rising, self.upper[flips], self.lower[flips])).all():
+            return None
+        if self._any_free and np.any(
+            (self.status == FREE) & (self.lower != self.upper) & (np.abs(d) > _EPSILON)
+        ):
+            return None
+        return flips
 
     def _factor_consistent(self) -> bool:
         """Deterministic residual check: ``ftran(B @ 1)`` must return ones.
@@ -461,7 +495,7 @@ class _BoundedRevisedSimplex:
 
     def _reoptimize(self) -> SimplexStatus:
         """Dual simplex to primal feasibility, then primal clean-up."""
-        status = self._dual(self.costs)
+        status = self._dual()
         if status is not SimplexStatus.OPTIMAL:
             return status
         return self._primal(self.costs)
@@ -469,6 +503,7 @@ class _BoundedRevisedSimplex:
     # -- primal simplex -----------------------------------------------------------
 
     def _primal(self, costs: np.ndarray) -> SimplexStatus:
+        self._set_moves()
         max_iterations = _MAX_ITERATIONS_FACTOR * (self.m + self.ncols + 1)
         for _ in range(max_iterations):
             self.iterations += 1
@@ -486,8 +521,8 @@ class _BoundedRevisedSimplex:
             if limit_row is None:
                 # Bound flip: the entering column hits its opposite bound first.
                 self.xb -= w * (direction * step)
-                self.status[entering] = (
-                    AT_UPPER if self.status[entering] == AT_LOWER else AT_LOWER
+                self._set_status(
+                    entering, AT_UPPER if self.status[entering] == AT_LOWER else AT_LOWER
                 )
                 self._note_step(step)
                 continue
@@ -502,7 +537,7 @@ class _BoundedRevisedSimplex:
             leaving = self.basis[limit_row]
             self.xb -= w * (direction * step)
             refactored = self._apply_pivot(limit_row, entering, w)
-            self.status[leaving] = leave_to
+            self._set_status(leaving, leave_to)
             if self._numerical_failure:
                 return SimplexStatus.NUMERICAL_ERROR
             if refactored:
@@ -546,21 +581,20 @@ class _BoundedRevisedSimplex:
         return self._select(eligible, d[eligible])
 
     def _eligible_columns(self, d: np.ndarray) -> np.ndarray:
-        """Indices of columns whose reduced cost permits an improving move."""
-        movable = self.lower < self.upper
-        at_lower = (self.status == AT_LOWER) & movable & (d < -_EPSILON)
-        at_upper = (self.status == AT_UPPER) & movable & (d > _EPSILON)
-        free = (self.status == FREE) & (np.abs(d) > _EPSILON)
-        return np.nonzero(at_lower | at_upper | free)[0]
+        """Indices of columns whose reduced cost permits an improving move:
+        ``move * d < -eps`` (at lower with ``d < -eps``, at upper with ``d >
+        eps``), or a FREE column with ``|d| > eps``."""
+        eligible = self.move * d < -_EPSILON
+        if self._any_free:
+            eligible |= (self.status == FREE) & (np.abs(d) > _EPSILON)
+        return np.nonzero(eligible)[0]
 
     def _eligible_mask(self, cols: np.ndarray, d_cols: np.ndarray) -> np.ndarray:
         """Eligibility of a column subset, given their reduced costs."""
-        status = self.status[cols]
-        movable = self.lower[cols] < self.upper[cols]
-        at_lower = (status == AT_LOWER) & movable & (d_cols < -_EPSILON)
-        at_upper = (status == AT_UPPER) & movable & (d_cols > _EPSILON)
-        free = (status == FREE) & (np.abs(d_cols) > _EPSILON)
-        return at_lower | at_upper | free
+        eligible = self.move[cols] * d_cols < -_EPSILON
+        if self._any_free:
+            eligible |= (self.status[cols] == FREE) & (np.abs(d_cols) > _EPSILON)
+        return eligible
 
     @staticmethod
     def _select(cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
@@ -622,7 +656,11 @@ class _BoundedRevisedSimplex:
 
     # -- dual simplex ---------------------------------------------------------------
 
-    def _dual(self, costs: np.ndarray) -> SimplexStatus:
+    def _dual(self) -> SimplexStatus:
+        """Dual simplex over ``self.costs`` from the basis, move vector and
+        reduced costs :meth:`_try_install` just set up."""
+        costs = self.costs
+        priced, self._priced = self._priced, None
         max_iterations = _MAX_ITERATIONS_FACTOR * (self.m + self.ncols + 1)
         for _ in range(max_iterations):
             if self.m == 0:
@@ -643,27 +681,13 @@ class _BoundedRevisedSimplex:
             leaving_below = below[r] > above[r]
 
             alpha = self.factor.btran_row(r) @ self.a
-            y = self.factor.btran(costs[self.basis])
-            d = costs - y @ self.a
-
-            movable = self.lower < self.upper
-            at_lower = (self.status == AT_LOWER) & movable
-            at_upper = (self.status == AT_UPPER) & movable
-            free = self.status == FREE
-            if leaving_below:
-                # x_B[r] must increase: dx_B[r]/dx_j = -alpha_j.
-                mask = (
-                    (at_lower & (alpha < -_PIVOT_EPSILON))
-                    | (at_upper & (alpha > _PIVOT_EPSILON))
-                    | (free & (np.abs(alpha) > _PIVOT_EPSILON))
-                )
+            if priced is None:
+                y = self.factor.btran(costs[self.basis])
+                d = costs - y @ self.a
             else:
-                mask = (
-                    (at_lower & (alpha > _PIVOT_EPSILON))
-                    | (at_upper & (alpha < -_PIVOT_EPSILON))
-                    | (free & (np.abs(alpha) > _PIVOT_EPSILON))
-                )
-            eligible = np.nonzero(mask)[0]
+                d, priced = priced, None
+
+            eligible = self._ratio_candidates(alpha, leaving_below)
             if eligible.size == 0:
                 return SimplexStatus.INFEASIBLE
             ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
@@ -699,7 +723,7 @@ class _BoundedRevisedSimplex:
             leaving = self.basis[r]
             self.xb -= w * entering_step
             refactored = self._apply_pivot(r, q, w)
-            self.status[leaving] = AT_LOWER if leaving_below else AT_UPPER
+            self._set_status(leaving, AT_LOWER if leaving_below else AT_UPPER)
             if self._numerical_failure:
                 return SimplexStatus.NUMERICAL_ERROR
             if refactored:
@@ -709,7 +733,39 @@ class _BoundedRevisedSimplex:
             self._note_step(float(ratios.min()))
         return SimplexStatus.ITERATION_LIMIT
 
+    def _ratio_candidates(self, alpha: np.ndarray, leaving_below: bool) -> np.ndarray:
+        """Columns that can enter against leaving row ``alpha``: those whose
+        move pushes ``x_B[r]`` toward its violated bound, ``dx_B[r]/dx_j =
+        -alpha_j`` — ``move * alpha < -eps`` when it must rise, ``> eps``
+        when it must fall — and FREE columns with ``|alpha| > eps``."""
+        rate = self.move * alpha
+        mask = rate < -_PIVOT_EPSILON if leaving_below else rate > _PIVOT_EPSILON
+        if self._any_free:
+            mask |= (self.status == FREE) & (np.abs(alpha) > _PIVOT_EPSILON)
+        return np.nonzero(mask)[0]
+
     # -- shared machinery -----------------------------------------------------------
+
+    def _set_moves(self) -> None:
+        """Rebuild the signed move vector from the statuses and bounds.
+
+        ``move[j]`` is +1 for a nonbasic column at its lower bound that may
+        rise (``l_j < u_j``), -1 for one at its upper bound that may fall, and
+        0 for basic, fixed and FREE columns (FREE ones are flagged apart).
+        Bounds are constant within one :meth:`_primal` / :meth:`_dual` call,
+        so the vector is rebuilt when :meth:`_primal` starts or
+        :meth:`_try_install` seeds :meth:`_dual`, and a pivot or flip then
+        updates only the columns it touches.  ``clip``: an out-of-range
+        status in a caller's basis moves nowhere, as it never did.
+        """
+        moves = _MOVE_OF_STATUS.take(self.status, mode="clip")
+        self.move = np.where(self.lower < self.upper, moves, 0.0)
+        self._any_free = bool(np.any(self.status == FREE))
+
+    def _set_status(self, j: int, status: int) -> None:
+        """Make column ``j`` nonbasic at ``status``, move vector included."""
+        self.status[j] = status
+        self.move[j] = _MOVE_OF_STATUS[status] if self.lower[j] < self.upper[j] else 0.0
 
     def _apply_pivot(self, row: int, entering: int, w: np.ndarray) -> bool:
         """Swap ``entering`` into the basis at ``row``; True if reinverted.
@@ -724,6 +780,7 @@ class _BoundedRevisedSimplex:
         """
         self.basis[row] = entering
         self.status[entering] = BASIC
+        self.move[entering] = 0.0
         if not self.factor.update(row, w) or self.factor.updates >= _REFACTOR_INTERVAL:
             if not self._refactorize():
                 self._numerical_failure = True

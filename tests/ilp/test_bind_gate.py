@@ -9,6 +9,13 @@ builds on a Galaxy table — along random branch paths, with cutoffs from "canno
 columns, fractional bounds on integer columns, and the knife edge where slack
 equals reach.  Node bounds must be ``np.array_equal``; root reductions must
 agree field by field.  Every gated call runs with warnings as errors.
+
+The root certificate (``_certified_identity``) returns the identity reduction
+without running a pass; the corpus must hold roots on both sides of it, and
+its knife edges — activity within ``_row_tolerance`` of the right-hand side,
+slack within the certificate's margin of the gate's threshold, fractional,
+fixed and infinite bounds, all-zero rows, no equality rows, no pass budget —
+are held against the reference field by field like every other root.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ import pytest
 from repro.core.engine import PackageQueryEngine
 from repro.core.sketchrefine import PartitionedQuery
 from repro.ilp.matrix_form import MatrixForm
-from repro.ilp.presolve import _round_integer_bounds, presolve_form
+from repro.ilp.presolve import (
+    _CERTIFICATE_MARGIN,
+    _GATE_MARGIN,
+    _certified_identity,
+    _round_integer_bounds,
+    _row_tolerance,
+    presolve_form,
+)
 from repro.workloads.galaxy import galaxy_table
 
 from .reference_presolve import reference_presolve_form, reference_reduce_bounds
@@ -44,6 +58,8 @@ class Tally:
         self.halved = 0          # ... at least a quarter of the columns' bounds
         self.unbounded = 0       # calls on a reduction with an infinite root bound
         self.fractional = 0      # calls whose bounds were fractional on an integer column
+        self.certified_roots = 0    # roots the certificate answered without a pass
+        self.uncertified_roots = 0  # roots it left to the pass
 
 
 def _form(c, a_ub, b_ub, a_eq, b_eq, bounds) -> MatrixForm:
@@ -55,14 +71,27 @@ def _form(c, a_ub, b_ub, a_eq, b_eq, bounds) -> MatrixForm:
     )
 
 
-def assert_same_root(form: MatrixForm, integer_mask, max_passes: int | None = None):
+def certified(form: MatrixForm, integer_mask) -> bool:
+    mask = None if integer_mask is None else np.asarray(integer_mask, dtype=bool)
+    return _certified_identity(form, *form.bound_arrays(), mask)
+
+
+def assert_same_root(
+    form: MatrixForm, integer_mask, max_passes: int | None = None, tally: Tally | None = None
+):
     """Gated and reference ``presolve_form`` agree field by field; returns the
     gated postsolve record (``None`` when the root is infeasible)."""
     extra = {} if max_passes is None else {"max_passes": max_passes}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = presolve_form(form, integer_mask=integer_mask, **extra)
+        fired = certified(form, integer_mask)
     ref = reference_presolve_form(form, integer_mask=integer_mask, **extra)
+    if tally is not None:
+        tally.certified_roots += fired
+        tally.uncertified_roots += not fired
+    if fired:  # the identity, and nothing but the identity
+        assert ref.feasible and ref.form is form and ref.postsolve.identity
     assert got.feasible == ref.feasible
     for name in ("vars_fixed", "rows_removed", "bounds_tightened", "passes"):
         assert getattr(got.stats, name) == getattr(ref.stats, name), name
@@ -185,12 +214,15 @@ def test_gated_propagation_equals_the_reference_on_fuzz_forms(family):
         n = form.num_variables
         # All-integer (PaQL's case), mixed, and pure LP.
         integer_mask = (np.ones(n, dtype=bool), rng.random(n) < 0.7, None)[seed % 3]
-        postsolve = assert_same_root(form, integer_mask)
+        postsolve = assert_same_root(form, integer_mask, tally=tally)
         if seed % 5 == 0:  # a pass budget that runs out: the final refresh must run
-            assert_same_root(form, integer_mask, max_passes=1)
-            assert_same_root(form, integer_mask, max_passes=0)
+            assert_same_root(form, integer_mask, max_passes=1, tally=tally)
+            assert_same_root(form, integer_mask, max_passes=0, tally=tally)
         if postsolve is not None and postsolve.num_reduced_vars:
             assert_same_nodes(rng, postsolve, form, integer_mask, tally)
+    # Roots on both sides of the certificate.
+    assert tally.certified_roots > 0
+    assert tally.uncertified_roots > 0
     # The corpus sits on both sides of the gate, and the passes that ran mattered.
     assert tally.calls > 1_000
     assert tally.skipped > tally.calls // 10
@@ -235,9 +267,11 @@ def test_gated_propagation_equals_the_reference_on_galaxy_refine_models(galaxy_r
         rng = np.random.default_rng([index, 0])
         form = model.to_matrix()
         integer_mask = model.bound_and_integrality_arrays()[2]
-        postsolve = assert_same_root(form, integer_mask)
+        postsolve = assert_same_root(form, integer_mask, tally=tally)
         assert postsolve is not None
         assert_same_nodes(rng, postsolve, form, integer_mask, tally)
+    # Refine roots reduce (their COUNT row fixes columns): never certified.
+    assert tally.certified_roots == 0
     assert tally.skipped > tally.calls // 10
     assert tally.calls - tally.skipped > tally.calls // 10
     assert tally.rows_tightened > 20
@@ -284,6 +318,108 @@ def test_slack_equal_to_reach_is_not_skipped():
     ref = reference_reduce_bounds(postsolve, lower, upper)
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
     assert postsolve.propagations == ran
+
+
+def _certifiable_form(lower=None, upper=None, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """Four 0/1 columns under ``COUNT <= 2``, a weighted ``<= 5`` row and
+    ``COUNT = 2``: every row's slack clears its reach, none is redundant or
+    forced, so the certificate answers for the pass.  Any part can be swapped."""
+    a_ub = np.array([[1.0, 1.0, 1.0, 1.0], [3.0, 1.0, 2.0, 1.0]]) if a_ub is None else a_ub
+    b_ub = np.array([2.0, 5.0]) if b_ub is None else b_ub
+    a_eq = np.ones((1, 4)) if a_eq is None else a_eq
+    b_eq = np.array([2.0]) if b_eq is None else b_eq
+    lower = np.zeros(4) if lower is None else lower
+    upper = np.ones(4) if upper is None else upper
+    return _form(-np.arange(1.0, 5.0), a_ub, b_ub, a_eq, b_eq, (lower, upper))
+
+
+INTEGRAL = np.ones(4, dtype=bool)
+
+
+def test_certified_root_is_the_pass_result():
+    for max_passes, passes in ((None, 1), (8, 1), (1, 1), (0, 0), (-1, 0)):
+        form = _certifiable_form()
+        assert certified(form, INTEGRAL) and certified(form, None)
+        assert_same_root(form, INTEGRAL, max_passes=max_passes)
+        extra = {} if max_passes is None else {"max_passes": max_passes}
+        result = presolve_form(form, integer_mask=INTEGRAL, **extra)
+        assert result.form is form and result.stats.passes == passes
+
+
+def test_certificate_refuses_bounds_the_pass_would_change():
+    """A fractional bound on an integer column (rounding moves it), a fixed
+    column, one fixed within ``_FIX_TOLERANCE``, an infinite bound."""
+    fractional = np.ones(4)
+    fractional[1] = 1.5
+    fixed = np.ones(4)
+    fixed[2] = 0.0
+    nearly_fixed = np.ones(4)
+    nearly_fixed[2] = 1e-10
+    unbounded = np.ones(4)
+    unbounded[0] = np.inf
+    for upper in (fractional, fixed, nearly_fixed, unbounded):
+        form = _certifiable_form(upper=upper)
+        assert not certified(form, INTEGRAL)
+        assert_same_root(form, INTEGRAL)
+        assert_same_root(form, None)
+    # On a continuous column a fractional bound rounds nowhere.
+    assert certified(_certifiable_form(upper=fractional), None)
+    assert certified(_certifiable_form(upper=fractional), ~INTEGRAL)
+
+
+def test_certificate_on_degenerate_row_blocks():
+    """An all-zero row is redundant (or, under a negative right-hand side,
+    infeasible); no equality rows, or no rows at all, is certifiable."""
+    zero_row = np.vstack([np.ones(4), np.zeros(4)])
+    for b_ub in (np.array([2.0, 1.0]), np.array([2.0, 0.0]), np.array([2.0, -1.0])):
+        form = _certifiable_form(a_ub=zero_row, b_ub=b_ub)
+        assert not certified(form, INTEGRAL)
+        assert_same_root(form, INTEGRAL)
+    no_eq = _certifiable_form(a_eq=np.empty((0, 4)), b_eq=np.empty(0))
+    no_rows = _certifiable_form(a_ub=np.empty((0, 4)), b_ub=np.empty(0), a_eq=np.empty((0, 4)), b_eq=np.empty(0))
+    for form in (no_eq, no_rows):
+        assert certified(form, INTEGRAL)
+        assert_same_root(form, INTEGRAL)
+
+
+def test_certificate_at_the_row_tolerance():
+    """``COUNT <= b`` over four 0/1 columns, ``b`` around ``4 - tol``: at or
+    above it the pass drops the row as redundant, below it keeps the row; the
+    certificate answers only a margin below.  ``COUNT = b`` around ``4 + tol``
+    is the infeasibility edge of an equality row."""
+    tol = float(_row_tolerance(np.array([4.0]))[0])
+    margin = _CERTIFICATE_MARGIN * 4.0
+    for steps in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        b = 4.0 - tol + steps * margin
+        form = _certifiable_form(a_ub=np.ones((1, 4)), b_ub=np.array([b]))
+        assert_same_root(form, INTEGRAL)
+        assert certified(form, INTEGRAL) == (steps <= -2.0), steps
+        eq_form = _certifiable_form(b_eq=np.array([4.0 + tol + steps * margin]))
+        assert_same_root(eq_form, INTEGRAL)
+        assert not certified(eq_form, INTEGRAL)
+
+
+def test_certificate_at_the_gate_threshold():
+    """``2 x0 + x1 + x2 <= b`` over ``[0, 1]^4``: reach 2, magnitude 4.  At
+    ``b = 2 ± margin`` the pass really tightens ``x0`` (continuous) or rounds
+    it back (integral); around the gate's threshold ``2 + 1e-6 · 4`` it
+    proves the row cannot bind, and the certificate answers only past its
+    own margin."""
+    margin = _CERTIFICATE_MARGIN * 4.0
+    threshold = 2.0 + _GATE_MARGIN * 4.0
+    a_ub = np.array([[2.0, 1.0, 1.0, 0.0]])
+    tightened = 0
+    for b in (2.0 - margin, 2.0, 2.0 + margin):
+        form = _certifiable_form(a_ub=a_ub, b_ub=np.array([b]))
+        assert not certified(form, None)
+        assert_same_root(form, INTEGRAL)
+        tightened += assert_same_root(form, None).tightened_upper[0] < 1.0
+    assert tightened == 1   # 2 - margin: x0 <= 1 - margin / 2
+    for steps in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0):
+        form = _certifiable_form(a_ub=a_ub, b_ub=np.array([threshold + steps * margin]))
+        assert_same_root(form, INTEGRAL)
+        assert_same_root(form, None)
+        assert certified(form, None) == (steps >= 3.0), steps
 
 
 def test_root_row_with_slack_equal_to_reach_is_still_propagated():

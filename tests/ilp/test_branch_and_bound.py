@@ -96,6 +96,7 @@ class TestCorrectness:
         solution = fast_solver.solve(IlpModel())
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.objective_value == 0.0
+        assert solution.stats.wall_time_seconds > 0.0
 
     def test_feasibility_problem_without_objective(self, fast_solver):
         model = IlpModel()
@@ -187,6 +188,20 @@ class TestLimits:
         assert solution.stats.nodes_explored >= 1
         assert solution.stats.lp_solves >= 1
         assert solution.stats.wall_time_seconds >= 0.0
+
+    def test_root_unbounded_exit_reports_its_wall_time(self, fast_solver):
+        """Maximise ``x0 + x1`` subject to ``x0 - x1 <= 3``: the root LP is
+        unbounded, and the exit that says so times the solve like every other."""
+        model = IlpModel()
+        model.add_variable("x0", 0, None)
+        model.add_variable("x1", 0, None)
+        model.add_constraint({0: 1.0, 1: -1.0}, ConstraintSense.LE, 3)
+        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0, 1: 1.0})
+        solution = fast_solver.solve(model)
+        assert solution.status is SolverStatus.UNBOUNDED
+        assert solution.stats.lp_solves == 1
+        assert solution.stats.wall_time_seconds > 0.0
+        assert solution.stats.wall_time_seconds >= solution.stats.presolve_ms / 1000.0
 
 
 def assert_bound_on_the_right_side(model: IlpModel, bound: float, value: float) -> None:

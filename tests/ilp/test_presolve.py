@@ -8,6 +8,8 @@ the property tests) the restored assignment's feasibility.
 Branch-and-bound's root call is the only presolve entry point in the library;
 the LP-level parity tests here compose ``presolve_form`` + ``solve_lp_form`` +
 ``Postsolve.restore`` / ``restore_basis`` themselves (:func:`solve_presolved`).
+:class:`TestRootCertificate` pins where the root certificate answers for the
+first pass on Galaxy models.
 """
 
 import warnings
@@ -16,14 +18,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import PackageQueryEngine
+from repro.core.translator import translate_query
+from repro.ilp import branch_and_bound
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.lp_backend import LpResult, solve_lp_form
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import presolve_form
 from repro.ilp.status import SolverStatus
+from repro.workloads.galaxy import galaxy_table, galaxy_workload
 
 from .oracle import oracle_form_lp, oracle_ilp
+from .test_bind_gate import certified
 
 
 def solve_presolved(form: MatrixForm) -> LpResult:
@@ -398,3 +405,49 @@ class TestPresolveProperties:
             lower, upper, _ = model.bound_and_integrality_arrays()
             assert np.all(result.values >= lower - 1e-6)
             assert np.all(result.values <= upper + 1e-6)
+
+
+class TestRootCertificate:
+    """Where the one-pass certificate answers for the root pass on PaQL
+    models (``tests/ilp/test_bind_gate.py`` holds it against the reference)."""
+
+    def test_every_galaxy_direct_root_is_certified(self):
+        table = galaxy_table(1_600, seed=42)
+        queries = galaxy_workload(table).queries
+        assert len(queries) == 7
+        for entry in queries:
+            model = translate_query(table, entry.query).model
+            form = model.to_matrix()
+            mask = integer_mask(model)
+            assert certified(form, mask), entry.name
+            result = presolve_form(form, integer_mask=mask)
+            assert result.form is form and result.postsolve.identity
+            assert result.stats.passes == 1 and result.stats.bounds_tightened == 0
+
+    def test_refine_roots_that_fix_columns_are_not_certified(self, monkeypatch, refine_shaped_query):
+        """Every root a refine-shaped SKETCHREFINE evaluation presolves: those
+        the pass reduces are never certified, and the certified ones are the
+        identity."""
+        roots = []
+
+        def recording(form, integer_mask=None, **kwargs):
+            result = presolve_form(form, integer_mask=integer_mask, **kwargs)
+            roots.append((certified(form, integer_mask), result))
+            return result
+
+        monkeypatch.setattr(branch_and_bound, "presolve_form", recording)
+        table = galaxy_table(2_400, seed=42)
+        engine = PackageQueryEngine(workers=1)  # refine in-process, where the patch is
+        engine.register_table(table, name="galaxy")
+        engine.build_partitioning(
+            "galaxy", ["petroMag_r", "redshift", "petroFlux_r"], size_threshold=250
+        )
+        engine.execute(
+            refine_shaped_query(table, "galaxy", 300), method="sketchrefine", cache="bypass"
+        )
+        fixing = [fired for fired, result in roots if result.stats.vars_fixed]
+        assert len(fixing) >= 3 and not any(fixing)
+        for fired, result in roots:
+            if fired:
+                assert result.postsolve.identity and result.stats.rows_removed == 0
+        assert 0 < sum(fired for fired, _ in roots) < len(roots)

@@ -2,16 +2,33 @@
 
 The simplex implementation is cross-checked against the HiGHS oracle
 (``oracle.py``) on both hand-crafted and randomly generated LPs (a
-property-based consistency test).
+property-based consistency test).  :class:`TestSignedMoveVector` holds the
+pricing and ratio-test masks read off the signed move vector against the
+status/bound masks they replaced, kept here as the reference.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ilp.lp_backend import solve_lp
+from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
-from repro.ilp.simplex import SimplexStatus, solve_dense_simplex
+from repro.ilp.simplex import (
+    _EPSILON,
+    _PIVOT_EPSILON,
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
+    FREE,
+    SimplexStatus,
+    _BoundedRevisedSimplex,
+    _WorkMatrix,
+    solve_dense_simplex,
+    solve_form_simplex,
+)
 from repro.ilp.status import SolverStatus
 
 from .oracle import oracle_form_lp, oracle_ilp, oracle_lp
@@ -269,3 +286,181 @@ class TestNumericalErrorStatus:
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.stats.numerical_retries == 1
         assert solution.objective_value == pytest.approx(oracle_ilp(model).objective)
+
+
+# -- the signed move vector against the status/bound masks it replaced --------------
+
+def reference_eligible_columns(status, lower, upper, d):
+    movable = lower < upper
+    at_lower = (status == AT_LOWER) & movable & (d < -_EPSILON)
+    at_upper = (status == AT_UPPER) & movable & (d > _EPSILON)
+    free = (status == FREE) & (np.abs(d) > _EPSILON)
+    return np.nonzero(at_lower | at_upper | free)[0]
+
+
+def reference_eligible_mask(status, lower, upper, cols, d_cols):
+    status = status[cols]
+    movable = lower[cols] < upper[cols]
+    at_lower = (status == AT_LOWER) & movable & (d_cols < -_EPSILON)
+    at_upper = (status == AT_UPPER) & movable & (d_cols > _EPSILON)
+    free = (status == FREE) & (np.abs(d_cols) > _EPSILON)
+    return at_lower | at_upper | free
+
+
+def reference_ratio_candidates(status, lower, upper, alpha, leaving_below):
+    movable = lower < upper
+    at_lower = (status == AT_LOWER) & movable
+    at_upper = (status == AT_UPPER) & movable
+    free = status == FREE
+    if leaving_below:
+        mask = (
+            (at_lower & (alpha < -_PIVOT_EPSILON))
+            | (at_upper & (alpha > _PIVOT_EPSILON))
+            | (free & (np.abs(alpha) > _PIVOT_EPSILON))
+        )
+    else:
+        mask = (
+            (at_lower & (alpha > _PIVOT_EPSILON))
+            | (at_upper & (alpha < -_PIVOT_EPSILON))
+            | (free & (np.abs(alpha) > _PIVOT_EPSILON))
+        )
+    return np.nonzero(mask)[0]
+
+
+def reference_install_flips(status, lower, upper, d):
+    """``(to upper, to lower)`` index sets, or ``None`` for a rejected basis."""
+    finite_lower, finite_upper = np.isfinite(lower), np.isfinite(upper)
+    movable = (status != BASIC) & (lower != upper)
+    flip_to_upper = movable & (status == AT_LOWER) & (d < -_EPSILON)
+    flip_to_lower = movable & (status == AT_UPPER) & (d > _EPSILON)
+    if np.any(flip_to_upper & ~finite_upper) or np.any(flip_to_lower & ~finite_lower):
+        return None
+    if np.any(movable & (status == FREE) & (np.abs(d) > _EPSILON)):
+        return None
+    return np.nonzero(flip_to_upper)[0], np.nonzero(flip_to_lower)[0]
+
+
+def _values_near(rng, size, eps):
+    """Reduced costs / pivot rows: zeros of both signs, ``±eps`` and its
+    neighbouring floats, ordinary and large magnitudes."""
+    pool = np.array([
+        0.0, -0.0, eps, -eps, np.nextafter(eps, 1.0), -np.nextafter(eps, 1.0),
+        np.nextafter(eps, 0.0), -np.nextafter(eps, 0.0), 1e-3, -1e-3, 2.5, -7.0, 1e9, -1e9,
+    ])
+    return np.where(rng.random(size) < 0.6, rng.choice(pool, size), rng.normal(0.0, 3.0, size))
+
+
+def _random_solver(rng):
+    """A solver whose statuses and bounds are drawn at random: FREE columns,
+    ``l == u``, one-sided and two-sided infinite bounds (never crossed — the
+    solver reports a crossing as infeasible before it prices)."""
+    n, mu, me = int(rng.integers(1, 12)), int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    form = MatrixForm(
+        c=rng.normal(size=n), a_ub=rng.normal(size=(mu, n)), b_ub=rng.normal(size=mu),
+        a_eq=rng.normal(size=(me, n)), b_eq=rng.normal(size=me),
+        bounds=(np.zeros(n), np.ones(n)), maximize=False,
+    )
+    solver = _BoundedRevisedSimplex(_WorkMatrix(form), np.zeros(n), np.ones(n))
+    ncols = solver.ncols
+    lower = rng.choice(np.array([-np.inf, -2.0, 0.0, 0.0, 1.5]), ncols)
+    width = rng.choice(np.array([0.0, 0.0, 1.0, 2.5, np.inf]), ncols)
+    above = np.where(np.isinf(lower), 0.0, lower) + width
+    upper = np.where(np.isinf(lower), rng.choice(np.array([-1.0, 3.0, np.inf]), ncols), above)
+    solver.lower, solver.upper = lower, upper
+    solver.status = rng.choice(np.array([BASIC, AT_LOWER, AT_UPPER, FREE], dtype=np.int8), ncols)
+    solver._set_moves()
+    return solver
+
+
+class TestSignedMoveVector:
+    """Every index set the move vector yields is the parent's status/bound
+    masks' (kept above verbatim), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_masks_equal_the_status_bound_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        solver = _random_solver(rng)
+        status, lower, upper = solver.status, solver.lower, solver.upper
+        ncols = solver.ncols
+
+        d = _values_near(rng, ncols, _EPSILON)
+        assert np.array_equal(
+            solver._eligible_columns(d), reference_eligible_columns(status, lower, upper, d)
+        )
+        cols = np.sort(rng.choice(ncols, int(rng.integers(1, ncols + 1)), replace=False))
+        assert np.array_equal(
+            solver._eligible_mask(cols, d[cols]),
+            reference_eligible_mask(status, lower, upper, cols, d[cols]),
+        )
+
+        alpha = _values_near(rng, ncols, _PIVOT_EPSILON)
+        for leaving_below in (True, False):
+            assert np.array_equal(
+                solver._ratio_candidates(alpha, leaving_below),
+                reference_ratio_candidates(status, lower, upper, alpha, leaving_below),
+            )
+
+        flips = solver._dual_flips(d)
+        expected = reference_install_flips(status, lower, upper, d)
+        assert (flips is None) == (expected is None)
+        if flips is not None:
+            rising = solver.move[flips] > 0
+            assert np.array_equal(flips[rising], expected[0])
+            assert np.array_equal(flips[~rising], expected[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_status_updates_keep_the_vector_current(self, seed):
+        """A pivot or flip writes one entry; a rebuild reads the same."""
+        rng = np.random.default_rng(seed)
+        solver = _random_solver(rng)
+        for _ in range(20):
+            j = int(rng.integers(solver.ncols))
+            if rng.random() < 0.3:
+                solver.status[j] = BASIC
+                solver.move[j] = 0.0
+            else:
+                solver._set_status(j, int(rng.choice([AT_LOWER, AT_UPPER])))
+        incremental = solver.move.copy()
+        solver._set_moves()
+        assert np.array_equal(incremental, solver.move)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_install_flips_negate_to_the_rebuilt_vector(self, seed):
+        """The install flips statuses and negates their entries, as _try_install
+        does before _dual starts; a rebuild from the flipped statuses agrees."""
+        rng = np.random.default_rng(seed)
+        solver = _random_solver(rng)
+        flips = solver._dual_flips(_values_near(rng, solver.ncols, _EPSILON))
+        if flips is None:
+            return
+        solver.status[flips] = np.where(solver.move[flips] > 0, AT_UPPER, AT_LOWER)
+        solver.move[flips] = -solver.move[flips]
+        incremental = solver.move.copy()
+        solver._set_moves()
+        assert np.array_equal(incremental, solver.move)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_installed_basis_hands_dual_a_current_vector(self, seed):
+        """An optimal basis with every nonbasic box column moved to its other
+        bound: the install flips them back, and the vector it leaves for the
+        dual is the one a rebuild reads."""
+        rng = np.random.default_rng(seed)
+        n = 12
+        form = MatrixForm(
+            c=rng.normal(size=n), a_ub=rng.random((3, n)), b_ub=np.full(3, 4.0),
+            a_eq=np.ones((1, n)), b_eq=np.array([5.0]),
+            bounds=(np.zeros(n), np.ones(n)), maximize=False,
+        )
+        basis = solve_form_simplex(form).basis
+        status = basis.status.copy()
+        swap = np.nonzero(status[:n] != BASIC)[0]
+        status[swap] = np.where(status[swap] == AT_LOWER, AT_UPPER, AT_LOWER)
+        solver = _BoundedRevisedSimplex(_WorkMatrix(form), *form.bounds)
+        assert solver._try_install(dataclasses.replace(basis, status=status))
+        assert np.array_equal(solver.status[swap], basis.status[swap])
+        installed = solver.move.copy()
+        solver._set_moves()
+        assert np.array_equal(installed, solver.move)
