@@ -2,8 +2,9 @@
 
 Not a paper artefact, but useful for tracking the cost of each pipeline stage
 independently: PaQL parsing, PaQL→ILP translation, base-relation filtering,
-LP relaxation solving, full ILP solving, quad-tree partitioning and the
-SKETCH phase on its own.  These run as normal repeated pytest-benchmark
+LP relaxation solving, full ILP solving, quad-tree partitioning, the
+partitioned query SKETCH and REFINE are built from, and the SKETCH phase on
+its own.  These run as normal repeated pytest-benchmark
 measurements (unlike the figure drivers, which run once).
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.base_relations import compute_base_relation
 from repro.core.direct import DirectEvaluator
+from repro.core.sketchrefine import PartitionedQuery
 from repro.core.translator import translate_query
 from repro.db.expressions import col
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
@@ -135,6 +137,19 @@ def test_quadtree_partitioning_speed(benchmark, galaxy_fixture):
         partitioner.partition, args=(table, workload.workload_attributes), rounds=3, iterations=1
     )
     assert partitioning.satisfies_size_threshold(max(1, table.num_rows // 10))
+
+
+@pytest.mark.benchmark(group="micro-partition")
+def test_partitioned_query_build_speed(benchmark):
+    # The sketch_20k shape of benchmarks/e2e: 20 000 Galaxy rows, tau = 250.
+    table = galaxy_table(20_000, seed=42)
+    partitioning = QuadTreePartitioner(size_threshold=250).partition(
+        table, ["petroMag_r", "redshift", "petroFlux_r"]
+    )
+    query = galaxy_workload(table, seed=42).query("Q1").query
+    problem = benchmark(PartitionedQuery.build, table, query, partitioning)
+    assert partitioning.num_groups == 288
+    assert problem.means.num_columns == partitioning.num_groups
 
 
 @pytest.mark.benchmark(group="micro-expressions")

@@ -47,8 +47,16 @@ per-group means (the centroid value of a linear function is the mean of its
 per-tuple values): the sketch is the reduced linearisation under the group
 caps, a hybrid sketch swaps one group's column for its tuples' columns, and a
 refine query is the slice of one group's columns with residual right-hand
-sides.  Rows, groups and assignments are addressed by linearisation column
-throughout and mapped back to table rows once, when the package is built.
+sides.  The reduction is a constant number of array operations over the
+columns sorted by group, and it sums in numpy's ``mean`` order, not merely
+to the same value: rows of a block of two or more are summed one column
+after the other in ascending column order (the order of numpy's reduction
+over the F-ordered gather ``matrix[:, group]``), a single row and the
+objective pairwise over each group's contiguous slice.  Another order moves
+the last bits of R̃, and with them the sketch's and the refine queries'
+branch-and-bound trees (:meth:`Linearisation.group_means`).  Rows, groups
+and assignments are addressed by linearisation column throughout and
+mapped back to table rows once, when the package is built.
 
 Refine ILPs of the same group recur across backtracking retries with
 identical constraint-matrix shape and only shifted right-hand sides, so the
@@ -183,6 +191,8 @@ class PartitionedQuery:
     """Linearisation columns of each group, ascending (empty when no tuple of
     the group satisfies the base predicate)."""
     means: Linearisation
+    eligible_groups: tuple[int, ...]
+    """Groups with at least one eligible tuple, ascending."""
 
     @classmethod
     def build(
@@ -192,16 +202,22 @@ class PartitionedQuery:
         linearisation = linearise(table, query, rows)
         column_of_row = np.full(table.num_rows, -1, dtype=np.int64)
         column_of_row[rows] = np.arange(len(rows))
-        groups = []
-        for gid in range(partitioning.num_groups):
-            columns = column_of_row[partitioning.group_rows(gid)]
-            groups.append(columns[columns >= 0])
-        return cls(query, rows, linearisation, groups, linearisation.group_means(groups))
-
-    @property
-    def eligible_groups(self) -> list[int]:
-        """Groups with at least one eligible tuple, ascending."""
-        return [gid for gid, columns in enumerate(self.groups) if len(columns)]
+        order, _ = partitioning.rows_by_group()
+        columns = column_of_row[order]
+        columns = columns[columns >= 0]
+        group_of_column = partitioning.group_ids[rows]
+        counts = np.bincount(group_of_column, minlength=partitioning.num_groups)
+        boundaries = np.concatenate(([0], np.cumsum(counts)))
+        bounds = boundaries.tolist()
+        groups = [columns[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+        return cls(
+            query,
+            rows,
+            linearisation,
+            groups,
+            linearisation.group_means(group_of_column, columns, boundaries),
+            tuple(np.flatnonzero(counts).tolist()),
+        )
 
     def sketch_model(self, hybrid_group: int | None = None) -> IlpModel:
         """The SKETCH ILP: one column per eligible group, capped at ``|G_j| · (K + 1)``.
@@ -371,7 +387,7 @@ class SketchRefineEvaluator:
         # Hybrid sketch: replace one group's representative with its original
         # tuples and re-try, in arbitrary group order (Section 4.4).
         rng = np.random.default_rng(self.config.refine_order_seed)
-        order = problem.eligible_groups
+        order = list(problem.eligible_groups)
         rng.shuffle(order)
         for hybrid_group in order:
             solution = self._solve_sketch_model(problem, hybrid_group)

@@ -5,7 +5,8 @@ stores one representative tuple (the group centroid over the partitioning
 attributes) per group.  The paper stores the gid in an extra column of the
 input table and the representatives in a separate relation
 ``R̃(gid, attr₁, …, attr_k)``; this class mirrors that design while also
-keeping the per-group row index lists that SKETCHREFINE's refine step needs.
+keeping the rows ordered by group (one stable order plus group boundaries),
+which is how SKETCHREFINE finds each group's tuples.
 
 A partitioning is *versioned*: it records the :attr:`~repro.dataset.table
 .Table.version` of the table it describes.  When the base relation changes,
@@ -131,7 +132,7 @@ class Partitioning:
         self._num_groups = int(group_ids.max()) + 1 if len(group_ids) else 0
         # Per-group caches, all lazy so a delta-maintained partitioning can
         # install exact carried-over values instead of recomputing O(n):
-        self._group_rows: dict[int, np.ndarray] | None = None
+        self._rows_by_group: tuple[np.ndarray, np.ndarray] | None = None
         self._moments: tuple[np.ndarray, np.ndarray] | None = None  # (sums, counts)
         self._radii: np.ndarray | None = None
         self._representatives: Table | None = None
@@ -176,23 +177,29 @@ class Partitioning:
     def num_groups(self) -> int:
         return self._num_groups
 
-    def _ensure_group_rows(self) -> dict[int, np.ndarray]:
-        if self._group_rows is None:
+    def rows_by_group(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every table row ordered by group: ``(order, boundaries)``.
+
+        ``order`` is the stable argsort of :attr:`group_ids`, so
+        ``order[boundaries[g] : boundaries[g + 1]]`` are the rows of group
+        ``g`` in ascending order.  Both arrays are read-only.
+        """
+        if self._rows_by_group is None:
             order = np.argsort(self.group_ids, kind="stable")
-            sorted_ids = self.group_ids[order]
-            boundaries = np.searchsorted(sorted_ids, np.arange(self.num_groups + 1))
-            self._group_rows = {
-                gid: order[boundaries[gid] : boundaries[gid + 1]]
-                for gid in range(self.num_groups)
-            }
-        return self._group_rows
+            boundaries = np.searchsorted(
+                self.group_ids[order], np.arange(self.num_groups + 1)
+            )
+            order.setflags(write=False)
+            boundaries.setflags(write=False)
+            self._rows_by_group = (order, boundaries)
+        return self._rows_by_group
 
     def group_rows(self, gid: int) -> np.ndarray:
         """Row indices of the original table belonging to group ``gid``."""
-        try:
-            return self._ensure_group_rows()[gid]
-        except KeyError:
-            raise PartitioningError(f"group {gid} does not exist") from None
+        if not 0 <= gid < self.num_groups:
+            raise PartitioningError(f"group {gid} does not exist")
+        order, boundaries = self.rows_by_group()
+        return order[boundaries[gid] : boundaries[gid + 1]]
 
     def group_size(self, gid: int) -> int:
         return len(self.group_rows(gid))

@@ -293,6 +293,39 @@ class TestInfeasibilityHandling:
         except InfeasiblePackageQueryError as error:
             assert error.false_negative_possible
 
+    def test_hybrid_fallback_leaves_the_group_order_alone(self, fast_solver):
+        """The hybrid fallback tries the groups in a shuffled order, but it must
+        shuffle a copy: the sketch solutions are read back by zipping the
+        eligible groups, ascending, with the sketch columns."""
+        table = recipes_table(num_rows=150, seed=23)
+        partitioning = QuadTreePartitioner(size_threshold=30).partition(
+            table, ["kcal", "saturated_fat"]
+        )
+        two_smallest = float(np.sort(table.numeric_column("kcal"))[:2].sum())
+        query = (
+            query_over("recipes")
+            .no_repetition()
+            .count_equals(2)
+            .sum_between("kcal", two_smallest - 1e-9, two_smallest + 0.02)
+            .minimize_sum("saturated_fat")
+            .build()
+        )
+        evaluator = SketchRefineEvaluator(solver=fast_solver)
+        problem = PartitionedQuery.build(table, query, partitioning)
+        ascending = list(range(partitioning.num_groups))
+        assert list(problem.eligible_groups) == ascending
+        multiplicities, assignments, used_hybrid = evaluator._sketch(problem)
+        assert used_hybrid
+        assert list(problem.eligible_groups) == ascending
+        assert sorted(multiplicities) == ascending
+        assert assignments == {4: {10: 1, 137: 1}}
+
+        package = evaluator.evaluate(table, query, partitioning)
+        assert evaluator.last_stats.used_hybrid_sketch
+        # The fallback's package when it tries the groups in a shuffled copy.
+        assert package.indices.tolist() == [10, 137]
+        assert package.multiplicities.tolist() == [1, 1]
+
     def test_wrong_partitioning_table_rejected(self, recipes_with_partitioning, fast_solver):
         table, partitioning = recipes_with_partitioning
         other = recipes_table(num_rows=50, seed=1)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.base_relations import compute_base_relation, indicator_vector
+from repro.core.sketchrefine import PartitionedQuery
 from repro.core.translator import (
     aggregate_coefficients,
     constraint_linear_rows,
@@ -11,6 +13,7 @@ from repro.core.translator import (
     objective_linear,
     translate_query,
 )
+from repro.dataset.table import Table
 from repro.db.aggregates import AggregateFunction
 from repro.db.expressions import col
 from repro.errors import TranslationError
@@ -23,6 +26,7 @@ from repro.paql.ast import (
 )
 from repro.paql.builder import query_over
 from repro.paql.parser import parse_paql
+from repro.partition.partitioning import Partitioning, PartitioningStats
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
 
 
@@ -255,3 +259,93 @@ class TestBuilderAgainstPerVariableReference:
     def test_recipes_queries(self, recipes, name, assert_same_ilp):
         query = RECIPE_QUERIES[name]()
         assert_same_ilp(translate_query(recipes, query).model, reference_model(recipes, query))
+
+
+#: One-row constraints over the property table: a query with ``r`` rows takes
+#: the first ``r`` — AVG rewrites, filtered aggregates and plain sums mixed.
+ONE_ROW_CONSTRAINTS = [
+    lambda builder: builder.avg_at_most("x", 0.1),
+    lambda builder: builder.filtered_count_at_least(col("y") > 0, 2),
+    lambda builder: builder.sum_at_most("y", 5.0),
+    lambda builder: builder.avg_at_least("y", -0.5),
+    lambda builder: builder.count_at_least(1),
+    lambda builder: builder.filtered_count_at_most(col("x") < 0, 40),
+    lambda builder: builder.sum_at_least("x", -3.0),
+]
+
+#: Group sizes around numpy's pairwise-summation block sizes (8, 128, 256).
+EDGE_SIZES = [0, 1, 2, 7, 8, 9, 16, 127, 128, 129, 255, 256, 257, 600]
+
+
+def reference_group_means(linearisation, groups):
+    """Per-group means, one ``.mean()`` per group: the sums to reproduce bit for bit."""
+    constraint_means = np.zeros((linearisation.num_constraints, len(groups)))
+    objective_means = np.zeros(len(groups))
+    for number, columns in enumerate(groups):
+        if len(columns):
+            constraint_means[:, number] = linearisation.constraint_matrix[:, columns].mean(axis=1)
+            objective_means[number] = linearisation.objective[columns].mean()
+    return constraint_means, objective_means
+
+
+class TestGroupMeansBitForBit:
+    """The sketch's group means are the per-group ``.mean()`` sums to the last bit.
+
+    A sum reordered by even one ulp moves the sketch's and the refine
+    queries' branch-and-bound trees, so the comparison is on bytes.
+    """
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        num_rows=st.sampled_from([0, 1, 2, 3, 7]),
+        sizes=st.lists(
+            st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 600)), min_size=1, max_size=6
+        ),
+        seed=st.integers(0, 2**16),
+        cut=st.sampled_from([None, -0.5, 0.0, 0.5, 0.9]),
+    )
+    def test_partitioned_query_means(self, num_rows, sizes, seed, cut):
+        rng = np.random.default_rng(seed)
+        group_ids = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(group_ids)
+        total = len(group_ids)
+        if total == 0:
+            return
+        # Magnitudes spread over eight decades, so that the order of a sum shows.
+        def spread():
+            return rng.standard_normal(total) * 10.0 ** rng.uniform(-4, 4, total)
+
+        table = Table.from_dict(
+            {"x": spread(), "y": spread(), "z": rng.uniform(-1.0, 1.0, total)}, name="t"
+        )
+        stats = PartitioningStats(len(sizes), max(sizes), 0.0, 0.0, 600, None, "manual")
+        partitioning = Partitioning(table, group_ids, ["x", "y"], stats)
+        builder = query_over("t")
+        if cut is not None:  # a base predicate leaves gaps between the columns
+            builder = builder.where(col("z") > cut)
+        for add in ONE_ROW_CONSTRAINTS[:num_rows]:
+            builder = add(builder)
+        query = builder.maximize_sum("x").build()
+
+        problem = PartitionedQuery.build(table, query, partitioning)
+        assert problem.means.num_constraints == num_rows
+
+        column_of_row = {int(row): column for column, row in enumerate(problem.rows)}
+        groups = [
+            np.array(
+                [column_of_row[int(r)] for r in partitioning.group_rows(gid) if int(r) in column_of_row],
+                dtype=np.int64,
+            )
+            for gid in range(partitioning.num_groups)
+        ]
+        assert [g.tolist() for g in problem.groups] == [g.tolist() for g in groups]
+        assert problem.eligible_groups == tuple(g for g, cols in enumerate(groups) if len(cols))
+
+        constraint_means, objective_means = reference_group_means(problem.linearisation, groups)
+        assert problem.means.constraint_matrix.shape == constraint_means.shape
+        assert problem.means.constraint_matrix.tobytes() == constraint_means.tobytes()
+        assert problem.means.objective.tobytes() == objective_means.tobytes()

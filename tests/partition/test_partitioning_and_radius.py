@@ -73,6 +73,43 @@ class TestPartitioningObject:
         _, _, partitioning = partitioned_galaxy
         with pytest.raises(PartitioningError):
             partitioning.group_rows(9999)
+        for gid in (-1, partitioning.num_groups):
+            with pytest.raises(PartitioningError):
+                partitioning.group_rows(gid)
+
+    def test_rows_by_group_is_the_stable_argsort(self, partitioned_galaxy):
+        _, _, partitioning = partitioned_galaxy
+        order, boundaries = partitioning.rows_by_group()
+        assert np.array_equal(order, np.argsort(partitioning.group_ids, kind="stable"))
+        assert np.array_equal(np.diff(boundaries), partitioning.group_sizes())
+        assert not order.flags.writeable and not boundaries.flags.writeable
+        for gid in range(partitioning.num_groups):
+            assert np.array_equal(
+                partitioning.group_rows(gid), np.flatnonzero(partitioning.group_ids == gid)
+            )
+
+    def test_maintained_partitioning_orders_rows_like_a_fresh_one(self):
+        from repro.partition.maintenance import PartitionMaintainer
+
+        table = galaxy_table(300, seed=6)
+        partitioning = QuadTreePartitioner(size_threshold=40).partition(
+            table, ["petroMag_r", "redshift"]
+        )
+        partitioning.rows_by_group()  # cached before the deltas
+        maintainer = PartitionMaintainer()
+        for step in range(3):
+            delete = np.arange(step, table.num_rows, 7)
+            delta = table.make_delta(insert=table.head(30), delete=delete)
+            new_table = table.apply_delta(delta)
+            partitioning, _ = maintainer.maintain(partitioning, new_table, delta)
+            table = new_table
+            order, boundaries = partitioning.rows_by_group()
+            fresh = np.argsort(partitioning.group_ids, kind="stable")
+            assert np.array_equal(order, fresh)
+            assert np.array_equal(
+                boundaries,
+                np.searchsorted(partitioning.group_ids[fresh], np.arange(partitioning.num_groups + 1)),
+            )
 
     def test_mismatched_group_ids_rejected(self, small_numeric_table):
         stats = PartitioningStats(1, 5, 0.0, 0.0, 5, None, "manual")
