@@ -3,8 +3,9 @@
 Not a paper artefact, but useful for tracking the cost of each pipeline stage
 independently: PaQL parsing, PaQL→ILP translation, base-relation filtering,
 LP relaxation solving, full ILP solving, quad-tree partitioning, the
-partitioned query SKETCH and REFINE are built from, and the SKETCH phase on
-its own.  These run as normal repeated pytest-benchmark
+partitioned query SKETCH and REFINE are built from, and one refine-heavy
+SKETCHREFINE query, whose branch-and-bound node count rides along so the
+cost per node can be read off.  These run as normal repeated pytest-benchmark
 measurements (unlike the figure drivers, which run once).
 """
 
@@ -15,11 +16,12 @@ import pytest
 
 from repro.core.base_relations import compute_base_relation
 from repro.core.direct import DirectEvaluator
-from repro.core.sketchrefine import PartitionedQuery
+from repro.core.sketchrefine import PartitionedQuery, SketchRefineEvaluator
 from repro.core.translator import translate_query
 from repro.db.expressions import col
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.lp_backend import solve_lp, solve_lp_form
+from repro.paql.builder import query_over
 from repro.paql.parser import parse_paql
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -150,6 +152,52 @@ def test_partitioned_query_build_speed(benchmark):
     problem = benchmark(PartitionedQuery.build, table, query, partitioning)
     assert partitioning.num_groups == 288
     assert problem.means.num_columns == partitioning.num_groups
+
+
+class _NodeCountingSolver(BranchAndBoundSolver):
+    """The default solver, adding up the nodes of every solve it runs."""
+
+    nodes = 0
+
+    def solve(self, model, warm_start=None):
+        solution = super().solve(model, warm_start)
+        self.nodes += solution.stats.nodes_explored
+        return solution
+
+
+@pytest.mark.benchmark(group="micro-sketchrefine")
+def test_refine_query_speed(benchmark):
+    """The refine_20k ``c1000`` shape of benchmarks/e2e: 20 000 Galaxy rows,
+    tau = 250, a 1 000-tuple package straddling many groups.  Nearly all of
+    it is refine branch and bound, so time / nodes is the cost of a node."""
+    table = galaxy_table(20_000, seed=42)
+    partitioning = QuadTreePartitioner(size_threshold=250).partition(
+        table, ["petroMag_r", "redshift", "petroFlux_r"]
+    )
+    mean_z = float(np.mean(table.numeric_column("redshift")))
+    mean_mag = float(np.mean(table.numeric_column("petroMag_r")))
+    cardinality = 1_000
+    query = (
+        query_over(table.name, name=f"refine_c{cardinality}")
+        .no_repetition()
+        .count_equals(cardinality)
+        .sum_between("redshift", 0.7 * mean_z * cardinality, 1.3 * mean_z * cardinality)
+        .sum_between("petroMag_r", 0.9 * mean_mag * cardinality, 1.1 * mean_mag * cardinality)
+        .maximize_sum("petroFlux_r")
+        .build()
+    )
+    solver = _NodeCountingSolver()
+    evaluator = SketchRefineEvaluator(solver=solver)
+
+    def evaluate():
+        solver.nodes = 0
+        return evaluator.evaluate(table, query, partitioning, workers=1)
+
+    package = benchmark.pedantic(evaluate, rounds=3, iterations=1)
+    assert package.cardinality == cardinality
+    benchmark.extra_info["nodes"] = solver.nodes
+    benchmark.extra_info["lp_solves"] = evaluator.last_stats.solver_lp_solves
+    assert 0 < evaluator.last_stats.solver_lp_solves <= solver.nodes
 
 
 @pytest.mark.benchmark(group="micro-expressions")

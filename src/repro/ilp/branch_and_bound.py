@@ -7,13 +7,16 @@ It implements a classic LP-relaxation branch-and-bound:
 2. If the relaxation is infeasible or its bound cannot beat the incumbent,
    prune the node.
 3. If the relaxation is integral, update the incumbent.
-4. Otherwise pick a fractional variable (most-fractional or pseudo-cost
-   branching) and create two child nodes with tightened bounds.
+4. Otherwise branch on the most fractional variable: two child nodes with
+   tightened bounds.
 
-Node selection is best-bound by default (good bounds early) with a
-depth-first option for memory-constrained runs.  A rounding heuristic tries
-to convert fractional relaxations into incumbents early, which greatly speeds
-up the package-query instances (0/1-style multiplicity variables).
+Open nodes are explored best bound first: on the benchmark's refine trees
+the node count is set by the proof, not by the search order (strong branching
+and a smoothed-fractionality rule left it as large or larger), so what a node
+costs — one warm dual solve and its glue — is the lever.  A rounding heuristic
+tries to convert fractional relaxations into incumbents early, which greatly
+speeds up the package-query instances (0/1-style multiplicity variables); it
+checks feasibility only when a rounding could beat the incumbent.
 
 **Basis reuse.**  The model is exported to its
 :class:`~repro.ilp.matrix_form.MatrixForm` exactly once per solve (and the
@@ -60,11 +63,11 @@ benchmark harness reproduce the failure regime deterministically.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,21 +85,6 @@ _BOUND_TOLERANCE = 1e-9
 #: equal-objective optima survive the dual reduction (ties must not be cut:
 #: the differential harness asserts NAIVE == DIRECT on the solution itself).
 _CUTOFF_SLACK = 1e-6
-
-
-class BranchingRule(enum.Enum):
-    """How to choose the fractional variable to branch on."""
-
-    MOST_FRACTIONAL = "most_fractional"
-    PSEUDO_COST = "pseudo_cost"
-    FIRST_FRACTIONAL = "first_fractional"
-
-
-class NodeSelection(enum.Enum):
-    """Order in which open branch-and-bound nodes are explored."""
-
-    BEST_BOUND = "best_bound"
-    DEPTH_FIRST = "depth_first"
 
 
 @dataclass
@@ -130,7 +118,7 @@ class _Node:
     sequence: int
     depth: int = field(compare=False)
     #: What is proven about the node before its own LP runs: its parent's LP
-    #: value (``priority`` is the depth under DEPTH_FIRST, so it cannot serve).
+    #: value.
     bound: float = field(compare=False)
     lower_bounds: np.ndarray = field(compare=False)
     upper_bounds: np.ndarray = field(compare=False)
@@ -143,13 +131,9 @@ class BranchAndBoundSolver:
     def __init__(
         self,
         limits: SolverLimits | None = None,
-        branching: BranchingRule = BranchingRule.MOST_FRACTIONAL,
-        node_selection: NodeSelection = NodeSelection.BEST_BOUND,
         enable_rounding_heuristic: bool = True,
     ):
         self.limits = limits or SolverLimits()
-        self.branching = branching
-        self.node_selection = node_selection
         self.enable_rounding_heuristic = enable_rounding_heuristic
 
     # -- public API ----------------------------------------------------------------
@@ -212,10 +196,6 @@ class BranchAndBoundSolver:
         sense = model.objective.sense
         incumbent: np.ndarray | None = None
         incumbent_value = sense.worst_value
-
-        pseudo_up = np.ones(n)
-        pseudo_down = np.ones(n)
-        pseudo_counts = np.zeros(n)
 
         counter = itertools.count()
         heap: list[_Node] = []
@@ -311,34 +291,28 @@ class BranchAndBoundSolver:
                 continue
 
             if self.enable_rounding_heuristic:
-                heuristic = self._rounding_heuristic(model, lp_result.values, integer_mask,
-                                                     node.lower_bounds, node.upper_bounds)
-                if heuristic is not None:
-                    value = model.objective_value(heuristic)
-                    if incumbent is None or sense.better(value, incumbent_value):
-                        incumbent = heuristic
-                        incumbent_value = value
-                        stats.incumbent_updates += 1
+                rounded = self._rounding_heuristic(
+                    model, lp_result.values, integer_mask, node.lower_bounds,
+                    node.upper_bounds, None if incumbent is None else incumbent_value,
+                )
+                if rounded is not None:
+                    incumbent, incumbent_value = rounded
+                    stats.incumbent_updates += 1
 
             # Optimality-gap stop.
             if incumbent is not None and self._gap(sense, bound, incumbent_value) <= self.limits.relative_gap:
                 proven_bound = self._weaker_bound(sense, proven_bound, bound)
                 continue
 
-            branch_index = self._choose_branch_variable(
-                fractional, lp_result.values, pseudo_up, pseudo_down, pseudo_counts
-            )
-            branch_value = lp_result.values[branch_index]
-            floor_value = np.floor(branch_value)
-
-            self._update_pseudo_costs(
-                pseudo_up, pseudo_down, pseudo_counts, branch_index, branch_value
-            )
+            branch_index = self._choose_branch_variable(fractional, lp_result.values)
+            floor_value = np.floor(lp_result.values[branch_index])
 
             # Children inherit this node's optimal basis: they differ by one
-            # tightened bound, so their LPs dual-reoptimise from it.
+            # tightened bound, so their LPs dual-reoptimise from it.  Best
+            # bound first from a min-heap: a maximised bound is negated.
+            priority = bound if sense is ObjectiveSense.MINIMIZE else -bound
             down = _Node(
-                priority=self._node_priority(sense, bound, node.depth + 1),
+                priority=priority,
                 sequence=next(counter),
                 depth=node.depth + 1,
                 bound=bound,
@@ -349,7 +323,7 @@ class BranchAndBoundSolver:
             down.upper_bounds[branch_index] = floor_value
 
             up = _Node(
-                priority=self._node_priority(sense, bound, node.depth + 1),
+                priority=priority,
                 sequence=next(counter),
                 depth=node.depth + 1,
                 bound=bound,
@@ -399,7 +373,7 @@ class BranchAndBoundSolver:
         :data:`_CUTOFF_SLACK` keeps alternative optima of equal objective
         inside the cut region.
         """
-        if incumbent is None or postsolve is None or not np.isfinite(incumbent_value):
+        if incumbent is None or postsolve is None or not math.isfinite(incumbent_value):
             return None
         value_min = incumbent_value if sense is ObjectiveSense.MINIMIZE else -incumbent_value
         cutoff = value_min - postsolve.objective_offset_min
@@ -433,57 +407,26 @@ class BranchAndBoundSolver:
         result = solve_lp_form(node_form, warm_start=node.parent_basis)
         if postsolve is None or not result.status.has_solution:
             return result
-        return replace(
-            result,
-            values=postsolve.restore(result.values),
-            objective_value=result.objective_value + postsolve.objective_offset,
+        return LpResult(
+            result.status,
+            postsolve.restore(result.values),
+            result.objective_value + postsolve.objective_offset,
+            result.basis,
+            result.iterations,
+            result.warm_start_used,
+            result.refactorizations,
         )
 
     @staticmethod
     def _fractional_indices(values: np.ndarray, integer_mask: np.ndarray) -> np.ndarray:
         fractional_part = np.abs(values - np.rint(values))
-        return np.nonzero(integer_mask & (fractional_part > _INTEGRALITY_TOLERANCE))[0]
-
-    def _choose_branch_variable(
-        self,
-        fractional: np.ndarray,
-        values: np.ndarray,
-        pseudo_up: np.ndarray,
-        pseudo_down: np.ndarray,
-        pseudo_counts: np.ndarray,
-    ) -> int:
-        if self.branching is BranchingRule.FIRST_FRACTIONAL:
-            return int(fractional[0])
-        fractions = values[fractional] - np.floor(values[fractional])
-        if self.branching is BranchingRule.MOST_FRACTIONAL:
-            scores = -np.abs(fractions - 0.5)
-            return int(fractional[int(np.argmax(scores))])
-        # Pseudo-cost branching: estimated degradation product (larger is better).
-        up_cost = pseudo_up[fractional] * (1.0 - fractions)
-        down_cost = pseudo_down[fractional] * fractions
-        scores = np.maximum(up_cost, 1e-6) * np.maximum(down_cost, 1e-6)
-        return int(fractional[int(np.argmax(scores))])
+        return (integer_mask & (fractional_part > _INTEGRALITY_TOLERANCE)).nonzero()[0]
 
     @staticmethod
-    def _update_pseudo_costs(
-        pseudo_up: np.ndarray,
-        pseudo_down: np.ndarray,
-        pseudo_counts: np.ndarray,
-        index: int,
-        value: float,
-    ) -> None:
-        fraction = value - np.floor(value)
-        pseudo_counts[index] += 1
-        # Simple exponential smoothing of observed fractionalities.
-        pseudo_up[index] = 0.7 * pseudo_up[index] + 0.3 * (1.0 - fraction)
-        pseudo_down[index] = 0.7 * pseudo_down[index] + 0.3 * fraction
-
-    def _node_priority(self, sense: ObjectiveSense, bound: float, depth: int) -> float:
-        if self.node_selection is NodeSelection.DEPTH_FIRST:
-            return -float(depth)
-        # Best bound first: min-heap, so minimisation uses the bound directly
-        # and maximisation uses its negation.
-        return bound if sense is ObjectiveSense.MINIMIZE else -bound
+    def _choose_branch_variable(fractional: np.ndarray, values: np.ndarray) -> int:
+        """Most-fractional branching: the value closest to ``x.5`` (first on ties)."""
+        fractions = values[fractional] - np.floor(values[fractional])
+        return int(fractional[int((-np.abs(fractions - 0.5)).argmax())])
 
     @staticmethod
     def _bound_improves(sense: ObjectiveSense, bound: float, incumbent_value: float) -> bool:
@@ -498,31 +441,41 @@ class BranchAndBoundSolver:
 
     @staticmethod
     def _gap(sense: ObjectiveSense, bound: float, incumbent_value: float) -> float:
-        if not np.isfinite(bound) or not np.isfinite(incumbent_value):
+        if not math.isfinite(bound) or not math.isfinite(incumbent_value):
             return float("inf")
         denominator = max(1.0, abs(incumbent_value))
         return abs(incumbent_value - bound) / denominator
 
+    @staticmethod
     def _rounding_heuristic(
-        self,
         model: IlpModel,
         relaxation: np.ndarray,
         integer_mask: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
-    ) -> np.ndarray | None:
-        """Try rounding the fractional relaxation to a feasible integral point."""
-        candidate = relaxation.copy()
-        candidate[integer_mask] = np.rint(relaxation[integer_mask])
-        candidate = np.clip(candidate, lower, np.where(np.isinf(upper), candidate, upper))
-        if model.check_feasible(candidate):
-            return candidate
-        # Second attempt: floor everything (often feasible for <= constraints).
-        candidate = relaxation.copy()
-        candidate[integer_mask] = np.floor(relaxation[integer_mask])
-        candidate = np.clip(candidate, lower, np.where(np.isinf(upper), candidate, upper))
-        if model.check_feasible(candidate):
-            return candidate
+        incumbent_value: float | None,
+    ) -> tuple[np.ndarray, float] | None:
+        """The first feasible of two roundings of the relaxation — to nearest,
+        then down (often feasible for <= constraints) — with its objective
+        value, if it beats ``incumbent_value`` (``None``: no incumbent yet).
+        Both are priced first: feasibility is checked only if one could win.
+        """
+        sense = model.objective.sense
+        priced = []
+        for rounding in (np.rint, np.floor):
+            candidate = relaxation.copy()
+            candidate[integer_mask] = rounding(relaxation[integer_mask])
+            candidate = np.clip(candidate, lower, np.where(np.isinf(upper), candidate, upper))
+            value = model.objective_value(candidate)
+            improves = incumbent_value is None or sense.better(value, incumbent_value)
+            priced.append((candidate, value, improves))
+        (nearest, nearest_value, nearest_improves), (down, down_value, down_improves) = priced
+        if not (nearest_improves or down_improves):
+            return None
+        if model.check_feasible(nearest):
+            return (nearest, nearest_value) if nearest_improves else None
+        if down_improves and model.check_feasible(down):
+            return down, down_value
         return None
 
     def _finish(

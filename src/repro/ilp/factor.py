@@ -38,6 +38,8 @@ derived per-process state, dropped by
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import linalg as sla
 
@@ -134,7 +136,7 @@ class BasisFactor:
         column to be numerically trustworthy; the caller must reinvert instead.
         """
         pivot = float(w[row])
-        if not np.isfinite(pivot):
+        if not math.isfinite(pivot):
             return False
         if abs(pivot) < STABILITY_TOLERANCE * max(1.0, float(np.abs(w).max())):
             return False

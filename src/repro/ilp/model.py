@@ -108,6 +108,15 @@ def _nonzero_mapping(vector: np.ndarray) -> dict[int, float]:
     return dict(zip(columns.tolist(), vector[columns].tolist()))
 
 
+def _holds(lhs: float, sense: ConstraintSense, rhs: float, tolerance: float) -> bool:
+    """Whether ``lhs <sense> rhs`` holds within ``tolerance``."""
+    if sense is ConstraintSense.LE:
+        return lhs <= rhs + tolerance
+    if sense is ConstraintSense.GE:
+        return lhs >= rhs - tolerance
+    return abs(lhs - rhs) <= tolerance
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Constraint:
     """Read-only view of one constraint ``row · x  <sense>  rhs`` of an :class:`IlpModel`.
@@ -139,12 +148,7 @@ class Constraint:
 
     def is_satisfied(self, values: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Whether the constraint holds under ``values`` (with tolerance)."""
-        lhs = self.evaluate(values)
-        if self.sense is ConstraintSense.LE:
-            return lhs <= self.rhs + tolerance
-        if self.sense is ConstraintSense.GE:
-            return lhs >= self.rhs - tolerance
-        return abs(lhs - self.rhs) <= tolerance
+        return _holds(self.evaluate(values), self.sense, self.rhs, tolerance)
 
     def violation(self, values: np.ndarray) -> float:
         """Return how much the constraint is violated (0 when satisfied)."""
@@ -426,11 +430,15 @@ class IlpModel:
         if values.shape != (self.num_variables,):
             return False
         lower, upper, is_integer = self.bound_and_integrality_arrays()
-        if np.any(values < lower - tolerance) or np.any(values > upper + tolerance):
+        if (values < lower - tolerance).any() or (values > upper + tolerance).any():
             return False
-        if np.any(is_integer & (np.abs(values - np.rint(values)) > tolerance)):
+        if (is_integer & (np.abs(values - np.rint(values)) > tolerance)).any():
             return False
-        return all(c.is_satisfied(values, tolerance) for c in self.constraints)
+        # Row by row off the block, as Constraint.is_satisfied reads one row.
+        return all(
+            _holds(float(row @ values), sense, rhs, tolerance)
+            for row, sense, rhs in zip(self._rows, self._senses, self._rhs.tolist())
+        )
 
     def total_violation(self, values: np.ndarray) -> float:
         """Sum of constraint violations under ``values`` (useful in tests)."""

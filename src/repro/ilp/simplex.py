@@ -33,9 +33,10 @@ Four design points make repeated solves cheap:
   problem consumes as a warm start, re-entering through the dual simplex.
   The exported basis carries an O(1) snapshot of the final inverse, so a child
   solve installs it without reinverting; a deterministic residual check
-  (``ftran(B @ 1) ≈ 1``) rejects stale or drifted inverses, and invalid bases
-  (shape mismatch, singular basis matrix, unrestorable dual feasibility) fall
-  back to a cold two-phase solve.
+  (``ftran(B @ 1) ≈ 1``), run on every install, rejects stale or drifted
+  inverses, and invalid bases (shape mismatch, singular basis matrix,
+  unrestorable dual feasibility) fall back to a cold two-phase solve.  After
+  the dual simplex, the primal clean-up is one optimality pricing.
 
 **Pricing.**  The entering variable is chosen by Dantzig's rule (largest
 reduced-cost magnitude).  Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a
@@ -44,14 +45,17 @@ iterations price only a few hundred promising columns, and a full sweep runs
 only when the list runs dry (optimality is still only ever declared off a
 full sweep).  After a long run of degenerate pivots the solver switches to
 Bland's rule — always a full lowest-index sweep — to guarantee termination.
+A bound flip changes no basis, inverse or cost, so the iteration after it
+reuses the last full sweep's reduced costs.  The ratio tests read the ``m``
+basis rows once, as Python floats: the same IEEE arithmetic and comparisons.
 
 **Eligibility from one signed vector.**  Which columns may enter (pricing),
 which may block the leaving row (the dual ratio test) and which must flip to
 make an installed basis dual feasible are all read off ``move``: +1 for a
 nonbasic column that may rise, -1 for one that may fall, 0 for basic and
-fixed ones (FREE columns, rare, are checked apart).  It is rebuilt when a
-primal call starts or a warm basis is installed for the dual, and patched
-per pivot or flip, so an iteration
+fixed ones (FREE columns, rare, are checked apart).  It is rebuilt before a
+cold primal call and when a warm basis is installed for the dual (whose
+primal clean-up keeps it), and patched per pivot or flip, so an iteration
 tests ``move * d < -eps`` — one product, exact for ±1 and 0 — instead of
 re-deriving the masks from the statuses and bounds.
 
@@ -65,6 +69,7 @@ The solver handles minimisation of ``c @ x`` subject to ``A_ub x <= b_ub``,
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,7 +320,7 @@ class _BoundedRevisedSimplex:
     # -- public entry ------------------------------------------------------------
 
     def solve(self, warm_start: SimplexBasis | None = None) -> SimplexResult:
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             return self._result(SimplexStatus.INFEASIBLE)
         if warm_start is not None and self._try_install(warm_start):
             status = self._reoptimize()
@@ -334,10 +339,11 @@ class _BoundedRevisedSimplex:
 
     def _cold_solve(self) -> SimplexResult:
         self._cold_start()
-        if np.any(np.abs(self.xb) > _FEASIBILITY_TOLERANCE):
+        if (np.abs(self.xb) > _FEASIBILITY_TOLERANCE).any():
             phase1 = self._phase1()
             if phase1 is not SimplexStatus.OPTIMAL:
                 return self._result(phase1)
+        self._set_moves()
         return self._result(self._primal(self.costs))
 
     def _cold_start(self) -> None:
@@ -369,6 +375,7 @@ class _BoundedRevisedSimplex:
         phase1_costs = np.zeros(self.ncols)
         phase1_costs[art] = sign
 
+        self._set_moves()
         status = self._primal(phase1_costs)
         residual = np.abs(self._full_solution()[art])
 
@@ -381,7 +388,7 @@ class _BoundedRevisedSimplex:
             return status
         # Row by row against that row's own right-hand side: one row of large
         # magnitude must not loosen the test for the others.
-        if np.any(residual > _FEASIBILITY_TOLERANCE * np.maximum(1.0, np.abs(self.b))):
+        if (residual > _FEASIBILITY_TOLERANCE * np.maximum(1.0, np.abs(self.b))).any():
             return SimplexStatus.INFEASIBLE
         self._compute_xb()
         return SimplexStatus.OPTIMAL
@@ -406,9 +413,10 @@ class _BoundedRevisedSimplex:
             return False
         if self.m and (basic.min() < 0 or basic.max() >= self.ncols):
             return False
-        if len(np.unique(basic)) != self.m:
-            return False
-        if np.count_nonzero(status == BASIC) != self.m or not np.all(status[basic] == BASIC):
+        # ``basic`` lists m distinct columns, and they are the BASIC ones.
+        listed = np.zeros(self.ncols, dtype=bool)
+        listed[basic] = True
+        if (listed != (status == BASIC)).any() or np.count_nonzero(listed) != self.m:
             return False
 
         self.basis = basic.copy()
@@ -433,17 +441,22 @@ class _BoundedRevisedSimplex:
 
         # Re-anchor nonbasic columns whose recorded bound is infinite under the
         # current bounds (the caller may have relaxed a bound since export).
-        finite_lower = np.isfinite(self.lower)
-        finite_upper = np.isfinite(self.upper)
-        nonbasic = status != BASIC
-        lost_lower = nonbasic & (status == AT_LOWER) & ~finite_lower
-        lost_upper = nonbasic & (status == AT_UPPER) & ~finite_upper
-        anchorable_free = nonbasic & (status == FREE) & (finite_lower | finite_upper)
-        status[lost_lower] = np.where(finite_upper[lost_lower], AT_UPPER, FREE)
-        status[lost_upper] = np.where(finite_lower[lost_upper], AT_LOWER, FREE)
-        status[anchorable_free] = np.where(
-            finite_lower[anchorable_free], AT_LOWER, AT_UPPER
-        )
+        # With no FREE status and every AT_UPPER column's upper bound and every
+        # other column's lower bound finite, each mask below is empty.
+        if (status == FREE).any() or not np.isfinite(
+            np.where(status == AT_UPPER, self.upper, self.lower)
+        ).all():
+            finite_lower = np.isfinite(self.lower)
+            finite_upper = np.isfinite(self.upper)
+            nonbasic = status != BASIC
+            lost_lower = nonbasic & (status == AT_LOWER) & ~finite_lower
+            lost_upper = nonbasic & (status == AT_UPPER) & ~finite_upper
+            anchorable_free = nonbasic & (status == FREE) & (finite_lower | finite_upper)
+            status[lost_lower] = np.where(finite_upper[lost_lower], AT_UPPER, FREE)
+            status[lost_upper] = np.where(finite_lower[lost_upper], AT_LOWER, FREE)
+            status[anchorable_free] = np.where(
+                finite_lower[anchorable_free], AT_LOWER, AT_UPPER
+            )
 
         # Restore dual feasibility with bound flips where a reduced cost has
         # the wrong sign; an unflippable column (infinite opposite bound) means
@@ -467,13 +480,13 @@ class _BoundedRevisedSimplex:
         """Columns whose reduced cost has the wrong sign for the bound they sit
         at, to be flipped to the other; ``None`` when one of them has no other
         (an infinite bound) or a movable FREE column has ``|d| > eps``."""
-        flips = np.nonzero(self.move * d < -_EPSILON)[0]
+        flips = (self.move * d < -_EPSILON).nonzero()[0]
         rising = self.move[flips] > 0
         if not np.isfinite(np.where(rising, self.upper[flips], self.lower[flips])).all():
             return None
-        if self._any_free and np.any(
+        if self._any_free and (
             (self.status == FREE) & (self.lower != self.upper) & (np.abs(d) > _EPSILON)
-        ):
+        ).any():
             return None
         return flips
 
@@ -489,12 +502,13 @@ class _BoundedRevisedSimplex:
         indicator = np.zeros(self.ncols)
         indicator[self.basis] = 1.0
         residual = self.factor.ftran(self.a @ indicator) - 1.0
-        if not np.all(np.isfinite(residual)):
+        if not np.isfinite(residual).all():
             return False
         return float(np.abs(residual).max()) <= 1e-6
 
     def _reoptimize(self) -> SimplexStatus:
-        """Dual simplex to primal feasibility, then primal clean-up."""
+        """Dual simplex to primal feasibility, then primal clean-up: from the
+        move vector the dual kept current, almost always one pricing."""
         status = self._dual()
         if status is not SimplexStatus.OPTIMAL:
             return status
@@ -503,13 +517,23 @@ class _BoundedRevisedSimplex:
     # -- primal simplex -----------------------------------------------------------
 
     def _primal(self, costs: np.ndarray) -> SimplexStatus:
-        self._set_moves()
+        """Primal simplex over ``costs`` from the current basis and move vector.
+
+        A full sweep's reduced costs stay exact until the next pivot (a bound
+        flip changes no basis, inverse or cost), so iterations reuse them.
+        """
         max_iterations = _MAX_ITERATIONS_FACTOR * (self.m + self.ncols + 1)
+        d: np.ndarray | None = None
         for _ in range(max_iterations):
             self.iterations += 1
-            y = self.factor.btran(costs[self.basis])
-
-            entering, direction = self._price(costs, y)
+            if self._partial and not self._bland:
+                entering, direction = self._price_candidates(
+                    costs, self.factor.btran(costs[self.basis])
+                )
+            else:
+                if d is None:
+                    d = costs - self.factor.btran(costs[self.basis]) @ self.a
+                entering, direction = self._price(d)
             if entering is None:
                 return SimplexStatus.OPTIMAL
 
@@ -527,6 +551,7 @@ class _BoundedRevisedSimplex:
                 self._note_step(step)
                 continue
 
+            d = None
             entering_status = self.status[entering]
             if entering_status == AT_LOWER:
                 start = self.lower[entering]
@@ -549,36 +574,34 @@ class _BoundedRevisedSimplex:
 
     # -- pricing ------------------------------------------------------------------
 
-    def _price(self, costs: np.ndarray, y: np.ndarray) -> tuple[int | None, int]:
-        """Choose the entering column; ``(None, 0)`` means price-optimal.
+    def _price(self, d: np.ndarray) -> tuple[int | None, int]:
+        """Choose the entering column off a full sweep's reduced costs ``d``;
+        ``(None, 0)`` means price-optimal.
 
         Bland mode always prices the full column range (its termination
-        guarantee needs the global lowest eligible index).  Partial mode
-        prices the candidate list and falls back to a full sweep — which also
-        rebuilds the list — only when the list has no eligible column left;
-        optimality is only ever declared off a full sweep.
+        guarantee needs the global lowest eligible index), and so does a
+        problem narrower than :data:`_PARTIAL_PRICING_THRESHOLD`.
         """
-        if self._bland:
-            d = costs - y @ self.a
-            eligible = self._eligible_columns(d)
-            if eligible.size == 0:
-                return None, 0
-            j = int(eligible[0])
-            return j, (1 if d[j] < 0 else -1)
-        if self._partial:
-            cand = self._cand
-            if cand is not None and cand.size:
-                d_cand = costs[cand] - y @ self.a[:, cand]
-                mask = self._eligible_mask(cand, d_cand)
-                if mask.any():
-                    return self._select(cand[mask], d_cand[mask])
-            d = costs - y @ self.a
-            return self._rebuild_candidates(d)
-        d = costs - y @ self.a
         eligible = self._eligible_columns(d)
         if eligible.size == 0:
             return None, 0
+        if self._bland:
+            j = int(eligible[0])
+            return j, (1 if d[j] < 0 else -1)
         return self._select(eligible, d[eligible])
+
+    def _price_candidates(self, costs: np.ndarray, y: np.ndarray) -> tuple[int | None, int]:
+        """Partial pricing: price the candidate list, and fall back to a full
+        sweep — which also rebuilds the list — only when the list has no
+        eligible column left; optimality is only ever declared off a full
+        sweep."""
+        cand = self._cand
+        if cand is not None and cand.size:
+            d_cand = costs[cand] - y @ self.a[:, cand]
+            mask = self._eligible_mask(cand, d_cand)
+            if mask.any():
+                return self._select(cand[mask], d_cand[mask])
+        return self._rebuild_candidates(costs - y @ self.a)
 
     def _eligible_columns(self, d: np.ndarray) -> np.ndarray:
         """Indices of columns whose reduced cost permits an improving move:
@@ -587,7 +610,7 @@ class _BoundedRevisedSimplex:
         eligible = self.move * d < -_EPSILON
         if self._any_free:
             eligible |= (self.status == FREE) & (np.abs(d) > _EPSILON)
-        return np.nonzero(eligible)[0]
+        return eligible.nonzero()[0]
 
     def _eligible_mask(self, cols: np.ndarray, d_cols: np.ndarray) -> np.ndarray:
         """Eligibility of a column subset, given their reduced costs."""
@@ -599,7 +622,7 @@ class _BoundedRevisedSimplex:
     @staticmethod
     def _select(cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
         """Dantzig's rule over eligible columns ``cols``: largest ``|d|``."""
-        k = int(np.argmax(np.abs(d_cols)))
+        k = int(np.abs(d_cols).argmax())
         j = int(cols[k])
         return j, (1 if d_cols[k] < 0 else -1)
 
@@ -624,20 +647,26 @@ class _BoundedRevisedSimplex:
         """Largest step for the entering column; (None,..) means unbounded.
 
         Returns ``(step, limiting_row, leaving_status)``; a ``None`` row with a
-        finite step is a bound flip.
+        finite step is a bound flip.  The rows are read once as Python
+        floats; the arithmetic and every comparison, NaN included, are those
+        of the numpy scalars.
         """
-        span = self.upper[entering] - self.lower[entering]
-        best_t = span if np.isfinite(span) else np.inf
+        span = float(self.upper[entering] - self.lower[entering])
+        best_t = span if math.isfinite(span) else math.inf
         limit_row: int | None = None
         leave_to: int | None = None
+        basis = self.basis.tolist()
+        lower = self.lower[self.basis].tolist()
+        upper = self.upper[self.basis].tolist()
+        xb = self.xb.tolist()
+        ws = w.tolist()
         for i in range(self.m):
-            rate = -direction * w[i]  # d(x_B[i]) / d(step)
-            basic_col = self.basis[i]
-            if rate < -_PIVOT_EPSILON and np.isfinite(self.lower[basic_col]):
-                t = (self.xb[i] - self.lower[basic_col]) / (-rate)
+            rate = -direction * ws[i]  # d(x_B[i]) / d(step)
+            if rate < -_PIVOT_EPSILON and math.isfinite(lower[i]):
+                t = (xb[i] - lower[i]) / (-rate)
                 to = AT_LOWER
-            elif rate > _PIVOT_EPSILON and np.isfinite(self.upper[basic_col]):
-                t = (self.upper[basic_col] - self.xb[i]) / rate
+            elif rate > _PIVOT_EPSILON and math.isfinite(upper[i]):
+                t = (upper[i] - xb[i]) / rate
                 to = AT_UPPER
             else:
                 continue
@@ -646,13 +675,13 @@ class _BoundedRevisedSimplex:
                 best_t, limit_row, leave_to = t, i, to
             elif limit_row is not None and t <= best_t + _RATIO_TIE_TOLERANCE:
                 if self._bland:
-                    if basic_col < self.basis[limit_row]:
+                    if basis[i] < basis[limit_row]:
                         limit_row, leave_to = i, to
-                elif abs(w[i]) > abs(w[limit_row]):
+                elif abs(ws[i]) > abs(ws[limit_row]):
                     limit_row, leave_to = i, to
-        if not np.isfinite(best_t) and limit_row is None:
+        if not math.isfinite(best_t) and limit_row is None:
             return None, None, None
-        return float(best_t), limit_row, leave_to
+        return best_t, limit_row, leave_to
 
     # -- dual simplex ---------------------------------------------------------------
 
@@ -665,19 +694,21 @@ class _BoundedRevisedSimplex:
         for _ in range(max_iterations):
             if self.m == 0:
                 return SimplexStatus.OPTIMAL
-            below = self.lower[self.basis] - self.xb
-            above = self.xb - self.upper[self.basis]
+            basic_lower = self.lower[self.basis]
+            basic_upper = self.upper[self.basis]
+            below = basic_lower - self.xb
+            above = self.xb - basic_upper
             violation = np.maximum(below, above)
-            worst = float(violation.max()) if violation.size else 0.0
-            if worst <= _FEASIBILITY_TOLERANCE:
+            # NaN fails ``<=``: a NaN x_B is never declared feasible.
+            if violation.max() <= _FEASIBILITY_TOLERANCE:
                 return SimplexStatus.OPTIMAL
             self.iterations += 1
 
             if self._bland:
-                rows = np.nonzero(violation > _FEASIBILITY_TOLERANCE)[0]
-                r = int(rows[np.argmin(self.basis[rows])])
+                rows = (violation > _FEASIBILITY_TOLERANCE).nonzero()[0]
+                r = int(rows[self.basis[rows].argmin()])
             else:
-                r = int(np.argmax(violation))
+                r = int(violation.argmax())
             leaving_below = below[r] > above[r]
 
             alpha = self.factor.btran_row(r) @ self.a
@@ -691,33 +722,36 @@ class _BoundedRevisedSimplex:
             if eligible.size == 0:
                 return SimplexStatus.INFEASIBLE
             ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
-            near = eligible[ratios <= ratios.min() + _RATIO_TIE_TOLERANCE]
+            min_ratio = float(ratios.min())
+            near = eligible[ratios <= min_ratio + _RATIO_TIE_TOLERANCE]
             if self._bland:
                 q = int(near[0])
             else:
-                q = int(near[np.argmax(np.abs(alpha[near]))])
+                q = int(near[np.abs(alpha[near]).argmax()])
 
             w = self._ftran(q)
-            if abs(w[r]) < _PIVOT_EPSILON:
+            pivot = float(w[r])
+            if abs(pivot) < _PIVOT_EPSILON:
                 # The updated inverse disagrees with the priced row; rebuild it
                 # once and let the caller fall back if that does not help.
                 if not self._refactorize():
                     return SimplexStatus.NUMERICAL_ERROR
                 self._compute_xb()
                 w = self._ftran(q)
-                if abs(w[r]) < _PIVOT_EPSILON:
+                pivot = float(w[r])
+                if abs(pivot) < _PIVOT_EPSILON:
                     return SimplexStatus.NUMERICAL_ERROR
 
             # Incremental primal update: move the entering column by exactly
             # the amount that lands x_B[r] on its violated bound, then make it
             # basic there (full recompute only after a reinversion).
-            target = self.lower[self.basis[r]] if leaving_below else self.upper[self.basis[r]]
-            entering_step = (self.xb[r] - target) / w[r]
+            target = float(basic_lower[r] if leaving_below else basic_upper[r])
+            entering_step = (float(self.xb[r]) - target) / pivot
             entering_status = self.status[q]
             if entering_status == AT_LOWER:
-                entering_start = self.lower[q]
+                entering_start = float(self.lower[q])
             elif entering_status == AT_UPPER:
-                entering_start = self.upper[q]
+                entering_start = float(self.upper[q])
             else:
                 entering_start = 0.0
             leaving = self.basis[r]
@@ -730,7 +764,7 @@ class _BoundedRevisedSimplex:
                 self._compute_xb()
             else:
                 self.xb[r] = entering_start + entering_step
-            self._note_step(float(ratios.min()))
+            self._note_step(min_ratio)
         return SimplexStatus.ITERATION_LIMIT
 
     def _ratio_candidates(self, alpha: np.ndarray, leaving_below: bool) -> np.ndarray:
@@ -742,7 +776,7 @@ class _BoundedRevisedSimplex:
         mask = rate < -_PIVOT_EPSILON if leaving_below else rate > _PIVOT_EPSILON
         if self._any_free:
             mask |= (self.status == FREE) & (np.abs(alpha) > _PIVOT_EPSILON)
-        return np.nonzero(mask)[0]
+        return mask.nonzero()[0]
 
     # -- shared machinery -----------------------------------------------------------
 
@@ -752,15 +786,15 @@ class _BoundedRevisedSimplex:
         ``move[j]`` is +1 for a nonbasic column at its lower bound that may
         rise (``l_j < u_j``), -1 for one at its upper bound that may fall, and
         0 for basic, fixed and FREE columns (FREE ones are flagged apart).
-        Bounds are constant within one :meth:`_primal` / :meth:`_dual` call,
-        so the vector is rebuilt when :meth:`_primal` starts or
-        :meth:`_try_install` seeds :meth:`_dual`, and a pivot or flip then
-        updates only the columns it touches.  ``clip``: an out-of-range
+        Bounds are constant within one solve phase, so the vector is rebuilt
+        before each cold :meth:`_primal` call and when :meth:`_try_install`
+        seeds :meth:`_dual` (whose primal clean-up keeps it), and a pivot or
+        flip then updates only the columns it touches.  ``clip``: an out-of-range
         status in a caller's basis moves nowhere, as it never did.
         """
         moves = _MOVE_OF_STATUS.take(self.status, mode="clip")
         self.move = np.where(self.lower < self.upper, moves, 0.0)
-        self._any_free = bool(np.any(self.status == FREE))
+        self._any_free = bool((self.status == FREE).any())
 
     def _set_status(self, j: int, status: int) -> None:
         """Make column ``j`` nonbasic at ``status``, move vector included."""
@@ -805,12 +839,10 @@ class _BoundedRevisedSimplex:
                 self._bland = True
 
     def _nonbasic_values(self) -> np.ndarray:
-        x = np.zeros(self.ncols)
-        at_lower = self.status == AT_LOWER
-        at_upper = self.status == AT_UPPER
-        x[at_lower] = self.lower[at_lower]
-        x[at_upper] = self.upper[at_upper]
-        return x
+        status = self.status
+        return np.where(
+            status == AT_LOWER, self.lower, np.where(status == AT_UPPER, self.upper, 0.0)
+        )
 
     def _compute_xb(self) -> None:
         x = self._nonbasic_values()
@@ -828,7 +860,7 @@ class _BoundedRevisedSimplex:
                 self.refactorizations,
             )
         x = self._full_solution()
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             # A corrupt basis inverse can only produce non-finite values; never
             # report that as OPTIMAL.
             return self._result(SimplexStatus.NUMERICAL_ERROR, warm_started)

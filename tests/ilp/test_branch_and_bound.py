@@ -2,8 +2,8 @@
 
 Correctness is checked against brute-force enumeration on small instances,
 including a hypothesis property test over random 0/1 knapsack problems, plus
-targeted tests for statuses, limits and configuration options, and for the
-bound and gap a solve reports beside its answer.
+targeted tests for statuses, limits and the rounding-heuristic switch, and
+for the bound and gap a solve reports beside its answer.
 """
 
 import itertools
@@ -13,12 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.translator import translate_query
-from repro.ilp.branch_and_bound import (
-    BranchAndBoundSolver,
-    BranchingRule,
-    NodeSelection,
-    SolverLimits,
-)
+from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.status import SolverStatus
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -138,15 +133,9 @@ class TestCorrectness:
 
 
 class TestConfigurations:
-    @pytest.mark.parametrize("branching", list(BranchingRule))
-    @pytest.mark.parametrize("selection", list(NodeSelection))
-    def test_all_strategies_reach_the_optimum(self, branching, selection):
+    def test_the_default_search_reaches_the_optimum(self):
         model = knapsack_model([6, 5, 4, 3, 2, 1], [4, 3, 3, 2, 2, 1], 8)
-        solver = BranchAndBoundSolver(
-            branching=branching,
-            node_selection=selection,
-            limits=SolverLimits(relative_gap=1e-9),
-        )
+        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9))
         solution = solver.solve(model)
         assert solution.objective_value == pytest.approx(
             brute_force_knapsack([6, 5, 4, 3, 2, 1], [4, 3, 3, 2, 2, 1], 8)
@@ -236,15 +225,12 @@ class TestProvenBound:
             model, solution.stats.best_bound, solution.objective_value
         )
 
-    @pytest.mark.parametrize("selection", list(NodeSelection))
     @pytest.mark.parametrize("name", ["Q1", "Q2"])
-    def test_node_limit_bound_covers_the_open_nodes(self, galaxy_models, name, selection):
+    def test_node_limit_bound_covers_the_open_nodes(self, galaxy_models, name):
         """Q1 maximises and Q2 minimises, and neither closes in five nodes: the
         optimum may sit under a node still open, so the bound must cover it."""
         model = galaxy_models[name]
-        solution = BranchAndBoundSolver(
-            limits=SolverLimits(node_limit=5), node_selection=selection
-        ).solve(model)
+        solution = BranchAndBoundSolver(limits=SolverLimits(node_limit=5)).solve(model)
         assert solution.status is SolverStatus.FEASIBLE
         assert_bound_on_the_right_side(
             model, solution.stats.best_bound, oracle_ilp(model).objective
@@ -259,23 +245,18 @@ class TestInheritedBound:
     """A node queued before the incumbent improved may already be decided by
     the bound it inherited from its parent: it is counted, not solved."""
 
-    @pytest.mark.parametrize("selection", list(NodeSelection))
-    def test_decided_nodes_are_dropped_without_an_lp(self, selection):
+    def test_decided_nodes_are_dropped_without_an_lp(self):
         dropped = 0
         for seed in range(8):
             rng = np.random.default_rng(seed)
             values = rng.integers(10, 100, 25).tolist()
             weights = rng.integers(5, 50, 25).tolist()
             model = knapsack_model(values, weights, int(0.4 * sum(weights)))
-            solution = BranchAndBoundSolver(
-                limits=SolverLimits(relative_gap=1e-9), node_selection=selection
-            ).solve(model)
+            solution = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
             reference = oracle_ilp(model)
             assert solution.status.value == reference.status == "optimal"
             assert solution.objective_value == pytest.approx(reference.objective)
             assert solution.stats.lp_solves <= solution.stats.nodes_explored
             dropped += solution.stats.nodes_explored - solution.stats.lp_solves
-        # Best-bound search pops the nodes the final incumbent decided; a
-        # depth-first dive on these instances happens to leave none behind.
-        if selection is NodeSelection.BEST_BOUND:
-            assert dropped > 0
+        # Best-bound search pops the nodes the final incumbent decided.
+        assert dropped > 0
