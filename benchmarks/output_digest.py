@@ -17,6 +17,14 @@ solves, simplex iterations and columns fixed by root presolve, and for DIRECT
 the branch-and-bound nodes.  Equal files mean equal packages, objectives to
 the last bit and the same search.  Nothing is timed.
 
+Then the update leg: per data seed, one ``update_requery_20k`` session runs
+10 iterations of its delta burst plus its hot set, through the cache, as the
+benchmark does.  After each iteration one line records sha256 digests of the
+table (version and column bytes), of ``partitioning_signature`` and of the
+cache's ``entries_snapshot()``, and per hot-set op its cache status, package
+and objective.  A last line says whether ``Database.recover`` over the
+session's log rebuilds the live table and partitioning bit for bit.
+
     python3 benchmarks/output_digest.py --out head.jsonl
     python3 benchmarks/output_digest.py --repo ../base --out base.jsonl
     diff base.jsonl head.jsonl
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -38,6 +47,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DATA_SEEDS = (42, 2024, 12)
+UPDATE_WORKLOAD = "update_requery_20k"
+UPDATE_ITERATIONS = 10
 # As benchmarks/e2e/run.py: one BLAS thread (a threaded reduction may sum in
 # another order), and the engine's own worker default.
 THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -95,6 +106,90 @@ def digest_lines(scratch: Path):
                 }
 
 
+def sha256_of(*chunks: bytes) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def table_digest(table) -> str:
+    columns = (table.column(name) for name in table.schema.names)
+    return sha256_of(
+        repr(table.version).encode(),
+        *(c.tobytes() if c.dtype != object else repr(c.tolist()).encode() for c in columns),
+    )
+
+
+def entries_digest(entries: list[dict]) -> str:
+    comparable = [
+        {
+            **entry,
+            "multiplicities": sorted(entry["multiplicities"].items()),
+            "groups": sorted(entry["groups"]),
+            "objective": repr(entry["objective"]),
+        }
+        for entry in entries
+    ]
+    return sha256_of(json.dumps(comparable, sort_keys=True).encode())
+
+
+def update_lines(scratch: Path):
+    from repro.db.catalog import Database
+    from repro.partition.maintenance import partitioning_signature
+    from workloads import LARGE, UPDATES_PER_ITERATION, WORKLOADS, Session, Sizes
+
+    sizes = Sizes.full()
+    workload = WORKLOADS[UPDATE_WORKLOAD]
+    for data_seed in DATA_SEEDS:
+        tables = workload.make_tables(data_seed, sizes)
+        ops = workload.make_ops(tables, sizes)
+        wal_path = scratch / "update.wal"
+        session = Session(workload, tables, sizes, 0, wal_path)
+        engine = session.engine
+        try:
+            for iteration in range(UPDATE_ITERATIONS):
+                for _ in range(UPDATES_PER_ITERATION):
+                    engine.update_table(LARGE, **session.next_update_arguments())
+                answers = []
+                for op in ops:
+                    result = engine.execute(op.text, cache=workload.cache)
+                    answers.append({
+                        "op": op.name,
+                        "cache": result.details["cache"]["status"],
+                        "package": package_digest(result.package),
+                        "objective": repr(float(result.objective)),
+                    })
+                yield {
+                    "data_seed": data_seed,
+                    "workload": workload.name,
+                    "op": f"update.{iteration}",
+                    "table": table_digest(engine.table(LARGE)),
+                    "partitioning": sha256_of(
+                        repr(partitioning_signature(engine.database.partitioning(LARGE))).encode()
+                    ),
+                    "answers": answers,
+                    "cache_entries": entries_digest(engine.cache.entries_snapshot()),
+                }
+            recovered = Database.recover(wal_path)
+            try:
+                equal = table_digest(recovered.table(LARGE)) == table_digest(
+                    engine.table(LARGE)
+                ) and partitioning_signature(
+                    recovered.partitioning(LARGE)
+                ) == partitioning_signature(engine.database.partitioning(LARGE))
+            finally:
+                recovered.wal.storage.close()
+            yield {
+                "data_seed": data_seed,
+                "workload": workload.name,
+                "op": "update.recovered",
+                "recovered_equals_live": bool(equal),
+            }
+        finally:
+            session.close()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", default=str(HERE.parent), help="checkout to digest (default: this one)")
@@ -108,10 +203,11 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     with tempfile.TemporaryDirectory() as scratch, out.open("w") as handle:
-        for line in digest_lines(Path(scratch)):
+        for line in itertools.chain(digest_lines(Path(scratch)), update_lines(Path(scratch))):
             handle.write(json.dumps(line) + "\n")
             handle.flush()
-            print(f"{line['data_seed']:>5} {line['workload']:<20} {line['op']:<10} {line['objective']}")
+            summary = line.get("objective", line.get("table", line.get("recovered_equals_live")))
+            print(f"{line['data_seed']:>5} {line['workload']:<20} {line['op']:<16} {summary}")
     return 0
 
 

@@ -3,9 +3,9 @@
 Not a paper artefact, but useful for tracking the cost of each pipeline stage
 independently: PaQL parsing, PaQL→ILP translation, base-relation filtering,
 LP relaxation solving, full ILP solving, quad-tree partitioning, the
-partitioned query SKETCH and REFINE are built from, and one refine-heavy
+partitioned query SKETCH and REFINE are built from, one refine-heavy
 SKETCHREFINE query, whose branch-and-bound node count rides along so the
-cost per node can be read off.  These run as normal repeated pytest-benchmark
+cost per node can be read off, and one maintained table update.  These run as normal repeated pytest-benchmark
 measurements (unlike the figure drivers, which run once).
 """
 
@@ -17,7 +17,9 @@ import pytest
 from repro.core.base_relations import compute_base_relation
 from repro.core.direct import DirectEvaluator
 from repro.core.sketchrefine import PartitionedQuery, SketchRefineEvaluator
+from repro.core.engine import PackageQueryEngine
 from repro.core.translator import translate_query
+from repro.db.catalog import Database
 from repro.db.expressions import col
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.lp_backend import solve_lp, solve_lp_form
@@ -198,6 +200,38 @@ def test_refine_query_speed(benchmark):
     benchmark.extra_info["nodes"] = solver.nodes
     benchmark.extra_info["lp_solves"] = evaluator.last_stats.solver_lp_solves
     assert 0 < evaluator.last_stats.solver_lp_solves <= solver.nodes
+
+
+@pytest.mark.benchmark(group="micro-update")
+def test_update_speed(benchmark, tmp_path):
+    """The update_requery_20k shape of benchmarks/e2e: one maintained delta of
+    10 inserts and 10 deletes on 20 000 Galaxy rows partitioned at tau = 250,
+    through ``PackageQueryEngine.update_table`` — column copy, maintenance,
+    WAL append and fsync, and the notify of a cache holding one SKETCHREFINE
+    answer."""
+    table = galaxy_table(20_000, seed=42)
+    engine = PackageQueryEngine(database=Database(wal=tmp_path / "update.wal"))
+    engine.register_table(table)
+    engine.build_partitioning(
+        table.name, ["petroMag_r", "redshift", "petroFlux_r"], size_threshold=250
+    )
+    query = galaxy_workload(table, seed=42).query("Q3").query
+    assert engine.execute(query, method="sketchrefine").details["cache"]["status"] == "miss"
+    rng = np.random.default_rng(7)
+
+    def next_delta():
+        live_rows = engine.table(table.name).num_rows
+        insert = table.take(rng.choice(table.num_rows, 10, replace=False))
+        delete = np.sort(rng.choice(live_rows, 10, replace=False))
+        return (table.name,), {"insert": insert, "delete": delete, "policy": "maintain"}
+
+    try:
+        result = benchmark.pedantic(engine.update_table, setup=next_delta, rounds=30)
+    finally:
+        engine.database.wal.close()
+    assert result.table.num_rows == table.num_rows
+    assert "default" in result.maintained
+    assert len(engine.cache) == 1
 
 
 @pytest.mark.benchmark(group="micro-expressions")

@@ -19,11 +19,11 @@ and invalidates it no more aggressively than the update stream requires:
   renumbered (groups retired, re-split or rebuilt), or the partitioning was
   left stale, the entry is dropped conservatively.
 
-Update notifications are **coalesced**: :meth:`notify_update` merges
-consecutive :class:`~repro.dataset.table.TableDelta`\\ s per table
-(:meth:`TableDelta.merge`) and unions their touched-group sets, so an update
-burst costs one O(1) merge per delta and entries pay a single row remap at
-the next lookup, not one per update.
+Update notifications are **deferred**: :meth:`notify_update` keeps, per
+table, each :class:`~repro.dataset.table.TableDelta`'s sorted deleted row
+indices and unions the touched-group sets, so an update costs O(delta) no
+matter how large the table, and the entries are remapped only at the next
+lookup — a few rows each, one ``searchsorted`` per pending delta.
 
 The cache is data-structure-only: it never solves anything.  The engine
 decides when to consult it (``execute(..., cache="use"|"bypass"|"refresh")``)
@@ -37,10 +37,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.package import Package
 from repro.core.validation import check_package, objective_value
 from repro.dataset.table import Table, TableDelta
-from repro.errors import CacheError, EvaluationError, TableError
+from repro.errors import CacheError, EvaluationError
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning
 
@@ -121,15 +123,37 @@ class CacheLookup:
 
 @dataclass
 class _PendingUpdates:
-    """Coalesced not-yet-applied update stream for one table."""
+    """Not-yet-applied update stream for one table: version and row count
+    before the first and after the last pending delta, and each delta's
+    deleted row indices (ascending)."""
 
-    delta: TableDelta | None = None
+    base_version: int
+    base_rows: int
+    version: int
+    num_rows: int
+    deletions: list = field(default_factory=list)
     touched: dict = field(default_factory=dict)
     """Per partitioning label: union of touched gids since the last flush
     (valid while the label's gid space is stable over the window)."""
     dropped_labels: set = field(default_factory=set)
     """Labels whose entries cannot survive the window (gid space renumbered,
     or the partitioning went/stayed stale)."""
+
+    def remap(self, rows) -> list[int] | None:
+        """``rows`` (at :attr:`base_version`) as row indices at
+        :attr:`version`, or ``None`` when one of them was deleted or lies
+        outside the base table.  Each delta shifts a surviving row down by
+        the number of rows it deleted below it."""
+        remapped = np.array(rows, dtype=np.int64)
+        if len(remapped) and (remapped.min() < 0 or remapped.max() >= self.base_rows):
+            return None
+        for deleted in self.deletions:
+            if len(deleted):
+                shift = np.searchsorted(deleted, remapped)
+                if (deleted[np.minimum(shift, len(deleted) - 1)] == remapped).any():
+                    return None
+                remapped -= shift
+        return remapped.tolist()
 
 
 class PackageCache:
@@ -212,30 +236,35 @@ class PackageCache:
         maintained: Mapping[str, object] | None = None,
         stale_labels: list | tuple | set = (),
     ) -> None:
-        """Absorb one committed table update into the pending coalesced state.
+        """Absorb one committed table update into the pending state.
 
         ``maintained`` maps partitioning labels to their
         :class:`~repro.partition.maintenance.MaintenanceStats`; labels in
         ``stale_labels`` were left behind by the update.  This is O(delta),
-        independent of how many entries the cache holds — entries are only
-        walked when the table is next looked up (:meth:`_flush`).
+        independent of how many rows the table and how many entries the
+        cache holds — entries are only walked when the table is next looked
+        up (:meth:`_flush`).
         """
         if not self._has_entries(table_name):
             # Nothing cached for this table: a later store anchors afresh at
             # the then-current version, so don't accumulate deltas.
             self._pending.pop(table_name, None)
             return
-        state = self._pending.setdefault(table_name, _PendingUpdates())
-        if state.delta is None:
-            state.delta = delta
-        else:
-            try:
-                state.delta = state.delta.merge(delta)
-            except TableError:
-                # The stream skipped versions (table replaced out-of-band);
-                # nothing cached can be trusted to remap.
-                self.invalidate_table(table_name)
-                return
+        num_rows = len(delta.deleted_mask)
+        state = self._pending.get(table_name)
+        if state is None:
+            state = self._pending[table_name] = _PendingUpdates(
+                delta.base_version, num_rows, delta.base_version, num_rows
+            )
+        elif (delta.base_version, num_rows) != (state.version, state.num_rows):
+            # The stream skipped versions (table replaced out-of-band);
+            # nothing cached can be trusted to remap.
+            self.invalidate_table(table_name)
+            return
+        deleted = delta.deleted_rows()
+        state.deletions.append(deleted)
+        state.version = delta.new_version
+        state.num_rows = num_rows - len(deleted) + delta.num_inserted
         for label, label_stats in (maintained or {}).items():
             if getattr(label_stats, "groups_renumbered", True):
                 state.dropped_labels.add(label)
@@ -249,39 +278,33 @@ class PackageCache:
         return any(e.table_name == table_name for e in self._entries.values())
 
     def _flush(self, table_name: str) -> None:
-        """Apply the pending coalesced delta to every entry of ``table_name``.
+        """Apply the pending deltas to every entry of ``table_name``.
 
         DIRECT/NAIVE entries are dropped (any version bump changes the ground
         truth they claim to be optimal over).  A SKETCHREFINE entry survives
         iff its partitioning stayed maintained with a stable gid space *and*
-        the coalesced delta touched none of the groups its tuples live in; it
-        is then remapped to the new row space and marked for revalidation.
+        no pending delta touched any of the groups its tuples live in; it is
+        then remapped to the new row space and marked for revalidation.
         """
         state = self._pending.pop(table_name, None)
-        if state is None or state.delta is None:
+        if state is None:
             return
-        remap = state.delta.row_remap()
-        new_version = state.delta.new_version
         for key in [k for k, e in self._entries.items() if e.table_name == table_name]:
             entry = self._entries[key]
             survives = (
                 entry.method == "sketchrefine"
-                and entry.table_version == state.delta.base_version
+                and entry.table_version == state.base_version
                 and entry.partitioning_label not in state.dropped_labels
                 and not (entry.groups & state.touched.get(entry.partitioning_label, set()))
             )
             if survives:
-                remapped: dict[int, int] = {}
-                for row, multiplicity in entry.multiplicities.items():
-                    new_row = int(remap[row]) if 0 <= row < len(remap) else -1
-                    if new_row < 0:  # pragma: no cover - untouched groups lose no rows
-                        survives = False
-                        break
-                    remapped[new_row] = multiplicity
-                if survives:
-                    entry.multiplicities = remapped
-                    entry.table_version = new_version
-                    entry.partitioning_version = new_version
+                rows = state.remap(list(entry.multiplicities))
+                # Untouched groups lose no rows, so ``rows`` is never None
+                # here unless the entry's rows were out of range.
+                if rows is not None:
+                    entry.multiplicities = dict(zip(rows, entry.multiplicities.values()))
+                    entry.table_version = state.version
+                    entry.partitioning_version = state.version
                     entry.needs_revalidation = True
                     continue
             del self._entries[key]
@@ -301,7 +324,7 @@ class PackageCache:
     ) -> CacheLookup:
         """Try to answer ``query`` over the current ``table`` from the cache.
 
-        A pending coalesced delta for the table is applied first.  An entry
+        Pending deltas for the table are applied first.  An entry
         marked for revalidation is re-checked against the query semantics
         (:func:`check_package`) before being served; failing the check drops
         it and reports a miss — a stale answer is never returned.

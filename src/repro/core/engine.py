@@ -105,8 +105,8 @@ class PackageQueryEngine:
             problem comfortably fits the solver.
         cache: Result cache consulted by :meth:`execute` (default: a fresh
             :class:`~repro.core.cache.PackageCache`).  It is registered with
-            the catalog so every :meth:`update_table` feeds it coalesced
-            deltas and touched-group sets for delta-aware invalidation.
+            the catalog so every :meth:`update_table` feeds it the delta and
+            its touched-group sets for delta-aware invalidation.
         workers: Worker processes for SKETCHREFINE's parallel refine batches
             (overrides ``sketchrefine_config.workers`` when given; ``None``
             defers to the config / the ``REPRO_WORKERS`` environment
@@ -264,9 +264,10 @@ class PackageQueryEngine:
             cache: How to interact with the result cache.  ``"use"`` (default)
                 answers from a cached entry when the canonical query
                 fingerprint, table version and (for SKETCHREFINE) partitioning
-                state still match — entries whose groups a coalesced update
-                delta missed are *revalidated* with a cheap feasibility check
-                instead of re-solved — and stores the answer on a miss.
+                state still match — entries whose groups every update since
+                they were stored missed are *revalidated* with a cheap
+                feasibility check instead of re-solved — and stores the
+                answer on a miss.
                 ``"bypass"`` never reads or writes the cache; ``"refresh"``
                 re-solves unconditionally and overwrites the entry.
                 ``details["cache"]`` reports the per-call status

@@ -38,18 +38,11 @@ class TableDelta:
     ``deleted_mask`` is False, in their original order) followed by the rows
     of ``inserted``.  A delta is anchored to the version it was derived from,
     so applying it to any other version is an error.
-
-    Consecutive deltas compose: :meth:`merge` coalesces this delta with the
-    next one into a single equivalent delta whose ``spans`` records how many
-    version bumps it covers, so downstream consumers (caches, batched
-    maintenance) can absorb an update burst with one row remap instead of one
-    per update.
     """
 
     base_version: int
     inserted: "Table"
     deleted_mask: np.ndarray = field(repr=False)
-    spans: int = 1
 
     def __post_init__(self):
         mask = np.asarray(self.deleted_mask)
@@ -63,7 +56,7 @@ class TableDelta:
 
     @property
     def new_version(self) -> int:
-        return self.base_version + self.spans
+        return self.base_version + 1
 
     @property
     def num_inserted(self) -> int:
@@ -73,69 +66,35 @@ class TableDelta:
     def num_deleted(self) -> int:
         return int(np.count_nonzero(self.deleted_mask))
 
-    def surviving_rows(self) -> np.ndarray:
-        """Base-table row indices that survive the delta, in order."""
-        return np.nonzero(~self.deleted_mask)[0]
-
-    def row_remap(self) -> np.ndarray:
-        """Map old row index → new row index (−1 for deleted rows).
-
-        Inserted rows occupy the tail of the new table:
-        ``[num_survivors, num_survivors + num_inserted)``.
-        """
-        remap = np.full(len(self.deleted_mask), -1, dtype=np.int64)
-        survivors = self.surviving_rows()
-        remap[survivors] = np.arange(len(survivors), dtype=np.int64)
-        return remap
-
-    def merge(self, later: "TableDelta") -> "TableDelta":
-        """Coalesce this delta with the one that followed it.
-
-        ``later`` must be anchored to this delta's :attr:`new_version`.  The
-        merged delta maps the original base version directly to ``later``'s
-        new version (``spans`` adds up), and applying it yields exactly the
-        same table as applying the two deltas in sequence: base rows deleted
-        by either delta are deleted, rows this delta inserted that ``later``
-        deleted again never appear, and the surviving inserts keep their
-        order (this delta's survivors, then ``later``'s inserts).
-        """
-        if later.base_version != self.new_version:
-            raise TableError(
-                f"cannot merge: later delta targets version {later.base_version}, "
-                f"this delta produces version {self.new_version}"
-            )
-        num_survivors = len(self.deleted_mask) - self.num_deleted
-        expected = num_survivors + self.num_inserted
-        if later.deleted_mask.shape != (expected,):
-            raise TableError(
-                f"later delta's delete mask has shape {later.deleted_mask.shape}, "
-                f"expected ({expected},)"
-            )
-        # Base rows: deleted by this delta, or survived it and were deleted by
-        # ``later`` (whose mask head covers the survivors in base order).
-        merged_mask = self.deleted_mask.copy()
-        merged_mask[self.surviving_rows()] |= later.deleted_mask[:num_survivors]
-        # Inserted rows: this delta's inserts that survive ``later``'s mask
-        # tail, then ``later``'s own inserts.
-        surviving_inserts = self.inserted.filter(~later.deleted_mask[num_survivors:])
-        inserted = (
-            surviving_inserts.concat(later.inserted)
-            if later.num_inserted
-            else surviving_inserts
-        )
-        return TableDelta(
-            base_version=self.base_version,
-            inserted=inserted,
-            deleted_mask=merged_mask,
-            spans=self.spans + later.spans,
-        )
+    def deleted_rows(self) -> np.ndarray:
+        """Base-table row indices the delta deletes, ascending."""
+        return np.flatnonzero(self.deleted_mask)
 
     def __repr__(self) -> str:
-        spans = f", spans={self.spans}" if self.spans != 1 else ""
         return (
             f"TableDelta(base_version={self.base_version}, "
-            f"inserted={self.num_inserted}, deleted={self.num_deleted}{spans})"
+            f"inserted={self.num_inserted}, deleted={self.num_deleted})"
         )
+
+
+def survivor_runs(deleted: np.ndarray, num_rows: int) -> list[slice]:
+    """The contiguous row ranges of ``range(num_rows)`` between the
+    ``deleted`` rows (sorted, unique) — one more than there are deletions."""
+    bounds = deleted.tolist()
+    return [
+        slice(start, stop)
+        for start, stop in zip([0, *(row + 1 for row in bounds)], [*bounds, num_rows])
+    ]
+
+
+def without_rows(base: np.ndarray, runs: list[slice], tail: np.ndarray) -> np.ndarray:
+    """``concatenate([base[keep], tail])`` for the surviving ``runs`` of
+    ``base`` (see :func:`survivor_runs`), copied once into one new array:
+    views of the runs need no gather through a mask and no second copy."""
+    pieces = [base[run] for run in runs]
+    if len(tail):
+        pieces.append(tail)
+    return np.concatenate(pieces)
 
 
 class Table:
@@ -434,8 +393,8 @@ class Table:
     def apply_delta(self, delta: TableDelta) -> "Table":
         """Return the table at ``delta.new_version``: survivors then inserts.
 
-        A merged delta (``spans > 1``) advances the version by its full span,
-        landing on exactly the version the unmerged sequence would have.
+        Each column is written once (:func:`without_rows`); a delta that
+        keeps every row and inserts none shares the base arrays.
         """
         if delta.base_version != self.version:
             raise TableError(
@@ -448,16 +407,15 @@ class Table:
             )
         if delta.inserted.schema != self._schema:
             raise TableError("inserted rows do not match the table schema")
-        keep = ~delta.deleted_mask
-        keep_all = bool(keep.all())
-        arrays: dict[str, np.ndarray] = {}
-        for col in self._schema.names:
-            base = self._columns[col]
-            survivors = base if keep_all else base[keep]
-            if delta.num_inserted:
-                arrays[col] = np.concatenate([survivors, delta.inserted._columns[col]])
-            else:
-                arrays[col] = survivors
+        deleted = delta.deleted_rows()
+        if len(deleted) or delta.num_inserted:
+            runs = survivor_runs(deleted, self.num_rows)
+            arrays = {
+                col: without_rows(self._columns[col], runs, delta.inserted._columns[col])
+                for col in self._schema.names
+            }
+        else:
+            arrays = dict(self._columns)
         return Table._from_arrays(self._schema, arrays, self.name, delta.new_version)
 
     def _as_row_block(

@@ -315,7 +315,7 @@ class Database:
         self._tables[name] = new_table
         self._partitionings.update(updated)
         # Commit done: feed the delta (with each label's touched-group set)
-        # to the registered result caches so they can coalesce it.
+        # to the registered result caches, which defer it to their next lookup.
         for cache in self._caches:
             cache.notify_update(name, delta, result.maintained, result.stale_labels)
         return result

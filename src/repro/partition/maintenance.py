@@ -34,11 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-try:  # scipy is the solver substrate's hard dependency, but degrade politely.
-    from scipy.spatial import cKDTree as _KDTree
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _KDTree = None
-
 from repro.dataset.table import Table, TableDelta
 from repro.errors import PartitioningError
 from repro.partition.kdtree import KdTreePartitioner
@@ -149,7 +144,7 @@ class PartitionMaintainer:
             maintained = partitioning.with_delta(new_table, delta, inserted_gids)
             # Computed only after with_delta validated the delta's shape and
             # version against the partitioning.
-            deleted_gids = partitioning.group_ids[delta.deleted_mask]
+            deleted_gids = partitioning.group_ids[delta.deleted_rows()]
             stats.touched_groups = frozenset(
                 np.union1d(np.unique(deleted_gids), np.unique(inserted_gids)).tolist()
             )
@@ -221,15 +216,14 @@ class PartitionMaintainer:
         attributes — the metric of the radius condition — so a tuple inside
         some group's radius ball is assigned to (one of) its enclosing
         group(s), and an outlier to the group whose ball needs the least
-        inflation to take it.
+        inflation to take it.  A row equally near several centroids joins
+        the lowest gid among them.  A delta inserts a few rows against a few
+        hundred centroids, so one brute-force pass beats building a tree.
         """
         if inserted.num_rows == 0:
             return np.empty(0, dtype=np.int64)
         centroids = partitioning.group_centroids()
         matrix = np.nan_to_num(inserted.numeric_matrix(partitioning.attributes))
-        if _KDTree is not None and len(centroids) >= 8:
-            _, assigned = _KDTree(centroids).query(matrix, k=1, p=np.inf)
-            return np.asarray(assigned, dtype=np.int64)
         assigned = np.empty(inserted.num_rows, dtype=np.int64)
         num_attributes = matrix.shape[1]
         columns = [np.ascontiguousarray(centroids[:, j]) for j in range(num_attributes)]
@@ -253,7 +247,8 @@ class PartitionMaintainer:
         """Locally re-split every group violating τ (or ω) after the remap."""
         tau = maintained.stats.size_threshold
         omega = maintained.stats.radius_limit
-        violating = maintained.group_sizes() > tau
+        sizes = maintained.group_sizes()
+        violating = sizes > tau
         if omega is not None:
             violating |= maintained.group_radii_array() > omega + BUILD_RADIUS_TOLERANCE
         violator_gids = np.nonzero(violating)[0]
@@ -264,6 +259,9 @@ class PartitionMaintainer:
         table = maintained.table
         new_gids = maintained.group_ids.copy()
         sums, counts = maintained.group_centroid_moments()
+        # The re-split groups' old slots empty out; their rows move to the
+        # sub-partitionings' slots appended after them.
+        size_blocks = [np.where(violating, 0, sizes)]
         sum_blocks, count_blocks = [sums], [counts]
         radius_blocks = [maintained.group_radii_array()]
         next_gid = maintained.num_groups
@@ -277,13 +275,16 @@ class PartitionMaintainer:
             )
             new_gids[rows] = next_gid + sub.group_ids
             sub_sums, sub_counts = sub.group_centroid_moments()
+            size_blocks.append(sub.group_sizes())
             sum_blocks.append(sub_sums)
             count_blocks.append(sub_counts)
             radius_blocks.append(sub.group_radii_array())
             created += sub.num_groups
             next_gid += sub.num_groups
 
-        dense_ids, kept_slots, _ = densify_group_ids(new_gids, next_gid)
+        all_sizes = np.concatenate(size_blocks)
+        dense_ids, kept_slots, _ = densify_group_ids(new_gids, all_sizes)
+        all_sizes = all_sizes[kept_slots]
         all_sums = np.vstack(sum_blocks)[kept_slots]
         all_counts = np.vstack(count_blocks)[kept_slots]
         all_radii = np.concatenate(radius_blocks)[kept_slots]
@@ -297,6 +298,7 @@ class PartitionMaintainer:
             dense_ids,
             maintained.attributes,
             maintained.stats,
+            sizes=all_sizes,
             moments=(all_sums, all_counts),
             radii=all_radii,
             version=maintained.version,

@@ -13,10 +13,10 @@ A partitioning is *versioned*: it records the :attr:`~repro.dataset.table
 :meth:`with_delta` carries the partitioning to the next table version without
 a rebuild — surviving rows keep their groups, inserted rows arrive with a
 caller-chosen group assignment, emptied groups are retired, and the per-group
-statistics (centroid moments and radii) are updated from the delta alone:
-only groups actually touched by the change are rescanned.  Enforcing the τ/ω
-guarantees on top of that remap (re-splitting overflowing groups) is the job
-of :class:`repro.partition.maintenance.PartitionMaintainer`.
+statistics (sizes, centroid moments and radii) are updated from the delta
+alone: only groups actually touched by the change are rescanned.  Enforcing
+the τ/ω guarantees on top of that remap (re-splitting overflowing groups) is
+the job of :class:`repro.partition.maintenance.PartitionMaintainer`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.dataset.io import load_table, save_table
 from repro.dataset.schema import Column, DataType
-from repro.dataset.table import Table, TableDelta
+from repro.dataset.table import Table, TableDelta, survivor_runs, without_rows
 from repro.errors import PartitioningError
 from repro.partition.representatives import (
     centroid_moments,
@@ -80,17 +80,18 @@ class MaintenanceProfile:
 
 
 def densify_group_ids(
-    group_ids: np.ndarray, num_slots: int
+    group_ids: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact a gid assignment with holes into dense ids ``0..G-1``.
 
+    ``sizes[g]`` is the number of rows of ``group_ids`` in slot ``g``.
     Returns ``(dense_ids, kept_slots_mask, remap)`` where ``kept_slots_mask``
     marks the old slots that still have members (use it to slice per-group
     stat arrays) and ``remap[old_gid]`` is the new gid (−1 for retired slots).
+    When no slot is empty, ``group_ids`` itself comes back.
     """
-    occupied = np.zeros(num_slots, dtype=bool)
-    if len(group_ids):
-        occupied[group_ids] = True
+    num_slots = len(sizes)
+    occupied = sizes > 0
     if occupied.all():
         return group_ids, occupied, np.arange(num_slots, dtype=np.int64)
     remap = np.full(num_slots, -1, dtype=np.int64)
@@ -133,6 +134,7 @@ class Partitioning:
         # Per-group caches, all lazy so a delta-maintained partitioning can
         # install exact carried-over values instead of recomputing O(n):
         self._rows_by_group: tuple[np.ndarray, np.ndarray] | None = None
+        self._sizes: np.ndarray | None = None
         self._moments: tuple[np.ndarray, np.ndarray] | None = None  # (sums, counts)
         self._radii: np.ndarray | None = None
         self._representatives: Table | None = None
@@ -145,6 +147,7 @@ class Partitioning:
         attributes: list[str],
         stats: PartitioningStats,
         *,
+        sizes: np.ndarray,
         moments: tuple[np.ndarray, np.ndarray],
         radii: np.ndarray,
         version: int,
@@ -153,10 +156,9 @@ class Partitioning:
         """Shared tail of every maintenance path: derive the size/radius
         aggregates of ``stats`` and build a partitioning whose per-group
         caches are installed from the carried components (the caller
-        guarantees ``moments`` and ``radii`` describe exactly the dense ids
-        in ``group_ids``)."""
+        guarantees ``sizes``, ``moments`` and ``radii`` describe exactly the
+        dense ids in ``group_ids``)."""
         num_groups = moments[0].shape[0]
-        sizes = np.bincount(group_ids, minlength=num_groups)
         stats = replace(
             stats,
             num_groups=num_groups,
@@ -167,6 +169,8 @@ class Partitioning:
         partitioning = cls(
             table, group_ids, attributes, stats, version=version, maintenance=maintenance
         )
+        sizes.setflags(write=False)
+        partitioning._sizes = sizes
         partitioning._moments = moments
         partitioning._radii = radii
         return partitioning
@@ -205,8 +209,12 @@ class Partitioning:
         return len(self.group_rows(gid))
 
     def group_sizes(self) -> np.ndarray:
-        """Array of group sizes indexed by gid."""
-        return np.bincount(self.group_ids, minlength=self.num_groups).astype(np.int64)
+        """Array of group sizes indexed by gid (read-only)."""
+        if self._sizes is None:
+            sizes = np.bincount(self.group_ids, minlength=self.num_groups).astype(np.int64)
+            sizes.setflags(write=False)
+            self._sizes = sizes
+        return self._sizes
 
     def group_centroid_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-group ``(sums, counts)`` of valid attribute values (do not mutate)."""
@@ -335,23 +343,25 @@ class Partitioning:
         ):
             raise PartitioningError("inserted rows must be assigned to existing groups")
 
-        keep = ~delta.deleted_mask
-        survivor_ids = self.group_ids[keep]
-        raw_ids = (
-            np.concatenate([survivor_ids, inserted_group_ids])
-            if len(inserted_group_ids)
-            else survivor_ids
+        deleted = delta.deleted_rows()
+        deleted_gids = self.group_ids[deleted]
+        raw_ids = without_rows(
+            self.group_ids, survivor_runs(deleted, len(self.group_ids)), inserted_group_ids
         )
 
-        # Delta-update the centroid moments: subtract the deleted tuples'
-        # contributions, add the inserted ones.
+        # Delta-update the sizes and centroid moments: subtract the deleted
+        # tuples' contributions, add the inserted ones.
+        sizes = (
+            self.group_sizes()
+            - np.bincount(deleted_gids, minlength=num_slots)
+            + np.bincount(inserted_group_ids, minlength=num_slots)
+        )
         sums, counts = self.group_centroid_moments()
         sums, counts = sums.copy(), counts.copy()
-        deleted_gids = self.group_ids[delta.deleted_mask]
         dirty = np.union1d(np.unique(deleted_gids), np.unique(inserted_group_ids))
         for j, attribute in enumerate(self.attributes):
-            if delta.num_deleted:
-                values = self.table.numeric_column(attribute)[delta.deleted_mask]
+            if len(deleted):
+                values = self.table.numeric_column(attribute)[deleted]
                 valid = ~np.isnan(values)
                 sums[:, j] -= np.bincount(
                     deleted_gids[valid], weights=values[valid], minlength=num_slots
@@ -365,13 +375,13 @@ class Partitioning:
                 )
                 counts[:, j] += np.bincount(inserted_group_ids[valid], minlength=num_slots)
 
-        new_ids, kept_slots, remap = densify_group_ids(raw_ids, num_slots)
-        sums, counts = sums[kept_slots], counts[kept_slots]
+        new_ids, kept_slots, remap = densify_group_ids(raw_ids, sizes)
+        sizes, sums, counts = sizes[kept_slots], sums[kept_slots], counts[kept_slots]
         centroids = centroids_from_moments(sums, counts)
 
         # Radii: untouched groups keep their cached value (their centroid is
         # bit-identical); touched groups are rescanned over their members only.
-        radii = self.group_radii_array()[kept_slots].copy()
+        radii = self.group_radii_array()[kept_slots]
         dirty_remapped = remap[dirty] if len(dirty) else dirty
         dirty_dense = dirty_remapped[dirty_remapped >= 0]
         if len(dirty_dense):
@@ -382,28 +392,23 @@ class Partitioning:
             if len(member_rows) and self.attributes:
                 member_gids = new_ids[member_rows]
                 # NULL (NaN) values are zero-filled, matching group_radii and
-                # the partitioners' build-time radius metric.
+                # the partitioners' build-time radius metric.  One row per
+                # attribute: a max across a few long rows is far cheaper than
+                # one along a few-wide axis, and max is exact either way.
                 member_matrix = np.nan_to_num(
-                    np.column_stack(
-                        [new_table.numeric_column(a)[member_rows] for a in self.attributes]
-                    )
+                    np.stack([new_table.numeric_column(a)[member_rows] for a in self.attributes])
                 )
-                per_row = np.abs(member_matrix - centroids[member_gids]).max(axis=1)
-                # Segmented max per dirty group: members arrive ordered only
-                # within the survivor/insert halves, so sort by gid once and
-                # reduceat — much cheaper than element-wise maximum.at.
-                order = np.argsort(member_gids, kind="stable")
-                sorted_gids = member_gids[order]
-                starts = np.nonzero(
-                    np.diff(sorted_gids, prepend=sorted_gids[0] - 1)
-                )[0]
-                radii[sorted_gids[starts]] = np.maximum.reduceat(per_row[order], starts)
+                per_row = np.abs(member_matrix - centroids[member_gids].T).max(axis=0)
+                # Segmented max per dirty group, scattered from the zeroed
+                # radii: max is exact and order-free (NaN propagates either
+                # way), so this equals a sorted reduceat bit for bit.
+                np.maximum.at(radii, member_gids, per_row)
 
         maintenance = replace(
             self.maintenance,
             deltas_applied=self.maintenance.deltas_applied + 1,
             rows_inserted=self.maintenance.rows_inserted + delta.num_inserted,
-            rows_deleted=self.maintenance.rows_deleted + delta.num_deleted,
+            rows_deleted=self.maintenance.rows_deleted + len(deleted),
             groups_retired=self.maintenance.groups_retired
             + int(num_slots - kept_slots.sum()),
         )
@@ -412,6 +417,7 @@ class Partitioning:
             new_ids,
             self.attributes,
             self.stats,
+            sizes=sizes,
             moments=(sums, counts),
             radii=radii,
             version=delta.new_version,

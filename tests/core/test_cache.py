@@ -9,15 +9,19 @@ certify on the *current* data — never a stale hit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import PackageCache
+from repro.core.cache import CacheEntry, PackageCache
 from repro.core.engine import PackageQueryEngine
 from repro.core.validation import check_package, objective_value
 from repro.dataset.schema import Schema
-from repro.dataset.table import Table
-from repro.errors import EvaluationError
+from repro.dataset.table import Table, TableDelta
+from repro.errors import EvaluationError, TableError
 from repro.paql.builder import query_over
 from repro.paql.fingerprint import query_fingerprint
 
@@ -443,3 +447,293 @@ class TestCacheCorrectnessProperty:
             assert result.objective == objective_value(result.package, query), (
                 f"seed={seed} step={step} status={status}"
             )
+
+
+# -- the coalescing merge the cache used before it kept deltas as deleted rows --------------
+#
+# ``merge`` is the former ``TableDelta.merge`` verbatim, and ``MergedDelta``
+# the ``spans`` field and the row remap that went with it.  The deferred remap
+# of ``notify_update`` / ``_flush`` is held to ``merge(...).row_remap()``.
+
+
+def surviving_rows(delta: TableDelta) -> np.ndarray:
+    """Base-table row indices that survive ``delta``, in order."""
+    return np.nonzero(~delta.deleted_mask)[0]
+
+
+@dataclass(frozen=True, repr=False)
+class MergedDelta(TableDelta):
+    """A delta covering ``spans`` consecutive version bumps."""
+
+    spans: int = 1
+
+    @property
+    def new_version(self) -> int:
+        return self.base_version + self.spans
+
+    def row_remap(self) -> np.ndarray:
+        """Map old row index → new row index (−1 for deleted rows)."""
+        remap = np.full(len(self.deleted_mask), -1, dtype=np.int64)
+        survivors = surviving_rows(self)
+        remap[survivors] = np.arange(len(survivors), dtype=np.int64)
+        return remap
+
+
+def merge(first: TableDelta, later: TableDelta) -> MergedDelta:
+    """Coalesce ``first`` with the delta that followed it."""
+    first_spans, later_spans = getattr(first, "spans", 1), getattr(later, "spans", 1)
+    if later.base_version != first.new_version:
+        raise TableError(
+            f"cannot merge: later delta targets version {later.base_version}, "
+            f"this delta produces version {first.new_version}"
+        )
+    num_survivors = len(first.deleted_mask) - first.num_deleted
+    expected = num_survivors + first.num_inserted
+    if later.deleted_mask.shape != (expected,):
+        raise TableError(
+            f"later delta's delete mask has shape {later.deleted_mask.shape}, "
+            f"expected ({expected},)"
+        )
+    merged_mask = first.deleted_mask.copy()
+    merged_mask[surviving_rows(first)] |= later.deleted_mask[:num_survivors]
+    surviving_inserts = first.inserted.filter(~later.deleted_mask[num_survivors:])
+    inserted = (
+        surviving_inserts.concat(later.inserted) if later.num_inserted else surviving_inserts
+    )
+    return MergedDelta(
+        base_version=first.base_version,
+        inserted=inserted,
+        deleted_mask=merged_mask,
+        spans=first_spans + later_spans,
+    )
+
+
+def merge_all(deltas: list[TableDelta]) -> MergedDelta:
+    """One delta for a whole stream (a stream of one included)."""
+    first = deltas[0]
+    anchored = MergedDelta(first.base_version, first.inserted, first.deleted_mask)
+    return reduce(merge, deltas[1:], anchored)
+
+
+class TestReferenceMerge:
+    """The reference itself: merging composes deltas exactly."""
+
+    def _random_delta(self, table, rng):
+        """A random combined insert/delete change for ``table``."""
+        num_insert = int(rng.integers(0, 4))
+        insert = [
+            (float(rng.integers(0, 100)), float(rng.integers(0, 100)), int(rng.integers(0, 2)))
+            for _ in range(num_insert)
+        ]
+        mask = rng.random(table.num_rows) < 0.25
+        return table.update_rows(insert=insert or None, delete=mask)
+
+    def test_merge_equals_sequential_application(self, small_numeric_table):
+        base = small_numeric_table
+        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
+        final, second = mid.update_rows(insert=[(7.0, 70.0, 1)], delete=[0, 4])
+        merged = merge(first, second)
+        assert merged.base_version == 0
+        assert merged.spans == 2
+        assert merged.new_version == final.version == 2
+        replayed = base.apply_delta(merged)
+        assert replayed.version == final.version
+        assert replayed.equals(final)
+
+    def test_merge_drops_inserts_deleted_by_the_later_delta(self, small_numeric_table):
+        base = small_numeric_table
+        mid, first = base.append_rows([(6.0, 60.0, 0), (7.0, 70.0, 1)])
+        # Delete the first of the two freshly inserted rows (index 5 of mid).
+        final, second = mid.delete_rows([5])
+        merged = merge(first, second)
+        assert merged.num_inserted == 1
+        assert merged.inserted.column("a").tolist() == [7.0]
+        assert base.apply_delta(merged).equals(final)
+
+    def test_merge_version_mismatch_rejected(self, small_numeric_table):
+        _, first = small_numeric_table.append_rows([(6.0, 60.0, 0)])
+        with pytest.raises(TableError, match="merge"):
+            merge(first, first)
+
+    def test_merge_mask_shape_mismatch_rejected(self, small_numeric_table):
+        _, first = small_numeric_table.append_rows([(6.0, 60.0, 0)])
+        bad = TableDelta(1, Table.empty(small_numeric_table.schema), np.zeros(3, dtype=bool))
+        with pytest.raises(TableError, match="shape"):
+            merge(first, bad)
+
+    def test_row_remap_of_merged_delta_composes(self, small_numeric_table):
+        base = small_numeric_table
+        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[2])
+        final, second = mid.delete_rows([0])
+        remap = merge(first, second).row_remap()
+        # Row 0 deleted second, row 2 deleted first; survivors keep order.
+        assert remap.tolist() == [-1, 0, -1, 1, 2]
+        for row in np.nonzero(remap >= 0)[0]:
+            assert final.row(int(remap[row])) == base.row(int(row))
+
+    def test_merged_chain_matches_random_stream(self, small_numeric_table, rng):
+        expected, deltas = small_numeric_table, []
+        for _ in range(6):
+            expected, delta = self._random_delta(expected, rng)
+            deltas.append(delta)
+        merged = merge_all(deltas)
+        replayed = small_numeric_table.apply_delta(merged)
+        assert merged.spans == 6
+        assert replayed.version == expected.version == 6
+        assert replayed.equals(expected)
+
+    def test_merge_with_empty_delta_is_identity_up_to_spans(self, small_numeric_table):
+        base = small_numeric_table
+        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
+        noop_mid, empty = mid.update_rows(delete=[])
+        assert (empty.num_inserted, empty.num_deleted) == (0, 0)
+        # Empty-after: the change is first's, only the version window widens.
+        merged = merge(first, empty)
+        assert merged.spans == 2
+        assert base.apply_delta(merged).equals(noop_mid)
+        # Empty-before: same, anchored one version earlier.
+        noop_base, leading = base.update_rows(delete=[])
+        _, change = noop_base.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
+        merged = merge(leading, change)
+        assert merged.spans == 2
+        rows = base.apply_delta(merged)
+        assert rows.num_rows == mid.num_rows
+        assert rows.column("a").tolist() == mid.column("a").tolist()
+
+    def test_merge_after_delete_everything(self, small_numeric_table):
+        # The first delta empties the table entirely; the later delta's mask
+        # covers zero rows (shape (0,)) and only inserts.
+        base = small_numeric_table
+        emptied, wipe = base.delete_rows(np.arange(base.num_rows))
+        assert emptied.num_rows == 0
+        final, refill = emptied.append_rows([(8.0, 80.0, 1), (9.0, 90.0, 0)])
+        merged = merge(wipe, refill)
+        assert merged.deleted_mask.all()
+        assert merged.num_inserted == 2
+        assert base.apply_delta(merged).equals(final)
+        assert (merged.row_remap() == -1).all()
+
+    def test_merge_where_the_later_delta_deletes_everything(self, small_numeric_table):
+        # Every base row and every row the first delta inserted dies: the
+        # merged delta must be a full wipe with no surviving inserts.
+        base = small_numeric_table
+        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[2])
+        final, wipe = mid.delete_rows(np.arange(mid.num_rows))
+        merged = merge(first, wipe)
+        assert merged.deleted_mask.all()
+        assert merged.num_inserted == 0
+        replayed = base.apply_delta(merged)
+        assert replayed.num_rows == 0
+        assert replayed.equals(final)
+
+    def test_merge_chain_that_renumbers_the_row_space(self, small_numeric_table):
+        # Each step deletes the current head row and inserts a new tail row,
+        # so every surviving row's index shifts at every step.  The merged
+        # remap must compose all the shifts at once.
+        base = small_numeric_table
+        expected, deltas = base, []
+        for step in range(4):
+            expected, delta = expected.update_rows(
+                insert=[(100.0 + step, 0.0, step % 2)], delete=[0]
+            )
+            deltas.append(delta)
+        merged = merge_all(deltas)
+        replayed = base.apply_delta(merged)
+        assert replayed.equals(expected)
+        # Base rows 0-3 were consumed head-first; only row 4 survives, and it
+        # slid to the front of the new row space.
+        assert merged.row_remap().tolist() == [-1, -1, -1, -1, 0]
+        assert replayed.row(0) == base.row(4)
+        # Inserts land at the tail while deletes eat the head, so all four
+        # inserted rows survive, in insertion order after the one survivor.
+        assert merged.num_inserted == 4
+        assert replayed.column("a").tolist()[1:] == [100.0, 101.0, 102.0, 103.0]
+
+
+def _store_sketch_entry(cache: PackageCache, rows: list[int], version: int) -> CacheEntry:
+    """Plant a SKETCHREFINE entry over ``rows`` of table ``t`` at ``version``."""
+    entry = CacheEntry(
+        fingerprint="f",
+        table_name="t",
+        method="sketchrefine",
+        partitioning_label="default",
+        table_version=version,
+        partitioning_version=version,
+        multiplicities={row: 1 + position for position, row in enumerate(rows)},
+        groups=frozenset(),
+        objective=0.0,
+        feasible=True,
+        solve_seconds=0.0,
+    )
+    cache._entries[cache._key("f", "t", "sketchrefine", "default")] = entry
+    return entry
+
+
+class TestDeferredRemapAgainstMerge:
+    """``notify_update`` keeps each delta's deleted rows and ``_flush`` shifts
+    an entry's rows past them: the result must be what the merged delta's
+    ``row_remap()`` gave, row for row — including rows outside the table and
+    a stream that skips a version."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_remap_equals_the_merged_row_remap(self, data):
+        num_rows = data.draw(st.integers(0, 12), label="num_rows")
+        table = Table(
+            Schema.numeric(["a"]), {"a": np.arange(num_rows, dtype=np.float64)}, name="t"
+        )
+        rows = data.draw(
+            st.lists(st.integers(-2, num_rows + 1), unique=True, max_size=5), label="rows"
+        )
+        num_deltas = data.draw(st.integers(1, 5), label="num_deltas")
+        skip = data.draw(
+            st.one_of(st.none(), st.tuples(st.integers(1, 4), st.sampled_from(["version", "rows"]))),
+            label="skip",
+        )
+        cache = PackageCache()
+        entry = _store_sketch_entry(cache, rows, table.version)
+        original = dict(entry.multiplicities)
+
+        deltas = []
+        for step in range(num_deltas):
+            mask = data.draw(
+                st.lists(st.booleans(), min_size=table.num_rows, max_size=table.num_rows)
+            )
+            inserts = [(float(k),) for k in range(data.draw(st.integers(0, 3)))]
+            new_table, delta = table.update_rows(
+                insert=inserts or None, delete=np.array(mask, dtype=bool)
+            )
+            if skip is not None and skip[0] == step:
+                if skip[1] == "version":
+                    delta = TableDelta(delta.base_version + 1, delta.inserted, delta.deleted_mask)
+                else:
+                    delta = TableDelta(
+                        delta.base_version, delta.inserted, np.append(delta.deleted_mask, False)
+                    )
+            deltas.append(delta)
+            cache.notify_update("t", delta, {}, ())
+            table = new_table
+        cache._flush("t")
+
+        try:
+            merged = merge_all(deltas)
+        except TableError:
+            assert len(cache) == 0, "a skipped version must drop the table's entries"
+            return
+        remap = merged.row_remap()
+        expected = [int(remap[row]) if 0 <= row < len(remap) else -1 for row in original]
+        if any(row < 0 for row in expected):
+            assert len(cache) == 0
+            return
+        assert len(cache) == 1
+        assert list(entry.multiplicities.items()) == list(zip(expected, original.values()))
+        assert entry.table_version == entry.partitioning_version == merged.new_version
+        assert entry.needs_revalidation
+
+    def test_an_entry_anchored_elsewhere_is_dropped(self, small_numeric_table):
+        cache = PackageCache()
+        _store_sketch_entry(cache, [0, 1], version=7)
+        _, delta = small_numeric_table.update_rows(insert=[(6.0, 60.0, 0)], delete=[4])
+        cache.notify_update("t", delta, {}, ())
+        cache._flush("t")
+        assert len(cache) == 0

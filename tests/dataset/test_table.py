@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataset.schema import Column, DataType, Schema
-from repro.dataset.table import Table
+from repro.dataset.table import Table, survivor_runs, without_rows
 from repro.errors import ColumnNotFoundError, TableError
 
 
@@ -232,7 +233,7 @@ class TestVersionedUpdates:
         assert deleted.version == 1
         assert deleted.column("a").tolist() == [2.0, 3.0, 5.0]
         assert delta.num_deleted == 2
-        assert delta.surviving_rows().tolist() == [1, 2, 4]
+        assert delta.deleted_rows().tolist() == [0, 3]
 
     def test_delete_rows_by_indices(self, small_numeric_table):
         deleted, _ = small_numeric_table.delete_rows([0, 4])
@@ -256,9 +257,9 @@ class TestVersionedUpdates:
         with pytest.raises(TableError, match="version"):
             appended.apply_delta(delta)
 
-    def test_row_remap(self, small_numeric_table):
-        _, delta = small_numeric_table.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
-        assert delta.row_remap().tolist() == [0, -1, 1, 2, 3]
+    def test_deleted_rows_are_ascending(self, small_numeric_table):
+        _, delta = small_numeric_table.update_rows(insert=[(6.0, 60.0, 0)], delete=[3, 1])
+        assert delta.deleted_rows().tolist() == [1, 3]
 
     def test_chained_versions(self, small_numeric_table):
         table = small_numeric_table
@@ -304,141 +305,105 @@ class TestVersionedUpdates:
             small_numeric_table.delete_rows([0, 1, 1, 0])
 
 
-class TestDeltaMerge:
-    def _random_delta(self, table, rng):
-        """A random combined insert/delete change for ``table``."""
-        num_insert = int(rng.integers(0, 4))
-        insert = [
-            (float(rng.integers(0, 100)), float(rng.integers(0, 100)), int(rng.integers(0, 2)))
-            for _ in range(num_insert)
-        ]
-        mask = rng.random(table.num_rows) < 0.25
-        return table.update_rows(insert=insert or None, delete=mask)
+def reference_apply_delta(table: Table, delta) -> dict:
+    """The columns ``Table.apply_delta`` built before it copied runs: gather
+    the survivors through the keep mask, then concatenate the inserts."""
+    keep = ~delta.deleted_mask
+    keep_all = bool(keep.all())
+    arrays = {}
+    for name in table.schema.names:
+        base = table.column(name)
+        survivors = base if keep_all else base[keep]
+        if delta.num_inserted:
+            arrays[name] = np.concatenate([survivors, delta.inserted.column(name)])
+        else:
+            arrays[name] = survivors
+    return arrays
 
-    def test_merge_equals_sequential_application(self, small_numeric_table):
-        base = small_numeric_table
-        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
-        final, second = mid.update_rows(insert=[(7.0, 70.0, 1)], delete=[0, 4])
-        merged = first.merge(second)
-        assert merged.base_version == 0
-        assert merged.spans == 2
-        assert merged.new_version == final.version == 2
-        replayed = base.apply_delta(merged)
-        assert replayed.version == final.version
-        assert replayed.equals(final)
 
-    def test_merge_drops_inserts_deleted_by_the_later_delta(self, small_numeric_table):
-        base = small_numeric_table
-        mid, first = base.append_rows([(6.0, 60.0, 0), (7.0, 70.0, 1)])
-        # Delete the first of the two freshly inserted rows (index 5 of mid).
-        final, second = mid.delete_rows([5])
-        merged = first.merge(second)
-        assert merged.num_inserted == 1
-        assert merged.inserted.column("a").tolist() == [7.0]
-        assert base.apply_delta(merged).equals(final)
+def assert_same_column(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same dtype, shape and bytes (for object columns: the same objects)."""
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    if actual.dtype == object:
+        assert all(a is b for a, b in zip(actual, expected))
+    else:
+        assert actual.tobytes() == expected.tobytes()
 
-    def test_merge_version_mismatch_rejected(self, small_numeric_table):
-        _, first = small_numeric_table.append_rows([(6.0, 60.0, 0)])
-        with pytest.raises(TableError, match="merge"):
-            first.merge(first)
 
-    def test_merge_mask_shape_mismatch_rejected(self, small_numeric_table):
-        from repro.dataset.table import TableDelta
+class TestRunCopiedApplyDelta:
+    """``apply_delta`` writes survivor runs and the insert tail into one array
+    per column; the result must be the mask-and-concatenate copy's, byte for
+    byte and dtype for dtype."""
 
-        _, first = small_numeric_table.append_rows([(6.0, 60.0, 0)])
-        bad = TableDelta(1, Table.empty(small_numeric_table.schema), np.zeros(3, dtype=bool))
-        with pytest.raises(TableError, match="shape"):
-            first.merge(bad)
+    CASES = {
+        "deletes_at_both_ends": ([0, 8], 2),
+        "adjacent_deletes": ([3, 4, 5], 0),
+        "deletes_and_inserts": ([2, 6], 3),
+        "all_rows_deleted": (list(range(9)), 2),
+        "all_rows_deleted_no_insert": (list(range(9)), 0),
+        "insert_only": ([], 3),
+        "no_change": ([], 0),
+    }
 
-    def test_row_remap_of_merged_delta_composes(self, small_numeric_table):
-        base = small_numeric_table
-        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[2])
-        final, second = mid.delete_rows([0])
-        merged = first.merge(second)
-        remap = merged.row_remap()
-        # Row 0 deleted second, row 2 deleted first; survivors keep order.
-        assert remap.tolist() == [-1, 0, -1, 1, 2]
-        survivors = base.take(np.nonzero(remap >= 0)[0])
-        for position, row in enumerate(np.nonzero(remap >= 0)[0]):
-            assert final.row(int(remap[row])) == base.row(int(row))
+    @pytest.fixture
+    def mixed(self):
+        # int, float with NULLs, string with NULLs, and a flag given as bools.
+        schema = Schema(
+            [
+                Column("i", DataType.INT),
+                Column("f", DataType.FLOAT, nullable=True),
+                Column("s", DataType.STRING, nullable=True),
+                Column("flag", DataType.INT),
+            ]
+        )
+        rows = range(9)
+        return Table(
+            schema,
+            {
+                "i": list(rows),
+                "f": [0.5 * k if k % 3 else None for k in rows],
+                "s": [f"r{k}" if k % 4 else None for k in rows],
+                "flag": [k % 2 == 0 for k in rows],
+            },
+            name="mixed",
+        )
 
-    def test_merged_chain_matches_random_stream(self, small_numeric_table, rng):
-        table = small_numeric_table
-        merged = None
-        expected = table
-        for _ in range(6):
-            expected, delta = self._random_delta(expected, rng)
-            merged = delta if merged is None else merged.merge(delta)
-        replayed = small_numeric_table.apply_delta(merged)
-        assert merged.spans == 6
-        assert replayed.version == expected.version == 6
-        assert replayed.equals(expected)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_mask_and_concatenate_copy(self, mixed, case):
+        deleted, inserted = self.CASES[case]
+        insert = mixed.take(np.arange(inserted)) if inserted else None
+        delta = mixed.make_delta(insert=insert, delete=deleted or None)
+        result = mixed.apply_delta(delta)
+        expected = reference_apply_delta(mixed, delta)
+        assert result.version == 1
+        for name in mixed.schema.names:
+            assert_same_column(result.column(name), expected[name])
 
-    def test_merge_with_empty_delta_is_identity_up_to_spans(self, small_numeric_table):
-        base = small_numeric_table
-        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
-        noop_mid, empty = mid.update_rows(delete=[])
-        assert (empty.num_inserted, empty.num_deleted) == (0, 0)
-        # Empty-after: the change is first's, only the version window widens.
-        merged = first.merge(empty)
-        assert merged.spans == 2
-        assert base.apply_delta(merged).equals(noop_mid)
-        # Empty-before: same, anchored one version earlier.
-        noop_base, leading = base.update_rows(delete=[])
-        _, change = noop_base.update_rows(insert=[(6.0, 60.0, 0)], delete=[1])
-        merged = leading.merge(change)
-        assert merged.spans == 2
-        rows = base.apply_delta(merged)
-        assert rows.num_rows == mid.num_rows
-        assert rows.column("a").tolist() == mid.column("a").tolist()
+    def test_no_change_shares_the_base_arrays(self, mixed):
+        result = mixed.apply_delta(mixed.make_delta())
+        assert all(result.column(n) is mixed.column(n) for n in mixed.schema.names)
 
-    def test_merge_after_delete_everything(self, small_numeric_table):
-        # The first delta empties the table entirely; the later delta's mask
-        # covers zero rows (shape (0,)) and only inserts.
-        base = small_numeric_table
-        emptied, wipe = base.delete_rows(np.arange(base.num_rows))
-        assert emptied.num_rows == 0
-        final, refill = emptied.append_rows([(8.0, 80.0, 1), (9.0, 90.0, 0)])
-        merged = wipe.merge(refill)
-        assert merged.deleted_mask.all()
-        assert merged.num_inserted == 2
-        replayed = base.apply_delta(merged)
-        assert replayed.equals(final)
-        assert (merged.row_remap() == -1).all()
+    @settings(max_examples=150, deadline=None)
+    @given(dtype=st.sampled_from(["int64", "float64", "object", "bool"]), data=st.data())
+    def test_without_rows_equals_gather_and_concatenate(self, dtype, data):
+        num_rows = data.draw(st.integers(0, 40), label="num_rows")
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=num_rows, max_size=num_rows)),
+            dtype=bool,
+        )
+        num_tail = data.draw(st.integers(0, 3), label="num_tail")
 
-    def test_merge_where_the_later_delta_deletes_everything(self, small_numeric_table):
-        # Every base row and every row the first delta inserted dies: the
-        # merged delta must be a full wipe with no surviving inserts.
-        base = small_numeric_table
-        mid, first = base.update_rows(insert=[(6.0, 60.0, 0)], delete=[2])
-        final, wipe = mid.delete_rows(np.arange(mid.num_rows))
-        merged = first.merge(wipe)
-        assert merged.deleted_mask.all()
-        assert merged.num_inserted == 0
-        replayed = base.apply_delta(merged)
-        assert replayed.num_rows == 0
-        assert replayed.equals(final)
+        def column(length, offset):
+            values = np.arange(offset, offset + length)
+            if dtype == "object":
+                return np.array([f"v{v}" for v in values.tolist()], dtype=object)
+            if dtype == "float64":
+                return np.where(values % 5 == 0, np.nan, values / 3.0)
+            return (values % 2 == 0) if dtype == "bool" else values.astype(np.int64)
 
-    def test_merge_chain_that_renumbers_the_row_space(self, small_numeric_table):
-        # Each step deletes the current head row and inserts a new tail row,
-        # so every surviving row's index shifts at every step.  The merged
-        # remap must compose all the shifts at once.
-        base = small_numeric_table
-        expected = base
-        merged = None
-        for step in range(4):
-            expected, delta = expected.update_rows(
-                insert=[(100.0 + step, 0.0, step % 2)], delete=[0]
-            )
-            merged = delta if merged is None else merged.merge(delta)
-        replayed = base.apply_delta(merged)
-        assert replayed.equals(expected)
-        remap = merged.row_remap()
-        # Base rows 0-3 were consumed head-first; only row 4 survives, and it
-        # slid to the front of the new row space.
-        assert remap.tolist() == [-1, -1, -1, -1, 0]
-        assert replayed.row(0) == base.row(4)
-        # Inserts land at the tail while deletes eat the head, so all four
-        # inserted rows survive, in insertion order after the one survivor.
-        assert merged.num_inserted == 4
-        assert replayed.column("a").tolist()[1:] == [100.0, 101.0, 102.0, 103.0]
+        base, tail = column(num_rows, 0), column(num_tail, 100)
+        expected = np.concatenate([base[~mask], tail])
+        runs = survivor_runs(np.flatnonzero(mask), num_rows)
+        assert len(runs) == mask.sum() + 1
+        assert_same_column(without_rows(base, runs, tail), expected)

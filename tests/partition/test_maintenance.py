@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataset.table import Table
 from repro.errors import PartitioningError
@@ -304,3 +305,121 @@ def test_partitioning_rejects_bad_attributes_at_construction():
     stats = PartitioningStats(1, 10, 0.0, 0.0, 10, None, "manual")
     with pytest.raises(SchemaError):
         Partitioning(table, np.zeros(10, dtype=np.int64), ["no_such_column"], stats)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_carried_sizes_equal_a_bincount_after_every_delta(seed):
+    """``with_delta`` and the re-split carry group sizes from the deltas'
+    bincounts instead of recounting the gids; after every delta of a stream
+    that inserts, deletes, retires whole groups and overflows groups into a
+    re-split, they must equal the recount, read-only."""
+    table = galaxy_table(900, seed=5)
+    pool = galaxy_table(2000, seed=50 + seed)
+    partitioning = QuadTreePartitioner(size_threshold=70).partition(table, ATTRIBUTES)
+    maintainer = PartitionMaintainer()
+    rng = np.random.default_rng(seed)
+    seen = {"retired": 0, "resplit": 0}
+    for step in range(24):
+        kind = ("insert", "delete", "mixed", "retire", "overflow")[step % 5]
+        insert = delete = None
+        if kind in ("insert", "mixed"):
+            insert = pool.take(rng.choice(pool.num_rows, int(rng.integers(5, 30)), replace=False))
+        if kind in ("delete", "mixed"):
+            delete = rng.choice(table.num_rows, int(rng.integers(5, 30)), replace=False)
+        if kind == "retire":
+            victim = int(np.argmin(partitioning.group_sizes()))
+            delete = np.nonzero(partitioning.group_ids == victim)[0]
+        if kind == "overflow":
+            # A tight blob at one group's centroid pushes it past tau.
+            centroid = partitioning.group_centroids()[int(rng.integers(partitioning.num_groups))]
+            insert = pool.take(np.arange(71))
+            for j, attribute in enumerate(ATTRIBUTES):
+                insert = insert.replace_column(attribute, rng.normal(centroid[j], 1e-3, 71))
+        new_table, delta = table.update_rows(insert=insert, delete=delete)
+        partitioning, stats = maintainer.maintain(partitioning, new_table, delta)
+        table = new_table
+        seen["retired"] += stats.groups_retired
+        seen["resplit"] += stats.groups_resplit
+        sizes = partitioning.group_sizes()
+        assert not sizes.flags.writeable
+        assert sizes.dtype == np.int64
+        assert np.array_equal(
+            sizes, np.bincount(partitioning.group_ids, minlength=partitioning.num_groups)
+        ), f"seed={seed} step={step} ({kind})"
+        assert partitioning.stats.max_group_size == int(sizes.max())
+    assert seen["retired"] > 0 and seen["resplit"] > 0
+
+
+def reference_segmented_radii(radii, member_gids, per_row):
+    """The dirty-group radius block ``with_delta`` ran before the scatter:
+    sort members by gid, then ``maximum.reduceat`` each run."""
+    radii = radii.copy()
+    order = np.argsort(member_gids, kind="stable")
+    sorted_gids = member_gids[order]
+    starts = np.nonzero(np.diff(sorted_gids, prepend=sorted_gids[0] - 1))[0]
+    radii[sorted_gids[starts]] = np.maximum.reduceat(per_row[order], starts)
+    return radii
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scattered_radii_equal_the_sorted_reduceat(data):
+    num_groups = data.draw(st.integers(1, 12), label="num_groups")
+    dirty = np.array(
+        sorted(data.draw(st.sets(st.integers(0, num_groups - 1), min_size=1), label="dirty")),
+        dtype=np.int64,
+    )
+    # Every dirty group has a member (the caller only rescans kept groups).
+    extra = data.draw(st.lists(st.sampled_from(dirty.tolist()), max_size=40), label="extra")
+    member_gids = np.array(dirty.tolist() + extra, dtype=np.int64)
+    member_gids = member_gids[np.random.default_rng(len(extra)).permutation(len(member_gids))]
+    per_row = np.abs(
+        np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(st.floats(-1e6, 1e6), st.just(np.nan), st.just(-0.0)),
+                    min_size=len(member_gids),
+                    max_size=len(member_gids),
+                ),
+                label="per_row",
+            ),
+            dtype=np.float64,
+        )
+    )
+    radii = np.linspace(0.5, 3.0, num_groups)
+    radii[dirty] = 0.0
+    with np.errstate(invalid="ignore"):
+        expected = reference_segmented_radii(radii, member_gids, per_row)
+        np.maximum.at(radii, member_gids, per_row)
+    assert radii.tobytes() == expected.tobytes()
+
+
+def _reference_assign(partitioning, rows):
+    """Nearest centroid the way ``_assign_inserted`` found it with a tree."""
+    from scipy.spatial import cKDTree
+
+    matrix = np.nan_to_num(rows.numeric_matrix(partitioning.attributes))
+    _, assigned = cKDTree(partitioning.group_centroids()).query(matrix, k=1, p=np.inf)
+    return np.asarray(assigned, dtype=np.int64)
+
+
+def test_assignment_equals_the_tree_on_tie_free_rows():
+    table = galaxy_table(3000, seed=9)
+    partitioning = QuadTreePartitioner(size_threshold=60).partition(table, ATTRIBUTES)
+    rows = galaxy_table(2500, seed=10)
+    assert partitioning.num_groups >= 8
+    assigned = PartitionMaintainer().assign_rows(partitioning, rows)
+    assert np.array_equal(assigned, _reference_assign(partitioning, rows))
+
+
+def test_assignment_ties_go_to_the_lowest_gid():
+    from repro.partition.partitioning import Partitioning, PartitioningStats
+
+    # Centroids at x = 4, 0, 2, 6 (gids 0..3).  1, 3 and 5 each sit halfway
+    # between two centroids, and the lower of the two gids takes the row.
+    table = Table.from_dict({"x": [4.0, 0.0, 2.0, 6.0]})
+    stats = PartitioningStats(4, 1, 0.0, 0.0, 10, None, "manual")
+    partitioning = Partitioning(table, np.arange(4), ["x"], stats)
+    rows = Table.from_dict({"x": [1.0, 3.0, 5.0, 2.0]})
+    assigned = PartitionMaintainer().assign_rows(partitioning, rows)
+    assert assigned.tolist() == [1, 0, 0, 2]
