@@ -50,7 +50,7 @@ DATA_SEEDS = (42, 2024, 12)
 UPDATE_WORKLOAD = "update_requery_20k"
 UPDATE_ITERATIONS = 10
 # As benchmarks/e2e/run.py: one BLAS thread (a threaded reduction may sum in
-# another order), and the engine's own worker default.
+# another order).
 THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -197,7 +197,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     os.environ.update(THREAD_PINS)
-    os.environ.pop("REPRO_WORKERS", None)
     repo = Path(args.repo).resolve()
     sys.path[:0] = [str(repo / "src"), str(repo / "benchmarks" / "e2e")]
 

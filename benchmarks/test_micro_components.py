@@ -193,7 +193,7 @@ def test_refine_query_speed(benchmark):
 
     def evaluate():
         solver.nodes = 0
-        return evaluator.evaluate(table, query, partitioning, workers=1)
+        return evaluator.evaluate(table, query, partitioning)
 
     package = benchmark.pedantic(evaluate, rounds=3, iterations=1)
     assert package.cardinality == cardinality

@@ -18,13 +18,6 @@ Pass ``--time`` to additionally print a per-phase wall-clock breakdown
 (parse, translate, solve) and the LP-solve / warm-start counters of the
 bundled solver, so the effect of basis reuse is visible without running the
 pytest benchmarks.
-
-Pass ``--workers N`` to run the query again through SKETCHREFINE with its
-refine phase fanned out over ``N`` worker processes (the parallel solve
-plane).  The answer is bit-identical for every worker count — only the
-timing changes::
-
-    python examples/quickstart.py --workers 4
 """
 
 import argparse
@@ -66,31 +59,6 @@ def timing_report(num_rows: int = 150, seed: int = 7) -> None:
     print()
 
 
-def parallel_report(workers: int, num_rows: int = 600, seed: int = 7) -> None:
-    """SKETCHREFINE with the refine batches fanned out over worker processes."""
-    recipes = recipes_table(num_rows=num_rows, seed=seed)
-    query = meal_planner_query()
-
-    print(f"=== Parallel refine (--workers {workers}) ===")
-    objectives = {}
-    for count in (1, workers):
-        engine = PackageQueryEngine(workers=count)
-        engine.register_table(recipes)
-        engine.build_partitioning("recipes", ["kcal", "saturated_fat"], size_threshold=50)
-        result = engine.execute(query, method="sketchrefine", cache="bypass")
-        stats = result.details["sketchrefine_stats"]
-        objectives[count] = result.objective
-        print(
-            f"workers={count}: refine {stats.refine_seconds * 1000:7.1f} ms  "
-            f"({stats.refine_queries} refine ILPs, "
-            f"{stats.refine_parallel_tasks} in worker processes, "
-            f"{stats.refine_rounds} rounds)"
-        )
-    assert objectives[1] == objectives[workers], "parallel answer diverged"
-    print(f"objective identical at both worker counts: {objectives[1]:.2f}")
-    print()
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -98,20 +66,10 @@ def main() -> None:
         action="store_true",
         help="print per-phase wall-clock timings and LP-solve counts",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also run SKETCHREFINE with N refine worker processes "
-        "(bit-identical answer, parallel refine phase)",
-    )
     args = parser.parse_args()
 
     if args.time:
         timing_report()
-    if args.workers is not None and args.workers > 1:
-        parallel_report(args.workers)
 
     recipes = recipes_table(num_rows=150, seed=7)
 

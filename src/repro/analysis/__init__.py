@@ -1,7 +1,7 @@
 """repro-lint: AST-based enforcement of the repo's reproducibility invariants.
 
 The conventions that keep this system correct — deterministic solve paths,
-picklable worker payloads, relative-tolerance feasibility checks — used to
+picklable durable payloads, relative-tolerance feasibility checks — used to
 live only in reviewer memory and regression tests.  This package checks them
 mechanically, before runtime:
 

@@ -2,9 +2,8 @@
 
 ``MatrixForm`` is the IR shared by every solver consumer; its buffers are
 *structurally shared* (``with_bounds`` views alias the objective/constraint
-arrays, branch-and-bound nodes share one form, solve tasks pickle it to
-workers).  Mutating a form after it is handed to a solver or pool therefore
-corrupts other nodes' views — or, worse, only the parallel path.  The one
+arrays, branch-and-bound nodes share one form).  Mutating a form after it is
+handed to a solver therefore corrupts other nodes' views.  The one
 sanctioned mutable slot is the ``cache`` scratch dict.
 
 The checker flags stores to a form's data attributes (``form.b_ub = ...``,
@@ -131,5 +130,5 @@ class ApiBoundaryChecker(Checker):
                         f"store to {class_name}.{attribute.attr} outside "
                         f"{' / '.join(self.str_list('allowed_modules'))}: forms "
                         f"are structurally shared (with_bounds views, B&B "
-                        f"nodes, pickled tasks) — build a new form instead",
+                        f"nodes) — build a new form instead",
                     )

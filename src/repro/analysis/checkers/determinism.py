@@ -1,16 +1,14 @@
-"""determinism — solve/exec paths must be reproducible by construction.
+"""determinism — solve paths must be reproducible by construction.
 
-The parallel solve plane's contract is that a parallel run is bit-identical
-to a serial one (PR 6).  Three classes of construct break that silently:
+The same query over the same data must give the same package, bit for bit.
+Three classes of construct break that silently:
 
-* **wall clocks** — ``time.time()`` jumps with NTP and differs across
-  workers; timings feeding stats/decisions must use ``time.perf_counter()``
-  or ``time.monotonic()``.
+* **wall clocks** — ``time.time()`` jumps with NTP; timings feeding
+  stats/decisions must use ``time.perf_counter()`` or ``time.monotonic()``.
 * **global-state RNG** — ``random.random()`` / ``np.random.rand()`` etc.
-  depend on hidden process state, so a warm worker diverges from a cold
-  one.  Seeded generators (``np.random.default_rng(seed)``) and explicit
-  reseeding (``np.random.seed(task_seed)`` — the task runner's guard) are
-  the sanctioned forms.
+  depend on hidden process state, so the answer would depend on whatever
+  drew from the stream before.  Seeded generators
+  (``np.random.default_rng(seed)``) are the sanctioned form.
 * **unordered iteration** — ``for g in {...}`` / ``set(...)`` feeding merge
   ordering makes result order depend on hash seeds.  Iterate ``sorted(...)``
   instead (the ascending-gid merge rule).
@@ -55,13 +53,13 @@ def _is_set_expression(node: ast.AST) -> bool:
 class DeterminismChecker(Checker):
     name = "determinism"
     description = (
-        "solve/exec paths must use monotonic clocks, seeded RNG, and ordered "
-        "iteration so parallel output stays bit-identical to serial"
+        "solve paths must use monotonic clocks, seeded RNG, and ordered "
+        "iteration so the same query gives the same answer bit for bit"
     )
     default_config: dict[str, object] = {
-        "time_scope": ["repro.exec", "repro.core", "repro.ilp"],
-        "rng_scope": ["repro.exec", "repro.core.sketchrefine"],
-        "set_iteration_scope": ["repro.exec", "repro.core.sketchrefine"],
+        "time_scope": ["repro.core", "repro.ilp"],
+        "rng_scope": ["repro.core.sketchrefine"],
+        "set_iteration_scope": ["repro.core.sketchrefine"],
         "banned_time_calls": ["time.time", "time.clock"],
         "allowed_np_random": [
             "default_rng", "Generator", "SeedSequence", "seed",
@@ -102,8 +100,8 @@ class DeterminismChecker(Checker):
                     yield module.finding(
                         self.name,
                         node,
-                        f"{chain}() is a wall clock (NTP jumps, differs across "
-                        f"workers); use time.perf_counter() or time.monotonic()",
+                        f"{chain}() is a wall clock (NTP jumps); use "
+                        f"time.perf_counter() or time.monotonic()",
                     )
                 if in_rng and chain is not None:
                     yield from self._check_rng_call(
@@ -136,9 +134,9 @@ class DeterminismChecker(Checker):
     ) -> Iterator[Finding]:
         parts = chain.split(".")
         message = (
-            "{call}() draws from hidden global RNG state, so a warm worker "
-            "diverges from a cold one; use a seeded np.random.default_rng(...) "
-            "generator (or reseed explicitly like the solve-task runner)"
+            "{call}() draws from hidden global RNG state, so the answer depends "
+            "on whatever drew from it before; use a seeded "
+            "np.random.default_rng(...) generator"
         )
         if parts[0] in ("np", "numpy") and len(parts) >= 3 and parts[1] == "random":
             if parts[2] not in allowed_np:

@@ -1,17 +1,17 @@
-"""env-access — environment variables are read only by the config layer.
+"""env-access — nothing reads environment variables.
 
-Scattered ``os.environ`` reads make a run's behaviour depend on ambient
-process state that never appears in stats, cache keys or benchmark records.
-The sanctioned pattern is the ``REPRO_WORKERS`` one: a single config-layer
-module owns the read, names the variable in a module constant, validates the
-value, and everything else takes plain parameters.
+An ``os.environ`` read makes a run's behaviour depend on ambient process
+state that never appears in stats, cache keys or benchmark records.  The
+package takes all of its configuration as plain parameters, so no module is
+allowed to read the environment.
 
 Flags ``os.environ[...]`` / ``os.environ.get(...)`` / ``os.getenv(...)``
 (and ``environ`` / ``getenv`` imported from ``os``) outside the configured
-allowlist of config-layer modules.
+allowlist.
 
 Options:
-    allowed_modules: dotted module names that may touch the environment.
+    allowed_modules: dotted module names that may touch the environment
+        (none by default).
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from repro.analysis.core import (
 class EnvAccessChecker(Checker):
     name = "env-access"
     description = (
-        "os.environ may only be read through the config layer (the "
-        "REPRO_WORKERS pattern)"
+        "os.environ is not read: configuration arrives as plain parameters"
     )
     default_config: dict[str, object] = {
-        "allowed_modules": ["repro.exec.pool"],
+        "allowed_modules": [],
     }
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:

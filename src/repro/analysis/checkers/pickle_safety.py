@@ -1,11 +1,10 @@
-"""pickle-safety — worker-pool payload classes must drop derived caches.
+"""pickle-safety — pickled payload classes must drop derived state.
 
-Every class reachable from a :class:`~repro.exec.tasks.SolveTask` payload
-crosses the process boundary.  The parallel solve plane's determinism
-contract (PR 6) requires that *derived, process-local* state — memo caches,
-scratch arrays, lazily-built views — is dropped on pickling and rebuilt in
-the worker; shipping it bloats task payloads and can alias one process's
-scratch objects into another.
+The durable payloads are pickled: WAL records into the log file, snapshot
+handles into a self-contained pinned view.  *Derived, process-local* state —
+memo caches, scratch arrays, lazily-built views, a live manager — must be
+dropped on pickling; shipping it bloats the payload and can drag live
+objects (the whole catalog, for a snapshot's manager) along with it.
 
 For each configured payload class this checker flags an attribute when
 
@@ -18,7 +17,7 @@ unless ``__getstate__`` *handles* it: assigns ``state["attr"] = ...``,
 ``state.pop("attr")`` or ``del state["attr"]``.  A payload class with a
 flagged attribute and no ``__getstate__`` at all is reported once per
 attribute, so **new** cache-like attributes on payload classes flag until
-explicitly handled — the drift guard the parallel plane relies on.
+explicitly handled.
 
 Attributes are discovered from class-level annotated assignments (dataclass
 fields), ``__slots__`` entries and ``self.X = ...`` stores in any method.
@@ -110,33 +109,18 @@ def _getstate_handled(cls: ast.ClassDef) -> set[str] | None:
 class PickleSafetyChecker(Checker):
     name = "pickle-safety"
     description = (
-        "SolveTask-reachable classes must drop memo/cache attributes in "
-        "__getstate__ so worker payloads stay lean and process-local state "
-        "never crosses the pool boundary"
+        "pickled payload classes must drop memo/cache attributes in "
+        "__getstate__ so payloads stay lean and process-local state "
+        "never crosses the process boundary"
     )
     default_config: dict[str, object] = {
         # Class → underscore attributes that legitimately belong in the
         # pickle.  This is the single source of truth for what crosses the
         # process boundary; tests/analysis/test_pickle_roundtrip.py pickles
-        # an instance of every class listed here.
+        # an instance of every class listed here.  WAL records cross it via
+        # the log file; a snapshot handle ships its pinned view (the live
+        # manager must stay home).
         "payload_classes": {
-            "SolveTask": [],
-            "SolveTaskResult": [],
-            "IlpModel": [
-                "_lower", "_upper", "_integer", "_names",
-                "_rows", "_senses", "_rhs", "_row_names",
-                "_objective", "_objective_sense",
-            ],
-            "MatrixForm": [],
-            "Postsolve": [],
-            "SimplexBasis": [],
-            "SolveStats": [],
-            "Solution": [],
-            "BranchAndBoundSolver": [],
-            "SolverLimits": [],
-            # Durable-service payloads: WAL records cross the process
-            # boundary via the log file; snapshot handles ship pinned views
-            # to read-only workers (the live manager must stay home).
             "WalRecord": [],
             "PinnedTable": [],
             "SnapshotHandle": ["_released"],
@@ -175,7 +159,7 @@ class PickleSafetyChecker(Checker):
                 yield module.finding(
                     self.name,
                     site,
-                    f"{node.name}.{attr} is a {kind} attribute on a worker "
+                    f"{node.name}.{attr} is a {kind} attribute on a pickled "
                     f"payload class {reason}; drop it on pickling (or allow-"
                     f"list it in the pickle-safety payload_classes config)",
                 )

@@ -102,7 +102,7 @@ def module_name_for(path: Path) -> str:
     """Dotted module name used for rule scoping.
 
     The name is anchored at the nearest ``repro`` package ancestor
-    (``.../src/repro/exec/pool.py`` → ``repro.exec.pool``); files outside the
+    (``.../src/repro/ilp/model.py`` → ``repro.ilp.model``); files outside the
     package (test fixtures) fall back to their bare stem, so fixture tests
     scope rules with single-segment module names.
     """

@@ -41,7 +41,6 @@ Example::
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import time
 from dataclasses import dataclass, field
@@ -107,10 +106,6 @@ class PackageQueryEngine:
             :class:`~repro.core.cache.PackageCache`).  It is registered with
             the catalog so every :meth:`update_table` feeds it the delta and
             its touched-group sets for delta-aware invalidation.
-        workers: Worker processes for SKETCHREFINE's parallel refine batches
-            (overrides ``sketchrefine_config.workers`` when given; ``None``
-            defers to the config / the ``REPRO_WORKERS`` environment
-            variable).  Answers are bit-identical across worker counts.
     """
 
     def __init__(
@@ -120,7 +115,6 @@ class PackageQueryEngine:
         sketchrefine_config: SketchRefineConfig | None = None,
         auto_direct_threshold: int = 2_000,
         cache: PackageCache | None = None,
-        workers: int | None = None,
     ):
         # `database or ...` would discard a passed-in *empty* catalog
         # (Database.__len__ makes it falsy) along with its configuration.
@@ -129,10 +123,6 @@ class PackageQueryEngine:
         self.cache = cache if cache is not None else PackageCache()
         self.database.register_cache(self.cache)
         self._solver = solver
-        if workers is not None:
-            sketchrefine_config = dataclasses.replace(
-                sketchrefine_config or SketchRefineConfig(), workers=workers
-            )
         self._direct = DirectEvaluator(solver=solver)
         self._sketchrefine = SketchRefineEvaluator(solver=solver, config=sketchrefine_config)
         self._naive = NaiveSelfJoinEvaluator()
@@ -347,10 +337,7 @@ class PackageQueryEngine:
                     "totals": self.cache.stats_snapshot(),
                 }
                 wall_seconds = time.perf_counter() - start
-                details["timing"] = {
-                    "total_ms": wall_seconds * 1000.0,
-                    "child_solve_ms": 0.0,
-                }
+                details["timing"] = {"total_ms": wall_seconds * 1000.0}
                 return EvaluationResult(
                     package=found.package,
                     query=query,
@@ -362,27 +349,19 @@ class PackageQueryEngine:
                 )
 
         start = time.perf_counter()
-        child_solve_ms = 0.0
         if method is EvaluationMethod.DIRECT:
             package = self._direct.evaluate(table, query)
             details["direct_stats"] = self._direct.last_stats
         elif method is EvaluationMethod.SKETCH_REFINE:
             package = self._sketchrefine.evaluate(table, query, partitioning)
             details["sketchrefine_stats"] = self._sketchrefine.last_stats
-            child_solve_ms = self._sketchrefine.last_stats.child_solve_ms
         elif method is EvaluationMethod.NAIVE:
             package = self._naive.evaluate(table, query)
             details["naive_stats"] = self._naive.last_stats
         else:  # pragma: no cover - AUTO is resolved above
             raise EvaluationError(f"unresolved evaluation method {method}")
         wall_seconds = time.perf_counter() - start
-        # Engine wall time is monotonic (perf_counter); solve time spent in
-        # worker processes is aggregated separately — under parallel refine
-        # the two legitimately diverge (child compute overlaps the wall).
-        details["timing"] = {
-            "total_ms": wall_seconds * 1000.0,
-            "child_solve_ms": child_solve_ms,
-        }
+        details["timing"] = {"total_ms": wall_seconds * 1000.0}
 
         report = check_package(package, query)
         objective = objective_value(package, query)

@@ -12,27 +12,24 @@ offline partitioning of the input relation:
   small ILP per group, each constraint's bounds shifted by the contribution
   of everything else (the refined groups' tuples plus the other groups'
   representatives).  The paper notes these per-group ILPs are embarrassingly
-  parallel, and this evaluator exploits that with a **round-based refine with
+  parallel; this evaluator runs them as a **round-based refine with
   deterministic merge**: every round, the refine ILPs of *all* still-pending
-  groups are solved as one batch of independent tasks — fanned out over a
-  :class:`~repro.exec.pool.SolvePool` worker pool, or run serially through
-  the *same* task runner — against the same fixed context.  Results are then
-  merged in **ascending group-id order**: a group's solution is accepted only
-  if the mixed package (accepted groups' actual tuples + remaining groups'
-  representatives) still satisfies every global constraint; the first
-  feasible candidate in merge order always merges (its ILP enforced exactly
-  that residual), so every round with a feasible result makes progress.
-  Rejected groups are deferred and re-solved next round against the updated
-  context.  When a round produces no acceptable group (all refine ILPs
-  infeasible) the evaluator backtracks in the spirit of Algorithm 2: the
-  failed groups are prioritised to the front of the merge order and
-  refinement restarts from the sketch, until an ordering succeeds, the
-  ordering repeats, or ``max_backtracks`` is exhausted.
+  groups are solved one after the other against the same fixed context.
+  Results are then merged in **ascending group-id order**: a group's solution
+  is accepted only if the mixed package (accepted groups' actual tuples +
+  remaining groups' representatives) still satisfies every global
+  constraint; the first feasible candidate in merge order always merges (its
+  ILP enforced exactly that residual), so every round with a feasible result
+  makes progress.  Rejected groups are deferred and re-solved next round
+  against the updated context.  When a round produces no acceptable group
+  (all refine ILPs infeasible) the evaluator backtracks in the spirit of
+  Algorithm 2: the failed groups are prioritised to the front of the merge
+  order and refinement restarts from the sketch, until an ordering succeeds,
+  the ordering repeats, or ``max_backtracks`` is exhausted.
 
-  Because the merge rule, the warm-start snapshots and the per-task inputs
-  are all independent of *where* a task executes, a parallel refine is
-  **bit-identical** to the serial one (asserted by the serial-vs-parallel
-  sweep in ``tests/integration/test_differential.py``).
+  Rounds run in-process because a refine solve is small, about 5 ms: two
+  worker processes on two CPUs ran the ``refine_20k`` benchmark queries at
+  0.79–0.92× of the serial speed, dispatch costing more than overlap saved.
 
 When the sketch itself is infeasible, the *hybrid sketch* mitigation of
 Section 4.4 is applied (matching the experimental setup in Section 5.1): the
@@ -68,15 +65,12 @@ and the retry is not counted as warm).
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.base_relations import compute_base_relation
-from repro.exec.pool import SolvePool, shared_pool
-from repro.exec.tasks import SolveTask, run_solve_task
 from repro.core.package import Package
 from repro.core.translator import Linearisation, build_model, linearise, repetition_cap
 from repro.dataset.table import Table
@@ -88,7 +82,7 @@ from repro.errors import (
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.model import ConstraintSense, IlpModel
 from repro.ilp.simplex import SimplexBasis
-from repro.ilp.status import SolverStatus
+from repro.ilp.status import Solution, SolverStatus
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning
 
@@ -102,17 +96,10 @@ class SketchRefineConfig:
 
     refine_order_seed: int = 0
     """Seed for the (arbitrary) group order the hybrid-sketch fallback tries.
-    The refine merge order itself is fixed — ascending group id — so that
-    parallel and serial refinement are bit-identical."""
+    The refine merge order itself is fixed: ascending group id."""
 
     max_backtracks: int = 1000
     """Safety cap on the number of backtracking restarts before giving up."""
-
-    workers: int | None = None
-    """Worker processes for the parallel refine batches.  ``None`` defers to
-    the ``REPRO_WORKERS`` environment variable (default 1 = serial); any
-    value ``<= 1`` keeps every solve in-process.  Output is bit-identical
-    across worker counts."""
 
 
 @dataclass
@@ -136,26 +123,19 @@ class SketchRefineStats:
     """LP solves that reoptimised from a parent basis."""
     refine_retry_warm_starts: int = 0
     """Refine solves that started from the cached root basis of an earlier
-    solve of the same group (``SolveTaskResult.warm_started``; only a
-    :class:`BranchAndBoundSolver` takes the basis)."""
+    solve of the same group (only a :class:`BranchAndBoundSolver` takes the
+    basis)."""
     refine_rounds: int = 0
-    """Batched refine rounds executed (each solves every then-pending group)."""
+    """Refine rounds executed (each solves every then-pending group)."""
     merge_deferrals: int = 0
     """Refine solutions rejected by the deterministic merge check and
     re-solved in a later round against the updated context."""
     refine_workers: int = 1
-    """Effective worker count of the solve pool this evaluation used."""
+    """Processes the refine solves ran in: always 1, refine rounds run
+    in-process (``benchmarks/e2e/run.py`` still reports it)."""
     refine_parallel_tasks: int = 0
-    """Refine solves actually executed in worker processes (0 = all serial)."""
-    pool_wall_ms: float = 0.0
-    """Wall-clock milliseconds spent executing refine solve batches."""
-    merge_wait_ms: float = 0.0
-    """Coordination overhead of parallel batches: wall time beyond the
-    slowest task of each batch (pickling, IPC, scheduling).  0 when serial."""
-    child_solve_ms: float = 0.0
-    """Solve milliseconds summed over all refine tasks, measured inside the
-    executing process — the true compute time, as opposed to the overlapped
-    wall time (``pool_wall_ms``)."""
+    """Refine solves run in other processes: always 0 (``benchmarks/e2e/run.py``
+    still reports it)."""
     vars_fixed: int = 0
     """Columns eliminated by root presolve, summed over sketch + refine solves."""
     rows_removed: int = 0
@@ -261,23 +241,15 @@ class SketchRefineEvaluator:
         self,
         solver=None,
         config: SketchRefineConfig | None = None,
-        pool: SolvePool | None = None,
     ):
         """Args:
             solver: Black-box ILP solver (``solve(IlpModel) -> Solution``);
                 defaults to :class:`BranchAndBoundSolver`.
             config: Optional tuning knobs.
-            pool: Solve pool for the refine batches; ``None`` uses the
-                process-wide :func:`~repro.exec.pool.shared_pool` for
-                ``config.workers``.
         """
         self.solver = solver or BranchAndBoundSolver()
         self.config = config or SketchRefineConfig()
         self.last_stats = SketchRefineStats()
-        self._pool = pool
-        # Whether the solver can be shipped to worker processes (pickled);
-        # probed once on first parallel batch.
-        self._solver_shippable: bool | None = None
         # Last optimal root basis per refine group, reused as a warm start
         # when a later round (or a backtracking restart) re-solves the same
         # group: the retry differs only in its residual right-hand sides, so
@@ -291,7 +263,6 @@ class SketchRefineEvaluator:
         table: Table,
         query: PackageQuery,
         partitioning: Partitioning,
-        workers: int | None = None,
     ) -> Package:
         """Return an approximately-optimal package for ``query`` over ``table``.
 
@@ -299,9 +270,6 @@ class SketchRefineEvaluator:
             table: The source relation.
             query: The package query.
             partitioning: Offline partitioning of ``table``.
-            workers: Per-call override of the refine worker count (``None``
-                defers to ``config.workers`` / the injected pool).  The
-                answer is bit-identical for every worker count.
 
         Raises:
             InfeasiblePackageQueryError: If no feasible package was found.
@@ -313,13 +281,11 @@ class SketchRefineEvaluator:
             raise EvaluationError(
                 "the partitioning was built for a different table instance"
             )
-        pool = self._refine_pool(workers)
         start = time.perf_counter()
         stats = SketchRefineStats(
             num_groups=partitioning.num_groups,
             partitioning_version=partitioning.version,
             partitioning_maintenance=partitioning.maintenance.as_dict(),
-            refine_workers=pool.workers,
         )
         self.last_stats = stats
         self._refine_basis = {}
@@ -338,7 +304,7 @@ class SketchRefineEvaluator:
         # ---- REFINE ----
         refine_start = time.perf_counter()
         assignments = self._refine_root(
-            problem, sketch_multiplicities, initial_assignments, stats, pool
+            problem, sketch_multiplicities, initial_assignments, stats
         )
         stats.refine_seconds = time.perf_counter() - refine_start
         stats.total_seconds = time.perf_counter() - start
@@ -348,19 +314,6 @@ class SketchRefineEvaluator:
             for column, multiplicity in group_assignment.items():
                 combined[int(problem.rows[column])] = multiplicity
         return Package.from_multiplicity_map(table, combined)
-
-    def _refine_pool(self, workers: int | None) -> SolvePool:
-        """Resolve the solve pool for one evaluation.
-
-        Precedence: explicit per-call ``workers`` override, then the pool
-        injected at construction, then the process-wide shared pool for
-        ``config.workers`` (which itself defers to ``REPRO_WORKERS``).
-        """
-        if workers is not None:
-            return shared_pool(workers)
-        if self._pool is not None:
-            return self._pool
-        return shared_pool(self.config.workers)
 
     # -- SKETCH -------------------------------------------------------------------------------
 
@@ -414,7 +367,7 @@ class SketchRefineEvaluator:
         """
         model = problem.sketch_model(hybrid_group)
         solution = self.solver.solve(model)
-        self._absorb_task_stats(getattr(solution, "stats", None))
+        self._absorb_solve_stats(getattr(solution, "stats", None))
         if solution.status is SolverStatus.INFEASIBLE:
             return None
         if solution.status is SolverStatus.CAPACITY_EXCEEDED:
@@ -455,20 +408,19 @@ class SketchRefineEvaluator:
         sketch_multiplicities: dict[int, int],
         initial_assignments: dict[int, dict[int, int]],
         stats: SketchRefineStats,
-        pool: SolvePool,
     ) -> dict[int, dict[int, int]]:
         """Round-based refinement with deterministic merge (see module docstring).
 
-        Each round solves the refine ILPs of every still-pending group as one
-        batch of independent tasks against the same fixed context, then merges
-        the results in ascending group-id order (prioritised groups first
-        after a backtracking restart), accepting a solution only while the
-        mixed package stays feasible.  A round in which nothing merges —
-        every pending refine ILP came back infeasible — is a dead end:
-        refinement restarts from the sketch with the failed groups promoted
-        to the front of the merge order, Algorithm 2's greedy backtracking
-        recast as a restart.  Orderings never repeat (the ``tried`` set), so
-        the loop terminates even without the ``max_backtracks`` cap.
+        Each round solves the refine ILPs of every still-pending group against
+        the same fixed context, then merges the results in ascending group-id
+        order (prioritised groups first after a backtracking restart),
+        accepting a solution only while the mixed package stays feasible.
+        A round in which nothing merges — every pending refine ILP came back
+        infeasible — is a dead end: refinement restarts from the sketch with
+        the failed groups promoted to the front of the merge order,
+        Algorithm 2's greedy backtracking recast as a restart.  Orderings
+        never repeat (the ``tried`` set), so the loop terminates even without
+        the ``max_backtracks`` cap.
         """
         base_pending = sorted(
             gid
@@ -491,8 +443,8 @@ class SketchRefineEvaluator:
                 order = [g for g in priority if g in pending] + [
                     g for g in pending if g not in prioritised
                 ]
-                results = self._solve_refine_batch(
-                    problem, sketch_multiplicities, assignments, pending, order, stats, pool
+                results = self._solve_refine_round(
+                    problem, sketch_multiplicities, assignments, pending, order, stats
                 )
                 accepted, infeasible = self._merge_round(
                     order, results, problem, sketch_multiplicities, assignments, pending, stats
@@ -514,7 +466,7 @@ class SketchRefineEvaluator:
                 )
             priority = next_priority
 
-    def _solve_refine_batch(
+    def _solve_refine_round(
         self,
         problem: PartitionedQuery,
         sketch_multiplicities: dict[int, int],
@@ -522,56 +474,27 @@ class SketchRefineEvaluator:
         pending: list[int],
         order: list[int],
         stats: SketchRefineStats,
-        pool: SolvePool,
-    ) -> dict[int, "object"]:
-        """Solve every pending group's refine ILP as one batch of tasks.
+    ) -> dict[int, Solution]:
+        """Solve every pending group's refine ILP against the round's context.
 
-        The tasks are built — models, warm-basis snapshots, per-task RNG
-        seeds — *before* any of them runs, so each is a pure function of the
-        shared round context and the batch can execute anywhere: fanned out
-        over the pool's worker processes, or serially through the very same
-        :func:`run_solve_task`.  Results are post-processed (stats folded in,
-        warm bases cached) in ascending group-id order either way.
+        Each solve starts from the group's cached root basis, if any, and
+        caches the basis it exports for the group's next solve.
         """
-        tasks: list[SolveTask] = []
+        warm_capable = isinstance(self.solver, BranchAndBoundSolver)
+        results: dict[int, Solution] = {}
         for gid in order:
             model = self._build_refine_model(
                 problem, sketch_multiplicities, assignments, pending, gid
             )
-            tasks.append(
-                SolveTask(
-                    task_id=gid,
-                    model=model,
-                    solver=self.solver,
-                    warm_basis=self._refine_basis.get(gid),
-                    rng_seed=int(gid),
-                )
-            )
-        stats.refine_queries += len(tasks)
-
-        run_parallel = pool.is_parallel and len(tasks) > 1 and self._can_ship_solver()
-        batch_start = time.perf_counter()
-        if run_parallel:
-            results = pool.map(run_solve_task, tasks)
-            stats.refine_parallel_tasks += len(tasks)
-        else:
-            results = [run_solve_task(task) for task in tasks]
-        batch_wall = time.perf_counter() - batch_start
-
-        stats.pool_wall_ms += batch_wall * 1000.0
-        child_seconds = [result.solve_seconds for result in results]
-        stats.child_solve_ms += sum(child_seconds) * 1000.0
-        if run_parallel and child_seconds:
-            stats.merge_wait_ms += max(0.0, batch_wall - max(child_seconds)) * 1000.0
-
-        by_gid = {result.task_id: result for result in results}
-        for gid in sorted(by_gid):
-            result = by_gid[gid]
-            self._absorb_task_stats(result.stats)
-            stats.refine_retry_warm_starts += result.warm_started
-            if result.root_basis is not None:
-                self._refine_basis[gid] = result.root_basis
-        return by_gid
+            warm_basis = self._refine_basis.get(gid)
+            solution = run_solve_task(self.solver, model, warm_basis)
+            self._absorb_solve_stats(solution.stats)
+            stats.refine_retry_warm_starts += warm_capable and warm_basis is not None
+            if solution.root_basis is not None:
+                self._refine_basis[gid] = solution.root_basis
+            results[gid] = solution
+        stats.refine_queries += len(order)
+        return results
 
     def _build_refine_model(
         self,
@@ -600,7 +523,7 @@ class SketchRefineEvaluator:
     def _merge_round(
         self,
         order: list[int],
-        results: dict[int, "object"],
+        results: dict[int, Solution],
         problem: PartitionedQuery,
         sketch_multiplicities: dict[int, int],
         assignments: dict[int, dict[int, int]],
@@ -700,22 +623,8 @@ class SketchRefineEvaluator:
                     return False
         return True
 
-    def _can_ship_solver(self) -> bool:
-        """Whether the configured solver can be pickled into worker processes.
-
-        Probed once per evaluator; a non-picklable black-box solver silently
-        degrades the refine batches to the (bit-identical) serial path.
-        """
-        if self._solver_shippable is None:
-            try:
-                pickle.dumps(self.solver)
-                self._solver_shippable = True
-            except Exception:
-                self._solver_shippable = False
-        return self._solver_shippable
-
-    def _absorb_task_stats(self, stats_obj) -> None:
-        """Fold one solve task's solver statistics into the running totals."""
+    def _absorb_solve_stats(self, stats_obj) -> None:
+        """Fold one solve's solver statistics into the running totals."""
         if stats_obj is None:
             return
         self.last_stats.solver_lp_solves += stats_obj.lp_solves
@@ -725,3 +634,10 @@ class SketchRefineEvaluator:
         self.last_stats.rows_removed += getattr(stats_obj, "rows_removed", 0)
         self.last_stats.presolve_ms += getattr(stats_obj, "presolve_ms", 0.0)
         self.last_stats.node_propagations += getattr(stats_obj, "node_propagations", 0)
+
+
+def run_solve_task(solver, model: IlpModel, warm_basis: SimplexBasis | None) -> Solution:
+    """Solve one refine ILP, warm-starting a :class:`BranchAndBoundSolver` from ``warm_basis``."""
+    if warm_basis is not None and isinstance(solver, BranchAndBoundSolver):
+        return solver.solve(model, warm_start=warm_basis)
+    return solver.solve(model)

@@ -16,9 +16,8 @@ commits land afterwards.  This module packages those references:
   precisely as long as a handle references them and become collectable on
   :meth:`SnapshotHandle.release`.
 
-Handles are value objects: pickling one ships the pinned view itself
-(detached from its manager), which is what a worker process needs to answer
-reads against a fixed version.
+Handles are value objects: pickling one ships the pinned view itself,
+detached from its manager.
 """
 
 from __future__ import annotations

@@ -31,9 +31,7 @@ one.  That is what makes :meth:`snapshot` O(1): a snapshot shares the array by
 reference, and neither side can change what the other sees.  An optimal solve
 exports its basis with a snapshot attached and a related reoptimisation
 (branch-and-bound child, SKETCHREFINE backtracking retry) installs it instead
-of reinverting.  Snapshots never ship across the process boundary: they are
-derived per-process state, dropped by
-:meth:`~repro.ilp.simplex.SimplexBasis.__getstate__`.
+of reinverting.
 """
 
 from __future__ import annotations

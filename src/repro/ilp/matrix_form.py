@@ -75,24 +75,6 @@ class MatrixForm:
                     f"{getattr(matrix, 'shape', None)}"
                 )
 
-    # -- pickling ---------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Ship the form without its per-process working caches.
-
-        The ``cache`` dict holds the simplex's assembled working matrix —
-        derived, process-local state that would bloat the pickle and, worse,
-        alias one process's scratch objects into another.  Workers rebuild it
-        on first use.
-        """
-        state = self.__dict__.copy()
-        state["cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.cache = {}
-
     # -- introspection -----------------------------------------------------------
 
     @property

@@ -340,29 +340,6 @@ class IlpModel:
         self._objective = _frozen(vector)
         self._matrix_cache = None
 
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Ship the model without its memoized matrix export.
-
-        The cached :class:`MatrixForm` (and its form-level working caches)
-        is derived, process-local state; a worker that unpickles the model
-        re-exports it on demand.  Dropping it keeps solve-task payloads lean
-        and guarantees no scratch objects are shared across processes.
-        """
-        state = self.__dict__.copy()
-        state["_matrix_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._matrix_cache = None
-        # Unpickled arrays come back writeable.
-        for array in (
-            self._lower, self._upper, self._integer, self._rows, self._rhs, self._objective
-        ):
-            _frozen(array)
-
     # -- introspection -----------------------------------------------------------
 
     @property

@@ -452,29 +452,6 @@ class Postsolve:
     #: :meth:`reduce_bounds` calls whose row or cutoff pass had to run.
     propagations: int = field(default=0, repr=False, compare=False)
 
-    # -- pickling -----------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Ship the record without its lazily-built per-node row views.
-
-        ``_node_rows`` caches entry/activity scratch arrays for node-bound
-        propagation, ``_cutoff_rows`` the objective row used for incumbent
-        cutoff reductions and ``_bind_gate`` what decides whether either runs;
-        all derived state, rebuilt on first use in the receiving process (the
-        reduced form's own caches are dropped by :meth:`MatrixForm.__getstate__`).
-        """
-        state = self.__dict__.copy()
-        state["_node_rows"] = None
-        state["_cutoff_rows"] = None
-        state["_bind_gate"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._node_rows = None
-        self._cutoff_rows = None
-        self._bind_gate = None
-
     # -- solutions ----------------------------------------------------------------
 
     @property

@@ -132,10 +132,9 @@ class SimplexBasis:
 
     ``_factor`` optionally carries a snapshot of the exporting solve's
     :class:`~repro.ilp.factor.BasisFactor` — a shared reference to its
-    inverse and the count of updates folded into it — so a warm start in the
-    same process skips the reinversion.  It is process-local, derived state:
-    pickling drops it (the receiving solve reinverts from ``basic``), and
-    installers re-verify it against their own matrix before trusting it.
+    inverse and the count of updates folded into it — so a warm start skips
+    the reinversion.  Installers re-verify it against their own matrix before
+    trusting it.
     """
 
     basic: np.ndarray
@@ -152,17 +151,6 @@ class SimplexBasis:
             and self.num_ub == num_ub
             and self.num_eq == num_eq
         )
-
-    def __getstate__(self) -> dict:
-        """Ship the basis without its process-local inverse.
-
-        The inverse is cheap to rebuild (one factorisation) and must never
-        cross the worker-pool boundary inside a pickled SolveTask.
-        """
-        state = dict(self.__dict__)
-        state["_factor"] = None
-        return state
-
 
 @dataclass
 class SimplexResult:

@@ -51,13 +51,13 @@ def test_disable_all_matches_any_rule() -> None:
 
 
 def test_module_name_anchors_at_repro_package() -> None:
-    assert module_name_for(Path("src/repro/exec/pool.py")) == "repro.exec.pool"
+    assert module_name_for(Path("src/repro/ilp/model.py")) == "repro.ilp.model"
     assert module_name_for(Path("src/repro/ilp/__init__.py")) == "repro.ilp"
     assert module_name_for(Path("tests/analysis/fixtures/x.py")) == "x"
 
 
 def test_module_in_scope_prefix_semantics() -> None:
-    assert module_in_scope("repro.exec.pool", ["repro.exec"])
+    assert module_in_scope("repro.ilp.model", ["repro.ilp"])
     assert module_in_scope("repro.core.sketchrefine", ["repro.core.sketchrefine"])
     assert not module_in_scope("repro.core.sketchy", ["repro.core.sketchrefine"])
     assert module_in_scope("anything", [])  # empty scope = everywhere

@@ -1,7 +1,7 @@
 """Self-check: ``src/repro`` stays clean modulo the committed baseline.
 
-Also "mutation-style" regressions: un-fixing the violations this PR fixed
-(re-shipping the model's memoized matrix export, dropping the justified
+Also "mutation-style" regressions: un-fixing a guarded site (pickling a
+snapshot handle together with its live manager, dropping the justified
 suppression comments in validation.py) must make the lint fail again, which
 proves the checkers actually guard those sites.
 """
@@ -69,22 +69,22 @@ def _lint_single(path: Path, rule: str, options: dict[str, object]):
     return run_lint([path], config)
 
 
-def test_unfixing_coefficient_memo_pickling_fails_lint(tmp_path: Path) -> None:
-    """Deleting the _matrix_cache reset (the one memo of the coefficients left)
-    from __getstate__ re-flags the model."""
-    source = (SRC / "ilp" / "model.py").read_text()
-    mutated = source.replace('state["_matrix_cache"] = None', "pass")
+def test_unfixing_snapshot_manager_reset_fails_lint(tmp_path: Path) -> None:
+    """Deleting the _manager reset from SnapshotHandle.__getstate__ (which keeps
+    the live catalog out of a pickled handle) re-flags the handle."""
+    source = (SRC / "db" / "snapshot.py").read_text()
+    mutated = source.replace('state["_manager"] = None', "pass")
     assert mutated != source  # the fix is present in the tree
-    target = tmp_path / "model.py"
+    target = tmp_path / "snapshot.py"
     target.write_text(mutated)
 
     report = _lint_single(target, "pickle-safety", {})
-    assert any("IlpModel._matrix_cache" in f.message for f in report.findings), (
+    assert any("SnapshotHandle._manager" in f.message for f in report.findings), (
         report.format_text()
     )
 
     # And the real, fixed file is clean.
-    assert _lint_single(SRC / "ilp" / "model.py", "pickle-safety", {}).grandfathered == []
+    assert _lint_single(SRC / "db" / "snapshot.py", "pickle-safety", {}).findings == []
 
 
 def test_unsuppressing_validation_guards_fails_lint(tmp_path: Path) -> None:
@@ -105,11 +105,11 @@ def test_unsuppressing_validation_guards_fails_lint(tmp_path: Path) -> None:
 
 
 def test_reintroducing_wall_clock_fails_lint(tmp_path: Path) -> None:
-    """A stray time.time() in the exec layer is caught (the PR 6 invariant)."""
-    source = (SRC / "exec" / "tasks.py").read_text()
+    """A stray time.time() on the SKETCHREFINE path is caught."""
+    source = (SRC / "core" / "sketchrefine.py").read_text()
     mutated = source.replace("time.perf_counter()", "time.time()")
     assert mutated != source
-    target = tmp_path / "tasks.py"
+    target = tmp_path / "sketchrefine.py"
     target.write_text(mutated)
 
     report = _lint_single(target, "determinism", {"time_scope": []})
@@ -118,7 +118,7 @@ def test_reintroducing_wall_clock_fails_lint(tmp_path: Path) -> None:
 
 def test_new_cache_attribute_on_payload_class_flags(tmp_path: Path) -> None:
     """Growing a payload class a new memo attribute flags until handled."""
-    source = (SRC / "ilp" / "matrix_form.py").read_text()
+    source = (SRC / "db" / "snapshot.py").read_text()
     mutated = source.replace(
         "def __getstate__(self) -> dict:",
         "def _grow(self):\n"
@@ -127,8 +127,28 @@ def test_new_cache_attribute_on_payload_class_flags(tmp_path: Path) -> None:
         1,
     )
     assert mutated != source
-    target = tmp_path / "matrix_form.py"
+    target = tmp_path / "snapshot.py"
     target.write_text(mutated)
 
     report = _lint_single(target, "pickle-safety", {})
     assert any("_row_memo" in f.message for f in report.findings), report.format_text()
+
+
+def test_reading_the_environment_fails_lint(tmp_path: Path) -> None:
+    """No module may read the environment: a worker-count read on the
+    SKETCHREFINE path is flagged."""
+    source = (SRC / "core" / "sketchrefine.py").read_text()
+    mutated = source.replace(
+        "import time\n",
+        'import os\nimport time\n\nWORKERS = os.environ.get("REPRO_WORKERS", "1")\n',
+        1,
+    )
+    assert mutated != source
+    target = tmp_path / "sketchrefine.py"
+    target.write_text(mutated)
+
+    report = _lint_single(target, "env-access", {})
+    assert any("os.environ" in f.message for f in report.findings), report.format_text()
+
+    # And the real file is clean.
+    assert _lint_single(SRC / "core" / "sketchrefine.py", "env-access", {}).findings == []

@@ -1,17 +1,27 @@
 """Tests for the SKETCHREFINE evaluator (Section 4)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.base_relations import compute_base_relation
 from repro.core.direct import DirectEvaluator
-from repro.core.sketchrefine import PartitionedQuery, SketchRefineConfig, SketchRefineEvaluator
+from repro.core.engine import PackageQueryEngine
+from repro.core.sketchrefine import (
+    PartitionedQuery,
+    SketchRefineConfig,
+    SketchRefineEvaluator,
+    run_solve_task,
+)
 from repro.core.translator import constraint_linear_rows, objective_linear
 from repro.core.validation import check_package, objective_value
 from repro.db.expressions import col
 from repro.errors import EvaluationError, InfeasiblePackageQueryError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
-from repro.ilp.model import IlpModel
+from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.paql.builder import query_over
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -118,36 +128,168 @@ class TestBasicBehaviour:
         assert stats.refine_queries >= stats.groups_in_sketch
         assert stats.total_seconds >= stats.sketch_seconds
 
-    def test_parallel_plane_stats_recorded(self, recipes_with_partitioning, fast_solver):
+    def test_refine_leaves_the_global_rng_alone(self, recipes_with_partitioning, fast_solver):
         table, partitioning = recipes_with_partitioning
+        np.random.seed(123)
+        expected = np.random.random(4)
+        np.random.seed(123)
         evaluator = SketchRefineEvaluator(solver=fast_solver)
-        # Pin workers=1 so the serial invariants hold regardless of any
-        # REPRO_WORKERS value the surrounding run exports.
-        evaluator.evaluate(table, meal_planner_query(), partitioning, workers=1)
-        stats = evaluator.last_stats
-        assert stats.refine_workers == 1
-        assert stats.refine_parallel_tasks == 0  # explicit serial
-        assert stats.refine_rounds >= 1
-        assert stats.pool_wall_ms > 0.0
-        assert stats.child_solve_ms > 0.0
-        assert stats.merge_wait_ms == 0.0  # serial batches have no wait gap
+        package = evaluator.evaluate(table, meal_planner_query(), partitioning)
+        assert evaluator.last_stats.refine_queries >= 1
+        assert np.array_equal(np.random.random(4), expected)
+        # Nor does the answer depend on the global stream's state.
+        np.random.seed(7)
+        again = evaluator.evaluate(table, meal_planner_query(), partitioning)
+        assert again.same_contents(package)
 
-    def test_parallel_workers_give_identical_package_and_search_shape(
-        self, recipes_with_partitioning, fast_solver
+    def test_warm_basis_reaches_branch_and_bound_only(self, fast_solver):
+        model = IlpModel("refine_like")
+        for i in range(4):
+            model.add_variable(f"t_{i}", 0, 2)
+        model.add_constraint({0: 3.0, 1: 5.0, 2: 2.0, 3: 7.0}, ConstraintSense.LE, 11.0)
+        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0})
+        basis = fast_solver.solve(model).root_basis
+        assert basis is not None
+
+        class RecordingBranchAndBound(BranchAndBoundSolver):
+            def solve(self, model, warm_start=None):
+                self.warm_start = warm_start
+                return super().solve(model, warm_start=warm_start)
+
+        class BlackBox:
+            def solve(self, model):
+                return fast_solver.solve(model)
+
+        recording = RecordingBranchAndBound(limits=fast_solver.limits)
+        assert run_solve_task(recording, model, basis).has_solution
+        assert recording.warm_start is basis
+        # Any other black-box solver gets a plain ``solve(model)`` call.
+        assert run_solve_task(BlackBox(), model, basis).has_solution
+
+
+def _refine_like_model(task_id: int, shift: float = 0.0) -> IlpModel:
+    """A small knapsack-shaped ILP like one refine group's Q[G_j]."""
+    rng = np.random.default_rng(task_id)
+    num_vars = 10
+    weights = rng.integers(1, 9, num_vars).astype(float)
+    gains = rng.integers(1, 20, num_vars).astype(float)
+    model = IlpModel(name=f"task_{task_id}")
+    for i in range(num_vars):
+        model.add_variable(f"t_{i}", 0, 2)
+    model.add_constraint(
+        {i: w for i, w in enumerate(weights)},
+        ConstraintSense.LE,
+        weights.sum() * 0.4 + shift,
+    )
+    model.add_constraint({0: 1.0, num_vars - 1: 1.0}, ConstraintSense.GE, 1)
+    model.set_objective(ObjectiveSense.MAXIMIZE, {i: g for i, g in enumerate(gains)})
+    return model
+
+
+def _exact_solve_signature(solution):
+    """Everything a refine solve hands back that the merge or the stats read."""
+    stats = solution.stats
+    return (
+        solution.status,
+        solution.values.tobytes(),
+        repr(solution.objective_value),
+        stats.nodes_explored,
+        stats.lp_solves,
+        stats.simplex_iterations,
+        stats.warm_start_hits,
+        stats.refactorizations,
+    )
+
+
+class TestRunSolveTask:
+    """``run_solve_task`` is a plain solver call: same answers, no hidden state."""
+
+    @pytest.mark.parametrize("task_id", range(6))
+    def test_cold_solve_equals_a_plain_solve(self, fast_solver, task_id):
+        solution = run_solve_task(fast_solver, _refine_like_model(task_id), None)
+        assert solution.is_optimal
+        plain = fast_solver.solve(_refine_like_model(task_id))
+        assert _exact_solve_signature(solution) == _exact_solve_signature(plain)
+
+    @pytest.mark.parametrize("task_id", range(6))
+    def test_warm_solve_equals_a_plain_warm_solve(self, fast_solver, task_id):
+        # A retry of the same group differs only in its right-hand sides.
+        basis = fast_solver.solve(_refine_like_model(task_id)).root_basis
+        assert basis is not None
+        retry = run_solve_task(fast_solver, _refine_like_model(task_id, shift=-3.0), basis)
+        plain = fast_solver.solve(_refine_like_model(task_id, shift=-3.0), warm_start=basis)
+        assert _exact_solve_signature(retry) == _exact_solve_signature(plain)
+
+    def test_results_are_independent_of_the_global_rng(self, fast_solver):
+        baseline = run_solve_task(fast_solver, _refine_like_model(5), None)
+        np.random.seed(987654)
+        np.random.random(1000)
+        perturbed = run_solve_task(fast_solver, _refine_like_model(5), None)
+        assert _exact_solve_signature(perturbed) == _exact_solve_signature(baseline)
+
+    def test_leaves_the_global_rng_alone(self, fast_solver):
+        np.random.seed(31)
+        expected = np.random.random(4)
+        np.random.seed(31)
+        run_solve_task(fast_solver, _refine_like_model(2), None)
+        assert np.array_equal(np.random.random(4), expected)
+
+    def test_repeated_execution_is_stable_despite_warm_caches(self, fast_solver):
+        # Re-solving one model object exercises its memo caches (matrix
+        # form, simplex working matrix); a warm solve must not drift from
+        # the cold one.
+        model = _refine_like_model(1)
+        first = run_solve_task(fast_solver, model, None)
+        second = run_solve_task(fast_solver, model, None)
+        assert _exact_solve_signature(second) == _exact_solve_signature(first)
+
+
+class TestRemovedWorkerKnobs:
+    """Refine rounds run in-process and nothing selects a worker count."""
+
+    def test_engine_takes_no_worker_count(self):
+        with pytest.raises(TypeError, match="workers"):
+            PackageQueryEngine(workers=2)
+
+    def test_config_takes_no_worker_count(self):
+        with pytest.raises(TypeError, match="workers"):
+            SketchRefineConfig(workers=2)
+
+    def test_evaluator_takes_no_pool(self):
+        with pytest.raises(TypeError, match="pool"):
+            SketchRefineEvaluator(pool=None)
+
+    def test_evaluate_takes_no_worker_count(self, recipes_with_partitioning, fast_solver):
+        table, partitioning = recipes_with_partitioning
+        with pytest.raises(TypeError, match="workers"):
+            SketchRefineEvaluator(solver=fast_solver).evaluate(
+                table, meal_planner_query(), partitioning, workers=2
+            )
+
+    def test_workers_environment_variable_is_not_read(
+        self, monkeypatch, recipes_with_partitioning, fast_solver
     ):
         table, partitioning = recipes_with_partitioning
-        query = meal_planner_query()
-        serial = SketchRefineEvaluator(solver=fast_solver)
-        serial_package = serial.evaluate(table, query, partitioning, workers=1)
-        parallel = SketchRefineEvaluator(solver=fast_solver)
-        parallel_package = parallel.evaluate(table, query, partitioning, workers=2)
-        assert serial_package.same_contents(parallel_package)
-        for field in (
-            "refine_queries", "refine_rounds", "merge_deferrals",
-            "backtracks", "groups_in_sketch", "used_hybrid_sketch",
-        ):
-            assert getattr(serial.last_stats, field) == getattr(parallel.last_stats, field)
-        assert parallel.last_stats.refine_workers == 2
+        baseline = SketchRefineEvaluator(solver=fast_solver)
+        package = baseline.evaluate(table, meal_planner_query(), partitioning)
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        evaluator = SketchRefineEvaluator(solver=fast_solver)
+        assert evaluator.evaluate(table, meal_planner_query(), partitioning).same_contents(package)
+        stats = evaluator.last_stats
+        assert (stats.refine_workers, stats.refine_parallel_tasks) == (1, 0)
+        assert stats.refine_queries == baseline.last_stats.refine_queries
+
+    def test_importing_the_engine_does_not_load_multiprocessing(self):
+        code = (
+            "import sys, repro.core.engine; "
+            "print(any(m == 'multiprocessing' or m.startswith('multiprocessing.') "
+            "for m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 def reference_sketch_or_refine(table, query, partitioning, hybrid_group=None, refine=None):

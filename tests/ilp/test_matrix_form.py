@@ -4,12 +4,9 @@ Covers the export contract against literal matrices (row order, negation,
 explicit zeros, padding, memoisation), the typed rejection of a constraint
 matrix that is not a dense float array, the zero-copy structural sharing
 branch-and-bound relies on, the block and mapping entry points of the model,
-the root-basis warm-start handoff used by SKETCHREFINE's backtracking
-retries, and the pickling contract the parallel solve plane relies on
-(per-process caches dropped, everything else round-tripping bit-exactly).
+and the root-basis warm-start handoff used by SKETCHREFINE's backtracking
+retries.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -342,112 +339,3 @@ class TestRootBasisHandoff:
             retry_model.copy()
         )
         assert second.objective_value == pytest.approx(cold.objective_value)
-
-
-class TestPickling:
-    """The pickling contract of the parallel solve plane.
-
-    Forms, postsolve records, bases and models cross the process boundary
-    when refine ILPs fan out to workers: derived per-process caches must be
-    dropped (never aliased between processes), everything else must
-    round-trip bit-exactly, and a re-solve of the round-tripped object must
-    agree with the original.
-    """
-
-    def _model(self, num_vars=8, fixed=None, budget=0.5):
-        rng = np.random.default_rng(11)
-        model = IlpModel("pickled")
-        weights = rng.integers(1, 9, num_vars).astype(float)
-        gains = rng.integers(1, 15, num_vars).astype(float)
-        for i in range(num_vars):
-            model.add_variable(f"x{i}", 2 if i == fixed else 0, 2)
-        model.add_constraint(
-            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * budget
-        )
-        model.add_constraint({0: 1.0, num_vars - 1: 1.0}, ConstraintSense.GE, 1)
-        model.set_objective(ObjectiveSense.MAXIMIZE, {i: g for i, g in enumerate(gains)})
-        return model
-
-    def test_matrix_form_round_trips_without_its_cache(self):
-        form = self._model().to_matrix()
-        # Populate the per-process caches with a real solve before pickling.
-        result = solve_lp_form(form)
-        assert result.status is SolverStatus.OPTIMAL
-        assert form.cache, "expected the solve to populate the working cache"
-
-        clone = pickle.loads(pickle.dumps(form))
-        assert clone.cache == {}
-        assert form.cache, "pickling must not clear the original's cache"
-        assert clone.maximize is form.maximize
-        np.testing.assert_array_equal(form.a_ub, clone.a_ub)
-        np.testing.assert_array_equal(form.a_eq, clone.a_eq)
-        np.testing.assert_array_equal(form.c, clone.c)
-        np.testing.assert_array_equal(form.b_ub, clone.b_ub)
-        np.testing.assert_array_equal(form.b_eq, clone.b_eq)
-
-        # The round-tripped form solves to the same optimum (rebuilding its
-        # own working matrix from scratch).
-        again = solve_lp_form(clone)
-        assert again.status is SolverStatus.OPTIMAL
-        assert again.objective_value == pytest.approx(result.objective_value)
-
-    def test_postsolve_round_trips_and_restores_identically(self):
-        # Fix a variable so presolve genuinely reduces and the postsolve
-        # record is non-trivial.
-        form = self._model(fixed=3).to_matrix()
-        integer_mask = np.ones(form.num_variables, dtype=bool)
-        result = presolve_form(form, integer_mask)
-        assert result.feasible and result.postsolve is not None
-        postsolve = result.postsolve
-
-        # Populate the lazy node-row cache, then check it is dropped.
-        lower, upper = form.bound_arrays()
-        postsolve.reduce_bounds(lower, upper)
-        clone = pickle.loads(pickle.dumps(postsolve))
-        assert clone._node_rows is None
-
-        x_reduced = np.zeros(clone.num_reduced_vars)
-        np.testing.assert_array_equal(postsolve.restore(x_reduced), clone.restore(x_reduced))
-        reduced_l, reduced_u = postsolve.reduce_bounds(lower, upper)
-        clone_l, clone_u = clone.reduce_bounds(lower, upper)
-        np.testing.assert_array_equal(reduced_l, clone_l)
-        np.testing.assert_array_equal(reduced_u, clone_u)
-
-    def test_simplex_basis_round_trips(self):
-        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9))
-        solution = solver.solve(self._model())
-        basis = solution.root_basis
-        assert basis is not None
-        clone = pickle.loads(pickle.dumps(basis))
-        np.testing.assert_array_equal(basis.basic, clone.basic)
-        np.testing.assert_array_equal(basis.status, clone.status)
-        assert clone.matches(basis.num_structural, basis.num_ub, basis.num_eq)
-
-        # A warm start from the round-tripped basis behaves like the original.
-        retry = self._model(budget=0.45)
-        warm = solver.solve(retry, warm_start=clone)
-        cold = solver.solve(retry.copy())
-        assert warm.status is cold.status
-        assert warm.objective_value == pytest.approx(cold.objective_value)
-
-    def test_ilp_model_round_trips_without_memo_caches(self):
-        model = self._model()
-        form = model.to_matrix()  # populate the model-level memo cache
-        assert model._matrix_cache is form
-
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone._matrix_cache is None
-        clone_form = clone.to_matrix()
-        np.testing.assert_array_equal(form.a_ub, clone_form.a_ub)
-        np.testing.assert_array_equal(form.a_eq, clone_form.a_eq)
-        np.testing.assert_array_equal(form.c, clone_form.c)
-        np.testing.assert_array_equal(form.b_ub, clone_form.b_ub)
-        np.testing.assert_array_equal(form.b_eq, clone_form.b_eq)
-        np.testing.assert_array_equal(clone_form.bounds, form.bounds)
-
-        limits = SolverLimits(relative_gap=1e-9)
-        original = BranchAndBoundSolver(limits=limits).solve(model)
-        shipped = BranchAndBoundSolver(limits=limits).solve(clone)
-        assert original.status is shipped.status
-        np.testing.assert_array_equal(original.values, shipped.values)
-        assert original.objective_value == shipped.objective_value

@@ -246,7 +246,7 @@ class TestWarmFinish:
                 .maximize_sum("petroFlux_r")
                 .build()
             )
-            SketchRefineEvaluator().evaluate(table, query, partitioning, workers=1)
+            SketchRefineEvaluator().evaluate(table, query, partitioning)
         assert sum(calls) >= 100
 
 

@@ -437,7 +437,7 @@ class TestRootCertificate:
 
         monkeypatch.setattr(branch_and_bound, "presolve_form", recording)
         table = galaxy_table(2_400, seed=42)
-        engine = PackageQueryEngine(workers=1)  # refine in-process, where the patch is
+        engine = PackageQueryEngine()
         engine.register_table(table, name="galaxy")
         engine.build_partitioning(
             "galaxy", ["petroMag_r", "redshift", "petroFlux_r"], size_threshold=250

@@ -16,7 +16,10 @@ objective.  On each instance the harness asserts:
 * a crash-and-recover in the middle of an interleaved update/query stream
   (``test_differential_across_crash_recovery``) lands the catalog bitwise on
   the last committed version, never serves a stale cached answer, and the
-  full differential keeps holding on the recovered catalog.
+  full differential keeps holding on the recovered catalog;
+* SKETCHREFINE's outcome is reproducible: reruns and a disturbed global NumPy
+  RNG leave its package, objective and search shape unchanged, and it never
+  moves the global RNG itself (``test_sketchrefine_outcome_is_reproducible``).
 
 A failure is reprintable from its seed alone: the assertion message embeds
 the seed and the generated PaQL text, and
@@ -151,13 +154,10 @@ def _check_instance(
         )
 
 
-#: Seeds for the serial-vs-parallel sweep (a strided subset of the full
-#: differential population — each instance is re-evaluated at three worker
-#: counts, so the sweep is deliberately smaller).
-PARALLEL_SWEEP_SEEDS = tuple(range(0, NUM_INSTANCES, 5))
-
-#: Worker counts the sweep compares; 1 is the serial reference.
-PARALLEL_SWEEP_WORKERS = (1, 2, 4)
+#: Seeds for the reproducibility sweep (a strided subset of the full
+#: differential population — each instance is evaluated four times per
+#: table version, so the sweep is deliberately smaller).
+REPRODUCIBILITY_SEEDS = tuple(range(0, NUM_INSTANCES, 5))
 
 
 def _sketchrefine_outcome(engine: PackageQueryEngine, query):
@@ -186,38 +186,52 @@ def _sketchrefine_outcome(engine: PackageQueryEngine, query):
     )
 
 
-@pytest.mark.parametrize("seed", PARALLEL_SWEEP_SEEDS)
-def test_serial_parallel_equivalence(seed: int):
-    """Parallel refine is bit-identical to serial at every worker count.
+@pytest.mark.parametrize("seed", REPRODUCIBILITY_SEEDS)
+def test_sketchrefine_outcome_is_reproducible(seed: int):
+    """SKETCHREFINE's outcome depends on the query and the data alone.
 
-    For each seeded instance the same query runs through SKETCHREFINE with
-    1, 2 and 4 workers: identical packages, identical objectives, identical
-    search shape (rounds, merge deferrals, backtracks) — or identical
-    infeasibility verdicts — are required, before and after a table delta.
+    For each seeded instance the same query runs twice on a fresh engine,
+    then twice more on a second fresh engine after the process-global NumPy
+    RNG has been drawn from: identical packages, identical objectives,
+    identical search shape (rounds, merge deferrals, backtracks) — or
+    identical infeasibility verdicts — are required, before and after a
+    table delta.  None of the runs moves the global RNG.
     """
     rng = np.random.default_rng(1_000_003 * (seed + 1))
     table = _random_table(rng)
     query = _random_query(rng, table)
     insert, delete = _random_delta(np.random.default_rng(seed + 77), table)
 
-    outcomes: dict[int, list] = {}
-    for workers in PARALLEL_SWEEP_WORKERS:
-        engine = PackageQueryEngine(workers=workers)
+    outcomes: list[list] = []
+    for global_draws in (0, 1000):
+        np.random.seed(seed)
+        np.random.random(global_draws)
+        expected_draws = np.random.random(3)
+        np.random.seed(seed)
+        np.random.random(global_draws)
+
+        engine = PackageQueryEngine()
         engine.register_table(table, name="diff")
         engine.build_partitioning("diff", ["a", "b"], size_threshold=4)
-        phases = [_sketchrefine_outcome(engine, query)]
+        phases = [_sketchrefine_outcome(engine, query), _sketchrefine_outcome(engine, query)]
         engine.update_table("diff", insert=insert, delete=delete)
-        phases.append(_sketchrefine_outcome(engine, query))
-        outcomes[workers] = phases
+        phases += [_sketchrefine_outcome(engine, query), _sketchrefine_outcome(engine, query)]
 
-    reference = outcomes[PARALLEL_SWEEP_WORKERS[0]]
-    for workers in PARALLEL_SWEEP_WORKERS[1:]:
-        assert outcomes[workers] == reference, (
-            f"[seed={seed}] SKETCHREFINE outcome diverged at workers={workers}:\n"
-            f"serial:   {reference}\n"
-            f"parallel: {outcomes[workers]}\n"
-            f"{format_paql(query)}"
+        context = f"[seed={seed}, {global_draws} global draws]"
+        assert np.array_equal(np.random.random(3), expected_draws), (
+            f"{context} SKETCHREFINE moved the global NumPy RNG\n{format_paql(query)}"
         )
+        for first, rerun, phase in ((0, 1, "initial"), (2, 3, "after delta")):
+            assert phases[rerun] == phases[first], (
+                f"{context} SKETCHREFINE outcome diverged on a rerun ({phase}):\n"
+                f"first: {phases[first]}\nrerun: {phases[rerun]}\n{format_paql(query)}"
+            )
+        outcomes.append(phases)
+
+    assert outcomes[1] == outcomes[0], (
+        f"[seed={seed}] SKETCHREFINE outcome moved with the global NumPy RNG:\n"
+        f"0 draws:    {outcomes[0]}\n1000 draws: {outcomes[1]}\n{format_paql(query)}"
+    )
 
 
 @pytest.mark.parametrize("seed", range(NUM_INSTANCES))
