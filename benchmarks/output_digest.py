@@ -13,8 +13,9 @@ bypassed, at each data seed.  One JSON line per (data seed, workload, op)::
      "simplex_iterations": .., "vars_fixed": .., "nodes": ..}
 
 The counters are the ones ``execute`` already reports in ``details``: LP
-solves, simplex iterations and columns fixed by root presolve, and for DIRECT
-the branch-and-bound nodes.  Equal files mean equal packages, objectives to
+solves, simplex iterations, columns fixed by root presolve and
+branch-and-bound nodes (for SKETCHREFINE summed over the sketch and every
+refine ILP; ``null`` for a checkout whose stats do not count them).  Equal files mean equal packages, objectives to
 the last bit and the same search.  Nothing is timed.
 
 Then the update leg: per data seed, one ``update_requery_20k`` session runs
@@ -78,6 +79,8 @@ def counters(details: dict) -> dict:
         "lp_solves": sketch.solver_lp_solves,
         "simplex_iterations": sketch.solver_simplex_iterations,
         "vars_fixed": sketch.vars_fixed,
+        # A merge base may predate the field (``--repo``).
+        "nodes": getattr(sketch, "solver_nodes_explored", None),
     }
 
 

@@ -119,6 +119,8 @@ class SketchRefineStats:
     """LP relaxation solves summed over the sketch and every refine ILP."""
     solver_simplex_iterations: int = 0
     """Simplex pivots summed over all solves."""
+    solver_nodes_explored: int = 0
+    """Branch-and-bound nodes summed over the sketch and every refine ILP."""
     solver_warm_start_hits: int = 0
     """LP solves that reoptimised from a parent basis."""
     refine_retry_warm_starts: int = 0
@@ -144,7 +146,8 @@ class SketchRefineStats:
     """Milliseconds spent in root presolve, summed over all solves."""
     node_propagations: int = 0
     """Branch-and-bound node bound projections that had to run a propagation
-    pass (some row or the incumbent cutoff could bind), summed over all solves."""
+    pass (some row could bind inside the node's bounds: a branch or a
+    reduced-cost fixing moved them), summed over all solves."""
     partitioning_version: int = 0
     """Table version the partitioning this evaluation ran over describes."""
     partitioning_maintenance: dict = field(default_factory=dict)
@@ -629,6 +632,7 @@ class SketchRefineEvaluator:
             return
         self.last_stats.solver_lp_solves += stats_obj.lp_solves
         self.last_stats.solver_simplex_iterations += stats_obj.simplex_iterations
+        self.last_stats.solver_nodes_explored += stats_obj.nodes_explored
         self.last_stats.solver_warm_start_hits += stats_obj.warm_start_hits
         self.last_stats.vars_fixed += getattr(stats_obj, "vars_fixed", 0)
         self.last_stats.rows_removed += getattr(stats_obj, "rows_removed", 0)

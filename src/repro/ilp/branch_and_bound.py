@@ -7,8 +7,9 @@ It implements a classic LP-relaxation branch-and-bound:
 2. If the relaxation is infeasible or its bound cannot beat the incumbent,
    prune the node.
 3. If the relaxation is integral, update the incumbent.
-4. Otherwise branch on the most fractional variable: two child nodes with
-   tightened bounds.
+4. Otherwise fix columns from the relaxation's reduced costs against the
+   incumbent, then branch on the most fractional variable: two child nodes
+   with tightened bounds.
 
 Open nodes are explored best bound first: on the benchmark's refine trees
 the node count is set by the proof, not by the search order (strong branching
@@ -17,6 +18,19 @@ costs — one warm dual solve and its glue — is the lever.  A rounding heurist
 tries to convert fractional relaxations into incumbents early, which greatly
 speeds up the package-query instances (0/1-style multiplicity variables); it
 checks feasibility only when a rounding could beat the incumbent.
+
+**Reduced-cost fixing.**  Once an incumbent exists, the tree prunes from LP
+duals: an integer column at a bound of a node's LP with reduced cost ``d_j``
+moves at most ``floor((gap + slack) / |d_j|)`` units off it in any solution
+that can still match the incumbent (``gap`` is the incumbent's distance to the
+node's LP bound, the :data:`_FIXING_SLACK` keeps equal-objective optima), so
+the node's children inherit that bound.  The root LP's values, reduced costs
+and bound are kept, and each time the incumbent improves the root's fixings
+are recomputed once and intersected into every node popped after.  The
+reduced costs come off the simplex's final pricing sweep
+(:attr:`~repro.ilp.lp_backend.LpResult.reduced_costs`), and a fixed column
+stays at the bound it sits on, so the inherited basis stays valid.
+``SolveStats.reduced_cost_fixings`` counts the bounds moved.
 
 **Basis reuse.**  The model is exported to its
 :class:`~repro.ilp.matrix_form.MatrixForm` exactly once per solve (and the
@@ -46,14 +60,13 @@ rounding, fixed-variable elimination, redundant-row removal).  The reduction
 is computed once and shared by the whole tree: nodes keep their bounds in the
 original variable space, and :meth:`~repro.ilp.presolve.Postsolve
 .reduce_bounds` projects them into the reduced space per node (with one extra
-propagation pass over the branched bounds when some reduced row, or the
-incumbent's cutoff row, can bind inside them — ``SolveStats
-.node_propagations`` counts those).  Node LP values and objectives
-are expanded back through the postsolve record, exported root bases are
-lifted to the original column space, and caller-supplied root warm starts are
-projected into the reduced space — so presolve is invisible to everything
-downstream except the ``vars_fixed`` / ``rows_removed`` / ``presolve_ms``
-statistics.
+propagation pass over the branched and fixed bounds when some reduced row can
+bind inside them — ``SolveStats.node_propagations`` counts those).  Node LP
+values and objectives are expanded back through the postsolve record, exported
+root bases are lifted to the original column space, and caller-supplied root
+warm starts are projected into the reduced space — so presolve is invisible to
+everything downstream except the ``vars_fixed`` / ``rows_removed`` /
+``presolve_ms`` statistics.
 
 ``SolverLimits`` intentionally includes ``max_variables``: CPLEX loads the
 entire problem in memory and the paper's Figure 5 shows DIRECT failing on
@@ -81,10 +94,10 @@ from repro.ilp.status import Solution, SolveStats, SolverStatus
 
 _INTEGRALITY_TOLERANCE = 1e-6
 _BOUND_TOLERANCE = 1e-9
-#: Relative slack added to the incumbent-derived objective cutoff so that
-#: equal-objective optima survive the dual reduction (ties must not be cut:
-#: the differential harness asserts NAIVE == DIRECT on the solution itself).
-_CUTOFF_SLACK = 1e-6
+#: Relative slack added to the gap reduced-cost fixing allows, so that
+#: equal-objective optima survive it (ties must not be cut: the differential
+#: harness asserts NAIVE == DIRECT on the solution itself).
+_FIXING_SLACK = 1e-6
 
 
 @dataclass
@@ -196,6 +209,8 @@ class BranchAndBoundSolver:
         sense = model.objective.sense
         incumbent: np.ndarray | None = None
         incumbent_value = sense.worst_value
+        # Original index of each column the node LPs price.
+        columns = postsolve.kept_cols if postsolve is not None else np.arange(n)
 
         counter = itertools.count()
         heap: list[_Node] = []
@@ -210,6 +225,13 @@ class BranchAndBoundSolver:
                      parent_basis=warm_start)
         heapq.heappush(heap, root)
         root_basis: SimplexBasis | None = None
+        # The root LP of a tree that branched, and the bounds its reduced
+        # costs prove against the incumbent of ``root_fixed_for`` (an
+        # ``incumbent_updates`` count): every popped node is intersected with
+        # them, and they are recomputed once whenever the incumbent improves.
+        root_lp: LpResult | None = None
+        root_fixed: tuple[np.ndarray, np.ndarray] | None = None
+        root_fixed_for = 0
         # The weakest LP bound among the nodes the gap rule closed: their
         # subtrees may hold solutions that much better than the incumbent.
         proven_bound = sense.worst_value
@@ -237,21 +259,26 @@ class BranchAndBoundSolver:
             ):
                 continue
 
-            # Dual reduction from the incumbent: any solution worth keeping
-            # beats (or ties) the incumbent objective, so node presolve may
-            # propagate that bound as one more <= row and fix non-improving
-            # variables before the LP runs.
-            cutoff = self._objective_cutoff_min(sense, incumbent, incumbent_value, postsolve)
-            if cutoff is not None:
-                stats.objective_cutoffs += 1
-            lp_result = self._solve_node_lp(solve_form, node, postsolve, cutoff)
+            if root_lp is not None and root_fixed_for != stats.incumbent_updates:
+                root_fixed_for = stats.incumbent_updates
+                root_fixed = (lower.copy(), upper.copy())
+                stats.reduced_cost_fixings += self._fix_by_reduced_costs(
+                    *root_fixed, root_lp, columns, integer_mask, incumbent_value
+                )
+            if root_fixed is not None:
+                np.maximum(node.lower_bounds, root_fixed[0], out=node.lower_bounds)
+                np.minimum(node.upper_bounds, root_fixed[1], out=node.upper_bounds)
+                if (node.lower_bounds > node.upper_bounds).any():
+                    continue
+
+            lp_result = self._solve_node_lp(solve_form, node, postsolve)
             self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR and node.parent_basis is not None:
                 # The warm basis corrupted the solve; retry the node cold
                 # rather than pruning (or aborting) on numerical noise.
                 stats.numerical_retries += 1
                 node.parent_basis = None
-                lp_result = self._solve_node_lp(solve_form, node, postsolve, cutoff)
+                lp_result = self._solve_node_lp(solve_form, node, postsolve)
                 self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR:
                 raise SolverError(
@@ -303,6 +330,18 @@ class BranchAndBoundSolver:
             if incumbent is not None and self._gap(sense, bound, incumbent_value) <= self.limits.relative_gap:
                 proven_bound = self._weaker_bound(sense, proven_bound, bound)
                 continue
+
+            if node.depth == 0:
+                # The root's own fixings below reach every node; later
+                # incumbents refresh them from here.
+                root_lp = lp_result
+                root_fixed_for = stats.incumbent_updates
+            if incumbent is not None:
+                # Children inherit the node's bounds: fix them in place first.
+                stats.reduced_cost_fixings += self._fix_by_reduced_costs(
+                    node.lower_bounds, node.upper_bounds, lp_result, columns,
+                    integer_mask, incumbent_value,
+                )
 
             branch_index = self._choose_branch_variable(fractional, lp_result.values)
             floor_value = np.floor(lp_result.values[branch_index])
@@ -361,47 +400,66 @@ class BranchAndBoundSolver:
         stats.refactorizations += lp_result.refactorizations
 
     @staticmethod
-    def _objective_cutoff_min(
-        sense: ObjectiveSense,
-        incumbent: np.ndarray | None,
+    def _fix_by_reduced_costs(
+        lower: np.ndarray,
+        upper: np.ndarray,
+        lp_result: LpResult,
+        columns: np.ndarray,
+        integer_mask: np.ndarray,
         incumbent_value: float,
-        postsolve: Postsolve | None,
-    ) -> float | None:
-        """Incumbent objective as a reduced-space, minimisation-sense cutoff.
+    ) -> int:
+        """Reduced-cost fixing: tighten ``lower`` / ``upper`` in place to
+        where a solution can still match the incumbent.
 
-        ``None`` (no cutoff) until an incumbent exists; the relative
-        :data:`_CUTOFF_SLACK` keeps alternative optima of equal objective
-        inside the cut region.
+        Moving an integer column ``k`` units off the bound it sits on in
+        ``lp_result`` worsens the LP bound by ``k |d_j|``, so past
+        ``floor((gap + slack) / |d_j|)`` units nothing beats the incumbent:
+        ``gap`` is the incumbent's distance to the LP bound, and the
+        :data:`_FIXING_SLACK` keeps equal-objective optima.  ``columns`` maps
+        the LP's (reduced) columns to original ones.  Returns how many bounds
+        moved; a column at the bound it keeps leaves its basis valid.
         """
-        if incumbent is None or postsolve is None or not math.isfinite(incumbent_value):
-            return None
-        value_min = incumbent_value if sense is ObjectiveSense.MINIMIZE else -incumbent_value
-        cutoff = value_min - postsolve.objective_offset_min
-        return cutoff + _CUTOFF_SLACK * max(1.0, abs(cutoff))
+        allowance = abs(incumbent_value - lp_result.objective_value) + _FIXING_SLACK * max(
+            1.0, abs(incumbent_value)
+        )
+        d = lp_result.reduced_costs
+        assert d is not None
+        with np.errstate(invalid="ignore"):
+            # 0 * inf (a priced-out column with no upper bound) is NaN: kept.
+            reach = np.abs(d) * (upper[columns] - lower[columns])
+        candidates = ((reach > allowance) & integer_mask[columns]).nonzero()[0]
+        if not candidates.size:
+            return 0
+        cols, d = columns[candidates], d[candidates]
+        at = lp_result.values[cols]
+        steps = np.floor(allowance / np.abs(d))
+        rising = d > 0
+        new_upper = np.minimum(upper[cols], at + steps)
+        new_lower = np.maximum(lower[cols], at - steps)
+        moved = np.where(rising, new_upper < upper[cols], new_lower > lower[cols])
+        upper[cols[rising]] = new_upper[rising]
+        lower[cols[~rising]] = new_lower[~rising]
+        return int(np.count_nonzero(moved))
 
     def _solve_node_lp(
         self,
         form: MatrixForm,
         node: _Node,
         postsolve: Postsolve | None = None,
-        objective_cutoff_min: float | None = None,
     ) -> LpResult:
         """Solve one node's LP relaxation, in reduced space when presolved.
 
         ``form`` is the (possibly reduced) shared matrix form.  Node bounds
-        are kept in the original variable space and projected per node —
-        optionally strengthened by the incumbent objective cutoff; the
+        are kept in the original variable space and projected per node; the
         returned values and objective are expanded back to the original space
-        while the basis stays reduced — children consume it against the same
-        reduced form.
+        while the basis and reduced costs stay reduced — children consume the
+        basis against the same reduced form.
         """
         if postsolve is None:
             node_form = form.with_bounds(node.lower_bounds, node.upper_bounds)
         else:
             reduced_lower, reduced_upper = postsolve.reduce_bounds(
-                node.lower_bounds,
-                node.upper_bounds,
-                objective_cutoff_min=objective_cutoff_min,
+                node.lower_bounds, node.upper_bounds
             )
             node_form = form.with_bounds(reduced_lower, reduced_upper)
         result = solve_lp_form(node_form, warm_start=node.parent_basis)
@@ -415,6 +473,7 @@ class BranchAndBoundSolver:
             result.iterations,
             result.warm_start_used,
             result.refactorizations,
+            result.reduced_costs,
         )
 
     @staticmethod

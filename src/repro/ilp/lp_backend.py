@@ -54,6 +54,10 @@ class LpResult:
         warm_start_used: Whether a supplied warm start was actually consumed
             rather than rejected (stale basis).
         refactorizations: Basis reinversions during the solve.
+        reduced_costs: Structural reduced costs of an optimal solve, in the
+            form's minimisation sense (see
+            :attr:`~repro.ilp.simplex.SimplexResult.reduced_costs`); ``None``
+            when no solution.
     """
 
     status: SolverStatus
@@ -63,6 +67,7 @@ class LpResult:
     iterations: int = 0
     warm_start_used: bool = False
     refactorizations: int = 0
+    reduced_costs: np.ndarray | None = None
 
 
 def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> LpResult:
@@ -84,6 +89,7 @@ def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> L
         iterations=result.iterations,
         warm_start_used=result.warm_started,
         refactorizations=result.refactorizations,
+        reduced_costs=result.reduced_costs,
     )
 
 

@@ -357,56 +357,35 @@ def _certified_identity(
 class _BindGate:
     """Whether any reduced row can bind inside a node's box, without the pass.
 
-    The rows are stacked in ``<=`` form — ``a_ub``, ``a_eq``, ``-a_eq``, then
-    the objective, whose right-hand side is the call's cutoff (an ``identity``
-    reduction re-propagates no row and keeps the objective only).  Activity,
-    reach and magnitude are taken once at the root's tightened bounds: inside
-    a node ranges only shrink, so the root reach stays an upper bound, and the
-    minimal activity is the root's plus what the few moved columns add.
+    The rows are stacked in ``<=`` form — ``a_ub``, ``a_eq``, then ``-a_eq``.
+    Activity, reach and magnitude are taken once at the root's tightened
+    bounds: inside a node ranges only shrink, so the root reach stays an upper
+    bound, and the minimal activity is the root's plus what the few moved
+    columns add.
     """
 
     __slots__ = ("matrix", "rhs", "root_l", "root_u", "min_act", "reach", "magnitude")
 
     def __init__(self, postsolve: "Postsolve"):
         form = postsolve.reduced_form
-        objective = np.asarray(form.c, dtype=np.float64).reshape(1, -1)
-        blocks: list = [objective]
-        rhs: list = [[np.nan]]
-        if not postsolve.identity:
-            blocks = [form.a_ub, form.a_eq, -form.a_eq, objective]
-            rhs = [form.b_ub, form.b_eq, -np.asarray(form.b_eq), [np.nan]]
-        self.matrix = np.vstack(blocks)
-        self.rhs = np.concatenate(rhs)
+        self.matrix = np.vstack([form.a_ub, form.a_eq, -form.a_eq])
+        self.rhs = np.concatenate([form.b_ub, form.b_eq, -np.asarray(form.b_eq)])
         self.root_l, self.root_u = postsolve.tightened_lower, postsolve.tightened_upper
         rows = _Rows(self.matrix)
         rows.compute_activities(self.root_l, self.root_u)
         self.min_act = rows.min_act
         self.reach, self.magnitude = rows.reach()
 
-    def binds(
-        self, node_l: np.ndarray, node_u: np.ndarray, moved: np.ndarray, cutoff: float,
-        wants_rows: bool,
-    ) -> tuple[bool, bool]:
-        """``(a constraint row can bind, the cutoff row can bind)`` under
-        bounds that differ from the root's on the columns ``moved`` only;
-        ``cutoff`` is ``inf`` when the call offers none.  Fractional bounds
-        count as binding both: even a pass that tightens nothing rounds the
-        integer columns, and the cutoff pass reads what the row pass rounded
+    def binds(self, node_l: np.ndarray, node_u: np.ndarray, moved: np.ndarray) -> bool:
+        """Whether a constraint row can bind under bounds that differ from the
+        root's on the columns ``moved`` only.  Fractional bounds count as
+        binding: even a pass that tightens nothing rounds the integer columns
         (the root's bounds are rounded already, branch-and-bound's are
         integral; other callers' need not be)."""
-        # No node has more slack than the root: a cutoff that binds in the
-        # root's box binds in every node's.  That is a sketch ILP minimising
-        # over group caps up to tau, where the gate would be pure overhead.
-        if not wants_rows and not _cannot_bind(
-            cutoff - self.min_act[-1], self.reach[-1], self.magnitude[-1], cutoff
-        ):
-            return False, True
         moved_l, moved_u = node_l[moved], node_u[moved]
         if not ((np.rint(moved_l) == moved_l).all() and (np.rint(moved_u) == moved_u).all()):
-            return True, True
+            return True
         columns = self.matrix[:, moved]
-        rhs = self.rhs.copy()
-        rhs[-1] = cutoff
         # A column unbounded at the root gives inf - inf or 0 * inf here: NaN,
         # which never compares as "cannot bind".
         with np.errstate(invalid="ignore"):
@@ -415,8 +394,10 @@ class _BindGate:
             # The larger product is the one the coefficient's sign selects:
             # what the column adds to the minimal activity.
             grown = np.maximum(columns * raised, columns * lowered).sum(axis=1)
-            free = _cannot_bind(rhs - self.min_act - grown, self.reach, self.magnitude, rhs)
-        return not free[:-1].all(), not free[-1]
+            free = _cannot_bind(
+                self.rhs - self.min_act - grown, self.reach, self.magnitude, self.rhs
+            )
+        return not free.all()
 
 
 @dataclass
@@ -447,9 +428,8 @@ class Postsolve:
     _node_rows: "tuple[_Rows, _Rows] | None" = field(
         default=None, repr=False, compare=False
     )
-    _cutoff_rows: "_Rows | None" = field(default=None, repr=False, compare=False)
     _bind_gate: "_BindGate | None" = field(default=None, repr=False, compare=False)
-    #: :meth:`reduce_bounds` calls whose row or cutoff pass had to run.
+    #: :meth:`reduce_bounds` calls whose row pass had to run.
     propagations: int = field(default=0, repr=False, compare=False)
 
     # -- solutions ----------------------------------------------------------------
@@ -478,7 +458,6 @@ class Postsolve:
         lower: np.ndarray,
         upper: np.ndarray,
         propagate: bool = True,
-        objective_cutoff_min: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Project original-space node bounds into the reduced space.
 
@@ -490,68 +469,39 @@ class Postsolve:
         the node".  Crossed bounds are returned as-is; the LP solver reports
         them as infeasible.
 
-        ``objective_cutoff_min`` optionally supplies an incumbent-derived
-        bound on the *reduced, minimisation-sense* objective: any solution
-        worth keeping satisfies ``c_reduced @ x <= cutoff``, so that row is
-        propagated like one more ``<=`` constraint — the classic dual
-        reduction that fixes non-improving variables as the incumbent
-        improves.  Callers must leave enough slack on the cutoff to keep
-        equal-objective optima (branch-and-bound adds a relative epsilon).
-
-        A pass runs only if the :class:`_BindGate` cannot prove it would change
-        nothing (the cutoff pass also whenever the row pass ran and may have
-        moved the bounds under it); the result is that of running both.
+        The pass runs only if the :class:`_BindGate` cannot prove it would
+        change nothing; the result is that of running it.
         """
         reduced_l = np.maximum(self.tightened_lower, lower[self.kept_cols])
         reduced_u = np.minimum(self.tightened_upper, upper[self.kept_cols])
-        cutoff = np.inf if objective_cutoff_min is None else objective_cutoff_min
-        wants_cutoff = bool(np.isfinite(cutoff))
+        if not propagate or self.identity:
+            return reduced_l, reduced_u
         moved = np.nonzero(
             (reduced_l != self.tightened_lower) | (reduced_u != self.tightened_upper)
         )[0]
         # A node at the root's bounds re-propagates no row.
-        wants_rows = propagate and not self.identity and moved.size > 0
-        if not wants_rows and not wants_cutoff:
+        if not moved.size:
             return reduced_l, reduced_u
-
         if self._bind_gate is None:
             self._bind_gate = _BindGate(self)
-        rows_bind, cutoff_binds = self._bind_gate.binds(
-            reduced_l, reduced_u, moved, cutoff, wants_rows
-        )
-        run_rows = wants_rows and rows_bind
-        run_cutoff = wants_cutoff and (run_rows or cutoff_binds)
-        if run_rows:
-            if self._node_rows is None:
-                self._node_rows = (
-                    _Rows(self.reduced_form.a_ub),
-                    _Rows(self.reduced_form.a_eq),
-                )
-            ub_rows, eq_rows = self._node_rows
-            all_ub = np.ones(ub_rows.num_rows, dtype=bool)
-            all_eq = np.ones(eq_rows.num_rows, dtype=bool)
-            ub_rows.compute_activities(reduced_l, reduced_u)
-            _propagate_le(ub_rows, self.reduced_form.b_ub, all_ub, reduced_l, reduced_u)
-            eq_rows.compute_activities(reduced_l, reduced_u)
-            _propagate_le(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
-            _propagate_ge(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
-            _round_integer_bounds(reduced_l, reduced_u, self.integer_mask)
-        if run_cutoff:
-            if self._cutoff_rows is None:
-                self._cutoff_rows = _Rows(
-                    np.asarray(self.reduced_form.c, dtype=np.float64).reshape(1, -1)
-                )
-            cutoff_row = self._cutoff_rows
-            cutoff_row.compute_activities(reduced_l, reduced_u)
-            _propagate_le(
-                cutoff_row,
-                np.array([cutoff]),
-                np.ones(1, dtype=bool),
-                reduced_l,
-                reduced_u,
+        if not self._bind_gate.binds(reduced_l, reduced_u, moved):
+            return reduced_l, reduced_u
+
+        if self._node_rows is None:
+            self._node_rows = (
+                _Rows(self.reduced_form.a_ub),
+                _Rows(self.reduced_form.a_eq),
             )
-            _round_integer_bounds(reduced_l, reduced_u, self.integer_mask)
-        self.propagations += run_rows or run_cutoff
+        ub_rows, eq_rows = self._node_rows
+        all_ub = np.ones(ub_rows.num_rows, dtype=bool)
+        all_eq = np.ones(eq_rows.num_rows, dtype=bool)
+        ub_rows.compute_activities(reduced_l, reduced_u)
+        _propagate_le(ub_rows, self.reduced_form.b_ub, all_ub, reduced_l, reduced_u)
+        eq_rows.compute_activities(reduced_l, reduced_u)
+        _propagate_le(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
+        _propagate_ge(eq_rows, self.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
+        _round_integer_bounds(reduced_l, reduced_u, self.integer_mask)
+        self.propagations += 1
         return reduced_l, reduced_u
 
     # -- bases --------------------------------------------------------------------

@@ -46,8 +46,11 @@ only when the list runs dry (optimality is still only ever declared off a
 full sweep).  After a long run of degenerate pivots the solver switches to
 Bland's rule — always a full lowest-index sweep — to guarantee termination.
 A bound flip changes no basis, inverse or cost, so the iteration after it
-reuses the last full sweep's reduced costs.  The ratio tests read the ``m``
-basis rows once, as Python floats: the same IEEE arithmetic and comparisons.
+reuses the last full sweep's reduced costs.  The sweep that declares
+optimality is exported: :attr:`SimplexResult.reduced_costs` is its
+structural slice, so branch-and-bound fixes columns from it without another
+``btran`` or column product.  The ratio tests read the ``m`` basis rows once,
+as Python floats: the same IEEE arithmetic and comparisons.
 
 **Eligibility from one signed vector.**  Which columns may enter (pricing),
 which may block the leaving row (the dual ratio test) and which must flip to
@@ -166,6 +169,10 @@ class SimplexResult:
             (False when it was rejected and the solver fell back to cold).
         refactorizations: Reinversions from the basis columns during the
             solve (periodic, stability-triggered and install-time ones alike).
+        reduced_costs: ``c_j - y @ a_j`` of each structural column off the
+            pricing sweep that declared optimality (``None`` when no
+            solution): about 0 on basic columns, ``>= -eps`` at a lower
+            bound, ``<= eps`` at an upper one.
     """
 
     status: SimplexStatus
@@ -175,6 +182,7 @@ class SimplexResult:
     iterations: int = 0
     warm_started: bool = False
     refactorizations: int = 0
+    reduced_costs: np.ndarray | None = None
 
 
 class _WorkMatrix:
@@ -289,6 +297,8 @@ class _BoundedRevisedSimplex:
         self.move = np.zeros(self.ncols)
         self._any_free = False
         self._priced: np.ndarray | None = None
+        # The full sweep that last declared a primal call optimal.
+        self._optimal_d: np.ndarray | None = None
         self.factor = BasisFactor.identity(self.m)
         self.xb = np.zeros(self.m)
         self.iterations = 0
@@ -568,10 +578,12 @@ class _BoundedRevisedSimplex:
 
         Bland mode always prices the full column range (its termination
         guarantee needs the global lowest eligible index), and so does a
-        problem narrower than :data:`_PARTIAL_PRICING_THRESHOLD`.
+        problem narrower than :data:`_PARTIAL_PRICING_THRESHOLD`.  An optimal
+        ``d`` is kept for :attr:`SimplexResult.reduced_costs`.
         """
         eligible = self._eligible_columns(d)
         if eligible.size == 0:
+            self._optimal_d = d
             return None, 0
         if self._bland:
             j = int(eligible[0])
@@ -615,10 +627,12 @@ class _BoundedRevisedSimplex:
         return j, (1 if d_cols[k] < 0 else -1)
 
     def _rebuild_candidates(self, d: np.ndarray) -> tuple[int | None, int]:
-        """Full-sweep price: select globally and refill the candidate list."""
+        """Full-sweep price: select globally and refill the candidate list
+        (an optimal ``d`` is kept, as in :meth:`_price`)."""
         eligible = self._eligible_columns(d)
         if eligible.size == 0:
             self._cand = None
+            self._optimal_d = d
             return None, 0
         d_eligible = d[eligible]
         scores = np.abs(d_eligible)
@@ -860,6 +874,10 @@ class _BoundedRevisedSimplex:
             # Warm-start protocol over factors: hand consumers a snapshot so a
             # related reoptimisation skips its reinversion.
             basis._factor = self.factor.snapshot()
+        # Every OPTIMAL status comes from a primal call over ``self.costs``
+        # whose last pricing kept its sweep (a subclass that overrides the
+        # pricing may not).
+        d = self._optimal_d
         return SimplexResult(
             SimplexStatus.OPTIMAL,
             x[: self.n].copy(),
@@ -868,4 +886,5 @@ class _BoundedRevisedSimplex:
             self.iterations,
             warm_started,
             self.refactorizations,
+            None if d is None else d[: self.n],
         )

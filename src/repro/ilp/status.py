@@ -57,11 +57,13 @@ class SolveStats:
 
     ``refactorizations`` counts reinversions of the simplex basis (its
     explicit inverse rebuilt from the basis columns) summed over all LP solves.
-    ``objective_cutoffs`` counts branch-and-bound nodes whose bound projection
-    was offered the incumbent objective as a dual bound; ``node_propagations``
-    counts the projections whose row or cutoff propagation pass actually ran —
-    on the others no reduced row could bind inside the node's bounds (see
-    :mod:`repro.ilp.presolve`), so the intersected bounds were final.
+    ``reduced_cost_fixings`` counts the column bounds branch-and-bound moved
+    by reduced-cost fixing against the incumbent: those of each branching
+    node's children, plus those of each recomputation of the root's fixings.
+    ``node_propagations`` counts the node bound projections whose row
+    propagation pass actually ran — on the others no reduced row could bind
+    inside the node's bounds (see :mod:`repro.ilp.presolve`), so the
+    intersected bounds were final.
     """
 
     nodes_explored: int = 0
@@ -77,7 +79,7 @@ class SolveStats:
     presolve_ms: float = 0.0
     numerical_retries: int = 0
     refactorizations: int = 0
-    objective_cutoffs: int = 0
+    reduced_cost_fixings: int = 0
     node_propagations: int = 0
 
     @property

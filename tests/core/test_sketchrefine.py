@@ -558,8 +558,10 @@ class TestNodePropagationTelemetry:
     """``node_propagations``: the node bound projections that had to run a
     propagation pass.  The benchmark's ``refine_20k`` shape at data seed 42 is
     what the row-slack gate of ``repro.ilp.presolve`` was sized on: a package
-    of 1 000 tuples leaves every refine ILP's rows (and the incumbent cutoff)
-    too slack to bind at any node, a package of 200 does not."""
+    of 1 000 tuples leaves every refine ILP's rows too slack to bind under a
+    branch alone, so only nodes whose bounds reduced-cost fixing moved may
+    run the pass; a package of 200 binds under branches too.  The node
+    counts repeat exactly, so they are guarded as counts."""
 
     @pytest.fixture(scope="class")
     def refine_stats(self, refine_shaped_query):
@@ -580,10 +582,20 @@ class TestNodePropagationTelemetry:
 
         return stats
 
-    def test_a_thousand_tuple_package_propagates_at_no_node(self, refine_stats):
+    def test_a_thousand_tuple_package_propagates_at_few_nodes(self, refine_stats):
+        """24 of 104 nodes run the pass; the gate skips it at the rest."""
         stats = refine_stats(1_000)
         assert stats.solver_lp_solves > 100, "the refine trees should branch"
-        assert stats.node_propagations == 0
+        assert 1 <= stats.node_propagations <= stats.solver_nodes_explored // 4
+
+    def test_reduced_cost_fixing_keeps_the_refine_trees_small(self, refine_stats):
+        """The sketch and refine trees of ``large.c1000`` explore 104 nodes
+        with reduced-cost fixing; the objective-cutoff row alone left 250.
+        ``large.c500`` explores 82, where fixing at the nodes alone, without
+        re-fixing from the root as the incumbent improves, leaves 104 (158
+        with the cutoff row)."""
+        assert refine_stats(1_000).solver_nodes_explored <= 120
+        assert refine_stats(500).solver_nodes_explored <= 90
 
     def test_a_two_hundred_tuple_package_propagates_at_some(self, refine_stats):
         stats = refine_stats(200)

@@ -127,7 +127,6 @@ def reference_reduce_bounds(
     lower: np.ndarray,
     upper: np.ndarray,
     propagate: bool = True,
-    objective_cutoff_min: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``Postsolve.reduce_bounds`` at 03cd8ba: every pass runs, whatever the slack."""
     reduced_l = np.maximum(postsolve.tightened_lower, lower[postsolve.kept_cols])
@@ -145,17 +144,6 @@ def reference_reduce_bounds(
             _propagate_le(eq_rows, postsolve.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
             _propagate_ge(eq_rows, postsolve.reduced_form.b_eq, all_eq, reduced_l, reduced_u)
             _round_integer_bounds(reduced_l, reduced_u, postsolve.integer_mask)
-    if objective_cutoff_min is not None and np.isfinite(objective_cutoff_min):
-        cutoff_row = _Rows(np.asarray(postsolve.reduced_form.c, dtype=np.float64).reshape(1, -1))
-        cutoff_row.compute_activities(reduced_l, reduced_u)
-        _propagate_le(
-            cutoff_row,
-            np.array([objective_cutoff_min]),
-            np.ones(1, dtype=bool),
-            reduced_l,
-            reduced_u,
-        )
-        _round_integer_bounds(reduced_l, reduced_u, postsolve.integer_mask)
     return reduced_l, reduced_u
 
 

@@ -227,10 +227,11 @@ class TestProvenBound:
 
     @pytest.mark.parametrize("name", ["Q1", "Q2"])
     def test_node_limit_bound_covers_the_open_nodes(self, galaxy_models, name):
-        """Q1 maximises and Q2 minimises, and neither closes in five nodes: the
-        optimum may sit under a node still open, so the bound must cover it."""
+        """Q1 maximises and Q2 minimises, and neither closes in three nodes
+        (reduced-cost fixing closes Q1 in five): the optimum may sit under a
+        node still open, so the bound must cover it."""
         model = galaxy_models[name]
-        solution = BranchAndBoundSolver(limits=SolverLimits(node_limit=5)).solve(model)
+        solution = BranchAndBoundSolver(limits=SolverLimits(node_limit=3)).solve(model)
         assert solution.status is SolverStatus.FEASIBLE
         assert_bound_on_the_right_side(
             model, solution.stats.best_bound, oracle_ilp(model).objective
@@ -260,3 +261,96 @@ class TestInheritedBound:
             dropped += solution.stats.nodes_explored - solution.stats.lp_solves
         # Best-bound search pops the nodes the final incumbent decided.
         assert dropped > 0
+
+
+class TestReducedCostFixing:
+    """A column is fixed only when moving it off its bound costs more than the
+    gap to the incumbent plus a relative slack: a move that costs exactly the
+    gap leads to an equal-objective optimum, and ties must survive.
+
+    The instance: pick 2 of 7 tuples with ``SUM(b) <= 9``, maximising
+    ``SUM(a)``.  Its optima are tuples {1, 3} and {1, 6}, both 12.0, and
+    presolve fixes no column.  Once the tree holds an incumbent of 12.0, a
+    node branches with tuple 3 out of its LP at a reduced cost of exactly the
+    gap, 1.5: the optimum {1, 3} lies one unit of tuple 3 away."""
+
+    A = [7.0, 7.0, 4.0, 5.0, 4.0, 2.0, 5.0]
+    B = [8.0, 2.0, 5.0, 7.0, 3.0, 9.0, 4.0]
+    TIED = 3
+
+    def model(self) -> IlpModel:
+        model = IlpModel("ties")
+        for j in range(len(self.A)):
+            model.add_variable(f"x{j}", 0, 1)
+        model.add_constraint({j: 1.0 for j in range(len(self.A))}, ConstraintSense.EQ, 2.0)
+        model.add_constraint(dict(enumerate(self.B)), ConstraintSense.LE, 9.0)
+        model.set_objective(ObjectiveSense.MAXIMIZE, dict(enumerate(self.A)))
+        return model
+
+    @pytest.fixture
+    def fixings(self, monkeypatch):
+        """Solve the instance, recording each fixing call's inputs and the
+        bounds it left: ``(solution, [(lp, incumbent, columns, lower, upper)])``."""
+        calls = []
+        fix = BranchAndBoundSolver._fix_by_reduced_costs
+
+        def recorded(lower, upper, lp_result, columns, integer_mask, incumbent_value):
+            moved = fix(lower, upper, lp_result, columns, integer_mask, incumbent_value)
+            calls.append((lp_result, incumbent_value, columns, lower.copy(), upper.copy()))
+            return moved
+
+        monkeypatch.setattr(BranchAndBoundSolver, "_fix_by_reduced_costs", staticmethod(recorded))
+        solution = BranchAndBoundSolver().solve(self.model())
+        return solution, calls
+
+    def tied_calls(self, calls) -> list:
+        """The calls where the tied tuple sits out at a reduced cost equal to the gap."""
+        tied = []
+        for lp_result, incumbent_value, columns, lower, upper in calls:
+            (position,) = np.nonzero(columns == self.TIED)[0]
+            gap = abs(incumbent_value - lp_result.objective_value)
+            if lp_result.values[self.TIED] == 0.0 and abs(lp_result.reduced_costs[position]) == gap:
+                tied.append((lp_result, incumbent_value, columns, lower, upper))
+        return tied
+
+    def test_a_reduced_cost_equal_to_the_gap_fixes_nothing(self, fixings):
+        solution, calls = fixings
+        assert solution.status is SolverStatus.OPTIMAL
+        assert solution.objective_value == 12.0
+        assert solution.stats.vars_fixed == 0
+        tied = self.tied_calls(calls)
+        assert tied, "the tree should meet the tie"
+        for _, incumbent_value, _, _, upper in tied:
+            assert incumbent_value == 12.0
+            assert upper[self.TIED] == 1.0  # the optimum {1, 3} stays reachable
+
+    def test_a_reduced_cost_past_the_gap_and_slack_fixes_the_column(self, fixings):
+        _, calls = fixings
+        lp_result, incumbent_value, columns, _, _ = self.tied_calls(calls)[0]
+        lower, upper, integer_mask = self.model().bound_and_integrality_arrays()
+        lower, upper = lower.copy(), upper.copy()
+        # A better incumbent by 1e-3: the same move now costs more than gap + slack.
+        BranchAndBoundSolver._fix_by_reduced_costs(
+            lower, upper, lp_result, columns, integer_mask, incumbent_value + 1e-3
+        )
+        assert upper[self.TIED] == 0.0
+
+    def test_the_solver_and_naive_enumeration_agree_on_the_tie(self):
+        from repro.core.engine import PackageQueryEngine
+        from repro.dataset.schema import Schema
+        from repro.dataset.table import Table
+        from repro.paql.builder import query_over
+
+        table = Table(
+            Schema.numeric(["a", "b"]), {"a": np.array(self.A), "b": np.array(self.B)},
+            name="ties",
+        )
+        engine = PackageQueryEngine()
+        engine.register_table(table, name="ties")
+        query = (
+            query_over("ties").no_repetition().count_equals(2)
+            .sum_at_most("b", 9.0).maximize_sum("a").build()
+        )
+        naive = engine.execute(query, method="naive", cache="bypass")
+        direct = engine.execute(query, method="direct", cache="bypass")
+        assert naive.objective == direct.objective == 12.0

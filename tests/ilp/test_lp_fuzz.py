@@ -18,6 +18,12 @@ Those instances are cold solves.  The warm-chain family holds the path a
 branch-and-bound tree takes to the same contract: one instance re-solved 200
 times in a row, each solve warm-started from the basis — and the basis inverse,
 with every rank-one update folded into it so far — that the last one exported.
+
+Every optimal solve also exports its reduced costs, which branch-and-bound
+fixes columns from: they must equal ``c - Aᵀy`` recomputed with numpy from
+the exported basis, with the sign dual feasibility requires at each column's
+bound — on the families, along the warm chains, and past the partial-pricing
+threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +31,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ilp.simplex import SimplexStatus, solve_dense_simplex
+from repro.ilp.matrix_form import MatrixForm
+from repro.ilp.simplex import (
+    _EPSILON,
+    _PARTIAL_PRICING_THRESHOLD,
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
+    SimplexStatus,
+    _WorkMatrix,
+    solve_dense_simplex,
+)
 
 from .oracle import oracle_lp
 
@@ -150,6 +166,56 @@ def _oracle_disagreement(result, rows, bounds) -> str | None:
     return _disagreement(result, reference)
 
 
+def assert_reduced_costs_of_the_basis(rows, lower, upper, result) -> None:
+    """``result.reduced_costs`` is ``c - Aᵀy`` with ``y`` solved from the
+    exported basis, and dual feasible at every column's bound."""
+    c, a_ub, b_ub, a_eq, b_eq = rows
+    work = _WorkMatrix(MatrixForm(c, a_ub, b_ub, a_eq, b_eq, (lower, upper), maximize=False))
+    basic = result.basis.basic
+    y = np.linalg.solve(work.a[:, basic].T, work.costs[basic])
+    expected = (work.costs - y @ work.a)[: work.n]
+    d = result.reduced_costs
+    assert d.shape == (work.n,)
+    scale = max(1.0, float(np.abs(c).max()), float(np.abs(y).max() * np.abs(work.a).max()))
+    np.testing.assert_allclose(d, expected, rtol=0.0, atol=1e-7 * scale)
+    status = result.basis.status[: work.n]
+    movable = lower < upper
+    assert (np.abs(d[status == BASIC]) <= 1e-7 * scale).all()
+    assert (d[(status == AT_LOWER) & movable] >= -_EPSILON).all()
+    assert (d[(status == AT_UPPER) & movable] <= _EPSILON).all()
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_exported_reduced_costs_are_the_final_basis_duals(family):
+    optimal = 0
+    for seed in range(SEEDS_PER_FAMILY):
+        *rows, (lower, upper) = FAMILIES[family](np.random.default_rng(seed))
+        result = solve_dense_simplex(*rows, np.column_stack([lower, upper]))
+        if result.status is not SimplexStatus.OPTIMAL:
+            assert result.reduced_costs is None
+            continue
+        assert_reduced_costs_of_the_basis(rows, lower, upper, result)
+        optimal += 1
+    assert optimal > SEEDS_PER_FAMILY // 10
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exported_reduced_costs_past_the_partial_pricing_threshold(seed):
+    """A PaQL-shaped instance wide enough that optimality is declared off the
+    candidate list's full sweep, not the dense pricing."""
+    rng = np.random.default_rng(seed)
+    n = _PARTIAL_PRICING_THRESHOLD + 1_000
+    weights = rng.lognormal(0.0, 1.0, size=(2, n)).round(3)
+    count = 40.0
+    a_ub = np.vstack([weights, -weights[:1]])
+    b_ub = np.array([1.1, 1.5, -0.6]) * np.median(weights, axis=1)[[0, 1, 0]] * count
+    rows = (rng.normal(0.0, 1.0, size=n).round(3), a_ub, b_ub, np.ones((1, n)), np.array([count]))
+    lower, upper = np.zeros(n), np.ones(n)
+    result = solve_dense_simplex(*rows, np.column_stack([lower, upper]))
+    assert result.status is SimplexStatus.OPTIMAL
+    assert_reduced_costs_of_the_basis(rows, lower, upper, result)
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_simplex_matches_the_oracle_or_says_numerical_error(family):
     generate = FAMILIES[family]
@@ -218,6 +284,7 @@ def test_warm_chain_matches_the_oracle_at_every_step(seed):
         if mismatch is not None:
             wrong.append(f"seed {seed} step {step}: {mismatch}")
         if result.status is SimplexStatus.OPTIMAL:
+            assert_reduced_costs_of_the_basis(rows, lower, upper, result)
             basis, x = result.basis, result.x
     assert not wrong, "\n".join(wrong)
     assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
