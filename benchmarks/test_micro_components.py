@@ -80,6 +80,17 @@ def test_ilp_solve_speed(benchmark, galaxy_fixture):
 
 
 @pytest.mark.benchmark(group="micro-lp-cold-vs-warm")
+def test_cold_root_lp_speed(benchmark):
+    """The 20 000-column root LP of ``direct_mix``'s ``large.Q3`` at data
+    seed 42: a dual simplex from the slack basis, 2 pivots (75 two-phase)."""
+    table = galaxy_table(20_000, seed=42)
+    form = translate_query(table, galaxy_workload(table).query("Q3").query).model.to_matrix()
+    result = benchmark(solve_lp_form, form)
+    assert result.status.has_solution and not result.two_phase_start
+    benchmark.extra_info["iterations"] = result.iterations
+
+
+@pytest.mark.benchmark(group="micro-lp-cold-vs-warm")
 def test_lp_cold_solve_speed_simplex(benchmark, galaxy_fixture):
     """Cold revised-simplex solve of a branch-and-bound child LP."""
     table, workload = galaxy_fixture

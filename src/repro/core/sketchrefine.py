@@ -123,6 +123,8 @@ class SketchRefineStats:
     """Branch-and-bound nodes summed over the sketch and every refine ILP."""
     solver_warm_start_hits: int = 0
     """LP solves that reoptimised from a parent basis."""
+    two_phase_starts: int = 0
+    """Cold LP solves that went two-phase instead of dual from the slack basis."""
     refine_retry_warm_starts: int = 0
     """Refine solves that started from the cached root basis of an earlier
     solve of the same group (only a :class:`BranchAndBoundSolver` takes the
@@ -634,6 +636,7 @@ class SketchRefineEvaluator:
         self.last_stats.solver_simplex_iterations += stats_obj.simplex_iterations
         self.last_stats.solver_nodes_explored += stats_obj.nodes_explored
         self.last_stats.solver_warm_start_hits += stats_obj.warm_start_hits
+        self.last_stats.two_phase_starts += stats_obj.two_phase_starts
         self.last_stats.vars_fixed += getattr(stats_obj, "vars_fixed", 0)
         self.last_stats.rows_removed += getattr(stats_obj, "rows_removed", 0)
         self.last_stats.presolve_ms += getattr(stats_obj, "presolve_ms", 0.0)

@@ -11,6 +11,15 @@ It implements a classic LP-relaxation branch-and-bound:
    incumbent, then branch on the most fractional variable: two child nodes
    with tightened bounds.
 
+**Branching ties.**  A COUNT row leaves two fractional columns at ``f`` and
+``1 - f``, equally fractional, so under most-fractional branching the last
+bits of the LP values would pick the column — and with it the tree.  Columns
+within ``1e-9`` of the most fractional tie, and the tie goes to the largest
+one-pivot dual penalty (Driebeek; :func:`~repro.ilp.simplex.branching_penalties`):
+what the weaker of the column's two children must lose on its first dual
+pivot, priced off the node LP's final basis and exported reduced costs.
+Equal penalties go to the lowest index.
+
 Open nodes are explored best bound first: on the benchmark's refine trees
 the node count is set by the proof, not by the search order (strong branching
 and a smoothed-fractionality rule left it as large or larger), so what a node
@@ -42,7 +51,7 @@ the whole tree prices against one copy.  Each node also records the optimal
 basis of its LP relaxation and hands it to its children: a child differs from
 its parent by one tightened variable bound, so the child's LP is reoptimised
 with a few dual-simplex pivots from the parent basis instead of a cold
-two-phase solve.  The basis carries the parent's basis inverse by reference
+solve.  The basis carries the parent's basis inverse by reference
 (both children share the one array; a pivot writes a new one), so an open
 node holds no per-pivot history and a child starts without reinverting — the
 simplex checks the inherited inverse against its own matrix and rebuilds it
@@ -76,6 +85,7 @@ benchmark harness reproduce the failure regime deterministically.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -89,7 +99,7 @@ from repro.ilp.lp_backend import LpResult, solve_lp_form
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import Postsolve, presolve_form
-from repro.ilp.simplex import SimplexBasis
+from repro.ilp.simplex import SimplexBasis, branching_penalties
 from repro.ilp.status import Solution, SolveStats, SolverStatus
 
 _INTEGRALITY_TOLERANCE = 1e-6
@@ -98,6 +108,8 @@ _BOUND_TOLERANCE = 1e-9
 #: equal-objective optima survive it (ties must not be cut: the differential
 #: harness asserts NAIVE == DIRECT on the solution itself).
 _FIXING_SLACK = 1e-6
+#: Fractional columns this close to the most fractional tie for branching.
+_BRANCH_TIE_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -271,14 +283,15 @@ class BranchAndBoundSolver:
                 if (node.lower_bounds > node.upper_bounds).any():
                     continue
 
-            lp_result = self._solve_node_lp(solve_form, node, postsolve)
+            node_form = self._node_form(solve_form, node, postsolve)
+            lp_result = self._solve_node_lp(node_form, node, postsolve)
             self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR and node.parent_basis is not None:
                 # The warm basis corrupted the solve; retry the node cold
                 # rather than pruning (or aborting) on numerical noise.
                 stats.numerical_retries += 1
                 node.parent_basis = None
-                lp_result = self._solve_node_lp(solve_form, node, postsolve)
+                lp_result = self._solve_node_lp(node_form, node, postsolve)
                 self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR:
                 raise SolverError(
@@ -336,15 +349,17 @@ class BranchAndBoundSolver:
                 # incumbents refresh them from here.
                 root_lp = lp_result
                 root_fixed_for = stats.incumbent_updates
+            # Chosen before the fixing below, which moves the node's bounds
+            # in place: the tie penalties price the bounds this LP solved under.
+            branch_index = self._choose_branch_variable(fractional, lp_result, node_form, columns)
+            floor_value = np.floor(lp_result.values[branch_index])
+
             if incumbent is not None:
                 # Children inherit the node's bounds: fix them in place first.
                 stats.reduced_cost_fixings += self._fix_by_reduced_costs(
                     node.lower_bounds, node.upper_bounds, lp_result, columns,
                     integer_mask, incumbent_value,
                 )
-
-            branch_index = self._choose_branch_variable(fractional, lp_result.values)
-            floor_value = np.floor(lp_result.values[branch_index])
 
             # Children inherit this node's optimal basis: they differ by one
             # tightened bound, so their LPs dual-reoptimise from it.  Best
@@ -397,6 +412,7 @@ class BranchAndBoundSolver:
         stats.simplex_iterations += lp_result.iterations
         if lp_result.warm_start_used:
             stats.warm_start_hits += 1
+        stats.two_phase_starts += lp_result.two_phase_start
         stats.refactorizations += lp_result.refactorizations
 
     @staticmethod
@@ -441,39 +457,32 @@ class BranchAndBoundSolver:
         lower[cols[~rising]] = new_lower[~rising]
         return int(np.count_nonzero(moved))
 
+    @staticmethod
+    def _node_form(form: MatrixForm, node: _Node, postsolve: Postsolve | None) -> MatrixForm:
+        """The node's LP: the (possibly reduced) shared ``form`` under the
+        node's bounds, which are kept in the original variable space and
+        projected per node."""
+        if postsolve is None:
+            return form.with_bounds(node.lower_bounds, node.upper_bounds)
+        return form.with_bounds(*postsolve.reduce_bounds(node.lower_bounds, node.upper_bounds))
+
+    @staticmethod
     def _solve_node_lp(
-        self,
-        form: MatrixForm,
-        node: _Node,
-        postsolve: Postsolve | None = None,
+        node_form: MatrixForm, node: _Node, postsolve: Postsolve | None = None
     ) -> LpResult:
         """Solve one node's LP relaxation, in reduced space when presolved.
 
-        ``form`` is the (possibly reduced) shared matrix form.  Node bounds
-        are kept in the original variable space and projected per node; the
-        returned values and objective are expanded back to the original space
-        while the basis and reduced costs stay reduced — children consume the
-        basis against the same reduced form.
+        The returned values and objective are expanded back to the original
+        space while the basis and reduced costs stay reduced — children
+        consume the basis against the same reduced form.
         """
-        if postsolve is None:
-            node_form = form.with_bounds(node.lower_bounds, node.upper_bounds)
-        else:
-            reduced_lower, reduced_upper = postsolve.reduce_bounds(
-                node.lower_bounds, node.upper_bounds
-            )
-            node_form = form.with_bounds(reduced_lower, reduced_upper)
         result = solve_lp_form(node_form, warm_start=node.parent_basis)
         if postsolve is None or not result.status.has_solution:
             return result
-        return LpResult(
-            result.status,
-            postsolve.restore(result.values),
-            result.objective_value + postsolve.objective_offset,
-            result.basis,
-            result.iterations,
-            result.warm_start_used,
-            result.refactorizations,
-            result.reduced_costs,
+        return dataclasses.replace(
+            result,
+            values=postsolve.restore(result.values),
+            objective_value=result.objective_value + postsolve.objective_offset,
         )
 
     @staticmethod
@@ -482,10 +491,30 @@ class BranchAndBoundSolver:
         return (integer_mask & (fractional_part > _INTEGRALITY_TOLERANCE)).nonzero()[0]
 
     @staticmethod
-    def _choose_branch_variable(fractional: np.ndarray, values: np.ndarray) -> int:
-        """Most-fractional branching: the value closest to ``x.5`` (first on ties)."""
-        fractions = values[fractional] - np.floor(values[fractional])
-        return int(fractional[int((-np.abs(fractions - 0.5)).argmax())])
+    def _choose_branch_variable(
+        fractional: np.ndarray, lp_result: LpResult, form: MatrixForm, columns: np.ndarray
+    ) -> int:
+        """Most-fractional branching: the value closest to ``x.5``.
+
+        Columns within :data:`_BRANCH_TIE_TOLERANCE` of the most fractional
+        tie (see the module docstring); the tie goes to the largest of their
+        penalties — the smaller of each column's two children's, priced under
+        the node LP's own bounds ``form`` — then to the lowest index.
+        ``columns`` maps the LP's (reduced) columns to original ones.
+        """
+        values = lp_result.values[fractional]
+        fractions = values - np.floor(values)
+        distance = np.abs(fractions - 0.5)
+        tied = (distance <= distance.min() + _BRANCH_TIE_TOLERANCE).nonzero()[0]
+        if tied.size < 2:
+            return int(fractional[tied[0]])
+        assert lp_result.basis is not None
+        assert lp_result.reduced_costs is not None and lp_result.slack_reduced_costs is not None
+        down, up = branching_penalties(
+            form, lp_result.basis, lp_result.reduced_costs, lp_result.slack_reduced_costs,
+            np.searchsorted(columns, fractional[tied]), fractions[tied],
+        )
+        return int(fractional[tied[np.minimum(down, up).argmax()]])
 
     @staticmethod
     def _bound_improves(sense: ObjectiveSense, bound: float, incumbent_value: float) -> bool:

@@ -55,8 +55,8 @@ class BasisFactor:
     """The inverse of a basis matrix and the count of pivots folded into it.
 
     Instances are created through :meth:`factorize` (or :meth:`identity` for
-    the all-artificial start basis, whose matrix is I) and advanced by
-    :meth:`update` after each simplex pivot.  The array an instance holds is
+    a cold start basis, slack or all-artificial, whose matrix is I) and
+    advanced by :meth:`update` after each simplex pivot.  The array an instance holds is
     read-only once built — an update replaces it — so it may be shared with
     any number of :meth:`snapshot` copies.
     """
@@ -74,7 +74,7 @@ class BasisFactor:
 
     @classmethod
     def identity(cls, m: int) -> "BasisFactor":
-        """The factor of the ``m×m`` identity (the all-artificial basis)."""
+        """The factor of the ``m×m`` identity (a cold start basis)."""
         return cls(np.eye(m))
 
     @classmethod

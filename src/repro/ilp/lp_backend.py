@@ -58,6 +58,10 @@ class LpResult:
             form's minimisation sense (see
             :attr:`~repro.ilp.simplex.SimplexResult.reduced_costs`); ``None``
             when no solution.
+        slack_reduced_costs: The same sweep's slack columns, one per ``<=``
+            row.
+        two_phase_start: Whether the solve started cold two-phase (see
+            :attr:`~repro.ilp.simplex.SimplexResult.two_phase`).
     """
 
     status: SolverStatus
@@ -68,6 +72,8 @@ class LpResult:
     warm_start_used: bool = False
     refactorizations: int = 0
     reduced_costs: np.ndarray | None = None
+    slack_reduced_costs: np.ndarray | None = None
+    two_phase_start: bool = False
 
 
 def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> LpResult:
@@ -90,6 +96,8 @@ def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> L
         warm_start_used=result.warm_started,
         refactorizations=result.refactorizations,
         reduced_costs=result.reduced_costs,
+        slack_reduced_costs=result.slack_reduced_costs,
+        two_phase_start=result.two_phase,
     )
 
 
@@ -104,6 +112,7 @@ def solve_lp(model: IlpModel, warm_start: SimplexBasis | None = None) -> Solutio
         lp_solves=1,
         simplex_iterations=result.iterations,
         warm_start_hits=1 if result.warm_start_used else 0,
+        two_phase_starts=int(result.two_phase_start),
         refactorizations=result.refactorizations,
     )
     if not result.status.has_solution:

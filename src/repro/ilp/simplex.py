@@ -35,8 +35,8 @@ Four design points make repeated solves cheap:
   solve installs it without reinverting; a deterministic residual check
   (``ftran(B @ 1) ≈ 1``), run on every install, rejects stale or drifted
   inverses, and invalid bases (shape mismatch, singular basis matrix,
-  unrestorable dual feasibility) fall back to a cold two-phase solve.  After
-  the dual simplex, the primal clean-up is one optimality pricing.
+  unrestorable dual feasibility) fall back to a cold solve.  After the dual
+  simplex, the primal clean-up is one optimality pricing.
 
 **Pricing.**  The entering variable is chosen by Dantzig's rule (largest
 reduced-cost magnitude).  Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a
@@ -62,8 +62,22 @@ primal clean-up keeps it), and patched per pivot or flip, so an iteration
 tests ``move * d < -eps`` — one product, exact for ±1 and 0 — instead of
 re-deriving the masks from the statuses and bounds.
 
-The cold path is the classic two-phase method in revised form: phase 1
-minimises signed artificial infeasibilities, phase 2 the true objective.
+**The cold path is dual too.**  With every column at the bound its cost
+prefers — lower for ``c_j > 0``, upper for ``c_j < 0`` — the slack basis
+(slacks on ``<=`` rows, zero-fixed artificials on ``=`` rows: the identity)
+is dual feasible, so a cold solve is the warm path's dual simplex from there.
+Every column of a PaQL LP with REPEAT is boxed, so that start always exists
+on them; it cuts the benchmark's root LPs from 13-154 pivots to 2-8.  A
+column without that bound, or a dual start that stalls, goes to the classic
+two-phase method in revised form (phase 1 minimises signed artificial
+infeasibilities, phase 2 the true objective); :attr:`SimplexResult.two_phase`
+says so.
+
+**The long step.**  The dual ratio test is a bound-flipping one: it passes
+the columns whose whole box ``|alpha_j| (u_j - l_j)`` cannot absorb the
+leaving row's infeasibility, flips them to their other bound, and enters the
+first one that can (:func:`_long_step`).  From the slack basis of a COUNT
+row over thousands of columns, one step flips thousands.
 
 The solver handles minimisation of ``c @ x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq`` and per-variable bounds (``±inf`` meaning unbounded).
@@ -173,6 +187,10 @@ class SimplexResult:
             pricing sweep that declared optimality (``None`` when no
             solution): about 0 on basic columns, ``>= -eps`` at a lower
             bound, ``<= eps`` at an upper one.
+        slack_reduced_costs: The same sweep over the slack columns, one per
+            ``<=`` row (``-y_i``), for branching penalties.
+        two_phase: Whether the cold start went two-phase instead of the dual
+            simplex from the slack basis (see :meth:`_BoundedRevisedSimplex._cold_solve`).
     """
 
     status: SimplexStatus
@@ -183,6 +201,8 @@ class SimplexResult:
     warm_started: bool = False
     refactorizations: int = 0
     reduced_costs: np.ndarray | None = None
+    slack_reduced_costs: np.ndarray | None = None
+    two_phase: bool = False
 
 
 class _WorkMatrix:
@@ -253,11 +273,107 @@ def solve_form_simplex(
     so a whole branch-and-bound tree pays the standard-form assembly exactly
     once.
     """
+    return _BoundedRevisedSimplex(_work_matrix(form), *form.bounds).solve(warm_start)
+
+
+def _work_matrix(form: MatrixForm) -> _WorkMatrix:
     work = form.cache.get(_WORK_CACHE_KEY)
     if work is None:
         work = _WorkMatrix(form)
         form.cache[_WORK_CACHE_KEY] = work
-    return _BoundedRevisedSimplex(work, *form.bounds).solve(warm_start)
+    return work
+
+
+def branching_penalties(
+    form: MatrixForm,
+    basis: SimplexBasis,
+    reduced_costs: np.ndarray,
+    slack_reduced_costs: np.ndarray,
+    columns: np.ndarray,
+    fractions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Driebeek's penalties of branching on basic structural ``columns``.
+
+    ``basis`` and the reduced costs are an optimal solve's of ``form`` (whose
+    bounds are the node's), and ``fractions`` the columns' fractional parts
+    ``f``.  Row ``r`` of ``B⁻¹ A`` says what moving a nonbasic column does to
+    the column basic there; to push it down by ``f`` the first dual pivot of
+    the down child gives up at least ``f · min |d_k / alpha_k|`` over the
+    movable columns whose move lowers it, and the up child ``(1 - f) · min``
+    over those that raise it.  Returns ``(down, up)`` in the form's
+    minimisation sense, ``inf`` where no column can move that way (that child
+    is infeasible).  Nothing is priced afresh: ``d`` is the exported sweep.
+    """
+    work = _work_matrix(form)
+    factor = basis._factor
+    if factor is None or not factor.matches(work.m):
+        factor = BasisFactor.factorize(work.a[:, basis.basic])
+    if factor is None:
+        return np.zeros(len(columns)), np.zeros(len(columns))
+    row_of = np.empty(work.ncols, dtype=np.int64)
+    row_of[basis.basic] = np.arange(work.m)
+    inverse_rows = np.stack([factor.btran_row(int(r)) for r in row_of[columns]])
+    # Structural and slack columns; a slack's bounds [0, inf) let it move.
+    alpha = inverse_rows @ work.a[:, : work.art0]
+    status = basis.status[: work.art0]
+    move = _MOVE_OF_STATUS.take(status, mode="clip")
+    move[: work.n] *= form.bounds[0] < form.bounds[1]
+    d = np.abs(np.concatenate([reduced_costs, slack_reduced_costs]))
+    # rate > 0: the column's move lowers the basic column; d / rate is then
+    # the objective it costs per unit of that column, and -d / rate when it
+    # raises it.
+    rate = alpha * move
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_unit = d / rate
+    lowering = np.where(rate > _PIVOT_EPSILON, per_unit, np.inf).min(axis=1)
+    raising = np.where(rate < -_PIVOT_EPSILON, -per_unit, np.inf).min(axis=1)
+    free = (status == FREE).nonzero()[0]
+    if free.size:
+        # A FREE column (both bounds infinite) moves either way.
+        magnitude = np.abs(alpha[:, free])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            either = np.where(magnitude > _PIVOT_EPSILON, d[free] / magnitude, np.inf).min(axis=1)
+        lowering = np.minimum(lowering, either)
+        raising = np.minimum(raising, either)
+    return fractions * lowering, (1.0 - fractions) * raising
+
+
+def _long_step(ratios: np.ndarray, capacities: np.ndarray, infeasibility: float) -> float:
+    """The dual step of a bound-flipping ratio test: the smallest ratio ``t``
+    at which the columns with ratio ``<= t`` can absorb the leaving row's
+    ``infeasibility``, each by its ``capacity`` ``|alpha_j| (u_j - l_j)``.
+
+    The columns below ``t`` flip to their other bound and one at ``t`` enters;
+    with no capacity to spare the largest ratio enters.  Only the end of the
+    order that decides is sorted: a prefix of the smallest ratios, grown
+    fourfold until it reaches the infeasibility — or, when most columns flip,
+    a prefix of the largest, until it exceeds the capacity left over.  A NaN
+    infeasibility takes the smallest ratio, the one-column step.
+    """
+    k = int(ratios.argmin())
+    if not capacities[k] < infeasibility:
+        return float(ratios[k])
+    size = ratios.size
+    total = float(capacities.sum())
+    from_top = math.isfinite(total) and infeasibility > 0.5 * total
+    # From the top: the first column whose suffix sum exceeds what may be
+    # left over enters, so that the prefix through it reaches the infeasibility.
+    keys = -ratios if from_top else ratios
+    target = total - infeasibility if from_top else infeasibility
+    length = 32
+    while True:
+        if length < size:
+            head = np.argpartition(keys, length - 1)[:length]
+            head = head[np.argsort(keys[head], kind="stable")]
+        else:
+            head = np.argsort(keys, kind="stable")
+        reach = np.cumsum(capacities[head])
+        crossed = int(np.searchsorted(reach, target, side="right" if from_top else "left"))
+        if crossed < head.size:
+            return float(ratios[head[crossed]])
+        if length >= size:
+            return float(ratios[head[-1]])
+        length *= 4
 
 
 class _BoundedRevisedSimplex:
@@ -306,6 +422,7 @@ class _BoundedRevisedSimplex:
         self._bland = False
         self._degenerate_streak = 0
         self._numerical_failure = False
+        self._two_phase = False
 
         self._partial = self.ncols >= _PARTIAL_PRICING_THRESHOLD
         self._cand: np.ndarray | None = None
@@ -321,21 +438,37 @@ class _BoundedRevisedSimplex:
         if (self.lower > self.upper).any():
             return self._result(SimplexStatus.INFEASIBLE)
         if warm_start is not None and self._try_install(warm_start):
-            status = self._reoptimize()
-            if status not in (SimplexStatus.ITERATION_LIMIT, SimplexStatus.NUMERICAL_ERROR):
-                result = self._result(status, warm_started=True)
-                if result.status is not SimplexStatus.NUMERICAL_ERROR:
-                    return result
-            # Numerical trouble on the warm path: restart cold.
-            self._bland = False
-            self._degenerate_streak = 0
-            self._numerical_failure = False
-            self._cand = None
+            result = self._dual_solve(warm_started=True)
+            if result is not None:
+                return result
         return self._cold_solve()
+
+    def _dual_solve(self, warm_started: bool) -> SimplexResult | None:
+        """Reoptimise from the basis just installed; ``None`` after numerical
+        trouble or a spent pivot budget, with the search state reset for the
+        next start."""
+        status = self._reoptimize()
+        if status not in (SimplexStatus.ITERATION_LIMIT, SimplexStatus.NUMERICAL_ERROR):
+            result = self._result(status, warm_started=warm_started)
+            if result.status is not SimplexStatus.NUMERICAL_ERROR:
+                return result
+        self._bland = False
+        self._degenerate_streak = 0
+        self._numerical_failure = False
+        self._cand = None
+        return None
 
     # -- cold path ----------------------------------------------------------------
 
     def _cold_solve(self) -> SimplexResult:
+        """The dual simplex from the slack basis when every column has the
+        bound its cost prefers; the two-phase primal otherwise, or when that
+        start stalls."""
+        if self._slack_start():
+            result = self._dual_solve(warm_started=False)
+            if result is not None:
+                return result
+        self._two_phase = True
         self._cold_start()
         if (np.abs(self.xb) > _FEASIBILITY_TOLERANCE).any():
             phase1 = self._phase1()
@@ -343,6 +476,40 @@ class _BoundedRevisedSimplex:
                 return self._result(phase1)
         self._set_moves()
         return self._result(self._primal(self.costs))
+
+    def _slack_start(self) -> bool:
+        """Install the slack basis, dual feasible; False → two-phase instead.
+
+        Slacks are basic for ``<=`` rows and artificials (fixed at 0) for
+        ``=`` rows, so the basis matrix and its inverse are ``I`` and ``y =
+        0``: each reduced cost is the column's cost.  A structural column sits
+        at the bound its cost prefers — lower for ``c_j > 0``, upper for
+        ``c_j < 0``, whichever is finite (or FREE) for ``c_j = 0`` — which
+        makes every ``d_j`` dual feasible.  A column without that bound (a
+        maximised column with no upper bound, a NaN cost) rejects the start,
+        and so do bounds too large for ``x_B`` to come out finite.
+        """
+        n = self.n
+        c = self.costs[:n]
+        finite_lower = np.isfinite(self.lower[:n])
+        finite_upper = np.isfinite(self.upper[:n])
+        if not ((c >= 0) & finite_lower | (c <= 0) & finite_upper | (c == 0)).all():
+            return False
+        status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
+        status[:n] = np.where(
+            (c < 0) | ~finite_lower, np.where(finite_upper, AT_UPPER, FREE), AT_LOWER
+        )
+        self.basis = np.concatenate([
+            np.arange(n, self.art0, dtype=np.int64),
+            np.arange(self.art0 + self.mu, self.ncols, dtype=np.int64),
+        ])
+        status[self.basis] = BASIC
+        self.status = status
+        self.factor = BasisFactor.identity(self.m)
+        self._set_moves()
+        self._priced = self.costs
+        self._compute_xb()
+        return bool(np.isfinite(self.xb).all())
 
     def _cold_start(self) -> None:
         """All-artificial basis; real columns nonbasic at their nearest bound."""
@@ -723,13 +890,23 @@ class _BoundedRevisedSimplex:
             eligible = self._ratio_candidates(alpha, leaving_below)
             if eligible.size == 0:
                 return SimplexStatus.INFEASIBLE
-            ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
-            min_ratio = float(ratios.min())
-            near = eligible[ratios <= min_ratio + _RATIO_TIE_TOLERANCE]
+            magnitudes = np.abs(alpha[eligible])
+            ratios = np.abs(d[eligible]) / magnitudes
             if self._bland:
-                q = int(near[0])
+                step = float(ratios.min())
+                q = int(eligible[(ratios <= step + _RATIO_TIE_TOLERANCE).argmax()])
             else:
-                q = int(near[np.abs(alpha[near]).argmax()])
+                # The columns below the step flip; among those at it, within
+                # the tie tolerance, the largest |alpha| enters.
+                widths = self.upper[eligible] - self.lower[eligible]
+                step = _long_step(ratios, magnitudes * widths, float(violation[r]))
+                near = ratios <= step + _RATIO_TIE_TOLERANCE
+                passed = ratios < step - _RATIO_TIE_TOLERANCE
+                if passed.any():
+                    self._flip(eligible[passed])
+                    near &= ~passed
+                k = near.nonzero()[0]
+                q = int(eligible[k[magnitudes[k].argmax()]])
 
             w = self._ftran(q)
             pivot = float(w[r])
@@ -766,8 +943,18 @@ class _BoundedRevisedSimplex:
                 self._compute_xb()
             else:
                 self.xb[r] = entering_start + entering_step
-            self._note_step(min_ratio)
+            self._note_step(step)
         return SimplexStatus.ITERATION_LIMIT
+
+    def _flip(self, cols: np.ndarray) -> None:
+        """Move nonbasic columns ``cols`` to their other (finite) bound: the
+        columns a long dual step passes.  ``x_B`` follows with one product."""
+        rising = self.move[cols] > 0
+        width = self.upper[cols] - self.lower[cols]
+        shift = np.where(rising, width, -width)
+        self.xb -= self.factor.ftran(self.a[:, cols] @ shift)
+        self.status[cols] = np.where(rising, AT_UPPER, AT_LOWER)
+        self.move[cols] = -self.move[cols]
 
     def _ratio_candidates(self, alpha: np.ndarray, leaving_below: bool) -> np.ndarray:
         """Columns that can enter against leaving row ``alpha``: those whose
@@ -859,7 +1046,7 @@ class _BoundedRevisedSimplex:
         if status is not SimplexStatus.OPTIMAL:
             return SimplexResult(
                 status, np.empty(0), float("nan"), None, self.iterations, warm_started,
-                self.refactorizations,
+                self.refactorizations, two_phase=self._two_phase,
             )
         x = self._full_solution()
         if not np.isfinite(x).all():
@@ -887,4 +1074,6 @@ class _BoundedRevisedSimplex:
             warm_started,
             self.refactorizations,
             None if d is None else d[: self.n],
+            None if d is None else d[self.n : self.art0],
+            self._two_phase,
         )

@@ -63,7 +63,10 @@ class SolveStats:
     ``node_propagations`` counts the node bound projections whose row
     propagation pass actually ran — on the others no reduced row could bind
     inside the node's bounds (see :mod:`repro.ilp.presolve`), so the
-    intersected bounds were final.
+    intersected bounds were final.  ``two_phase_starts`` counts the LP solves
+    that started cold two-phase rather than with the dual simplex from the
+    slack basis: some column lacked the bound its cost prefers, or that
+    start stalled (see :mod:`repro.ilp.simplex`).
     """
 
     nodes_explored: int = 0
@@ -74,6 +77,7 @@ class SolveStats:
     gap: float = float("nan")
     simplex_iterations: int = 0
     warm_start_hits: int = 0
+    two_phase_starts: int = 0
     vars_fixed: int = 0
     rows_removed: int = 0
     presolve_ms: float = 0.0

@@ -227,11 +227,11 @@ class TestProvenBound:
 
     @pytest.mark.parametrize("name", ["Q1", "Q2"])
     def test_node_limit_bound_covers_the_open_nodes(self, galaxy_models, name):
-        """Q1 maximises and Q2 minimises, and neither closes in three nodes
-        (reduced-cost fixing closes Q1 in five): the optimum may sit under a
-        node still open, so the bound must cover it."""
+        """Q1 maximises and Q2 minimises, and neither closes in two nodes
+        (Q1 closes in three): the optimum may sit under a node still open, so
+        the bound must cover it."""
         model = galaxy_models[name]
-        solution = BranchAndBoundSolver(limits=SolverLimits(node_limit=3)).solve(model)
+        solution = BranchAndBoundSolver(limits=SolverLimits(node_limit=2)).solve(model)
         assert solution.status is SolverStatus.FEASIBLE
         assert_bound_on_the_right_side(
             model, solution.stats.best_bound, oracle_ilp(model).objective

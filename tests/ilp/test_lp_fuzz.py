@@ -5,7 +5,8 @@ held against ``scipy.optimize.linprog`` on the instance shapes that break
 simplex codes: tie-heavy small-integer data, duplicated columns, PaQL-shaped
 rows (a COUNT row plus positive SUM rows over 0/1 and REPEAT bounds),
 ill-scaled rows and near-infeasible slivers.  Every instance has 1-7 rows and
-up to 200 columns and is a pure function of ``(family, seed)``.
+up to 200 columns and is a pure function of ``(family, seed)``; a wide boxed
+family of the PaQL shape goes past the partial-pricing threshold.
 
 The contract: the simplex either agrees with the oracle on status and on the
 objective to 1e-6 relative, or returns the typed ``NUMERICAL_ERROR`` — never
@@ -143,6 +144,31 @@ FAMILIES = {
     "ill_scaled": ill_scaled,
     "near_infeasible": near_infeasible,
 }
+
+
+def wide_boxed(rng):
+    """:func:`paql_shaped` past the partial-pricing threshold, each column
+    boxed in ``[0, 1..3]``: the long dual steps flip thousands of columns, and
+    the primal clean-up prices off the candidate list."""
+    m = int(rng.integers(1, 8))
+    n = _PARTIAL_PRICING_THRESHOLD + int(rng.integers(0, 2_000))
+    count = float(rng.integers(1, n // 4))
+    weights = rng.lognormal(0.0, 1.0, size=(m - 1, n)).round(3)
+    budgets = np.median(weights, axis=1) * count * rng.uniform(0.5, 2.0, size=m - 1)
+    signs = rng.choice([-1.0, 1.0], size=m - 1)
+    a_ub, b_ub = weights * signs[:, None], budgets * signs
+    a_eq, b_eq = np.ones((1, n)), np.array([count])
+    if rng.random() < 0.5:
+        a_ub, b_ub = np.vstack([a_ub, a_eq]), np.append(b_ub, count)
+        a_eq, b_eq = np.empty((0, n)), np.empty(0)
+    upper = rng.integers(1, 4, size=n).astype(float)
+    c = rng.normal(0.0, 1.0, size=n).round(3)
+    return c, a_ub, b_ub, a_eq, b_eq, (np.zeros(n), upper)
+
+
+#: Wide instances are a few milliseconds each; fewer seeds than the families.
+WIDE_SEEDS = 40
+
 #: NUMERICAL_ERROR seeds allowed per family, and steps per warm chain: the count
 #: measured at this commit (none anywhere; harsher scalings of the same
 #: generators reach 2 in 1 500 cold solves).
@@ -233,6 +259,27 @@ def test_simplex_matches_the_oracle_or_says_numerical_error(family):
     assert not wrong, "\n".join(wrong)
     assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
         f"{family} NUMERICAL_ERROR seeds: {numerical_errors}"
+    )
+
+
+def test_wide_boxed_lps_match_the_oracle():
+    numerical_errors, wrong = [], []
+    for seed in range(WIDE_SEEDS):
+        *rows, (lower, upper) = wide_boxed(np.random.default_rng(seed))
+        bounds = np.column_stack([lower, upper])
+        result = solve_dense_simplex(*rows, bounds)
+        if result.status is SimplexStatus.NUMERICAL_ERROR:
+            numerical_errors.append(seed)
+            continue
+        mismatch = _oracle_disagreement(result, rows, bounds)
+        if mismatch is not None:
+            wrong.append(f"wide_boxed seed {seed}: {mismatch}")
+        elif result.status is SimplexStatus.OPTIMAL:
+            assert not result.two_phase
+            assert_reduced_costs_of_the_basis(rows, lower, upper, result)
+    assert not wrong, "\n".join(wrong)
+    assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
+        f"wide_boxed NUMERICAL_ERROR seeds: {numerical_errors}"
     )
 
 
