@@ -172,8 +172,8 @@ class _NodeCountingSolver(BranchAndBoundSolver):
 
     nodes = 0
 
-    def solve(self, model, warm_start=None):
-        solution = super().solve(model, warm_start)
+    def solve(self, model):
+        solution = super().solve(model)
         self.nodes += solution.stats.nodes_explored
         return solution
 

@@ -55,12 +55,9 @@ branch-and-bound trees (:meth:`Linearisation.group_means`).  Rows, groups
 and assignments are addressed by linearisation column throughout and
 mapped back to table rows once, when the package is built.
 
-Refine ILPs of the same group recur across backtracking retries with
-identical constraint-matrix shape and only shifted right-hand sides, so the
-evaluator caches the last optimal root basis per group and passes it back as
-a warm start on retry (:func:`run_solve_task` hands it to a
-:class:`BranchAndBoundSolver` only; any other black-box solver re-solves cold
-and the retry is not counted as warm).
+Every refine ILP, a group's retry included, is one black-box ``solve`` of its
+own model (:func:`run_solve_task`); the evaluator keeps no solver state from
+one solve to the next.
 """
 
 from __future__ import annotations
@@ -81,8 +78,7 @@ from repro.errors import (
 )
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.model import ConstraintSense, IlpModel
-from repro.ilp.simplex import SimplexBasis
-from repro.ilp.status import Solution, SolverStatus
+from repro.ilp.status import Solution, SolveStats, SolverStatus
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning
 
@@ -125,10 +121,6 @@ class SketchRefineStats:
     """LP solves that reoptimised from a parent basis."""
     two_phase_starts: int = 0
     """Cold LP solves that went two-phase instead of dual from the slack basis."""
-    refine_retry_warm_starts: int = 0
-    """Refine solves that started from the cached root basis of an earlier
-    solve of the same group (only a :class:`BranchAndBoundSolver` takes the
-    basis)."""
     refine_rounds: int = 0
     """Refine rounds executed (each solves every then-pending group)."""
     merge_deferrals: int = 0
@@ -255,11 +247,6 @@ class SketchRefineEvaluator:
         self.solver = solver or BranchAndBoundSolver()
         self.config = config or SketchRefineConfig()
         self.last_stats = SketchRefineStats()
-        # Last optimal root basis per refine group, reused as a warm start
-        # when a later round (or a backtracking restart) re-solves the same
-        # group: the retry differs only in its residual right-hand sides, so
-        # the basis stays structurally valid.
-        self._refine_basis: dict[int, SimplexBasis] = {}
 
     # -- public API -----------------------------------------------------------------------
 
@@ -293,7 +280,6 @@ class SketchRefineEvaluator:
             partitioning_maintenance=partitioning.maintenance.as_dict(),
         )
         self.last_stats = stats
-        self._refine_basis = {}
 
         problem = PartitionedQuery.build(table, query, partitioning)
         if not problem.eligible_groups:
@@ -480,23 +466,14 @@ class SketchRefineEvaluator:
         order: list[int],
         stats: SketchRefineStats,
     ) -> dict[int, Solution]:
-        """Solve every pending group's refine ILP against the round's context.
-
-        Each solve starts from the group's cached root basis, if any, and
-        caches the basis it exports for the group's next solve.
-        """
-        warm_capable = isinstance(self.solver, BranchAndBoundSolver)
+        """Solve every pending group's refine ILP against the round's context."""
         results: dict[int, Solution] = {}
         for gid in order:
             model = self._build_refine_model(
                 problem, sketch_multiplicities, assignments, pending, gid
             )
-            warm_basis = self._refine_basis.get(gid)
-            solution = run_solve_task(self.solver, model, warm_basis)
+            solution = run_solve_task(self.solver, model)
             self._absorb_solve_stats(solution.stats)
-            stats.refine_retry_warm_starts += warm_capable and warm_basis is not None
-            if solution.root_basis is not None:
-                self._refine_basis[gid] = solution.root_basis
             results[gid] = solution
         stats.refine_queries += len(order)
         return results
@@ -628,7 +605,7 @@ class SketchRefineEvaluator:
                     return False
         return True
 
-    def _absorb_solve_stats(self, stats_obj) -> None:
+    def _absorb_solve_stats(self, stats_obj: SolveStats | None) -> None:
         """Fold one solve's solver statistics into the running totals."""
         if stats_obj is None:
             return
@@ -637,14 +614,12 @@ class SketchRefineEvaluator:
         self.last_stats.solver_nodes_explored += stats_obj.nodes_explored
         self.last_stats.solver_warm_start_hits += stats_obj.warm_start_hits
         self.last_stats.two_phase_starts += stats_obj.two_phase_starts
-        self.last_stats.vars_fixed += getattr(stats_obj, "vars_fixed", 0)
-        self.last_stats.rows_removed += getattr(stats_obj, "rows_removed", 0)
-        self.last_stats.presolve_ms += getattr(stats_obj, "presolve_ms", 0.0)
-        self.last_stats.node_propagations += getattr(stats_obj, "node_propagations", 0)
+        self.last_stats.vars_fixed += stats_obj.vars_fixed
+        self.last_stats.rows_removed += stats_obj.rows_removed
+        self.last_stats.presolve_ms += stats_obj.presolve_ms
+        self.last_stats.node_propagations += stats_obj.node_propagations
 
 
-def run_solve_task(solver, model: IlpModel, warm_basis: SimplexBasis | None) -> Solution:
-    """Solve one refine ILP, warm-starting a :class:`BranchAndBoundSolver` from ``warm_basis``."""
-    if warm_basis is not None and isinstance(solver, BranchAndBoundSolver):
-        return solver.solve(model, warm_start=warm_basis)
+def run_solve_task(solver, model: IlpModel) -> Solution:
+    """Solve one refine ILP."""
     return solver.solve(model)

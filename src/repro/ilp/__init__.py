@@ -6,20 +6,21 @@ an equivalent black box implemented from scratch:
 * :class:`~repro.ilp.model.IlpModel` — a model of variables, linear
   constraints, bounds and a linear objective, stored as arrays,
 * :mod:`~repro.ilp.lp_backend` — LP relaxation solving through the
-  bounded-variable revised simplex of :mod:`~repro.ilp.simplex`, with
-  warm-started (dual) reoptimisation from an exported basis,
+  bounded-variable revised simplex of :mod:`~repro.ilp.simplex`: a cold LP
+  starts from the slack basis, a branch-and-bound node LP reoptimises with
+  dual pivots from its parent's basis,
 * :mod:`~repro.ilp.presolve` — presolve/postsolve reductions on the matrix
   form (iterated bound propagation, fixed-variable elimination,
-  redundant-row removal) with solution *and* basis mapping between the
-  reduced and original spaces, run before the root LP of every solve,
+  redundant-row removal) with solution mapping from the reduced to the
+  original space, run before the root LP of every solve,
 * :class:`~repro.ilp.branch_and_bound.BranchAndBoundSolver` — an exact ILP
   solver with best-bound node selection, most-fractional branching, a
   rounding heuristic, basis reuse across the search tree, and capacity/time budgets
   (the capacity budget emulates CPLEX running out of memory on huge problems,
   which the paper reports as DIRECT failures),
 * :class:`~repro.ilp.rounding.RelaxAndRoundSolver` — an LP-relaxation +
-  rounding heuristic, used as an additional baseline and to demonstrate that
-  the package evaluators treat the solver as a genuine black box,
+  rounding heuristic; the tests run DIRECT on it to show that the package
+  evaluators treat the solver as a genuine black box,
 * :mod:`~repro.ilp.iis` — a simple irreducible-infeasible-set approximation
   (the paper mentions IIS as the mechanism for the "dropping partitioning
   attributes" mitigation of false infeasibility).

@@ -55,13 +55,10 @@ solve.  The basis carries the parent's basis inverse by reference
 (both children share the one array; a pivot writes a new one), so an open
 node holds no per-pivot history and a child starts without reinverting — the
 simplex checks the inherited inverse against its own matrix and rebuilds it
-every ``_REFACTOR_INTERVAL`` pivots along the chain.  A caller holding a basis
-from a related earlier solve (same matrix shape) can seed the *root* node the
-same way through the ``warm_start`` argument of :meth:`BranchAndBoundSolver.solve`,
-and the root relaxation's own basis is exported on the returned
-:attr:`~repro.ilp.status.Solution.root_basis` for the next related solve.
-``SolveStats.warm_start_hits`` / ``simplex_iterations`` expose how often the
-fast path is taken.
+every ``_REFACTOR_INTERVAL`` pivots along the chain.  The root LP has no
+parent and starts from the slack basis; no basis crosses from one solve to
+the next.  ``SolveStats.warm_start_hits`` / ``simplex_iterations`` expose how
+often the fast path is taken.
 
 **Presolve.**  Before the root LP, the matrix form is reduced by
 :func:`~repro.ilp.presolve.presolve_form` (bound propagation with integrality
@@ -71,11 +68,10 @@ original variable space, and :meth:`~repro.ilp.presolve.Postsolve
 .reduce_bounds` projects them into the reduced space per node (with one extra
 propagation pass over the branched and fixed bounds when some reduced row can
 bind inside them — ``SolveStats.node_propagations`` counts those).  Node LP
-values and objectives are expanded back through the postsolve record, exported
-root bases are lifted to the original column space, and caller-supplied root
-warm starts are projected into the reduced space — so presolve is invisible to
-everything downstream except the ``vars_fixed`` / ``rows_removed`` /
-``presolve_ms`` statistics.
+values and objectives are expanded back through the postsolve record, and
+bases never leave the reduced space — so presolve is invisible to everything
+downstream except the ``vars_fixed`` / ``rows_removed`` / ``presolve_ms``
+statistics.
 
 ``SolverLimits`` intentionally includes ``max_variables``: CPLEX loads the
 entire problem in memory and the paper's Figure 5 shows DIRECT failing on
@@ -163,14 +159,8 @@ class BranchAndBoundSolver:
 
     # -- public API ----------------------------------------------------------------
 
-    def solve(self, model: IlpModel, warm_start: SimplexBasis | None = None) -> Solution:
-        """Solve ``model`` to optimality (or until a limit is hit).
-
-        ``warm_start`` optionally seeds the *root* LP relaxation with a basis
-        from a related earlier solve (same constraint-matrix shape, e.g. a
-        SKETCHREFINE backtracking retry); a stale basis silently falls back
-        to a cold solve.
-        """
+    def solve(self, model: IlpModel) -> Solution:
+        """Solve ``model`` to optimality (or until a limit is hit)."""
         stats = SolveStats()
         capacity_status = self._check_capacity(model)
         if capacity_status is not None:
@@ -226,17 +216,10 @@ class BranchAndBoundSolver:
 
         counter = itertools.count()
         heap: list[_Node] = []
-        if warm_start is not None and postsolve is not None:
-            # The caller's basis lives in the original column space; project it
-            # into this solve's reduced space (None -> cold root, as for any
-            # stale warm start).
-            warm_start = postsolve.reduce_basis(warm_start)
         root = _Node(priority=0.0, sequence=next(counter), depth=0,
                      bound=-sense.worst_value,
-                     lower_bounds=root_lower, upper_bounds=root_upper,
-                     parent_basis=warm_start)
+                     lower_bounds=root_lower, upper_bounds=root_upper)
         heapq.heappush(heap, root)
-        root_basis: SimplexBasis | None = None
         # The root LP of a tree that branched, and the bounds its reduced
         # costs prove against the incumbent of ``root_fixed_for`` (an
         # ``incumbent_updates`` count): every popped node is intersected with
@@ -299,12 +282,6 @@ class BranchAndBoundSolver:
                 )
             if postsolve is not None:
                 stats.node_propagations = postsolve.propagations
-            if node.depth == 0 and lp_result.basis is not None:
-                root_basis = (
-                    postsolve.restore_basis(lp_result.basis)
-                    if postsolve is not None
-                    else lp_result.basis
-                )
 
             if lp_result.status is SolverStatus.INFEASIBLE:
                 continue
@@ -392,9 +369,7 @@ class BranchAndBoundSolver:
             if up.lower_bounds[branch_index] <= up.upper_bounds[branch_index] + _BOUND_TOLERANCE:
                 heapq.heappush(heap, up)
 
-        return self._finish(
-            status, incumbent, incumbent_value, proven_bound, model, stats, start, root_basis
-        )
+        return self._finish(status, incumbent, incumbent_value, proven_bound, model, stats, start)
 
     # -- internals ---------------------------------------------------------------------
 
@@ -575,7 +550,6 @@ class BranchAndBoundSolver:
         model: IlpModel,
         stats: SolveStats,
         start: float,
-        root_basis: SimplexBasis | None = None,
     ) -> Solution:
         """Wrap up: ``status`` is OPTIMAL when the tree was exhausted.
 
@@ -587,11 +561,8 @@ class BranchAndBoundSolver:
         if incumbent is None:
             if status is SolverStatus.OPTIMAL:
                 # The tree was exhausted without finding any integral point.
-                solution = Solution.infeasible(stats)
-            else:
-                solution = Solution.failure(status, stats)
-            solution.root_basis = root_basis
-            return solution
+                return Solution.infeasible(stats)
+            return Solution.failure(status, stats)
         if status is SolverStatus.OPTIMAL:
             final_status = SolverStatus.OPTIMAL
         else:
@@ -599,4 +570,4 @@ class BranchAndBoundSolver:
         sense = model.objective.sense
         stats.best_bound = self._weaker_bound(sense, proven_bound, incumbent_value)
         stats.gap = self._gap(sense, stats.best_bound, incumbent_value)
-        return Solution(final_status, incumbent, incumbent_value, stats, root_basis=root_basis)
+        return Solution(final_status, incumbent, incumbent_value, stats)

@@ -29,9 +29,8 @@ residual against their own matrix first (see :mod:`repro.ilp.simplex`).
 ``update`` writes the new inverse to a *new* array and never touches the old
 one.  That is what makes :meth:`snapshot` O(1): a snapshot shares the array by
 reference, and neither side can change what the other sees.  An optimal solve
-exports its basis with a snapshot attached and a related reoptimisation
-(branch-and-bound child, SKETCHREFINE backtracking retry) installs it instead
-of reinverting.
+exports its basis with a snapshot attached and a branch-and-bound child
+installs it instead of reinverting.
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ working matrix once per form and caches it on the form, so every bounds-only
 branch-and-bound node) reuses the same copy.
 
 The warm-start protocol: an optimal solve returns its final basis in
-:attr:`LpResult.basis`.  A caller about to solve a *related* problem (same
-constraint matrix, different bounds — e.g. a branch-and-bound child node)
-passes that :class:`~repro.ilp.simplex.SimplexBasis` back to
-:func:`solve_lp_form`.  The simplex then reoptimises with dual pivots from
-the parent basis instead of solving from scratch; a stale or invalid basis is
-detected and silently falls back to a cold solve
-(:attr:`LpResult.warm_start_used` reports what actually happened).
+:attr:`LpResult.basis`.  Branch-and-bound passes a node's basis back to
+:func:`solve_lp_form` for each of its children (same constraint matrix, one
+tightened bound), and the simplex reoptimises with dual pivots from it; a
+stale or invalid basis is detected and silently falls back to a cold solve
+(:attr:`LpResult.warm_start_used` reports what actually happened).  That is
+the only path a basis takes: every other LP, :func:`solve_lp` included,
+starts cold from the slack basis.
 """
 
 from __future__ import annotations
@@ -101,17 +101,16 @@ def solve_lp_form(form: MatrixForm, warm_start: SimplexBasis | None = None) -> L
     )
 
 
-def solve_lp(model: IlpModel, warm_start: SimplexBasis | None = None) -> Solution:
+def solve_lp(model: IlpModel) -> Solution:
     """Solve the LP relaxation of ``model`` and wrap the result as a Solution.
 
     Uses the model's memoized matrix form, so repeated relaxation solves of
     the same model share one export (and one simplex working matrix).
     """
-    result = solve_lp_form(model.to_matrix(), warm_start)
+    result = solve_lp_form(model.to_matrix())
     stats = SolveStats(
         lp_solves=1,
         simplex_iterations=result.iterations,
-        warm_start_hits=1 if result.warm_start_used else 0,
         two_phase_starts=int(result.two_phase_start),
         refactorizations=result.refactorizations,
     )

@@ -29,19 +29,9 @@ LP has exactly the same feasible region and optimum as the original (bound
 propagation only states implications), so a presolved solve must agree with a
 cold solve — the property tests rely on this.
 
-Every reduction is paired with a :class:`Postsolve` record that maps
-reduced-space results back to the original space:
-
-* :meth:`Postsolve.restore` re-inserts fixed variables into a reduced
-  solution vector,
-* :meth:`Postsolve.restore_basis` lifts a reduced-space
-  :class:`~repro.ilp.simplex.SimplexBasis` back to the original column space
-  (removed rows re-enter with their slack/artificial basic, fixed columns
-  nonbasic at bound), so a root basis exported from a presolved solve can
-  still seed a later related solve, and
-* :meth:`Postsolve.reduce_basis` maps an original-space basis *into* the
-  reduced space, so a caller holding a basis from an earlier un-presolved (or
-  identically-presolved) solve keeps its warm start.
+Every reduction is paired with a :class:`Postsolve` record:
+:meth:`Postsolve.restore` re-inserts fixed variables into a reduced solution
+vector.  Simplex bases never leave the reduced space, so no basis is mapped.
 
 Branch-and-bound presolves the root once and calls
 :meth:`Postsolve.reduce_bounds` per node: branched bounds are intersected
@@ -78,7 +68,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ilp.matrix_form import MatrixForm
-from repro.ilp.simplex import AT_LOWER, AT_UPPER, BASIC, FREE, SimplexBasis
 
 #: Bounds closer than this (absolutely) are collapsed into a fixed variable.
 _FIX_TOLERANCE = 1e-9
@@ -411,14 +400,7 @@ class Postsolve:
 
     reduced_form: MatrixForm
     kept_cols: np.ndarray
-    kept_ub_rows: np.ndarray
-    kept_eq_rows: np.ndarray
     fixed_values: np.ndarray       # full original length; kept slots are 0
-    num_orig_vars: int
-    num_orig_ub: int
-    num_orig_eq: int
-    orig_lower: np.ndarray
-    orig_upper: np.ndarray
     tightened_lower: np.ndarray    # reduced space (root propagation result)
     tightened_upper: np.ndarray
     objective_offset_min: float    # fixed columns' contribution, minimisation sense
@@ -454,17 +436,14 @@ class Postsolve:
     # -- bounds (per branch-and-bound node) ---------------------------------------
 
     def reduce_bounds(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        propagate: bool = True,
+        self, lower: np.ndarray, upper: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Project original-space node bounds into the reduced space.
 
         Node bounds only ever tighten relative to the root, so intersecting
-        them with the root reduction's propagated bounds is sound.  When
-        ``propagate`` is set and the node actually branched (its bounds differ
-        from the root's), one more propagation pass re-tightens neighbouring
+        them with the root reduction's propagated bounds is sound.  When the
+        node actually branched (its bounds differ from the root's), one more
+        propagation pass re-tightens neighbouring
         variables through the reduced rows — the cheap version of "re-presolve
         the node".  Crossed bounds are returned as-is; the LP solver reports
         them as infeasible.
@@ -474,7 +453,7 @@ class Postsolve:
         """
         reduced_l = np.maximum(self.tightened_lower, lower[self.kept_cols])
         reduced_u = np.minimum(self.tightened_upper, upper[self.kept_cols])
-        if not propagate or self.identity:
+        if self.identity:
             return reduced_l, reduced_u
         moved = np.nonzero(
             (reduced_l != self.tightened_lower) | (reduced_u != self.tightened_upper)
@@ -504,129 +483,6 @@ class Postsolve:
         self.propagations += 1
         return reduced_l, reduced_u
 
-    # -- bases --------------------------------------------------------------------
-
-    def _column_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(reduced column -> original column, original column -> reduced or -1).
-
-        Columns live in the simplex working space: structurals, then one slack
-        per ``<=`` row, then one artificial per row.
-        """
-        n_r = self.num_reduced_vars
-        mu_r = int(self.kept_ub_rows.size)
-        me_r = int(self.kept_eq_rows.size)
-        n_o, mu_o, me_o = self.num_orig_vars, self.num_orig_ub, self.num_orig_eq
-        ncols_r = n_r + mu_r + mu_r + me_r
-        ncols_o = n_o + mu_o + mu_o + me_o
-
-        to_orig = np.empty(ncols_r, dtype=np.int64)
-        to_orig[:n_r] = self.kept_cols
-        to_orig[n_r : n_r + mu_r] = n_o + self.kept_ub_rows
-        to_orig[n_r + mu_r : n_r + mu_r + mu_r] = n_o + mu_o + self.kept_ub_rows
-        to_orig[n_r + mu_r + mu_r :] = n_o + mu_o + mu_o + self.kept_eq_rows
-
-        to_reduced = np.full(ncols_o, -1, dtype=np.int64)
-        to_reduced[to_orig] = np.arange(ncols_r, dtype=np.int64)
-        return to_orig, to_reduced
-
-    def restore_basis(self, basis: SimplexBasis | None) -> SimplexBasis | None:
-        """Lift a reduced-space simplex basis to the original column space.
-
-        Fixed columns re-enter nonbasic at a finite bound; each removed
-        ``<=`` row re-enters with its slack basic and each removed equality
-        row with its (zero-valued) artificial basic, so the lifted basis
-        matrix stays nonsingular.  Returns ``None`` when the basis does not
-        belong to the reduced problem.
-        """
-        if basis is None:
-            return None
-        if self.identity:
-            return basis
-        n_r = self.num_reduced_vars
-        mu_r = int(self.kept_ub_rows.size)
-        me_r = int(self.kept_eq_rows.size)
-        if not basis.matches(n_r, mu_r, me_r):
-            return None
-        n_o, mu_o, me_o = self.num_orig_vars, self.num_orig_ub, self.num_orig_eq
-        m_o = mu_o + me_o
-        to_orig, _ = self._column_maps()
-
-        status = np.full(n_o + mu_o + m_o, AT_LOWER, dtype=np.int8)
-        status[to_orig] = basis.status
-        # Fixed structural columns: nonbasic at a finite original bound.
-        fixed = np.ones(n_o, dtype=bool)
-        fixed[self.kept_cols] = False
-        fixed_idx = np.nonzero(fixed)[0]
-        finite_lower = np.isfinite(self.orig_lower[fixed_idx])
-        finite_upper = np.isfinite(self.orig_upper[fixed_idx])
-        status[fixed_idx] = np.where(
-            finite_lower, AT_LOWER, np.where(finite_upper, AT_UPPER, FREE)
-        )
-
-        basic = np.empty(m_o, dtype=np.int64)
-        removed_ub = np.ones(mu_o, dtype=bool)
-        removed_ub[self.kept_ub_rows] = False
-        removed_ub_idx = np.nonzero(removed_ub)[0]
-        removed_eq = np.ones(me_o, dtype=bool)
-        removed_eq[self.kept_eq_rows] = False
-        removed_eq_idx = np.nonzero(removed_eq)[0]
-
-        # Reduced basis rows are ordered kept-ub rows first, then kept-eq rows.
-        basic[self.kept_ub_rows] = to_orig[basis.basic[:mu_r]]
-        basic[mu_o + self.kept_eq_rows] = to_orig[basis.basic[mu_r:]]
-        # Removed rows: their own slack / artificial carries the row.
-        basic[removed_ub_idx] = n_o + removed_ub_idx
-        status[n_o + removed_ub_idx] = BASIC
-        basic[mu_o + removed_eq_idx] = n_o + mu_o + mu_o + removed_eq_idx
-        status[n_o + mu_o + mu_o + removed_eq_idx] = BASIC
-        return SimplexBasis(basic, status, n_o, mu_o, me_o)
-
-    def reduce_basis(self, basis: SimplexBasis | None) -> SimplexBasis | None:
-        """Map an original-space simplex basis into the reduced space.
-
-        Succeeds when the reduction does not disturb the basis: every fixed
-        column is nonbasic and every removed row is carried by its own slack
-        or artificial.  Returns ``None`` otherwise (callers fall back to a
-        cold solve, exactly like any stale warm start).
-        """
-        if basis is None:
-            return None
-        if self.identity:
-            return basis
-        n_o, mu_o, me_o = self.num_orig_vars, self.num_orig_ub, self.num_orig_eq
-        if not basis.matches(n_o, mu_o, me_o):
-            return None
-        m_o = mu_o + me_o
-        if basis.basic.shape != (m_o,) or basis.status.shape != (n_o + mu_o + m_o,):
-            return None
-        to_orig, to_reduced = self._column_maps()
-
-        removed_ub = np.ones(mu_o, dtype=bool)
-        removed_ub[self.kept_ub_rows] = False
-        removed_eq = np.ones(me_o, dtype=bool)
-        removed_eq[self.kept_eq_rows] = False
-        # A removed <= row must be carried by its own slack or artificial, a
-        # removed equality row by its own artificial; anything else cannot be
-        # projected out of the basis.
-        for r in np.nonzero(removed_ub)[0]:
-            if basis.basic[r] not in (n_o + r, n_o + mu_o + r):
-                return None
-        for r in np.nonzero(removed_eq)[0]:
-            if basis.basic[mu_o + r] != n_o + mu_o + mu_o + r:
-                return None
-
-        kept_row_positions = np.concatenate([self.kept_ub_rows, mu_o + self.kept_eq_rows])
-        basic_reduced = to_reduced[basis.basic[kept_row_positions]]
-        if (basic_reduced < 0).any():
-            return None  # a kept row is carried by a fixed column / removed slack
-        status_reduced = basis.status[to_orig].copy()
-        n_r = self.num_reduced_vars
-        mu_r = int(self.kept_ub_rows.size)
-        me_r = int(self.kept_eq_rows.size)
-        if np.count_nonzero(status_reduced == BASIC) != mu_r + me_r:
-            return None
-        return SimplexBasis(basic_reduced, status_reduced, n_r, mu_r, me_r)
-
 
 @dataclass
 class PresolveResult:
@@ -648,14 +504,7 @@ def _identity_result(form: MatrixForm, stats: PresolveStats) -> PresolveResult:
     postsolve = Postsolve(
         reduced_form=form,
         kept_cols=np.arange(n, dtype=np.int64),
-        kept_ub_rows=np.arange(form.a_ub.shape[0], dtype=np.int64),
-        kept_eq_rows=np.arange(form.a_eq.shape[0], dtype=np.int64),
         fixed_values=np.zeros(n),
-        num_orig_vars=n,
-        num_orig_ub=int(form.a_ub.shape[0]),
-        num_orig_eq=int(form.a_eq.shape[0]),
-        orig_lower=lower,
-        orig_upper=upper,
         tightened_lower=lower,
         tightened_upper=upper,
         objective_offset_min=0.0,
@@ -801,8 +650,6 @@ def presolve_form(
         # working matrix) through a with_bounds view.
         reduced = form.with_bounds(lower, upper)
         result = _identity_result(reduced, stats)
-        result.postsolve.orig_lower = orig_lower
-        result.postsolve.orig_upper = orig_upper
         if integer_mask is not None:
             result.postsolve.integer_mask = integer_mask
         return result
@@ -838,14 +685,7 @@ def presolve_form(
     postsolve = Postsolve(
         reduced_form=reduced_form,
         kept_cols=kept_cols,
-        kept_ub_rows=kept_ub,
-        kept_eq_rows=kept_eq,
         fixed_values=fixed_values,
-        num_orig_vars=n,
-        num_orig_ub=mu,
-        num_orig_eq=me,
-        orig_lower=orig_lower,
-        orig_upper=orig_upper,
         tightened_lower=reduced_lower,
         tightened_upper=reduced_upper,
         objective_offset_min=float(form.c[fixed_idx] @ fixed_values[fixed_idx]),

@@ -10,11 +10,11 @@ standard approach to approximating ILPs.  This solver implements that idea:
 4. report FEASIBLE (never OPTIMAL, since optimality is not proven) or
    INFEASIBLE if repair fails.
 
-Its purpose in this repository is twofold: it serves as an additional baseline
-in the benchmark ablations, and — because it implements the same
-``solve(model) -> Solution`` protocol as the branch-and-bound solver — it
-demonstrates that DIRECT and SKETCHREFINE treat the ILP solver as a genuine
-black box, a property the paper emphasises in Section 4.5.
+Because it implements the same ``solve(model) -> Solution`` protocol as the
+branch-and-bound solver, it shows that DIRECT and SKETCHREFINE treat the ILP
+solver as a genuine black box, a property the paper emphasises in Section
+4.5: ``tests/ilp/test_rounding_and_iis.py`` runs DIRECT on it.  No benchmark
+uses it.
 """
 
 from __future__ import annotations

@@ -39,13 +39,11 @@ Four design points make repeated solves cheap:
   simplex, the primal clean-up is one optimality pricing.
 
 **Pricing.**  The entering variable is chosen by Dantzig's rule (largest
-reduced-cost magnitude).  Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a
-partial-pricing candidate list amortises the full ``v @ A`` sweep: most
-iterations price only a few hundred promising columns, and a full sweep runs
-only when the list runs dry (optimality is still only ever declared off a
-full sweep).  After a long run of degenerate pivots the solver switches to
-Bland's rule — always a full lowest-index sweep — to guarantee termination.
-A bound flip changes no basis, inverse or cost, so the iteration after it
+reduced-cost magnitude) off a full ``v @ A`` sweep: after a dual solve the
+primal is a clean-up that prices once and finds nothing to enter, so no
+partial pricing is kept for it.  After a long run of degenerate pivots the
+solver switches to Bland's rule — the lowest eligible index — to guarantee
+termination.  A bound flip changes no basis, inverse or cost, so the iteration after it
 reuses the last full sweep's reduced costs.  The sweep that declares
 optimality is exported: :attr:`SimplexResult.reduced_costs` is its
 structural slice, so branch-and-bound fixes columns from it without another
@@ -104,8 +102,6 @@ _REFACTOR_INTERVAL = 60
 _MAX_ITERATIONS_FACTOR = 50
 _DEGENERATE_STREAK_LIMIT = 50
 
-#: Partial pricing (candidate list) activates at or past this many columns.
-_PARTIAL_PRICING_THRESHOLD = 4096
 #: Bases of larger dimension export without their inverse (m² floats per open
 #: branch-and-bound node; past this the warm path reinverts instead).
 _FACTOR_EXPORT_LIMIT = 512
@@ -424,10 +420,6 @@ class _BoundedRevisedSimplex:
         self._numerical_failure = False
         self._two_phase = False
 
-        self._partial = self.ncols >= _PARTIAL_PRICING_THRESHOLD
-        self._cand: np.ndarray | None = None
-        self._cand_target = max(64, min(1024, self.ncols // 32))
-
     def _ftran(self, j: int) -> np.ndarray:
         """``B^-1 a_j``."""
         return self.factor.ftran(self.a[:, j])
@@ -455,7 +447,6 @@ class _BoundedRevisedSimplex:
         self._bland = False
         self._degenerate_streak = 0
         self._numerical_failure = False
-        self._cand = None
         return None
 
     # -- cold path ----------------------------------------------------------------
@@ -565,10 +556,10 @@ class _BoundedRevisedSimplex:
 
         When the exported basis carries its inverse, a snapshot of it is
         installed directly — the reinversion is skipped — but the residual
-        check below *always* runs: the inverse may have been exported against
-        a same-shape form with different coefficients (SketchRefine retries a
-        group against a rebuilt model) or have drifted over the updates it
-        inherited, and either would silently corrupt every FTRAN after it.
+        check below *always* runs: a caller may pass the basis of another
+        same-shape form with different coefficients, or the inverse may have
+        drifted over the updates it inherited, and either would silently
+        corrupt every FTRAN after it.
         """
         if not isinstance(warm, SimplexBasis) or not warm.matches(self.n, self.mu, self.me):
             return False
@@ -691,14 +682,9 @@ class _BoundedRevisedSimplex:
         d: np.ndarray | None = None
         for _ in range(max_iterations):
             self.iterations += 1
-            if self._partial and not self._bland:
-                entering, direction = self._price_candidates(
-                    costs, self.factor.btran(costs[self.basis])
-                )
-            else:
-                if d is None:
-                    d = costs - self.factor.btran(costs[self.basis]) @ self.a
-                entering, direction = self._price(d)
+            if d is None:
+                d = costs - self.factor.btran(costs[self.basis]) @ self.a
+            entering, direction = self._price(d)
             if entering is None:
                 return SimplexStatus.OPTIMAL
 
@@ -743,10 +729,9 @@ class _BoundedRevisedSimplex:
         """Choose the entering column off a full sweep's reduced costs ``d``;
         ``(None, 0)`` means price-optimal.
 
-        Bland mode always prices the full column range (its termination
-        guarantee needs the global lowest eligible index), and so does a
-        problem narrower than :data:`_PARTIAL_PRICING_THRESHOLD`.  An optimal
-        ``d`` is kept for :attr:`SimplexResult.reduced_costs`.
+        Bland mode takes the lowest eligible index, Dantzig's rule the
+        largest ``|d|``.  An optimal ``d`` is kept for
+        :attr:`SimplexResult.reduced_costs`.
         """
         eligible = self._eligible_columns(d)
         if eligible.size == 0:
@@ -757,19 +742,6 @@ class _BoundedRevisedSimplex:
             return j, (1 if d[j] < 0 else -1)
         return self._select(eligible, d[eligible])
 
-    def _price_candidates(self, costs: np.ndarray, y: np.ndarray) -> tuple[int | None, int]:
-        """Partial pricing: price the candidate list, and fall back to a full
-        sweep — which also rebuilds the list — only when the list has no
-        eligible column left; optimality is only ever declared off a full
-        sweep."""
-        cand = self._cand
-        if cand is not None and cand.size:
-            d_cand = costs[cand] - y @ self.a[:, cand]
-            mask = self._eligible_mask(cand, d_cand)
-            if mask.any():
-                return self._select(cand[mask], d_cand[mask])
-        return self._rebuild_candidates(costs - y @ self.a)
-
     def _eligible_columns(self, d: np.ndarray) -> np.ndarray:
         """Indices of columns whose reduced cost permits an improving move:
         ``move * d < -eps`` (at lower with ``d < -eps``, at upper with ``d >
@@ -779,36 +751,12 @@ class _BoundedRevisedSimplex:
             eligible |= (self.status == FREE) & (np.abs(d) > _EPSILON)
         return eligible.nonzero()[0]
 
-    def _eligible_mask(self, cols: np.ndarray, d_cols: np.ndarray) -> np.ndarray:
-        """Eligibility of a column subset, given their reduced costs."""
-        eligible = self.move[cols] * d_cols < -_EPSILON
-        if self._any_free:
-            eligible |= (self.status[cols] == FREE) & (np.abs(d_cols) > _EPSILON)
-        return eligible
-
     @staticmethod
     def _select(cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
         """Dantzig's rule over eligible columns ``cols``: largest ``|d|``."""
         k = int(np.abs(d_cols).argmax())
         j = int(cols[k])
         return j, (1 if d_cols[k] < 0 else -1)
-
-    def _rebuild_candidates(self, d: np.ndarray) -> tuple[int | None, int]:
-        """Full-sweep price: select globally and refill the candidate list
-        (an optimal ``d`` is kept, as in :meth:`_price`)."""
-        eligible = self._eligible_columns(d)
-        if eligible.size == 0:
-            self._cand = None
-            self._optimal_d = d
-            return None, 0
-        d_eligible = d[eligible]
-        scores = np.abs(d_eligible)
-        if eligible.size > self._cand_target:
-            top = np.argpartition(-scores, self._cand_target - 1)[: self._cand_target]
-            self._cand = np.sort(eligible[top])
-        else:
-            self._cand = eligible
-        return self._select(eligible, d_eligible)
 
     def _primal_ratio_test(
         self, entering: int, direction: int, w: np.ndarray

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.ilp.simplex import SimplexBasis
 
 
 class SolverStatus(enum.Enum):
@@ -104,19 +100,12 @@ class Solution:
         objective_value: Objective under ``values`` in the model's own sense
             (NaN when no solution exists).
         stats: Solver statistics.
-        root_basis: Optimal simplex basis of the root LP relaxation (a
-            :class:`~repro.ilp.simplex.SimplexBasis`), exported by
-            branch-and-bound.  A caller about to solve a *related* model of
-            the same shape (e.g. a SKETCHREFINE backtracking retry of the
-            same group) can pass it back as a warm start.  ``None`` for
-            other solvers.
     """
 
     status: SolverStatus
     values: np.ndarray = field(default_factory=lambda: np.empty(0))
     objective_value: float = float("nan")
     stats: SolveStats = field(default_factory=SolveStats)
-    root_basis: "SimplexBasis | None" = None
 
     @property
     def is_optimal(self) -> bool:

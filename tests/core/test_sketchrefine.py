@@ -142,30 +142,6 @@ class TestBasicBehaviour:
         again = evaluator.evaluate(table, meal_planner_query(), partitioning)
         assert again.same_contents(package)
 
-    def test_warm_basis_reaches_branch_and_bound_only(self, fast_solver):
-        model = IlpModel("refine_like")
-        for i in range(4):
-            model.add_variable(f"t_{i}", 0, 2)
-        model.add_constraint({0: 3.0, 1: 5.0, 2: 2.0, 3: 7.0}, ConstraintSense.LE, 11.0)
-        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0})
-        basis = fast_solver.solve(model).root_basis
-        assert basis is not None
-
-        class RecordingBranchAndBound(BranchAndBoundSolver):
-            def solve(self, model, warm_start=None):
-                self.warm_start = warm_start
-                return super().solve(model, warm_start=warm_start)
-
-        class BlackBox:
-            def solve(self, model):
-                return fast_solver.solve(model)
-
-        recording = RecordingBranchAndBound(limits=fast_solver.limits)
-        assert run_solve_task(recording, model, basis).has_solution
-        assert recording.warm_start is basis
-        # Any other black-box solver gets a plain ``solve(model)`` call.
-        assert run_solve_task(BlackBox(), model, basis).has_solution
-
 
 def _refine_like_model(task_id: int, shift: float = 0.0) -> IlpModel:
     """A small knapsack-shaped ILP like one refine group's Q[G_j]."""
@@ -206,32 +182,38 @@ class TestRunSolveTask:
 
     @pytest.mark.parametrize("task_id", range(6))
     def test_cold_solve_equals_a_plain_solve(self, fast_solver, task_id):
-        solution = run_solve_task(fast_solver, _refine_like_model(task_id), None)
+        solution = run_solve_task(fast_solver, _refine_like_model(task_id))
         assert solution.is_optimal
         plain = fast_solver.solve(_refine_like_model(task_id))
         assert _exact_solve_signature(solution) == _exact_solve_signature(plain)
 
     @pytest.mark.parametrize("task_id", range(6))
-    def test_warm_solve_equals_a_plain_warm_solve(self, fast_solver, task_id):
-        # A retry of the same group differs only in its right-hand sides.
-        basis = fast_solver.solve(_refine_like_model(task_id)).root_basis
-        assert basis is not None
-        retry = run_solve_task(fast_solver, _refine_like_model(task_id, shift=-3.0), basis)
-        plain = fast_solver.solve(_refine_like_model(task_id, shift=-3.0), warm_start=basis)
-        assert _exact_solve_signature(retry) == _exact_solve_signature(plain)
+    def test_retry_equals_a_fresh_solve(self, fast_solver, task_id):
+        # A retry of the same group differs only in its right-hand sides; the
+        # first solve leaves nothing behind that the retry could start from.
+        fast_solver.solve(_refine_like_model(task_id))
+        retry = run_solve_task(fast_solver, _refine_like_model(task_id, shift=-3.0))
+        fresh = BranchAndBoundSolver(limits=fast_solver.limits).solve(
+            _refine_like_model(task_id, shift=-3.0)
+        )
+        assert _exact_solve_signature(retry) == _exact_solve_signature(fresh)
+
+    def test_takes_no_basis(self, fast_solver):
+        with pytest.raises(TypeError):
+            run_solve_task(fast_solver, _refine_like_model(0), None)
 
     def test_results_are_independent_of_the_global_rng(self, fast_solver):
-        baseline = run_solve_task(fast_solver, _refine_like_model(5), None)
+        baseline = run_solve_task(fast_solver, _refine_like_model(5))
         np.random.seed(987654)
         np.random.random(1000)
-        perturbed = run_solve_task(fast_solver, _refine_like_model(5), None)
+        perturbed = run_solve_task(fast_solver, _refine_like_model(5))
         assert _exact_solve_signature(perturbed) == _exact_solve_signature(baseline)
 
     def test_leaves_the_global_rng_alone(self, fast_solver):
         np.random.seed(31)
         expected = np.random.random(4)
         np.random.seed(31)
-        run_solve_task(fast_solver, _refine_like_model(2), None)
+        run_solve_task(fast_solver, _refine_like_model(2))
         assert np.array_equal(np.random.random(4), expected)
 
     def test_repeated_execution_is_stable_despite_warm_caches(self, fast_solver):
@@ -239,8 +221,8 @@ class TestRunSolveTask:
         # form, simplex working matrix); a warm solve must not drift from
         # the cold one.
         model = _refine_like_model(1)
-        first = run_solve_task(fast_solver, model, None)
-        second = run_solve_task(fast_solver, model, None)
+        first = run_solve_task(fast_solver, model)
+        second = run_solve_task(fast_solver, model)
         assert _exact_solve_signature(second) == _exact_solve_signature(first)
 
 
@@ -519,7 +501,14 @@ class _BlackBoxSolver:
         return self.inner.solve(model)
 
 
-class TestRefineBasisReuse:
+class TestRefineRetries:
+    """A deferred group's retry is a plain solve of its rebuilt model: no
+    basis is carried from its first solve."""
+
+    #: The package objective of this instance at 0054bd3, whose retries
+    #: started from the group's cached root basis.
+    CACHED_BASIS_OBJECTIVE = 221.69554000000002
+
     @pytest.fixture(scope="class")
     def deferring_instance(self):
         """Galaxy Q2 at 2 400 rows: the merge defers a group to a second round."""
@@ -530,28 +519,45 @@ class TestRefineBasisReuse:
         )
         return table, workload.query("Q2").query, partitioning
 
-    def test_retry_of_same_group_reuses_cached_basis(self, deferring_instance):
-        """A deferred group is re-solved from the root basis of its first solve."""
+    def test_retry_starts_from_the_slack_basis(self, deferring_instance):
         table, query, partitioning = deferring_instance
         evaluator = SketchRefineEvaluator()
         package = evaluator.evaluate(table, query, partitioning)
         stats = evaluator.last_stats
-        assert check_package(package, query).feasible
         assert stats.refine_rounds > 1 and stats.merge_deferrals >= 1
-        assert stats.refine_retry_warm_starts >= 1
-        assert stats.solver_warm_start_hits >= stats.refine_retry_warm_starts
+        assert check_package(package, query).feasible
+        # Every cold LP, each retry's root included, went dual from the slack
+        # basis.
+        assert stats.two_phase_starts == 0
+        assert objective_value(package, query) == pytest.approx(
+            self.CACHED_BASIS_OBJECTIVE, rel=1e-12
+        )
 
-    def test_black_box_solver_is_never_counted_as_warm_started(self, deferring_instance):
-        """The wrapper's solutions carry a root basis, so one is cached and
-        offered on the retry, but only a BranchAndBoundSolver is handed it:
-        every retry is solved cold and none is counted."""
+    def test_black_box_solver_gets_the_same_package(self, deferring_instance):
+        """The evaluator holds no solver state, so branch and bound behind the
+        black-box contract answers as the default solver does."""
         table, query, partitioning = deferring_instance
+        default = SketchRefineEvaluator().evaluate(table, query, partitioning)
         evaluator = SketchRefineEvaluator(solver=_BlackBoxSolver())
         package = evaluator.evaluate(table, query, partitioning)
-        assert check_package(package, query).feasible
         assert evaluator.last_stats.refine_rounds > 1
-        assert evaluator._refine_basis
-        assert evaluator.last_stats.refine_retry_warm_starts == 0
+        assert package.same_contents(default)
+
+    def test_a_second_evaluation_repeats_the_first(self, deferring_instance):
+        """Nothing from the first evaluation's retries seeds the second: the
+        same evaluator returns the same package with the same solver work."""
+        table, query, partitioning = deferring_instance
+        evaluator = SketchRefineEvaluator()
+        first = evaluator.evaluate(table, query, partitioning)
+        before = evaluator.last_stats
+        second = evaluator.evaluate(table, query, partitioning)
+        after = evaluator.last_stats
+        assert second.same_contents(first)
+        for name in ("refine_rounds", "merge_deferrals", "solver_lp_solves",
+                     "solver_simplex_iterations", "solver_nodes_explored",
+                     "solver_warm_start_hits", "two_phase_starts"):
+            assert getattr(after, name) == getattr(before, name), name
+        assert not hasattr(after, "refine_retry_warm_starts")
 
 
 class TestNodePropagationTelemetry:

@@ -13,7 +13,10 @@ This module is what that claim is held against — the parent commit's
   on the record, and
 * ``_apply_candidates`` runs under ``np.errstate(invalid="ignore")``: the
   parent's full-width comparison evaluates ``inf - inf`` for an unbounded
-  column that received no candidate (a RuntimeWarning, same result).
+  column that received no candidate (a RuntimeWarning, same result), and
+* what the library has deleted since is gone here too: the
+  ``Postsolve`` fields only the basis maps read, and ``reduce_bounds``'s
+  ``propagate`` flag (the pass always runs when a node branched).
 
 Everything the gate did not touch (``_Rows``, rounding, tolerances, the
 structural reduction's helpers) is imported from the module under test.
@@ -126,12 +129,11 @@ def reference_reduce_bounds(
     postsolve: Postsolve,
     lower: np.ndarray,
     upper: np.ndarray,
-    propagate: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``Postsolve.reduce_bounds`` at 03cd8ba: every pass runs, whatever the slack."""
     reduced_l = np.maximum(postsolve.tightened_lower, lower[postsolve.kept_cols])
     reduced_u = np.minimum(postsolve.tightened_upper, upper[postsolve.kept_cols])
-    if propagate and not postsolve.identity:
+    if not postsolve.identity:
         changed = (reduced_l != postsolve.tightened_lower) | (reduced_u != postsolve.tightened_upper)
         if changed.any():
             ub_rows = _Rows(postsolve.reduced_form.a_ub)
@@ -246,8 +248,6 @@ def reference_presolve_form(
         # working matrix) through a with_bounds view.
         reduced = form.with_bounds(lower, upper)
         result = _identity_result(reduced, stats)
-        result.postsolve.orig_lower = orig_lower
-        result.postsolve.orig_upper = orig_upper
         if integer_mask is not None:
             result.postsolve.integer_mask = integer_mask
         return result
@@ -283,14 +283,7 @@ def reference_presolve_form(
     postsolve = Postsolve(
         reduced_form=reduced_form,
         kept_cols=kept_cols,
-        kept_ub_rows=kept_ub,
-        kept_eq_rows=kept_eq,
         fixed_values=fixed_values,
-        num_orig_vars=n,
-        num_orig_ub=mu,
-        num_orig_eq=me,
-        orig_lower=orig_lower,
-        orig_upper=orig_upper,
         tightened_lower=reduced_lower,
         tightened_upper=reduced_upper,
         objective_offset_min=float(form.c[fixed_idx] @ fixed_values[fixed_idx]),

@@ -11,6 +11,10 @@ that claim is held against: :class:`ReferenceSimplex` overrides every method
 those changes touched with the parent's body, verbatim.  The methods it
 inherits changed only in spelling (``np.any(x)`` to ``x.any()``,
 ``np.nonzero(x)`` to ``x.nonzero()``, ``np.argmax(x)`` to ``x.argmax()``).
+The partial-pricing candidate list the library has since deleted is kept
+here as it last stood there: its threshold, its state (set up in
+``__init__``), ``_eligible_mask``, ``_rebuild_candidates`` and the reset in
+``_dual_solve``.
 
 :func:`reference_rounding` is the parent's rounding heuristic followed by the
 adoption rule its caller applied, over the parent's ``check_feasible``.
@@ -25,6 +29,7 @@ import numpy as np
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import IlpModel
 from repro.ilp.simplex import (
+    _EPSILON,
     _FEASIBILITY_TOLERANCE,
     _MAX_ITERATIONS_FACTOR,
     _PIVOT_EPSILON,
@@ -41,9 +46,33 @@ from repro.ilp.simplex import (
     _WorkMatrix,
 )
 
+#: Partial pricing (candidate list) activates at or past this many columns.
+_PARTIAL_PRICING_THRESHOLD = 4096
+
 
 class ReferenceSimplex(_BoundedRevisedSimplex):
     """The parent's solver: its node-path methods, verbatim."""
+
+    def __init__(self, work: _WorkMatrix, structural_lower: np.ndarray, structural_upper: np.ndarray):
+        super().__init__(work, structural_lower, structural_upper)
+        self._partial = self.ncols >= _PARTIAL_PRICING_THRESHOLD
+        self._cand: np.ndarray | None = None
+        self._cand_target = max(64, min(1024, self.ncols // 32))
+
+    def _dual_solve(self, warm_started: bool) -> SimplexResult | None:
+        """Reoptimise from the basis just installed; ``None`` after numerical
+        trouble or a spent pivot budget, with the search state reset for the
+        next start."""
+        status = self._reoptimize()
+        if status not in (SimplexStatus.ITERATION_LIMIT, SimplexStatus.NUMERICAL_ERROR):
+            result = self._result(status, warm_started=warm_started)
+            if result.status is not SimplexStatus.NUMERICAL_ERROR:
+                return result
+        self._bland = False
+        self._degenerate_streak = 0
+        self._numerical_failure = False
+        self._cand = None
+        return None
 
     def _cold_solve(self) -> SimplexResult:
         self._cold_start()
@@ -239,6 +268,30 @@ class ReferenceSimplex(_BoundedRevisedSimplex):
         if eligible.size == 0:
             return None, 0
         return self._select(eligible, d[eligible])
+
+    def _eligible_mask(self, cols: np.ndarray, d_cols: np.ndarray) -> np.ndarray:
+        """Eligibility of a column subset, given their reduced costs."""
+        eligible = self.move[cols] * d_cols < -_EPSILON
+        if self._any_free:
+            eligible |= (self.status[cols] == FREE) & (np.abs(d_cols) > _EPSILON)
+        return eligible
+
+    def _rebuild_candidates(self, d: np.ndarray) -> tuple[int | None, int]:
+        """Full-sweep price: select globally and refill the candidate list
+        (an optimal ``d`` is kept, as in :meth:`_price`)."""
+        eligible = self._eligible_columns(d)
+        if eligible.size == 0:
+            self._cand = None
+            self._optimal_d = d
+            return None, 0
+        d_eligible = d[eligible]
+        scores = np.abs(d_eligible)
+        if eligible.size > self._cand_target:
+            top = np.argpartition(-scores, self._cand_target - 1)[: self._cand_target]
+            self._cand = np.sort(eligible[top])
+        else:
+            self._cand = eligible
+        return self._select(eligible, d_eligible)
 
     def _primal_ratio_test(
         self, entering: int, direction: int, w: np.ndarray

@@ -5,8 +5,11 @@ held against ``scipy.optimize.linprog`` on the instance shapes that break
 simplex codes: tie-heavy small-integer data, duplicated columns, PaQL-shaped
 rows (a COUNT row plus positive SUM rows over 0/1 and REPEAT bounds),
 ill-scaled rows and near-infeasible slivers.  Every instance has 1-7 rows and
-up to 200 columns and is a pure function of ``(family, seed)``; a wide boxed
-family of the PaQL shape goes past the partial-pricing threshold.
+up to 200 columns and is a pure function of ``(family, seed)``.  Two wide
+families of the PaQL shape have 4 096 columns or more: a boxed one, which
+starts dual from the slack basis, and one with unbounded maximised columns,
+which the slack start refuses, so its primal pivots over full pricing
+sweeps.
 
 The contract: the simplex either agrees with the oracle on status and on the
 objective to 1e-6 relative, or returns the typed ``NUMERICAL_ERROR`` — never
@@ -23,8 +26,7 @@ with every rank-one update folded into it so far — that the last one exported.
 Every optimal solve also exports its reduced costs, which branch-and-bound
 fixes columns from: they must equal ``c - Aᵀy`` recomputed with numpy from
 the exported basis, with the sign dual feasibility requires at each column's
-bound — on the families, along the warm chains, and past the partial-pricing
-threshold.
+bound — on the families, along the warm chains, and on wide instances.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import pytest
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.simplex import (
     _EPSILON,
-    _PARTIAL_PRICING_THRESHOLD,
     AT_LOWER,
     AT_UPPER,
     BASIC,
@@ -146,12 +147,16 @@ FAMILIES = {
 }
 
 
+#: Columns of the narrowest wide instance.
+WIDE_COLUMNS = 4_096
+
+
 def wide_boxed(rng):
-    """:func:`paql_shaped` past the partial-pricing threshold, each column
-    boxed in ``[0, 1..3]``: the long dual steps flip thousands of columns, and
-    the primal clean-up prices off the candidate list."""
+    """:func:`paql_shaped` at :data:`WIDE_COLUMNS` columns or more, each
+    column boxed in ``[0, 1..3]``: the long dual steps flip thousands of
+    columns."""
     m = int(rng.integers(1, 8))
-    n = _PARTIAL_PRICING_THRESHOLD + int(rng.integers(0, 2_000))
+    n = WIDE_COLUMNS + int(rng.integers(0, 2_000))
     count = float(rng.integers(1, n // 4))
     weights = rng.lognormal(0.0, 1.0, size=(m - 1, n)).round(3)
     budgets = np.median(weights, axis=1) * count * rng.uniform(0.5, 2.0, size=m - 1)
@@ -166,8 +171,33 @@ def wide_boxed(rng):
     return c, a_ub, b_ub, a_eq, b_eq, (np.zeros(n), upper)
 
 
+def wide_unboxed(rng):
+    """:func:`wide_boxed`'s shape over nonnegative rows, with about one
+    column in twenty unbounded above, column 0 among them at a negative cost:
+    a maximised column with no upper bound, so the slack start is refused and
+    the solve goes two-phase, its primal pricing full sweeps of thousands of
+    columns.  The COUNT row keeps the optimum finite."""
+    m = int(rng.integers(2, 8))
+    n = WIDE_COLUMNS + int(rng.integers(0, 2_000))
+    count = float(rng.integers(1, n // 4))
+    a_ub = rng.lognormal(0.0, 1.0, size=(m - 1, n)).round(3)
+    b_ub = np.median(a_ub, axis=1) * count * rng.uniform(0.5, 2.0, size=m - 1)
+    a_eq, b_eq = np.ones((1, n)), np.array([count])
+    if rng.random() < 0.5:
+        a_ub, b_ub = np.vstack([a_ub, a_eq]), np.append(b_ub, count)
+        a_eq, b_eq = np.empty((0, n)), np.empty(0)
+    upper = rng.integers(1, 4, size=n).astype(float)
+    unbounded = rng.random(n) < 0.05
+    unbounded[0] = True
+    upper[unbounded] = np.inf
+    c = rng.normal(0.0, 1.0, size=n).round(3)
+    c[0] = -abs(c[0]) - 0.5
+    return c, a_ub, b_ub, a_eq, b_eq, (np.zeros(n), upper)
+
+
 #: Wide instances are a few milliseconds each; fewer seeds than the families.
 WIDE_SEEDS = 40
+WIDE_TWO_PHASE_SEEDS = 12
 
 #: NUMERICAL_ERROR seeds allowed per family, and steps per warm chain: the count
 #: measured at this commit (none anywhere; harsher scalings of the same
@@ -226,11 +256,10 @@ def test_exported_reduced_costs_are_the_final_basis_duals(family):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_exported_reduced_costs_past_the_partial_pricing_threshold(seed):
-    """A PaQL-shaped instance wide enough that optimality is declared off the
-    candidate list's full sweep, not the dense pricing."""
+def test_exported_reduced_costs_on_wide_lps(seed):
+    """A PaQL-shaped instance of thousands of columns."""
     rng = np.random.default_rng(seed)
-    n = _PARTIAL_PRICING_THRESHOLD + 1_000
+    n = WIDE_COLUMNS + 1_000
     weights = rng.lognormal(0.0, 1.0, size=(2, n)).round(3)
     count = 40.0
     a_ub = np.vstack([weights, -weights[:1]])
@@ -280,6 +309,30 @@ def test_wide_boxed_lps_match_the_oracle():
     assert not wrong, "\n".join(wrong)
     assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
         f"wide_boxed NUMERICAL_ERROR seeds: {numerical_errors}"
+    )
+
+
+def test_wide_two_phase_lps_match_the_oracle():
+    optimal, numerical_errors, wrong = 0, [], []
+    for seed in range(WIDE_TWO_PHASE_SEEDS):
+        *rows, (lower, upper) = wide_unboxed(np.random.default_rng(seed))
+        bounds = np.column_stack([lower, upper])
+        result = solve_dense_simplex(*rows, bounds)
+        if result.status is SimplexStatus.NUMERICAL_ERROR:
+            numerical_errors.append(seed)
+            continue
+        assert result.two_phase and result.iterations > 1, seed
+        mismatch = _oracle_disagreement(result, rows, bounds)
+        if mismatch is not None:
+            wrong.append(f"wide_unboxed seed {seed}: {mismatch}")
+        elif result.status is SimplexStatus.OPTIMAL:
+            assert_reduced_costs_of_the_basis(rows, lower, upper, result)
+            optimal += 1
+    assert not wrong, "\n".join(wrong)
+    # Every seed is feasible and bounded, so each one ran the primal to the end.
+    assert optimal == WIDE_TWO_PHASE_SEEDS - len(numerical_errors)
+    assert len(numerical_errors) <= NUMERICAL_ERROR_CEILING, (
+        f"wide_unboxed NUMERICAL_ERROR seeds: {numerical_errors}"
     )
 
 

@@ -3,10 +3,11 @@
 Covers the export contract against literal matrices (row order, negation,
 explicit zeros, padding, memoisation), the typed rejection of a constraint
 matrix that is not a dense float array, the zero-copy structural sharing
-branch-and-bound relies on, the block and mapping entry points of the model,
-and the root-basis warm-start handoff used by SKETCHREFINE's backtracking
-retries.
+branch-and-bound relies on, the block and mapping entry points of the
+model, and the absence of any basis handoff between separate solves.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from scipy import sparse as sp
 
 from repro.errors import SolverError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import solve_lp_form
+from repro.ilp.lp_backend import solve_lp, solve_lp_form
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import presolve_form
 from repro.ilp.simplex import _WORK_CACHE_KEY, solve_dense_simplex
-from repro.ilp.status import SolverStatus
+from repro.ilp.status import Solution, SolverStatus
 
 from .oracle import oracle_form_lp
 
@@ -307,8 +308,11 @@ class TestModelFastPaths:
         assert not model.check_feasible(np.array([0.5, 0.0, 0.0, 0.0]))  # integrality
 
 
-class TestRootBasisHandoff:
-    def _model(self, budget=0.4):
+class TestNoBasisHandoff:
+    """A solve returns no basis and accepts none: branch-and-bound starts its
+    root from the slack basis and carries bases only from parent to child."""
+
+    def _model(self):
         rng = np.random.default_rng(5)
         model = IlpModel("handoff")
         weights = rng.integers(2, 9, 12).astype(float)
@@ -316,26 +320,30 @@ class TestRootBasisHandoff:
         for i in range(12):
             model.add_variable(f"x{i}", 0, 1)
         model.add_constraint(
-            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * budget
+            {i: w for i, w in enumerate(weights)}, ConstraintSense.LE, weights.sum() * 0.4
         )
         model.set_objective(ObjectiveSense.MAXIMIZE, {i: v for i, v in enumerate(values)})
         return model
 
-    def test_solution_exports_root_basis_and_accepts_it_back(self):
-        solver = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9))
-        first = solver.solve(self._model())
-        assert first.status is SolverStatus.OPTIMAL
-        assert first.root_basis is not None
+    def test_solution_carries_no_root_basis(self):
+        solution = BranchAndBoundSolver().solve(self._model())
+        assert solution.status is SolverStatus.OPTIMAL
+        assert "root_basis" not in {f.name for f in dataclasses.fields(Solution)}
+        assert not hasattr(solution, "root_basis")
 
-        # A related model (same shape, slightly shifted rhs) warm-starts its
-        # root from the exported basis — this is the SKETCHREFINE retry path.
-        retry_model = self._model(budget=0.38)
-        second = solver.solve(retry_model, warm_start=first.root_basis)
-        assert second.status is SolverStatus.OPTIMAL
-        assert second.stats.warm_start_hits >= 1
+    def test_branch_and_bound_takes_no_warm_start(self):
+        with pytest.raises(TypeError, match="warm_start"):
+            BranchAndBoundSolver().solve(self._model(), warm_start=None)
 
-        # The warm-rooted tree must agree with a cold-rooted one.
-        cold = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(
-            retry_model.copy()
+    def test_solve_lp_takes_no_warm_start(self):
+        with pytest.raises(TypeError, match="warm_start"):
+            solve_lp(self._model(), warm_start=None)
+
+    def test_node_lps_still_start_from_their_parent(self):
+        solution = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(
+            self._model()
         )
-        assert second.objective_value == pytest.approx(cold.objective_value)
+        stats = solution.stats
+        assert solution.status is SolverStatus.OPTIMAL
+        assert stats.nodes_explored > 1
+        assert stats.warm_start_hits >= 1

@@ -28,7 +28,6 @@ from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.simplex import (
-    _PARTIAL_PRICING_THRESHOLD,
     _PIVOT_EPSILON,
     _RATIO_TIE_TOLERANCE,
     AT_LOWER,
@@ -306,11 +305,11 @@ class TestFlips:
         assert_equivalent_lp(result, reference, form)
         assert not result.two_phase
 
-    def test_wide_lp_on_partial_pricing(self):
-        """Past the partial-pricing threshold the primal clean-up prices off
-        the candidate list."""
+    def test_wide_lp_against_the_candidate_list(self):
+        """At 4 296 columns the reference's primal prices off its candidate
+        list, the code under test off full sweeps."""
         rng = np.random.default_rng(7)
-        n = _PARTIAL_PRICING_THRESHOLD + 200
+        n = 4_096 + 200
         form = MatrixForm(
             c=rng.normal(size=n), a_ub=rng.random((1, n)), b_ub=np.array([0.3 * n]),
             a_eq=np.ones((1, n)), b_eq=np.array([0.4 * n]),

@@ -7,7 +7,7 @@ the property tests) the restored assignment's feasibility.
 
 Branch-and-bound's root call is the only presolve entry point in the library;
 the LP-level parity tests here compose ``presolve_form`` + ``solve_lp_form`` +
-``Postsolve.restore`` / ``restore_basis`` themselves (:func:`solve_presolved`).
+``Postsolve.restore`` themselves (:func:`solve_presolved`).
 :class:`TestRootCertificate` pins where the root certificate answers for the
 first pass on Galaxy models.
 """
@@ -50,7 +50,6 @@ def solve_presolved(form: MatrixForm) -> LpResult:
         result.status,
         postsolve.restore(result.values),
         result.objective_value + postsolve.objective_offset,
-        basis=postsolve.restore_basis(result.basis),
     )
 
 
@@ -220,18 +219,14 @@ class TestPostsolve:
         assert on.objective_value == pytest.approx(23.0)
         assert on.values == pytest.approx(off.values)
 
-    def test_restored_basis_warm_starts_the_original_form(self):
-        # Continuous relaxation so the LP reduction stays exact.
-        form = budget_model(is_integer=False).to_matrix()
-        presolved = solve_presolved(form)
-        assert presolved.status is SolverStatus.OPTIMAL
-        assert presolved.basis is not None
-        # The exported basis was lifted to the original column space: it must
-        # install cleanly on an un-presolved solve of the same form.
-        again = solve_lp_form(form, warm_start=presolved.basis)
-        assert again.status is SolverStatus.OPTIMAL
-        assert again.warm_start_used
-        assert again.objective_value == pytest.approx(presolved.objective_value)
+    def test_postsolve_maps_no_basis_and_takes_no_propagate_flag(self):
+        model = budget_model()
+        postsolve = presolve_form(model.to_matrix(), integer_mask=integer_mask(model)).postsolve
+        for name in ("restore_basis", "reduce_basis", "_column_maps"):
+            assert not hasattr(postsolve, name), name
+        lower, upper, _ = model.bound_and_integrality_arrays()
+        with pytest.raises(TypeError, match="propagate"):
+            postsolve.reduce_bounds(lower, upper, propagate=False)
 
     def test_reduce_bounds_propagates_branched_bounds(self):
         model = IlpModel()
@@ -318,18 +313,6 @@ class TestSolveParity:
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: -0.453, 1: -0.216, 2: -2.02, 3: -0.232})
         assert BranchAndBoundSolver().solve(model).status is SolverStatus.INFEASIBLE
         assert oracle_ilp(model).status == "infeasible"
-
-    def test_warm_started_bnb_agrees_with_presolve(self):
-        # SKETCHREFINE-style reuse: a root basis exported from one presolved
-        # solve seeds a retry of a same-shaped model.
-        model = budget_model()
-        solver = BranchAndBoundSolver()
-        first = solver.solve(model)
-        assert first.status is SolverStatus.OPTIMAL
-        assert first.root_basis is not None
-        retry = solver.solve(budget_model(), warm_start=first.root_basis)
-        assert retry.status is SolverStatus.OPTIMAL
-        assert retry.objective_value == pytest.approx(first.objective_value)
 
 
 @st.composite

@@ -298,15 +298,6 @@ def reference_eligible_columns(status, lower, upper, d):
     return np.nonzero(at_lower | at_upper | free)[0]
 
 
-def reference_eligible_mask(status, lower, upper, cols, d_cols):
-    status = status[cols]
-    movable = lower[cols] < upper[cols]
-    at_lower = (status == AT_LOWER) & movable & (d_cols < -_EPSILON)
-    at_upper = (status == AT_UPPER) & movable & (d_cols > _EPSILON)
-    free = (status == FREE) & (np.abs(d_cols) > _EPSILON)
-    return at_lower | at_upper | free
-
-
 def reference_ratio_candidates(status, lower, upper, alpha, leaving_below):
     movable = lower < upper
     at_lower = (status == AT_LOWER) & movable
@@ -387,11 +378,6 @@ class TestSignedMoveVector:
         d = _values_near(rng, ncols, _EPSILON)
         assert np.array_equal(
             solver._eligible_columns(d), reference_eligible_columns(status, lower, upper, d)
-        )
-        cols = np.sort(rng.choice(ncols, int(rng.integers(1, ncols + 1)), replace=False))
-        assert np.array_equal(
-            solver._eligible_mask(cols, d[cols]),
-            reference_eligible_mask(status, lower, upper, cols, d[cols]),
         )
 
         alpha = _values_near(rng, ncols, _PIVOT_EPSILON)
