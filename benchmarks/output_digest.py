@@ -10,13 +10,13 @@ bypassed, at each data seed.  One JSON line per (data seed, workload, op)::
     {"data_seed": 42, "workload": "direct_mix", "op": "small.Q1",
      "method": "direct", "package": "<sha256 of indices + multiplicities>",
      "objective": "<repr of the float>", "lp_solves": ..,
-     "simplex_iterations": .., "vars_fixed": .., "nodes": ..}
+     "simplex_iterations": .., "nodes": ..}
 
 The counters are the ones ``execute`` already reports in ``details``: LP
-solves, simplex iterations, columns fixed by root presolve and
-branch-and-bound nodes (for SKETCHREFINE summed over the sketch and every
-refine ILP; ``null`` for a checkout whose stats do not count them).  Equal files mean equal packages, objectives to
-the last bit and the same search.  Nothing is timed.
+solves, simplex iterations and branch-and-bound nodes (for SKETCHREFINE
+summed over the sketch and every refine ILP; ``null`` for a checkout whose
+stats do not count them).  Equal files mean equal packages, objectives to the
+last bit and the same search.  Nothing is timed.
 
 Then the update leg: per data seed, one ``update_requery_20k`` session runs
 10 iterations of its delta burst plus its hot set, through the cache, as the
@@ -71,14 +71,12 @@ def counters(details: dict) -> dict:
         return {
             "lp_solves": stats.lp_solves,
             "simplex_iterations": stats.simplex_iterations,
-            "vars_fixed": direct.vars_fixed,
             "nodes": stats.nodes_explored,
         }
     sketch = details["sketchrefine_stats"]
     return {
         "lp_solves": sketch.solver_lp_solves,
         "simplex_iterations": sketch.solver_simplex_iterations,
-        "vars_fixed": sketch.vars_fixed,
         # A merge base may predate the field (``--repo``).
         "nodes": getattr(sketch, "solver_nodes_explored", None),
     }

@@ -66,12 +66,14 @@ class StatsDriftChecker(Checker):
     default_config: dict[str, object] = {
         "stats_class_patterns": ["*Stats"],
         "receiver_patterns": ["stats", "*_stats"],
-        # Refine solves run in-process, so these read their defaults (1 and
-        # 0) forever; benchmarks/e2e/run.py still reports both.  They go
-        # when the trace moves into the engine (ROADMAP item 3).
+        # Refine solves run in-process and there is no presolve, so these
+        # read their defaults (1, 0 and 0) forever; benchmarks/e2e/run.py
+        # still reports the first two and its tracer reads the third.  They
+        # go when the trace moves into the engine (ROADMAP item 4).
         "never_written_ok": [
             "SketchRefineStats.refine_workers",
             "SketchRefineStats.refine_parallel_tasks",
+            "SolveStats.vars_fixed",
         ],
     }
 

@@ -1,11 +1,11 @@
 """tolerance — no bare float equality in solver/validation code.
 
 Feasibility and objective comparisons accumulate rounding error proportional
-to the magnitudes involved; PR 3 standardised on *relative* tolerances
-(``violation <= tolerance * scale`` in ``core/validation.py``, scaled row
-tolerances in presolve).  A bare ``==`` / ``!=`` between float-typed
-expressions silently reintroduces exact comparison and flips feasibility
-verdicts at the 1e-16 level.
+to the magnitudes involved, so the checked code compares with *relative*
+tolerances (``violation <= tolerance * scale`` in ``core/validation.py``, the
+incumbent-scaled fixing slack in branch-and-bound).  A bare ``==`` / ``!=``
+between float-typed expressions silently reintroduces exact comparison and
+flips feasibility verdicts at the 1e-16 level.
 
 Without type inference the checker is heuristic: a comparison operand counts
 as float-typed when it is

@@ -44,12 +44,6 @@ class DirectStats:
     num_constraints: int = 0
     constraint_nnz: int = 0
     """Non-zero coefficients of the translated constraint matrix."""
-    vars_fixed: int = 0
-    """Columns eliminated by the solver's root presolve."""
-    rows_removed: int = 0
-    """Constraint rows removed by the solver's root presolve."""
-    presolve_ms: float = 0.0
-    """Milliseconds spent in the root presolve."""
     solver_status: SolverStatus | None = None
     solve_stats: SolveStats | None = None
     """The solver's own statistics (nodes, LP solves, warm-start hits, …)."""
@@ -93,9 +87,6 @@ class DirectEvaluator:
             num_variables=translation.num_variables,
             num_constraints=translation.model.num_constraints,
             constraint_nnz=form.nnz,
-            vars_fixed=getattr(solve_stats, "vars_fixed", 0),
-            rows_removed=getattr(solve_stats, "rows_removed", 0),
-            presolve_ms=getattr(solve_stats, "presolve_ms", 0.0),
             solver_status=solution.status,
             solve_stats=solve_stats,
         )

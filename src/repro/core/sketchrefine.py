@@ -25,7 +25,7 @@ offline partitioning of the input relation:
   (all refine ILPs infeasible) the evaluator backtracks in the spirit of
   Algorithm 2: the failed groups are prioritised to the front of the merge
   order and refinement restarts from the sketch, until an ordering succeeds,
-  the ordering repeats, or ``max_backtracks`` is exhausted.
+  the ordering repeats, or ``_MAX_BACKTRACKS`` is exhausted.
 
   Rounds run in-process because a refine solve is small, about 5 ms: two
   worker processes on two CPUs ran the ``refine_20k`` benchmark queries at
@@ -82,6 +82,12 @@ from repro.ilp.status import Solution, SolveStats, SolverStatus
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning
 
+#: Seed for the (arbitrary) group order the hybrid-sketch fallback tries.  The
+#: refine merge order itself is fixed: ascending group id.
+_HYBRID_ORDER_SEED = 0
+#: Safety cap on the number of backtracking restarts before giving up.
+_MAX_BACKTRACKS = 1000
+
 
 @dataclass
 class SketchRefineConfig:
@@ -89,13 +95,6 @@ class SketchRefineConfig:
 
     use_hybrid_sketch: bool = True
     """Apply the Section 4.4 hybrid-sketch fallback when the sketch is infeasible."""
-
-    refine_order_seed: int = 0
-    """Seed for the (arbitrary) group order the hybrid-sketch fallback tries.
-    The refine merge order itself is fixed: ascending group id."""
-
-    max_backtracks: int = 1000
-    """Safety cap on the number of backtracking restarts before giving up."""
 
 
 @dataclass
@@ -132,16 +131,6 @@ class SketchRefineStats:
     refine_parallel_tasks: int = 0
     """Refine solves run in other processes: always 0 (``benchmarks/e2e/run.py``
     still reports it)."""
-    vars_fixed: int = 0
-    """Columns eliminated by root presolve, summed over sketch + refine solves."""
-    rows_removed: int = 0
-    """Constraint rows removed by root presolve, summed over all solves."""
-    presolve_ms: float = 0.0
-    """Milliseconds spent in root presolve, summed over all solves."""
-    node_propagations: int = 0
-    """Branch-and-bound node bound projections that had to run a propagation
-    pass (some row could bind inside the node's bounds: a branch or a
-    reduced-cost fixing moved them), summed over all solves."""
     partitioning_version: int = 0
     """Table version the partitioning this evaluation ran over describes."""
     partitioning_maintenance: dict = field(default_factory=dict)
@@ -330,7 +319,7 @@ class SketchRefineEvaluator:
 
         # Hybrid sketch: replace one group's representative with its original
         # tuples and re-try, in arbitrary group order (Section 4.4).
-        rng = np.random.default_rng(self.config.refine_order_seed)
+        rng = np.random.default_rng(_HYBRID_ORDER_SEED)
         order = list(problem.eligible_groups)
         rng.shuffle(order)
         for hybrid_group in order:
@@ -411,7 +400,7 @@ class SketchRefineEvaluator:
         the failed groups promoted to the front of the merge order,
         Algorithm 2's greedy backtracking recast as a restart.  Orderings
         never repeat (the ``tried`` set), so the loop terminates even without
-        the ``max_backtracks`` cap.
+        the ``_MAX_BACKTRACKS`` cap.
         """
         base_pending = sorted(
             gid
@@ -450,7 +439,7 @@ class SketchRefineEvaluator:
             next_priority = tuple(sorted(dead_end)) + tuple(
                 g for g in priority if g not in dead_end
             )
-            if stats.backtracks > self.config.max_backtracks or next_priority in tried:
+            if stats.backtracks > _MAX_BACKTRACKS or next_priority in tried:
                 raise InfeasiblePackageQueryError(
                     "refinement failed for every group ordering",
                     false_negative_possible=True,
@@ -614,10 +603,6 @@ class SketchRefineEvaluator:
         self.last_stats.solver_nodes_explored += stats_obj.nodes_explored
         self.last_stats.solver_warm_start_hits += stats_obj.warm_start_hits
         self.last_stats.two_phase_starts += stats_obj.two_phase_starts
-        self.last_stats.vars_fixed += stats_obj.vars_fixed
-        self.last_stats.rows_removed += stats_obj.rows_removed
-        self.last_stats.presolve_ms += stats_obj.presolve_ms
-        self.last_stats.node_propagations += stats_obj.node_propagations
 
 
 def run_solve_task(solver, model: IlpModel) -> Solution:

@@ -9,10 +9,6 @@ an equivalent black box implemented from scratch:
   bounded-variable revised simplex of :mod:`~repro.ilp.simplex`: a cold LP
   starts from the slack basis, a branch-and-bound node LP reoptimises with
   dual pivots from its parent's basis,
-* :mod:`~repro.ilp.presolve` — presolve/postsolve reductions on the matrix
-  form (iterated bound propagation, fixed-variable elimination,
-  redundant-row removal) with solution mapping from the reduced to the
-  original space, run before the root LP of every solve,
 * :class:`~repro.ilp.branch_and_bound.BranchAndBoundSolver` — an exact ILP
   solver with best-bound node selection, most-fractional branching, a
   rounding heuristic, basis reuse across the search tree, and capacity/time budgets
@@ -30,7 +26,6 @@ from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import Constraint, ConstraintSense, IlpModel, Objective, ObjectiveSense, Variable
 from repro.ilp.status import SolveStats, SolverStatus, Solution
 from repro.ilp.lp_backend import solve_lp
-from repro.ilp.presolve import Postsolve, PresolveResult, PresolveStats, presolve_form
 from repro.ilp.simplex import SimplexBasis
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.rounding import RelaxAndRoundSolver
@@ -49,10 +44,6 @@ __all__ = [
     "SolveStats",
     "SimplexBasis",
     "solve_lp",
-    "presolve_form",
-    "Postsolve",
-    "PresolveResult",
-    "PresolveStats",
     "BranchAndBoundSolver",
     "SolverLimits",
     "RelaxAndRoundSolver",

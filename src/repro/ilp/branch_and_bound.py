@@ -60,18 +60,10 @@ parent and starts from the slack basis; no basis crosses from one solve to
 the next.  ``SolveStats.warm_start_hits`` / ``simplex_iterations`` expose how
 often the fast path is taken.
 
-**Presolve.**  Before the root LP, the matrix form is reduced by
-:func:`~repro.ilp.presolve.presolve_form` (bound propagation with integrality
-rounding, fixed-variable elimination, redundant-row removal).  The reduction
-is computed once and shared by the whole tree: nodes keep their bounds in the
-original variable space, and :meth:`~repro.ilp.presolve.Postsolve
-.reduce_bounds` projects them into the reduced space per node (with one extra
-propagation pass over the branched and fixed bounds when some reduced row can
-bind inside them — ``SolveStats.node_propagations`` counts those).  Node LP
-values and objectives are expanded back through the postsolve record, and
-bases never leave the reduced space — so presolve is invisible to everything
-downstream except the ``vars_fixed`` / ``rows_removed`` / ``presolve_ms``
-statistics.
+There is no presolve: the solver solves the model it is given, and every
+node LP is the model's own form under the node's bounds, over the model's own
+columns.  A model whose rows decide every column (a COUNT = n row over n 0/1
+columns) is answered by its root LP in one node.
 
 ``SolverLimits`` intentionally includes ``max_variables``: CPLEX loads the
 entire problem in memory and the paper's Figure 5 shows DIRECT failing on
@@ -81,7 +73,6 @@ benchmark harness reproduce the failure regime deterministically.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -94,7 +85,6 @@ from repro.errors import SolverError
 from repro.ilp.lp_backend import LpResult, solve_lp_form
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
-from repro.ilp.presolve import Postsolve, presolve_form
 from repro.ilp.simplex import SimplexBasis, branching_penalties
 from repro.ilp.status import Solution, SolveStats, SolverStatus
 
@@ -168,9 +158,8 @@ class BranchAndBoundSolver:
 
         start = time.perf_counter()
         form = model.to_matrix()
-        n = model.num_variables
 
-        if n == 0:
+        if model.num_variables == 0:
             # Degenerate: empty model is trivially feasible with empty assignment.
             stats.wall_time_seconds = time.perf_counter() - start
             return Solution(SolverStatus.OPTIMAL, np.empty(0), 0.0, stats)
@@ -180,39 +169,9 @@ class BranchAndBoundSolver:
         root_lower = lower.copy()
         root_upper = upper.copy()
 
-        # Root presolve: shrink the form once, then derive every node from the
-        # reduced matrices.  Node bounds stay in the *original* variable space
-        # (branching indices, integrality and incumbents all live there);
-        # _solve_node_lp projects them through the postsolve record per node.
-        postsolve: Postsolve | None = None
-        solve_form = form
-        reduction = presolve_form(form, integer_mask=integer_mask)
-        stats.vars_fixed = reduction.stats.vars_fixed
-        stats.rows_removed = reduction.stats.rows_removed
-        stats.presolve_ms = reduction.stats.presolve_ms
-        if not reduction.feasible:
-            stats.wall_time_seconds = time.perf_counter() - start
-            return Solution.infeasible(stats)
-        if reduction.form is not form:
-            postsolve = reduction.postsolve
-            solve_form = reduction.form
-            if postsolve.num_reduced_vars == 0:
-                # Presolve decided every variable; no LP needed.
-                stats.wall_time_seconds = time.perf_counter() - start
-                candidate = postsolve.restore(np.empty(0))
-                if model.check_feasible(candidate):
-                    value = model.objective_value(candidate)
-                    stats.best_bound = value
-                    stats.incumbent_updates = 1
-                    stats.gap = 0.0
-                    return Solution(SolverStatus.OPTIMAL, candidate, value, stats)
-                return Solution.infeasible(stats)
-
         sense = model.objective.sense
         incumbent: np.ndarray | None = None
         incumbent_value = sense.worst_value
-        # Original index of each column the node LPs price.
-        columns = postsolve.kept_cols if postsolve is not None else np.arange(n)
 
         counter = itertools.count()
         heap: list[_Node] = []
@@ -258,7 +217,7 @@ class BranchAndBoundSolver:
                 root_fixed_for = stats.incumbent_updates
                 root_fixed = (lower.copy(), upper.copy())
                 stats.reduced_cost_fixings += self._fix_by_reduced_costs(
-                    *root_fixed, root_lp, columns, integer_mask, incumbent_value
+                    *root_fixed, root_lp, integer_mask, incumbent_value
                 )
             if root_fixed is not None:
                 np.maximum(node.lower_bounds, root_fixed[0], out=node.lower_bounds)
@@ -266,22 +225,19 @@ class BranchAndBoundSolver:
                 if (node.lower_bounds > node.upper_bounds).any():
                     continue
 
-            node_form = self._node_form(solve_form, node, postsolve)
-            lp_result = self._solve_node_lp(node_form, node, postsolve)
+            node_form = form.with_bounds(node.lower_bounds, node.upper_bounds)
+            lp_result = solve_lp_form(node_form, warm_start=node.parent_basis)
             self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR and node.parent_basis is not None:
                 # The warm basis corrupted the solve; retry the node cold
                 # rather than pruning (or aborting) on numerical noise.
                 stats.numerical_retries += 1
-                node.parent_basis = None
-                lp_result = self._solve_node_lp(node_form, node, postsolve)
+                lp_result = solve_lp_form(node_form)
                 self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR:
                 raise SolverError(
                     f"LP relaxation failed numerically at node depth {node.depth}"
                 )
-            if postsolve is not None:
-                stats.node_propagations = postsolve.propagations
 
             if lp_result.status is SolverStatus.INFEASIBLE:
                 continue
@@ -328,14 +284,14 @@ class BranchAndBoundSolver:
                 root_fixed_for = stats.incumbent_updates
             # Chosen before the fixing below, which moves the node's bounds
             # in place: the tie penalties price the bounds this LP solved under.
-            branch_index = self._choose_branch_variable(fractional, lp_result, node_form, columns)
+            branch_index = self._choose_branch_variable(fractional, lp_result, node_form)
             floor_value = np.floor(lp_result.values[branch_index])
 
             if incumbent is not None:
                 # Children inherit the node's bounds: fix them in place first.
                 stats.reduced_cost_fixings += self._fix_by_reduced_costs(
-                    node.lower_bounds, node.upper_bounds, lp_result, columns,
-                    integer_mask, incumbent_value,
+                    node.lower_bounds, node.upper_bounds, lp_result, integer_mask,
+                    incumbent_value,
                 )
 
             # Children inherit this node's optimal basis: they differ by one
@@ -395,7 +351,6 @@ class BranchAndBoundSolver:
         lower: np.ndarray,
         upper: np.ndarray,
         lp_result: LpResult,
-        columns: np.ndarray,
         integer_mask: np.ndarray,
         incumbent_value: float,
     ) -> int:
@@ -406,9 +361,8 @@ class BranchAndBoundSolver:
         ``lp_result`` worsens the LP bound by ``k |d_j|``, so past
         ``floor((gap + slack) / |d_j|)`` units nothing beats the incumbent:
         ``gap`` is the incumbent's distance to the LP bound, and the
-        :data:`_FIXING_SLACK` keeps equal-objective optima.  ``columns`` maps
-        the LP's (reduced) columns to original ones.  Returns how many bounds
-        moved; a column at the bound it keeps leaves its basis valid.
+        :data:`_FIXING_SLACK` keeps equal-objective optima.  Returns how many
+        bounds moved; a column at the bound it keeps leaves its basis valid.
         """
         allowance = abs(incumbent_value - lp_result.objective_value) + _FIXING_SLACK * max(
             1.0, abs(incumbent_value)
@@ -417,11 +371,11 @@ class BranchAndBoundSolver:
         assert d is not None
         with np.errstate(invalid="ignore"):
             # 0 * inf (a priced-out column with no upper bound) is NaN: kept.
-            reach = np.abs(d) * (upper[columns] - lower[columns])
-        candidates = ((reach > allowance) & integer_mask[columns]).nonzero()[0]
-        if not candidates.size:
+            reach = np.abs(d) * (upper - lower)
+        cols = ((reach > allowance) & integer_mask).nonzero()[0]
+        if not cols.size:
             return 0
-        cols, d = columns[candidates], d[candidates]
+        d = d[cols]
         at = lp_result.values[cols]
         steps = np.floor(allowance / np.abs(d))
         rising = d > 0
@@ -433,41 +387,13 @@ class BranchAndBoundSolver:
         return int(np.count_nonzero(moved))
 
     @staticmethod
-    def _node_form(form: MatrixForm, node: _Node, postsolve: Postsolve | None) -> MatrixForm:
-        """The node's LP: the (possibly reduced) shared ``form`` under the
-        node's bounds, which are kept in the original variable space and
-        projected per node."""
-        if postsolve is None:
-            return form.with_bounds(node.lower_bounds, node.upper_bounds)
-        return form.with_bounds(*postsolve.reduce_bounds(node.lower_bounds, node.upper_bounds))
-
-    @staticmethod
-    def _solve_node_lp(
-        node_form: MatrixForm, node: _Node, postsolve: Postsolve | None = None
-    ) -> LpResult:
-        """Solve one node's LP relaxation, in reduced space when presolved.
-
-        The returned values and objective are expanded back to the original
-        space while the basis and reduced costs stay reduced — children
-        consume the basis against the same reduced form.
-        """
-        result = solve_lp_form(node_form, warm_start=node.parent_basis)
-        if postsolve is None or not result.status.has_solution:
-            return result
-        return dataclasses.replace(
-            result,
-            values=postsolve.restore(result.values),
-            objective_value=result.objective_value + postsolve.objective_offset,
-        )
-
-    @staticmethod
     def _fractional_indices(values: np.ndarray, integer_mask: np.ndarray) -> np.ndarray:
         fractional_part = np.abs(values - np.rint(values))
         return (integer_mask & (fractional_part > _INTEGRALITY_TOLERANCE)).nonzero()[0]
 
     @staticmethod
     def _choose_branch_variable(
-        fractional: np.ndarray, lp_result: LpResult, form: MatrixForm, columns: np.ndarray
+        fractional: np.ndarray, lp_result: LpResult, form: MatrixForm
     ) -> int:
         """Most-fractional branching: the value closest to ``x.5``.
 
@@ -475,7 +401,6 @@ class BranchAndBoundSolver:
         tie (see the module docstring); the tie goes to the largest of their
         penalties — the smaller of each column's two children's, priced under
         the node LP's own bounds ``form`` — then to the lowest index.
-        ``columns`` maps the LP's (reduced) columns to original ones.
         """
         values = lp_result.values[fractional]
         fractions = values - np.floor(values)
@@ -487,7 +412,7 @@ class BranchAndBoundSolver:
         assert lp_result.reduced_costs is not None and lp_result.slack_reduced_costs is not None
         down, up = branching_penalties(
             form, lp_result.basis, lp_result.reduced_costs, lp_result.slack_reduced_costs,
-            np.searchsorted(columns, fractional[tied]), fractions[tied],
+            fractional[tied], fractions[tied],
         )
         return int(fractional[tied[np.minimum(down, up).argmax()]])
 
@@ -571,3 +496,15 @@ class BranchAndBoundSolver:
         stats.best_bound = self._weaker_bound(sense, proven_bound, incumbent_value)
         stats.gap = self._gap(sense, stats.best_bound, incumbent_value)
         return Solution(final_status, incumbent, incumbent_value, stats)
+
+
+def presolve_form(form: MatrixForm) -> MatrixForm:
+    """A stub kept only because the benchmark traces it: returns ``form``.
+
+    Nothing under ``src/`` calls it; :class:`BranchAndBoundSolver` solves the
+    model it is given.  The span table of ``benchmarks/e2e/tracing.py`` names
+    ``presolve_form`` in this module and reads it on every traced run, so the
+    stub stays until ROADMAP item 4 moves the trace into the engine and
+    deletes ``tracing.py``.
+    """
+    return form

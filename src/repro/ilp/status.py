@@ -45,9 +45,9 @@ class SolveStats:
     reoptimised from a parent basis instead of starting cold (see
     :attr:`warm_start_rate`).
 
-    ``vars_fixed`` / ``rows_removed`` / ``presolve_ms`` describe the root
-    presolve reduction of a branch-and-bound solve (zero when it achieved
-    nothing); ``numerical_retries`` counts node LPs that
+    ``vars_fixed`` is always 0: there is no presolve, and the field stays
+    only because the benchmark's tracer reads it (it goes with the
+    benchmark's next revision).  ``numerical_retries`` counts node LPs that
     came back :attr:`SolverStatus.NUMERICAL_ERROR` from a warm start and were
     retried cold.
 
@@ -56,13 +56,10 @@ class SolveStats:
     ``reduced_cost_fixings`` counts the column bounds branch-and-bound moved
     by reduced-cost fixing against the incumbent: those of each branching
     node's children, plus those of each recomputation of the root's fixings.
-    ``node_propagations`` counts the node bound projections whose row
-    propagation pass actually ran — on the others no reduced row could bind
-    inside the node's bounds (see :mod:`repro.ilp.presolve`), so the
-    intersected bounds were final.  ``two_phase_starts`` counts the LP solves
-    that started cold two-phase rather than with the dual simplex from the
-    slack basis: some column lacked the bound its cost prefers, or that
-    start stalled (see :mod:`repro.ilp.simplex`).
+    ``two_phase_starts`` counts the LP solves that started cold two-phase
+    rather than with the dual simplex from the slack basis: some column
+    lacked the bound its cost prefers, or that start stalled (see
+    :mod:`repro.ilp.simplex`).
     """
 
     nodes_explored: int = 0
@@ -75,12 +72,9 @@ class SolveStats:
     warm_start_hits: int = 0
     two_phase_starts: int = 0
     vars_fixed: int = 0
-    rows_removed: int = 0
-    presolve_ms: float = 0.0
     numerical_retries: int = 0
     refactorizations: int = 0
     reduced_cost_fixings: int = 0
-    node_propagations: int = 0
 
     @property
     def warm_start_rate(self) -> float:

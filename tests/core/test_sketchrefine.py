@@ -226,6 +226,19 @@ class TestRunSolveTask:
         assert _exact_solve_signature(second) == _exact_solve_signature(first)
 
 
+class TestRemovedConfigKnobs:
+    """The hybrid-sketch order seed and the backtracking cap are constants:
+    no caller set either."""
+
+    def test_config_takes_no_refine_order_seed(self):
+        with pytest.raises(TypeError, match="refine_order_seed"):
+            SketchRefineConfig(refine_order_seed=1)
+
+    def test_config_takes_no_backtracking_cap(self):
+        with pytest.raises(TypeError, match="max_backtracks"):
+            SketchRefineConfig(max_backtracks=10)
+
+
 class TestRemovedWorkerKnobs:
     """Refine rounds run in-process and nothing selects a worker count."""
 
@@ -560,54 +573,57 @@ class TestRefineRetries:
         assert not hasattr(after, "refine_retry_warm_starts")
 
 
-class TestNodePropagationTelemetry:
-    """``node_propagations``: the node bound projections that had to run a
-    propagation pass.  The benchmark's ``refine_20k`` shape at data seed 42 is
-    what the row-slack gate of ``repro.ilp.presolve`` was sized on: a package
-    of 1 000 tuples leaves every refine ILP's rows too slack to bind under a
-    branch alone, so only nodes whose bounds reduced-cost fixing moved may
-    run the pass; a package of 200 binds under branches too.  The node
-    counts repeat exactly, so they are guarded as counts."""
+class _NodeRecordingSolver(BranchAndBoundSolver):
+    """The default solver, recording the nodes of every solve it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.nodes: list[int] = []
+
+    def solve(self, model):
+        solution = super().solve(model)
+        self.nodes.append(solution.stats.nodes_explored)
+        return solution
+
+
+class TestRefineTreeSize:
+    """The sketch and refine trees of the benchmark's ``refine_20k`` shape at
+    data seed 42.  The node counts repeat exactly, so they are guarded as
+    counts."""
 
     @pytest.fixture(scope="class")
-    def refine_stats(self, refine_shaped_query):
-        """``cardinality -> SketchRefineStats`` on the benchmark's table and partitioning."""
-        from repro.core.engine import PackageQueryEngine
-
+    def refine_run(self, refine_shaped_query):
+        """``cardinality -> (SketchRefineStats, nodes of each solve)`` on the
+        benchmark's table and partitioning."""
         table = galaxy_table(20_000, seed=42)
-        engine = PackageQueryEngine()
+        solver = _NodeRecordingSolver()
+        engine = PackageQueryEngine(solver=solver)
         engine.register_table(table, name="galaxy")
         engine.build_partitioning(
             "galaxy", ["petroMag_r", "redshift", "petroFlux_r"], size_threshold=250
         )
 
-        def stats(cardinality: int):
+        def run(cardinality: int):
+            solver.nodes = []
             query = refine_shaped_query(table, "galaxy", cardinality)
             result = engine.execute(query, method="sketchrefine", cache="bypass")
-            return result.details["sketchrefine_stats"]
+            return result.details["sketchrefine_stats"], solver.nodes
 
-        return stats
+        return run
 
-    def test_a_thousand_tuple_package_propagates_at_few_nodes(self, refine_stats):
-        """14 of 66 nodes run the pass; the gate skips it at the rest."""
-        stats = refine_stats(1_000)
+    def test_penalty_ties_keep_the_thousand_tuple_tree_under_80_nodes(self, refine_run):
+        """The solves of ``large.c1000`` that branched explore 67 nodes with
+        branching ties broken by dual penalty (the heavy refine ILP alone 57);
+        the other 19 solves are answered by their root LP.  When the last
+        bits of the LP values broke the ties, the whole run explored 104."""
+        stats, nodes = refine_run(1_000)
         assert stats.solver_lp_solves > 50, "the refine trees should branch"
-        assert 1 <= stats.node_propagations <= stats.solver_nodes_explored // 4
+        assert sum(count for count in nodes if count > 1) <= 80
 
-    def test_penalty_ties_keep_the_thousand_tuple_tree_under_80_nodes(self, refine_stats):
-        """66 nodes with branching ties broken by dual penalty; 104 when the
-        last bits of the LP values broke them."""
-        assert refine_stats(1_000).solver_nodes_explored <= 80
-
-    def test_reduced_cost_fixing_keeps_the_refine_trees_small(self, refine_stats):
-        """The sketch and refine trees of ``large.c1000`` explore 104 nodes
-        with reduced-cost fixing; the objective-cutoff row alone left 250.
-        ``large.c500`` explores 82, where fixing at the nodes alone, without
-        re-fixing from the root as the incumbent improves, leaves 104 (158
-        with the cutoff row)."""
-        assert refine_stats(1_000).solver_nodes_explored <= 120
-        assert refine_stats(500).solver_nodes_explored <= 90
-
-    def test_a_two_hundred_tuple_package_propagates_at_some(self, refine_stats):
-        stats = refine_stats(200)
-        assert 1 <= stats.node_propagations < stats.solver_lp_solves
+    def test_reduced_cost_fixing_keeps_the_refine_trees_small(self, refine_run):
+        """The sketch and refine trees of ``large.c1000`` explore 86 nodes
+        and those of ``large.c500`` 84 with reduced-cost fixing; the
+        objective-cutoff row it replaced left 250 and 158 (behind a root
+        presolve that has since gone)."""
+        assert refine_run(1_000)[0].solver_nodes_explored <= 120
+        assert refine_run(500)[0].solver_nodes_explored <= 90

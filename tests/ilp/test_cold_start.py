@@ -277,8 +277,8 @@ class TestBenchmarkQueries:
             assert stats.two_phase_starts == 0, cardinality
 
     def test_a_maximising_query_without_repeat_goes_two_phase(self):
-        """Each row mixes signs, so no single row bounds a column and presolve
-        leaves the maximised columns without an upper bound; together the rows
+        """Without REPEAT the maximised columns have no upper bound, and each
+        row mixes signs, so no single row bounds a column; together the rows
         cap the package at six tuples."""
         table = Table(
             Schema.numeric(["a", "b", "c"]),

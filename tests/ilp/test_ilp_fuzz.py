@@ -1,11 +1,12 @@
 """Seeded differential fuzzing of branch and bound against the HiGHS MILP oracle.
 
 ``test_lp_fuzz.py`` holds the simplex to ``linprog`` one LP at a time; this is
-the level above it: the same instance families, every column integer, solved
-by :class:`BranchAndBoundSolver` — root presolve, the row-slack gate in front
-of every node's bound projection, incumbent cutoffs, nodes dropped on their
-inherited bound — and by ``scipy.optimize.milp``, which shares no code with
-it.  The families' own generators run with the column count capped at 16, so
+the level above it: the same instance families, every column integer (and
+again with seven columns in ten integer, and with none), solved by
+:class:`BranchAndBoundSolver` — with no presolve in front of it, reduced-cost
+fixing against the incumbent, branching ties broken by dual penalty, nodes
+dropped on their inherited bound — and by ``scipy.optimize.milp``, which
+shares no code with it.  The families' own generators run with the column count capped at 16, so
 that every tree closes well inside the time ceiling at a gap of 1e-9 — at 10
 for ``duplicated_columns``: a handful of distinct columns repeated under an
 equality row with a fractional right-hand side is integer-infeasible yet
@@ -43,11 +44,11 @@ OBJECTIVE_TOLERANCE = 1e-6
 TIME_CEILING_SECONDS = 5.0
 
 
-def _integer_model(c, a_ub, b_ub, a_eq, b_eq, bounds) -> IlpModel:
+def _model(c, a_ub, b_ub, a_eq, b_eq, bounds, is_integer) -> IlpModel:
     lower, upper = bounds
     model = IlpModel("ilp-fuzz")
     for j in range(len(c)):
-        model.add_variable(f"x{j}", float(lower[j]), float(upper[j]), is_integer=True)
+        model.add_variable(f"x{j}", float(lower[j]), float(upper[j]), is_integer=bool(is_integer[j]))
     for matrix, rhs, sense in ((a_ub, b_ub, ConstraintSense.LE), (a_eq, b_eq, ConstraintSense.EQ)):
         for row, bound in zip(matrix, rhs):
             model.add_constraint(
@@ -59,8 +60,15 @@ def _integer_model(c, a_ub, b_ub, a_eq, b_eq, bounds) -> IlpModel:
     return model
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_branch_and_bound_matches_the_milp_oracle(family, monkeypatch):
+def _integer_mask(integrality: str, seed: int, n: int) -> np.ndarray:
+    if integrality == "all":
+        return np.ones(n, dtype=bool)
+    if integrality == "mixed":
+        return np.random.default_rng([seed, 0]).random(n) < 0.7
+    return np.zeros(n, dtype=bool)
+
+
+def _match_the_oracle(family: str, integrality: str, monkeypatch) -> None:
     monkeypatch.setattr(
         test_lp_fuzz, "_shape",
         lambda rng: (int(rng.integers(1, 8)), int(rng.integers(2, FAMILIES[family] + 1))),
@@ -71,18 +79,33 @@ def test_branch_and_bound_matches_the_milp_oracle(family, monkeypatch):
     )
     wrong, statuses = [], set()
     for seed in range(SEEDS_PER_FAMILY):
-        model = _integer_model(*generate(np.random.default_rng(seed)))
+        c, *rows = generate(np.random.default_rng(seed))
+        model = _model(c, *rows, _integer_mask(integrality, seed, len(c)))
         solution = solver.solve(model)
         reference = oracle_ilp(model)
         statuses.add(reference.status)
         if solution.status.value != reference.status:
-            wrong.append(f"{family} seed {seed}: B&B {solution.status.value}, oracle {reference.status}")
+            wrong.append(
+                f"{family} {integrality} seed {seed}: B&B {solution.status.value}, "
+                f"oracle {reference.status}"
+            )
         elif reference.status == "optimal":
             error = abs(solution.objective_value - reference.objective)
             if error > OBJECTIVE_TOLERANCE * max(1.0, abs(reference.objective)):
                 wrong.append(
-                    f"{family} seed {seed}: B&B objective {solution.objective_value!r}, "
+                    f"{family} {integrality} seed {seed}: B&B objective {solution.objective_value!r}, "
                     f"oracle {reference.objective!r}"
                 )
     assert not wrong, "\n".join(wrong)
     assert "optimal" in statuses
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_branch_and_bound_matches_the_milp_oracle(family, monkeypatch):
+    _match_the_oracle(family, "all", monkeypatch)
+
+
+@pytest.mark.parametrize("integrality", ["mixed", "none"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mixed_and_continuous_columns_match_the_milp_oracle(family, integrality, monkeypatch):
+    _match_the_oracle(family, integrality, monkeypatch)
