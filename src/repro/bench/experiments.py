@@ -23,7 +23,7 @@ from repro.bench.harness import (
 from repro.bench.results import ExperimentResult, MethodRun, QueryScalingResult
 from repro.core.direct import DirectEvaluator
 from repro.core.sketchrefine import SketchRefineEvaluator
-from repro.core.validation import objective_value
+from repro.core.validation import approximation_ratio, objective_value
 from repro.db.expressions import col
 from repro.errors import ReproError
 from repro.paql.ast import ObjectiveDirection
@@ -499,23 +499,18 @@ def approximation_bound_study(
             partitioning=partitioning, parameters={"epsilon": epsilon},
         )
         bound = approximation_factor(epsilon, direction)
+        worst = 1.0 / bound if direction is ObjectiveDirection.MAXIMIZE else bound
         observed = float("nan")
-        if run.succeeded and direct_run.succeeded and run.objective:
-            observed = (
-                direct_run.objective / run.objective
-                if direction is ObjectiveDirection.MAXIMIZE
-                else run.objective / direct_run.objective
-            )
+        if run.succeeded and direct_run.succeeded:
+            observed = approximation_ratio(run.objective, direct_run.objective, direction)
         rows.append(
             {
                 "epsilon": epsilon,
                 "radius_limit": omega,
                 "groups": partitioning.num_groups,
                 "observed_ratio": observed,
-                "theoretical_worst_ratio": 1.0 / bound if direction is ObjectiveDirection.MAXIMIZE else bound,
-                "within_bound": bool(observed <= (1.0 / bound if direction is ObjectiveDirection.MAXIMIZE else bound) + 1e-6)
-                if not np.isnan(observed)
-                else None,
+                "theoretical_worst_ratio": worst,
+                "within_bound": bool(observed <= worst + 1e-6) if not np.isnan(observed) else None,
             }
         )
     result = ExperimentResult(
@@ -555,11 +550,9 @@ def partitioner_comparison(
             partitioning=partitioning, parameters={"partitioner": name},
         )
         ratio = float("nan")
-        if run.succeeded and direct_run.succeeded and direct_run.objective:
-            ratio = (
-                direct_run.objective / run.objective
-                if query.query.objective.direction is ObjectiveDirection.MAXIMIZE
-                else run.objective / direct_run.objective
+        if run.succeeded and direct_run.succeeded:
+            ratio = approximation_ratio(
+                run.objective, direct_run.objective, query.query.objective.direction
             )
         rows.append(
             {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.bench.results import ExperimentResult, MethodRun, QueryScalingResult
+from repro.bench.results import MethodRun, QueryScalingResult
 
 
 def render_table(rows: Sequence[dict], columns: Sequence[str] | None = None, title: str = "") -> str:
@@ -59,16 +59,6 @@ def render_series(result: QueryScalingResult, parameter: str) -> str:
         f"approx ratio: mean={_format_ratio(mean_ratio)}, median={_format_ratio(median_ratio)}"
     )
     return f"{table}\n{footer}"
-
-
-def render_experiment(result: ExperimentResult, parameter: str | None = None) -> str:
-    """Render a whole experiment (all queries plus any extra tables)."""
-    chunks = [f"== {result.name} — {result.description} =="]
-    for query_result in result.query_results:
-        chunks.append(render_series(query_result, parameter or query_result.parameter_name))
-    for name, rows in result.tables.items():
-        chunks.append(render_table(rows, title=name))
-    return "\n\n".join(chunks)
 
 
 def summarize_speedups(results: Iterable[QueryScalingResult]) -> str:

@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.core.validation import approximation_ratio
+from repro.paql.ast import ObjectiveDirection
+
 
 @dataclass
 class MethodRun:
@@ -43,9 +46,11 @@ class QueryScalingResult:
     ) -> list[float]:
         """Per-configuration approximation ratios where both methods succeeded.
 
-        The ratio orientation follows the paper (Section 5.1): always
-        ``worse / better`` so 1.0 means SKETCHREFINE matched DIRECT.  The
-        objective direction is recorded per run in ``parameters['direction']``.
+        The ratio is :func:`~repro.core.validation.approximation_ratio`'s, so
+        1.0 means SKETCHREFINE matched DIRECT.  The objective direction is
+        recorded per run in ``parameters['direction']``.  A configuration
+        whose denominator is zero (and numerator not) has no ratio and is
+        skipped.
         """
         ratios = []
         exact_by_parameter = {
@@ -57,19 +62,14 @@ class QueryScalingResult:
             exact = exact_by_parameter.get(_parameter_key(run.parameters))
             if exact is None or not exact.succeeded:
                 continue
-            direction = run.parameters.get("direction", "minimize")
-            if exact.objective == 0 and run.objective == 0:
-                ratios.append(1.0)
-                continue
-            if direction == "maximize":
-                denominator = run.objective
-                numerator = exact.objective
-            else:
-                numerator = run.objective
-                denominator = exact.objective
-            if denominator == 0:
-                continue
-            ratios.append(numerator / denominator)
+            direction = (
+                ObjectiveDirection.MAXIMIZE
+                if run.parameters.get("direction") == "maximize"
+                else ObjectiveDirection.MINIMIZE
+            )
+            ratio = approximation_ratio(run.objective, exact.objective, direction)
+            if not math.isinf(ratio):  # a zero denominator has no ratio
+                ratios.append(ratio)
         return ratios
 
     def mean_approximation_ratio(self) -> float:

@@ -184,10 +184,6 @@ class Schema:
 
     # -- derivation -----------------------------------------------------------
 
-    def project(self, names: Iterable[str]) -> "Schema":
-        """Return a new schema containing only ``names`` (in the given order)."""
-        return Schema(self[name] for name in names)
-
     def with_column(self, column: Column) -> "Schema":
         """Return a new schema with ``column`` appended."""
         return Schema(self._columns + (column,))

@@ -284,12 +284,6 @@ class Table:
         data = {c: self._columns[c][mask] for c in self._schema.names}
         return Table(self._schema, data, name=name or self.name)
 
-    def select_columns(self, names: Sequence[str], name: str | None = None) -> "Table":
-        """Return a new table with only the given columns."""
-        schema = self._schema.project(names)
-        data = {c: self._columns[c] for c in names}
-        return Table(schema, data, name=name or self.name)
-
     def with_column(
         self, column: Column, values: Sequence | np.ndarray, name: str | None = None
     ) -> "Table":

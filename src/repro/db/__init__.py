@@ -1,14 +1,12 @@
-"""Lightweight relational engine over columnar tables.
+"""The storage side of the engine: predicates, aggregates and durable tables.
 
 This subpackage substitutes for the PostgreSQL layer of the paper's prototype.
-It provides:
+The only relational work a package query needs is selecting the base relation
+by its WHERE clause (:mod:`repro.core.base_relations`).  It provides:
 
 * a scalar expression language (column references, literals, arithmetic,
   comparisons, boolean connectives) evaluated vectorised over a table,
-* aggregate functions (COUNT, SUM, AVG, MIN, MAX),
-* relational operators (selection, projection, join, group-by, order-by,
-  limit) exposed through a fluent :class:`~repro.db.query.QueryBuilder`,
-* hash and sorted indexes,
+* the aggregate function names of PaQL (COUNT, SUM, AVG, MIN, MAX),
 * a :class:`~repro.db.catalog.Database` catalog of named tables — durable
   through a :class:`~repro.db.wal.WriteAheadLog` of versioned commits
   (``Database.recover`` replays it after a crash) and readable through
@@ -27,9 +25,7 @@ from repro.db.expressions import (
     col,
     lit,
 )
-from repro.db.aggregates import AggregateFunction, aggregate
-from repro.db.query import QueryBuilder, from_table, group_by, inner_join
-from repro.db.index import HashIndex, SortedIndex
+from repro.db.aggregates import AggregateFunction
 from repro.db.catalog import Database
 from repro.db.snapshot import PinnedTable, SnapshotHandle, SnapshotManager
 from repro.db.wal import (
@@ -51,13 +47,6 @@ __all__ = [
     "col",
     "lit",
     "AggregateFunction",
-    "aggregate",
-    "QueryBuilder",
-    "from_table",
-    "group_by",
-    "inner_join",
-    "HashIndex",
-    "SortedIndex",
     "Database",
     "PinnedTable",
     "SnapshotHandle",

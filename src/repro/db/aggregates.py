@@ -1,23 +1,20 @@
-"""Aggregate functions used by both the relational engine and PaQL.
+"""The aggregate functions of PaQL and of :meth:`Package.aggregate`.
 
 PaQL global predicates are linear aggregates over a package (COUNT, SUM, and
-AVG which is rewritten linearly during ILP translation); the relational
-group-by operator additionally supports MIN and MAX.
+AVG which is rewritten linearly during ILP translation).  MIN and MAX parse,
+and :meth:`~repro.core.package.Package.aggregate` computes them, but the
+validator rejects them in a package query because they are not linear.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro.dataset.table import Table
 from repro.errors import ExpressionError
 
 
 class AggregateFunction(enum.Enum):
-    """Aggregate function names shared by PaQL and the group-by operator."""
+    """Aggregate function names, as PaQL spells them."""
 
     COUNT = "COUNT"
     SUM = "SUM"
@@ -42,115 +39,3 @@ class AggregateFunction(enum.Enum):
             return cls(name.upper())
         except ValueError:
             raise ExpressionError(f"unknown aggregate function: {name!r}") from None
-
-
-@dataclass(frozen=True)
-class AggregateSpec:
-    """An aggregate call, e.g. ``SUM(kcal)`` or ``COUNT(*)``.
-
-    Attributes:
-        function: Which aggregate to compute.
-        column: The target column name, or ``None`` for ``COUNT(*)``.
-        alias: Output column name when used in a group-by projection.
-    """
-
-    function: AggregateFunction
-    column: str | None = None
-    alias: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.function is not AggregateFunction.COUNT and self.column is None:
-            raise ExpressionError(f"{self.function.value} requires a column argument")
-
-    @property
-    def output_name(self) -> str:
-        if self.alias:
-            return self.alias
-        target = self.column if self.column is not None else "*"
-        return f"{self.function.value.lower()}_{target}".replace("*", "all")
-
-
-def aggregate(table: Table, spec: AggregateSpec, weights: np.ndarray | None = None) -> float:
-    """Compute a single aggregate over an entire table.
-
-    Args:
-        table: The input relation.
-        spec: Which aggregate to compute.
-        weights: Optional per-row multiplicities.  When provided, the
-            aggregate treats each row as occurring ``weights[i]`` times —
-            this is how packages (multisets of tuples) are aggregated without
-            materialising repeated rows.
-
-    Returns:
-        The aggregate value as a float.  Aggregates over zero rows return 0.0
-        for COUNT and SUM, and NaN for AVG/MIN/MAX.
-    """
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (table.num_rows,):
-            raise ExpressionError(
-                f"weights have shape {weights.shape}, expected ({table.num_rows},)"
-            )
-
-    if spec.function is AggregateFunction.COUNT:
-        if weights is None:
-            return float(table.num_rows)
-        return float(weights.sum())
-
-    values = table.numeric_column(spec.column)
-    if weights is None:
-        weights = np.ones(table.num_rows, dtype=np.float64)
-
-    active = weights > 0
-    if spec.function is AggregateFunction.SUM:
-        return float(np.dot(values, weights))
-    if spec.function is AggregateFunction.AVG:
-        total_weight = weights.sum()
-        if total_weight == 0:
-            return float("nan")
-        return float(np.dot(values, weights) / total_weight)
-    if spec.function is AggregateFunction.MIN:
-        return float(values[active].min()) if active.any() else float("nan")
-    if spec.function is AggregateFunction.MAX:
-        return float(values[active].max()) if active.any() else float("nan")
-    raise ExpressionError(f"unsupported aggregate: {spec.function}")
-
-
-def aggregate_groups(
-    values: np.ndarray, group_ids: np.ndarray, function: AggregateFunction, num_groups: int
-) -> np.ndarray:
-    """Compute an aggregate per group for a dense group-id labelling.
-
-    Args:
-        values: Per-row numeric values (ignored for COUNT).
-        group_ids: Per-row integer group labels in ``[0, num_groups)``.
-        function: The aggregate to compute.
-        num_groups: Total number of groups.
-
-    Returns:
-        Array of length ``num_groups`` with one aggregate value per group.
-    """
-    group_ids = np.asarray(group_ids, dtype=np.int64)
-    counts = np.bincount(group_ids, minlength=num_groups).astype(np.float64)
-    if function is AggregateFunction.COUNT:
-        return counts
-
-    values = np.asarray(values, dtype=np.float64)
-    if function is AggregateFunction.SUM:
-        return np.bincount(group_ids, weights=values, minlength=num_groups)
-    if function is AggregateFunction.AVG:
-        sums = np.bincount(group_ids, weights=values, minlength=num_groups)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(counts > 0, sums / counts, np.nan)
-    result = np.full(num_groups, np.nan)
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    sorted_values = values[order]
-    boundaries = np.searchsorted(sorted_ids, np.arange(num_groups + 1))
-    for g in range(num_groups):
-        start, stop = boundaries[g], boundaries[g + 1]
-        if start == stop:
-            continue
-        chunk = sorted_values[start:stop]
-        result[g] = chunk.min() if function is AggregateFunction.MIN else chunk.max()
-    return result

@@ -41,10 +41,6 @@ class ExpressionError(ReproError):
     """A scalar or aggregate expression is malformed or cannot be evaluated."""
 
 
-class QueryError(ReproError):
-    """A relational-algebra query is malformed."""
-
-
 class PaQLError(ReproError):
     """Base class for PaQL language errors."""
 

@@ -14,12 +14,13 @@ an equivalent black box implemented from scratch:
   rounding heuristic, basis reuse across the search tree, and capacity/time budgets
   (the capacity budget emulates CPLEX running out of memory on huge problems,
   which the paper reports as DIRECT failures),
-* :class:`~repro.ilp.rounding.RelaxAndRoundSolver` — an LP-relaxation +
-  rounding heuristic; the tests run DIRECT on it to show that the package
-  evaluators treat the solver as a genuine black box,
 * :mod:`~repro.ilp.iis` — a simple irreducible-infeasible-set approximation
   (the paper mentions IIS as the mechanism for the "dropping partitioning
   attributes" mitigation of false infeasibility).
+
+The evaluators of :mod:`repro.core` call nothing of a solver but
+``solve(IlpModel) -> Solution``, so any object with that method can stand in
+for :class:`~repro.ilp.branch_and_bound.BranchAndBoundSolver`.
 """
 
 from repro.ilp.matrix_form import MatrixForm
@@ -28,7 +29,6 @@ from repro.ilp.status import SolveStats, SolverStatus, Solution
 from repro.ilp.lp_backend import solve_lp
 from repro.ilp.simplex import SimplexBasis
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.rounding import RelaxAndRoundSolver
 from repro.ilp.iis import find_iis
 
 __all__ = [
@@ -46,6 +46,5 @@ __all__ = [
     "solve_lp",
     "BranchAndBoundSolver",
     "SolverLimits",
-    "RelaxAndRoundSolver",
     "find_iis",
 ]

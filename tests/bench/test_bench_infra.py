@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.harness import (
     BenchmarkConfig,
     build_partitioning,
@@ -13,6 +14,7 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import render_series, render_table, summarize_speedups
 from repro.bench.results import ExperimentResult, MethodRun, QueryScalingResult
+from repro.paql.ast import ObjectiveDirection
 from repro.workloads.recipes import meal_planner_query, recipes_table
 from repro.workloads.specs import WorkloadQuery
 
@@ -60,6 +62,22 @@ class TestResults:
         result = QueryScalingResult("d", "Q", "fraction", runs)
         assert result.approximation_ratios() == [pytest.approx(1.25)]
 
+    def test_zero_objectives(self):
+        """Both zero reads 1.0; a zero denominator alone has no ratio."""
+        runs = []
+        for fraction, direction, direct, sketch in [
+            (0.25, "minimize", 0.0, 0.0),
+            (0.5, "minimize", 0.0, 3.0),
+            (1.0, "maximize", 3.0, 0.0),
+        ]:
+            parameters = {"fraction": fraction, "direction": direction}
+            runs.append(MethodRun("d", "Q", "direct", 1.0, objective=direct, feasible=True,
+                                  parameters=parameters))
+            runs.append(MethodRun("d", "Q", "sketchrefine", 1.0, objective=sketch, feasible=True,
+                                  parameters=parameters))
+        result = QueryScalingResult("d", "Q", "fraction", runs)
+        assert result.approximation_ratios() == [1.0]
+
     def test_speedup_geometric_mean(self):
         result = QueryScalingResult("d", "Q1", "fraction", self._runs())
         assert result.speedup() == pytest.approx(math.sqrt(10.0 * 2.0))
@@ -83,6 +101,57 @@ class TestResults:
             experiment.result_for("Q9")
         experiment.add_table("rows", [{"a": 1}])
         assert experiment.tables["rows"] == [{"a": 1}]
+
+
+class TestRatioExperiments:
+    """The experiments' ratio columns survive a zero objective in either
+    orientation: a zero denominator reads infinity, both zero read 1.0."""
+
+    @pytest.fixture
+    def objectives(self, monkeypatch):
+        """Fake ``run_method`` returning ``objectives[method]``, over a Galaxy
+        workload whose queries optimise in ``objectives["direction"]``."""
+        objectives = {}
+        real_workload = experiments.galaxy_workload
+
+        def galaxy_workload(table, seed):
+            workload = real_workload(table, seed=seed)
+            for workload_query in workload.queries:
+                workload_query.query.objective.direction = objectives["direction"]
+            return workload
+
+        def run_method(table, query, method, dataset, config, partitioning=None, parameters=None):
+            return MethodRun(dataset, query.name, method, 0.01, objective=objectives[method],
+                             feasible=True, parameters=dict(parameters or {}))
+
+        monkeypatch.setattr(experiments, "galaxy_workload", galaxy_workload)
+        monkeypatch.setattr(experiments, "run_method", run_method)
+        return objectives
+
+    # (direction, DIRECT objective, SKETCHREFINE objective, expected ratio)
+    CASES = [
+        (ObjectiveDirection.MAXIMIZE, 5.0, 0.0, math.inf),
+        (ObjectiveDirection.MINIMIZE, 0.0, 5.0, math.inf),
+        (ObjectiveDirection.MAXIMIZE, 0.0, 0.0, 1.0),
+        (ObjectiveDirection.MINIMIZE, 0.0, 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("direction, direct, sketch, expected", CASES)
+    def test_partitioner_comparison(self, objectives, direction, direct, sketch, expected):
+        objectives.update(direction=direction, direct=direct, sketchrefine=sketch)
+        config = BenchmarkConfig(seed=1)
+        result = experiments.partitioner_comparison(config, num_rows=200)
+        rows = result.tables["partitioner_rows"]
+        assert [row["approx_ratio"] for row in rows] == [expected] * 3
+
+    @pytest.mark.parametrize("direction, direct, sketch, expected", CASES)
+    def test_approximation_bound_study(self, objectives, direction, direct, sketch, expected):
+        objectives.update(direction=direction, direct=direct, sketchrefine=sketch)
+        config = BenchmarkConfig(seed=1)
+        result = experiments.approximation_bound_study(config, epsilons=(0.25,), num_rows=200)
+        (row,) = result.tables["bound_rows"]
+        assert row["observed_ratio"] == expected
+        assert row["within_bound"] is (expected == 1.0)
 
 
 class TestHarness:

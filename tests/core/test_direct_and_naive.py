@@ -103,6 +103,33 @@ class TestDirect:
         assert stats.solver_status is SolverStatus.OPTIMAL
         assert stats.total_seconds >= stats.solve_seconds
 
+    def test_black_box_protocol_with_direct_evaluator(self, recipes, fast_solver):
+        """DIRECT takes any object with ``solve(model)``, not only
+        :class:`BranchAndBoundSolver`: the solver is a black box, as CPLEX is
+        in the paper."""
+
+        class CountingSolver:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            def solve(self, model):
+                self.calls += 1
+                return self.inner.solve(model)
+
+        query = (
+            query_over("recipes")
+            .no_repetition()
+            .count_at_most(5)
+            .sum_at_most("kcal", 3.0)
+            .maximize_sum("protein")
+            .build()
+        )
+        solver = CountingSolver(fast_solver)
+        package = DirectEvaluator(solver=solver).evaluate(recipes, query)
+        assert solver.calls == 1
+        assert check_package(package, query).feasible
+
 
 class TestNaiveSelfJoin:
     def test_matches_direct_on_strict_cardinality(self, tiny_recipes, fast_solver):

@@ -90,6 +90,57 @@ class TestAggregation:
         assert np.isnan(package.aggregate(AggregateFunction.MIN, "a"))
 
 
+class TestMultisetAggregation:
+    """A package is a multiset: a row counts once per copy, and a row a filter
+    drops counts not at all, for every aggregate."""
+
+    @pytest.fixture
+    def package(self, small_numeric_table):
+        # a = 1.0 twice, 3.0 once, 4.0 three times.
+        return Package(small_numeric_table, [0, 2, 3], [2, 1, 3])
+
+    def test_count_counts_copies(self, package):
+        assert package.count() == 6.0
+        assert len(package) == 6
+
+    def test_sum_weights_by_multiplicity(self, package):
+        assert package.sum("a") == 2 * 1.0 + 3.0 + 3 * 4.0
+
+    def test_avg_weights_by_multiplicity(self, package):
+        assert package.aggregate(AggregateFunction.AVG, "a") == pytest.approx(17.0 / 6.0)
+
+    def test_sum_over_int_column(self, package):
+        assert package.sum("c") == 2 * 1 + 1 + 3 * 0
+
+    def test_avg_matches_the_materialized_rows(self, package):
+        rows = package.materialize().numeric_column("b")
+        assert package.aggregate(AggregateFunction.AVG, "b") == pytest.approx(rows.mean())
+
+    def test_min_skips_rows_the_filter_drops(self, package, small_numeric_table):
+        mask = small_numeric_table.numeric_column("a") > 1.0
+        assert package.aggregate(AggregateFunction.MIN, "a", row_mask=mask) == 3.0
+
+    def test_max_skips_rows_the_filter_drops(self, package, small_numeric_table):
+        mask = small_numeric_table.column("c") == 1
+        assert package.aggregate(AggregateFunction.MAX, "b", row_mask=mask) == 30.0
+
+    def test_filtered_avg_weights_by_multiplicity(self, package, small_numeric_table):
+        mask = small_numeric_table.column("c") == 0
+        assert package.aggregate(AggregateFunction.AVG, "a", row_mask=mask) == 4.0
+
+    def test_filter_dropping_every_row(self, package, small_numeric_table):
+        mask = np.zeros(small_numeric_table.num_rows, dtype=bool)
+        assert package.aggregate(AggregateFunction.COUNT, row_mask=mask) == 0.0
+        assert package.aggregate(AggregateFunction.SUM, "a", row_mask=mask) == 0.0
+        assert np.isnan(package.aggregate(AggregateFunction.AVG, "a", row_mask=mask))
+        assert np.isnan(package.aggregate(AggregateFunction.MAX, "a", row_mask=mask))
+
+    @pytest.mark.parametrize("function", [AggregateFunction.AVG, AggregateFunction.MIN])
+    def test_non_count_aggregates_require_a_column(self, package, function):
+        with pytest.raises(EvaluationError):
+            package.aggregate(function)
+
+
 class TestSetOperations:
     def test_combine(self, small_numeric_table):
         one = Package(small_numeric_table, [0, 1], [1, 1])

@@ -132,3 +132,32 @@ class TestApproximationRatio:
     def test_zero_handling(self):
         assert approximation_ratio(0.0, 0.0, ObjectiveDirection.MINIMIZE) == 1.0
         assert math.isinf(approximation_ratio(5.0, 0.0, ObjectiveDirection.MINIMIZE))
+
+    # (SKETCHREFINE objective, DIRECT objective, direction, expected ratio)
+    @pytest.mark.parametrize(
+        "sketch, direct, direction, expected",
+        [
+            (0.0, 0.0, ObjectiveDirection.MAXIMIZE, 1.0),
+            (0.0, 5.0, ObjectiveDirection.MAXIMIZE, math.inf),
+            (5.0, 0.0, ObjectiveDirection.MAXIMIZE, 0.0),
+            (0.0, 5.0, ObjectiveDirection.MINIMIZE, 0.0),
+            (8.0, 10.0, ObjectiveDirection.MINIMIZE, 0.8),
+            (10.0, 8.0, ObjectiveDirection.MAXIMIZE, 0.8),
+            (-4.0, -2.0, ObjectiveDirection.MINIMIZE, 2.0),
+            (-4.0, -2.0, ObjectiveDirection.MAXIMIZE, 0.5),
+        ],
+    )
+    def test_orientation_table(self, sketch, direct, direction, expected):
+        """Each orientation divides by its own method's objective, and only a
+        zero there reads infinity."""
+        assert approximation_ratio(sketch, direct, direction) == pytest.approx(expected)
+
+    def test_orientations_are_reciprocal(self):
+        for sketch, direct in [(3.0, 7.0), (7.0, 3.0), (2.5, 2.5)]:
+            maximize = approximation_ratio(sketch, direct, ObjectiveDirection.MAXIMIZE)
+            minimize = approximation_ratio(sketch, direct, ObjectiveDirection.MINIMIZE)
+            assert maximize * minimize == pytest.approx(1.0)
+
+    def test_returns_a_python_float(self):
+        ratio = approximation_ratio(np.float64(3.0), np.float64(6.0), ObjectiveDirection.MINIMIZE)
+        assert type(ratio) is float

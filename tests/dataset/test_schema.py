@@ -119,11 +119,6 @@ class TestSchema:
         schema = Schema([Column("x", DataType.FLOAT), Column("s", DataType.STRING), Column("i", DataType.INT)])
         assert schema.numeric_names == ("x", "i")
 
-    def test_project(self):
-        schema = Schema.numeric(["x", "y", "z"])
-        projected = schema.project(["z", "x"])
-        assert projected.names == ("z", "x")
-
     def test_with_column(self):
         schema = Schema.numeric(["x"])
         extended = schema.with_column(Column("y", DataType.STRING))

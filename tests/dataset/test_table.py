@@ -123,10 +123,6 @@ class TestDerivation:
         with pytest.raises(TableError):
             small_numeric_table.filter(np.array([True, False]))
 
-    def test_select_columns(self, small_numeric_table):
-        selected = small_numeric_table.select_columns(["b"])
-        assert selected.schema.names == ("b",)
-
     def test_with_column(self, small_numeric_table):
         extended = small_numeric_table.with_column(Column("d", DataType.FLOAT), [0.0] * 5)
         assert "d" in extended.schema
@@ -163,6 +159,34 @@ class TestDerivation:
     def test_concat_schema_mismatch(self, small_numeric_table, mixed_table):
         with pytest.raises(TableError):
             small_numeric_table.concat(mixed_table)
+
+    def test_take_no_rows_keeps_schema(self, mixed_table):
+        taken = mixed_table.take([])
+        assert taken.num_rows == 0
+        assert taken.schema == mixed_table.schema
+
+    def test_filter_preserves_row_order_and_strings(self, mixed_table):
+        filtered = mixed_table.filter(mixed_table.column("weight") != 2.0)
+        assert filtered.column("name").tolist() == ["alpha", "gamma", "delta"]
+        assert filtered.column("category").tolist() == ["x", "y", "x"]
+
+    def test_rename_keeps_values(self, small_numeric_table):
+        renamed = small_numeric_table.rename({"a": "alpha"})
+        assert renamed.column("alpha").tolist() == small_numeric_table.column("a").tolist()
+        assert renamed.schema.names == ("alpha", "b", "c")
+
+    def test_sample_is_reproducible_from_its_seed(self, small_numeric_table):
+        first = small_numeric_table.sample(3, seed=42)
+        assert first.equals(small_numeric_table.sample(3, seed=42))
+
+    def test_concat_keeps_nulls(self, mixed_table):
+        combined = mixed_table.concat(mixed_table)
+        assert combined.null_mask("category").tolist() == [False, True, False, False] * 2
+        assert combined.null_mask("value").tolist() == [False, False, True, False] * 2
+
+    def test_with_column_length_mismatch(self, small_numeric_table):
+        with pytest.raises(TableError):
+            small_numeric_table.with_column(Column("d", DataType.FLOAT), [0.0] * 4)
 
 
 class TestNullHandling:

@@ -1,11 +1,8 @@
-"""Tests for aggregate functions."""
+"""Tests for the aggregate function names."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.db.aggregates import AggregateFunction, AggregateSpec, aggregate, aggregate_groups
+from repro.db.aggregates import AggregateFunction
 from repro.errors import ExpressionError
 
 
@@ -24,85 +21,3 @@ class TestAggregateFunction:
         assert AggregateFunction.AVG.is_linear
         assert not AggregateFunction.MIN.is_linear
         assert not AggregateFunction.MAX.is_linear
-
-
-class TestAggregateSpec:
-    def test_count_star_allowed(self):
-        spec = AggregateSpec(AggregateFunction.COUNT)
-        assert spec.output_name == "count_all"
-
-    def test_sum_requires_column(self):
-        with pytest.raises(ExpressionError):
-            AggregateSpec(AggregateFunction.SUM)
-
-    def test_alias_used_in_output_name(self):
-        spec = AggregateSpec(AggregateFunction.SUM, "kcal", alias="total_kcal")
-        assert spec.output_name == "total_kcal"
-
-
-class TestAggregate:
-    def test_count(self, small_numeric_table):
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.COUNT)) == 5.0
-
-    def test_sum(self, small_numeric_table):
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.SUM, "a")) == 15.0
-
-    def test_avg(self, small_numeric_table):
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.AVG, "a")) == 3.0
-
-    def test_min_max(self, small_numeric_table):
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.MIN, "b")) == 10.0
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.MAX, "b")) == 50.0
-
-    def test_weighted_count(self, small_numeric_table):
-        weights = np.array([2, 0, 1, 0, 3], dtype=float)
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.COUNT), weights) == 6.0
-
-    def test_weighted_sum_is_multiset_semantics(self, small_numeric_table):
-        weights = np.array([2, 0, 1, 0, 0], dtype=float)
-        # 2 copies of a=1 plus 1 copy of a=3.
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.SUM, "a"), weights) == 5.0
-
-    def test_weighted_avg(self, small_numeric_table):
-        weights = np.array([1, 0, 0, 0, 1], dtype=float)
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.AVG, "a"), weights) == 3.0
-
-    def test_weighted_min_ignores_zero_weight_rows(self, small_numeric_table):
-        weights = np.array([0, 0, 1, 1, 1], dtype=float)
-        assert aggregate(small_numeric_table, AggregateSpec(AggregateFunction.MIN, "a"), weights) == 3.0
-
-    def test_avg_of_empty_is_nan(self, small_numeric_table):
-        weights = np.zeros(5)
-        assert math.isnan(aggregate(small_numeric_table, AggregateSpec(AggregateFunction.AVG, "a"), weights))
-
-    def test_bad_weights_shape(self, small_numeric_table):
-        with pytest.raises(ExpressionError):
-            aggregate(small_numeric_table, AggregateSpec(AggregateFunction.SUM, "a"), np.ones(3))
-
-
-class TestAggregateGroups:
-    def test_count_per_group(self):
-        group_ids = np.array([0, 0, 1, 2, 2, 2])
-        counts = aggregate_groups(np.zeros(6), group_ids, AggregateFunction.COUNT, 3)
-        assert counts.tolist() == [2.0, 1.0, 3.0]
-
-    def test_sum_per_group(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        group_ids = np.array([0, 0, 1, 2, 2, 2])
-        sums = aggregate_groups(values, group_ids, AggregateFunction.SUM, 3)
-        assert sums.tolist() == [3.0, 3.0, 15.0]
-
-    def test_avg_per_group_with_empty_group(self):
-        values = np.array([2.0, 4.0])
-        group_ids = np.array([0, 0])
-        averages = aggregate_groups(values, group_ids, AggregateFunction.AVG, 2)
-        assert averages[0] == 3.0
-        assert math.isnan(averages[1])
-
-    def test_min_max_per_group(self):
-        values = np.array([5.0, 1.0, 7.0, 2.0])
-        group_ids = np.array([0, 0, 1, 1])
-        minimums = aggregate_groups(values, group_ids, AggregateFunction.MIN, 2)
-        maximums = aggregate_groups(values, group_ids, AggregateFunction.MAX, 2)
-        assert minimums.tolist() == [1.0, 2.0]
-        assert maximums.tolist() == [5.0, 7.0]

@@ -138,3 +138,56 @@ class TestConvenience:
         expression = (col("a") + 1) >= 2
         text = repr(expression)
         assert "a" in text and ">=" in text
+
+
+class TestNullsAndEdgeCases:
+    def test_null_float_fails_every_comparison(self, mixed_table):
+        value = col("value")
+        for predicate in (value > 0, value <= 100, value == value):
+            assert predicate.evaluate(mixed_table).tolist() == [True, True, False, True]
+
+    def test_null_string_fails_equality(self, mixed_table):
+        mask = (col("category") == "x").evaluate(mixed_table)
+        assert mask.tolist() == [True, False, False, True]
+
+    def test_null_string_is_not_in_any_list(self, mixed_table):
+        mask = col("category").isin(["x", "y"]).evaluate(mixed_table)
+        assert mask.tolist() == [True, False, True, True]
+
+    def test_division_by_zero_gives_inf_without_warning(self, small_numeric_table):
+        with np.errstate(all="raise"):
+            values = (col("a") / col("c")).evaluate(small_numeric_table)
+        assert values.tolist() == [1.0, np.inf, 3.0, np.inf, 5.0]
+
+    def test_empty_in_list_matches_nothing(self, small_numeric_table):
+        mask = col("a").isin([]).evaluate(small_numeric_table)
+        assert mask.dtype == bool
+        assert not mask.any()
+
+    def test_negated_in_list(self, mixed_table):
+        expression = ~col("name").isin(["alpha"])
+        assert expression.evaluate(mixed_table).tolist() == [False, True, True, True]
+        assert expression.referenced_columns() == {"name"}
+
+    def test_literal_on_the_left(self, small_numeric_table):
+        reflected = (lit(3) < col("a")).evaluate(small_numeric_table)
+        assert reflected.tolist() == (col("a") > 3).evaluate(small_numeric_table).tolist()
+
+    def test_negated_conjunction_is_the_disjunction_of_negations(self, small_numeric_table):
+        negated = ~((col("a") > 1) & (col("c") == 1))
+        de_morgan = (col("a") <= 1) | (col("c") != 1)
+        assert negated.evaluate(small_numeric_table).tolist() == [True, True, False, True, False]
+        assert (
+            negated.evaluate(small_numeric_table).tolist()
+            == de_morgan.evaluate(small_numeric_table).tolist()
+        )
+
+    def test_three_operand_conjunction(self, small_numeric_table):
+        expression = LogicalOp(
+            LogicalOperator.AND, [col("a") > 1, col("b") < 50, col("c") == 1]
+        )
+        assert expression.evaluate(small_numeric_table).tolist() == [False, False, True, False, False]
+
+    def test_string_column_against_string_column(self, mixed_table):
+        mask = (col("name") == col("category")).evaluate(mixed_table)
+        assert not mask.any()
