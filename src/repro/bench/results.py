@@ -112,12 +112,6 @@ class ExperimentResult:
     def add_table(self, name: str, rows: Iterable[dict]) -> None:
         self.tables[name] = list(rows)
 
-    def result_for(self, query_name: str) -> QueryScalingResult:
-        for result in self.query_results:
-            if result.query_name == query_name:
-                return result
-        raise KeyError(f"experiment {self.name!r} has no result for query {query_name!r}")
-
 
 def _parameter_key(parameters: dict) -> tuple:
     return tuple(sorted((k, v) for k, v in parameters.items() if k != "direction"))

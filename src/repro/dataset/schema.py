@@ -25,15 +25,6 @@ class DataType(enum.Enum):
     STRING = "string"
 
     @property
-    def numpy_dtype(self) -> np.dtype:
-        """NumPy dtype used for storing a column of this type."""
-        if self is DataType.INT:
-            return np.dtype(np.int64)
-        if self is DataType.FLOAT:
-            return np.dtype(np.float64)
-        return np.dtype(object)
-
-    @property
     def is_numeric(self) -> bool:
         """Whether values of this type participate in arithmetic."""
         return self in (DataType.INT, DataType.FLOAT)
@@ -161,13 +152,6 @@ class Schema:
     def column(self, name: str) -> Column:
         """Return the column definition for ``name`` or raise."""
         return self[name]
-
-    def index_of(self, name: str) -> int:
-        """Return the ordinal position of ``name`` in the schema."""
-        for i, col in enumerate(self._columns):
-            if col.name == name:
-                return i
-        raise ColumnNotFoundError(name, self.names)
 
     def require(self, names: Iterable[str]) -> None:
         """Raise if any of ``names`` is missing from the schema."""

@@ -293,13 +293,6 @@ class Table:
         data[column.name] = values
         return Table(schema, data, name=name or self.name)
 
-    def replace_column(self, column_name: str, values: Sequence | np.ndarray) -> "Table":
-        """Return a new table with one column's values replaced."""
-        self._schema.require([column_name])
-        data = dict(self._columns)
-        data[column_name] = values
-        return Table(self._schema, data, name=self.name)
-
     def rename(self, mapping: dict[str, str], name: str | None = None) -> "Table":
         """Return a new table with columns renamed."""
         schema = self._schema.rename(mapping)

@@ -12,6 +12,12 @@ The convenience constructors :func:`col` and :func:`lit` plus operator
 overloading give a fluent syntax::
 
     predicate = (col("gluten") == "free") & (col("kcal") < 900)
+
+A NULL (``None`` in a string column, NaN in a float one) fails ``=``,
+``<>`` and ``IN``, and on a float column every comparison, as in SQL's
+WHERE: ``col("category") <> "x"`` drops the row whose category is NULL.
+The connectives stay two-valued: ``NOT (x = 1)`` keeps the NULL rows that
+``x = 1`` dropped.
 """
 
 from __future__ import annotations
@@ -101,10 +107,6 @@ class Expression(abc.ABC):
 
     def __hash__(self) -> int:  # Expressions are identity-hashed (== is overloaded).
         return id(self)
-
-    def is_between(self, low: object, high: object) -> "LogicalOp":
-        """Return the predicate ``low <= self <= high``."""
-        return (self >= low) & (self <= high)
 
     def isin(self, values: Iterable[object]) -> "InList":
         """Return the predicate ``self IN values``."""
@@ -223,7 +225,7 @@ class Comparison(Expression):
         if self.op is ComparisonOperator.EQ:
             return left_values == right_values
         if self.op is ComparisonOperator.NE:
-            return left_values != right_values
+            return (left_values != right_values) & ~_is_null(left_values) & ~_is_null(right_values)
         if self.op is ComparisonOperator.LT:
             return left_values < right_values
         if self.op is ComparisonOperator.LE:
@@ -313,6 +315,14 @@ def lit(value: object) -> Literal:
 
 def _wrap(value: object) -> Expression:
     return value if isinstance(value, Expression) else Literal(value)
+
+
+def _is_null(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` is NULL: NaN in a float array, ``None`` (or a NaN)
+    in an object array."""
+    if values.dtype != object:
+        return np.isnan(values)
+    return np.array([v is None or v != v for v in values.ravel()], dtype=bool).reshape(values.shape)
 
 
 def _is_string_like(values: np.ndarray | object) -> bool:

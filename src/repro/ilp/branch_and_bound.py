@@ -345,6 +345,8 @@ class BranchAndBoundSolver:
             stats.warm_start_hits += 1
         stats.two_phase_starts += lp_result.two_phase_start
         stats.refactorizations += lp_result.refactorizations
+        stats.core_columns += lp_result.core_columns
+        stats.sift_rounds += lp_result.sift_rounds
 
     @staticmethod
     def _fix_by_reduced_costs(

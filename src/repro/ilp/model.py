@@ -369,10 +369,6 @@ class IlpModel:
         """Non-zero coefficients across all constraints."""
         return int(np.count_nonzero(self._rows))
 
-    @property
-    def is_pure_feasibility(self) -> bool:
-        return not self._objective.any()
-
     def variable_by_name(self, name: str) -> Variable:
         """A view of the column :meth:`add_variable` created under ``name``."""
         try:
@@ -416,10 +412,6 @@ class IlpModel:
             _holds(float(row @ values), sense, rhs, tolerance)
             for row, sense, rhs in zip(self._rows, self._senses, self._rhs.tolist())
         )
-
-    def total_violation(self, values: np.ndarray) -> float:
-        """Sum of constraint violations under ``values`` (useful in tests)."""
-        return float(sum(c.violation(values) for c in self.constraints))
 
     # -- export -------------------------------------------------------------------
 

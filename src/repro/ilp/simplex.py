@@ -280,6 +280,39 @@ def _work_matrix(form: MatrixForm) -> _WorkMatrix:
     return work
 
 
+def _basis_factor(work: _WorkMatrix, basis: SimplexBasis) -> BasisFactor | None:
+    """The inverse ``basis`` carries, or one rebuilt from its columns of
+    ``work`` (``None`` when the basis matrix is singular)."""
+    factor = basis._factor
+    if factor is None or not factor.matches(work.m):
+        factor = BasisFactor.factorize(work.a[:, basis.basic])
+    return factor
+
+
+def row_duals(form: MatrixForm, basis: SimplexBasis) -> np.ndarray | None:
+    """The row duals ``y = c_B B⁻¹`` of an optimal ``basis`` of ``form``, in
+    the form's minimisation sense (``None`` when the basis matrix is singular):
+    ``c_j - y @ a_j`` prices any column against that basis."""
+    work = _work_matrix(form)
+    factor = _basis_factor(work, basis)
+    return None if factor is None else factor.btran(work.costs[basis.basic])
+
+
+def embed_basis(basis: SimplexBasis, columns: np.ndarray, num_structural: int) -> SimplexBasis:
+    """``basis``, exported by a form over some of another form's columns, in
+    the other form's column space: its structural column ``j`` is
+    ``columns[j]`` of ``num_structural``, the slacks and artificials keep their
+    order, and every column it does not hold sits at its lower bound.  The
+    basis matrix is the same, so its inverse comes along."""
+    n = basis.num_structural
+    where = np.concatenate([columns, np.arange(n, basis.status.size) + (num_structural - n)])
+    status = np.full(basis.status.size + num_structural - n, AT_LOWER, dtype=np.int8)
+    status[where] = basis.status
+    return SimplexBasis(
+        where[basis.basic], status, num_structural, basis.num_ub, basis.num_eq, basis._factor
+    )
+
+
 def branching_penalties(
     form: MatrixForm,
     basis: SimplexBasis,
@@ -301,9 +334,7 @@ def branching_penalties(
     is infeasible).  Nothing is priced afresh: ``d`` is the exported sweep.
     """
     work = _work_matrix(form)
-    factor = basis._factor
-    if factor is None or not factor.matches(work.m):
-        factor = BasisFactor.factorize(work.a[:, basis.basic])
+    factor = _basis_factor(work, basis)
     if factor is None:
         return np.zeros(len(columns)), np.zeros(len(columns))
     row_of = np.empty(work.ncols, dtype=np.int64)

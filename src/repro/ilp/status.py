@@ -25,16 +25,6 @@ class SolverStatus(enum.Enum):
         """Whether a variable assignment accompanies this status."""
         return self in (SolverStatus.OPTIMAL, SolverStatus.FEASIBLE)
 
-    @property
-    def is_failure(self) -> bool:
-        """Whether the solve failed for a non-infeasibility reason."""
-        return self in (
-            SolverStatus.CAPACITY_EXCEEDED,
-            SolverStatus.TIME_LIMIT,
-            SolverStatus.NUMERICAL_ERROR,
-            SolverStatus.ERROR,
-        )
-
 
 @dataclass
 class SolveStats:
@@ -60,6 +50,10 @@ class SolveStats:
     rather than with the dual simplex from the slack basis: some column
     lacked the bound its cost prefers, or that start stalled (see
     :mod:`repro.ilp.simplex`).
+
+    ``core_columns`` and ``sift_rounds`` sum what the LP solves report: the
+    columns of each certified core of a wide cold LP, and the pricing passes
+    over every column that certified them (see :mod:`repro.ilp.lp_backend`).
     """
 
     nodes_explored: int = 0
@@ -75,6 +69,8 @@ class SolveStats:
     numerical_retries: int = 0
     refactorizations: int = 0
     reduced_cost_fixings: int = 0
+    core_columns: int = 0
+    sift_rounds: int = 0
 
     @property
     def warm_start_rate(self) -> float:
@@ -102,18 +98,8 @@ class Solution:
     stats: SolveStats = field(default_factory=SolveStats)
 
     @property
-    def is_optimal(self) -> bool:
-        return self.status is SolverStatus.OPTIMAL
-
-    @property
     def has_solution(self) -> bool:
         return self.status.has_solution
-
-    def value_of(self, index: int) -> float:
-        """Return the value of variable ``index`` (0.0 when no solution)."""
-        if not self.has_solution or index >= len(self.values):
-            return 0.0
-        return float(self.values[index])
 
     def integral_values(self) -> np.ndarray:
         """Return the assignment rounded to the nearest integers."""

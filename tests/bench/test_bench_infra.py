@@ -93,12 +93,8 @@ class TestResults:
         assert math.isnan(result.mean_approximation_ratio())
         assert math.isnan(result.speedup())
 
-    def test_experiment_result_lookup(self):
+    def test_experiment_result_tables(self):
         experiment = ExperimentResult("exp", "test")
-        experiment.query_results.append(QueryScalingResult("d", "Q1", "fraction"))
-        assert experiment.result_for("Q1").query_name == "Q1"
-        with pytest.raises(KeyError):
-            experiment.result_for("Q9")
         experiment.add_table("rows", [{"a": 1}])
         assert experiment.tables["rows"] == [{"a": 1}]
 

@@ -22,6 +22,7 @@ from repro.db.expressions import col
 from repro.errors import EvaluationError, InfeasiblePackageQueryError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
+from repro.ilp.status import SolverStatus
 from repro.paql.builder import query_over
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -183,7 +184,7 @@ class TestRunSolveTask:
     @pytest.mark.parametrize("task_id", range(6))
     def test_cold_solve_equals_a_plain_solve(self, fast_solver, task_id):
         solution = run_solve_task(fast_solver, _refine_like_model(task_id))
-        assert solution.is_optimal
+        assert solution.status is SolverStatus.OPTIMAL
         plain = fast_solver.solve(_refine_like_model(task_id))
         assert _exact_solve_signature(solution) == _exact_solve_signature(plain)
 

@@ -8,11 +8,6 @@ from repro.errors import ColumnNotFoundError, SchemaError
 
 
 class TestDataType:
-    def test_numpy_dtypes(self):
-        assert DataType.INT.numpy_dtype == np.dtype(np.int64)
-        assert DataType.FLOAT.numpy_dtype == np.dtype(np.float64)
-        assert DataType.STRING.numpy_dtype == np.dtype(object)
-
     def test_is_numeric(self):
         assert DataType.INT.is_numeric
         assert DataType.FLOAT.is_numeric
@@ -96,12 +91,6 @@ class TestSchema:
         with pytest.raises(ColumnNotFoundError) as excinfo:
             schema["z"]
         assert "x" in str(excinfo.value)
-
-    def test_index_of(self):
-        schema = Schema.numeric(["x", "y", "z"])
-        assert schema.index_of("y") == 1
-        with pytest.raises(ColumnNotFoundError):
-            schema.index_of("w")
 
     def test_require(self):
         schema = Schema.numeric(["x", "y"])

@@ -122,10 +122,6 @@ class TestBooleanLogic:
 
 
 class TestConvenience:
-    def test_is_between(self, small_numeric_table):
-        mask = col("a").is_between(2, 4).evaluate(small_numeric_table)
-        assert mask.tolist() == [False, True, True, True, False]
-
     def test_isin(self, mixed_table):
         mask = col("name").isin(["alpha", "delta"]).evaluate(mixed_table)
         assert mask.tolist() == [True, False, False, True]
@@ -143,12 +139,21 @@ class TestConvenience:
 class TestNullsAndEdgeCases:
     def test_null_float_fails_every_comparison(self, mixed_table):
         value = col("value")
-        for predicate in (value > 0, value <= 100, value == value):
+        for predicate in (value > 0, value <= 100, value == value, value != 3.0):
             assert predicate.evaluate(mixed_table).tolist() == [True, True, False, True]
 
     def test_null_string_fails_equality(self, mixed_table):
         mask = (col("category") == "x").evaluate(mixed_table)
         assert mask.tolist() == [True, False, False, True]
+
+    def test_null_string_fails_inequality(self, mixed_table):
+        mask = (col("category") != "x").evaluate(mixed_table)
+        assert mask.tolist() == [False, False, True, False]
+        assert (lit("x") != col("category")).evaluate(mixed_table).tolist() == mask.tolist()
+
+    def test_not_stays_two_valued_over_nulls(self, mixed_table):
+        mask = (~(col("category") == "x")).evaluate(mixed_table)
+        assert mask.tolist() == [False, True, True, False]
 
     def test_null_string_is_not_in_any_list(self, mixed_table):
         mask = col("category").isin(["x", "y"]).evaluate(mixed_table)

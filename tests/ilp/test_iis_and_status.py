@@ -59,14 +59,6 @@ class TestSolutionAndStatus:
         assert SolverStatus.OPTIMAL.has_solution
         assert SolverStatus.FEASIBLE.has_solution
         assert not SolverStatus.INFEASIBLE.has_solution
-        assert SolverStatus.CAPACITY_EXCEEDED.is_failure
-        assert not SolverStatus.OPTIMAL.is_failure
-
-    def test_solution_value_of(self):
-        solution = Solution(SolverStatus.OPTIMAL, np.array([1.0, 2.0]), 3.0)
-        assert solution.value_of(1) == 2.0
-        assert solution.value_of(9) == 0.0
-        assert Solution.infeasible().value_of(0) == 0.0
 
     def test_integral_values(self):
         solution = Solution(SolverStatus.OPTIMAL, np.array([0.999999, 2.000001]), 3.0)

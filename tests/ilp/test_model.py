@@ -80,13 +80,6 @@ class TestObjectiveAndFeasibility:
         assert ObjectiveSense.MAXIMIZE.better(2.0, 1.0)
         assert ObjectiveSense.MINIMIZE.worst_value == float("inf")
 
-    def test_pure_feasibility_flag(self):
-        model = IlpModel()
-        model.add_variable("x")
-        assert model.is_pure_feasibility
-        model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
-        assert not model.is_pure_feasibility
-
     def test_check_feasible(self):
         model = IlpModel()
         model.add_variable("x", lower=0, upper=2)
@@ -96,13 +89,6 @@ class TestObjectiveAndFeasibility:
         assert not model.check_feasible(np.array([3.0]))     # Upper bound violated.
         assert not model.check_feasible(np.array([1.5]))     # Integrality violated.
         assert not model.check_feasible(np.array([1.0, 2.0]))  # Wrong shape.
-
-    def test_total_violation(self):
-        model = IlpModel()
-        model.add_variable("x")
-        model.add_constraint({0: 1.0}, ConstraintSense.GE, 3)
-        model.add_constraint({0: 1.0}, ConstraintSense.LE, 1)
-        assert model.total_violation(np.array([2.0])) == 2.0
 
 
 class TestDenseExportAndCopy:
@@ -167,9 +153,6 @@ class DictReference:
             return max(0.0, rhs - lhs)
         return abs(lhs - rhs)
 
-    def total_violation(self, values) -> float:
-        return sum(self.violation(row, values) for row in self.rows)
-
     def check_feasible(self, values, tolerance=1e-6) -> bool:
         for value, low, up, integer in zip(values, self.lower, self.upper, self.integer):
             if value < low - tolerance or value > up + tolerance:
@@ -231,9 +214,6 @@ def _assert_agrees(model, reference, rng, trials=25):
         feasible = reference.check_feasible(values)
         outcomes.add(feasible)
         assert model.check_feasible(values) == feasible
-        assert model.total_violation(values) == pytest.approx(
-            reference.total_violation(values), rel=1e-12, abs=1e-12
-        )
         assert model.objective_value(values) == pytest.approx(
             reference.dot(reference.objective, values), rel=1e-12, abs=1e-12
         )
@@ -246,7 +226,7 @@ def _assert_agrees(model, reference, rng, trials=25):
 
 
 class TestBlockAgainstDictReference:
-    """``check_feasible``, ``total_violation`` and ``objective_value`` read the
+    """``check_feasible``, ``objective_value`` and each constraint's violation read the
     model's coefficient block; a per-row dict written here says the same."""
 
     def test_hand_built_models(self):

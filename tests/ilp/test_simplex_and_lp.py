@@ -251,7 +251,6 @@ class TestNumericalErrorStatus:
         form = simple_lp_model().to_matrix()
         result = solve_lp_form(form)
         assert result.status is SolverStatus.NUMERICAL_ERROR
-        assert SolverStatus.NUMERICAL_ERROR.is_failure
         assert not result.status.has_solution
 
     def test_branch_and_bound_retries_numerically_failed_warm_nodes(self, monkeypatch):

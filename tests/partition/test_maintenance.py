@@ -333,8 +333,10 @@ def test_carried_sizes_equal_a_bincount_after_every_delta(seed):
             # A tight blob at one group's centroid pushes it past tau.
             centroid = partitioning.group_centroids()[int(rng.integers(partitioning.num_groups))]
             insert = pool.take(np.arange(71))
+            columns = {name: insert.column(name) for name in insert.schema.names}
             for j, attribute in enumerate(ATTRIBUTES):
-                insert = insert.replace_column(attribute, rng.normal(centroid[j], 1e-3, 71))
+                columns[attribute] = rng.normal(centroid[j], 1e-3, 71)
+            insert = Table(insert.schema, columns, name=insert.name)
         new_table, delta = table.update_rows(insert=insert, delete=delete)
         partitioning, stats = maintainer.maintain(partitioning, new_table, delta)
         table = new_table
