@@ -7,8 +7,9 @@ the paper's TPC-H Q2-style workload.  The script demonstrates:
 
 * the per-query NULL projection of the pre-joined table (Figure 3),
 * writing the query in raw PaQL and validating it against the schema,
-* the false-infeasibility mitigation: an over-constrained query that the plain
-  sketch reports infeasible is rescued by the hybrid sketch (Section 4.4).
+* false infeasibility (Section 4.4): an over-constrained query that the plain
+  sketch cannot satisfy is rescued by the hybrid sketch, and a query that
+  every sketch misses is answered by AUTO with DIRECT.
 
 Run with::
 
@@ -18,11 +19,10 @@ Run with::
 import numpy as np
 
 from repro import PackageQueryEngine, parse_paql
-from repro.core import SketchRefineConfig, SketchRefineEvaluator
 from repro.core.validation import check_package
+from repro.dataset.table import Table
 from repro.errors import InfeasiblePackageQueryError
 from repro.paql import validate_query
-from repro.partition import QuadTreePartitioner
 from repro.workloads.tpch import query_projection, tpch_table, tpch_workload
 
 
@@ -73,7 +73,8 @@ def main() -> None:
 
     # ------------------------------------------ false infeasibility & the hybrid sketch
     # An aggressively tight availability window: feasible, but the group
-    # centroids may not be able to hit it, so the plain sketch can fail.
+    # centroids are too average to hit it, so the plain sketch fails and a
+    # hybrid sketch (one group's centroid swapped for its tuples) answers.
     tight_query = parse_paql(f"""
     SELECT PACKAGE(T) AS P
     FROM portfolio T REPEAT 0
@@ -82,27 +83,31 @@ def main() -> None:
                                   AND {table.numeric_column('availqty').min() * 2 + 50:.1f}
     MINIMIZE SUM(P.supplycost)
     """)
-    partitioning = QuadTreePartitioner(size_threshold=max(1, table.num_rows // 12)).partition(
-        table, ["availqty", "partsize", "supplycost"]
-    )
 
-    print("\n=== False infeasibility and the hybrid sketch (Section 4.4) ===")
-    plain = SketchRefineEvaluator(config=SketchRefineConfig(use_hybrid_sketch=False))
+    print("\n=== False infeasibility (Section 4.4) ===")
+    hybrid = engine.execute(tight_query, method="sketchrefine")
+    report = check_package(hybrid.package, tight_query)
+    print(f"hybrid sketch used: {hybrid.details['sketchrefine_stats'].used_hybrid_sketch}; "
+          f"cost {hybrid.objective:.2f}, feasible={report.feasible}")
+
+    # Four offers, two groups ({0, 10} and {100, 110}): the target 100 is
+    # missed by every sketch, plain or hybrid, though {0, 100} meets it.
+    offers = PackageQueryEngine(auto_direct_threshold=1)
+    offers.register_table(Table.from_dict({"v": [0.0, 10.0, 100.0, 110.0]}, name="offers"))
+    offers.build_partitioning("offers", ["v"], size_threshold=2)
+    every_sketch_misses = """
+    SELECT PACKAGE(R) FROM offers R
+    SUCH THAT COUNT(*) = 2 AND SUM(R.v) BETWEEN 99.5 AND 100.5
+    MAXIMIZE SUM(R.v)
+    """
     try:
-        plain.evaluate(table, tight_query, partitioning)
-        print("plain sketch: found a package (no false infeasibility this time)")
+        offers.execute(every_sketch_misses, method="sketchrefine")
     except InfeasiblePackageQueryError as error:
-        print(f"plain sketch: reported infeasible (false negative possible: "
-              f"{error.false_negative_possible})")
-
-    hybrid = SketchRefineEvaluator(config=SketchRefineConfig(use_hybrid_sketch=True))
-    try:
-        package = hybrid.evaluate(table, tight_query, partitioning)
-        report = check_package(package, tight_query)
-        print(f"hybrid sketch: found a feasible package "
-              f"(cost {package.sum('supplycost'):.2f}, feasible={report.feasible})")
-    except InfeasiblePackageQueryError:
-        print("hybrid sketch: the query really is infeasible for this data")
+        print(f"SKETCHREFINE: {error} "
+              f"(false negative possible: {error.false_negative_possible})")
+    answer = offers.execute(every_sketch_misses)
+    print(f"AUTO: {answer.method.name}, objective {answer.objective:.1f}")
+    print(f"  {answer.details['auto']}")
 
 
 if __name__ == "__main__":

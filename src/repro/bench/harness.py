@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.direct import DirectEvaluator
 from repro.core.naive import NaiveSelfJoinEvaluator
-from repro.core.sketchrefine import SketchRefineConfig, SketchRefineEvaluator
+from repro.core.sketchrefine import SketchRefineEvaluator
 from repro.core.validation import objective_value
 from repro.dataset.table import Table
 from repro.errors import ReproError
@@ -112,10 +112,7 @@ def run_method(
         elif method == "sketchrefine":
             if partitioning is None:
                 raise ReproError("sketchrefine requires a partitioning")
-            evaluator = SketchRefineEvaluator(
-                solver=config.solver(max_variables=None),
-                config=SketchRefineConfig(),
-            )
+            evaluator = SketchRefineEvaluator(solver=config.solver(max_variables=None))
             package = evaluator.evaluate(table, query, partitioning)
         elif method == "naive":
             evaluator = NaiveSelfJoinEvaluator()

@@ -18,6 +18,12 @@ prototype sits on top of PostgreSQL + CPLEX:
   objects built with the fluent builder,
 * evaluation picks DIRECT, SKETCHREFINE or the naïve baseline, and the result
   is returned with timing, feasibility and objective metadata,
+* when AUTO picked SKETCHREFINE and it reports a possibly-false
+  infeasibility (the sketch and every hybrid sketch, or refinement under
+  every group ordering, failed), the engine answers with DIRECT on the same
+  table or snapshot view — the limit the paper's Section 4.4 mitigations all
+  end in — and says so in ``details["auto"]``; DIRECT's own infeasibility
+  then proves the query infeasible,
 * repeated traffic is served from a delta-aware
   :class:`~repro.core.cache.PackageCache`: answers are keyed on a canonical
   query fingerprint, DIRECT/NAIVE entries invalidate on any table version
@@ -52,12 +58,18 @@ from repro.core.cache import CACHE_MODES, PackageCache
 from repro.core.direct import DirectEvaluator
 from repro.core.naive import NaiveSelfJoinEvaluator
 from repro.core.package import Package
-from repro.core.sketchrefine import SketchRefineConfig, SketchRefineEvaluator
+from repro.core.sketchrefine import SketchRefineEvaluator
 from repro.core.validation import check_package, objective_value
 from repro.dataset.table import Table, TableDelta
 from repro.db.catalog import MAINTENANCE_POLICIES, Database, TableUpdateResult
 from repro.db.snapshot import SnapshotHandle
-from repro.errors import CatalogError, EvaluationError, SnapshotError, StalePartitioningError
+from repro.errors import (
+    CatalogError,
+    EvaluationError,
+    InfeasiblePackageQueryError,
+    SnapshotError,
+    StalePartitioningError,
+)
 from repro.paql.ast import PackageQuery
 from repro.paql.fingerprint import query_fingerprint
 from repro.paql.parser import parse_paql
@@ -98,7 +110,6 @@ class PackageQueryEngine:
     Args:
         database: Catalog to use (default: a fresh empty one).
         solver: Black-box ILP solver shared by the evaluators.
-        sketchrefine_config: Tuning knobs for SKETCHREFINE.
         auto_direct_threshold: SKETCHREFINE needs a partitioning; at or below
             this many tuples AUTO uses DIRECT regardless, because the whole
             problem comfortably fits the solver.
@@ -112,7 +123,6 @@ class PackageQueryEngine:
         self,
         database: Database | None = None,
         solver=None,
-        sketchrefine_config: SketchRefineConfig | None = None,
         auto_direct_threshold: int = 2_000,
         cache: PackageCache | None = None,
     ):
@@ -124,7 +134,7 @@ class PackageQueryEngine:
         self.database.register_cache(self.cache)
         self._solver = solver
         self._direct = DirectEvaluator(solver=solver)
-        self._sketchrefine = SketchRefineEvaluator(solver=solver, config=sketchrefine_config)
+        self._sketchrefine = SketchRefineEvaluator(solver=solver)
         self._naive = NaiveSelfJoinEvaluator()
 
     # -- catalog management ---------------------------------------------------------------
@@ -249,7 +259,8 @@ class PackageQueryEngine:
             query: PaQL text or an already-built :class:`PackageQuery`.
             method: Evaluation strategy; AUTO picks SKETCHREFINE when a
                 partitioning is registered and the table is large, otherwise
-                DIRECT.
+                DIRECT, and answers with DIRECT when SKETCHREFINE reports a
+                possibly-false infeasibility.
             partitioning_label: Which registered partitioning SKETCHREFINE uses.
             cache: How to interact with the result cache.  ``"use"`` (default)
                 answers from a cached entry when the canonical query
@@ -296,6 +307,7 @@ class PackageQueryEngine:
             else self.database.table(query.relation)
         )
         validate_query(query, table.schema)
+        requested = method
         method, auto_note = self._resolve_method(
             method, query, partitioning_label, snapshot
         )
@@ -353,8 +365,20 @@ class PackageQueryEngine:
             package = self._direct.evaluate(table, query)
             details["direct_stats"] = self._direct.last_stats
         elif method is EvaluationMethod.SKETCH_REFINE:
-            package = self._sketchrefine.evaluate(table, query, partitioning)
-            details["sketchrefine_stats"] = self._sketchrefine.last_stats
+            try:
+                package = self._sketchrefine.evaluate(table, query, partitioning)
+                details["sketchrefine_stats"] = self._sketchrefine.last_stats
+            except InfeasiblePackageQueryError as exc:
+                if requested is not EvaluationMethod.AUTO or not exc.false_negative_possible:
+                    raise
+                # Stored as the DIRECT answer it is, so any version bump drops it.
+                method, partitioning, label = EvaluationMethod.DIRECT, None, None
+                details["auto"] = (
+                    "falling back to DIRECT: SKETCHREFINE reported a possibly-false "
+                    f"infeasibility ({exc})"
+                )
+                package = self._direct.evaluate(table, query)
+                details["direct_stats"] = self._direct.last_stats
         elif method is EvaluationMethod.NAIVE:
             package = self._naive.evaluate(table, query)
             details["naive_stats"] = self._naive.last_stats

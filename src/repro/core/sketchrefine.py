@@ -32,9 +32,13 @@ offline partitioning of the input relation:
   0.79–0.92× of the serial speed, dispatch costing more than overlap saved.
 
 When the sketch itself is infeasible, the *hybrid sketch* mitigation of
-Section 4.4 is applied (matching the experimental setup in Section 5.1): the
-sketch is merged with one group's refine query, trying groups in turn, so a
-single awkward centroid cannot make the whole query look infeasible.
+Section 4.4 is always applied (matching the experimental setup in Section
+5.1): the sketch is merged with one group's refine query, trying groups in
+turn, so a single awkward centroid cannot make the whole query look
+infeasible.  When every hybrid sketch, or refinement under every group
+ordering, fails too, the evaluator raises a possibly-false infeasibility; the
+engine's AUTO answers that query with DIRECT, the limit Section 4.4's group
+merging ends in.
 
 The PaQL→ILP translation is DIRECT's: the query is linearised once by
 :func:`repro.core.translator.linearise` (one column per eligible tuple) and
@@ -87,14 +91,6 @@ from repro.partition.partitioning import Partitioning
 _HYBRID_ORDER_SEED = 0
 #: Safety cap on the number of backtracking restarts before giving up.
 _MAX_BACKTRACKS = 1000
-
-
-@dataclass
-class SketchRefineConfig:
-    """Tuning knobs for SKETCHREFINE."""
-
-    use_hybrid_sketch: bool = True
-    """Apply the Section 4.4 hybrid-sketch fallback when the sketch is infeasible."""
 
 
 @dataclass
@@ -223,18 +219,12 @@ class PartitionedQuery:
 class SketchRefineEvaluator:
     """Scalable approximate package evaluation over an offline partitioning."""
 
-    def __init__(
-        self,
-        solver=None,
-        config: SketchRefineConfig | None = None,
-    ):
+    def __init__(self, solver=None):
         """Args:
             solver: Black-box ILP solver (``solve(IlpModel) -> Solution``);
                 defaults to :class:`BranchAndBoundSolver`.
-            config: Optional tuning knobs.
         """
         self.solver = solver or BranchAndBoundSolver()
-        self.config = config or SketchRefineConfig()
         self.last_stats = SketchRefineStats()
 
     # -- public API -----------------------------------------------------------------------
@@ -256,7 +246,9 @@ class SketchRefineEvaluator:
             InfeasiblePackageQueryError: If no feasible package was found.
                 This may be a *false* infeasibility (the flag
                 ``false_negative_possible`` is set) when the true query is
-                feasible but the sketch or every refinement order failed.
+                feasible but the sketch and every hybrid sketch, or every
+                refinement order, failed; ``method="auto"`` at the engine
+                answers such a query with DIRECT.
         """
         if partitioning.table is not table:
             raise EvaluationError(
@@ -312,11 +304,6 @@ class SketchRefineEvaluator:
             self.last_stats.sketch_objective = self._sketch_objective(problem, multiplicities)
             return multiplicities, {}, False
 
-        if not self.config.use_hybrid_sketch:
-            raise InfeasiblePackageQueryError(
-                "sketch query is infeasible", false_negative_possible=True
-            )
-
         # Hybrid sketch: replace one group's representative with its original
         # tuples and re-try, in arbitrary group order (Section 4.4).
         rng = np.random.default_rng(_HYBRID_ORDER_SEED)
@@ -332,7 +319,8 @@ class SketchRefineEvaluator:
             return multiplicities, assignments, True
 
         raise InfeasiblePackageQueryError(
-            "sketch query (and every hybrid sketch) is infeasible",
+            "sketch query (and every hybrid sketch) is infeasible; "
+            'method="auto" answers such a query with DIRECT',
             false_negative_possible=True,
         )
 
@@ -441,7 +429,8 @@ class SketchRefineEvaluator:
             )
             if stats.backtracks > _MAX_BACKTRACKS or next_priority in tried:
                 raise InfeasiblePackageQueryError(
-                    "refinement failed for every group ordering",
+                    "refinement failed for every group ordering; "
+                    'method="auto" answers such a query with DIRECT',
                     false_negative_possible=True,
                 )
             priority = next_priority

@@ -26,8 +26,8 @@ turns a linearisation plus an upper-bound vector (rule 1) into an
 :class:`IlpModel`.  DIRECT builds the whole linearisation; SKETCHREFINE builds
 the same linearisation reduced to per-group means
 (:meth:`Linearisation.group_means`, the sketch) or sliced to one group with
-residual right-hand sides (:meth:`Linearisation.take`, a refine query), and
-the false-infeasibility probe builds the sketch again.  Columns and rows
+residual right-hand sides (:meth:`Linearisation.take`, a refine query).
+Columns and rows
 reach the model as arrays — the coefficient matrix built here is the one the
 model keeps — and nothing here runs once per tuple.
 """

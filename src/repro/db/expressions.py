@@ -205,6 +205,14 @@ class BinaryOp(Expression):
         return f"({self.left!r} {self.op.value} {self.right!r})"
 
 
+_ORDERINGS = {
+    ComparisonOperator.LT: np.less,
+    ComparisonOperator.LE: np.less_equal,
+    ComparisonOperator.GT: np.greater,
+    ComparisonOperator.GE: np.greater_equal,
+}
+
+
 class Comparison(Expression):
     """Comparison of two expressions, yielding a boolean mask."""
 
@@ -226,13 +234,15 @@ class Comparison(Expression):
             return left_values == right_values
         if self.op is ComparisonOperator.NE:
             return (left_values != right_values) & ~_is_null(left_values) & ~_is_null(right_values)
-        if self.op is ComparisonOperator.LT:
-            return left_values < right_values
-        if self.op is ComparisonOperator.LE:
-            return left_values <= right_values
-        if self.op is ComparisonOperator.GT:
-            return left_values > right_values
-        return left_values >= right_values
+        compare = _ORDERINGS[self.op]
+        if left_values.dtype != object:
+            return compare(left_values, right_values)  # NaN already compares False
+        # Python refuses to order None against a string: compare known values only.
+        left_values, right_values = np.broadcast_arrays(left_values, right_values)
+        known = ~_is_null(left_values) & ~_is_null(right_values)
+        mask = np.zeros(known.shape, dtype=bool)
+        mask[known] = compare(left_values[known], right_values[known])
+        return mask
 
     def referenced_columns(self) -> set[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()

@@ -81,7 +81,14 @@ class SolverTimeoutError(SolverError):
 
 
 class InfeasiblePackageQueryError(ReproError):
-    """The package query has no feasible package (or was reported as such)."""
+    """The package query has no feasible package (or was reported as such).
+
+    ``false_negative_possible`` is set by SKETCHREFINE when its sketches or
+    refinements failed on a query that may still be feasible.
+    :meth:`~repro.core.engine.PackageQueryEngine.execute` reads it: under
+    AUTO it answers such a query with DIRECT, whose own infeasibility (flag
+    unset) is a proof.
+    """
 
     def __init__(self, message: str = "package query is infeasible", *, false_negative_possible: bool = False):
         self.false_negative_possible = false_negative_possible

@@ -13,10 +13,7 @@ an equivalent black box implemented from scratch:
   solver with best-bound node selection, most-fractional branching, a
   rounding heuristic, basis reuse across the search tree, and capacity/time budgets
   (the capacity budget emulates CPLEX running out of memory on huge problems,
-  which the paper reports as DIRECT failures),
-* :mod:`~repro.ilp.iis` — a simple irreducible-infeasible-set approximation
-  (the paper mentions IIS as the mechanism for the "dropping partitioning
-  attributes" mitigation of false infeasibility).
+  which the paper reports as DIRECT failures).
 
 The evaluators of :mod:`repro.core` call nothing of a solver but
 ``solve(IlpModel) -> Solution``, so any object with that method can stand in
@@ -29,7 +26,6 @@ from repro.ilp.status import SolveStats, SolverStatus, Solution
 from repro.ilp.lp_backend import solve_lp
 from repro.ilp.simplex import SimplexBasis
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.iis import find_iis
 
 __all__ = [
     "IlpModel",
@@ -46,5 +42,4 @@ __all__ = [
     "solve_lp",
     "BranchAndBoundSolver",
     "SolverLimits",
-    "find_iis",
 ]

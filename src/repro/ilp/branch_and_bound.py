@@ -139,13 +139,8 @@ class _Node:
 class BranchAndBoundSolver:
     """Exact ILP solver with LP-relaxation branch and bound."""
 
-    def __init__(
-        self,
-        limits: SolverLimits | None = None,
-        enable_rounding_heuristic: bool = True,
-    ):
+    def __init__(self, limits: SolverLimits | None = None):
         self.limits = limits or SolverLimits()
-        self.enable_rounding_heuristic = enable_rounding_heuristic
 
     # -- public API ----------------------------------------------------------------
 
@@ -263,14 +258,13 @@ class BranchAndBoundSolver:
                     stats.incumbent_updates += 1
                 continue
 
-            if self.enable_rounding_heuristic:
-                rounded = self._rounding_heuristic(
-                    model, lp_result.values, integer_mask, node.lower_bounds,
-                    node.upper_bounds, None if incumbent is None else incumbent_value,
-                )
-                if rounded is not None:
-                    incumbent, incumbent_value = rounded
-                    stats.incumbent_updates += 1
+            rounded = self._rounding_heuristic(
+                model, lp_result.values, integer_mask, node.lower_bounds,
+                node.upper_bounds, None if incumbent is None else incumbent_value,
+            )
+            if rounded is not None:
+                incumbent, incumbent_value = rounded
+                stats.incumbent_updates += 1
 
             # Optimality-gap stop.
             if incumbent is not None and self._gap(sense, bound, incumbent_value) <= self.limits.relative_gap:

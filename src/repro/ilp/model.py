@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -149,15 +149,6 @@ class Constraint:
     def is_satisfied(self, values: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Whether the constraint holds under ``values`` (with tolerance)."""
         return _holds(self.evaluate(values), self.sense, self.rhs, tolerance)
-
-    def violation(self, values: np.ndarray) -> float:
-        """Return how much the constraint is violated (0 when satisfied)."""
-        lhs = self.evaluate(values)
-        if self.sense is ConstraintSense.LE:
-            return max(0.0, lhs - self.rhs)
-        if self.sense is ConstraintSense.GE:
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
 
     def __repr__(self) -> str:
         return (
@@ -449,24 +440,6 @@ class IlpModel:
             bounds=(self._lower, self._upper),
             maximize=maximize,
         )
-
-    def subset(self, constraints: Iterable[int]) -> "IlpModel":
-        """A copy of the model that keeps only the constraint rows at ``constraints``."""
-        keep = np.fromiter(constraints, dtype=np.int64)
-        clone = IlpModel(name=self.name)
-        clone._append_columns(self._lower, self._upper, self._integer, self._names)
-        clone.add_constraints(
-            self._rows[keep],
-            [self._senses[i] for i in keep],
-            self._rhs[keep],
-            [self._row_names[i] for i in keep],
-        )
-        clone.set_objective_vector(self._objective_sense, self._objective.copy())
-        return clone
-
-    def copy(self) -> "IlpModel":
-        """Return a deep copy of the model (constraints and bounds included)."""
-        return self.subset(range(self.num_constraints))
 
     def __repr__(self) -> str:
         return (

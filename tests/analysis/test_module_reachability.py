@@ -27,8 +27,6 @@ SCRIPT_DIRS = ("benchmarks", "examples")
 
 ALLOWLIST = {
     "repro.exec.pool": "the serial SolvePool stub that benchmarks/e2e/tracing.py traces by name",
-    "repro.core.infeasibility": "the paper's false-infeasibility resolver, kept until it is wired in or deleted",
-    "repro.ilp.iis": "the IIS finder the false-infeasibility resolver calls",
 }
 
 

@@ -4,7 +4,14 @@ import pytest
 
 from repro import PackageQueryEngine
 from repro.core.engine import EvaluationMethod
-from repro.errors import CatalogError, EvaluationError, PaQLValidationError
+from repro.dataset.schema import Column, DataType, Schema
+from repro.dataset.table import Table
+from repro.errors import (
+    CatalogError,
+    EvaluationError,
+    InfeasiblePackageQueryError,
+    PaQLValidationError,
+)
 from repro.paql.builder import query_over
 from repro.workloads.recipes import MEAL_PLANNER_PAQL, meal_planner_query, recipes_table
 
@@ -77,6 +84,17 @@ class TestExecution:
         query = query_over("recipes").sum_at_most("no_such_column", 1).build()
         with pytest.raises(PaQLValidationError):
             engine.execute(query, method="direct")
+
+    def test_null_string_row_fails_an_ordering_predicate(self):
+        """SQL drops a row whose string is NULL under ``<``; so does the engine."""
+        schema = Schema([Column("c", DataType.STRING, nullable=True), Column("v", DataType.FLOAT)])
+        engine = PackageQueryEngine()
+        engine.register_table(Table(schema, {"c": ["x", None, "z"], "v": [1.0, 5.0, 3.0]}, name="r"))
+        result = engine.execute(
+            "SELECT PACKAGE(R) FROM r R WHERE R.c < 'y' SUCH THAT COUNT(*) = 1 MAXIMIZE SUM(R.v)"
+        )
+        assert result.package.indices.tolist() == [0]
+        assert result.objective == 1.0
 
     def test_materialize_result(self, engine):
         result = engine.execute(MEAL_PLANNER_PAQL, method="direct")
@@ -215,3 +233,91 @@ class TestDynamicData:
         database = Database("mine", maintenance_policy="stale")
         engine = PackageQueryEngine(database=database)
         assert engine.database is database
+
+
+#: Quadtree with tau = 2 splits ``v`` into the groups {0, 10} and {100, 110}.
+FOUR_ROWS = [0.0, 10.0, 100.0, 110.0]
+#: Every sketch misses [99.5, 100.5]: two centroids sum to 10, 110 or 210,
+#: and a hybrid sketch's one centroid and one tuple to 5 + 100, 5 + 110,
+#: 105 + 0 or 105 + 10.  DIRECT picks {0, 100}.
+SKETCH_INFEASIBLE = (
+    "SELECT PACKAGE(R) FROM r R SUCH THAT COUNT(*) = 2 "
+    "AND SUM(R.v) BETWEEN 99.5 AND 100.5 MAXIMIZE SUM(R.v)"
+)
+#: The sketch 5 + 105 hits [109.5, 110.5], but no single tuple of either
+#: group refines its centroid there.  DIRECT picks {0, 110} or {10, 100}.
+REFINE_INFEASIBLE = (
+    "SELECT PACKAGE(R) FROM r R SUCH THAT COUNT(*) = 2 "
+    "AND SUM(R.v) BETWEEN 109.5 AND 110.5 MAXIMIZE SUM(R.v)"
+)
+
+
+class TestFalseInfeasibilityFallback:
+    """AUTO answers a possibly-false SKETCHREFINE infeasibility with DIRECT."""
+
+    @pytest.fixture
+    def four_rows(self):
+        engine = PackageQueryEngine(auto_direct_threshold=1)
+        engine.register_table(Table.from_dict({"v": FOUR_ROWS}, name="r"))
+        partitioning = engine.build_partitioning("r", ["v"], size_threshold=2)
+        assert sorted(sorted(partitioning.group_rows(g).tolist()) for g in range(2)) == [
+            [0, 1], [2, 3]
+        ]
+        return engine
+
+    def test_sketch_infeasible_falls_back_to_direct(self, four_rows):
+        result = four_rows.execute(SKETCH_INFEASIBLE)
+        assert result.method is EvaluationMethod.DIRECT
+        assert result.objective == 100.0
+        assert result.feasible
+        assert result.package.indices.tolist() == [0, 2]
+        assert "direct_stats" in result.details
+        assert "sketchrefine_stats" not in result.details
+        note = result.details["auto"]
+        assert note.startswith("falling back to DIRECT")
+        assert "every hybrid sketch" in note
+
+    def test_refine_exhausted_falls_back_to_direct(self, four_rows):
+        with pytest.raises(InfeasiblePackageQueryError, match="every group ordering"):
+            four_rows.execute(REFINE_INFEASIBLE, method="sketchrefine")
+        result = four_rows.execute(REFINE_INFEASIBLE)
+        assert result.method is EvaluationMethod.DIRECT
+        assert result.objective == 110.0
+        assert "every group ordering" in result.details["auto"]
+
+    def test_direct_infeasibility_still_raises(self, four_rows):
+        query = (
+            "SELECT PACKAGE(R) FROM r R SUCH THAT COUNT(*) = 2 "
+            "AND SUM(R.v) BETWEEN 1000 AND 2000 MAXIMIZE SUM(R.v)"
+        )
+        with pytest.raises(InfeasiblePackageQueryError) as raised:
+            four_rows.execute(query)
+        assert not raised.value.false_negative_possible
+
+    def test_explicit_sketchrefine_still_raises(self, four_rows):
+        with pytest.raises(InfeasiblePackageQueryError, match='method="auto"') as raised:
+            four_rows.execute(SKETCH_INFEASIBLE, method="sketchrefine")
+        assert raised.value.false_negative_possible
+
+    def test_fallback_is_cached_as_direct_and_dropped_by_an_update(self, four_rows):
+        first = four_rows.execute(SKETCH_INFEASIBLE, cache="use")
+        assert first.details["cache"]["status"] == "miss"
+        [entry] = four_rows.cache.entries_snapshot()
+        assert entry["method"] == "direct"
+        assert entry["partitioning_label"] is None
+        served = four_rows.execute(SKETCH_INFEASIBLE, method="direct", cache="use")
+        assert served.details["cache"]["status"] == "hit"
+        assert served.objective == 100.0
+        four_rows.update_table("r", insert=[{"v": 100.25}])
+        after = four_rows.execute(SKETCH_INFEASIBLE, method="direct", cache="use")
+        assert after.details["cache"]["status"] == "miss"
+        assert after.objective == 100.25
+
+    def test_fallback_reads_the_snapshot(self, four_rows):
+        with four_rows.snapshot() as snapshot:
+            four_rows.update_table("r", insert=[{"v": 100.25}])
+            result = four_rows.execute(SKETCH_INFEASIBLE, snapshot=snapshot)
+        assert result.method is EvaluationMethod.DIRECT
+        assert result.objective == 100.0
+        assert result.details["snapshot"]["table_version"] == 0
+        assert "falling back to DIRECT" in result.details["auto"]

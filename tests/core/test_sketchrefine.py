@@ -12,7 +12,6 @@ from repro.core.direct import DirectEvaluator
 from repro.core.engine import PackageQueryEngine
 from repro.core.sketchrefine import (
     PartitionedQuery,
-    SketchRefineConfig,
     SketchRefineEvaluator,
     run_solve_task,
 )
@@ -228,16 +227,24 @@ class TestRunSolveTask:
 
 
 class TestRemovedConfigKnobs:
-    """The hybrid-sketch order seed and the backtracking cap are constants:
-    no caller set either."""
+    """The hybrid-sketch order seed and the backtracking cap are constants,
+    and the hybrid sketch is always on: nothing configures SKETCHREFINE."""
 
-    def test_config_takes_no_refine_order_seed(self):
+    def test_evaluator_takes_no_refine_order_seed(self):
         with pytest.raises(TypeError, match="refine_order_seed"):
-            SketchRefineConfig(refine_order_seed=1)
+            SketchRefineEvaluator(refine_order_seed=1)
 
-    def test_config_takes_no_backtracking_cap(self):
+    def test_evaluator_takes_no_backtracking_cap(self):
         with pytest.raises(TypeError, match="max_backtracks"):
-            SketchRefineConfig(max_backtracks=10)
+            SketchRefineEvaluator(max_backtracks=10)
+
+    def test_evaluator_takes_no_config(self):
+        with pytest.raises(TypeError, match="config"):
+            SketchRefineEvaluator(config=None)
+
+    def test_engine_takes_no_sketchrefine_config(self):
+        with pytest.raises(TypeError, match="sketchrefine_config"):
+            PackageQueryEngine(sketchrefine_config=None)
 
 
 class TestRemovedWorkerKnobs:
@@ -247,9 +254,9 @@ class TestRemovedWorkerKnobs:
         with pytest.raises(TypeError, match="workers"):
             PackageQueryEngine(workers=2)
 
-    def test_config_takes_no_worker_count(self):
+    def test_evaluator_takes_no_worker_count(self):
         with pytest.raises(TypeError, match="workers"):
-            SketchRefineConfig(workers=2)
+            SketchRefineEvaluator(workers=2)
 
     def test_evaluator_takes_no_pool(self):
         with pytest.raises(TypeError, match="pool"):
@@ -394,7 +401,7 @@ class TestInfeasibilityHandling:
 
     def test_hybrid_sketch_recovers_tight_queries(self, fast_solver):
         """A query only satisfiable by extreme tuples defeats the plain sketch
-        (centroids are too average) but the hybrid sketch finds it."""
+        (centroids are too average) but the hybrid sketch, always on, finds it."""
         table = recipes_table(num_rows=150, seed=23)
         partitioning = QuadTreePartitioner(size_threshold=30).partition(
             table, ["kcal", "saturated_fat"]
@@ -409,27 +416,14 @@ class TestInfeasibilityHandling:
             .minimize_sum("saturated_fat")
             .build()
         )
-        with_hybrid = SketchRefineEvaluator(
-            solver=fast_solver, config=SketchRefineConfig(use_hybrid_sketch=True)
-        )
-        without_hybrid = SketchRefineEvaluator(
-            solver=fast_solver, config=SketchRefineConfig(use_hybrid_sketch=False)
-        )
-        # The plain sketch may or may not fail depending on centroid positions;
-        # the hybrid sketch must succeed whenever DIRECT does.
+        evaluator = SketchRefineEvaluator(solver=fast_solver)
+        problem = PartitionedQuery.build(table, query, partitioning)
+        assert evaluator._solve_sketch_model(problem, hybrid_group=None) is None
         direct = DirectEvaluator(solver=fast_solver).evaluate(table, query)
         assert check_package(direct, query).feasible
-        try:
-            package = with_hybrid.evaluate(table, query, partitioning)
-            assert check_package(package, query).feasible
-        except InfeasiblePackageQueryError as error:
-            # Permitted by the theory only as a (rare) false negative with the
-            # flag set; the hybrid sketch makes this very unlikely.
-            assert error.false_negative_possible
-        try:
-            without_hybrid.evaluate(table, query, partitioning)
-        except InfeasiblePackageQueryError as error:
-            assert error.false_negative_possible
+        package = evaluator.evaluate(table, query, partitioning)
+        assert check_package(package, query).feasible
+        assert evaluator.last_stats.used_hybrid_sketch
 
     def test_hybrid_fallback_leaves_the_group_order_alone(self, fast_solver):
         """The hybrid fallback tries the groups in a shuffled order, but it must

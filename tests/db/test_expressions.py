@@ -151,6 +151,20 @@ class TestNullsAndEdgeCases:
         assert mask.tolist() == [False, False, True, False]
         assert (lit("x") != col("category")).evaluate(mixed_table).tolist() == mask.tolist()
 
+    @pytest.mark.parametrize(
+        "predicate, expected",
+        [
+            (col("category") < "y", [True, False, False, True]),
+            (col("category") <= "x", [True, False, False, True]),
+            (col("category") > "x", [False, False, True, False]),
+            (col("category") >= "y", [False, False, True, False]),
+            (lit("y") > col("category"), [True, False, False, True]),
+        ],
+        ids=["lt", "le", "gt", "ge", "literal-left"],
+    )
+    def test_null_string_fails_every_ordering(self, mixed_table, predicate, expected):
+        assert predicate.evaluate(mixed_table).tolist() == expected
+
     def test_not_stays_two_valued_over_nulls(self, mixed_table):
         mask = (~(col("category") == "x")).evaluate(mixed_table)
         assert mask.tolist() == [False, True, True, False]

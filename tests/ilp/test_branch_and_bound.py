@@ -2,7 +2,7 @@
 
 Correctness is checked against brute-force enumeration on small instances,
 including a hypothesis property test over random 0/1 knapsack problems, plus
-targeted tests for statuses, limits and the rounding-heuristic switch, and
+targeted tests for statuses and limits, and
 for the bound and gap a solve reports beside its answer.
 """
 
@@ -141,10 +141,10 @@ class TestConfigurations:
             brute_force_knapsack([6, 5, 4, 3, 2, 1], [4, 3, 3, 2, 2, 1], 8)
         )
 
-    def test_rounding_heuristic_can_be_disabled(self):
-        model = knapsack_model([10, 13, 7, 8, 2], [5, 6, 4, 3, 1], 10)
-        solver = BranchAndBoundSolver(enable_rounding_heuristic=False, limits=SolverLimits(relative_gap=1e-9))
-        assert solver.solve(model).objective_value == pytest.approx(23.0)
+
+    def test_the_rounding_heuristic_has_no_switch(self):
+        with pytest.raises(TypeError, match="enable_rounding_heuristic"):
+            BranchAndBoundSolver(enable_rounding_heuristic=False)
 
 
 class TestLimits:

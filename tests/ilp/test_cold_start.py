@@ -213,7 +213,7 @@ class TestBranchingPenalties:
             return chosen[-1]
 
         monkeypatch.setattr(BranchAndBoundSolver, "_choose_branch_variable", staticmethod(recorded))
-        solution = BranchAndBoundSolver(enable_rounding_heuristic=False).solve(model)
+        solution = BranchAndBoundSolver().solve(model)
         assert chosen[0] == 3
         assert solution.objective_value == pytest.approx(8.0)  # x0 and x3
 

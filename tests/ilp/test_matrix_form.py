@@ -300,7 +300,6 @@ class TestModelFastPaths:
         model.set_objective(ObjectiveSense.MINIMIZE, {1: 2.0, 3: -1.0})
         values = np.array([2.0, 3.0, 1.0, 4.0])
         assert constraint.evaluate(values) == pytest.approx(1.5 * 2.0 - 2.0 * 1.0)
-        assert constraint.violation(values) == pytest.approx(0.0)
         assert model.objective_value(values) == pytest.approx(2.0 * 3.0 - 4.0)
         assert model.check_feasible(np.array([0.0, 0.0, 0.0, 0.0]))
         assert not model.check_feasible(np.array([2.0, 0.0, 0.0, 0.0]))  # constraint

@@ -62,7 +62,7 @@ class TestConstraints:
         values = np.array([1.0, 1.0])
         assert le.evaluate(values) == 3.0
         assert le.is_satisfied(values)
-        assert ge.violation(values) == 1.0
+        assert ge.evaluate(values) == 1.0
         assert eq.is_satisfied(values)
         assert not ge.is_satisfied(values)
 
@@ -91,7 +91,7 @@ class TestObjectiveAndFeasibility:
         assert not model.check_feasible(np.array([1.0, 2.0]))  # Wrong shape.
 
 
-class TestDenseExportAndCopy:
+class TestDenseExportAndRepr:
     def test_dense_form_minimisation(self):
         model = IlpModel()
         model.add_variable("x", upper=4)
@@ -109,6 +109,16 @@ class TestDenseExportAndCopy:
         assert not form.maximize
         assert form.objective_from_min(7.0) == 7.0
 
+    def test_reprs_name_the_shape(self):
+        model = IlpModel("portfolio")
+        model.add_variable("x", upper=1)
+        cap = model.add_constraint({0: 2.0}, ConstraintSense.LE, 1, name="cap")
+        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
+        assert repr(model) == (
+            "IlpModel(name='portfolio', variables=1, constraints=1, sense=maximize)"
+        )
+        assert repr(cap) == "Constraint(name='cap', nnz=1, sense='<=', rhs=1.0)"
+
     def test_dense_form_maximisation_negates(self):
         model = IlpModel()
         model.add_variable("x")
@@ -117,18 +127,6 @@ class TestDenseExportAndCopy:
         assert form.c[0] == -3.0
         assert form.objective_from_min(-6.0) == 6.0
 
-    def test_copy_is_deep(self):
-        model = IlpModel("original")
-        model.add_variable("x", upper=1)
-        model.add_constraint({0: 1.0}, ConstraintSense.LE, 1, name="cap")
-        model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
-        clone = model.copy()
-        clone.add_variable("y")
-        clone.add_constraint({1: 1.0}, ConstraintSense.LE, 2)
-        assert model.num_variables == 1
-        assert model.num_constraints == 1
-        assert clone.num_variables == 2
-        assert repr(model).startswith("IlpModel")
 
 
 class DictReference:
@@ -219,14 +217,12 @@ def _assert_agrees(model, reference, rng, trials=25):
         )
         for constraint, row in zip(model.constraints, reference.rows):
             assert constraint.coefficients == row[0]
-            assert constraint.violation(values) == pytest.approx(
-                reference.violation(row, values), rel=1e-12, abs=1e-12
-            )
+            assert constraint.is_satisfied(values) == (reference.violation(row, values) <= 1e-6)
     return outcomes
 
 
 class TestBlockAgainstDictReference:
-    """``check_feasible``, ``objective_value`` and each constraint's violation read the
+    """``check_feasible``, ``objective_value`` and each constraint's satisfaction read the
     model's coefficient block; a per-row dict written here says the same."""
 
     def test_hand_built_models(self):

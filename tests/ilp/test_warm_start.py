@@ -264,9 +264,7 @@ class TestBranchAndBoundBasisReuse:
 
     def test_warm_start_hits_accumulate_and_answers_match(self):
         model = self._hard_knapsack()
-        warm = BranchAndBoundSolver(
-            limits=SolverLimits(relative_gap=1e-9), enable_rounding_heuristic=False
-        ).solve(model)
+        warm = BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
         reference = oracle_ilp(model)
 
         assert warm.status is SolverStatus.OPTIMAL
