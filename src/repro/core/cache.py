@@ -115,6 +115,8 @@ class CacheLookup:
     objective: float = float("nan")
     feasible: bool = False
     saved_solve_seconds: float = 0.0
+    method: str | None = None
+    """The method of the entry that answered (``None`` on a miss)."""
 
     @property
     def found(self) -> bool:
@@ -321,17 +323,23 @@ class PackageCache:
         method: str,
         partitioning: Partitioning | None = None,
         partitioning_label: str | None = None,
+        fallback_method: str | None = None,
     ) -> CacheLookup:
         """Try to answer ``query`` over the current ``table`` from the cache.
 
         Pending deltas for the table are applied first.  An entry
         marked for revalidation is re-checked against the query semantics
         (:func:`check_package`) before being served; failing the check drops
-        it and reports a miss — a stale answer is never returned.
+        it and reports a miss — a stale answer is never returned.  When no
+        entry is stored under ``method``, one stored under ``fallback_method``
+        (without a partitioning) may answer; the lookup still counts once.
         """
         self._flush(table_name)
         key = self._key(fingerprint, table_name, method, partitioning_label)
         entry = self._entries.get(key)
+        if entry is None and fallback_method is not None:
+            method, key = fallback_method, self._key(fingerprint, table_name, fallback_method, None)
+            entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return CacheLookup(status="miss")
@@ -370,6 +378,7 @@ class PackageCache:
                 objective=entry.objective,
                 feasible=True,
                 saved_solve_seconds=entry.solve_seconds,
+                method=method,
             )
         self._entries.move_to_end(key)
         self.stats.hits += 1
@@ -380,6 +389,7 @@ class PackageCache:
             objective=entry.objective,
             feasible=entry.feasible,
             saved_solve_seconds=entry.solve_seconds,
+            method=method,
         )
 
     def store(

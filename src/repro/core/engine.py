@@ -340,8 +340,19 @@ class PackageQueryEngine:
                 method.value,
                 partitioning=partitioning,
                 partitioning_label=label,
+                # AUTO stores its answer to a possibly-false SKETCHREFINE
+                # infeasibility as DIRECT's (below); a repeat reads it there.
+                fallback_method=(
+                    EvaluationMethod.DIRECT.value
+                    if requested is EvaluationMethod.AUTO
+                    and method is EvaluationMethod.SKETCH_REFINE
+                    else None
+                ),
             )
             if found.found:
+                if found.method != method.value:
+                    method = EvaluationMethod(found.method)
+                    details["auto"] = "served DIRECT's cached answer to this query"
                 details["cache"] = {
                     "status": found.status,
                     "fingerprint": fingerprint,

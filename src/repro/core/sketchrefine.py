@@ -48,16 +48,15 @@ per-group means (the centroid value of a linear function is the mean of its
 per-tuple values): the sketch is the reduced linearisation under the group
 caps, a hybrid sketch swaps one group's column for its tuples' columns, and a
 refine query is the slice of one group's columns with residual right-hand
-sides.  The reduction is a constant number of array operations over the
-columns sorted by group, and it sums in numpy's ``mean`` order, not merely
-to the same value: rows of a block of two or more are summed one column
-after the other in ascending column order (the order of numpy's reduction
-over the F-ordered gather ``matrix[:, group]``), a single row and the
-objective pairwise over each group's contiguous slice.  Another order moves
-the last bits of R̃, and with them the sketch's and the refine queries'
-branch-and-bound trees (:meth:`Linearisation.group_means`).  Rows, groups
-and assignments are addressed by linearisation column throughout and
-mapped back to table rows once, when the package is built.
+sides.  Setting a query up is a fixed number of array passes, none per
+group: the columns are sorted by group once (a group is a slice of them),
+and the reduction is one ``np.bincount`` per constraint row and one for the
+objective, each summing a group's columns one after the other in ascending
+column order.  That order is part of the contract, not merely the value:
+another order moves the last bits of R̃, and with them the sketch's and the
+refine queries' branch-and-bound trees (:meth:`Linearisation.group_means`).
+Rows, groups and assignments are addressed by linearisation column
+throughout and mapped back to table rows once, when the package is built.
 
 Every refine ILP, a group's retry included, is one black-box ``solve`` of its
 own model (:func:`run_solve_task`); the evaluator keeps no solver state from
@@ -149,11 +148,13 @@ class PartitionedQuery:
     rows: np.ndarray
     """The table row each linearisation column stands for (the eligible rows)."""
     linearisation: Linearisation
-    groups: list[np.ndarray]
-    """Linearisation columns of each group, ascending (empty when no tuple of
-    the group satisfies the base predicate)."""
+    columns: np.ndarray
+    """Linearisation columns ordered by group, ascending within a group."""
+    boundaries: np.ndarray
+    """``columns[boundaries[g] : boundaries[g + 1]]`` are group ``g``'s columns
+    (none when no tuple of the group satisfies the base predicate)."""
     means: Linearisation
-    eligible_groups: tuple[int, ...]
+    eligible_groups: np.ndarray
     """Groups with at least one eligible tuple, ascending."""
 
     @classmethod
@@ -169,17 +170,19 @@ class PartitionedQuery:
         columns = columns[columns >= 0]
         group_of_column = partitioning.group_ids[rows]
         counts = np.bincount(group_of_column, minlength=partitioning.num_groups)
-        boundaries = np.concatenate(([0], np.cumsum(counts)))
-        bounds = boundaries.tolist()
-        groups = [columns[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
         return cls(
             query,
             rows,
             linearisation,
-            groups,
-            linearisation.group_means(group_of_column, columns, boundaries),
-            tuple(np.flatnonzero(counts).tolist()),
+            columns,
+            np.concatenate(([0], np.cumsum(counts))),
+            linearisation.group_means(group_of_column, counts),
+            np.flatnonzero(counts),
         )
+
+    def group_columns(self, gid: int) -> np.ndarray:
+        """Linearisation columns of group ``gid``, ascending."""
+        return self.columns[self.boundaries[gid] : self.boundaries[gid + 1]]
 
     def sketch_model(self, hybrid_group: int | None = None) -> IlpModel:
         """The SKETCH ILP: one column per eligible group, capped at ``|G_j| · (K + 1)``.
@@ -187,14 +190,14 @@ class PartitionedQuery:
         With ``hybrid_group`` set, that group's column is replaced, in place,
         by the columns of its tuples (Section 4.4's hybrid sketch).
         """
-        eligible = np.array(self.eligible_groups, dtype=np.int64)
+        eligible = self.eligible_groups
         cap = repetition_cap(self.query)
-        sizes = np.array([len(self.groups[gid]) for gid in eligible])
+        sizes = np.diff(self.boundaries)[eligible]
         name = f"sketch_{self.query.name or self.query.relation}"
         if hybrid_group is None:
             return build_model(self.means.take(eligible), sizes * cap, name)
         split = int(np.searchsorted(eligible, hybrid_group))
-        tuples = self.groups[hybrid_group]
+        tuples = self.group_columns(hybrid_group)
         sketch = Linearisation.concatenate(
             [
                 self.means.take(eligible[:split]),
@@ -211,7 +214,7 @@ class PartitionedQuery:
         """Q[G_j]: pick real tuples of group ``gid`` given the constraint-row
         totals ``fixed`` of everything else in the package."""
         refine = self.linearisation.take(
-            self.groups[gid], rhs=self.linearisation.rhs - fixed
+            self.group_columns(gid), rhs=self.linearisation.rhs - fixed
         )
         return build_model(refine, repetition_cap(self.query), f"refine_{gid}")
 
@@ -263,7 +266,7 @@ class SketchRefineEvaluator:
         self.last_stats = stats
 
         problem = PartitionedQuery.build(table, query, partitioning)
-        if not problem.eligible_groups:
+        if not len(problem.eligible_groups):
             raise InfeasiblePackageQueryError("no tuple satisfies the base predicate")
 
         # ---- SKETCH ----
@@ -271,7 +274,6 @@ class SketchRefineEvaluator:
         sketch_multiplicities, initial_assignments, used_hybrid = self._sketch(problem)
         stats.sketch_seconds = time.perf_counter() - sketch_start
         stats.used_hybrid_sketch = used_hybrid
-        stats.groups_in_sketch = sum(1 for m in sketch_multiplicities.values() if m > 0)
 
         # ---- REFINE ----
         refine_start = time.perf_counter()
@@ -298,40 +300,44 @@ class SketchRefineEvaluator:
         used_hybrid)``.  Pre-refined assignments are non-empty only when the
         hybrid-sketch fallback solved one group with original tuples.
         """
-        solution = self._solve_sketch_model(problem, hybrid_group=None)
-        if solution is not None:
-            multiplicities, _ = solution
-            self.last_stats.sketch_objective = self._sketch_objective(problem, multiplicities)
-            return multiplicities, {}, False
-
-        # Hybrid sketch: replace one group's representative with its original
-        # tuples and re-try, in arbitrary group order (Section 4.4).
-        rng = np.random.default_rng(_HYBRID_ORDER_SEED)
-        order = list(problem.eligible_groups)
-        rng.shuffle(order)
-        for hybrid_group in order:
-            solution = self._solve_sketch_model(problem, hybrid_group)
-            if solution is None:
-                continue
-            multiplicities, hybrid_assignment = solution
-            assignments = {hybrid_group: hybrid_assignment} if hybrid_assignment else {}
-            self.last_stats.sketch_objective = self._sketch_objective(problem, multiplicities)
-            return multiplicities, assignments, True
-
-        raise InfeasiblePackageQueryError(
-            "sketch query (and every hybrid sketch) is infeasible; "
-            'method="auto" answers such a query with DIRECT',
-            false_negative_possible=True,
+        solution = self._solve_sketch_model(problem, None)
+        hybrid_group: int | None = None
+        if solution is None:
+            # Hybrid sketch: replace one group's representative with its
+            # original tuples and re-try, in arbitrary group order (Section 4.4).
+            order = problem.eligible_groups.tolist()
+            np.random.default_rng(_HYBRID_ORDER_SEED).shuffle(order)
+            for hybrid_group in order:
+                solution = self._solve_sketch_model(problem, hybrid_group)
+                if solution is not None:
+                    break
+        if solution is None:
+            raise InfeasiblePackageQueryError(
+                "sketch query (and every hybrid sketch) is infeasible; "
+                'method="auto" answers such a query with DIRECT',
+                false_negative_possible=True,
+            )
+        counts, hybrid_assignment = solution
+        eligible = problem.eligible_groups
+        # Summed left to right over the groups (cumsum), not pairwise.
+        contributions = problem.means.objective[eligible] * counts
+        self.last_stats.sketch_objective = float(np.cumsum(contributions)[-1])
+        self.last_stats.groups_in_sketch = int(np.count_nonzero(counts))
+        assignments = (
+            {hybrid_group: hybrid_assignment}
+            if hybrid_group is not None and hybrid_assignment
+            else {}
         )
+        return dict(zip(eligible.tolist(), counts.tolist())), assignments, hybrid_group is not None
 
     def _solve_sketch_model(
         self, problem: PartitionedQuery, hybrid_group: int | None
-    ) -> tuple[dict[int, int], dict[int, int]] | None:
+    ) -> tuple[np.ndarray, dict[int, int]] | None:
         """Build and solve the (possibly hybrid) sketch ILP.
 
-        Returns ``None`` when infeasible; otherwise the per-group multiplicities
-        (0 for the hybrid group) and, for a hybrid sketch, the per-column
-        assignment of the hybrid group.
+        Returns ``None`` when infeasible; otherwise the multiplicity of each
+        eligible group, ascending (0 for the hybrid group), and, for a hybrid
+        sketch, the per-column assignment of the hybrid group.
         """
         model = problem.sketch_model(hybrid_group)
         solution = self.solver.solve(model)
@@ -346,27 +352,16 @@ class SketchRefineEvaluator:
             raise EvaluationError(f"sketch solve failed with status {solution.status.value}")
 
         counts = solution.integral_values()
-        eligible_groups = problem.eligible_groups
-        hybrid_assignment: dict[int, int] = {}
-        if hybrid_group is not None:
-            # The hybrid group's tuples sit where its column would (sketch_model).
-            split = eligible_groups.index(hybrid_group)
-            tuples = problem.groups[hybrid_group]
-            tuple_counts = counts[split : split + len(tuples)]
-            hybrid_assignment = {
-                int(column): int(count)
-                for column, count in zip(tuples, tuple_counts)
-                if count > 0
-            }
-            counts = np.concatenate([counts[:split], [0], counts[split + len(tuples) :]])
-        multiplicities = {gid: int(count) for gid, count in zip(eligible_groups, counts)}
-        return multiplicities, hybrid_assignment
-
-    @staticmethod
-    def _sketch_objective(problem: PartitionedQuery, multiplicities: dict[int, int]) -> float:
-        return float(
-            sum(problem.means.objective[gid] * count for gid, count in multiplicities.items())
-        )
+        if hybrid_group is None:
+            return counts, {}
+        # The hybrid group's tuples sit where its column would (sketch_model).
+        split = int(np.searchsorted(problem.eligible_groups, hybrid_group))
+        tuples = problem.group_columns(hybrid_group)
+        tuple_counts = counts[split : split + len(tuples)]
+        chosen = tuple_counts > 0
+        hybrid_assignment = dict(zip(tuples[chosen].tolist(), tuple_counts[chosen].tolist()))
+        counts = np.concatenate([counts[:split], [0], counts[split + len(tuples) :]])
+        return counts, hybrid_assignment
 
     # -- REFINE ---------------------------------------------------------------------------------
 
@@ -390,11 +385,12 @@ class SketchRefineEvaluator:
         never repeat (the ``tried`` set), so the loop terminates even without
         the ``_MAX_BACKTRACKS`` cap.
         """
-        base_pending = sorted(
+        # The sketch's groups come in ascending order (``_sketch``).
+        base_pending = [
             gid
             for gid, count in sketch_multiplicities.items()
             if count > 0 and gid not in initial_assignments
-        )
+        ]
         if not base_pending:
             return dict(initial_assignments)
 
@@ -527,12 +523,11 @@ class SketchRefineEvaluator:
                 raise EvaluationError(
                     f"refine solve for group {gid} failed with status {result.status.value}"
                 )
-            values = np.rint(result.values).astype(np.int64)
-            assignment = {
-                int(column): int(values[position])
-                for position, column in enumerate(problem.groups[gid])
-                if values[position] > 0
-            }
+            values = result.integral_values()
+            chosen = values > 0
+            assignment = dict(
+                zip(problem.group_columns(gid)[chosen].tolist(), values[chosen].tolist())
+            )
             candidate = (
                 mix
                 - sketch_multiplicities[gid] * group_means[:, gid]

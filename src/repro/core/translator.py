@@ -132,58 +132,30 @@ class Linearisation:
             rhs=self.rhs if rhs is None else rhs,
         )
 
-    def group_means(
-        self, group_of_column: np.ndarray, columns: np.ndarray, boundaries: np.ndarray
-    ) -> "Linearisation":
+    def group_means(self, group_of_column: np.ndarray, counts: np.ndarray) -> "Linearisation":
         """One column per group of columns: the mean of the group's columns.
 
         Every translated row is linear in the tuple attributes, so the mean
         coefficient over a group is the coefficient of the group's centroid —
         the representative tuple of the SKETCH query.  ``group_of_column`` is
-        the group of each column; ``columns[boundaries[g] : boundaries[g + 1]]``
-        are the columns of group ``g``, ascending.  An empty group gets a
-        zero column.
+        the group of each column and ``counts[g]`` the number of columns of
+        group ``g``.  An empty group gets a zero column.
 
-        The sums are bit for bit those of ``matrix[:, group].mean(axis=1)``
-        and ``objective[group].mean()``, because a reordered sum moves the
-        branch-and-bound trees of the sketch and of every refine query built
-        from its residuals.  Gathering ``matrix[:, group]`` from two or more
-        rows yields an F-ordered block, which numpy sums one column after
-        the other in ascending column order — what ``np.bincount`` with the
-        row as weights does.  A one-row block and the objective are
-        contiguous, so numpy sums them pairwise; ``np.add.reduce`` over the
-        group's slice of one sorted copy repeats that.
+        Each group's sum runs one column after the other in ascending column
+        order — what ``np.bincount`` with a row as weights does — and tests
+        pin it to the bit: a reordered sum moves the branch-and-bound trees
+        of the sketch and of every refine query built from its residuals.
         """
-        num_groups = len(boundaries) - 1
-        counts = np.diff(boundaries)
-        occupied = counts > 0
-        starts, ends = boundaries[:-1].tolist(), boundaries[1:].tolist()
-
-        def pairwise_sums(values: np.ndarray) -> np.ndarray:
-            ordered = values[columns]
-            return np.array(
-                [np.add.reduce(ordered[start:end]) for start, end in zip(starts, ends)],
-                dtype=np.float64,
-            )
-
-        def means(sums: np.ndarray) -> np.ndarray:
-            return np.divide(sums, counts, out=np.zeros_like(sums), where=occupied)
-
-        if self.num_constraints == 1:
-            constraint_sums = pairwise_sums(self.constraint_matrix[0])[np.newaxis]
-        else:
-            constraint_sums = np.array(
-                [
-                    np.bincount(group_of_column, weights=row, minlength=num_groups)
-                    for row in self.constraint_matrix
-                ],
-                dtype=np.float64,
-            ).reshape(self.num_constraints, num_groups)
-        return replace(
-            self,
-            constraint_matrix=means(constraint_sums),
-            objective=means(pairwise_sums(self.objective)),
-        )
+        num_groups = len(counts)
+        sums = np.array(
+            [
+                np.bincount(group_of_column, weights=row, minlength=num_groups)
+                for row in (*self.constraint_matrix, self.objective)
+            ],
+            dtype=np.float64,
+        ).reshape(self.num_constraints + 1, num_groups)
+        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        return replace(self, constraint_matrix=means[:-1], objective=means[-1])
 
     @staticmethod
     def concatenate(parts: Sequence["Linearisation"]) -> "Linearisation":

@@ -186,13 +186,14 @@ class Partitioning:
 
         ``order`` is the stable argsort of :attr:`group_ids`, so
         ``order[boundaries[g] : boundaries[g + 1]]`` are the rows of group
-        ``g`` in ascending order.  Both arrays are read-only.
+        ``g`` in ascending order.  Both arrays are read-only.  The sort runs
+        on the narrowest unsigned type that holds the ids: the same stable
+        order, and numpy radix-sorts keys of up to 16 bits.
         """
         if self._rows_by_group is None:
-            order = np.argsort(self.group_ids, kind="stable")
-            boundaries = np.searchsorted(
-                self.group_ids[order], np.arange(self.num_groups + 1)
-            )
+            keys = self.group_ids.astype(np.min_scalar_type(self.num_groups - 1))
+            order = np.argsort(keys, kind="stable")
+            boundaries = np.searchsorted(keys[order], np.arange(self.num_groups + 1))
             order.setflags(write=False)
             boundaries.setflags(write=False)
             self._rows_by_group = (order, boundaries)

@@ -313,6 +313,28 @@ class TestFalseInfeasibilityFallback:
         assert after.details["cache"]["status"] == "miss"
         assert after.objective == 100.25
 
+    def test_a_repeated_auto_call_reads_the_fallback_entry(self, four_rows):
+        first = four_rows.execute(SKETCH_INFEASIBLE, cache="use")
+        assert first.details["cache"]["status"] == "miss"
+        second = four_rows.execute(SKETCH_INFEASIBLE, cache="use")
+        assert second.details["cache"]["status"] == "hit"
+        assert second.method is EvaluationMethod.DIRECT
+        assert second.objective == 100.0
+        assert second.package.indices.tolist() == [0, 2]
+        assert "DIRECT" in second.details["auto"]
+        totals = second.details["cache"]["totals"]
+        assert (totals["hits"], totals["misses"], totals["stores"]) == (1, 1, 1)
+        four_rows.update_table("r", insert=[{"v": 100.25}])
+        after = four_rows.execute(SKETCH_INFEASIBLE, cache="use")
+        assert after.details["cache"]["status"] == "miss"
+        totals = after.details["cache"]["totals"]
+        assert (totals["invalidations"], totals["misses"]) == (1, 2)
+
+    def test_explicit_sketchrefine_does_not_read_the_fallback_entry(self, four_rows):
+        four_rows.execute(SKETCH_INFEASIBLE, cache="use")
+        with pytest.raises(InfeasiblePackageQueryError):
+            four_rows.execute(SKETCH_INFEASIBLE, method="sketchrefine", cache="use")
+
     def test_fallback_reads_the_snapshot(self, four_rows):
         with four_rows.snapshot() as snapshot:
             four_rows.update_table("r", insert=[{"v": 100.25}])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.base_relations import compute_base_relation, indicator_vector
 from repro.core.sketchrefine import PartitionedQuery
@@ -278,18 +278,23 @@ EDGE_SIZES = [0, 1, 2, 7, 8, 9, 16, 127, 128, 129, 255, 256, 257, 600]
 
 
 def reference_group_means(linearisation, groups):
-    """Per-group means, one ``.mean()`` per group: the sums to reproduce bit for bit."""
-    constraint_means = np.zeros((linearisation.num_constraints, len(groups)))
-    objective_means = np.zeros(len(groups))
+    """Per-group means, each group's columns summed one after another in
+    ascending column order: the sums to reproduce bit for bit."""
+    rows = [*linearisation.constraint_matrix.tolist(), linearisation.objective.tolist()]
+    means = np.zeros((len(rows), len(groups)))
     for number, columns in enumerate(groups):
-        if len(columns):
-            constraint_means[:, number] = linearisation.constraint_matrix[:, columns].mean(axis=1)
-            objective_means[number] = linearisation.objective[columns].mean()
-    return constraint_means, objective_means
+        if not len(columns):
+            continue
+        for row_number, row in enumerate(rows):
+            total = 0.0
+            for column in sorted(columns.tolist()):
+                total += row[column]
+            means[row_number, number] = total / len(columns)
+    return means[:-1], means[-1]
 
 
 class TestGroupMeansBitForBit:
-    """The sketch's group means are the per-group ``.mean()`` sums to the last bit.
+    """The sketch's group means are the sequential per-group sums to the last bit.
 
     A sum reordered by even one ulp moves the sketch's and the refine
     queries' branch-and-bound trees, so the comparison is on bytes.
@@ -306,8 +311,11 @@ class TestGroupMeansBitForBit:
             st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 600)), min_size=1, max_size=6
         ),
         seed=st.integers(0, 2**16),
-        cut=st.sampled_from([None, -0.5, 0.0, 0.5, 0.9]),
+        cut=st.sampled_from([None, -0.5, 0.0, 0.5, 0.9, 1.0]),
     )
+    # No eligible tuple: the means must still be float64 (zero bytes read
+    # the same as int64, so the dtype is asserted too).
+    @example(num_rows=2, sizes=[3, 5], seed=0, cut=1.0)
     def test_partitioned_query_means(self, num_rows, sizes, seed, cut):
         rng = np.random.default_rng(seed)
         group_ids = np.repeat(np.arange(len(sizes)), sizes)
@@ -342,10 +350,13 @@ class TestGroupMeansBitForBit:
             )
             for gid in range(partitioning.num_groups)
         ]
-        assert [g.tolist() for g in problem.groups] == [g.tolist() for g in groups]
-        assert problem.eligible_groups == tuple(g for g, cols in enumerate(groups) if len(cols))
+        assert [
+            problem.group_columns(gid).tolist() for gid in range(partitioning.num_groups)
+        ] == [g.tolist() for g in groups]
+        assert problem.eligible_groups.tolist() == [g for g, cols in enumerate(groups) if len(cols)]
 
         constraint_means, objective_means = reference_group_means(problem.linearisation, groups)
         assert problem.means.constraint_matrix.shape == constraint_means.shape
+        assert problem.means.constraint_matrix.dtype == problem.means.objective.dtype == np.float64
         assert problem.means.constraint_matrix.tobytes() == constraint_means.tobytes()
         assert problem.means.objective.tobytes() == objective_means.tobytes()

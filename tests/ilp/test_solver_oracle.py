@@ -281,7 +281,7 @@ def galaxy_refine_models(refine_shaped_query):
     problem = PartitionedQuery.build(
         table, refine_shaped_query(table, "galaxy", cardinality), partitioning
     )
-    largest = sorted(problem.eligible_groups, key=lambda gid: -len(problem.groups[gid]))[:6]
+    largest = sorted(problem.eligible_groups, key=lambda gid: -len(problem.group_columns(gid)))[:6]
     models = []
     # The group's share of the package: a few tuples (its COUNT row binds a
     # few branches down) up to a third.

@@ -87,6 +87,22 @@ class TestPartitioningObject:
             assert np.array_equal(
                 partitioning.group_rows(gid), np.flatnonzero(partitioning.group_ids == gid)
             )
+        # Group counts at the edges of the uint8 / uint16 / uint32 sort keys.
+        rng = np.random.default_rng(0)
+        for num_groups in (256, 257, 65_536, 65_537):
+            group_ids = np.concatenate(
+                [np.arange(num_groups), rng.integers(0, num_groups, num_groups)]
+            )
+            rng.shuffle(group_ids)
+            table = Table.from_dict({"x": np.zeros(len(group_ids))}, name="t")
+            stats = PartitioningStats(num_groups, 0, 0.0, 0.0, 0, None, "manual")
+            edge = Partitioning(table, group_ids, ["x"], stats)
+            order, boundaries = edge.rows_by_group()
+            expected = np.argsort(group_ids, kind="stable")
+            assert np.array_equal(order, expected)
+            assert np.array_equal(
+                boundaries, np.searchsorted(group_ids[expected], np.arange(num_groups + 1))
+            )
 
     def test_maintained_partitioning_orders_rows_like_a_fresh_one(self):
         from repro.partition.maintenance import PartitionMaintainer
