@@ -238,7 +238,7 @@ def test_update_speed(benchmark, tmp_path):
         live_rows = engine.table(table.name).num_rows
         insert = table.take(rng.choice(table.num_rows, 10, replace=False))
         delete = np.sort(rng.choice(live_rows, 10, replace=False))
-        return (table.name,), {"insert": insert, "delete": delete, "policy": "maintain"}
+        return (table.name,), {"insert": insert, "delete": delete}
 
     try:
         result = benchmark.pedantic(engine.update_table, setup=next_delta, rounds=30)

@@ -2,9 +2,9 @@
 
 The durable payloads are pickled: WAL records into the log file, snapshot
 handles into a self-contained pinned view.  *Derived, process-local* state —
-memo caches, scratch arrays, lazily-built views, a live manager — must be
-dropped on pickling; shipping it bloats the payload and can drag live
-objects (the whole catalog, for a snapshot's manager) along with it.
+memo caches, scratch arrays, lazily-built views, a reference back into the
+live catalog — must be dropped on pickling; shipping it bloats the payload
+and can drag live objects (the whole catalog) along with it.
 
 For each configured payload class this checker flags an attribute when
 
@@ -118,8 +118,8 @@ class PickleSafetyChecker(Checker):
         # pickle.  This is the single source of truth for what crosses the
         # process boundary; tests/analysis/test_pickle_roundtrip.py pickles
         # an instance of every class listed here.  WAL records cross it via
-        # the log file; a snapshot handle ships its pinned view (the live
-        # manager must stay home).
+        # the log file; a snapshot handle ships its pinned view and nothing
+        # that reaches back into the live catalog.
         "payload_classes": {
             "WalRecord": [],
             "PinnedTable": [],

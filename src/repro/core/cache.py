@@ -16,8 +16,9 @@ and invalidates it no more aggressively than the update stream requires:
   the entry is marked for **revalidation** — a cheap
   :func:`~repro.core.validation.check_package` feasibility + objective
   re-check at the next lookup — instead of a re-solve.  If the gid space was
-  renumbered (groups retired, re-split or rebuilt), or the partitioning was
-  left stale, the entry is dropped conservatively.
+  renumbered (groups retired, re-split or rebuilt), the entry is dropped
+  conservatively; registering a new partitioning under the entry's label
+  drops it too (:meth:`PackageCache.invalidate_partitioning`).
 
 Update notifications are **deferred**: :meth:`notify_update` keeps, per
 table, each :class:`~repro.dataset.table.TableDelta`'s sorted deleted row
@@ -64,7 +65,7 @@ class CacheStats:
     stores: int = 0
     """Entries written after a solve."""
     invalidations: int = 0
-    """Entries dropped by updates, staleness or failed revalidation."""
+    """Entries dropped by updates, rebuilt partitionings or failed revalidation."""
     evictions: int = 0
     """Entries dropped by the capacity bound (LRU)."""
     saved_solve_seconds: float = 0.0
@@ -138,8 +139,7 @@ class _PendingUpdates:
     """Per partitioning label: union of touched gids since the last flush
     (valid while the label's gid space is stable over the window)."""
     dropped_labels: set = field(default_factory=set)
-    """Labels whose entries cannot survive the window (gid space renumbered,
-    or the partitioning went/stayed stale)."""
+    """Labels whose entries cannot survive the window (gid space renumbered)."""
 
     def remap(self, rows) -> list[int] | None:
         """``rows`` (at :attr:`base_version`) as row indices at
@@ -193,6 +193,21 @@ class PackageCache:
         self.stats.invalidations += len(keys)
         self._pending.pop(table_name, None)
 
+    def invalidate_partitioning(self, table_name: str, label: str) -> None:
+        """Drop the SKETCHREFINE entries solved over ``table_name``'s
+        partitioning ``label`` (it was rebuilt or replaced: their groups name
+        gids of a gid space that is gone).  Other entries stay."""
+        keys = [
+            k
+            for k, e in self._entries.items()
+            if e.table_name == table_name
+            and e.method == "sketchrefine"
+            and e.partitioning_label == label
+        ]
+        for key in keys:
+            del self._entries[key]
+        self.stats.invalidations += len(keys)
+
     def stats_snapshot(self) -> dict:
         """The counters as a plain dict (for ``EvaluationResult.details``)."""
         return self.stats.as_dict()
@@ -236,13 +251,11 @@ class PackageCache:
         table_name: str,
         delta: TableDelta,
         maintained: Mapping[str, object] | None = None,
-        stale_labels: list | tuple | set = (),
     ) -> None:
         """Absorb one committed table update into the pending state.
 
         ``maintained`` maps partitioning labels to their
-        :class:`~repro.partition.maintenance.MaintenanceStats`; labels in
-        ``stale_labels`` were left behind by the update.  This is O(delta),
+        :class:`~repro.partition.maintenance.MaintenanceStats`.  This is O(delta),
         independent of how many rows the table and how many entries the
         cache holds — entries are only walked when the table is next looked
         up (:meth:`_flush`).
@@ -274,7 +287,6 @@ class PackageCache:
                 state.touched.setdefault(label, set()).update(
                     getattr(label_stats, "touched_groups", frozenset())
                 )
-        state.dropped_labels.update(stale_labels)
 
     def _has_entries(self, table_name: str) -> bool:
         return any(e.table_name == table_name for e in self._entries.values())
@@ -284,9 +296,9 @@ class PackageCache:
 
         DIRECT/NAIVE entries are dropped (any version bump changes the ground
         truth they claim to be optimal over).  A SKETCHREFINE entry survives
-        iff its partitioning stayed maintained with a stable gid space *and*
-        no pending delta touched any of the groups its tuples live in; it is
-        then remapped to the new row space and marked for revalidation.
+        iff its partitioning kept a stable gid space *and* no pending delta
+        touched any of the groups its tuples live in; it is then remapped to
+        the new row space and marked for revalidation.
         """
         state = self._pending.pop(table_name, None)
         if state is None:

@@ -4,16 +4,14 @@
 prototype sits on top of PostgreSQL + CPLEX:
 
 * tables live in a :class:`~repro.db.catalog.Database` catalog,
-* offline partitionings are built once per table and registered in the catalog,
+* offline partitionings are built once per table and registered in the
+  catalog, and a registered partitioning always describes its table's
+  current version,
 * the base relations are *dynamic*: :meth:`PackageQueryEngine.update_table`
   absorbs inserts/deletes as one versioned
   :class:`~repro.dataset.table.TableDelta`, and every registered partitioning
-  is either maintained through the delta incrementally (the default
-  ``"maintain"`` policy — τ/ω guarantees preserved, no full re-partition) or
-  left stale (``"stale"`` policy) until rebuilt; AUTO refuses stale
-  partitionings and falls back to DIRECT, while an explicit SKETCHREFINE
-  request over a stale partitioning raises
-  :class:`~repro.errors.StalePartitioningError`,
+  is maintained through the delta incrementally (τ/ω guarantees preserved,
+  no full re-partition),
 * queries arrive either as PaQL text or as :class:`~repro.paql.ast.PackageQuery`
   objects built with the fluent builder,
 * evaluation picks DIRECT, SKETCHREFINE or the naïve baseline, and the result
@@ -61,14 +59,13 @@ from repro.core.package import Package
 from repro.core.sketchrefine import SketchRefineEvaluator
 from repro.core.validation import check_package, objective_value
 from repro.dataset.table import Table, TableDelta
-from repro.db.catalog import MAINTENANCE_POLICIES, Database, TableUpdateResult
+from repro.db.catalog import Database, TableUpdateResult
 from repro.db.snapshot import SnapshotHandle
 from repro.errors import (
     CatalogError,
     EvaluationError,
     InfeasiblePackageQueryError,
     SnapshotError,
-    StalePartitioningError,
 )
 from repro.paql.ast import PackageQuery
 from repro.paql.fingerprint import query_fingerprint
@@ -163,17 +160,20 @@ class PackageQueryEngine:
             attributes: Numeric partitioning attributes (ideally a superset of
                 the workload's query attributes, per Section 5.2.3).
             size_threshold: τ — the per-group size cap.
-            radius_limit: ω — optional per-group radius cap (Equation 1).
+            radius_limit: ω — optional per-group radius cap (Equation 1);
+                ``"kmeans"`` takes none.
             method: ``"quadtree"`` (the paper's method), ``"kdtree"`` or
                 ``"kmeans"``.
             label: Name under which the partitioning is registered, so several
-                partitionings of the same table can coexist.
+                partitionings of the same table can coexist.  Rebuilding a
+                label replaces its partitioning and drops the SKETCHREFINE
+                answers cached against the old one.
         """
         table = self.database.table(table_name)
         if not is_known_method(method):
             raise EvaluationError(f"unknown partitioning method {method!r}")
-        # Invalid parameters (e.g. size_threshold < 1) propagate as the
-        # partitioner constructors' own PartitioningError.
+        # Invalid parameters (size_threshold < 1, ω with k-means) propagate
+        # as make_partitioner's own PartitioningError.
         partitioner = make_partitioner(method, size_threshold, radius_limit)
         partitioning = partitioner.partition(table, attributes)
         self.database.register_partitioning(table_name, partitioning, label=label)
@@ -201,12 +201,10 @@ class PackageQueryEngine:
         ``delete`` (a boolean mask over the current rows, or row indices);
         both applied together still count as a single new version.
 
-        Every partitioning registered for the table follows the
-        ``policy`` — ``"maintain"`` carries it through the delta
-        incrementally with its τ/ω guarantees intact, ``"stale"`` leaves it
-        at the old version, where AUTO refuses it until it is rebuilt, and
-        ``None`` defers to the catalog's ``maintenance_policy`` (which is
-        ``"maintain"`` for a default-constructed :class:`Database`).
+        Every partitioning registered for the table is carried through the
+        delta incrementally with its τ/ω guarantees intact.  ``policy`` may
+        only be ``None`` or ``"maintain"``, the one thing an update does to
+        partitionings; any other value raises :class:`EvaluationError`.
         Returns the catalog's :class:`TableUpdateResult` with the new table
         and the per-label maintenance statistics.  The engine's result cache
         is notified with the delta and each partitioning's touched-group set,
@@ -214,17 +212,17 @@ class PackageQueryEngine:
         """
         if delta is not None and (insert is not None or delete is not None):
             raise EvaluationError("pass either a delta or insert/delete rows, not both")
-        if policy is not None and policy not in MAINTENANCE_POLICIES:
+        if policy not in (None, "maintain"):
             raise EvaluationError(
-                f"unknown maintenance policy {policy!r} "
-                f"(expected one of {MAINTENANCE_POLICIES})"
+                f"unknown maintenance policy {policy!r}: every update maintains "
+                "the table's partitionings (expected None or 'maintain')"
             )
         if delta is None:
             if insert is None and delete is None:
                 raise EvaluationError("update_table needs a delta, insert rows or delete rows")
             table = self.database.table(table_name)
             delta = table.make_delta(insert=insert, delete=delete)
-        return self.database.update_table(table_name, delta, policy=policy)
+        return self.database.update_table(table_name, delta)
 
     # -- snapshot reads -------------------------------------------------------------------
 
@@ -295,26 +293,15 @@ class PackageQueryEngine:
                 f"unknown cache mode {cache!r} (expected one of {CACHE_MODES})"
             )
         if snapshot is not None:
-            if snapshot.released:
-                raise SnapshotError(
-                    "cannot execute against a released snapshot; acquire a new one"
-                )
-            cache = "bypass"
+            cache = "bypass"  # entries are keyed on current versions
 
-        table = (
-            snapshot.table(query.relation)
-            if snapshot is not None
-            else self.database.table(query.relation)
-        )
+        view = snapshot if snapshot is not None else self.database
+        table = view.table(query.relation)
         validate_query(query, table.schema)
         requested = method
-        method, auto_note = self._resolve_method(
-            method, query, partitioning_label, snapshot
-        )
-        # Staleness is an error even when a cached answer exists: serving it
-        # would silently mask the stale partitioning the caller asked about.
+        method, auto_note = self._resolve_method(method, query, partitioning_label, view)
         partitioning = (
-            self._partitioning_for(query, partitioning_label, snapshot)
+            self._partitioning_for(query, partitioning_label, view)
             if method is EvaluationMethod.SKETCH_REFINE
             else None
         )
@@ -441,72 +428,32 @@ class PackageQueryEngine:
         method: EvaluationMethod,
         query: PackageQuery,
         partitioning_label: str,
-        snapshot: SnapshotHandle | None = None,
+        view: Database | SnapshotHandle,
     ) -> tuple[EvaluationMethod, str | None]:
-        """Resolve AUTO to a concrete method, with an explanatory note when it
-        has to fall back to DIRECT (missing or stale partitioning)."""
+        """Resolve AUTO to a concrete method over ``view`` (the catalog or a
+        snapshot), with an explanatory note when a missing partitioning makes
+        it fall back to DIRECT."""
         if method is not EvaluationMethod.AUTO:
             return method, None
         name = query.relation
-        if snapshot is not None:
-            # A snapshot's pinned partitionings are consistent with the pinned
-            # table by construction, so staleness cannot arise — only absence.
-            table = snapshot.table(name)
-            if table.num_rows <= self.auto_direct_threshold:
-                return EvaluationMethod.DIRECT, None
-            if not snapshot.has_partitioning(name, partitioning_label):
-                return EvaluationMethod.DIRECT, (
-                    f"no partitioning {partitioning_label!r} pinned for table "
-                    f"{name!r} in snapshot {snapshot.snapshot_id}; falling back "
-                    "to DIRECT"
-                )
-            return EvaluationMethod.SKETCH_REFINE, None
-        table = self.database.table(name)
+        table = view.table(name)
         if table.num_rows <= self.auto_direct_threshold:
             return EvaluationMethod.DIRECT, None
-        if not self.database.has_partitioning(name, partitioning_label):
+        if not view.has_partitioning(name, partitioning_label):
             return EvaluationMethod.DIRECT, (
-                f"no partitioning {partitioning_label!r} registered for table "
-                f"{name!r} ({table.num_rows} rows); falling back to DIRECT — "
-                "call build_partitioning() to enable SKETCHREFINE"
-            )
-        if self.database.is_partitioning_stale(name, partitioning_label):
-            partitioning = self.database.partitioning(name, partitioning_label)
-            return EvaluationMethod.DIRECT, (
-                f"partitioning {partitioning_label!r} for table {name!r} is stale "
-                f"(built for version {partitioning.version}, table is at version "
-                f"{table.version}); falling back to DIRECT — rebuild it with "
-                "build_partitioning()"
+                f"no partitioning {partitioning_label!r} for table {name!r} "
+                f"({table.num_rows} rows); falling back to DIRECT — call "
+                "build_partitioning() to enable SKETCHREFINE"
             )
         return EvaluationMethod.SKETCH_REFINE, None
 
     def _partitioning_for(
-        self,
-        query: PackageQuery,
-        label: str,
-        snapshot: SnapshotHandle | None = None,
+        self, query: PackageQuery, label: str, view: Database | SnapshotHandle
     ) -> Partitioning:
-        if snapshot is not None:
-            try:
-                return snapshot.partitioning(query.relation, label)
-            except SnapshotError as exc:
-                raise EvaluationError(
-                    f"SKETCHREFINE over snapshot {snapshot.snapshot_id} needs a "
-                    f"partitioning {label!r} pinned for table {query.relation!r}; "
-                    "it was missing or stale when the snapshot was acquired"
-                ) from exc
         try:
-            partitioning = self.database.partitioning(query.relation, label)
-        except CatalogError as exc:
+            return view.partitioning(query.relation, label)
+        except (CatalogError, SnapshotError) as exc:
             raise EvaluationError(
-                f"SKETCHREFINE needs an offline partitioning for table {query.relation!r}; "
-                "call build_partitioning() first"
+                f"SKETCHREFINE needs a partitioning {label!r} for table "
+                f"{query.relation!r}; call build_partitioning() first"
             ) from exc
-        if self.database.is_partitioning_stale(query.relation, label):
-            table = self.database.table(query.relation)
-            raise StalePartitioningError(
-                f"partitioning {label!r} for table {query.relation!r} is stale: it "
-                f"describes version {partitioning.version} but the table is at "
-                f"version {table.version}; rebuild it with build_partitioning()"
-            )
-        return partitioning

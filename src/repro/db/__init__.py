@@ -27,7 +27,7 @@ from repro.db.expressions import (
 )
 from repro.db.aggregates import AggregateFunction
 from repro.db.catalog import Database
-from repro.db.snapshot import PinnedTable, SnapshotHandle, SnapshotManager
+from repro.db.snapshot import PinnedTable, SnapshotHandle
 from repro.db.wal import (
     FileLogStorage,
     LogStorage,
@@ -50,7 +50,6 @@ __all__ = [
     "Database",
     "PinnedTable",
     "SnapshotHandle",
-    "SnapshotManager",
     "LogStorage",
     "FileLogStorage",
     "MemoryLogStorage",

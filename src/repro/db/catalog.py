@@ -5,16 +5,14 @@ the group-id column inside PostgreSQL.  :class:`Database` plays that role: it
 owns tables by name and remembers which offline partitionings were built for
 which table, so a query session can look them up at evaluation time.
 
-The catalog is *version-aware*: every table snapshot carries a version, every
-registered partitioning records the version it describes, and
+The catalog is *version-aware*: every table carries a version, and a
+registered partitioning always describes its table's current version.
+:meth:`Database.register_partitioning` refuses any other, and
 :meth:`Database.update_table` moves a table to its next version through a
-:class:`~repro.dataset.table.TableDelta` while either incrementally
-maintaining each registered partitioning (``policy="maintain"``, the default
-— no full re-partition on the hot path) or leaving it behind as *stale*
-(``policy="stale"``); stale partitionings are detected by comparing versions
-and refused by the engine's AUTO method.  :meth:`save`/:meth:`load`
-round-trip the tables *and* every registered partitioning (under
-``<table>.partitionings/<label>/``) with versions intact.
+:class:`~repro.dataset.table.TableDelta` while incrementally maintaining every
+partitioning registered for it (no full re-partition on the hot path).
+:meth:`save`/:meth:`load` round-trip the tables *and* every registered
+partitioning (under ``<table>.partitionings/<label>/``) with versions intact.
 
 The catalog is also *durable* and *snapshot-consistent*:
 
@@ -29,7 +27,8 @@ The catalog is also *durable* and *snapshot-consistent*:
 * :meth:`snapshot` pins a consistent ``(table version, partitioning
   version)`` read view (:class:`~repro.db.snapshot.SnapshotHandle`) that
   keeps serving the same committed state while later commits proceed
-  underneath — old versions stay alive until the handle is released.
+  underneath — old versions stay reachable as long as a live handle
+  references them.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Iterable, Iterator
 
 from repro.dataset.io import load_table, save_table
 from repro.dataset.table import Table, TableDelta
-from repro.db.snapshot import SnapshotHandle, SnapshotManager
+from repro.db.snapshot import PinnedTable, SnapshotHandle
 from repro.db.wal import WalRecord, WriteAheadLog
 from repro.errors import CatalogError, RecoveryError
 from repro.partition.maintenance import MaintenanceStats, PartitionMaintainer
@@ -52,8 +51,7 @@ from repro.partition.partitioning import Partitioning
 _PARTITIONINGS_SUFFIX = ".partitionings"
 
 #: Manifest recording, per catalog name, which tables a save wrote (scoping
-#: later cleanups to that catalog's own artifacts) and the catalog's
-#: configuration, so :meth:`Database.load` restores it.
+#: later cleanups to that catalog's own artifacts and loads to its tables).
 _MANIFEST_NAME = "_catalog_manifest.json"
 
 
@@ -66,9 +64,6 @@ def _read_manifest(directory: Path) -> dict:
     except (json.JSONDecodeError, OSError):
         return {}
     return manifest if isinstance(manifest, dict) else {}
-
-#: Valid per-update / per-database maintenance policies.
-MAINTENANCE_POLICIES = ("maintain", "stale")
 
 
 @dataclass
@@ -84,18 +79,12 @@ class TableUpdateResult:
     maintained: dict[str, MaintenanceStats] = field(default_factory=dict)
     """Per-label maintenance profile of every partitioning carried along."""
 
-    stale_labels: list[str] = field(default_factory=list)
-    """Labels of partitionings left behind (now stale) by the policy."""
-
 
 class Database:
     """An in-memory catalog of named tables and their partitionings.
 
     Args:
         name: Catalog name (used in ``repr`` only).
-        maintenance_policy: What :meth:`update_table` does with registered
-            partitionings by default — ``"maintain"`` carries them through the
-            delta incrementally, ``"stale"`` leaves them at the old version.
         maintainer: The :class:`PartitionMaintainer` used for maintenance
             (default: a fresh one with the partitionings' own partitioners).
         wal: Optional write-ahead log (or a path one should live at); when
@@ -106,22 +95,15 @@ class Database:
     def __init__(
         self,
         name: str = "repro",
-        maintenance_policy: str = "maintain",
         maintainer: PartitionMaintainer | None = None,
         wal: WriteAheadLog | str | Path | None = None,
     ):
-        if maintenance_policy not in MAINTENANCE_POLICIES:
-            raise CatalogError(
-                f"unknown maintenance policy {maintenance_policy!r} "
-                f"(expected one of {MAINTENANCE_POLICIES})"
-            )
         self.name = name
-        self.maintenance_policy = maintenance_policy
         self.maintainer = maintainer or PartitionMaintainer()
         self._tables: dict[str, Table] = {}
         self._partitionings: dict[tuple[str, str], Partitioning] = {}
         self._caches: list = []
-        self._snapshots = SnapshotManager()
+        self._next_snapshot_id = 0
         self._wal: WriteAheadLog | None = None
         if wal is not None:
             self.attach_wal(wal)
@@ -170,24 +152,33 @@ class Database:
         The returned handle keeps serving exactly this moment's
         ``(table version, partitioning version)`` pairs while later
         :meth:`update_table` commits proceed; release it (or use it as a
-        context manager) when the reader is done.
+        context manager) when the reader is done.  Per table it pins the
+        table object and every partitioning registered for it, which
+        describe that same version.
         """
-        return self._snapshots.acquire(self, names)
-
-    @property
-    def snapshots(self) -> SnapshotManager:
-        """The manager tracking this catalog's active snapshot handles."""
-        return self._snapshots
+        table_names = list(names) if names is not None else self.table_names()
+        pins: dict[str, PinnedTable] = {}
+        for name in table_names:
+            table = self.table(name)
+            partitionings = {
+                label: self._partitionings[(name, label)]
+                for label in self.partitioning_labels(name)
+            }
+            pins[name] = PinnedTable(name=name, table=table, partitionings=partitionings)
+        handle = SnapshotHandle(self._next_snapshot_id, pins)
+        self._next_snapshot_id += 1
+        return handle
 
     # -- result caches -----------------------------------------------------------
 
     def register_cache(self, cache) -> None:
         """Subscribe a result cache to this catalog's update stream.
 
-        A registered cache receives ``notify_update(name, delta, maintained,
-        stale_labels)`` after every committed :meth:`update_table` (with each
-        label's :class:`MaintenanceStats`, whose ``touched_groups`` drive
-        delta-aware invalidation) and ``invalidate_table(name)`` whenever a
+        A registered cache receives ``notify_update(name, delta, maintained)``
+        after every committed :meth:`update_table` (with each label's
+        :class:`MaintenanceStats`, whose ``touched_groups`` drive delta-aware
+        invalidation), ``invalidate_partitioning(name, label)`` whenever a
+        partitioning is registered, and ``invalidate_table(name)`` whenever a
         table is dropped or replaced out-of-band.
         """
         if cache not in self._caches:
@@ -265,17 +256,11 @@ class Database:
 
     # -- versioned updates -------------------------------------------------------
 
-    def update_table(
-        self, name: str, delta: TableDelta, policy: str | None = None
-    ) -> TableUpdateResult:
+    def update_table(self, name: str, delta: TableDelta) -> TableUpdateResult:
         """Move table ``name`` to its next version through ``delta``.
 
-        Every partitioning registered for the table is either maintained
-        through the delta (``policy="maintain"``) — so it describes the new
-        version and keeps its τ/ω guarantees — or left at its old version
-        (``policy="stale"``), where version comparison marks it stale until
-        it is rebuilt or re-registered.  ``policy=None`` uses the catalog's
-        :attr:`maintenance_policy`.
+        Every partitioning registered for the table is maintained through the
+        delta, so it describes the new version and keeps its τ/ω guarantees.
 
         With a write-ahead log attached, the delta record is fsynced to the
         log *after* maintenance succeeds but *before* any in-memory state
@@ -283,12 +268,6 @@ class Database:
         failure) before it leaves the catalog untouched; a crash after it is
         exactly what :meth:`recover` replays.
         """
-        policy = self.maintenance_policy if policy is None else policy
-        if policy not in MAINTENANCE_POLICIES:
-            raise CatalogError(
-                f"unknown maintenance policy {policy!r} "
-                f"(expected one of {MAINTENANCE_POLICIES})"
-            )
         table = self.table(name)
         new_table = table.apply_delta(delta)
 
@@ -300,24 +279,16 @@ class Database:
         for (table_name, label), partitioning in sorted(self._partitionings.items()):
             if table_name != name:
                 continue
-            # A partitioning that already lags the pre-update version cannot
-            # be carried through this delta (deltas are anchored to the
-            # current version): it stays stale until rebuilt.
-            if policy == "maintain" and partitioning.version == delta.base_version:
-                maintained, stats = self.maintainer.maintain(
-                    partitioning, new_table, delta
-                )
-                updated[(table_name, label)] = maintained
-                result.maintained[label] = stats
-            else:
-                result.stale_labels.append(label)
-        self._log(WalRecord.update(name, delta, policy))
+            maintained, stats = self.maintainer.maintain(partitioning, new_table, delta)
+            updated[(table_name, label)] = maintained
+            result.maintained[label] = stats
+        self._log(WalRecord.update(name, delta))
         self._tables[name] = new_table
         self._partitionings.update(updated)
         # Commit done: feed the delta (with each label's touched-group set)
         # to the registered result caches, which defer it to their next lookup.
         for cache in self._caches:
-            cache.notify_update(name, delta, result.maintained, result.stale_labels)
+            cache.notify_update(name, delta, result.maintained)
         return result
 
     # -- partitionings -----------------------------------------------------------
@@ -325,11 +296,27 @@ class Database:
     def register_partitioning(
         self, table_name: str, partitioning: Partitioning, label: str = "default"
     ) -> None:
-        """Associate an offline partitioning with a table under ``label``."""
-        if table_name not in self._tables:
+        """Associate an offline partitioning with a table under ``label``.
+
+        The partitioning must describe the table's current version and rows;
+        any other raises :class:`CatalogError`.  Registering replaces the
+        label's previous partitioning, so every registered cache drops the
+        SKETCHREFINE answers it holds under ``(table_name, label)``.
+        """
+        table = self._tables.get(table_name)
+        if table is None:
             raise CatalogError(f"cannot register partitioning: table {table_name!r} not found")
+        if partitioning.version != table.version or len(partitioning.group_ids) != table.num_rows:
+            raise CatalogError(
+                f"cannot register partitioning {label!r}: it describes version "
+                f"{partitioning.version} ({len(partitioning.group_ids)} rows), but "
+                f"table {table_name!r} is at version {table.version} "
+                f"({table.num_rows} rows); build it over the current table"
+            )
         self._log(WalRecord.partition(table_name, label, partitioning))
         self._partitionings[(table_name, label)] = partitioning
+        for cache in self._caches:
+            cache.invalidate_partitioning(table_name, label)
 
     def partitioning(self, table_name: str, label: str = "default") -> Partitioning:
         """Return the partitioning registered for ``table_name`` under ``label``."""
@@ -346,26 +333,11 @@ class Database:
     def partitioning_labels(self, table_name: str) -> list[str]:
         return sorted(label for (t, label) in self._partitionings if t == table_name)
 
-    def partitioning_version(self, table_name: str, label: str = "default") -> int:
-        """The table version the registered partitioning describes."""
-        return self.partitioning(table_name, label).version
-
-    def is_partitioning_stale(self, table_name: str, label: str = "default") -> bool:
-        """Whether the partitioning lags behind the table's current version."""
-        return self.partitioning(table_name, label).version != self.table(table_name).version
-
     # -- persistence ---------------------------------------------------------------
 
-    def save(self, directory: str | Path) -> list[tuple[str, str]]:
+    def save(self, directory: str | Path) -> None:
         """Persist the catalog: one NPZ per table, one subdirectory per
         registered partitioning under ``<table>.partitionings/<label>/``.
-
-        Only partitionings describing their table's *current* version are
-        persisted: a stale partitioning is anchored to a table version that
-        no longer exists in the catalog, so there is nothing valid to restore
-        it against — rebuilding (or maintaining before saving) is the
-        recourse, exactly as at runtime.  The skipped ``(table, label)``
-        pairs are returned so callers can see what was not persisted.
 
         Catalogs may share a directory (each cleans up only the artifacts
         its own manifest entry records), but the table-file namespace is
@@ -384,47 +356,37 @@ class Database:
         previously_saved = set(catalogs.get(self.name, {}).get("tables", []))
         for name in previously_saved - set(self._tables):
             (directory / f"{name}.npz").unlink(missing_ok=True)
-            stale_dir = directory / f"{name}{_PARTITIONINGS_SUFFIX}"
-            if stale_dir.is_dir():
-                shutil.rmtree(stale_dir)
+            dropped_dir = directory / f"{name}{_PARTITIONINGS_SUFFIX}"
+            if dropped_dir.is_dir():
+                shutil.rmtree(dropped_dir)
         for name, table in self._tables.items():
             save_table(table, directory / f"{name}.npz")
             partitionings_dir = directory / f"{name}{_PARTITIONINGS_SUFFIX}"
             if partitionings_dir.exists():
                 shutil.rmtree(partitionings_dir)
-        skipped: list[tuple[str, str]] = []
         for (table_name, label), partitioning in self._partitionings.items():
-            if partitioning.version != self.table(table_name).version:
-                skipped.append((table_name, label))
-                continue
             partitioning.save(directory / f"{table_name}{_PARTITIONINGS_SUFFIX}" / label)
-        catalogs[self.name] = {
-            "tables": sorted(self._tables),
-            "maintenance_policy": self.maintenance_policy,
-        }
+        catalogs[self.name] = {"tables": sorted(self._tables)}
         (directory / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-        return skipped
 
     @classmethod
     def load(cls, directory: str | Path, name: str = "repro") -> "Database":
         """Load the tables — and their persisted partitionings — from ``directory``.
 
-        If the directory's manifest has an entry for ``name``, the catalog's
-        configuration (its maintenance policy) is restored from it and only
-        *that catalog's* tables are loaded, so catalogs sharing a directory
-        stay isolated.  Without a manifest entry, every ``.npz`` in the
+        If the directory's manifest has an entry for ``name``, only *that
+        catalog's* tables are loaded, so catalogs sharing a directory stay
+        isolated (the maintenance-policy key that older saves wrote there is
+        ignored).  Without a manifest entry, every ``.npz`` in the
         directory is loaded.  Partitioning directories that do not match a
         loaded table (another catalog's, or orphaned artifacts) are skipped,
-        mirroring :meth:`save`'s tolerance of foreign files.
+        mirroring :meth:`save`'s tolerance of foreign files; one whose
+        version or rows differ from its table's raises :class:`CatalogError`.
         """
         directory = Path(directory)
         if not directory.is_dir():
             raise CatalogError(f"{directory} is not a directory")
         entry = _read_manifest(directory).get("catalogs", {}).get(name)
-        db = cls(
-            name=name,
-            maintenance_policy=(entry or {}).get("maintenance_policy", "maintain"),
-        )
+        db = cls(name=name)
         own_tables = set(entry["tables"]) if entry is not None else None
         for path in sorted(directory.glob("*.npz")):
             if own_tables is not None and path.stem not in own_tables:
@@ -444,7 +406,7 @@ class Database:
 
     # -- checkpoint / recovery -------------------------------------------------------
 
-    def checkpoint(self, directory: str | Path) -> list[tuple[str, str]]:
+    def checkpoint(self, directory: str | Path) -> None:
         """Compact the write-ahead log into a fresh on-disk snapshot.
 
         Persists the current committed state with :meth:`save`, then resets
@@ -455,16 +417,13 @@ class Database:
         loads the new snapshot and skips the already-absorbed records (their
         versions lag the snapshot); the reset itself is an atomic replace.
 
-        Returns :meth:`save`'s skipped ``(table, label)`` pairs (stale
-        partitionings that had nothing consistent to persist).  Active
-        snapshot handles are unaffected — they hold their pinned versions in
-        memory regardless of what the log retains.
+        Active snapshot handles are unaffected — they hold their pinned
+        versions in memory regardless of what the log retains.
         """
-        skipped = self.save(directory)
+        self.save(directory)
         if self._wal is not None:
             versions = {name: table.version for name, table in self._tables.items()}
             self._wal.reset([WalRecord.checkpoint(versions)])
-        return skipped
 
     @classmethod
     def recover(
@@ -483,12 +442,13 @@ class Database:
 
         * ``create``/``drop``/``partition`` records reconstruct the catalog
           shape;
-        * ``update`` records re-run :meth:`update_table` under the logged
-          policy — :class:`PartitionMaintainer` replay is deterministic, so
-          maintained partitionings land bit-identical to the pre-crash state;
+        * ``update`` records re-run :meth:`update_table` —
+          :class:`PartitionMaintainer` replay is deterministic, so maintained
+          partitionings land bit-identical to the pre-crash state;
         * records whose versions the snapshot already includes are skipped
           (the crash fell inside a checkpoint's save/reset window);
-        * a version gap neither of those explains raises
+        * a version gap neither of those explains, or an ``update`` record
+          an older log wrote under a policy other than ``"maintain"``, raises
           :class:`~repro.errors.RecoveryError` — recovery never guesses.
 
         The returned catalog has the log attached and keeps appending to it,
@@ -564,6 +524,16 @@ class Database:
                     f"log updates unknown table {name!r} (snapshot and log "
                     "disagree; was the snapshot directory overwritten?)"
                 )
+            # Logs written while a "stale" policy existed record the policy
+            # each update ran under; replaying a stale one as maintained
+            # would recover a different catalog than the one that crashed.
+            policy = getattr(record, "policy", "maintain")
+            if policy != "maintain":
+                raise RecoveryError(
+                    f"cannot replay table {name!r}: the log's update to version "
+                    f"{record.delta.new_version} ran under policy {policy!r}; "
+                    "only maintained updates can be replayed"
+                )
             current = self._tables[name].version
             if current >= record.delta.new_version:
                 return  # snapshot already includes this commit
@@ -573,7 +543,7 @@ class Database:
                     f"{record.delta.base_version} -> {record.delta.new_version} "
                     f"but the recovered table is at {current}"
                 )
-            self.update_table(name, record.delta, policy=record.policy)
+            self.update_table(name, record.delta)
         else:  # pragma: no cover - WalRecord.__post_init__ rejects these
             raise RecoveryError(f"unknown record kind {record.kind!r}")
 

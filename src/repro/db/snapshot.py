@@ -4,32 +4,26 @@ Tables are immutable and versioned, and :meth:`~repro.db.catalog.Database
 .update_table` *replaces* a table rather than mutating it — so MVCC reads
 need no copying at all: a reader that holds references to the table objects
 of one committed moment keeps seeing exactly that moment, no matter how many
-commits land afterwards.  This module packages those references:
+commits land afterwards.  A :class:`SnapshotHandle`
+(:meth:`~repro.db.catalog.Database.snapshot`) packages those references: per
+table, a ``(table version, partitioning version)`` pair — the table object
+plus every partitioning registered for it, which describe that same version
+— so ``engine.execute(query, snapshot=handle)`` runs against a consistent view
+while updates commit underneath.  Old versions stay reachable exactly as long
+as a live handle references them; nothing else tracks the handles.
 
-* :class:`SnapshotHandle` pins, per table, a ``(table version,
-  partitioning version)`` pair — the table object plus every partitioning
-  that describes that exact version — so
-  ``engine.execute(query, snapshot=handle)`` runs against a consistent view
-  while updates commit underneath;
-* :class:`SnapshotManager` (owned by the catalog) tracks the active handles,
-  so the pinned versions stay observable — old table versions are retained
-  precisely as long as a handle references them and become collectable on
-  :meth:`SnapshotHandle.release`.
-
-Handles are value objects: pickling one ships the pinned view itself,
-detached from its manager.
+Handles are value objects: pickling one ships the pinned view itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import SnapshotError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog imports this)
     from repro.dataset.table import Table
-    from repro.db.catalog import Database
     from repro.partition.partitioning import Partitioning
 
 
@@ -40,9 +34,7 @@ class PinnedTable:
     name: str
     table: "Table"
     partitionings: dict[str, "Partitioning"] = field(default_factory=dict)
-    """Label → partitioning, restricted to partitionings whose version equals
-    the pinned table version (a stale partitioning has no consistent place in
-    a snapshot — the version it describes is not the one being pinned)."""
+    """Label → partitioning registered for the table when it was pinned."""
 
     @property
     def version(self) -> int:
@@ -57,12 +49,9 @@ class SnapshotHandle:
     serving a view the caller already released is how stale reads sneak in.
     """
 
-    def __init__(
-        self, snapshot_id: int, pins: dict[str, PinnedTable], manager: "SnapshotManager | None"
-    ):
+    def __init__(self, snapshot_id: int, pins: dict[str, PinnedTable]):
         self.snapshot_id = snapshot_id
         self.pins = pins
-        self._manager = manager
         self._released = False
 
     # -- reads ---------------------------------------------------------------
@@ -98,8 +87,8 @@ class SnapshotHandle:
         except KeyError:
             raise SnapshotError(
                 f"no partitioning {label!r} pinned for table {name!r} in "
-                f"snapshot {self.snapshot_id} — it was missing or stale at "
-                "acquire time"
+                f"snapshot {self.snapshot_id} — none was registered when it "
+                "was taken"
             ) from None
 
     def versions(self) -> dict[str, int]:
@@ -113,25 +102,14 @@ class SnapshotHandle:
         return self._released
 
     def release(self) -> None:
-        """Release the pin (idempotent); the manager forgets this handle."""
-        if self._released:
-            return
+        """Release the pin (idempotent); later reads raise :class:`SnapshotError`."""
         self._released = True
-        if self._manager is not None:
-            self._manager._forget(self)
 
     def __enter__(self) -> "SnapshotHandle":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # A pickled handle is a self-contained view: the manager (and with it
-        # the whole live catalog) stays home.
-        state["_manager"] = None
-        return state
 
     def __repr__(self) -> str:
         state = "released" if self._released else "active"
@@ -140,57 +118,3 @@ class SnapshotHandle:
             f"{state})"
         )
 
-
-class SnapshotManager:
-    """Tracks the snapshot handles pinned against one catalog."""
-
-    def __init__(self) -> None:
-        self._next_id = 0
-        self._active: dict[int, SnapshotHandle] = {}
-
-    def acquire(
-        self, database: "Database", names: Iterable[str] | None = None
-    ) -> SnapshotHandle:
-        """Pin the current committed state of ``names`` (default: every table).
-
-        Per table, the handle pins the table object plus every registered
-        partitioning whose version matches — a consistent
-        ``(table_version, partitioning_version)`` pair by construction.
-        Stale partitionings are left out: they describe some *other* version.
-        """
-        table_names = list(names) if names is not None else database.table_names()
-        pins: dict[str, PinnedTable] = {}
-        for name in table_names:
-            table = database.table(name)
-            partitionings = {
-                label: database.partitioning(name, label)
-                for label in database.partitioning_labels(name)
-                if database.partitioning_version(name, label) == table.version
-            }
-            pins[name] = PinnedTable(name=name, table=table, partitionings=partitionings)
-        handle = SnapshotHandle(self._next_id, pins, self)
-        self._next_id += 1
-        self._active[handle.snapshot_id] = handle
-        return handle
-
-    def _forget(self, handle: SnapshotHandle) -> None:
-        self._active.pop(handle.snapshot_id, None)
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    def active_handles(self) -> list[SnapshotHandle]:
-        return [self._active[key] for key in sorted(self._active)]
-
-    def pinned_versions(self, table_name: str) -> list[int]:
-        """Sorted distinct versions of ``table_name`` still pinned by readers."""
-        versions = {
-            handle.pins[table_name].version
-            for handle in self._active.values()
-            if table_name in handle.pins
-        }
-        return sorted(versions)
-
-    def __repr__(self) -> str:
-        return f"SnapshotManager(active={self.active_count})"

@@ -8,7 +8,9 @@ with the process; before this module, everything since the last full
 :class:`WalRecord` — length-prefixed, CRC-checksummed, fsynced — *before* the
 in-memory commit, so :meth:`~repro.db.catalog.Database.recover` can replay
 the log over the last on-disk snapshot and land every table, partitioning
-and cache subscription on the exact pre-crash committed version.
+and cache subscription on the exact pre-crash committed version.  Every
+update maintains every partitioning registered for its table, so the logged
+delta is all replay needs to carry the partitionings along.
 
 Record framing (one record per commit)::
 
@@ -68,10 +70,11 @@ class WalRecord:
     The payload fields are kind-specific (the rest stay ``None``):
 
     * ``create`` — ``table``: the full table registered in the catalog;
-    * ``update`` — ``delta`` + ``policy``: one versioned
-      :class:`~repro.dataset.table.TableDelta` commit and the maintenance
-      policy it ran under, so replay re-runs
-      :class:`~repro.partition.maintenance.PartitionMaintainer` identically;
+    * ``update`` — ``delta``: one versioned
+      :class:`~repro.dataset.table.TableDelta` commit; replay re-runs
+      :class:`~repro.partition.maintenance.PartitionMaintainer` over it
+      identically (records from older logs also carry the ``policy`` the
+      update ran under, which replay checks);
     * ``drop`` — no payload, the table (and its partitionings) went away;
     * ``partition`` — ``label`` + the partitioning's reconstruction state
       (gid assignment, attributes, build stats, version, maintenance
@@ -87,7 +90,6 @@ class WalRecord:
     lsn: int = -1
     delta: "TableDelta | None" = None
     table: "Table | None" = None
-    policy: str | None = None
     label: str | None = None
     group_ids: object | None = None
     attributes: list[str] | None = None
@@ -110,10 +112,8 @@ class WalRecord:
         return cls(kind="create", table_name=table_name, table=table)
 
     @classmethod
-    def update(
-        cls, table_name: str, delta: "TableDelta", policy: str
-    ) -> "WalRecord":
-        return cls(kind="update", table_name=table_name, delta=delta, policy=policy)
+    def update(cls, table_name: str, delta: "TableDelta") -> "WalRecord":
+        return cls(kind="update", table_name=table_name, delta=delta)
 
     @classmethod
     def drop(cls, table_name: str) -> "WalRecord":

@@ -138,13 +138,3 @@ class CacheError(EvaluationError):
     error — the cache reports a miss and the engine re-solves.
     """
 
-
-class StalePartitioningError(EvaluationError):
-    """A partitioning was requested for a table version it does not describe.
-
-    Raised when SKETCHREFINE is explicitly asked to run over a partitioning
-    whose recorded table version lags the catalog's current version (the
-    table was updated under the ``"stale"`` maintenance policy).  Once stale,
-    a partitioning cannot be caught up — deltas anchor to the current table
-    version — so rebuilding it is the recourse.
-    """

@@ -12,7 +12,8 @@ provides:
 * :class:`~repro.partition.kdtree.KdTreePartitioner` and
   :class:`~repro.partition.kmeans.KMeansPartitioner` — the alternative
   clustering approaches the paper discusses (median-split k-d trees and
-  Lloyd's k-means), kept for the ablation benchmarks,
+  Lloyd's k-means, which caps size τ only and takes no radius limit ω), kept
+  for the ablation benchmarks,
 * :mod:`~repro.partition.radius` — Equation (1): the radius limit ω required
   for a desired approximation parameter ε,
 * :mod:`~repro.partition.representatives` — centroid computation and the
@@ -21,7 +22,9 @@ provides:
   :class:`~repro.partition.maintenance.PartitionMaintainer`, which carries a
   partitioning through :class:`~repro.dataset.table.TableDelta` streams
   online (nearest-group insert assignment, local re-splits past τ/ω,
-  delta-updated centroids and radii) instead of rebuilding.
+  delta-updated centroids and radii) instead of rebuilding; the catalog runs
+  it on every update, so a registered partitioning always describes its
+  table's current version.
 """
 
 from repro.partition.partitioning import (

@@ -67,7 +67,8 @@ def make_partitioner(method: str, size_threshold: int, radius_limit: float | Non
 
     Derived method strings (``"quadtree(restricted)"``) resolve to their base
     method; unknown methods raise :class:`PartitioningError`, as do invalid
-    parameters (propagated from the partitioner constructors).
+    parameters (propagated from the partitioner constructors) and a radius
+    limit ω for k-means, which has no radius condition to honour it with.
     """
     base = _base_method(method)
     if base == "quadtree":
@@ -75,6 +76,11 @@ def make_partitioner(method: str, size_threshold: int, radius_limit: float | Non
     if base == "kdtree":
         return KdTreePartitioner(size_threshold, radius_limit)
     if base == "kmeans":
+        if radius_limit is not None:
+            raise PartitioningError(
+                f"partitioning method {method!r} takes no radius limit "
+                f"(got {radius_limit!r}); use 'quadtree' or 'kdtree' for ω"
+            )
         return KMeansPartitioner(size_threshold)
     raise PartitioningError(f"unknown partitioning method {method!r}")
 
@@ -105,16 +111,10 @@ class MaintenanceStats:
 class PartitionMaintainer:
     """Applies :class:`TableDelta` streams to partitionings online.
 
-    Args:
-        partitioner_factory: Optional override mapping a
-            :class:`PartitioningStats` to the partitioner used for local
-            re-splits (default: the partitioning's original method via
-            :func:`make_partitioner`, falling back to a quad-tree when the
-            method string is unknown).
+    Local re-splits use the partitioning's original method (via
+    :func:`make_partitioner`), falling back to a quad-tree when the method
+    string is unknown.
     """
-
-    def __init__(self, partitioner_factory=None):
-        self._partitioner_factory = partitioner_factory
 
     def maintain(
         self, partitioning: Partitioning, new_table: Table, delta: TableDelta
@@ -174,8 +174,6 @@ class PartitionMaintainer:
     # -- internals -------------------------------------------------------------------------
 
     def _partitioner_for(self, stats: PartitioningStats):
-        if self._partitioner_factory is not None:
-            return self._partitioner_factory(stats)
         try:
             return make_partitioner(stats.method, stats.size_threshold, stats.radius_limit)
         except PartitioningError:

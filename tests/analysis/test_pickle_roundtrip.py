@@ -36,7 +36,6 @@ def payload_instances() -> dict[str, Any]:
     wal_record = WalRecord.update(
         "pickle_guard",
         db.table("pickle_guard").make_delta(insert=[(9.0,)], delete=[0]),
-        "maintain",
     )
 
     return {
@@ -66,10 +65,13 @@ def test_every_payload_class_roundtrips(payload_instances: dict[str, Any]) -> No
         assert type(restored) is type(instance), name
 
 
-def test_restored_snapshot_handle_is_detached(payload_instances: dict[str, Any]) -> None:
-    """A restored snapshot handle is a detached, self-contained view: the
-    live manager (and through it the whole catalog) never ships."""
-    handle = pickle.loads(pickle.dumps(payload_instances["SnapshotHandle"]))
-    assert payload_instances["SnapshotHandle"]._manager is not None
-    assert handle._manager is None
-    assert handle.versions() == payload_instances["SnapshotHandle"].versions()
+def test_restored_snapshot_handle_is_self_contained(
+    payload_instances: dict[str, Any]
+) -> None:
+    """A restored snapshot handle carries its pinned view and nothing that
+    reaches back into the live catalog."""
+    original = payload_instances["SnapshotHandle"]
+    handle = pickle.loads(pickle.dumps(original))
+    assert set(vars(handle)) == {"snapshot_id", "pins", "_released"}
+    assert handle.versions() == original.versions()
+    assert handle.table("pickle_guard").equals(original.table("pickle_guard"))

@@ -69,19 +69,23 @@ def _lint_single(path: Path, rule: str, options: dict[str, object]):
     return run_lint([path], config)
 
 
-def test_unfixing_snapshot_manager_reset_fails_lint(tmp_path: Path) -> None:
-    """Deleting the _manager reset from SnapshotHandle.__getstate__ (which keeps
-    the live catalog out of a pickled handle) re-flags the handle."""
+def test_catalog_reference_on_snapshot_handle_fails_lint(tmp_path: Path) -> None:
+    """A private attribute outside the allowlist — say, a reference back to
+    the live catalog — on SnapshotHandle (a pickled payload class with no
+    __getstate__) is flagged: it would ship inside every pickled handle."""
     source = (SRC / "db" / "snapshot.py").read_text()
-    mutated = source.replace('state["_manager"] = None', "pass")
-    assert mutated != source  # the fix is present in the tree
+    mutated = source.replace(
+        "self._released = False", "self._released = False\n        self._catalog = None"
+    )
+    assert mutated != source  # the anchor is present in the tree
     target = tmp_path / "snapshot.py"
     target.write_text(mutated)
 
     report = _lint_single(target, "pickle-safety", {})
-    assert any("SnapshotHandle._manager" in f.message for f in report.findings), (
-        report.format_text()
-    )
+    assert any(
+        "SnapshotHandle._catalog is a private/derived attribute" in f.message
+        for f in report.findings
+    ), report.format_text()
 
     # And the real, fixed file is clean.
     assert _lint_single(SRC / "db" / "snapshot.py", "pickle-safety", {}).findings == []
@@ -120,10 +124,10 @@ def test_new_cache_attribute_on_payload_class_flags(tmp_path: Path) -> None:
     """Growing a payload class a new memo attribute flags until handled."""
     source = (SRC / "db" / "snapshot.py").read_text()
     mutated = source.replace(
-        "def __getstate__(self) -> dict:",
+        "def release(self) -> None:",
         "def _grow(self):\n"
         "        self._row_memo = {}\n\n"
-        "    def __getstate__(self) -> dict:",
+        "    def release(self) -> None:",
         1,
     )
     assert mutated != source

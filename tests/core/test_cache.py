@@ -239,18 +239,6 @@ class TestDeltaInvalidation:
         result = engine.execute(query, method="sketchrefine")
         assert result.details["cache"]["status"] == "miss"
 
-    def test_stale_policy_drops_the_entry(self):
-        engine = _cluster_engine()
-        query = _cluster_a_query()
-        engine.execute(query, method="sketchrefine")
-        engine.update_table("clusters", insert=[_b_row()], policy="stale")
-        # Explicit SKETCHREFINE must still raise — the cache never masks
-        # staleness (regression for the PR 4 error paths).
-        from repro.errors import StalePartitioningError
-
-        with pytest.raises(StalePartitioningError, match="stale"):
-            engine.execute(query, method="sketchrefine")
-
     def test_table_replacement_invalidates(self, recipes):
         engine = PackageQueryEngine()
         engine.register_table(recipes, name="recipes")
@@ -276,20 +264,6 @@ class TestAutoFallbackWithCache:
         assert second.details["cache"]["status"] == "hit"
         assert "no partitioning" in second.details["auto"]
 
-    def test_auto_stale_fallback_does_not_serve_sketchrefine_entry(self):
-        engine = PackageQueryEngine(auto_direct_threshold=5)
-        engine.register_table(_two_cluster_table(), name="clusters")
-        engine.build_partitioning("clusters", ["x"], size_threshold=16)
-        query = _cluster_a_query()
-        cached = engine.execute(query, method="sketchrefine")
-        engine.update_table("clusters", insert=[_b_row()], policy="stale")
-        result = engine.execute(query)  # AUTO
-        assert "stale" in result.details["auto"]
-        # AUTO fell back to DIRECT; the sketchrefine entry was dropped, not
-        # served, and the DIRECT answer is a fresh (exact) solve.
-        assert result.method.value == "direct"
-        assert result.details["cache"]["status"] == "miss"
-
     def test_auto_and_explicit_direct_share_an_entry(self):
         engine = PackageQueryEngine(auto_direct_threshold=1000)
         engine.register_table(_two_cluster_table(), name="clusters")
@@ -297,6 +271,69 @@ class TestAutoFallbackWithCache:
         engine.execute(query)  # AUTO -> DIRECT (small table)
         explicit = engine.execute(query, method="direct")
         assert explicit.details["cache"]["status"] == "hit"
+
+
+class TestPartitioningRebuild:
+    """Registering a partitioning under a label replaces the one the label's
+    cached SKETCHREFINE answers were solved over: those answers go."""
+
+    @staticmethod
+    def _galaxy_engine(tau: int) -> PackageQueryEngine:
+        from repro.workloads.galaxy import galaxy_table
+
+        engine = PackageQueryEngine(auto_direct_threshold=100)
+        engine.register_table(galaxy_table(1_200, seed=42), name="galaxy")
+        engine.build_partitioning("galaxy", ["petroMag_r", "redshift"], size_threshold=tau)
+        return engine
+
+    QUERY = (
+        query_over("galaxy")
+        .no_repetition()
+        .count_equals(10)
+        .sum_at_least("redshift", 1.0)
+        .minimize_sum("petroMag_r")
+        .build()
+    )
+
+    def test_rebuild_drops_the_sketchrefine_answer(self):
+        engine = self._galaxy_engine(tau=200)
+        first = engine.execute(self.QUERY)
+        assert first.method.value == "sketchrefine"
+        assert engine.execute(self.QUERY).details["cache"]["status"] == "hit"
+        rebuilt = engine.build_partitioning(
+            "galaxy", ["petroMag_r", "redshift"], size_threshold=20
+        )
+        assert engine.cache.stats.invalidations == 1
+        repeat = engine.execute(self.QUERY)
+        fresh = engine.execute(self.QUERY, cache="bypass")
+        assert repeat.details["cache"]["status"] == "miss"
+        assert repeat.objective == fresh.objective
+        assert repeat.package.as_multiplicity_map() == fresh.package.as_multiplicity_map()
+        # The stored entry names groups of the registered gid space.
+        (entry,) = engine.cache.entries_snapshot()
+        assert entry["groups"] == frozenset(
+            rebuilt.group_ids[repeat.package.indices].tolist()
+        )
+
+    def test_rebuild_keeps_direct_entries_and_other_labels(self):
+        engine = self._galaxy_engine(tau=200)
+        engine.build_partitioning(
+            "galaxy", ["petroMag_r", "redshift"], size_threshold=100, label="coarse"
+        )
+        engine.execute(self.QUERY, method="direct")
+        engine.execute(self.QUERY, method="sketchrefine")
+        engine.execute(self.QUERY, method="sketchrefine", partitioning_label="coarse")
+        assert len(engine.cache) == 3
+        engine.build_partitioning("galaxy", ["petroMag_r", "redshift"], size_threshold=20)
+        assert engine.cache.stats.invalidations == 1
+        statuses = [
+            engine.execute(self.QUERY, method="direct").details["cache"]["status"],
+            engine.execute(
+                self.QUERY, method="sketchrefine", partitioning_label="coarse"
+            ).details["cache"]["status"],
+            engine.execute(self.QUERY, method="sketchrefine").details["cache"]["status"],
+        ]
+        assert statuses == ["hit", "hit", "miss"]
 
 
 class TestCacheUnit:
@@ -435,9 +472,18 @@ class TestCacheCorrectnessProperty:
                 engine.update_table(
                     "clusters", insert=[(float(rng.random()), 999.0)]
                 )
+            elif action < 0.75:  # delete a cluster-B row
+                b_rows = np.nonzero(engine.table("clusters").numeric_column("x") > 50.0)[0]
+                if len(b_rows):
+                    engine.update_table("clusters", delete=[int(rng.choice(b_rows))])
+            current = engine.table("clusters")
+            # Every update maintained every registered partitioning.
+            for label in engine.database.partitioning_labels("clusters"):
+                partitioning = engine.database.partitioning("clusters", label)
+                assert partitioning.version == current.version, f"seed={seed} step={step}"
+                assert len(partitioning.group_ids) == current.num_rows
             result = engine.execute(query, method="sketchrefine")
             status = result.details["cache"]["status"]
-            current = engine.table("clusters")
             # Whatever the status, the answer must be internally consistent
             # with the *current* table: indices valid, feasibility certified
             # by the independent checker, objective reproducible.
@@ -711,7 +757,7 @@ class TestDeferredRemapAgainstMerge:
                         delta.base_version, delta.inserted, np.append(delta.deleted_mask, False)
                     )
             deltas.append(delta)
-            cache.notify_update("t", delta, {}, ())
+            cache.notify_update("t", delta, {})
             table = new_table
         cache._flush("t")
 
@@ -734,6 +780,6 @@ class TestDeferredRemapAgainstMerge:
         cache = PackageCache()
         _store_sketch_entry(cache, [0, 1], version=7)
         _, delta = small_numeric_table.update_rows(insert=[(6.0, 60.0, 0)], delete=[4])
-        cache.notify_update("t", delta, {}, ())
+        cache.notify_update("t", delta, {})
         cache._flush("t")
         assert len(cache) == 0

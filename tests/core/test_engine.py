@@ -152,7 +152,7 @@ class TestDynamicData:
         result = live_engine.update_table("galaxy", insert=table.head(50))
         assert result.table.version == 1
         assert "default" in result.maintained
-        assert not live_engine.database.is_partitioning_stale("galaxy")
+        assert live_engine.database.partitioning("galaxy").version == 1
         query = self._galaxy_query(live_engine)
         evaluation = live_engine.execute(query)
         assert evaluation.method is EvaluationMethod.SKETCH_REFINE
@@ -181,19 +181,6 @@ class TestDynamicData:
         result = live_engine.update_table("galaxy", delta)
         assert result.table.version == 1
 
-    def test_auto_refuses_stale_partitioning_with_note(self, live_engine):
-        live_engine.update_table("galaxy", delete=[0], policy="stale")
-        evaluation = live_engine.execute(self._galaxy_query(live_engine))
-        assert evaluation.method is EvaluationMethod.DIRECT
-        assert "stale" in evaluation.details["auto"]
-
-    def test_explicit_sketchrefine_on_stale_raises(self, live_engine):
-        from repro.errors import StalePartitioningError
-
-        live_engine.update_table("galaxy", delete=[0], policy="stale")
-        with pytest.raises(StalePartitioningError, match="stale"):
-            live_engine.execute(self._galaxy_query(live_engine), method="sketchrefine")
-
     def test_auto_without_partitioning_notes_fallback(self):
         from repro.workloads.galaxy import galaxy_table, galaxy_workload
 
@@ -218,8 +205,35 @@ class TestDynamicData:
     def test_update_table_rejects_unknown_policy(self, live_engine):
         from repro.errors import EvaluationError as EvalError
 
-        with pytest.raises(EvalError, match="policy"):
-            live_engine.update_table("galaxy", delete=[0], policy="yolo")
+        # Only "maintain" (or None) is accepted: "stale" is gone too.
+        for policy in ("yolo", "stale"):
+            with pytest.raises(EvalError, match=f"policy '{policy}'"):
+                live_engine.update_table("galaxy", delete=[0], policy=policy)
+        assert live_engine.table("galaxy").version == 0
+        live_engine.update_table("galaxy", delete=[0], policy="maintain")
+        live_engine.update_table("galaxy", delete=[0], policy=None)
+        assert live_engine.table("galaxy").version == 2
+        assert live_engine.database.partitioning("galaxy").version == 2
+
+    def test_register_refuses_a_partitioning_built_before_an_update(self, live_engine):
+        from repro.errors import CatalogError
+        from repro.partition.quadtree import QuadTreePartitioner
+
+        before = QuadTreePartitioner(80).partition(live_engine.table("galaxy"), ["petroMag_r"])
+        live_engine.update_table("galaxy", delete=[0, 1, 2])
+        with pytest.raises(CatalogError, match="1000 rows.*997 rows"):
+            live_engine.register_partitioning("galaxy", before, label="late")
+        assert not live_engine.database.has_partitioning("galaxy", "late")
+
+    def test_build_partitioning_refuses_a_radius_limit_for_kmeans(self, live_engine):
+        from repro.errors import PartitioningError
+
+        with pytest.raises(PartitioningError, match="'kmeans'"):
+            live_engine.build_partitioning(
+                "galaxy", ["petroMag_r"], size_threshold=200, radius_limit=0.5,
+                method="kmeans", label="km",
+            )
+        assert not live_engine.database.has_partitioning("galaxy", "km")
 
     def test_build_partitioning_invalid_threshold_keeps_error_type(self, live_engine):
         from repro.errors import PartitioningError
@@ -230,7 +244,7 @@ class TestDynamicData:
     def test_engine_keeps_passed_empty_database(self):
         from repro import Database
 
-        database = Database("mine", maintenance_policy="stale")
+        database = Database("mine")
         engine = PackageQueryEngine(database=database)
         assert engine.database is database
 

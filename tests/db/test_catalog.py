@@ -1,5 +1,7 @@
 """Tests for the database catalog."""
 
+import json
+
 import pytest
 
 from repro.dataset.table import Table
@@ -77,6 +79,43 @@ class TestPartitionings:
         database.drop_table("numbers")
         assert not database.has_partitioning("numbers")
 
+    def test_register_refuses_a_partitioning_of_an_older_version(self):
+        from repro.workloads.galaxy import galaxy_table
+
+        table = galaxy_table(300, seed=5)
+        db = Database()
+        db.create_table(table)
+        old = QuadTreePartitioner(size_threshold=40).partition(table, ["petroMag_r"])
+        db.update_table("galaxy", table.make_delta(delete=[0, 1, 2]))
+        assert db.table("galaxy").version == 1
+        with pytest.raises(CatalogError, match="version 0 .*version 1"):
+            db.register_partitioning("galaxy", old)
+        assert not db.has_partitioning("galaxy")
+
+    def test_register_refuses_a_partitioning_of_other_rows(
+        self, database, small_numeric_table
+    ):
+        # Same version, different row count: built over another table.
+        partitioning = QuadTreePartitioner(size_threshold=2).partition(
+            small_numeric_table.head(3), ["a"]
+        )
+        assert partitioning.version == database.table("numbers").version
+        with pytest.raises(CatalogError, match="3 rows"):
+            database.register_partitioning("numbers", partitioning)
+        assert not database.has_partitioning("numbers")
+
+    def test_refused_registration_is_not_logged(self, small_numeric_table):
+        from repro.db.wal import MemoryLogStorage, WriteAheadLog
+
+        db = Database(wal=WriteAheadLog(MemoryLogStorage()))
+        db.create_table(small_numeric_table, name="numbers")
+        partitioning = QuadTreePartitioner(size_threshold=2).partition(
+            small_numeric_table.head(3), ["a"]
+        )
+        with pytest.raises(CatalogError):
+            db.register_partitioning("numbers", partitioning)
+        assert [record.kind for record in db.wal.records()] == ["create"]
+
 
 class TestPersistence:
     def test_save_and_load(self, database, mixed_table, tmp_path):
@@ -112,42 +151,10 @@ class TestVersionedUpdates:
         assert result.table.version == 1
         assert db.table("galaxy").num_rows == 430
         assert "default" in result.maintained
-        assert not result.stale_labels
-        assert not db.is_partitioning_stale("galaxy")
-        assert db.partitioning_version("galaxy") == 1
         maintained = db.partitioning("galaxy")
+        assert maintained.version == 1
         assert maintained.table is db.table("galaxy")
         assert maintained.satisfies_size_threshold(50)
-
-    def test_stale_policy_leaves_partitioning_behind(self, partitioned_db):
-        db, table = partitioned_db
-        delta = table.make_delta(delete=[0, 1, 2])
-        result = db.update_table("galaxy", delta, policy="stale")
-        assert result.stale_labels == ["default"]
-        assert not result.maintained
-        assert db.is_partitioning_stale("galaxy")
-        assert db.partitioning_version("galaxy") == 0
-        assert db.table("galaxy").version == 1
-
-    def test_database_level_policy_default(self):
-        from repro.workloads.galaxy import galaxy_table
-
-        table = galaxy_table(100, seed=5)
-        db = Database("lazy", maintenance_policy="stale")
-        db.create_table(table)
-        partitioning = QuadTreePartitioner(size_threshold=30).partition(
-            table, ["petroMag_r"]
-        )
-        db.register_partitioning("galaxy", partitioning)
-        db.update_table("galaxy", table.make_delta(delete=[0]))
-        assert db.is_partitioning_stale("galaxy")
-
-    def test_unknown_policy_rejected(self, partitioned_db):
-        db, table = partitioned_db
-        with pytest.raises(CatalogError, match="policy"):
-            db.update_table("galaxy", table.make_delta(delete=[0]), policy="yolo")
-        with pytest.raises(CatalogError, match="policy"):
-            Database(maintenance_policy="yolo")
 
     def test_update_missing_table(self, partitioned_db):
         db, table = partitioned_db
@@ -162,7 +169,7 @@ class TestVersionedUpdates:
         db.register_partitioning("galaxy", coarse, label="coarse")
         result = db.update_table("galaxy", table.make_delta(insert=table.head(10)))
         assert sorted(result.maintained) == ["coarse", "default"]
-        assert db.partitioning_version("galaxy", "coarse") == 1
+        assert db.partitioning("galaxy", "coarse").version == 1
 
 
 class TestPartitioningPersistence:
@@ -199,14 +206,13 @@ class TestPartitioningPersistence:
         db.save(tmp_path / "db")
         loaded = Database.load(tmp_path / "db")
         assert loaded.table("galaxy").version == 2
-        assert loaded.partitioning_version("galaxy") == 2
-        assert not loaded.is_partitioning_stale("galaxy")
         restored = loaded.partitioning("galaxy")
+        assert restored.version == 2
         assert restored.maintenance.deltas_applied == 2
         assert restored.maintenance.rows_inserted == 20
         assert restored.maintenance.rows_deleted == 1
 
-    def test_stale_partitionings_are_not_persisted(self, tmp_path):
+    def test_load_refuses_a_partitioning_of_another_version(self, tmp_path):
         from repro.workloads.galaxy import galaxy_table
 
         table = galaxy_table(200, seed=8)
@@ -216,16 +222,17 @@ class TestPartitioningPersistence:
             "galaxy",
             QuadTreePartitioner(size_threshold=40).partition(table, ["petroMag_r"]),
         )
+        db.update_table("galaxy", db.table("galaxy").make_delta(delete=[3]))
         db.save(tmp_path / "db")
-        # Going stale invalidates the partitioning; a re-save must drop it
-        # (its base table version no longer exists to restore it against).
-        db.update_table("galaxy", db.table("galaxy").make_delta(delete=[3]), policy="stale")
-        assert db.is_partitioning_stale("galaxy")
-        skipped = db.save(tmp_path / "db")
-        assert skipped == [("galaxy", "default")]
-        loaded = Database.load(tmp_path / "db")
-        assert loaded.table("galaxy").version == 1
-        assert not loaded.has_partitioning("galaxy")
+        # A hand-edited (or foreign) metadata file whose version disagrees
+        # with the saved table's is refused, not registered out of step.
+        metadata_path = tmp_path / "db" / "galaxy.partitionings" / "default" / "metadata.json"
+        metadata = json.loads(metadata_path.read_text())
+        assert metadata["version"] == 1
+        metadata["version"] = 0
+        metadata_path.write_text(json.dumps(metadata))
+        with pytest.raises(CatalogError, match="version 0 .*version 1"):
+            Database.load(tmp_path / "db")
 
     def test_tables_without_partitionings_still_load(self, database, tmp_path):
         database.save(tmp_path / "db")
@@ -245,30 +252,6 @@ class TestPartitioningPersistence:
         database.save(tmp_path / "db")
         loaded = Database.load(tmp_path / "db")
         assert loaded.table("numbers").num_rows == 3
-
-
-class TestStaleThenMaintain:
-    def test_already_stale_partitioning_survives_later_maintain_updates(self):
-        from repro.workloads.galaxy import galaxy_table
-
-        table = galaxy_table(300, seed=5)
-        db = Database()
-        db.create_table(table)
-        db.register_partitioning(
-            "galaxy",
-            QuadTreePartitioner(size_threshold=40).partition(table, ["petroMag_r"]),
-        )
-        # Go stale once, then update again with the default 'maintain' policy:
-        # the stale partitioning cannot be caught up and must be skipped (and
-        # reported), never crash the update mid-way.
-        db.update_table("galaxy", db.table("galaxy").make_delta(delete=[0]), policy="stale")
-        result = db.update_table("galaxy", db.table("galaxy").make_delta(delete=[1]))
-        assert result.table.version == 2
-        assert db.table("galaxy").version == 2
-        assert result.stale_labels == ["default"]
-        assert not result.maintained
-        assert db.partitioning_version("galaxy") == 0
-        assert db.is_partitioning_stale("galaxy")
 
 
 class TestUpdateAtomicity:
@@ -296,7 +279,7 @@ class TestUpdateAtomicity:
         db.maintainer = PartitionMaintainer()
         result = db.update_table("galaxy", delta)
         assert result.table.version == 1
-        assert db.partitioning_version("galaxy") == 1
+        assert db.partitioning("galaxy").version == 1
 
     def test_resave_removes_dropped_table_artifacts(self, database, small_numeric_table, tmp_path):
         partitioning = QuadTreePartitioner(size_threshold=2).partition(
@@ -309,11 +292,6 @@ class TestUpdateAtomicity:
         loaded = Database.load(tmp_path / "db")
         assert "numbers" not in loaded
         assert not loaded.has_partitioning("numbers")
-
-    def test_empty_string_policy_rejected(self, database, small_numeric_table):
-        delta = small_numeric_table.make_delta(delete=[0])
-        with pytest.raises(CatalogError, match="policy"):
-            database.update_table("numbers", delta, policy="")
 
     def test_save_leaves_unrelated_files_alone(self, database, tmp_path):
         directory = tmp_path / "db"
@@ -343,14 +321,20 @@ class TestUpdateAtomicity:
         assert not (directory / "alpha.npz").exists()
         assert (directory / "beta.npz").exists()
 
-    def test_load_restores_maintenance_policy(self, tmp_path):
-        db = Database("lazy", maintenance_policy="stale")
+    def test_load_ignores_an_older_manifests_maintenance_policy(self, tmp_path):
+        db = Database("lazy")
         db.create_table(Table.from_dict({"x": [1.0, 2.0]}, name="t"))
-        db.save(tmp_path / "db")
+        db.create_table(Table.from_dict({"y": [3.0]}, name="u"))
+        assert db.save(tmp_path / "db") is None
+        manifest_path = tmp_path / "db" / "_catalog_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["catalogs"]["lazy"] == {"tables": ["t", "u"]}
+        # Older saves also wrote the catalog's maintenance policy; the key
+        # no longer means anything, but the table scoping still holds.
+        manifest["catalogs"]["lazy"] = {"tables": ["t"], "maintenance_policy": "stale"}
+        manifest_path.write_text(json.dumps(manifest))
         loaded = Database.load(tmp_path / "db", name="lazy")
-        assert loaded.maintenance_policy == "stale"
-        other = Database.load(tmp_path / "db", name="unknown_catalog")
-        assert other.maintenance_policy == "maintain"
+        assert loaded.table_names() == ["t"]
 
     def test_load_scopes_to_manifest_entry(self, tmp_path):
         directory = tmp_path / "shared"

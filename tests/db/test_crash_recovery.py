@@ -21,7 +21,7 @@ from repro.core.engine import PackageQueryEngine
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.db.catalog import Database
-from repro.db.wal import MemoryLogStorage, WalRecord, WriteAheadLog
+from repro.db.wal import MemoryLogStorage, WalRecord, WriteAheadLog, encode_record
 from repro.errors import RecoveryError
 from repro.paql.builder import query_over
 from repro.partition.maintenance import partitioning_signature
@@ -217,7 +217,7 @@ class TestCheckpointRecovery:
             # one commit *ahead* of the dead process's live state — apply the
             # logged delta to the live catalog to compute that expectation.
             last = recovered.wal.records()[-1]
-            db.update_table("stream", last.delta, policy=last.policy)
+            db.update_table("stream", last.delta)
         assert _signature(recovered) == _signature(db)
         expected_tail = 3 if point == "post-commit" else 2
         assert recovered.table("stream").version == 5 + expected_tail
@@ -258,9 +258,31 @@ class TestCheckpointRecovery:
         table = _base_table(np.random.default_rng(0))
         delta = table.make_delta(insert=[(1.0, 1.0)])
         wal = WriteAheadLog(MemoryLogStorage())
-        wal.append(WalRecord.update("ghost", delta, "maintain"))
+        wal.append(WalRecord.update("ghost", delta))
         with pytest.raises(RecoveryError, match="unknown table"):
             Database.recover(WriteAheadLog(MemoryLogStorage(wal.storage.read())))
+
+    @pytest.mark.parametrize("policy", ["maintain", "stale"])
+    def test_update_records_of_older_logs_replay_only_if_maintained(self, policy):
+        # Logs written while a "stale" policy existed record each update's
+        # policy as a ``policy`` attribute; the class no longer declares it.
+        rng = np.random.default_rng(3)
+        db = Database(wal=WriteAheadLog(MemoryLogStorage()))
+        db.create_table(_base_table(rng))
+        db.register_partitioning(
+            "stream", QuadTreePartitioner(4).partition(db.table("stream"), ATTRIBUTES)
+        )
+        delta = _random_delta(db.table("stream"), rng)
+        record = WalRecord(kind="update", table_name="stream", lsn=2, delta=delta)
+        object.__setattr__(record, "policy", policy)
+        log = db.wal.storage.read() + encode_record(record)
+        if policy == "maintain":
+            recovered = Database.recover(WriteAheadLog(MemoryLogStorage(log)))
+            db.update_table("stream", delta)
+            assert _signature(recovered) == _signature(db)
+        else:
+            with pytest.raises(RecoveryError, match="policy 'stale'"):
+                Database.recover(WriteAheadLog(MemoryLogStorage(log)))
 
     def test_checkpoint_marker_against_wrong_snapshot_raises(self, tmp_path):
         db, storage, _ = self._stream_with_checkpoint(tmp_path)

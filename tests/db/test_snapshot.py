@@ -10,7 +10,7 @@ from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.db.catalog import Database
 from repro.db.snapshot import PinnedTable, SnapshotHandle
-from repro.errors import SnapshotError
+from repro.errors import EvaluationError, SnapshotError
 from repro.paql.builder import query_over
 from repro.partition.quadtree import QuadTreePartitioner
 
@@ -59,11 +59,11 @@ class TestSnapshotPinning:
         _bump(db)
         new = db.snapshot()
         assert (old.table("stream").version, new.table("stream").version) == (0, 1)
-        assert db.snapshots.pinned_versions("stream") == [0, 1]
+        assert new.snapshot_id == old.snapshot_id + 1
         old.release()
-        assert db.snapshots.pinned_versions("stream") == [1]
+        assert new.table("stream").version == 1
+        assert new.partitioning("stream").version == 1
         new.release()
-        assert db.snapshots.active_count == 0
 
     def test_acquire_subset_of_tables(self, db):
         db.create_table(_table(name="other", seed=9))
@@ -73,17 +73,20 @@ class TestSnapshotPinning:
             snap.table("stream")
         snap.release()
 
-    def test_stale_partitioning_not_pinned(self, db):
-        # Leave the partitioning behind: it now describes version 0 while the
-        # table moves to 1, so a snapshot of version 1 must exclude it.
-        db.update_table(
-            "stream", db.table("stream").make_delta(insert=[(1.0, 2.0)]), policy="stale"
-        )
-        snap = db.snapshot()
-        assert not snap.has_partitioning("stream")
-        with pytest.raises(SnapshotError, match="missing or stale"):
-            snap.partitioning("stream")
-        snap.release()
+    def test_pins_the_partitionings_registered_at_that_moment(self, db):
+        before = db.snapshot()
+        _bump(db)
+        coarse = QuadTreePartitioner(8).partition(db.table("stream"), ["x"])
+        db.register_partitioning("stream", coarse, label="coarse")
+        after = db.snapshot()
+        # Every registered label is pinned, each at the pinned table version.
+        assert sorted(after.pins["stream"].partitionings) == ["coarse", "default"]
+        assert after.partitioning("stream", "coarse") is coarse
+        assert after.partitioning("stream").version == after.versions()["stream"] == 1
+        # A label registered after the snapshot was taken is not in it.
+        assert not before.has_partitioning("stream", "coarse")
+        with pytest.raises(SnapshotError, match="none was registered"):
+            before.partitioning("stream", "coarse")
 
 
 class TestReleaseSemantics:
@@ -97,18 +100,20 @@ class TestReleaseSemantics:
 
     def test_context_manager_releases(self, db):
         with db.snapshot() as snap:
-            assert db.snapshots.active_count == 1
             assert snap.table("stream").version == 0
         assert snap.released
-        assert db.snapshots.active_count == 0
+        with pytest.raises(SnapshotError, match="released"):
+            snap.partitioning("stream")
 
-    def test_manager_forgets_released_handles(self, db):
+    def test_release_leaves_other_handles_readable(self, db):
         handles = [db.snapshot() for _ in range(3)]
+        assert [h.snapshot_id for h in handles] == [0, 1, 2]
         handles[1].release()
-        assert [h.snapshot_id for h in db.snapshots.active_handles()] == [
-            handles[0].snapshot_id,
-            handles[2].snapshot_id,
-        ]
+        assert [h.released for h in handles] == [False, True, False]
+        for handle in (handles[0], handles[2]):
+            assert handle.table("stream").version == 0
+        with pytest.raises(SnapshotError, match="released"):
+            handles[1].table("stream")
 
 
 class TestSnapshotExecution:
@@ -168,18 +173,30 @@ class TestSnapshotExecution:
         with pytest.raises(SnapshotError, match="released"):
             engine.execute(self.QUERY, method="direct", snapshot=snap)
 
+    def test_snapshot_without_the_partitioning_answers_auto_with_direct(self, db):
+        engine = PackageQueryEngine(database=db, auto_direct_threshold=1)
+        snap = engine.snapshot()
+        auto = engine.execute(self.QUERY, snapshot=snap, partitioning_label="coarse")
+        assert auto.method.value == "direct"
+        assert "no partitioning 'coarse'" in auto.details["auto"]
+        assert auto.objective == engine.execute(self.QUERY, method="direct").objective
+        # Asked for explicitly, SKETCHREFINE cannot run without it.
+        with pytest.raises(EvaluationError, match="build_partitioning"):
+            engine.execute(
+                self.QUERY, method="sketchrefine", snapshot=snap, partitioning_label="coarse"
+            )
+
 
 class TestHandlePickling:
-    def test_round_trip_detaches_the_manager(self, db):
+    def test_round_trip_ships_a_self_contained_view(self, db):
         snap = db.snapshot()
         clone = pickle.loads(pickle.dumps(snap))
         assert clone.versions() == snap.versions()
         assert clone.table("stream").equals(snap.table("stream"))
         assert clone.partitioning("stream").version == 0
-        # The clone is detached: releasing it must not touch the live
-        # manager, which still tracks the original handle.
+        # The clone is its own handle: releasing it leaves the original live.
         clone.release()
-        assert db.snapshots.active_count == 1
+        assert snap.table("stream").version == 0
         snap.release()
 
     def test_pinned_table_round_trip(self, db):

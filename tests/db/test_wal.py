@@ -31,7 +31,7 @@ def _table(rows=4, name="t", version=0):
 def _update_record(table=None):
     table = table if table is not None else _table()
     delta = table.make_delta(insert=[(99.0, 990.0)], delete=[0])
-    return WalRecord.update(table.name, delta, "maintain")
+    return WalRecord.update(table.name, delta)
 
 
 class TestRecordFraming:

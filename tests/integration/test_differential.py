@@ -298,7 +298,7 @@ def test_differential_across_crash_recovery(seed: int):
     durable = storage.durable
     if rng.random() < 0.5:
         in_flight = engine.table("diff").make_delta(insert=[(1.0, 2.0)])
-        frame = encode_record(WalRecord.update("diff", in_flight, "maintain"))
+        frame = encode_record(WalRecord.update("diff", in_flight))
         durable += frame[: int(rng.integers(1, len(frame)))]
     surviving_cache = engine.cache
     recovered = Database.recover(

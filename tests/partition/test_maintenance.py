@@ -10,6 +10,8 @@ under insert/delete streams.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,13 @@ class TestMakePartitioner:
 
     def test_derived_method_string(self):
         assert isinstance(make_partitioner("quadtree(restricted)", 10, None), QuadTreePartitioner)
+
+    def test_kmeans_refuses_a_radius_limit(self):
+        # k-means caps group sizes only; an ω it cannot honour is an error,
+        # not a silently unbounded radius.
+        for method in ("kmeans", "kmeans(restricted)"):
+            with pytest.raises(PartitioningError, match=re.escape(f"'{method}' takes no radius")):
+                make_partitioner(method, 10, 0.5)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(PartitioningError):
