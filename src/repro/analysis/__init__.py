@@ -6,17 +6,16 @@ live only in reviewer memory and regression tests.  This package checks them
 mechanically, before runtime:
 
 * ``python -m repro.analysis src/repro`` — CLI (text or ``--format=json``),
-  exit 1 on any non-baselined finding;
+  exit 1 on any finding;
 * :func:`run_lint` — pytest-friendly API, used by the self-check test that
-  keeps ``src/repro`` clean modulo the committed baseline;
-* ``# repro-lint: disable=<rule>`` — inline suppression;
-  ``repro-lint-baseline.json`` — committed, justified grandfather list.
+  keeps ``src/repro`` clean;
+* ``# repro-lint: disable=<rule> (<reason>)`` on the offending line — the
+  only exemption.  The parenthesised reason is required; a suppression
+  without one is itself a finding.
 
 See ``docs/repro_lint.md`` for the rule catalogue.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.config import LintConfig
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -28,11 +27,8 @@ from repro.analysis.core import (
 from repro.analysis.runner import LintReport, run_lint
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "Finding",
-    "LintConfig",
     "LintReport",
     "ModuleInfo",
     "ProjectInfo",

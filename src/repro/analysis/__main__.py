@@ -6,8 +6,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.config import LintConfig
 from repro.analysis.core import all_checkers
 from repro.analysis.runner import run_lint
 
@@ -37,36 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of rules to run (default: all)",
     )
     parser.add_argument(
-        "--config",
-        type=Path,
-        help="JSON config file ({'rules': [...], 'options': {rule: {...}}})",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="baseline file (default: repro-lint-baseline.json found near "
-        "the first lint root)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit; "
-        "justifications start as TODOs that must be filled in",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print baselined findings in text output",
     )
     return parser
 
@@ -79,16 +50,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: {cls.description}")
         return 0
 
-    if args.config is not None:
-        config = LintConfig.from_file(args.config)
-    else:
-        config = LintConfig()
+    rules = None
     if args.rules:
-        config.rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    if args.baseline is not None:
-        config.baseline_path = args.baseline
-    if args.no_baseline:
-        config.use_baseline = False
+        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
 
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
@@ -96,22 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        config.use_baseline = False
-        report = run_lint(paths, config)
-        target = args.baseline or Path("repro-lint-baseline.json")
-        Baseline.from_findings(report.findings, path=target).save()
-        print(
-            f"wrote {len(report.findings)} entr{'y' if len(report.findings) == 1 else 'ies'} "
-            f"to {target} — fill in the justifications before committing"
-        )
-        return 0
-
-    report = run_lint(paths, config)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.format_text(verbose=args.verbose))
+    report = run_lint(paths, rules=rules)
+    print(report.to_json() if args.format == "json" else report.format_text())
     return 0 if report.ok else 1
 
 

@@ -7,7 +7,6 @@ are picked up by name.
 """
 
 from repro.analysis.checkers import (  # noqa: F401
-    api_boundary,
     determinism,
     env_access,
     pickle_safety,
@@ -16,7 +15,6 @@ from repro.analysis.checkers import (  # noqa: F401
 )
 
 __all__ = [
-    "api_boundary",
     "determinism",
     "env_access",
     "pickle_safety",

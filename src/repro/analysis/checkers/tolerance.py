@@ -20,7 +20,7 @@ as float-typed when it is
 Integer comparisons (``n == 0``, ``size == 0``, ``lp_solves == 0``) never
 match and stay legal.  Exact comparison is *occasionally* right — division
 guards, structural-nonzero detection — and those sites carry an inline
-``# repro-lint: disable=tolerance`` or a justified baseline entry.
+``# repro-lint: disable=tolerance (<reason>)``.
 
 Options:
     scope: dotted module prefixes the rule applies to.

@@ -12,9 +12,10 @@ tolerance discipline, ...).  The moving parts:
 * :class:`Checker` — base class; subclasses register themselves under a rule
   name via :func:`register` and implement :meth:`check_module` (per file)
   and/or :meth:`finalize` (once, after every module was visited).
-* suppressions — ``# repro-lint: disable=<rule>[,<rule>...]`` on the
-  offending line silences that line; ``# repro-lint: disable-file=<rule>``
-  anywhere silences the whole file for the listed rules.
+* suppressions — ``# repro-lint: disable=<rule>[,<rule>...] (<reason>)`` on
+  the offending line silences that line for the listed rules.  It is the only
+  exemption there is, and the parenthesised reason is required: a
+  suppression without one is reported as a finding of its own.
 
 Line-level suppression matches the *reported* line of the finding (the AST
 node's ``lineno``), so for a multi-line statement the comment goes on the
@@ -29,11 +30,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-#: Suppression comment grammar: ``# repro-lint: disable=a,b`` (line) and
-#: ``# repro-lint: disable-file=a,b`` (whole file).  ``all`` matches any rule.
+#: Suppression comment grammar: ``# repro-lint: disable=a,b (reason)``.
 _SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*(?P<kind>disable|disable-file)\s*=\s*"
-    r"(?P<rules>[A-Za-z0-9_,\-\s]+)"
+    r"#\s*repro-lint:\s*disable\s*=\s*(?P<rules>[A-Za-z0-9_,\-\s]+)"
+    r"(?:\((?P<reason>[^)]*)\))?"
 )
 
 
@@ -47,13 +47,6 @@ class Finding:
     line: int
     column: int
     message: str
-    symbol: str = "<module>"
-    """Dotted enclosing scope (``Class.method``), used for baseline matching
-    so entries survive unrelated line drift."""
-
-    def fingerprint(self) -> str:
-        """Location-independent identity used by the baseline file."""
-        return f"{self.rule}::{self.path}::{self.symbol}::{self.message}"
 
     def format_text(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: [{self.rule}] {self.message}"
@@ -64,7 +57,6 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "column": self.column,
-            "symbol": self.symbol,
             "message": self.message,
         }
 
@@ -74,13 +66,11 @@ class Suppressions:
     """Parsed suppression comments of one file."""
 
     by_line: dict[int, set[str]] = field(default_factory=dict)
-    file_level: set[str] = field(default_factory=set)
+    unjustified: list[int] = field(default_factory=list)
+    """Lines whose suppression gives no parenthesised reason."""
 
     def is_suppressed(self, finding: Finding) -> bool:
-        for rules in (self.file_level, self.by_line.get(finding.line, set())):
-            if "all" in rules or finding.rule in rules:
-                return True
-        return False
+        return finding.rule in self.by_line.get(finding.line, set())
 
 
 def parse_suppressions(lines: list[str]) -> Suppressions:
@@ -91,26 +81,24 @@ def parse_suppressions(lines: list[str]) -> Suppressions:
         if match is None:
             continue
         rules = {r.strip() for r in match.group("rules").split(",") if r.strip()}
-        if match.group("kind") == "disable-file":
-            result.file_level.update(rules)
-        else:
-            result.by_line.setdefault(lineno, set()).update(rules)
+        result.by_line.setdefault(lineno, set()).update(rules)
+        if not (match.group("reason") or "").strip():
+            result.unjustified.append(lineno)
     return result
 
 
 def module_name_for(path: Path) -> str:
     """Dotted module name used for rule scoping.
 
-    The name is anchored at the nearest ``repro`` package ancestor
-    (``.../src/repro/ilp/model.py`` → ``repro.ilp.model``); files outside the
+    The name is anchored at the nearest ``repro`` package ancestor, the last
+    ``repro`` directory on the path (``.../repro/src/repro/ilp/model.py`` →
+    ``repro.ilp.model``, whatever the checkout is called); files outside the
     package (test fixtures) fall back to their bare stem, so fixture tests
     scope rules with single-segment module names.
     """
     parts = list(path.with_suffix("").parts)
-    if "repro" in parts:
-        parts = parts[parts.index("repro"):]
-    else:
-        parts = parts[-1:]
+    anchors = [i for i, part in enumerate(parts[:-1]) if part == "repro"]
+    parts = parts[anchors[-1]:] if anchors else parts[-1:]
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
@@ -138,9 +126,6 @@ class ModuleInfo:
     tree: ast.Module
     lines: list[str]
     suppressions: Suppressions
-    _scope_map: dict[int, str] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def parse(cls, path: Path, rel_path: str | None = None) -> "ModuleInfo":
@@ -155,12 +140,6 @@ class ModuleInfo:
             suppressions=parse_suppressions(lines),
         )
 
-    def scope_of(self, node: ast.AST) -> str:
-        """Dotted enclosing class/function scope of ``node`` (lazy, cached)."""
-        if self._scope_map is None:
-            self._scope_map = _build_scope_map(self.tree)
-        return self._scope_map.get(id(node), "<module>")
-
     def finding(
         self, rule: str, node: ast.AST, message: str
     ) -> Finding:
@@ -170,26 +149,7 @@ class ModuleInfo:
             line=getattr(node, "lineno", 1),
             column=getattr(node, "col_offset", 0),
             message=message,
-            symbol=self.scope_of(node),
         )
-
-
-def _build_scope_map(tree: ast.Module) -> dict[int, str]:
-    """Map ``id(node)`` → dotted enclosing scope for every node in the tree."""
-    scopes: dict[int, str] = {}
-
-    def visit(node: ast.AST, scope: str) -> None:
-        scopes[id(node)] = scope
-        child_scope = scope
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            child_scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
-            scopes[id(node)] = child_scope
-        for child in ast.iter_child_nodes(node):
-            visit(child, child_scope)
-
-    for top in ast.iter_child_nodes(tree):
-        visit(top, "<module>")
-    return scopes
 
 
 @dataclass
@@ -221,7 +181,7 @@ class Checker:
 
     name: str = ""
     description: str = ""
-    #: Per-rule options (documented per checker); merged with any user config.
+    #: Per-rule options (documented per checker); merged with the run's options.
     default_config: dict[str, object] = {}
 
     def __init__(self, options: dict[str, object] | None = None) -> None:
@@ -229,9 +189,6 @@ class Checker:
         if options:
             merged.update(options)
         self.options = merged
-
-    def option(self, key: str) -> object:
-        return self.options[key]
 
     def str_list(self, key: str) -> list[str]:
         value = self.options.get(key, [])

@@ -1,14 +1,12 @@
-"""Lint runner: collect files, run checkers, apply suppressions + baseline."""
+"""Lint runner: collect files, run checkers, apply suppressions."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineEntry, DEFAULT_BASELINE_NAME
-from repro.analysis.config import LintConfig
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -26,11 +24,7 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: list[Finding] = field(default_factory=list)
-    """Actionable findings: not suppressed, not grandfathered."""
-    grandfathered: list[Finding] = field(default_factory=list)
-    """Findings matched by a baseline entry."""
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
-    """Baseline entries that matched nothing (fixed — delete them)."""
+    """Findings not silenced by a suppression comment."""
     suppressed: int = 0
     """Findings silenced by inline ``# repro-lint: disable`` comments."""
     files_checked: int = 0
@@ -39,26 +33,14 @@ class LintReport:
 
     @property
     def ok(self) -> bool:
-        """Whether the tree is clean modulo the committed baseline."""
+        """Whether the run found nothing (suppressed findings aside)."""
         return not self.findings and not self.parse_errors
 
-    def format_text(self, verbose: bool = False) -> str:
-        lines: list[str] = []
-        for finding in self.findings:
-            lines.append(finding.format_text())
-        for error in self.parse_errors:
-            lines.append(f"error: {error}")
-        if verbose:
-            for finding in self.grandfathered:
-                lines.append(f"baselined: {finding.format_text()}")
-        for entry in self.stale_baseline:
-            lines.append(
-                f"stale baseline entry (fixed? delete it): "
-                f"[{entry.rule}] {entry.path} :: {entry.symbol}"
-            )
+    def format_text(self) -> str:
+        lines = [finding.format_text() for finding in self.findings]
+        lines.extend(f"error: {error}" for error in self.parse_errors)
         lines.append(
-            f"repro-lint: {len(self.findings)} finding(s), "
-            f"{len(self.grandfathered)} baselined, {self.suppressed} suppressed, "
+            f"repro-lint: {len(self.findings)} finding(s), {self.suppressed} suppressed, "
             f"{self.files_checked} file(s), rules: {', '.join(self.rules_run)}"
         )
         return "\n".join(lines)
@@ -70,8 +52,6 @@ class LintReport:
             "rules_run": self.rules_run,
             "suppressed": self.suppressed,
             "findings": [f.as_dict() for f in self.findings],
-            "grandfathered": [f.as_dict() for f in self.grandfathered],
-            "stale_baseline": [e.as_dict() for e in self.stale_baseline],
             "parse_errors": self.parse_errors,
         }
         return json.dumps(payload, indent=2)
@@ -99,27 +79,29 @@ def _relative_to_cwd(path: Path) -> str:
 
 def run_lint(
     paths: Sequence[Path | str],
-    config: LintConfig | None = None,
+    rules: Sequence[str] | None = None,
+    options: Mapping[str, Mapping[str, object]] | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) and return a :class:`LintReport`.
 
-    This is the pytest-friendly API: build a config, point it at a tree (or a
-    fixture file), and assert on ``report.findings``.
+    ``rules`` names the rules to run (``None``: every registered checker);
+    ``options[rule]`` is merged over that checker's ``default_config``.  This
+    is the pytest-friendly API: point it at a tree (or a fixture file) and
+    assert on ``report.findings``.
     """
-    config = config or LintConfig()
-    resolved = [Path(p) for p in paths]
-    files = collect_files(resolved)
+    files = collect_files([Path(p) for p in paths])
 
     registry = all_checkers()
-    rule_names = config.rules if config.rules is not None else sorted(registry)
+    rule_names = list(rules) if rules is not None else sorted(registry)
     unknown = [r for r in rule_names if r not in registry]
     if unknown:
         raise ValueError(f"unknown lint rule(s): {', '.join(unknown)}")
+    options = options or {}
     checkers: list[Checker] = [
-        registry[rule](config.options_for(rule)) for rule in rule_names
+        registry[rule](dict(options.get(rule, {}))) for rule in rule_names
     ]
 
-    report = LintReport(rules_run=list(rule_names))
+    report = LintReport(rules_run=rule_names)
     project = ProjectInfo()
     raw_findings: list[Finding] = []
     suppression_lookup: dict[str, ModuleInfo] = {}
@@ -134,60 +116,24 @@ def run_lint(
         project.modules.append(module)
         suppression_lookup[rel] = module
         report.files_checked += 1
+        for line in module.suppressions.unjustified:
+            report.findings.append(
+                Finding(
+                    "suppression", rel, line, 0,
+                    "suppression gives no reason: write why the line is exempt "
+                    "in parentheses after the rule list",
+                )
+            )
         for checker in checkers:
             raw_findings.extend(checker.check_module(module))
     for checker in checkers:
         raw_findings.extend(checker.finalize(project))
 
-    kept: list[Finding] = []
     for finding in raw_findings:
         module_info = suppression_lookup.get(finding.path)
         if module_info is not None and module_info.suppressions.is_suppressed(finding):
             report.suppressed += 1
         else:
-            kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.column, f.rule, f.message))
-
-    baseline = _resolve_baseline(config, resolved)
-    if baseline is not None:
-        new, grandfathered, stale = baseline.split(kept)
-        report.findings = new
-        report.grandfathered = grandfathered
-        report.stale_baseline = stale
-        for entry in baseline.entries:
-            justification = entry.justification.strip()
-            if not justification or justification.startswith("TODO"):
-                report.findings.append(
-                    Finding(
-                        rule="baseline",
-                        path=entry.path,
-                        line=1,
-                        column=0,
-                        symbol=entry.symbol,
-                        message=(
-                            f"baseline entry for [{entry.rule}] {entry.symbol} "
-                            f"has no justification — explain why it is exempt"
-                        ),
-                    )
-                )
-    else:
-        report.findings = kept
+            report.findings.append(finding)
+    report.findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule, f.message))
     return report
-
-
-def _resolve_baseline(
-    config: LintConfig, roots: Iterable[Path]
-) -> Baseline | None:
-    if not config.use_baseline:
-        return None
-    if config.baseline_path is not None:
-        return Baseline.load(config.baseline_path)
-    # Default: a committed baseline next to (or above) the first lint root.
-    for root in roots:
-        base = root if root.is_dir() else root.parent
-        for candidate_dir in (base, *base.resolve().parents):
-            candidate = candidate_dir / DEFAULT_BASELINE_NAME
-            if candidate.exists():
-                return Baseline.load(candidate)
-        break
-    return None

@@ -10,11 +10,13 @@ The constraint matrices are dense ``numpy`` arrays, the storage the model
 keeps its rows in (see :mod:`repro.ilp.model`); anything else is rejected at
 construction, so no consumer checks or branches on a storage kind.
 
-The form is immutable once built and is designed for structural sharing:
-:meth:`with_bounds` derives a per-node view for branch-and-bound that shares
-the objective and constraint buffers (and the ``cache`` dict, which the
-simplex uses to memoise its assembled working matrix) while carrying its own
-bounds vectors.
+The form enforces its own immutability: it is a frozen dataclass, and every
+array it holds is read-only (a writable array passed in is wrapped in a
+read-only view, so the caller's array is never flipped).  It is designed for
+structural sharing: :meth:`with_bounds` derives a per-node view for
+branch-and-bound that shares the objective and constraint buffers (and the
+``cache`` dict, which the simplex uses to memoise its assembled working
+matrix) while carrying its own bounds vectors.
 """
 
 from __future__ import annotations
@@ -26,9 +28,23 @@ import numpy as np
 from repro.errors import SolverError
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it is read-only, else a read-only view of it."""
+    if not array.flags.writeable:
+        return array
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True)
 class MatrixForm:
     """Matrix export of an :class:`~repro.ilp.model.IlpModel` (a minimisation).
+
+    Immutable: rebinding a field raises ``FrozenInstanceError`` and the
+    arrays below are read-only, so a store through any form raises rather
+    than corrupting the nodes that share its buffers.  Only ``cache`` is
+    writable.
 
     Attributes:
         c: Objective vector (already negated for maximisation models).
@@ -74,6 +90,10 @@ class MatrixForm:
                     f"columns, got {type(matrix).__name__} of shape "
                     f"{getattr(matrix, 'shape', None)}"
                 )
+        for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        lower, upper = self.bounds
+        object.__setattr__(self, "bounds", (_read_only(lower), _read_only(upper)))
 
     # -- introspection -----------------------------------------------------------
 
@@ -95,9 +115,9 @@ class MatrixForm:
     def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds as ``(lower, upper)`` float arrays using ``±inf``.
 
-        Always returns fresh arrays: :attr:`bounds` aliases the model's
-        columns or bounds shared across branch-and-bound nodes, so handing out
-        the live arrays would let a caller silently corrupt sibling nodes.
+        Always returns fresh, writable arrays: :attr:`bounds` is read-only
+        (it aliases the model's columns or a node's bounds), and callers of
+        this method edit what they get.
         """
         return self.bounds[0].copy(), self.bounds[1].copy()
 
@@ -107,14 +127,10 @@ class MatrixForm:
         The objective and constraint buffers — and the ``cache`` holding the
         simplex's assembled working matrix — are shared, not copied: this is
         the cheap path branch-and-bound uses to materialise a child node.
+        The shared arrays were made read-only when this form was built, so
+        only the two new bound arrays are wrapped (in read-only views: the
+        caller keeps writing its own arrays).
         """
-        return MatrixForm(
-            c=self.c,
-            a_ub=self.a_ub,
-            b_ub=self.b_ub,
-            a_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=(lower, upper),
-            maximize=self.maximize,
-            cache=self.cache,
-        )
+        view = object.__new__(MatrixForm)
+        view.__dict__.update(self.__dict__, bounds=(_read_only(lower), _read_only(upper)))
+        return view

@@ -414,9 +414,9 @@ class IlpModel:
 
         The export is memoized: repeated calls return the same
         :class:`MatrixForm` instance until the model gains a variable, a
-        constraint or a new objective.  Callers must treat the returned
-        arrays as read-only (branch-and-bound shares them across every node,
-        varying only the bounds).
+        constraint or a new objective.  The form enforces that its arrays are
+        read-only (branch-and-bound shares them across every node, varying
+        only the bounds): a store through it raises.
         """
         if self._matrix_cache is None:
             self._matrix_cache = self._build_matrix()

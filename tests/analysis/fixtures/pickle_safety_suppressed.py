@@ -1,10 +1,8 @@
-"""Fixture: pickle-safety violation silenced by a file-level suppression."""
-
-# repro-lint: disable-file=pickle-safety (fixture classes never cross a pool)
+"""Fixture: pickle-safety violations silenced by line suppressions."""
 
 
 class FixtureTask:
     def __init__(self, payload):
         self.payload = payload
-        self._result_cache = {}
-        self._memo = None
+        self._result_cache = {}  # repro-lint: disable=pickle-safety (never pickled)
+        self._memo = None  # repro-lint: disable=pickle-safety (never pickled)

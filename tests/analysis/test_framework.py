@@ -1,4 +1,4 @@
-"""Framework-level tests: suppressions, scoping, baseline, config, CLI."""
+"""Framework-level tests: suppressions, scoping, rule selection, CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, BaselineEntry, Finding, LintConfig, run_lint
+from repro.analysis import Finding, run_lint
 from repro.analysis.__main__ import main
 from repro.analysis.core import (
     module_in_scope,
@@ -26,25 +26,57 @@ def test_line_suppression_parsing() -> None:
         [
             "x = 1",
             "y = 2  # repro-lint: disable=tolerance (division guard)",
-            "z = 3  # repro-lint: disable=tolerance, determinism",
+            "z = 3  # repro-lint: disable=tolerance, determinism (both guards)",
         ]
     )
-    assert sup.by_line[2] == {"tolerance"}
-    assert sup.by_line[3] == {"tolerance", "determinism"}
-    assert sup.file_level == set()
+    assert sup.by_line == {2: {"tolerance"}, 3: {"tolerance", "determinism"}}
+    assert sup.unjustified == []
+    assert sup.is_suppressed(Finding("determinism", "f.py", 3, 0, "msg"))
+    assert not sup.is_suppressed(Finding("determinism", "f.py", 2, 0, "msg"))
 
 
-def test_file_level_suppression_parsing() -> None:
-    sup = parse_suppressions(["# repro-lint: disable-file=pickle-safety (fixture)"])
-    assert sup.file_level == {"pickle-safety"}
-    finding = Finding("pickle-safety", "f.py", 99, 0, "msg")
-    assert sup.is_suppressed(finding)
+@pytest.mark.parametrize(
+    "comment",
+    [
+        "# repro-lint: disable=tolerance",
+        "# repro-lint: disable=tolerance ()",
+        "# repro-lint: disable=tolerance (   )",
+        "# repro-lint: disable=tolerance, determinism",
+    ],
+    ids=["bare", "empty", "blank", "two_rules"],
+)
+def test_suppression_without_a_reason_is_unjustified(comment: str) -> None:
+    sup = parse_suppressions(["x = 1", f"y = 2  {comment}"])
+    assert sup.unjustified == [2]
+    assert "tolerance" in sup.by_line[2]
 
 
-def test_disable_all_matches_any_rule() -> None:
-    sup = parse_suppressions(["x = 1  # repro-lint: disable=all"])
-    assert sup.is_suppressed(Finding("tolerance", "f.py", 1, 0, "msg"))
-    assert sup.is_suppressed(Finding("determinism", "f.py", 1, 0, "msg"))
+def test_only_the_named_rule_is_suppressed() -> None:
+    """``all`` is a rule name like any other, not a wildcard."""
+    sup = parse_suppressions(["x = 1  # repro-lint: disable=all (everything)"])
+    assert sup.by_line == {1: {"all"}}
+    assert not sup.is_suppressed(Finding("tolerance", "f.py", 1, 0, "msg"))
+
+
+def test_unjustified_suppression_is_a_finding(tmp_path: Path) -> None:
+    target = tmp_path / "guard.py"
+    target.write_text(
+        "def ratio(numerator, denominator):\n"
+        "    if denominator == 0:  # repro-lint: disable=tolerance\n"
+        "        return 1.0\n"
+        "    return numerator / denominator\n"
+    )
+    report = run_lint([target], rules=["tolerance"], options={"tolerance": {"scope": []}})
+    # The comparison itself stays suppressed; the missing reason is the finding.
+    assert report.suppressed == 1
+    assert [(f.rule, f.line) for f in report.findings] == [("suppression", 2)]
+    assert not report.ok
+
+    target.write_text(
+        target.read_text().replace("disable=tolerance", "disable=tolerance (division guard)")
+    )
+    report = run_lint([target], rules=["tolerance"], options={"tolerance": {"scope": []}})
+    assert report.ok and report.suppressed == 1
 
 
 # -- module naming + scoping -----------------------------------------------------------
@@ -56,6 +88,24 @@ def test_module_name_anchors_at_repro_package() -> None:
     assert module_name_for(Path("tests/analysis/fixtures/x.py")) == "x"
 
 
+def test_module_name_anchors_at_the_nearest_repro_directory() -> None:
+    """A checkout that itself sits under a directory named ``repro``."""
+    path = Path("/home/u/repro/src/repro/core/sketchrefine.py")
+    assert module_name_for(path) == "repro.core.sketchrefine"
+    assert module_name_for(Path("/home/u/repro/src/repro/__init__.py")) == "repro"
+
+
+def test_scoped_rule_sees_a_checkout_under_a_repro_directory(tmp_path: Path) -> None:
+    package = tmp_path / "repro" / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "sketchrefine.py").write_text(
+        "import time\n\n\ndef stamp():\n    return time.time()\n"
+    )
+    report = run_lint([tmp_path / "repro" / "src" / "repro"], rules=["determinism"])
+    assert [f.line for f in report.findings] == [5]
+    assert "time.time" in report.findings[0].message
+
+
 def test_module_in_scope_prefix_semantics() -> None:
     assert module_in_scope("repro.ilp.model", ["repro.ilp"])
     assert module_in_scope("repro.core.sketchrefine", ["repro.core.sketchrefine"])
@@ -63,97 +113,21 @@ def test_module_in_scope_prefix_semantics() -> None:
     assert module_in_scope("anything", [])  # empty scope = everywhere
 
 
-# -- baseline --------------------------------------------------------------------------
+# -- rule selection ------------------------------------------------------------------
 
 
-def _finding(message: str = "msg", symbol: str = "f") -> Finding:
-    return Finding("tolerance", "pkg/mod.py", 10, 2, message, symbol=symbol)
-
-
-def test_baseline_split_new_grandfathered_stale() -> None:
-    grandfathered = _finding("old violation")
-    fresh = _finding("new violation")
-    baseline = Baseline(
-        entries=[
-            BaselineEntry("tolerance", "pkg/mod.py", "f", "old violation", "why"),
-            BaselineEntry("tolerance", "pkg/mod.py", "f", "long gone", "why"),
-        ]
-    )
-    new, matched, stale = baseline.split([grandfathered, fresh])
-    assert new == [fresh]
-    assert matched == [grandfathered]
-    assert [e.message for e in stale] == ["long gone"]
-
-
-def test_baseline_matching_ignores_line_numbers() -> None:
-    baseline = Baseline(
-        entries=[BaselineEntry("tolerance", "pkg/mod.py", "f", "msg", "why")]
-    )
-    drifted = Finding("tolerance", "pkg/mod.py", 999, 0, "msg", symbol="f")
-    new, matched, stale = baseline.split([drifted])
-    assert new == [] and len(matched) == 1 and stale == []
-
-
-def test_baseline_roundtrips_through_disk(tmp_path: Path) -> None:
-    path = tmp_path / "baseline.json"
-    original = Baseline(
-        entries=[BaselineEntry("tolerance", "a.py", "f", "m", "justified")],
-        path=path,
-    )
-    original.save()
-    loaded = Baseline.load(path)
-    assert loaded.entries == original.entries
-
-
-def test_unjustified_baseline_entry_is_itself_a_finding(tmp_path: Path) -> None:
+def test_options_merge_over_defaults() -> None:
     fixture = FIXTURES / "tolerance_violation.py"
-    report_raw = run_lint(
-        [fixture],
-        LintConfig(rules=["tolerance"], options={"tolerance": {"scope": []}},
-                   use_baseline=False),
-    )
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(report_raw.findings, path=baseline_path).save()
-
-    config = LintConfig(
-        rules=["tolerance"], options={"tolerance": {"scope": []}},
-        baseline_path=baseline_path,
-    )
-    report = run_lint([fixture], config)
-    # Every violation is grandfathered, but the TODO justifications flag.
-    assert len(report.grandfathered) == len(report_raw.findings)
-    assert report.findings and all(f.rule == "baseline" for f in report.findings)
-    assert not report.ok
-
-    # Filling in justifications makes the run clean.
-    justified = Baseline.load(baseline_path)
-    justified.entries = [
-        BaselineEntry(e.rule, e.path, e.symbol, e.message, "fixture: intended")
-        for e in justified.entries
-    ]
-    justified.save()
-    assert run_lint([fixture], config).ok
-
-
-# -- config ----------------------------------------------------------------------------
-
-
-def test_config_from_file_merges_over_defaults(tmp_path: Path) -> None:
-    config_path = tmp_path / "lint.json"
-    config_path.write_text(
-        json.dumps(
-            {"rules": ["tolerance"], "options": {"tolerance": {"scope": []}}}
-        )
-    )
-    config = LintConfig.from_file(config_path)
-    report = run_lint([FIXTURES / "tolerance_violation.py"], config)
+    # The default scope (repro.ilp, repro.core.validation) misses a fixture.
+    assert run_lint([fixture], rules=["tolerance"]).findings == []
+    report = run_lint([fixture], rules=["tolerance"], options={"tolerance": {"scope": []}})
     assert report.rules_run == ["tolerance"]
     assert report.findings
 
 
 def test_unknown_rule_is_rejected() -> None:
     with pytest.raises(ValueError, match="unknown lint rule"):
-        run_lint([FIXTURES], LintConfig(rules=["no-such-rule"]))
+        run_lint([FIXTURES], rules=["no-such-rule"])
 
 
 # -- CLI -------------------------------------------------------------------------------
@@ -162,78 +136,41 @@ def test_unknown_rule_is_rejected() -> None:
 def test_cli_list_rules(capsys: pytest.CaptureFixture) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("pickle-safety", "determinism", "tolerance", "stats-drift",
-                 "env-access", "api-boundary"):
-        assert rule in out
+    rules = [line.split(":")[0] for line in out.splitlines()]
+    assert rules == ["determinism", "env-access", "pickle-safety", "stats-drift", "tolerance"]
 
 
-def test_cli_text_and_exit_code_on_violations(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    config_path = tmp_path / "lint.json"
-    config_path.write_text(
-        json.dumps({"rules": ["env-access"], "options": {}})
-    )
+def test_cli_text_and_exit_code_on_violations(capsys: pytest.CaptureFixture) -> None:
     fixture = str(FIXTURES / "env_access_violation.py")
-    code = main([fixture, "--config", str(config_path), "--no-baseline"])
+    code = main([fixture, "--rules", "env-access"])
     out = capsys.readouterr().out
     assert code == 1
     assert "[env-access]" in out
 
 
-def test_cli_json_output_is_machine_readable(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    config_path = tmp_path / "lint.json"
-    config_path.write_text(
-        json.dumps({"rules": ["env-access"], "options": {}})
-    )
+def test_cli_json_output_is_machine_readable(capsys: pytest.CaptureFixture) -> None:
     fixture = str(FIXTURES / "env_access_violation.py")
-    code = main([fixture, "--config", str(config_path), "--no-baseline",
-                 "--format", "json"])
+    code = main([fixture, "--rules", "env-access", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["ok"] is False
     assert payload["findings"]
     assert {f["rule"] for f in payload["findings"]} == {"env-access"}
+    assert set(payload) == {
+        "ok", "files_checked", "rules_run", "suppressed", "findings", "parse_errors",
+    }
 
 
-def test_cli_clean_run_exits_zero(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    config_path = tmp_path / "lint.json"
-    config_path.write_text(json.dumps({"rules": ["env-access"]}))
+def test_cli_clean_run_exits_zero(capsys: pytest.CaptureFixture) -> None:
     fixture = str(FIXTURES / "env_access_clean.py")
-    assert main([fixture, "--config", str(config_path), "--no-baseline"]) == 0
+    assert main([fixture, "--rules", "env-access"]) == 0
 
 
-def test_cli_update_baseline_then_enforce(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    config_path = tmp_path / "lint.json"
-    config_path.write_text(
-        json.dumps({"rules": ["env-access"], "options": {}})
-    )
-    baseline_path = tmp_path / "baseline.json"
-    fixture = str(FIXTURES / "env_access_violation.py")
-
-    assert main([fixture, "--config", str(config_path),
-                 "--baseline", str(baseline_path), "--update-baseline"]) == 0
-    capsys.readouterr()
-
-    # The TODO placeholders keep the gate failing until justified.
-    assert main([fixture, "--config", str(config_path),
-                 "--baseline", str(baseline_path)]) == 1
-    capsys.readouterr()
-
-    baseline = Baseline.load(baseline_path)
-    baseline.entries = [
-        BaselineEntry(e.rule, e.path, e.symbol, e.message, "fixture: sanctioned")
-        for e in baseline.entries
-    ]
-    baseline.save()
-    assert main([fixture, "--config", str(config_path),
-                 "--baseline", str(baseline_path)]) == 0
+@pytest.mark.parametrize("flag", ["--config=lint.json", "--baseline=lint.json", "--verbose"])
+def test_cli_takes_no_config_or_exemption_file(flag: str, capsys: pytest.CaptureFixture) -> None:
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(FIXTURES / "env_access_clean.py"), flag])
+    assert exit_info.value.code == 2
 
 
 def test_cli_missing_path_is_usage_error(capsys: pytest.CaptureFixture) -> None:

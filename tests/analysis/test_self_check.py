@@ -1,9 +1,9 @@
-"""Self-check: ``src/repro`` stays clean modulo the committed baseline.
+"""Self-check: ``src/repro`` stays clean.
 
-Also "mutation-style" regressions: un-fixing a guarded site (pickling a
-snapshot handle together with its live manager, dropping the justified
-suppression comments in validation.py) must make the lint fail again, which
-proves the checkers actually guard those sites.
+Also "mutation-style" regressions: un-fixing a guarded site (a reference back
+to the live catalog on a snapshot handle, dropping the justified suppression
+comments in validation.py) must make the lint fail again, which proves the
+checkers actually guard those sites.
 """
 
 from __future__ import annotations
@@ -15,23 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, run_lint
+from repro.analysis import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
 
 
-def test_src_repro_is_clean_modulo_baseline(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Finding paths (and the committed baseline's entries) are repo-relative.
+def test_src_repro_is_clean(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.chdir(REPO_ROOT)
     report = run_lint([Path("src/repro")])
     assert report.ok, "\n" + report.format_text()
     assert report.files_checked > 60
-    assert len(report.rules_run) >= 6
-    # The committed baseline stays minimal and fully live: every entry still
-    # matches a real finding (no stale residue) and none exceed the budget.
-    assert report.stale_baseline == []
-    assert len(report.grandfathered) <= 5
+    assert len(report.rules_run) == 5
+    # The two division guards in core/validation.py, each with its reason.
+    assert report.suppressed == 2
 
 
 def test_no_module_imports_scipy_sparse() -> None:
@@ -52,21 +49,11 @@ def test_no_module_imports_scipy_sparse() -> None:
     assert offenders == []
 
 
-def test_baseline_file_entries_are_justified() -> None:
-    import json
-
-    data = json.loads((REPO_ROOT / "repro-lint-baseline.json").read_text())
-    assert len(data["entries"]) <= 5
-    for entry in data["entries"]:
-        assert len(entry["justification"].strip()) > 20
-
-
 # -- mutation-style guards: un-fixing a fixed violation must fail the lint ------------
 
 
 def _lint_single(path: Path, rule: str, options: dict[str, object]):
-    config = LintConfig(rules=[rule], options={rule: options}, use_baseline=False)
-    return run_lint([path], config)
+    return run_lint([path], rules=[rule], options={rule: options})
 
 
 def test_catalog_reference_on_snapshot_handle_fails_lint(tmp_path: Path) -> None:
@@ -102,7 +89,7 @@ def test_unsuppressing_validation_guards_fails_lint(tmp_path: Path) -> None:
     report = _lint_single(target, "tolerance", {"scope": []})
     assert len(report.findings) >= 2, report.format_text()
 
-    # The committed file passes purely via suppressions (same scope, no baseline).
+    # The committed file passes purely via its suppressions (same scope).
     clean = _lint_single(SRC / "core" / "validation.py", "tolerance", {"scope": []})
     assert clean.findings == []
     assert clean.suppressed >= 2

@@ -3,7 +3,8 @@
 Covers the export contract against literal matrices (row order, negation,
 explicit zeros, padding, memoisation), the typed rejection of a constraint
 matrix that is not a dense float array, the zero-copy structural sharing
-branch-and-bound relies on, the block and mapping entry points of the
+branch-and-bound relies on, the form's runtime immutability (a frozen
+dataclass over read-only arrays), the block and mapping entry points of the
 model, and the absence of any basis handoff between separate solves.
 """
 
@@ -241,6 +242,116 @@ class TestZeroCopySharing:
         # A second solve (new tree, same model) reuses the same assembly.
         BranchAndBoundSolver(limits=SolverLimits(relative_gap=1e-9)).solve(model)
         assert form.cache[_WORK_CACHE_KEY] is work
+
+
+def _rebind_b_ub(form):
+    form.b_ub = form.b_ub + 1.0
+
+
+def _write_c(form):
+    form.c[0] = 2.0
+
+
+def _rebind_bounds(form):
+    form.bounds = []
+
+
+def _store_annotated(form):
+    reduced: MatrixForm = form
+    reduced.maximize = True
+
+
+class TestImmutability:
+    """A form enforces its own immutability: every store through it raises,
+    whichever way it was made, while the caller's arrays and the ``cache``
+    dict stay writable."""
+
+    def _model(self):
+        return TestZeroCopySharing()._model()
+
+    def _arrays(self):
+        return dict(
+            c=np.array([1.0, 2.0]),
+            a_ub=np.array([[1.0, 2.0]]), b_ub=np.array([4.0]),
+            a_eq=np.array([[1.0, -1.0]]), b_eq=np.array([0.0]),
+            bounds=(np.zeros(2), np.ones(2)),
+        )
+
+    def _built(self):
+        return MatrixForm(**self._arrays(), maximize=False)
+
+    def _exported(self):
+        return self._model().to_matrix()
+
+    def _node(self):
+        form = self._model().to_matrix()
+        lower, upper = form.bound_arrays()
+        return form.with_bounds(lower, upper)
+
+    @pytest.fixture(params=["MatrixForm", "to_matrix", "with_bounds"])
+    def form(self, request):
+        return {"MatrixForm": self._built, "to_matrix": self._exported,
+                "with_bounds": self._node}[request.param]()
+
+    @pytest.mark.parametrize(
+        "store, error",
+        [
+            (_rebind_b_ub, dataclasses.FrozenInstanceError),
+            (_write_c, ValueError),
+            (_rebind_bounds, dataclasses.FrozenInstanceError),
+            (_store_annotated, dataclasses.FrozenInstanceError),
+        ],
+        ids=["b_ub_rebind", "c_write", "bounds_rebind", "annotated_store"],
+    )
+    def test_every_store_raises(self, form, store, error):
+        before = (form.b_ub.copy(), form.c.copy(), form.bounds, form.maximize)
+        with pytest.raises(error):
+            store(form)
+        np.testing.assert_array_equal(form.b_ub, before[0])
+        np.testing.assert_array_equal(form.c, before[1])
+        assert form.bounds is before[2] and form.maximize is before[3]
+
+    def test_every_array_is_read_only(self, form):
+        arrays = [form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, *form.bounds]
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            form.bounds[0][1] = 0.5
+        with pytest.raises(ValueError):
+            form.bounds[1][0] = 0.5
+        with pytest.raises(ValueError):
+            form.a_ub[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            form.b_eq[...] = 9.0
+
+    def test_cache_stays_writable_and_shared(self, form):
+        form.cache["scratch"] = 1
+        lower, upper = form.bound_arrays()
+        assert form.with_bounds(lower, upper).cache["scratch"] == 1
+
+    def test_callers_arrays_stay_writable(self):
+        arrays = self._arrays()
+        form = MatrixForm(**arrays, maximize=False)
+        lower, upper = np.zeros(2), np.full(2, 3.0)
+        node = form.with_bounds(lower, upper)
+        for array in [*(arrays[k] for k in ("c", "a_ub", "b_ub", "a_eq", "b_eq")),
+                      *arrays["bounds"], lower, upper]:
+            assert array.flags.writeable
+        # Views, not copies: branch-and-bound moves a node's bounds in place
+        # after the node's LP, and the node's form sees the move.
+        upper[1] = 2.0
+        assert node.bounds[1][1] == 2.0
+        arrays["c"][0] = 5.0
+        assert form.c[0] == 5.0
+
+    def test_read_only_arrays_are_held_as_they_are(self):
+        frozen = self._arrays()
+        for array in (frozen["c"], *frozen["bounds"]):
+            array.flags.writeable = False
+        built = MatrixForm(**frozen, maximize=False)
+        assert built.c is frozen["c"]
+        assert built.bounds[0] is frozen["bounds"][0]
+        assert built.bounds[1] is frozen["bounds"][1]
+        assert built.b_ub is not frozen["b_ub"] and built.b_ub.base is frozen["b_ub"]
 
 
 class TestModelFastPaths:
