@@ -9,7 +9,6 @@ are picked up by name.
 from repro.analysis.checkers import (  # noqa: F401
     determinism,
     env_access,
-    pickle_safety,
     stats_drift,
     tolerance,
 )
@@ -17,7 +16,6 @@ from repro.analysis.checkers import (  # noqa: F401
 __all__ = [
     "determinism",
     "env_access",
-    "pickle_safety",
     "stats_drift",
     "tolerance",
 ]

@@ -1,8 +1,8 @@
 """Core object model of the repro-lint static-analysis framework.
 
 The framework walks Python ASTs and reports :class:`Finding`\\ s — violations
-of the repo's *reproducibility invariants* (determinism, picklability,
-tolerance discipline, ...).  The moving parts:
+of the repo's *reproducibility invariants* (determinism, tolerance
+discipline, ...).  The moving parts:
 
 * :class:`ModuleInfo` — one parsed source file (AST + raw lines + the dotted
   module name used for scoping rules to subtrees of the package).
@@ -25,7 +25,9 @@ first line.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -74,12 +76,20 @@ class Suppressions:
 
 
 def parse_suppressions(lines: list[str]) -> Suppressions:
-    """Extract ``# repro-lint: disable`` comments from raw source lines."""
+    """Extract ``# repro-lint: disable`` comments from source lines.
+
+    Only comment tokens are read: the same text quoted in a string or a
+    docstring neither suppresses nor counts as an unjustified suppression.
+    """
     result = Suppressions()
-    for lineno, text in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(text)
+    readline = io.StringIO("".join(line + "\n" for line in lines)).readline
+    for token in tokenize.generate_tokens(readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(token.string)
         if match is None:
             continue
+        lineno = token.start[0]
         rules = {r.strip() for r in match.group("rules").split(",") if r.strip()}
         result.by_line.setdefault(lineno, set()).update(rules)
         if not (match.group("reason") or "").strip():

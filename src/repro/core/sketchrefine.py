@@ -66,7 +66,7 @@ one solve to the next.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -261,7 +261,7 @@ class SketchRefineEvaluator:
         stats = SketchRefineStats(
             num_groups=partitioning.num_groups,
             partitioning_version=partitioning.version,
-            partitioning_maintenance=partitioning.maintenance.as_dict(),
+            partitioning_maintenance=asdict(partitioning.maintenance),
         )
         self.last_stats = stats
 

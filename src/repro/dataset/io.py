@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -66,9 +67,14 @@ def read_csv(path: str | Path, schema: Schema | None = None, name: str | None = 
     return Table(schema, data, name=name or path.stem)
 
 
-def save_table(table: Table, path: str | Path) -> None:
-    """Persist ``table`` to a compressed ``.npz`` file (fast binary format)."""
-    path = Path(path)
+def table_arrays(table: Table) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(meta, arrays)`` encoding ``table``: JSON-ready metadata (name,
+    version, schema) and one plain array per column.
+
+    Strings become fixed-width unicode plus an explicit NULL mask (NumPy's
+    unicode arrays cannot represent None directly).  The snapshot's ``.npz``
+    files and the write-ahead log both store tables in this form.
+    """
     meta = {
         "name": table.name,
         "version": table.version,
@@ -77,38 +83,42 @@ def save_table(table: Table, path: str | Path) -> None:
             for c in table.schema
         ],
     }
-    arrays: dict[str, np.ndarray] = {"__meta__": np.array([json.dumps(meta)])}
+    arrays: dict[str, np.ndarray] = {}
     for col in table.schema:
         values = table.column(col.name)
         if col.dtype is DataType.STRING:
-            # Strings are stored as fixed-width unicode plus an explicit NULL
-            # mask (NumPy's unicode arrays cannot represent None directly).
             arrays[f"nullmask_{col.name}"] = np.array([v is None for v in values], dtype=bool)
             values = np.array(["" if v is None else str(v) for v in values])
         arrays[f"col_{col.name}"] = values
-    np.savez_compressed(path, **arrays)
+    return meta, arrays
+
+
+def table_from_arrays(meta: dict, arrays: Mapping[str, np.ndarray]) -> Table:
+    """The table :func:`table_arrays` encoded as ``(meta, arrays)``."""
+    columns = [Column(c["name"], DataType(c["dtype"]), c["nullable"]) for c in meta["columns"]]
+    data: dict[str, np.ndarray | list] = {}
+    for col in columns:
+        values = arrays[f"col_{col.name}"]
+        if col.dtype is DataType.STRING:
+            null_mask = arrays[f"nullmask_{col.name}"]
+            data[col.name] = [
+                None if is_null else str(v) for v, is_null in zip(values, null_mask)
+            ]
+        else:
+            data[col.name] = values
+    return Table(Schema(columns), data, name=meta["name"], version=meta.get("version", 0))
+
+
+def save_table(table: Table, path: str | Path) -> None:
+    """Persist ``table`` to a compressed ``.npz`` file (fast binary format)."""
+    meta, arrays = table_arrays(table)
+    np.savez_compressed(Path(path), __meta__=np.array([json.dumps(meta)]), **arrays)
 
 
 def load_table(path: str | Path) -> Table:
     """Load a table previously written with :func:`save_table`."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["__meta__"][0]))
-        columns = [
-            Column(c["name"], DataType(c["dtype"]), c["nullable"]) for c in meta["columns"]
-        ]
-        schema = Schema(columns)
-        data: dict[str, np.ndarray | list] = {}
-        for col in columns:
-            values = archive[f"col_{col.name}"]
-            if col.dtype is DataType.STRING:
-                null_mask = archive[f"nullmask_{col.name}"]
-                data[col.name] = [
-                    None if is_null else str(v) for v, is_null in zip(values, null_mask)
-                ]
-            else:
-                data[col.name] = values
-    return Table(schema, data, name=meta["name"], version=meta.get("version", 0))
+    with np.load(Path(path), allow_pickle=False) as archive:
+        return table_from_arrays(json.loads(str(archive["__meta__"][0])), archive)
 
 
 def _format_value(value: object, dtype: DataType) -> str:

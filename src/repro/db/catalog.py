@@ -128,11 +128,6 @@ class Database:
         self._wal = wal
         return wal
 
-    def detach_wal(self) -> WriteAheadLog | None:
-        """Stop logging commits; returns the previously attached log."""
-        wal, self._wal = self._wal, None
-        return wal
-
     def _log(self, record: WalRecord) -> None:
         """Durably commit ``record`` before the in-memory state changes.
 
@@ -238,9 +233,6 @@ class Database:
         for key in [k for k in self._partitionings if k[0] == name]:
             del self._partitionings[key]
         self._invalidate_caches(name)
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
@@ -447,8 +439,7 @@ class Database:
           partitionings land bit-identical to the pre-crash state;
         * records whose versions the snapshot already includes are skipped
           (the crash fell inside a checkpoint's save/reset window);
-        * a version gap neither of those explains, or an ``update`` record
-          an older log wrote under a policy other than ``"maintain"``, raises
+        * a version gap neither of those explains raises
           :class:`~repro.errors.RecoveryError` — recovery never guesses.
 
         The returned catalog has the log attached and keeps appending to it,
@@ -523,16 +514,6 @@ class Database:
                 raise RecoveryError(
                     f"log updates unknown table {name!r} (snapshot and log "
                     "disagree; was the snapshot directory overwritten?)"
-                )
-            # Logs written while a "stale" policy existed record the policy
-            # each update ran under; replaying a stale one as maintained
-            # would recover a different catalog than the one that crashed.
-            policy = getattr(record, "policy", "maintain")
-            if policy != "maintain":
-                raise RecoveryError(
-                    f"cannot replay table {name!r}: the log's update to version "
-                    f"{record.delta.new_version} ran under policy {policy!r}; "
-                    "only maintained updates can be replayed"
                 )
             current = self._tables[name].version
             if current >= record.delta.new_version:

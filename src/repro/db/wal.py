@@ -15,16 +15,34 @@ delta is all replay needs to carry the partitionings along.
 Record framing (one record per commit)::
 
     +------+----------------+---------------+------------------+
-    | RWAL | payload length | payload CRC32 | pickled WalRecord|
+    | RWAL | payload length | payload CRC32 | payload          |
     | 4 B  | 4 B big-endian | 4 B big-endian| <length> bytes   |
     +------+----------------+---------------+------------------+
+
+and the payload (format 1)::
+
+    +--------+----------------+-------------+---------------------------+
+    | format | header length  | JSON header | raw C-order array bytes,  |
+    | 1 B    | 4 B big-endian | UTF-8       | one array after another   |
+    +--------+----------------+-------------+---------------------------+
+
+The header names the record's kind, table and LSN, the kind's scalar fields,
+and ``(name, dtype, shape)`` of every array; tables are encoded by
+:func:`~repro.dataset.io.table_arrays`, the same code the on-disk snapshot
+uses.  Decoding never executes anything from the log: arrays come back
+through ``np.frombuffer`` and only boolean, integer, float and fixed-width
+unicode dtypes are accepted.
 
 A crash can cut the final record short at any byte: replay stops at the
 first frame whose magic, length or checksum does not verify, treats the
 remainder as a torn tail, and truncates it so the next append starts on a
 clean boundary.  Corruption *before* the tail cannot be distinguished from a
 tear and is handled the same way — everything after the damage is discarded,
-which is exactly the prefix-durability contract fsync-per-commit buys.
+which is exactly the prefix-durability contract fsync-per-commit buys.  A
+frame that *does* verify is never discarded: an unknown format byte (a log
+written by another format, such as the pickled frames of earlier versions)
+raises :class:`~repro.errors.RecoveryError`, and a malformed format-1
+payload raises :class:`~repro.errors.WalError`, both with the log untouched.
 
 File I/O goes through the small :class:`LogStorage` seam (:class:`FileLogStorage`
 over a real file, :class:`MemoryLogStorage` for tests) so the crash-injection
@@ -36,28 +54,37 @@ recovery guarantees.
 from __future__ import annotations
 
 import io
+import json
+import math
 import os
-import pickle
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.errors import WalError
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog imports wal)
-    from repro.dataset.table import Table, TableDelta
-    from repro.partition.partitioning import (
-        MaintenanceProfile,
-        PartitioningStats,
-    )
+from repro.dataset.io import table_arrays, table_from_arrays
+from repro.dataset.table import Table, TableDelta
+from repro.errors import RecoveryError, ReproError, WalError
+from repro.partition.partitioning import MaintenanceProfile, PartitioningStats
 
 #: Frame magic; a record not starting with it is torn/foreign and ends replay.
 _MAGIC = b"RWAL"
 
 #: Frame header layout: magic + payload length + payload CRC32.
 _HEADER = struct.Struct(">4sII")
+
+#: The one payload format this module writes and reads.
+_FORMAT = 1
+
+#: Payload prefix layout: format byte + JSON header length.
+_PAYLOAD_PREFIX = struct.Struct(">BI")
+
+#: Array dtype kinds a payload may carry: bool, signed and unsigned integer,
+#: float, fixed-width unicode.  Never object.
+_DTYPE_KINDS = frozenset("biufU")
 
 #: Record kinds a :class:`WalRecord` can carry (see the factory methods).
 RECORD_KINDS = ("create", "update", "drop", "partition", "checkpoint")
@@ -73,8 +100,7 @@ class WalRecord:
     * ``update`` — ``delta``: one versioned
       :class:`~repro.dataset.table.TableDelta` commit; replay re-runs
       :class:`~repro.partition.maintenance.PartitionMaintainer` over it
-      identically (records from older logs also carry the ``policy`` the
-      update ran under, which replay checks);
+      identically;
     * ``drop`` — no payload, the table (and its partitionings) went away;
     * ``partition`` — ``label`` + the partitioning's reconstruction state
       (gid assignment, attributes, build stats, version, maintenance
@@ -91,11 +117,11 @@ class WalRecord:
     delta: "TableDelta | None" = None
     table: "Table | None" = None
     label: str | None = None
-    group_ids: object | None = None
+    group_ids: np.ndarray | None = None
     attributes: list[str] | None = None
-    stats: "PartitioningStats | None" = None
+    stats: PartitioningStats | None = None
     version: int | None = None
-    maintenance: "MaintenanceProfile | None" = None
+    maintenance: MaintenanceProfile | None = None
     versions: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -148,10 +174,119 @@ class WalRecord:
         )
 
 
+def _record_fields(record: WalRecord) -> tuple[dict, dict[str, np.ndarray]]:
+    """The kind's scalar header fields and its arrays."""
+    if record.kind == "create":
+        assert record.table is not None
+        meta, arrays = table_arrays(record.table)
+        return {"meta": meta}, arrays
+    if record.kind == "update":
+        assert record.delta is not None
+        meta, arrays = table_arrays(record.delta.inserted)
+        scalars = {
+            "base_version": record.delta.base_version,
+            "base_rows": len(record.delta.deleted_mask),
+            "meta": meta,
+        }
+        deleted = record.delta.deleted_rows().astype(np.int64, copy=False)
+        return scalars, {"deleted": deleted, **arrays}
+    if record.kind == "partition":
+        assert record.stats is not None and record.maintenance is not None
+        scalars = {
+            "label": record.label,
+            "attributes": record.attributes,
+            "version": record.version,
+            "stats": asdict(record.stats),
+            "maintenance": asdict(record.maintenance),
+        }
+        return scalars, {"group_ids": np.asarray(record.group_ids)}
+    if record.kind == "checkpoint":
+        return {"versions": record.versions}, {}
+    return {}, {}
+
+
 def encode_record(record: WalRecord) -> bytes:
-    """Frame one record: magic + length + CRC32 + pickled payload."""
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+    """Frame one record: magic + length + CRC32 + format-1 payload."""
+    scalars, arrays = _record_fields(record)
+    buffers = [np.ascontiguousarray(array) for array in arrays.values()]
+    header = {
+        "kind": record.kind,
+        "table": record.table_name,
+        "lsn": record.lsn,
+        **scalars,
+        "arrays": [
+            [name, array.dtype.str, list(array.shape)]
+            for name, array in zip(arrays, buffers)
+        ],
+    }
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    prefix = _PAYLOAD_PREFIX.pack(_FORMAT, len(blob)) + blob
+    crc = zlib.crc32(prefix)
+    for buffer in buffers:
+        crc = zlib.crc32(buffer, crc)
+    length = len(prefix) + sum(buffer.nbytes for buffer in buffers)
+    return b"".join([_HEADER.pack(_MAGIC, length, crc), prefix, *buffers])
+
+
+def _decode_arrays(specs: list, payload: bytearray, start: int) -> dict[str, np.ndarray]:
+    """The arrays ``specs`` describes, read from ``payload[start:]``."""
+    arrays: dict[str, np.ndarray] = {}
+    offset = start
+    for name, dtype_str, shape in specs:
+        dtype = np.dtype(dtype_str)
+        if dtype.kind not in _DTYPE_KINDS or dtype.itemsize == 0:
+            raise WalError(f"WAL array {name!r} has disallowed dtype {dtype_str!r}")
+        if not all(isinstance(dim, int) and dim >= 0 for dim in shape):
+            raise WalError(f"WAL array {name!r} has invalid shape {shape!r}")
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(payload):
+            raise WalError(f"WAL array {name!r} runs past the end of its payload")
+        arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        offset += count * dtype.itemsize
+    if offset != len(payload):
+        raise WalError(
+            f"WAL payload holds {len(payload) - offset} bytes beyond its arrays"
+        )
+    return arrays
+
+
+def _decode_payload(payload: bytearray) -> WalRecord:
+    """One format-1 payload back into its :class:`WalRecord`."""
+    try:
+        _, header_length = _PAYLOAD_PREFIX.unpack_from(payload)
+        start = _PAYLOAD_PREFIX.size + header_length
+        header = json.loads(payload[_PAYLOAD_PREFIX.size : start].decode())
+        arrays = _decode_arrays(header["arrays"], payload, start)
+        kind = header["kind"]
+        common = {"kind": kind, "table_name": header["table"], "lsn": header["lsn"]}
+        if kind == "create":
+            return WalRecord(**common, table=table_from_arrays(header["meta"], arrays))
+        if kind == "update":
+            deleted = arrays.pop("deleted")
+            mask = np.zeros(header["base_rows"], dtype=bool)
+            if ((deleted < 0) | (deleted >= len(mask))).any():
+                raise WalError("WAL update deletes rows outside its base table")
+            mask[deleted] = True
+            inserted = table_from_arrays(header["meta"], arrays)
+            delta = TableDelta(header["base_version"], inserted, mask)
+            return WalRecord(**common, delta=delta)
+        if kind == "partition":
+            return WalRecord(
+                **common,
+                label=header["label"],
+                group_ids=arrays["group_ids"],
+                attributes=header["attributes"],
+                stats=PartitioningStats(**header["stats"]),
+                version=header["version"],
+                maintenance=MaintenanceProfile(**header["maintenance"]),
+            )
+        if kind == "checkpoint":
+            return WalRecord(**common, versions=header["versions"])
+        return WalRecord(**common)
+    except WalError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, struct.error, ReproError) as exc:
+        raise WalError(f"malformed WAL record: {exc!r}") from exc
 
 
 def decode_stream(data: bytes) -> tuple[list[WalRecord], int, bool]:
@@ -160,31 +295,32 @@ def decode_stream(data: bytes) -> tuple[list[WalRecord], int, bool]:
     Returns ``(records, valid_bytes, torn)``: the committed records, the
     byte offset of the first frame that failed to verify (== ``len(data)``
     when the log is clean), and whether trailing bytes were discarded.
+
+    Raises :class:`~repro.errors.RecoveryError` for a verified frame whose
+    format byte is not this module's, and :class:`~repro.errors.WalError`
+    for a verified format-1 frame that does not decode: neither is a tear.
     """
     records: list[WalRecord] = []
+    view = memoryview(data)
     offset = 0
-    stream = io.BytesIO(data)
     while True:
-        header = stream.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            return records, offset, len(header) > 0
-        magic, length, crc = _HEADER.unpack(header)
-        if magic != _MAGIC:
+        if len(data) - offset < _HEADER.size:
+            return records, offset, offset < len(data)
+        magic, length, crc = _HEADER.unpack_from(data, offset)
+        start = offset + _HEADER.size
+        payload = view[start : start + length]
+        if magic != _MAGIC or len(payload) < length or zlib.crc32(payload) != crc:
             return records, offset, True
-        payload = stream.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            return records, offset, True
-        try:
-            record = pickle.loads(payload)
-        except Exception:
-            # A checksummed frame that does not unpickle is damage the CRC
-            # could not see (e.g. a truncated pickle of exactly the framed
-            # length); treat it as the tail like any other torn record.
-            return records, offset, True
-        if not isinstance(record, WalRecord):
-            return records, offset, True
-        records.append(record)
-        offset += _HEADER.size + length
+        if payload[:1] != bytes([_FORMAT]):
+            found = f"0x{payload[0]:02x}" if length else "none (empty payload)"
+            raise RecoveryError(
+                f"WAL frame at byte offset {offset} has unknown format byte {found}; "
+                f"this version reads format {_FORMAT} only, and leaves the log as it is"
+            )
+        # A writable copy: decoded columns are ordinary arrays, as a table
+        # built in this process would hold.
+        records.append(_decode_payload(bytearray(payload)))
+        offset = start + length
 
 
 class LogStorage:

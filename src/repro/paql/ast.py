@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.db.aggregates import AggregateFunction
 from repro.db.expressions import Expression
@@ -235,19 +234,6 @@ class PackageQuery:
     def max_multiplicity(self) -> int | None:
         """Maximum allowed multiplicity per tuple (``None`` = unbounded)."""
         return None if self.repeat is None else self.repeat + 1
-
-    def with_constraints(self, extra: Iterable[GlobalConstraint]) -> "PackageQuery":
-        """Return a copy of the query with additional global constraints."""
-        return PackageQuery(
-            relation=self.relation,
-            package_alias=self.package_alias,
-            relation_alias=self.relation_alias,
-            repeat=self.repeat,
-            base_predicate=self.base_predicate,
-            global_constraints=list(self.global_constraints) + list(extra),
-            objective=self.objective,
-            name=self.name,
-        )
 
     def describe(self) -> str:
         parts = [f"PackageQuery over {self.relation}"]

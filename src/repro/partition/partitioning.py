@@ -75,9 +75,6 @@ class MaintenanceProfile:
     groups_resplit: int = 0
     maintain_seconds: float = 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def densify_group_ids(
     group_ids: np.ndarray, sizes: np.ndarray
@@ -449,16 +446,8 @@ class Partitioning:
         metadata = {
             "attributes": self.attributes,
             "version": self.version,
-            "maintenance": self.maintenance.as_dict(),
-            "stats": {
-                "num_groups": self.stats.num_groups,
-                "max_group_size": self.stats.max_group_size,
-                "max_radius": self.stats.max_radius,
-                "build_seconds": self.stats.build_seconds,
-                "size_threshold": self.stats.size_threshold,
-                "radius_limit": self.stats.radius_limit,
-                "method": self.stats.method,
-            },
+            "maintenance": asdict(self.maintenance),
+            "stats": asdict(self.stats),
         }
         (directory / "metadata.json").write_text(json.dumps(metadata, indent=2))
 

@@ -26,16 +26,6 @@ CASES: dict[str, tuple[dict[str, object], int, int]] = {
         7,  # time.time x2, random.random, np.random.rand, shuffle, 3 set-iters
         2,
     ),
-    "pickle-safety": (
-        {
-            "payload_classes": {
-                "FixtureTask": ["_plain_state"],
-                "FixturePartial": [],
-            }
-        },
-        3,  # FixtureTask._result_cache/_memo + FixturePartial._work_arrays
-        2,
-    ),
     "tolerance": (
         {"scope": []},
         4,  # name-pattern ==, literal !=, division ==, float() ==

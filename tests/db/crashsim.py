@@ -83,7 +83,7 @@ class CrashStorage(LogStorage):
             raise SimulatedCrash(f"pre-write crash at append {index}")
         if point == "mid-record":
             # A torn write: some strict prefix of the frame reached the disk.
-            # Half the frame cuts inside the pickled payload; the header's
+            # Half the frame cuts inside the payload; the header's
             # length/CRC then fail verification on replay.
             self.durable += data[: max(1, len(data) // 2)]
             raise SimulatedCrash(f"mid-record crash at append {index}")

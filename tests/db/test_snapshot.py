@@ -199,6 +199,18 @@ class TestHandlePickling:
         assert snap.table("stream").version == 0
         snap.release()
 
+    def test_round_trip_carries_nothing_but_the_view(self, db):
+        """A used handle pickles to its id, its pins and its release flag:
+        no memo of its reads and no reference back to the live catalog."""
+        snap = db.snapshot()
+        snap.table("stream")
+        snap.partitioning("stream")
+        snap.has_partitioning("stream", "coarse")
+        repr(snap)
+        clone = pickle.loads(pickle.dumps(snap))
+        assert set(vars(clone)) == {"snapshot_id", "pins", "_released"}
+        assert clone.versions() == snap.versions()
+
     def test_pinned_table_round_trip(self, db):
         pin = db.snapshot().pins["stream"]
         clone = pickle.loads(pickle.dumps(pin))
